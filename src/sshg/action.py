@@ -108,7 +108,13 @@ def check_overflow(u: ScalarField, params: ActionParams) -> np.ndarray:
     return vals
 
 
-def evaluate_J(u: ScalarField, psi: SpinorField, params: ActionParams, basis=None) -> float:
+def dirac_minus_potential(psi: SpinorField, cosh_u: np.ndarray, rho: float) -> SpinorField:
+    """(D - rho cosh(u)) psi: the spinor equation and the fiber operator of
+    the constraint."""
+    return dirac_apply(psi) - psi.times(rho * cosh_u)
+
+
+def evaluate_J(u: ScalarField, psi: SpinorField, params: ActionParams) -> float:
     geom = u.geom
     uv = check_overflow(u, params)
     rho = params.rho
@@ -120,7 +126,7 @@ def evaluate_J(u: ScalarField, psi: SpinorField, params: ActionParams, basis=Non
     return grad_term + dirac_term + cosh_term + sinh_term
 
 
-def gradient_J(u: ScalarField, psi: SpinorField, params: ActionParams, basis=None) -> Variation:
+def gradient_J(u: ScalarField, psi: SpinorField, params: ActionParams) -> Variation:
     """First variation as dual densities.
 
     Scalar part: -2 Lap u + 8 rho^2 sinh(u) cosh(u) - 8 rho sinh(u) |psi|^2.
@@ -133,11 +139,10 @@ def gradient_J(u: ScalarField, psi: SpinorField, params: ActionParams, basis=Non
     dens = psi.density()
     gu_vals = 8.0 * rho * rho * sh * ch - 8.0 * rho * sh * dens
     gu = ScalarField.from_values(geom, gu_vals) + (-2.0) * laplace_apply(u)
-    dpsi = dirac_apply(psi) - SpinorField.from_values(geom, (rho * ch)[None, :, :] * psi.values)
-    return Variation(gu, 16.0 * dpsi)
+    return Variation(gu, 16.0 * dirac_minus_potential(psi, ch, rho))
 
 
-def el_residual(u: ScalarField, psi: SpinorField, params: ActionParams, basis=None):
+def el_residual(u: ScalarField, psi: SpinorField, params: ActionParams):
     """Euler-Lagrange residuals and their dual-multiplier norms.
 
     Returns (Variation(res_u, res_psi), ||res_u||_{H^-1}, ||res_psi||_{H^-1/2}).
@@ -148,16 +153,13 @@ def el_residual(u: ScalarField, psi: SpinorField, params: ActionParams, basis=No
     dens = psi.density()
     ru_vals = -2.0 * rho * rho * np.sinh(2.0 * uv) + 4.0 * rho * np.sinh(uv) * dens
     res_u = laplace_apply(u) + ScalarField.from_values(geom, ru_vals)
-    res_psi = dirac_apply(psi) - SpinorField.from_values(
-        geom, (rho * np.cosh(uv))[None, :, :] * psi.values
-    )
-    var = Variation(res_u, res_psi)
+    var = Variation(res_u, dirac_minus_potential(psi, np.cosh(uv), rho))
     nu, npsi = var.dual_norms()
     return var, nu, npsi
 
 
 def hess_vec(u: ScalarField, psi: SpinorField, direction: Variation,
-             params: ActionParams, basis=None) -> Variation:
+             params: ActionParams) -> Variation:
     """Second variation applied to a primal direction, returned dual-tagged."""
     geom = u.geom
     uv = check_overflow(u, params)
@@ -167,7 +169,7 @@ def hess_vec(u: ScalarField, psi: SpinorField, direction: Variation,
     vv = v.values
     sh, ch = np.sinh(uv), np.cosh(uv)
     dens = psi.density()
-    cross = np.real(np.sum(np.conj(psi.values) * phi.values, axis=0))
+    cross = psi.cross_density(phi)
 
     hu_vals = (8.0 * rho * rho * np.cosh(2.0 * uv) * vv
                - 8.0 * rho * ch * vv * dens

@@ -58,6 +58,21 @@ def _pack_field(name: str, value) -> bytes:
     return b"".join(chunks)
 
 
+def write_atomic(path: str, data: bytes) -> str:
+    """Write bytes through a temp file plus rename; returns the path."""
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+    return path
+
+
 def checkpoint_save(state: dict, geom: TorusGeometry, path: str) -> str:
     """Write named fields atomically; returns the final path."""
     chunks = [MAGIC, struct.pack("<B", VERSION)]
@@ -66,19 +81,7 @@ def checkpoint_save(state: dict, geom: TorusGeometry, path: str) -> str:
     chunks.append(struct.pack("<I", len(state)))
     for name, value in state.items():
         chunks.append(_pack_field(name, value))
-    blob = b"".join(chunks)
-
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return path
+    return write_atomic(path, b"".join(chunks))
 
 
 class _Reader:

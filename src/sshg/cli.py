@@ -4,7 +4,9 @@
     solve --config cfg.json ...              (same command, direct alias)
 
 Exit codes: 0 success, 2 config error, 3 capacity/resolution error,
-4 non-convergence (the flagged output is still written).
+4 non-convergence (the flagged output is still written; a run converges
+only when Newton refined every record), 5 solver failure (a certificate,
+an inner solve or the overflow guard failed; no output is written).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
 EXIT_NONCONVERGED = 4
+EXIT_SOLVER = 5
 
 
 def _solve_parser(prog: str) -> argparse.ArgumentParser:
@@ -58,7 +61,7 @@ def _load_config(path: str, args) -> RunConfig:
 
 def _execute(config: RunConfig) -> int:
     output = run(config)
-    return EXIT_OK if output.get("converged", True) else EXIT_NONCONVERGED
+    return EXIT_OK if output["converged"] else EXIT_NONCONVERGED
 
 
 def _run_one(path_and_args) -> int:
@@ -72,8 +75,8 @@ def _run_one(path_and_args) -> int:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except SSHGError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        print(f"solver error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 def run_solve(argv, prog="sshg solve") -> int:

@@ -73,14 +73,6 @@ class ScalarField:
         mirrored = np.conj(np.roll(np.flip(c, axis=(0, 1)), shift=(1, 1), axis=(0, 1)))
         return float(np.max(np.abs(c - mirrored)))
 
-    def mean(self) -> float:
-        return float(np.mean(self.values))
-
-    def copy(self) -> "ScalarField":
-        v = None if self._values is None else self._values.copy()
-        c = None if self._coeffs is None else self._coeffs.copy()
-        return ScalarField(self.geom, values=v, coeffs=c)
-
     # -- arithmetic (new objects; used by the descent loops) ---------------------
 
     def __add__(self, other):
@@ -163,10 +155,13 @@ class SpinorField:
         v = self.values
         return (v.real ** 2 + v.imag ** 2).sum(axis=0)
 
-    def copy(self) -> "SpinorField":
-        v = None if self._values is None else self._values.copy()
-        c = None if self._coeffs is None else self._coeffs.copy()
-        return SpinorField(self.geom, values=v, coeffs=c)
+    def cross_density(self, other) -> np.ndarray:
+        """Pointwise Re<self, other> on the grid."""
+        return np.real(np.sum(np.conj(self.values) * other.values, axis=0))
+
+    def times(self, f: np.ndarray) -> "SpinorField":
+        """Pointwise product with a real grid function."""
+        return SpinorField.from_values(self.geom, f[None, :, :] * self.values)
 
     def __add__(self, other):
         return SpinorField(self.geom, coeffs=self.coeffs + other.coeffs)

@@ -21,11 +21,9 @@ from .errors import ConfigError
 
 TWO_PI = 2.0 * np.pi
 
-# Anti-Hermitian Clifford generators, gamma_i^2 = -I, and the volume element.
-# OMEGA is real and anti-commutes with the Dirac symbol at every mode.
+# Anti-Hermitian Clifford generators, gamma_i^2 = -I.
 GAMMA1 = np.array([[1j, 0.0], [0.0, -1j]])
 GAMMA2 = np.array([[0.0, 1j], [1j, 0.0]])
-OMEGA = (GAMMA1 @ GAMMA2).real  # [[0, -1], [1, 0]]
 
 
 @dataclass(frozen=True)
@@ -160,8 +158,3 @@ class TorusGeometry:
         """Distance from rho to the computed Dirac spectrum (grid modes)."""
         lam = self.s_abs[self.spinor_mask]
         return float(np.min(np.abs(lam - rho)))
-
-    def harmonic_dim(self) -> int:
-        """Real dimension of ker D on this grid (4 iff delta = (0,0))."""
-        zero_modes = np.count_nonzero((self.s_abs == 0.0) & self.spinor_mask)
-        return int(4 * zero_modes)

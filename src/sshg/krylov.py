@@ -22,12 +22,13 @@ class SolveInfo:
     relative_residual: float
 
 
-def cg(apply_op, b, inner, x0=None, tol=1e-12, maxiter=500, atol=0.0, raise_on_cap=True):
+def cg(apply_op, b, inner, x0=None, tol=1e-12, maxiter=500, atol=0.0):
     """Conjugate gradients for an SPD operator in the given inner product.
 
     Returns (x, SolveInfo).  Stops when ||r|| <= max(tol * ||b||, atol); the
     absolute floor lets callers whose right-hand side is roundoff of a larger
-    problem scale exit cleanly instead of iterating on noise.
+    problem scale exit cleanly instead of iterating on noise.  Reaching
+    maxiter raises ConditioningError.
     """
     norm_b = np.sqrt(max(inner(b, b), 0.0))
     stop = max(tol * norm_b, atol)
@@ -66,12 +67,10 @@ def cg(apply_op, b, inner, x0=None, tol=1e-12, maxiter=500, atol=0.0, raise_on_c
         rr = rr_new
 
     relres = float(np.sqrt(max(rr, 0.0)) / norm_b)
-    if raise_on_cap:
-        raise ConditioningError(
-            f"cg: iteration cap {maxiter} exceeded (relative residual {relres:.3e})",
-            residual=relres,
-        )
-    return x, SolveInfo(False, maxiter, relres)
+    raise ConditioningError(
+        f"cg: iteration cap {maxiter} exceeded (relative residual {relres:.3e})",
+        residual=relres,
+    )
 
 
 def minres(apply_op, b, inner, tol=1e-12, maxiter=400):

@@ -23,9 +23,11 @@ from .action import (
     hess_vec,
 )
 from .errors import (
+    CapacityError,
     CertificationError,
     ConeStarvationError,
     ConfigError,
+    SSHGError,
 )
 from .fields import ScalarField, SpinorField
 from .krylov import ProductVec, minres
@@ -40,6 +42,7 @@ from .spectral import (
     check_spectral_gap,
     h1_norm,
     hhalf_norm,
+    product_norm,
     project,
     riesz_h1,
     riesz_hhalf,
@@ -50,6 +53,8 @@ SUFFICIENT_DECREASE = 1e-4
 MAX_BACKTRACKS = 25
 RESPREAD_EVERY = 5
 NEWTON_PRE_GRAD = 1e-3
+TRACE_CAP = 1e8            # PS traces beyond this magnitude count as unbounded
+CYLINDER_RADII = 3         # radial shells of the linking cylinder
 
 
 # ---------------------------------------------------------------------------
@@ -58,20 +63,14 @@ NEWTON_PRE_GRAD = 1e-3
 
 @dataclass
 class MinmaxConfig:
-    mode: str = "mountain_pass"        # or "linking"
     path_nodes: int = 33               # odd, >= 5
     descent_step: float = 0.1          # initial backtracking step, factor 0.5
     grad_tol: float = 1e-6
     newton_tol: float = 1e-10
     max_outer: int = 2000
-    r0: float = 0.05
-    tau: float = 50.0
     seed: int = 0
-    deflation_orbits: list = field(default_factory=list)   # off by default
 
     def __post_init__(self):
-        if self.mode not in ("mountain_pass", "linking"):
-            raise ConfigError(f"unknown minmax mode {self.mode!r}")
         if self.path_nodes < 5 or self.path_nodes % 2 == 0:
             raise ConfigError("path_nodes must be odd and >= 5")
         if min(self.grad_tol, self.newton_tol, self.descent_step) <= 0:
@@ -113,6 +112,7 @@ class PSDiagnostics:
     grad_norms: list = field(default_factory=list)
     u_h1_trace: list = field(default_factory=list)
     psi_hhalf_trace: list = field(default_factory=list)
+    repairs: list = field(default_factory=list)   # per iterate: ridge repair happened
 
     def record(self, tangent_res, level, u_h1, psi_hhalf):
         self.alpha_norms.append(tangent_res.alpha_norm)
@@ -123,9 +123,9 @@ class PSDiagnostics:
         self.u_h1_trace.append(u_h1)
         self.psi_hhalf_trace.append(psi_hhalf)
 
-    def bounded(self, cap: float = 1e8) -> bool:
+    def bounded(self) -> bool:
         arrays = [self.u_h1_trace, self.psi_hhalf_trace, self.energies]
-        return all(np.all(np.isfinite(a)) and (len(a) == 0 or np.max(np.abs(a)) <= cap)
+        return all(np.all(np.isfinite(a)) and (len(a) == 0 or np.max(np.abs(a)) <= TRACE_CAP)
                    for a in arrays)
 
     def consistent_lengths(self) -> bool:
@@ -157,22 +157,21 @@ def u_variance(u: ScalarField) -> float:
 
 
 def classify(u: ScalarField, psi: SpinorField) -> tuple[str, float]:
+    """Trivial when psi vanishes: with psi = 0 the u-equation
+    Lap u = 2 rho^2 sinh(2u) has only u = 0 (multiply by u and integrate)."""
     var = u_variance(u)
-    total = h1_norm(u) + hhalf_norm(psi)
-    if total <= 1e-8:
+    if hhalf_norm(psi) <= 1e-8:
         return "trivial", var
-    if var <= 1e-8 and hhalf_norm(psi) > 1e-8:
+    if var <= 1e-8:
         return "semi_trivial_constant_u", var
     return "nontrivial", var
 
 
 def make_record(point: NehariPoint, params: ActionParams, converged: bool,
-                refined: bool, with_multiplier: bool = True) -> SolutionRecord:
+                refined: bool) -> SolutionRecord:
     _, ru, rp = el_residual(point.u, point.psi, params)
     cls, var = classify(point.u, point.psi)
-    mnorm = np.nan
-    if with_multiplier:
-        mnorm = lagrange_multiplier(point, params).norm()
+    mnorm = lagrange_multiplier(point, params).norm()
     return SolutionRecord(
         point=point,
         level=evaluate_J(point.u, point.psi, params),
@@ -275,9 +274,25 @@ def _span_block(basis, rho: float):
     return fields, np.array(weights)
 
 
+def _block_directions(weights, n_dirs: int, seed: int) -> np.ndarray:
+    """n_dirs random coefficient vectors of unit H^{1/2} norm in the block."""
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((n_dirs, len(weights)))
+    dirs /= np.sqrt((dirs**2 * weights[None, :]).sum(axis=1))[:, None]
+    return dirs
+
+
+def _block_spinor(geom, fields, coefvec) -> SpinorField:
+    """The spinor sum_l coefvec[l] fields[l]."""
+    out = SpinorField.zeros(geom)
+    for c, f in zip(coefvec, fields):
+        if c != 0.0:
+            out = out + float(c) * f
+    return out
+
+
 def build_cylinder(consts: LinkingConstants, mesh: tuple[int, int],
-                   params: ActionParams, basis, seed: int = 0,
-                   n_radial: int = 3, max_k: int = 12):
+                   params: ActionParams, basis, seed: int = 0, max_k: int = 12):
     """Discretized solid cylinder D with boundary flags, every node certified.
 
     Nodes are (u === t, phi + A t Psi_{k+1}) with phi in the plus_b + zero
@@ -295,28 +310,18 @@ def build_cylinder(consts: LinkingConstants, mesh: tuple[int, int],
     if K == 0:
         raise ConfigError("empty plus_b + zero block: no linking geometry")
     if K > max_k:
-        from .errors import CapacityError
         raise CapacityError(f"linking block dimension K={K} exceeds the desk-scale cap {max_k}")
 
     psi_top = basis.eigenspinor(consts.k_index + 1)
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((n_sphere, K))
-    dirs /= np.sqrt((dirs**2 * weights[None, :]).sum(axis=1))[:, None]  # unit H^{1/2}
-
-    def phi_of(coefvec) -> SpinorField:
-        out = SpinorField.zeros(geom)
-        for c, f in zip(coefvec, fields):
-            if c != 0.0:
-                out = out + float(c) * f
-        return out
+    dirs = _block_directions(weights, n_sphere, seed)
 
     nodes, frozen = [], []
     tvals = np.linspace(0.0, consts.T, n_t)
-    radii = np.linspace(0.0, consts.R, n_radial + 1)
+    radii = np.linspace(0.0, consts.R, CYLINDER_RADII + 1)
     for it, t in enumerate(tvals):
         u = ScalarField.constant(geom, float(t))
         for ir, r in enumerate(radii):
-            on_side = ir == n_radial
+            on_side = ir == CYLINDER_RADII
             on_cap = it == 0 or it == n_t - 1
             if r == 0.0:
                 free = (consts.A * t) * psi_top
@@ -324,7 +329,7 @@ def build_cylinder(consts: LinkingConstants, mesh: tuple[int, int],
                 frozen.append(on_cap)
                 continue
             for d in dirs:
-                free = phi_of(r * d) + (consts.A * t) * psi_top
+                free = _block_spinor(geom, fields, r * d) + (consts.A * t) * psi_top
                 nodes.append(fiber_solve(u, free, params))
                 frozen.append(on_cap or on_side)
 
@@ -333,8 +338,7 @@ def build_cylinder(consts: LinkingConstants, mesh: tuple[int, int],
     if bad:
         if consts.T - np.arccosh((consts.lam_k1 + 1.0) / rho) < 0.9:
             bigger = linking_constants(params, basis, t_margin=1.0, factor=3.0)
-            return build_cylinder(bigger, mesh, params, basis, seed=seed,
-                                  n_radial=n_radial, max_k=max_k)
+            return build_cylinder(bigger, mesh, params, basis, seed=seed, max_k=max_k)
         raise CertificationError(
             f"{len(bad)} cylinder boundary nodes have positive energy after retry"
         )
@@ -347,25 +351,6 @@ def build_cylinder(consts: LinkingConstants, mesh: tuple[int, int],
 
 def _product_dist(a: NehariPoint, b: NehariPoint) -> float:
     return float(np.sqrt(h1_norm(a.u - b.u) ** 2 + hhalf_norm(a.psi - b.psi) ** 2))
-
-
-def _orbit_penalty(point: NehariPoint, orbits, params) -> float:
-    """Deflation penalty sum 1/dist^2 to known solution orbits (off by default)."""
-    if not orbits:
-        return 0.0
-    from .spectral import quaternion_act
-    total = 0.0
-    qs = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
-          (0.5, 0.5, 0.5, 0.5), (0.5, -0.5, 0.5, -0.5)]
-    for known in orbits:
-        d = np.inf
-        for sigma in (1.0, -1.0):
-            for q in qs:
-                cand = NehariPoint(u=sigma * known.u, psi=quaternion_act(known.psi, q),
-                                   constraint_norm=known.constraint_norm, rho=known.rho)
-                d = min(d, _product_dist(point, cand))
-        total += 1.0 / max(d * d, 1e-12)
-    return total
 
 
 def _interp_points(a: NehariPoint, b: NehariPoint, w: float, params) -> NehariPoint:
@@ -439,9 +424,8 @@ class _SegmentCache:
 
 
 def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
-                  basis=None, segments="chain", respread=_respread_path,
-                  step_hook=None, tangent_filter=None,
-                  keep_trace_points: bool = False):
+                  segments="chain", respread=_respread_path,
+                  step_hook=None, tangent_filter=None):
     """Descend the max-energy node until its constrained gradient is small.
 
     Each outer iteration: repair discretization gaps (promote any segment
@@ -449,7 +433,9 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
     backtracking step along the negative constrained gradient, retract, and
     periodically re-spread.  Returns (SolutionRecord candidate,
     PSDiagnostics); budget exhaustion or stalled line searches yield the best
-    candidate flagged non-converged with diagnostics attached.
+    candidate flagged non-converged with diagnostics attached.  A broken
+    invariant (energy floor, moved frozen node, trace lengths) raises
+    CertificationError.
     """
     nodes = list(nodes)
     frozen = list(frozen)
@@ -469,8 +455,6 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
 
     energies = [evaluate_J(nd.u, nd.psi, params) for nd in nodes]
     diags = PSDiagnostics()
-    diags.repairs = []
-    trace_points = []
     boundary_ids = [id(nd) for nd, fz in zip(nodes, frozen) if fz]
 
     step = config.descent_step
@@ -511,12 +495,7 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
         repaired = repair()
         diags.repairs.append(repaired)
 
-        if config.deflation_orbits:
-            sel = [e + _orbit_penalty(nd, config.deflation_orbits, params)
-                   if not fz else -np.inf
-                   for e, nd, fz in zip(energies, nodes, frozen)]
-        else:
-            sel = [e if not fz else -np.inf for e, fz in zip(energies, frozen)]
+        sel = [e if not fz else -np.inf for e, fz in zip(energies, frozen)]
         idx = int(np.argmax(sel))
         point = nodes[idx]
         level = max(energies)
@@ -526,20 +505,16 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
             # restricted manifolds (orthogonal restart) project the descent
             # direction; convergence is then measured in the filtered norm
             filt = tangent_filter(res.tangent)
-            fnorm = float(np.sqrt(max(
-                sobolev_inner(filt.du, filt.du, "H1_scalar")
-                + sobolev_inner(filt.dpsi, filt.dpsi, "Hhalf_spinor"), 0.0)))
             res.tangent = filt
-            res.norm = fnorm
+            res.norm = product_norm(filt.du, filt.dpsi)
         diags.record(res, level, h1_norm(point.u), hhalf_norm(point.psi))
-        if keep_trace_points:
-            trace_points.append(point)
 
         # descent never raises the certified max; repairs may (logged above)
         if not repaired and level > prev_max + 1e-9 * (1.0 + abs(prev_max)):
             raise CertificationError("max level increased during deformation")
         prev_max = level
-        assert level >= floor - 1e-9, "energy trace fell below the endpoint floor"
+        if level < floor - 1e-9:
+            raise CertificationError("energy trace fell below the endpoint floor")
 
         if res.norm <= config.grad_tol:
             converged = True
@@ -565,7 +540,7 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
             try:
                 cand = project_to_manifold(cand_u, cand_psi, params)
                 j_new = evaluate_J(cand.u, cand.psi, params)
-            except Exception:
+            except (SSHGError, FloatingPointError):
                 trial_step *= 0.5
                 continue
             target = j_old - SUFFICIENT_DECREASE * trial_step * res.norm ** 2
@@ -595,7 +570,8 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
 
         # frozen nodes are never moved
         ids = [id(nd) for nd, fz in zip(nodes, frozen) if fz]
-        assert ids == boundary_ids, "boundary node was moved during deformation"
+        if ids != boundary_ids:
+            raise CertificationError("boundary node was moved during deformation")
         last_idx = idx
 
     if not converged or last_idx is None:
@@ -605,9 +581,8 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
                                   for e, fz in zip(energies, frozen)]))
     candidate = nodes[last_idx]
     record = make_record(candidate, params, converged=converged, refined=False)
-    assert diags.consistent_lengths()
-    if keep_trace_points:
-        diags.trace_points = trace_points
+    if not diags.consistent_lengths():
+        raise CertificationError("PS diagnostic traces have unequal lengths")
     return record, diags
 
 
@@ -621,13 +596,11 @@ def _prod_inner(a: ProductVec, b: ProductVec) -> float:
 
 
 def _grad_vec(u, psi, params) -> tuple[ProductVec, float]:
-    g = gradient_J(u, psi, params)
-    r = g.riesz()
-    v = ProductVec(r.du, r.dpsi)
-    return v, float(np.sqrt(max(_prod_inner(v, v), 0.0)))
+    r = gradient_J(u, psi, params).riesz()
+    return ProductVec(r.du, r.dpsi), product_norm(r.du, r.dpsi)
 
 
-def newton_refine(candidate: NehariPoint, params: ActionParams, basis=None,
+def newton_refine(candidate: NehariPoint, params: ActionParams,
                   newton_tol: float = 1e-10, max_steps: int = 30,
                   check_pre: bool = True) -> SolutionRecord:
     """Damped Newton on the full Euler-Lagrange system via Hessian products.
@@ -670,7 +643,7 @@ def newton_refine(candidate: NehariPoint, params: ActionParams, basis=None,
             psi_try = psi + lam * d.psi
             try:
                 _, gn = _grad_vec(u_try, psi_try, params)
-            except Exception:
+            except (SSHGError, FloatingPointError):
                 lam *= 0.5
                 continue
             if gn <= (1.0 - SUFFICIENT_DECREASE * lam) * gnorm:
@@ -750,7 +723,7 @@ def coercivity_probe(params: ActionParams, basis, r0: float, tau: float,
     return float(margin)
 
 
-def ps_diagnostics(trace, params: ActionParams, basis=None) -> PSDiagnostics:
+def ps_diagnostics(trace, params: ActionParams) -> PSDiagnostics:
     """Recompute alpha/beta/multiplier traces for a list of manifold points."""
     diags = PSDiagnostics()
     for item in trace:

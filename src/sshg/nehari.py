@@ -20,18 +20,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .action import ActionParams, Variation, check_overflow, gradient_J
+from .action import (
+    ActionParams,
+    Variation,
+    check_overflow,
+    dirac_minus_potential,
+    gradient_J,
+)
 from .errors import ConfigError
 from .fields import ScalarField, SpinorField
 from .krylov import cg
 from .spectral import (
     check_spectral_gap,
-    dirac_apply,
     h1_norm,
     hhalf_norm,
     hminus1_norm,
     hminushalf_norm,
-    inv_one_plus_absD,
+    product_norm,
     project,
     riesz_h1,
     riesz_hhalf,
@@ -46,20 +51,11 @@ def _hhalf_inner(a: SpinorField, b: SpinorField) -> float:
     return sobolev_inner(a, b, "Hhalf_spinor")
 
 
-def _mult_spinor(values_factor: np.ndarray, psi: SpinorField) -> SpinorField:
-    """Pointwise multiply by a real grid function, back to coefficient space."""
-    return SpinorField.from_values(psi.geom, values_factor[None, :, :] * psi.values)
-
-
-def dirac_minus_potential(psi: SpinorField, cosh_u: np.ndarray, rho: float) -> SpinorField:
-    return dirac_apply(psi) - _mult_spinor(rho * cosh_u, psi)
-
-
-def constraint_G(u: ScalarField, psi: SpinorField, params: ActionParams, basis=None) -> SpinorField:
+def constraint_G(u: ScalarField, psi: SpinorField, params: ActionParams) -> SpinorField:
     """G(u, psi), supported in the negative spectral subspace."""
     uv = check_overflow(u, params)
     op = dirac_minus_potential(psi, np.cosh(uv), params.rho)
-    return project(inv_one_plus_absD(op), "minus")
+    return project(riesz_hhalf(op), "minus")
 
 
 @dataclass
@@ -102,13 +98,13 @@ class MultiplierData:
 def _fiber_operator(cosh_u: np.ndarray, rho: float):
     def apply_neg(phi: SpinorField) -> SpinorField:
         # -A restricted to the negative subspace (SPD in H^{1/2})
-        out = inv_one_plus_absD(dirac_minus_potential(phi, cosh_u, rho))
+        out = riesz_hhalf(dirac_minus_potential(phi, cosh_u, rho))
         return -1.0 * project(out, "minus")
     return apply_neg
 
 
 def fiber_solve(u: ScalarField, psi_free: SpinorField, params: ActionParams,
-                basis=None, x0: SpinorField | None = None,
+                x0: SpinorField | None = None,
                 tol: float = FIBER_TOL, maxiter: int = FIBER_MAXITER) -> NehariPoint:
     """Slave the negative part: solve A psi^- = -(same operator) psi_free.
 
@@ -125,7 +121,7 @@ def fiber_solve(u: ScalarField, psi_free: SpinorField, params: ActionParams,
     cosh_u = np.cosh(uv)
     rho = params.rho
     apply_m = _fiber_operator(cosh_u, rho)
-    b = project(inv_one_plus_absD(dirac_minus_potential(psi_free, cosh_u, rho)), "minus")
+    b = project(riesz_hhalf(dirac_minus_potential(psi_free, cosh_u, rho)), "minus")
     atol = 1e-14 * max(free_scale, 1.0)
     psi_minus, info = cg(apply_m, b, _hhalf_inner, x0=x0, tol=tol, maxiter=maxiter, atol=atol)
 
@@ -134,12 +130,11 @@ def fiber_solve(u: ScalarField, psi_free: SpinorField, params: ActionParams,
     return NehariPoint(u=u, psi=psi, constraint_norm=cert, rho=rho)
 
 
-def project_to_manifold(u: ScalarField, psi: SpinorField, params: ActionParams,
-                        basis=None, tol: float = FIBER_TOL) -> NehariPoint:
+def project_to_manifold(u: ScalarField, psi: SpinorField, params: ActionParams) -> NehariPoint:
     """Retraction: keep u and the non-negative part of psi, re-solve psi^-."""
     minus = project(psi, "minus")
     free = psi - minus
-    return fiber_solve(u, free, params, x0=minus, tol=tol)
+    return fiber_solve(u, free, params, x0=minus)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +151,7 @@ def _dg_adjoint(point: NehariPoint, params: ActionParams, w: SpinorField):
     """
     uv = point.u.values
     rho = params.rho
-    cross = np.real(np.sum(np.conj(point.psi.values) * w.values, axis=0))
+    cross = point.psi.cross_density(w)
     du_dual = ScalarField.from_values(point.u.geom, -rho * np.sinh(uv) * cross)
     dpsi_dual = dirac_minus_potential(w, np.cosh(uv), rho)
     return riesz_h1(du_dual), riesz_hhalf(dpsi_dual)
@@ -167,8 +162,8 @@ def _dg_apply(point: NehariPoint, params: ActionParams, v: ScalarField, phi: Spi
     uv = point.u.values
     rho = params.rho
     lin = dirac_minus_potential(phi, np.cosh(uv), rho)
-    lin = lin - _mult_spinor(rho * np.sinh(uv) * v.values, point.psi)
-    return project(inv_one_plus_absD(lin), "minus")
+    lin = lin - point.psi.times(rho * np.sinh(uv) * v.values)
+    return project(riesz_hhalf(lin), "minus")
 
 
 def _normal_equation_solve(point: NehariPoint, params: ActionParams,
@@ -184,7 +179,7 @@ def _normal_equation_solve(point: NehariPoint, params: ActionParams,
     return cg(gram, rhs, _hhalf_inner, tol=tol, maxiter=maxiter, atol=atol)
 
 
-def lagrange_multiplier(point: NehariPoint, params: ActionParams, basis=None) -> MultiplierData:
+def lagrange_multiplier(point: NehariPoint, params: ActionParams) -> MultiplierData:
     """Least-squares multiplier of the constrained criticality system.
 
     Solves the normal equations (dG dG^*) w = dG[Riesz dJ]; the multiplier of
@@ -211,7 +206,7 @@ class TangentResult:
     tangency: float               # ||dG[tangent]||_{H^{1/2}}
 
 
-def constrained_gradient(point: NehariPoint, params: ActionParams, basis=None) -> TangentResult:
+def constrained_gradient(point: NehariPoint, params: ActionParams) -> TangentResult:
     """Riesz representative of dJ restricted to ker dG, plus PS residual data."""
     uv = point.u.values
     rho = params.rho
@@ -224,12 +219,11 @@ def constrained_gradient(point: NehariPoint, params: ActionParams, basis=None) -
     t_u = g.du - wdu
     t_psi = g.dpsi - wdpsi
     tangent = Variation(t_u, t_psi, u_space="H1", psi_space="H1/2")
-    norm = float(np.sqrt(max(
-        sobolev_inner(t_u, t_u, "H1_scalar") + sobolev_inner(t_psi, t_psi, "Hhalf_spinor"), 0.0)))
+    norm = product_norm(t_u, t_psi)
     tangency = hhalf_norm(_dg_apply(point, params, t_u, t_psi))
 
     varphi = (1.0 / 16.0) * w
-    cross = np.real(np.sum(np.conj(point.psi.values) * varphi.values, axis=0))
+    cross = point.psi.cross_density(varphi)
     alpha = gdual.du + ScalarField.from_values(point.u.geom, 16.0 * rho * np.sinh(uv) * cross)
     beta = (1.0 / 16.0) * gdual.dpsi - dirac_minus_potential(varphi, np.cosh(uv), rho)
     return TangentResult(

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .action import ActionParams, evaluate_J
-from .checkpoint import save_point
+from .checkpoint import save_point, write_atomic
 from .errors import ConfigError
 from .fields import ScalarField
 from .geometry import TWO_PI, TorusGeometry
@@ -28,8 +27,8 @@ from .minmax import (
     minmax_deform,
     mountain_pass_endpoint,
 )
-from .nehari import fiber_solve
-from .spectral import build_basis, check_spectral_gap
+from .nehari import constrained_gradient, fiber_solve
+from .spectral import build_basis, check_spectral_gap, h1_norm, hhalf_norm
 from .sweepout import (
     build_sweepout_chi,
     case2_product_minmax,
@@ -121,14 +120,11 @@ class RunConfig:
     def minmax_config(self) -> MinmaxConfig:
         r = self.raw
         return MinmaxConfig(
-            mode="linking" if r["mode"] == "linking" else "mountain_pass",
             path_nodes=int(r["path_nodes"]),
             descent_step=float(r["descent_step"]),
             grad_tol=float(r["grad_tol"]),
             newton_tol=float(r["newton_tol"]),
             max_outer=int(r["max_outer"]),
-            r0=float(r["r0"]),
-            tau=float(r["tau"]),
             seed=int(r["seed"]),
         )
 
@@ -166,18 +162,7 @@ def _render_json(obj) -> str:
 
 
 def write_json_atomic(obj, path: str) -> str:
-    text = _render_json(obj)
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return path
+    return write_atomic(path, _render_json(obj).encode())
 
 
 def _record_summary(rec, checkpoint: str | None = None) -> dict:
@@ -248,13 +233,10 @@ def _append_final_iterate(diags, record, params):
     iterate carries the converged residual levels."""
     if not record.refined:
         return
-    from .nehari import constrained_gradient
-    from .spectral import h1_norm, hhalf_norm
     res = constrained_gradient(record.point, params)
     diags.record(res, record.level, h1_norm(record.point.u),
                  hhalf_norm(record.point.psi))
-    if hasattr(diags, "repairs"):
-        diags.repairs.append(True)
+    diags.repairs.append(True)
 
 
 def run_mountain_pass(config: RunConfig, geom, basis, params):
@@ -388,7 +370,6 @@ def run(config: RunConfig) -> dict:
     }
 
     records, diags, extra_csv = [], None, {}
-    ok = True
     if mode == "spectrum":
         pass
     elif mode == "probe":
@@ -445,8 +426,9 @@ def run(config: RunConfig) -> dict:
     ]
     if diags is not None:
         output["diagnostics"] = _diag_summary(diags)
-    ok = all(r.converged or r.refined for r in records) if records else True
-    output["converged"] = ok
+    # a run converges only when Newton refined every record: a descent that
+    # meets grad_tol may still sit next to the trivial point
+    output["converged"] = all(r.refined for r in records)
     timings["total"] = time.perf_counter() - t_start
     output["timings"] = timings
     output["checkpoints"] = checkpoints
@@ -476,7 +458,7 @@ def emit_plotdata(output: dict, out_dir: str) -> list:
         lines.append(f"0,{_fmt(0.0)}")
     for i, v in enumerate(lam, start=1):
         lines.append(f"{i},{_fmt(v)}")
-    _write_lines(path, lines)
+    write_atomic(path, ("\n".join(lines) + "\n").encode())
     written.append(path)
 
     path = os.path.join(out_dir, "energy_trace.csv")
@@ -485,7 +467,7 @@ def emit_plotdata(output: dict, out_dir: str) -> list:
     if diag:
         for i, (e, g) in enumerate(zip(diag["energies"], diag["grad_norms"])):
             lines.append(f"{i},{_fmt(e)},{_fmt(g)}")
-    _write_lines(path, lines)
+    write_atomic(path, ("\n".join(lines) + "\n").encode())
     written.append(path)
 
     path = os.path.join(out_dir, "theta_sweep.csv")
@@ -494,19 +476,6 @@ def emit_plotdata(output: dict, out_dir: str) -> list:
     if sweep:
         for th, j in zip(*sweep):
             lines.append(f"{_fmt(th)},{_fmt(j)}")
-    _write_lines(path, lines)
+    write_atomic(path, ("\n".join(lines) + "\n").encode())
     written.append(path)
     return written
-
-
-def _write_lines(path: str, lines) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise

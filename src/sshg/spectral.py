@@ -19,21 +19,13 @@ from .geometry import TorusGeometry
 RHO_GAP = 1e-9  # hard guard: rho must stay outside this distance of the spectrum
 
 
-def _as_geom(obj) -> TorusGeometry:
-    if isinstance(obj, TorusGeometry):
-        return obj
-    return obj.geom
-
-
 # ---------------------------------------------------------------------------
 # operators
 # ---------------------------------------------------------------------------
 
-def dirac_apply(psi: SpinorField, geom=None) -> SpinorField:
+def dirac_apply(psi: SpinorField) -> SpinorField:
     """Apply D through the 2x2 Clifford symbol at each mode."""
-    g = psi.geom if geom is None else _as_geom(geom)
-    if g is not psi.geom and g != psi.geom:
-        raise ValueError("spinor lives on a different geometry")
+    g = psi.geom
     a11, a12, a22 = g.symbol
     c = psi.coeffs
     out = np.empty_like(c)
@@ -42,9 +34,9 @@ def dirac_apply(psi: SpinorField, geom=None) -> SpinorField:
     return SpinorField(g, coeffs=out)
 
 
-def laplace_apply(u: ScalarField, geom=None) -> ScalarField:
+def laplace_apply(u: ScalarField) -> ScalarField:
     """Fourier multiplier -|xi|^2 (divergence of the gradient)."""
-    g = u.geom if geom is None else _as_geom(geom)
+    g = u.geom
     return ScalarField(g, coeffs=-g.xi_sq * u.coeffs)
 
 
@@ -60,10 +52,6 @@ def abs_dirac_apply(psi: SpinorField, s: float) -> SpinorField:
             raise IllPosedError("|D|^s with s < 0 is undefined on the harmonic block")
     mult = np.where(nz, np.where(nz, lam, 1.0) ** s, 0.0)
     return SpinorField(g, coeffs=psi.coeffs * mult)
-
-
-def fractional_apply(psi: SpinorField, s: float, basis=None) -> SpinorField:
-    return abs_dirac_apply(psi, s)
 
 
 def omega_mult(psi: SpinorField) -> SpinorField:
@@ -116,7 +104,7 @@ _SCALAR_SPACES = ("H1_scalar", "Hminus1_scalar")
 _SPINOR_SPACES = ("Hhalf_spinor", "Hminus_half_spinor")
 
 
-def sobolev_inner(a, b, space: str, basis=None) -> float:
+def sobolev_inner(a, b, space: str) -> float:
     """Sobolev pairings via diagonal multipliers.
 
     H1: 1+|xi|^2, H^-1: its inverse, H^{1/2}: 1+|xi|, H^{-1/2}: its inverse.
@@ -150,6 +138,12 @@ def hhalf_norm(psi: SpinorField) -> float:
     return np.sqrt(max(sobolev_inner(psi, psi, "Hhalf_spinor"), 0.0))
 
 
+def product_norm(u: ScalarField, psi: SpinorField) -> float:
+    """Norm of the pair (u, psi) in the product metric H^1 x H^{1/2}."""
+    return float(np.sqrt(max(
+        sobolev_inner(u, u, "H1_scalar") + sobolev_inner(psi, psi, "Hhalf_spinor"), 0.0)))
+
+
 def hminus1_norm(u: ScalarField) -> float:
     return np.sqrt(max(sobolev_inner(u, u, "Hminus1_scalar"), 0.0))
 
@@ -175,15 +169,10 @@ def riesz_h1(u_dual: ScalarField) -> ScalarField:
 
 
 def riesz_hhalf(psi_dual: SpinorField) -> SpinorField:
-    """Riesz representative in H^{1/2} of an L^2-represented functional."""
+    """Riesz representative in H^{1/2} of an L^2-represented functional:
+    (1+|D|)^{-1} as the scalar multiplier (1+|xi|)^{-1}."""
     g = psi_dual.geom
     return SpinorField(g, coeffs=psi_dual.coeffs / (1.0 + g.s_abs)[None, :, :])
-
-
-def inv_one_plus_absD(psi: SpinorField) -> SpinorField:
-    """(1+|D|)^{-1} as the scalar multiplier (1+|xi|)^{-1}."""
-    g = psi.geom
-    return SpinorField(g, coeffs=psi.coeffs / (1.0 + g.s_abs)[None, :, :])
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +189,7 @@ def check_spectral_gap(geom: TorusGeometry, rho: float) -> float:
     return gap
 
 
-def project(psi: SpinorField, subspace: str, basis=None, rho: float | None = None) -> SpinorField:
+def project(psi: SpinorField, subspace: str, rho: float | None = None) -> SpinorField:
     """Project onto a spectral subspace of D: plus/minus/zero/plus_a/plus_b."""
     g = psi.geom
     c = psi.coeffs
@@ -298,17 +287,6 @@ class SpectralBasis:
         amp = (1j if el.phase_imag else 1.0) / g.side_length
         c[:, i1, i2] = amp * v
         return SpinorField(g, coeffs=c)
-
-    # counts of real dimensions per rho-subspace among the tabulated modes
-    def rho_split_counts(self, rho: float) -> dict:
-        check_spectral_gap(self.geom, rho)
-        lam = self.eigenvalues
-        return {
-            "plus_a": int(np.count_nonzero(lam > rho)),
-            "plus_b": int(np.count_nonzero(lam < rho)),
-            "zero": self.harmonic_dim,
-            "minus": int(lam.size),
-        }
 
     def multiplicity_of(self, lam: float, rel_tol: float = 1e-9) -> int:
         return int(np.count_nonzero(np.abs(self.eigenvalues - lam) <= rel_tol * max(lam, 1.0)))

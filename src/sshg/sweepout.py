@@ -16,16 +16,20 @@ import numpy as np
 
 from .action import ActionParams, Variation, evaluate_J
 from .errors import (
+    CapacityError,
     CertificationError,
     ConfigError,
     ResolutionError,
     SSHGError,
 )
-from .fields import ScalarField, SpinorField
+from .fields import ScalarField
 from .geometry import TorusGeometry
 from .minmax import (
     MinmaxConfig,
     SolutionRecord,
+    _block_directions,
+    _block_spinor,
+    _span_block,
     linking_constants,
     make_record,
     minmax_deform,
@@ -36,6 +40,10 @@ from .spectral import h1_norm, hhalf_norm, quaternion_act, sobolev_inner
 
 DISK_RADII = 4
 HANDOFF_GRAD = 1e3  # Newton is cheap and guarded; try it from almost anywhere
+N_THETA_CHECK = 64  # theta samples on which a sweepout is certified
+FAMILY_RETRIES = 3
+CASE2_MAX_K = 4     # desk-scale cap on the case-2 block dimension
+CASE2_RETRIES = 2
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +76,6 @@ class SweepoutChi:
     epsilon: float
     width_delta: float       # mollification half-width in the profile argument
     delta_margin: float      # height function maps into [margin, pi - margin]
-    height_axis: int = 1     # torus coordinate playing the Morse-height role
     interface_volumes: np.ndarray = field(default=None, repr=False)
 
     def height(self, y):
@@ -82,13 +89,13 @@ class SweepoutChi:
         return _profile(self.height(y) + theta, self.width_delta)
 
     def evaluate(self, theta, geom=None) -> np.ndarray:
-        """chi(theta, .) sampled on a grid (any resolution; chi is analytic)."""
+        """chi(theta, .) sampled on a grid (any resolution; chi is analytic).
+
+        The second torus coordinate plays the Morse-height role."""
         g = self.geom if geom is None else geom
         y = np.arange(g.grid_n) * (g.side_length / g.grid_n)
         line = self.evaluate_1d(theta, y)
-        if self.height_axis == 1:
-            return np.ones((g.grid_n, 1)) * line[None, :]
-        return line[:, None] * np.ones((1, g.grid_n))
+        return np.ones((g.grid_n, 1)) * line[None, :]
 
     def interface_volume(self, theta) -> float:
         g = self.geom
@@ -97,8 +104,7 @@ class SweepoutChi:
         return float(np.count_nonzero(inside) * g.quad_weight)
 
 
-def build_sweepout_chi(geom: TorusGeometry, epsilon: float,
-                       n_theta_check: int = 64) -> SweepoutChi:
+def build_sweepout_chi(geom: TorusGeometry, epsilon: float) -> SweepoutChi:
     """Mollified square-wave sweepout with interface volume < epsilon.
 
     The transition strips must span at least 4 grid cells of `geom`; together
@@ -131,7 +137,7 @@ def build_sweepout_chi(geom: TorusGeometry, epsilon: float,
     ones = chi.evaluate(0.0, geom)
     if np.max(np.abs(ones - 1.0)) > 1e-12:
         raise CertificationError("sweepout property (i) failed: chi(0,.) != 1")
-    thetas = np.linspace(0.0, 2.0 * np.pi, n_theta_check, endpoint=False)
+    thetas = np.linspace(0.0, 2.0 * np.pi, N_THETA_CHECK, endpoint=False)
     vols = []
     for th in thetas:
         a = chi.evaluate(th, geom)
@@ -189,8 +195,7 @@ def _family_attempt(u_bar, s, chi, params, basis, thetas, geom):
 
 
 def equivariant_family(u_bar: float, s: float, chi: SweepoutChi,
-                       params: ActionParams, basis, n_theta: int = 64,
-                       retries: int = 3) -> EquivariantFamily:
+                       params: ActionParams, basis, n_theta: int = 64) -> EquivariantFamily:
     """Family (u_theta, psi_theta) on the manifold with max_theta J < 0.
 
     u_theta = chi(theta,.) * u_bar; the fiber part is continued in theta with
@@ -215,10 +220,10 @@ def equivariant_family(u_bar: float, s: float, chi: SweepoutChi,
             _certify_family(fam)
             return fam
         attempt += 1
-        if attempt > retries:
+        if attempt > FAMILY_RETRIES:
             worst = int(np.argmax([evaluate_J(p.u, p.psi, params) for p in points]))
             raise CertificationError(
-                f"equivariant family certification failed after {retries} retries: "
+                f"equivariant family certification failed after {FAMILY_RETRIES} retries: "
                 f"J = {max_j:.4g} > 0 at theta = {thetas[worst]:.4f}"
             )
         cur_s *= 1.5
@@ -255,13 +260,18 @@ def _sigma_point(pt: NehariPoint) -> NehariPoint:
 
 
 def _equivariant_deform(nodes, frozen, pairs, segments, config, params):
-    """minmax_deform with synchronized Z2-partner updates.
+    """minmax_deform with synchronized Z2-partner updates, the equivariance
+    certificate of the deformed nodes and the Newton hand-off.
 
     pairs[i] is the index of the partner of node i (pairs[i] == i for the
-    self-paired center, whose u-component is pinned to zero).
+    self-paired center, whose u-component is pinned to zero).  Returns
+    (SolutionRecord, PSDiagnostics).
     """
+    deformed = nodes  # minmax_deform moves its own copy of the node list
 
     def hook(idx, cand, nodes_, energies_, params_):
+        nonlocal deformed
+        deformed = nodes_
         partner = pairs[idx]
         if partner == idx:
             free = cand.psi - cand.split("minus")
@@ -276,7 +286,10 @@ def _equivariant_deform(nodes, frozen, pairs, segments, config, params):
     record, diags = minmax_deform(nodes, frozen, config, params,
                                   segments=segments, respread=None,
                                   step_hook=hook)
-    return record, diags
+    defect = equivariance_defect(deformed, pairs)
+    if defect > 1e-9:
+        raise CertificationError(f"equivariance drift {defect:.3e} exceeds 1e-9")
+    return refine_if_possible(record, params, config.newton_tol), diags
 
 
 def equivariance_defect(nodes, pairs) -> float:
@@ -362,13 +375,7 @@ def equivariant_disk_minmax(family: EquivariantFamily, config: MinmaxConfig,
             segments.append((index[(ir, it)], index[(ir + 1, it)]))
 
     record, diags = _equivariant_deform(nodes, frozen, pairs, segments, config, params)
-    defect = equivariance_defect(nodes, pairs)
-    if defect > 1e-9:
-        raise CertificationError(f"equivariance drift {defect:.3e} exceeds 1e-9")
-
-    refined = refine_if_possible(record, params, config.newton_tol)
-    c2 = refined.level
-    return refined, float(c2), diags
+    return record, float(record.level), diags
 
 
 # ---------------------------------------------------------------------------
@@ -484,41 +491,27 @@ def group_orbit_point(point: NehariPoint, sigma: float, q) -> NehariPoint:
 
 def case2_product_minmax(chi: SweepoutChi, config: MinmaxConfig,
                          params: ActionParams, basis,
-                         mesh=(2, 4), n_theta_disk: int = 8,
-                         n_r_disk: int = 3, max_k: int = 4, retries: int = 2):
+                         mesh=(2, 4), n_theta_disk: int = 8, n_r_disk: int = 3):
     """Equivariant min-max over the product of the linking ball and a disk.
 
     Elements are (u, psi) = (chi(theta,.) T r, phi + A T r Psi_{k+1}) with
     phi in the plus_b + zero block; the boundary {|phi| = R} u {r = 1} must
     have nonpositive energy (certified, with R inflation retries).
     """
-    from .errors import CapacityError
-    from .minmax import _span_block
-
     geom = basis.geom
-    rho = params.rho
-    fields, weights = _span_block(basis, rho)
+    fields, weights = _span_block(basis, params.rho)
     K = len(fields)
-    if K > max_k:
+    if K > CASE2_MAX_K:
         raise CapacityError(
-            f"case-2 block dimension K={K} exceeds the desk-scale cap {max_k}")
+            f"case-2 block dimension K={K} exceeds the desk-scale cap {CASE2_MAX_K}")
 
     consts = linking_constants(params, basis)
     n_rad_phi, n_sphere = mesh
-    rng = np.random.default_rng(config.seed)
-    dirs = rng.standard_normal((n_sphere, K))
-    dirs /= np.sqrt((dirs**2 * weights[None, :]).sum(axis=1))[:, None]
+    dirs = _block_directions(weights, n_sphere, config.seed)
     psi_top = basis.eigenspinor(consts.k_index + 1)
 
-    def phi_of(coefvec) -> SpinorField:
-        out = SpinorField.zeros(geom)
-        for c, f in zip(coefvec, fields):
-            if c != 0.0:
-                out = out + float(c) * f
-        return out
-
     r_factor = 1.0
-    for attempt in range(retries + 1):
+    for attempt in range(CASE2_RETRIES + 1):
         R = consts.R * r_factor
         nodes, frozen, pairs = [], [], []
         index = {}
@@ -529,7 +522,7 @@ def case2_product_minmax(chi: SweepoutChi, config: MinmaxConfig,
                                      for _ in dirs]
         disk_r = np.linspace(0.0, 1.0, n_r_disk + 1)
         for ip, (phiv, phi_bd) in enumerate(zip(phi_shells, phi_on_boundary)):
-            phi_field = phi_of(phiv)
+            phi_field = _block_spinor(geom, fields, phiv)
             for it in range(n_theta_disk):
                 theta = 2.0 * np.pi * it / n_theta_disk
                 chi_vals = chi.evaluate(theta, geom)
@@ -555,7 +548,7 @@ def case2_product_minmax(chi: SweepoutChi, config: MinmaxConfig,
                if fz and evaluate_J(nd.u, nd.psi, params) > 1e-9]
         if not bad:
             break
-        if attempt == retries:
+        if attempt == CASE2_RETRIES:
             raise CertificationError(
                 f"{len(bad)} case-2 boundary nodes stay positive after retries")
         r_factor *= 1.5
@@ -571,8 +564,4 @@ def case2_product_minmax(chi: SweepoutChi, config: MinmaxConfig,
                 segments.append((center, k))
 
     record, diags = _equivariant_deform(nodes, frozen, pairs, segments, config, params)
-    defect = equivariance_defect(nodes, pairs)
-    if defect > 1e-9:
-        raise CertificationError(f"case-2 equivariance drift {defect:.3e} exceeds 1e-9")
-    refined = refine_if_possible(record, params, config.newton_tol)
-    return refined, float(refined.level), diags
+    return record, float(record.level), diags

@@ -1,10 +1,13 @@
 """Min-max engine: endpoints, linking constants, cylinder, descent, Newton."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import sshg.minmax
 from sshg.action import ActionParams, el_residual, evaluate_J
-from sshg.errors import CapacityError, ConfigError
+from sshg.errors import CapacityError, CertificationError, ConfigError
 from sshg.fields import ScalarField, SpinorField
 from sshg.geometry import TorusGeometry
 from sshg.minmax import (
@@ -132,6 +135,8 @@ def test_classify_and_records(setup16):
         "semi_trivial_constant_u"
     wobble = ScalarField.from_values(geom, 0.3 * np.cos(geom.x1))
     assert classify(wobble, basis.eigenspinor(1))[0] == "nontrivial"
+    # psi = 0 forces u = 0 at a solution, whatever u the point carries
+    assert classify(wobble, SpinorField.zeros(geom))[0] == "trivial"
     assert u_variance(ScalarField.constant(geom, 3.0)) < 1e-25
 
 
@@ -235,23 +240,38 @@ def test_semi_trivial_eigenvalue_relation(setup16):
     assert dist <= 1e-6
 
 
-def test_deflation_penalty(setup16):
+def _small_mountain_pass(setup16):
     geom, basis = setup16
     params = ActionParams(rho=0.5)
-    from sshg.minmax import _orbit_penalty
-    c = float(np.arccosh(LAM1 / 0.5))
-    s = geom.side_length * np.sqrt(LAM1)
-    known = fiber_solve(ScalarField.constant(geom, c), s * basis.eigenspinor(1), params)
-    near = fiber_solve(ScalarField.constant(geom, c + 1e-3),
-                       s * basis.eigenspinor(1), params)
-    far = fiber_solve(ScalarField.zeros(geom), 0.1 * basis.eigenspinor(1), params)
-    p_near = _orbit_penalty(near, [known], params)
-    p_far = _orbit_penalty(far, [known], params)
-    assert p_near > p_far > 0
-    # the sigma-mirror of the known orbit is penalized just as strongly
-    mirror = fiber_solve(ScalarField.constant(geom, -c - 1e-3),
-                         s * basis.eigenspinor(1), params)
-    assert _orbit_penalty(mirror, [known], params) == pytest.approx(p_near, rel=1e-6)
+    u_bar, s = mountain_pass_endpoint(params, basis)
+    config = MinmaxConfig(path_nodes=5, grad_tol=1e-12, max_outer=5, seed=0)
+    nodes, frozen = straight_path(geom, basis, params, u_bar, s, config.path_nodes)
+    return nodes, frozen, config, params
+
+
+def test_minmax_deform_frozen_node_moved(setup16):
+    # the invariant is a certificate, not an assert: python -O keeps it
+    nodes, frozen, config, params = _small_mountain_pass(setup16)
+
+    def hook(k, pt, nodes_, energies_, params_):
+        nodes_[k] = pt
+        energies_[k] = evaluate_J(pt.u, pt.psi, params_)
+        nodes_[0] = dataclasses.replace(nodes_[0])  # equal values, another node
+
+    with pytest.raises(CertificationError, match="boundary node was moved"):
+        minmax_deform(nodes, frozen, config, params, step_hook=hook)
+
+
+def test_minmax_deform_propagates_unexpected_errors(setup16, monkeypatch):
+    # backtracking absorbs solver failures only; a bug surfaces
+    nodes, frozen, config, params = _small_mountain_pass(setup16)
+
+    def broken(u, psi, params_):
+        raise RuntimeError("broken retraction")
+
+    monkeypatch.setattr(sshg.minmax, "project_to_manifold", broken)
+    with pytest.raises(RuntimeError, match="broken retraction"):
+        minmax_deform(nodes, frozen, config, params)
 
 
 def test_ps_diagnostics_exact_solution_trace(setup16):

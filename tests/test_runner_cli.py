@@ -192,6 +192,35 @@ def test_cli_exit_codes(tmp_path):
     assert main(["unknown-command"]) == 2
 
 
+def test_cli_solver_error_exit_code(tmp_path, monkeypatch):
+    # solver failures get their own code, apart from config errors (2)
+    import sshg.cli
+    from sshg.errors import CertificationError
+
+    def failing(config):
+        raise CertificationError("equivariance drift 1e-3 exceeds 1e-9")
+
+    monkeypatch.setattr(sshg.cli, "run", failing)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config()))
+    assert main(["solve", "--config", str(cfg_path)]) == 5
+
+
+def test_unrefined_run_is_not_converged(tmp_path):
+    # the linking descent meets grad_tol next to the origin (level ~1e-7);
+    # without a refined record the run reports non-convergence and exits 4
+    cfg = base_config(mode="linking", rho=1.0, seed=0, max_outer=60, grad_tol=1e-3,
+                      cylinder_nt=4, cylinder_nsphere=4)
+    output = run(RunConfig.from_dict(cfg))
+    rec = output["records"][0]
+    assert rec["converged"] and not rec["refined"]
+    assert output["converged"] is False
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 4
+    assert (tmp_path / "o" / "run_output.json").exists()
+
+
 def test_cli_batch_workers(tmp_path):
     # independent configs fan out across worker processes
     paths = []

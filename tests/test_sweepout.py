@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+import sshg.sweepout
 from sshg.action import ActionParams, el_residual, evaluate_J
-from sshg.errors import ConfigError, ResolutionError
+from sshg.errors import CertificationError, ConfigError, ResolutionError
 from sshg.fields import ScalarField
 from sshg.geometry import TorusGeometry
 from sshg.minmax import MinmaxConfig, mountain_pass_endpoint, newton_refine
-from sshg.nehari import fiber_solve
+from sshg.nehari import NehariPoint, fiber_solve
 from sshg.spectral import build_basis, hhalf_norm, sobolev_inner
 from sshg.sweepout import (
     build_sweepout_chi,
@@ -120,6 +121,20 @@ def test_disk_minmax_and_restart(mp16, family16):
         assert records_distinct(rec1, rec3)
     else:
         assert records_distinct(rec1, rec2)
+
+
+def test_equivariance_drift_certified_on_deformed_nodes(mp16, family16, monkeypatch):
+    # a partner update that breaks the Z2 symmetry must fail the certificate
+    geom, basis, params = mp16
+
+    def skewed(pt):
+        return NehariPoint(u=-1.0 * pt.u, psi=1.001 * pt.psi,
+                           constraint_norm=pt.constraint_norm, rho=pt.rho)
+
+    monkeypatch.setattr(sshg.sweepout, "_sigma_point", skewed)
+    config = MinmaxConfig(path_nodes=9, grad_tol=1e-3, max_outer=3, seed=0)
+    with pytest.raises(CertificationError, match="equivariance drift"):
+        equivariant_disk_minmax(family16, config, params, basis, n_theta_disk=8, n_radii=3)
 
 
 def test_orthogonal_restart_direct(mp16, family16):
