@@ -17,7 +17,7 @@ densities pointwise on the grid with the uniform quadrature weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,13 +71,28 @@ class Variation:
 
     Tags "H-1"/"H-1/2" mean the components are L^2 densities to be paired
     against test directions; "H1"/"H1/2" mean Riesz representatives in the
-    product metric.
+    product metric.  As a Krylov vector the pair adds, subtracts, negates and
+    takes real multiples componentwise, keeping the left operand's tags.
     """
 
     du: ScalarField
     dpsi: SpinorField
     u_space: str = "H-1"
     psi_space: str = "H-1/2"
+
+    def __add__(self, other):
+        return replace(self, du=self.du + other.du, dpsi=self.dpsi + other.dpsi)
+
+    def __sub__(self, other):
+        return replace(self, du=self.du - other.du, dpsi=self.dpsi - other.dpsi)
+
+    def __mul__(self, a):
+        return replace(self, du=float(a) * self.du, dpsi=float(a) * self.dpsi)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return replace(self, du=-self.du, dpsi=-self.dpsi)
 
     def pair(self, v: ScalarField, phi: SpinorField) -> float:
         """Dual pairing against a test direction (v, phi)."""

@@ -90,6 +90,17 @@ class ScalarField:
         return ScalarField(self.geom, values=-self.values)
 
 
+def _spinor_coeffs(geom, values) -> np.ndarray:
+    """Fourier coefficients of spinor grid values, restricted to the valid
+    mode mask."""
+    n2 = geom.grid_n ** 2
+    conj_phase = np.conj(geom.spinor_phase)
+    c = np.fft.fft2(values * conj_phase[None, :, :], axes=(1, 2)) / n2
+    if not geom.spinor_mask_trivial:
+        c = c * geom.spinor_mask[None, :, :]
+    return c
+
+
 class SpinorField:
     """C^2-valued field with real metric Re<.,.>; Fourier support on k+delta.
 
@@ -110,11 +121,8 @@ class SpinorField:
         values = np.asarray(values, dtype=complex)
         if values.shape != (2, geom.grid_n, geom.grid_n):
             raise ValueError(f"spinor values shape {values.shape} does not match grid {geom.grid_n}")
-        n2 = geom.grid_n ** 2
-        conj_phase = np.conj(geom.spinor_phase)
-        coeffs = np.fft.fft2(values * conj_phase[None, :, :], axes=(1, 2)) / n2
+        coeffs = _spinor_coeffs(geom, values)
         if not geom.spinor_mask_trivial:
-            coeffs = coeffs * geom.spinor_mask[None, :, :]
             return cls(geom, coeffs=coeffs)
         return cls(geom, values=values, coeffs=coeffs)
 
@@ -134,12 +142,7 @@ class SpinorField:
     @property
     def coeffs(self) -> np.ndarray:
         if self._coeffs is None:
-            n2 = self.geom.grid_n ** 2
-            conj_phase = np.conj(self.geom.spinor_phase)
-            c = np.fft.fft2(self._values * conj_phase[None, :, :], axes=(1, 2)) / n2
-            if not self.geom.spinor_mask_trivial:
-                c = c * self.geom.spinor_mask[None, :, :]
-            self._coeffs = c
+            self._coeffs = _spinor_coeffs(self.geom, self._values)
         return self._coeffs
 
     @property

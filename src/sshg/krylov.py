@@ -1,9 +1,10 @@
 """Matrix-free Krylov solvers in user-supplied inner products.
 
 The iterate lives in any vector space whose elements support +, -, unary
-negation and scalar multiplication (our field objects and tuples of fields
-via small adapters).  `inner` defines the metric; operators must be
-self-adjoint with respect to it, and positive definite for CG.
+negation and real scalar multiplication: the spinor fields of the fiber and
+normal-equation solves, and `action.Variation` pairs (u, psi) in Newton's
+MINRES.  `inner` defines the metric; operators must be self-adjoint with
+respect to it, and positive definite for CG.
 """
 
 from __future__ import annotations
@@ -130,27 +131,3 @@ def minres(apply_op, b, inner, tol=1e-12, maxiter=400):
         sigma_prev, sigma = sigma, sigma_next
 
     return x, SolveInfo(False, maxiter, float(abs(eta) / norm_b))
-
-
-class ProductVec:
-    """Pair (scalar field, spinor field) as one Krylov vector."""
-
-    __slots__ = ("u", "psi")
-
-    def __init__(self, u, psi):
-        self.u = u
-        self.psi = psi
-
-    def __add__(self, other):
-        return ProductVec(self.u + other.u, self.psi + other.psi)
-
-    def __sub__(self, other):
-        return ProductVec(self.u - other.u, self.psi - other.psi)
-
-    def __mul__(self, a):
-        return ProductVec(float(a) * self.u, float(a) * self.psi)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ProductVec(-self.u, -self.psi)

@@ -4,13 +4,14 @@ The deformation scheme repeatedly locates the maximum-energy node of a
 discretized path/cylinder/disk, takes a backtracking step along the negative
 constrained gradient, retracts onto the manifold, and periodically re-spreads
 nodes.  Flagged (non-converged) outcomes are first-class results carried with
-full Palais-Smale diagnostics; a damped Newton pass on the free system
-sharpens converged candidates to Euler-Lagrange solutions.
+full Palais-Smale diagnostics; a damped Newton pass on the free system,
+entered through one hand-off (`refine_if_possible`), sharpens candidates to
+Euler-Lagrange solutions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .errors import (
     SSHGError,
 )
 from .fields import ScalarField, SpinorField
-from .krylov import ProductVec, minres
+from .krylov import minres
 from .nehari import (
     NehariPoint,
     constrained_gradient,
@@ -44,8 +45,6 @@ from .spectral import (
     hhalf_norm,
     product_norm,
     project,
-    riesz_h1,
-    riesz_hhalf,
     sobolev_inner,
 )
 
@@ -53,8 +52,14 @@ SUFFICIENT_DECREASE = 1e-4
 MAX_BACKTRACKS = 25
 RESPREAD_EVERY = 5
 NEWTON_PRE_GRAD = 1e-3
+HANDOFF_GRAD = 1e3         # Newton is cheap and guarded; try it from almost anywhere
+NEWTON_MAX_STEPS = 30
 TRACE_CAP = 1e8            # PS traces beyond this magnitude count as unbounded
 CYLINDER_RADII = 3         # radial shells of the linking cylinder
+# Sobolev decay of the coercivity probe's random directions; PSI_DECAY must
+# stay moderate, or the low plus_b modes starve the outside-cone sampling
+U_DECAY = 1.0
+PSI_DECAY = 0.75
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +279,24 @@ def _span_block(basis, rho: float):
     return fields, np.array(weights)
 
 
+def positive_frozen_nodes(nodes, frozen, params: ActionParams) -> list:
+    """Indices of frozen nodes whose energy exceeds the boundary tolerance
+    1e-9: a min-max boundary must have nonpositive energy."""
+    return [i for i, (nd, fz) in enumerate(zip(nodes, frozen))
+            if fz and evaluate_J(nd.u, nd.psi, params) > 1e-9]
+
+
+def straight_path(u_end: ScalarField, s: float, psi1: SpinorField, n_nodes: int,
+                  params: ActionParams):
+    """Path t -> fiber(t u_end, t s Psi_1), t in [0, 1], from the origin to
+    the endpoint; returns (nodes, frozen) with both ends frozen."""
+    nodes = []
+    for t in np.linspace(0.0, 1.0, n_nodes):
+        nodes.append(fiber_solve(float(t) * u_end, (float(t) * s) * psi1, params))
+    frozen = [True] + [False] * (n_nodes - 2) + [True]
+    return nodes, frozen
+
+
 def _block_directions(weights, n_dirs: int, seed: int) -> np.ndarray:
     """n_dirs random coefficient vectors of unit H^{1/2} norm in the block."""
     rng = np.random.default_rng(seed)
@@ -333,8 +356,7 @@ def build_cylinder(consts: LinkingConstants, mesh: tuple[int, int],
                 nodes.append(fiber_solve(u, free, params))
                 frozen.append(on_cap or on_side)
 
-    bad = [i for i, (nd, fz) in enumerate(zip(nodes, frozen))
-           if fz and evaluate_J(nd.u, nd.psi, params) > 1e-9]
+    bad = positive_frozen_nodes(nodes, frozen, params)
     if bad:
         if consts.T - np.arccosh((consts.lam_k1 + 1.0) / rho) < 0.9:
             bigger = linking_constants(params, basis, t_margin=1.0, factor=3.0)
@@ -389,7 +411,9 @@ class _SegmentCache:
 
     A discrete node set can cheat the min-max level by letting one segment
     jump the energy ridge unsampled; tracking interior samples and promoting
-    any sample that exceeds the node max repairs that unfaithfulness.
+    any sample that exceeds the node max repairs that unfaithfulness.  Each
+    entry keeps its endpoint objects alive and compares them by identity: an
+    id() of a freed node may be reused by its replacement.
     """
 
     def __init__(self, segments, params):
@@ -399,21 +423,20 @@ class _SegmentCache:
 
     def refresh(self, nodes):
         for (i, j) in self.segments:
-            key = (i, j)
-            ids = (id(nodes[i]), id(nodes[j]))
-            hit = self._cache.get(key)
-            if hit is not None and hit[0] == ids:
+            a, b = nodes[i], nodes[j]
+            hit = self._cache.get((i, j))
+            if hit is not None and hit[0] is a and hit[1] is b:
                 continue
             pts, js = [], []
             for w in SEGMENT_SAMPLES:
-                pt = _interp_points(nodes[i], nodes[j], w, self.params)
+                pt = _interp_points(a, b, w, self.params)
                 pts.append(pt)
                 js.append(evaluate_J(pt.u, pt.psi, self.params))
-            self._cache[key] = (ids, pts, js)
+            self._cache[(i, j)] = (a, b, pts, js)
 
     def best_sample(self):
         best = None
-        for (i, j), (_, pts, js) in self._cache.items():
+        for (i, j), (_, _, pts, js) in self._cache.items():
             k = int(np.argmax(js))
             if best is None or js[k] > best[0]:
                 best = (js[k], i, j, pts[k])
@@ -441,9 +464,9 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
     frozen = list(frozen)
     if not any(not f for f in frozen):
         raise ConfigError("deformation needs at least one free node")
-    for i, (nd, fz) in enumerate(zip(nodes, frozen)):
-        if fz and evaluate_J(nd.u, nd.psi, params) > 1e-9:
-            raise CertificationError(f"frozen node {i} has positive energy at start")
+    bad = positive_frozen_nodes(nodes, frozen, params)
+    if bad:
+        raise CertificationError(f"frozen node {bad[0]} has positive energy at start")
 
     if segments == "chain":
         segments = [(i, i + 1) for i in range(len(nodes) - 1)]
@@ -590,24 +613,23 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
 # Newton refinement on the free system
 # ---------------------------------------------------------------------------
 
-def _prod_inner(a: ProductVec, b: ProductVec) -> float:
-    return (sobolev_inner(a.u, b.u, "H1_scalar")
-            + sobolev_inner(a.psi, b.psi, "Hhalf_spinor"))
+def _prod_inner(a: Variation, b: Variation) -> float:
+    return (sobolev_inner(a.du, b.du, "H1_scalar")
+            + sobolev_inner(a.dpsi, b.dpsi, "Hhalf_spinor"))
 
 
-def _grad_vec(u, psi, params) -> tuple[ProductVec, float]:
+def _grad_vec(u, psi, params) -> tuple[Variation, float]:
     r = gradient_J(u, psi, params).riesz()
-    return ProductVec(r.du, r.dpsi), product_norm(r.du, r.dpsi)
+    return r, product_norm(r.du, r.dpsi)
 
 
 def newton_refine(candidate: NehariPoint, params: ActionParams,
-                  newton_tol: float = 1e-10, max_steps: int = 30,
-                  check_pre: bool = True) -> SolutionRecord:
+                  newton_tol: float = 1e-10, check_pre: bool = True) -> SolutionRecord:
     """Damped Newton on the full Euler-Lagrange system via Hessian products.
 
     Terminates when both residual dual norms are below newton_tol; divergence
     (no damped decrease across 10 halvings) returns the candidate flagged
-    unrefined.
+    unrefined.  The record's `converged` is False: no descent ran here.
     """
     if check_pre:
         pre = constrained_gradient(candidate, params)
@@ -619,7 +641,7 @@ def newton_refine(candidate: NehariPoint, params: ActionParams,
 
     u, psi = candidate.u, candidate.psi
     refined = False
-    for _ in range(max_steps):
+    for _ in range(NEWTON_MAX_STEPS):
         _, ru, rp = el_residual(u, psi, params)
         if ru + rp <= newton_tol:
             refined = True
@@ -631,16 +653,15 @@ def newton_refine(candidate: NehariPoint, params: ActionParams,
         # from amplifying kernel noise while preserving fast local convergence
         shift = min(1e-2, gnorm)
 
-        def hess_op(d: ProductVec) -> ProductVec:
-            hv = hess_vec(u, psi, Variation(d.u, d.psi, "H1", "H1/2"), params)
-            return ProductVec(riesz_h1(hv.du), riesz_hhalf(hv.dpsi)) + shift * d
+        def hess_op(d: Variation) -> Variation:
+            return hess_vec(u, psi, d, params).riesz() + shift * d
 
         d, info = minres(hess_op, -1.0 * gvec, _prod_inner, tol=1e-12, maxiter=250)
         lam = 1.0
         moved = False
         for _ in range(10):
-            u_try = u + lam * d.u
-            psi_try = psi + lam * d.psi
+            u_try = u + lam * d.du
+            psi_try = psi + lam * d.dpsi
             try:
                 _, gn = _grad_vec(u_try, psi_try, params)
             except (SSHGError, FloatingPointError):
@@ -655,23 +676,46 @@ def newton_refine(candidate: NehariPoint, params: ActionParams,
             break
 
     point = project_to_manifold(u, psi, params)
-    return make_record(point, params, converged=refined, refined=refined)
+    return make_record(point, params, converged=False, refined=refined)
+
+
+def refine_if_possible(record: SolutionRecord, diags: PSDiagnostics,
+                       params: ActionParams, newton_tol: float) -> SolutionRecord:
+    """Descent-to-Newton hand-off: Newton runs below HANDOFF_GRAD, and its
+    record is accepted only if it converged to a nonzero solution.  The
+    accepted record keeps the descent's `converged` flag and ends the PS trace
+    `diags`, so the final iterate carries the converged residual levels;
+    otherwise the flagged descent candidate is returned."""
+    res = constrained_gradient(record.point, params)
+    if res.norm > HANDOFF_GRAD:
+        return record
+    try:
+        refined = newton_refine(record.point, params, newton_tol=newton_tol,
+                                check_pre=False)
+    except SSHGError:
+        return record
+    if not refined.refined or refined.classification == "trivial":
+        return record
+    refined = replace(refined, converged=record.converged)
+    res = constrained_gradient(refined.point, params)
+    diags.record(res, refined.level, h1_norm(refined.point.u),
+                 hhalf_norm(refined.point.psi))
+    diags.repairs.append(True)
+    return refined
 
 
 # ---------------------------------------------------------------------------
 # coercivity probe and PS diagnostics
 # ---------------------------------------------------------------------------
 
-def _random_direction(geom, rng, u_decay=1.0, psi_decay=0.75):
-    # psi_decay must stay moderate: steep spectra concentrate energy in the
-    # low plus_b modes and starve the outside-cone rejection sampling
+def _random_direction(geom, rng):
     n = geom.grid_n
     uc = (rng.standard_normal((n, n)))
     u = ScalarField.from_values(geom, uc)
-    u = ScalarField.from_coeffs(geom, u.coeffs * (1.0 + geom.xi_sq) ** -u_decay)
+    u = ScalarField.from_coeffs(geom, u.coeffs * (1.0 + geom.xi_sq) ** -U_DECAY)
     u = ScalarField.from_values(geom, u.values)
     c = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
-    c *= (1.0 + geom.s_abs) ** -psi_decay
+    c *= (1.0 + geom.s_abs) ** -PSI_DECAY
     psi = SpinorField.from_coeffs(geom, c)
     free = psi - project(psi, "minus")
     return u, free

@@ -104,8 +104,7 @@ def _fiber_operator(cosh_u: np.ndarray, rho: float):
 
 
 def fiber_solve(u: ScalarField, psi_free: SpinorField, params: ActionParams,
-                x0: SpinorField | None = None,
-                tol: float = FIBER_TOL, maxiter: int = FIBER_MAXITER) -> NehariPoint:
+                x0: SpinorField | None = None) -> NehariPoint:
     """Slave the negative part: solve A psi^- = -(same operator) psi_free.
 
     psi_free must have no negative component; returns the certified point
@@ -123,7 +122,8 @@ def fiber_solve(u: ScalarField, psi_free: SpinorField, params: ActionParams,
     apply_m = _fiber_operator(cosh_u, rho)
     b = project(riesz_hhalf(dirac_minus_potential(psi_free, cosh_u, rho)), "minus")
     atol = 1e-14 * max(free_scale, 1.0)
-    psi_minus, info = cg(apply_m, b, _hhalf_inner, x0=x0, tol=tol, maxiter=maxiter, atol=atol)
+    psi_minus, info = cg(apply_m, b, _hhalf_inner, x0=x0, tol=FIBER_TOL,
+                         maxiter=FIBER_MAXITER, atol=atol)
 
     psi = psi_free + psi_minus
     cert = hhalf_norm(constraint_G(u, psi, params))
@@ -166,29 +166,31 @@ def _dg_apply(point: NehariPoint, params: ActionParams, v: ScalarField, phi: Spi
     return project(riesz_hhalf(lin), "minus")
 
 
-def _normal_equation_solve(point: NehariPoint, params: ActionParams,
-                           rhs: SpinorField, scale: float = 1.0,
-                           tol=1e-12, maxiter=FIBER_MAXITER):
-    """Solve (dG dG^*) w = rhs on the negative subspace (SPD Gram operator)."""
+def _normal_equation_solve(point: NehariPoint, params: ActionParams):
+    """Least-squares multiplier solve of the constrained criticality system.
+
+    Solves the normal equations (dG dG^*) w = dG[Riesz dJ] on the negative
+    subspace (SPD Gram operator); the multiplier of the 16-normalized system
+    is varphi = w / 16.  Returns (dJ dual-tagged, its Riesz pair, w,
+    SolveInfo).
+    """
+    gdual = gradient_J(point.u, point.psi, params)
+    g = gdual.riesz()
+    rhs = _dg_apply(point, params, g.du, g.dpsi)
+    scale = h1_norm(g.du) + hhalf_norm(g.dpsi)
 
     def gram(w: SpinorField) -> SpinorField:
         du, dpsi = _dg_adjoint(point, params, w)
         return _dg_apply(point, params, du, dpsi)
 
     atol = 1e-14 * max(scale, 1.0)
-    return cg(gram, rhs, _hhalf_inner, tol=tol, maxiter=maxiter, atol=atol)
+    w, info = cg(gram, rhs, _hhalf_inner, tol=1e-12, maxiter=FIBER_MAXITER, atol=atol)
+    return gdual, g, w, info
 
 
 def lagrange_multiplier(point: NehariPoint, params: ActionParams) -> MultiplierData:
-    """Least-squares multiplier of the constrained criticality system.
-
-    Solves the normal equations (dG dG^*) w = dG[Riesz dJ]; the multiplier of
-    the 16-normalized system is varphi = w / 16.
-    """
-    g = gradient_J(point.u, point.psi, params).riesz()
-    rhs = _dg_apply(point, params, g.du, g.dpsi)
-    scale = h1_norm(g.du) + hhalf_norm(g.dpsi)
-    w, info = _normal_equation_solve(point, params, rhs, scale=scale)
+    """Least-squares multiplier varphi of the constrained criticality system."""
+    _, _, w, info = _normal_equation_solve(point, params)
     return MultiplierData(varphi=(1.0 / 16.0) * w, solve_residual=info.relative_residual)
 
 
@@ -210,11 +212,7 @@ def constrained_gradient(point: NehariPoint, params: ActionParams) -> TangentRes
     """Riesz representative of dJ restricted to ker dG, plus PS residual data."""
     uv = point.u.values
     rho = params.rho
-    gdual = gradient_J(point.u, point.psi, params)
-    g = gdual.riesz()
-    rhs = _dg_apply(point, params, g.du, g.dpsi)
-    g_scale = h1_norm(g.du) + hhalf_norm(g.dpsi)
-    w, info = _normal_equation_solve(point, params, rhs, scale=g_scale)
+    gdual, g, w, info = _normal_equation_solve(point, params)
     wdu, wdpsi = _dg_adjoint(point, params, w)
     t_u = g.du - wdu
     t_psi = g.dpsi - wdpsi

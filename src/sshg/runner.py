@@ -26,9 +26,11 @@ from .minmax import (
     linking_constants,
     minmax_deform,
     mountain_pass_endpoint,
+    refine_if_possible,
+    straight_path,
 )
-from .nehari import constrained_gradient, fiber_solve
-from .spectral import build_basis, check_spectral_gap, h1_norm, hhalf_norm
+from .nehari import fiber_solve
+from .spectral import build_basis, check_spectral_gap
 from .sweepout import (
     build_sweepout_chi,
     case2_product_minmax,
@@ -36,10 +38,10 @@ from .sweepout import (
     equivariant_family,
     orthogonal_restart,
     records_distinct,
-    refine_if_possible,
 )
 
 MODES = ("spectrum", "mountain_pass", "linking", "multiplicity", "probe")
+SPECTRAL_REPORT_COUNT = 40  # eigenvalues listed in every run's spectral summary
 
 _DEFAULTS = {
     "side_length": TWO_PI,
@@ -200,9 +202,10 @@ def _diag_summary(diags) -> dict:
 # pipelines
 # ---------------------------------------------------------------------------
 
-def _spectral_summary(basis, count: int = 40) -> dict:
-    # the report always lists `count` eigenvalues even when the solver basis
-    # was built with a smaller cutoff
+def _spectral_summary(basis) -> dict:
+    # the report always lists SPECTRAL_REPORT_COUNT eigenvalues even when the
+    # solver basis was built with a smaller cutoff
+    count = SPECTRAL_REPORT_COUNT
     report = basis
     cutoff = basis.cutoff
     while len(report.eigenvalues) < count and cutoff < basis.geom.nyquist_bound:
@@ -218,37 +221,16 @@ def _spectral_summary(basis, count: int = 40) -> dict:
     }
 
 
-def _straight_path(geom, basis, params, u_bar, s, n_nodes):
-    psi1 = basis.eigenspinor(1)
-    nodes = []
-    for t in np.linspace(0.0, 1.0, n_nodes):
-        u = ScalarField.constant(geom, float(t) * u_bar)
-        nodes.append(fiber_solve(u, (float(t) * s) * psi1, params))
-    frozen = [True] + [False] * (n_nodes - 2) + [True]
-    return nodes, frozen
-
-
-def _append_final_iterate(diags, record, params):
-    """Extend the PS trace with the refined record, so the recorded final
-    iterate carries the converged residual levels."""
-    if not record.refined:
-        return
-    res = constrained_gradient(record.point, params)
-    diags.record(res, record.level, h1_norm(record.point.u),
-                 hhalf_norm(record.point.psi))
-    diags.repairs.append(True)
-
-
 def run_mountain_pass(config: RunConfig, geom, basis, params):
     mm = config.minmax_config()
     u_bar, s = mountain_pass_endpoint(params, basis)
-    end_pt = fiber_solve(ScalarField.constant(geom, u_bar),
-                         s * basis.eigenspinor(1), params)
+    u_end = ScalarField.constant(geom, u_bar)
+    psi1 = basis.eigenspinor(1)
+    end_pt = fiber_solve(u_end, s * psi1, params)
     j_end = evaluate_J(end_pt.u, end_pt.psi, params)
-    nodes, frozen = _straight_path(geom, basis, params, u_bar, s, mm.path_nodes)
+    nodes, frozen = straight_path(u_end, s, psi1, mm.path_nodes, params)
     candidate, diags = minmax_deform(nodes, frozen, mm, params)
-    record = refine_if_possible(candidate, params, mm.newton_tol)
-    _append_final_iterate(diags, record, params)
+    record = refine_if_possible(candidate, diags, params, mm.newton_tol)
     return {
         "endpoint": {"u_bar": u_bar, "s": s, "J": j_end},
         "record": record,
@@ -266,8 +248,7 @@ def run_linking(config: RunConfig, geom, basis, params):
     candidate, diags = minmax_deform(nodes, frozen, mm, params,
                                      segments=_cylinder_segments(nodes),
                                      respread=None)
-    record = refine_if_possible(candidate, params, mm.newton_tol)
-    _append_final_iterate(diags, record, params)
+    record = refine_if_possible(candidate, diags, params, mm.newton_tol)
     return {
         "constants": {"T": consts.T, "A": consts.A, "R": consts.R,
                       "k_index": consts.k_index, "lam_k": consts.lam_k,
@@ -305,7 +286,6 @@ def run_multiplicity(config: RunConfig, geom, basis, params):
             fam, mm, params, basis,
             n_theta_disk=int(config["n_theta_disk"]),
             n_radii=int(config["n_radii"]))
-        _append_final_iterate(diags2, rec2, params)
         out = {
             "case": 1,
             "records": [rec1, rec2],
@@ -327,7 +307,6 @@ def run_multiplicity(config: RunConfig, geom, basis, params):
     first = run_linking(config, geom, basis, params)
     rec1 = first["record"]
     rec2, c2, diags2 = case2_product_minmax(chi, mm, params, basis)
-    _append_final_iterate(diags2, rec2, params)
     out = {
         "case": 2,
         "records": [rec1, rec2],

@@ -17,6 +17,7 @@ from .fields import ScalarField, SpinorField
 from .geometry import TorusGeometry
 
 RHO_GAP = 1e-9  # hard guard: rho must stay outside this distance of the spectrum
+MULTIPLICITY_REL_TOL = 1e-9  # eigenvalues this close (relative) count as one
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +289,9 @@ class SpectralBasis:
         c[:, i1, i2] = amp * v
         return SpinorField(g, coeffs=c)
 
-    def multiplicity_of(self, lam: float, rel_tol: float = 1e-9) -> int:
-        return int(np.count_nonzero(np.abs(self.eigenvalues - lam) <= rel_tol * max(lam, 1.0)))
+    def multiplicity_of(self, lam: float) -> int:
+        tol = MULTIPLICITY_REL_TOL * max(lam, 1.0)
+        return int(np.count_nonzero(np.abs(self.eigenvalues - lam) <= tol))
 
 
 def build_basis(geom: TorusGeometry, cutoff: float) -> SpectralBasis:

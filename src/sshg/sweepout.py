@@ -20,7 +20,6 @@ from .errors import (
     CertificationError,
     ConfigError,
     ResolutionError,
-    SSHGError,
 )
 from .fields import ScalarField
 from .geometry import TorusGeometry
@@ -33,17 +32,22 @@ from .minmax import (
     linking_constants,
     make_record,
     minmax_deform,
-    newton_refine,
+    positive_frozen_nodes,
+    refine_if_possible,
+    straight_path,
 )
-from .nehari import NehariPoint, constrained_gradient, fiber_solve
+from .nehari import NehariPoint, fiber_solve
 from .spectral import h1_norm, hhalf_norm, quaternion_act, sobolev_inner
 
-DISK_RADII = 4
-HANDOFF_GRAD = 1e3  # Newton is cheap and guarded; try it from almost anywhere
 N_THETA_CHECK = 64  # theta samples on which a sweepout is certified
 FAMILY_RETRIES = 3
 CASE2_MAX_K = 4     # desk-scale cap on the case-2 block dimension
 CASE2_RETRIES = 2
+CASE2_MESH = (2, 4)  # (phi shells, phi directions) of the linking ball
+CASE2_N_THETA = 8    # theta samples of the case-2 disk
+CASE2_N_R = 3        # radial samples of the case-2 disk
+DISTINCT_LEVEL_TOL = 1e-6
+DISTINCT_ORTHO_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +177,12 @@ class EquivariantFamily:
         return len(self.points)
 
 
+def _sigma_point(pt: NehariPoint) -> NehariPoint:
+    """The Z2 action on the scalar component; J and the constraint are even."""
+    return NehariPoint(u=-1.0 * pt.u, psi=pt.psi,
+                       constraint_norm=pt.constraint_norm, rho=pt.rho)
+
+
 def _family_attempt(u_bar, s, chi, params, basis, thetas, geom):
     psi1 = basis.eigenspinor(1)
     half = len(thetas) // 2
@@ -186,9 +196,7 @@ def _family_attempt(u_bar, s, chi, params, basis, thetas, geom):
         resids.append(pt.constraint_norm)
     # mirror half: u_{theta+pi} = -u_theta exactly, psi identical (cosh even)
     for pt in points[:half]:
-        mirrored = NehariPoint(u=-1.0 * pt.u, psi=pt.psi,
-                               constraint_norm=pt.constraint_norm, rho=pt.rho)
-        points.append(mirrored)
+        points.append(_sigma_point(pt))
         resids.append(pt.constraint_norm)
     energies = [evaluate_J(p.u, p.psi, params) for p in points]
     return points, resids, float(np.max(energies))
@@ -253,12 +261,6 @@ def _certify_family(fam: EquivariantFamily) -> None:
 # equivariant deformation (paired nodes)
 # ---------------------------------------------------------------------------
 
-def _sigma_point(pt: NehariPoint) -> NehariPoint:
-    """The Z2 action on the scalar component; J and the constraint are even."""
-    return NehariPoint(u=-1.0 * pt.u, psi=pt.psi,
-                       constraint_norm=pt.constraint_norm, rho=pt.rho)
-
-
 def _equivariant_deform(nodes, frozen, pairs, segments, config, params):
     """minmax_deform with synchronized Z2-partner updates, the equivariance
     certificate of the deformed nodes and the Newton hand-off.
@@ -289,7 +291,7 @@ def _equivariant_deform(nodes, frozen, pairs, segments, config, params):
     defect = equivariance_defect(deformed, pairs)
     if defect > 1e-9:
         raise CertificationError(f"equivariance drift {defect:.3e} exceeds 1e-9")
-    return refine_if_possible(record, params, config.newton_tol), diags
+    return refine_if_possible(record, diags, params, config.newton_tol), diags
 
 
 def equivariance_defect(nodes, pairs) -> float:
@@ -305,26 +307,9 @@ def equivariance_defect(nodes, pairs) -> float:
     return worst
 
 
-def refine_if_possible(record: SolutionRecord, params: ActionParams,
-                       newton_tol: float) -> SolutionRecord:
-    """Newton handoff: accept the refined record only if it converged to a
-    nonzero solution; otherwise keep the flagged deformation candidate."""
-    res = constrained_gradient(record.point, params)
-    if res.norm > HANDOFF_GRAD:
-        return record
-    try:
-        refined = newton_refine(record.point, params, newton_tol=newton_tol,
-                                check_pre=False)
-    except SSHGError:
-        return record
-    if refined.refined and refined.classification != "trivial":
-        return refined
-    return record
-
-
 def equivariant_disk_minmax(family: EquivariantFamily, config: MinmaxConfig,
                             params: ActionParams, basis,
-                            n_theta_disk: int = 16, n_radii: int = DISK_RADII):
+                            n_theta_disk: int, n_radii: int):
     """Fountain-type min-max over Z2-equivariant fillings of the family.
 
     The disk w(r e^{i theta}) = (r u_theta, fiber(sPsi_1)) is deformed with
@@ -438,11 +423,7 @@ def orthogonal_restart(u1: ScalarField, family: EquivariantFamily,
     if evaluate_J(end.u, end.psi, params) >= 0:
         raise CertificationError("restart endpoint energy is not negative")
 
-    nodes = []
-    for t in np.linspace(0.0, 1.0, config.path_nodes):
-        u = ScalarField.from_values(geom, float(t) * u_t0.values)
-        nodes.append(fiber_solve(u, (float(t) * family.s) * psi1, params))
-    frozen = [True] + [False] * (config.path_nodes - 2) + [True]
+    nodes, frozen = straight_path(u_t0, family.s, psi1, config.path_nodes, params)
 
     def tangent_filter(var):
         return Variation(orthogonalize(var.du), var.dpsi,
@@ -465,16 +446,15 @@ def orthogonal_restart(u1: ScalarField, family: EquivariantFamily,
 # distinctness ledger and the solution orbit
 # ---------------------------------------------------------------------------
 
-def records_distinct(r1: SolutionRecord, r2: SolutionRecord,
-                     level_tol: float = 1e-6, ortho_tol: float = 1e-8) -> bool:
+def records_distinct(r1: SolutionRecord, r2: SolutionRecord) -> bool:
     """Executable form of geometric distinctness: levels differ, or the
     scalar components are H^1-orthogonal with both records nonzero."""
-    if abs(r1.level - r2.level) > level_tol:
+    if abs(r1.level - r2.level) > DISTINCT_LEVEL_TOL:
         return True
     inner = abs(sobolev_inner(r1.point.u, r2.point.u, "H1_scalar"))
     nonzero1 = h1_norm(r1.point.u) + hhalf_norm(r1.point.psi) > 1e-8
     nonzero2 = h1_norm(r2.point.u) + hhalf_norm(r2.point.psi) > 1e-8
-    return bool(inner <= ortho_tol and nonzero1 and nonzero2)
+    return bool(inner <= DISTINCT_ORTHO_TOL and nonzero1 and nonzero2)
 
 
 def group_orbit_point(point: NehariPoint, sigma: float, q) -> NehariPoint:
@@ -490,8 +470,7 @@ def group_orbit_point(point: NehariPoint, sigma: float, q) -> NehariPoint:
 # ---------------------------------------------------------------------------
 
 def case2_product_minmax(chi: SweepoutChi, config: MinmaxConfig,
-                         params: ActionParams, basis,
-                         mesh=(2, 4), n_theta_disk: int = 8, n_r_disk: int = 3):
+                         params: ActionParams, basis):
     """Equivariant min-max over the product of the linking ball and a disk.
 
     Elements are (u, psi) = (chi(theta,.) T r, phi + A T r Psi_{k+1}) with
@@ -506,7 +485,7 @@ def case2_product_minmax(chi: SweepoutChi, config: MinmaxConfig,
             f"case-2 block dimension K={K} exceeds the desk-scale cap {CASE2_MAX_K}")
 
     consts = linking_constants(params, basis)
-    n_rad_phi, n_sphere = mesh
+    n_rad_phi, n_sphere = CASE2_MESH
     dirs = _block_directions(weights, n_sphere, config.seed)
     psi_top = basis.eigenspinor(consts.k_index + 1)
 
@@ -515,16 +494,16 @@ def case2_product_minmax(chi: SweepoutChi, config: MinmaxConfig,
         R = consts.R * r_factor
         nodes, frozen, pairs = [], [], []
         index = {}
-        half = n_theta_disk // 2
+        half = CASE2_N_THETA // 2
         phi_shells = [np.zeros(K)] + [q * R * d for q in np.linspace(0, 1, n_rad_phi + 1)[1:]
                                       for d in dirs]
         phi_on_boundary = [False] + [q == 1.0 for q in np.linspace(0, 1, n_rad_phi + 1)[1:]
                                      for _ in dirs]
-        disk_r = np.linspace(0.0, 1.0, n_r_disk + 1)
+        disk_r = np.linspace(0.0, 1.0, CASE2_N_R + 1)
         for ip, (phiv, phi_bd) in enumerate(zip(phi_shells, phi_on_boundary)):
             phi_field = _block_spinor(geom, fields, phiv)
-            for it in range(n_theta_disk):
-                theta = 2.0 * np.pi * it / n_theta_disk
+            for it in range(CASE2_N_THETA):
+                theta = 2.0 * np.pi * it / CASE2_N_THETA
                 chi_vals = chi.evaluate(theta, geom)
                 for ir, r in enumerate(disk_r):
                     if ir == 0 and it > 0:
@@ -536,16 +515,15 @@ def case2_product_minmax(chi: SweepoutChi, config: MinmaxConfig,
                     key = (ip, it if ir > 0 else -1, ir)
                     index[key] = len(nodes)
                     nodes.append(pt)
-                    frozen.append(bool(phi_bd or ir == n_r_disk))
+                    frozen.append(bool(phi_bd or ir == CASE2_N_R))
                     pairs.append(None)
         for (ip, it, ir), k in index.items():
             if it < 0:
                 pairs[k] = k
             else:
-                pairs[k] = index[(ip, (it + half) % n_theta_disk, ir)]
+                pairs[k] = index[(ip, (it + half) % CASE2_N_THETA, ir)]
 
-        bad = [i for i, (nd, fz) in enumerate(zip(nodes, frozen))
-               if fz and evaluate_J(nd.u, nd.psi, params) > 1e-9]
+        bad = positive_frozen_nodes(nodes, frozen, params)
         if not bad:
             break
         if attempt == CASE2_RETRIES:

@@ -274,6 +274,37 @@ def test_minmax_deform_propagates_unexpected_errors(setup16, monkeypatch):
         minmax_deform(nodes, frozen, config, params)
 
 
+def test_segment_cache_recomputes_only_moved_segments(setup16, monkeypatch):
+    # samples are recomputed exactly when an endpoint object changes
+    nodes, _, _, params = _small_mountain_pass(setup16)
+    solves = []
+
+    def counting_fiber_solve(*args, **kwargs):
+        solves.append(1)
+        return fiber_solve(*args, **kwargs)
+
+    monkeypatch.setattr(sshg.minmax, "fiber_solve", counting_fiber_solve)
+    cache = sshg.minmax._SegmentCache([(0, 1), (1, 2), (2, 3)], params)
+    per_segment = len(sshg.minmax.SEGMENT_SAMPLES)
+
+    def refresh():
+        solves.clear()
+        cache.refresh(nodes)
+        return len(solves)
+
+    assert refresh() == 3 * per_segment
+    assert refresh() == 0
+    # an equal-valued node that is another object moves both its segments
+    nodes[1] = dataclasses.replace(nodes[1])
+    assert refresh() == 2 * per_segment
+    # replaced twice between refreshes (ridge promotion, then a descent
+    # step): the second replacement can take the id() the first one freed
+    nodes[3] = dataclasses.replace(nodes[3])
+    nodes[3] = dataclasses.replace(nodes[3])
+    assert refresh() == per_segment
+    assert refresh() == 0
+
+
 def test_ps_diagnostics_exact_solution_trace(setup16):
     geom, basis = setup16
     params = ActionParams(rho=0.5)

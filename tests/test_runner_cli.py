@@ -101,6 +101,20 @@ def test_mountain_pass_mode(tmp_path):
     assert sweep == ["theta,J"]
 
 
+def test_refined_record_keeps_the_descent_flag():
+    # five outer iterations leave the descent far above grad_tol; Newton
+    # still refines the candidate, and the record reports the descent as
+    # unconverged while the run (every record refined) converges
+    output = run(RunConfig.from_dict(base_config(
+        mode="mountain_pass", path_nodes=9, max_outer=5, grad_tol=1e-3)))
+    rec = output["records"][0]
+    grads = output["diagnostics"]["grad_norms"]
+    assert len(grads) == 5 + 1  # descent iterates, then the refined record
+    assert grads[-2] > 0.5
+    assert rec["refined"] and not rec["converged"]
+    assert output["converged"] is True
+
+
 def test_multiplicity_case1_outputs(tmp_path):
     config = RunConfig.from_dict(base_config(
         mode="multiplicity", rho=0.5, path_nodes=9, max_outer=25,

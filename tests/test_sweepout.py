@@ -188,8 +188,7 @@ def test_case2_product_minmax_harmonic_block():
     config = MinmaxConfig(path_nodes=9, grad_tol=1e-3, max_outer=30,
                           newton_tol=1e-10, seed=0)
     from sshg.sweepout import case2_product_minmax
-    rec, c2, diags = case2_product_minmax(chi, config, params, basis,
-                                          mesh=(2, 4), n_theta_disk=8, n_r_disk=3)
+    rec, c2, diags = case2_product_minmax(chi, config, params, basis)
     assert diags.bounded()
     if rec.refined:
         assert rec.res_u + rec.res_psi <= config.newton_tol

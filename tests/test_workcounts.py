@@ -1,0 +1,66 @@
+"""Work-count guard: a fixed small run must not silently do more work.
+
+Counts, not timings: the solver is deterministic for a given (config, seed),
+so the number of fiber solves, Krylov iterations and constrained gradients of
+a fixed run is a property of the code.  The ceilings are the counts measured
+for the grid-16 case-1 multiplicity config below; a change that lowers them
+lowers the ceilings too.
+"""
+
+import sys
+
+import sshg.krylov
+import sshg.nehari
+from sshg.runner import RunConfig, run
+
+CONFIG = {
+    "grid_n": 16, "spin_delta": [0.5, 0.5], "rho": 0.5, "mode": "multiplicity",
+    "seed": 1, "cutoff": 2.5, "path_nodes": 9, "max_outer": 10,
+    "n_theta": 32, "n_theta_disk": 8, "n_radii": 3,
+}
+
+CEILINGS = {
+    "fiber_solve": 799,
+    "cg.calls": 826,
+    "cg.iters": 2329,
+    "minres.iters": 161,
+    "constrained_gradient": 23,
+}
+
+
+def _count_calls(monkeypatch, orig, on_call):
+    """Rebind every by-name binding of `orig` in the sshg modules."""
+
+    def counted(*args, **kwargs):
+        out = orig(*args, **kwargs)
+        on_call(out)
+        return out
+
+    for name, mod in list(sys.modules.items()):
+        if name == "sshg" or name.startswith("sshg."):
+            for attr, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, attr, counted)
+
+
+def test_work_counts_do_not_grow(monkeypatch):
+    counts = dict.fromkeys(CEILINGS, 0)
+
+    def bump(**inc):
+        def on_call(out):
+            for key, val in inc.items():
+                counts[key] += val(out) if callable(val) else val
+        return on_call
+
+    _count_calls(monkeypatch, sshg.nehari.fiber_solve, bump(fiber_solve=1))
+    _count_calls(monkeypatch, sshg.nehari.constrained_gradient,
+                 bump(constrained_gradient=1))
+    _count_calls(monkeypatch, sshg.krylov.cg,
+                 bump(**{"cg.calls": 1, "cg.iters": lambda out: out[1].iterations}))
+    _count_calls(monkeypatch, sshg.krylov.minres,
+                 bump(**{"minres.iters": lambda out: out[1].iterations}))
+
+    run(RunConfig.from_dict(CONFIG))
+    assert counts["fiber_solve"] > 0 and counts["minres.iters"] > 0
+    for key, ceiling in CEILINGS.items():
+        assert counts[key] <= ceiling, f"{key}: {counts[key]} > {ceiling}"
