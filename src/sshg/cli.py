@@ -23,7 +23,7 @@ from .errors import (
     SpectralGapError,
     SSHGError,
 )
-from .runner import RunConfig, run
+from .runner import RunConfig, read_config_file, run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -46,17 +46,25 @@ def _solve_parser(prog: str) -> argparse.ArgumentParser:
     return p
 
 
+def _threads(args) -> int:
+    """--threads, else SSHG_THREADS, else 1: a positive integer."""
+    value = args.threads if args.threads is not None else os.environ.get("SSHG_THREADS", "1")
+    try:
+        threads = int(value)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"threads must be a positive integer, got {value!r}")
+    return threads
+
+
 def _load_config(path: str, args) -> RunConfig:
-    config = RunConfig.from_file(path)
+    overrides = {"threads": _threads(args)}
     if args.seed is not None:
-        config.raw["seed"] = int(args.seed)
+        overrides["seed"] = args.seed
     if args.out is not None:
-        config.raw["output_dir"] = args.out
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("SSHG_THREADS", "1"))
-    config.raw["threads"] = int(threads)
-    return config
+        overrides["output_dir"] = args.out
+    return RunConfig.from_dict({**read_config_file(path), **overrides})
 
 
 def _execute(config: RunConfig) -> int:

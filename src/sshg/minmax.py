@@ -68,11 +68,11 @@ PSI_DECAY = 0.75
 
 @dataclass
 class MinmaxConfig:
-    path_nodes: int = 33               # odd, >= 5
+    path_nodes: int                    # odd, >= 5
+    grad_tol: float
+    max_outer: int
     descent_step: float = 0.1          # initial backtracking step, factor 0.5
-    grad_tol: float = 1e-6
     newton_tol: float = 1e-10
-    max_outer: int = 2000
     seed: int = 0
 
     def __post_init__(self):
@@ -447,16 +447,16 @@ class _SegmentCache:
 
 
 def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
-                  segments="chain", respread=_respread_path,
-                  step_hook=None, tangent_filter=None):
+                  segments="chain", step_hook=None, tangent_filter=None):
     """Descend the max-energy node until its constrained gradient is small.
 
     Each outer iteration: repair discretization gaps (promote any segment
     sample that exceeds the node max), locate the max-energy node, take a
-    backtracking step along the negative constrained gradient, retract, and
-    periodically re-spread.  Returns (SolutionRecord candidate,
-    PSDiagnostics); budget exhaustion or stalled line searches yield the best
-    candidate flagged non-converged with diagnostics attached.  A broken
+    backtracking step along the negative constrained gradient, retract, and,
+    when the segments are the "chain" of a path, periodically re-spread the
+    nodes by arclength.  Returns (SolutionRecord candidate, PSDiagnostics);
+    budget exhaustion or stalled line searches yield the best candidate
+    flagged non-converged with diagnostics attached.  A broken
     invariant (energy floor, moved frozen node, trace lengths) raises
     CertificationError.
     """
@@ -468,7 +468,8 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
     if bad:
         raise CertificationError(f"frozen node {bad[0]} has positive energy at start")
 
-    if segments == "chain":
+    chain = segments == "chain"
+    if chain:
         segments = [(i, i + 1) for i in range(len(nodes) - 1)]
     segcache = _SegmentCache(segments, params)
     neighbors = {}
@@ -582,8 +583,8 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
             stalls = 0
 
         # periodic re-spreading with a monotonicity guard
-        if respread is not None and (outer + 1) % RESPREAD_EVERY == 0:
-            new_nodes = respread(nodes, params)
+        if chain and (outer + 1) % RESPREAD_EVERY == 0:
+            new_nodes = _respread_path(nodes, params)
             if new_nodes is not None:
                 new_energies = [evaluate_J(nd.u, nd.psi, params) for nd in new_nodes]
                 if max(new_energies) <= max(energies) + 1e-12 * (1 + abs(max(energies))):

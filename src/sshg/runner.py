@@ -7,7 +7,9 @@ floats at 17 significant digits.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -29,18 +31,17 @@ from .minmax import (
     refine_if_possible,
     straight_path,
 )
-from .nehari import fiber_solve
 from .spectral import build_basis, check_spectral_gap
 from .sweepout import (
     build_sweepout_chi,
     case2_product_minmax,
+    check_n_theta_disk,
     equivariant_disk_minmax,
     equivariant_family,
     orthogonal_restart,
     records_distinct,
 )
 
-MODES = ("spectrum", "mountain_pass", "linking", "multiplicity", "probe")
 SPECTRAL_REPORT_COUNT = 40  # eigenvalues listed in every run's spectral summary
 
 _DEFAULTS = {
@@ -71,6 +72,53 @@ _DEFAULTS = {
     "n_theta_disk": 8,
     "n_radii": 3,
 }
+_OPTIONAL_FLOATS = ("rho", "mu", "b")
+
+
+def _number(key, value, kind):
+    """value as a finite `kind` (int or float); integral floats pass as ints."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number) and (kind is float or number.is_integer()):
+            return kind(value)
+    raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
+                      f"got {value!r}")
+
+
+def _typed(key, value):
+    """The config value converted to its key's type; ConfigError if mistyped."""
+    if key == "mode":
+        if value not in MODES:
+            raise ConfigError(f"mode must be one of {MODES}, got {value!r}")
+        return value
+    if key == "output_dir":
+        if value is not None and not isinstance(value, str):
+            raise ConfigError(f"output_dir must be a path, got {value!r}")
+        return value
+    if key == "spin_delta":
+        if not isinstance(value, (list, tuple)) or len(value) != 2:
+            raise ConfigError(f"spin_delta must be a pair of numbers, got {value!r}")
+        return [_number(key, d, float) for d in value]
+    if key in _OPTIONAL_FLOATS:
+        return None if value is None else _number(key, value, float)
+    return _number(key, value, type(_DEFAULTS[key]))
+
+
+def read_config_file(path: str) -> dict:
+    """The flat JSON object in `path`; an unreadable file is a ConfigError."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path!r}: {exc.strerror}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError("config must be a flat JSON object")
+    return data
 
 
 @dataclass
@@ -84,51 +132,34 @@ class RunConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         merged = dict(_DEFAULTS)
         merged.update(data)
-        if merged["mode"] not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {merged['mode']!r}")
+        merged = {key: _typed(key, value) for key, value in merged.items()}
         has_rho = merged["rho"] is not None
         has_mu, has_b = merged["mu"] is not None, merged["b"] is not None
         if has_mu != has_b:
             raise ConfigError("mu and b must be given together")
         if has_rho == (has_mu and has_b):
             raise ConfigError("provide exactly one of rho or the pair (mu, b)")
+        check_n_theta_disk(merged["n_theta"], merged["n_theta_disk"])
         return cls(raw=merged)
-
-    @classmethod
-    def from_file(cls, path: str) -> "RunConfig":
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a flat JSON object")
-        return cls.from_dict(data)
 
     def __getitem__(self, key):
         return self.raw[key]
 
     def geometry(self) -> TorusGeometry:
-        delta = tuple(float(d) for d in self.raw["spin_delta"])
-        return TorusGeometry(grid_n=int(self.raw["grid_n"]),
-                             side_length=float(self.raw["side_length"]),
-                             spin_delta=delta)
+        return TorusGeometry(grid_n=self.raw["grid_n"],
+                             side_length=self.raw["side_length"],
+                             spin_delta=tuple(self.raw["spin_delta"]))
 
     def action_params(self) -> ActionParams:
         if self.raw["rho"] is not None:
-            return ActionParams(rho=float(self.raw["rho"]))
-        return ActionParams(mu=float(self.raw["mu"]), b=float(self.raw["b"]))
+            return ActionParams(rho=self.raw["rho"])
+        return ActionParams(mu=self.raw["mu"], b=self.raw["b"])
 
     def minmax_config(self) -> MinmaxConfig:
         r = self.raw
-        return MinmaxConfig(
-            path_nodes=int(r["path_nodes"]),
-            descent_step=float(r["descent_step"]),
-            grad_tol=float(r["grad_tol"]),
-            newton_tol=float(r["newton_tol"]),
-            max_outer=int(r["max_outer"]),
-            seed=int(r["seed"]),
-        )
+        return MinmaxConfig(path_nodes=r["path_nodes"], grad_tol=r["grad_tol"],
+                            max_outer=r["max_outer"], descent_step=r["descent_step"],
+                            newton_tol=r["newton_tol"], seed=r["seed"])
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +198,8 @@ def write_json_atomic(obj, path: str) -> str:
     return write_atomic(path, _render_json(obj).encode())
 
 
-def _record_summary(rec, checkpoint: str | None = None) -> dict:
-    out = {
+def _record_summary(rec) -> dict:
+    return {
         "classification": rec.classification,
         "level": rec.level,
         "res_u": rec.res_u,
@@ -180,9 +211,6 @@ def _record_summary(rec, checkpoint: str | None = None) -> dict:
         "converged": rec.converged,
         "refined": rec.refined,
     }
-    if checkpoint:
-        out["checkpoint"] = checkpoint
-    return out
 
 
 def _diag_summary(diags) -> dict:
@@ -221,41 +249,59 @@ def _spectral_summary(basis) -> dict:
     }
 
 
+# Every pipeline(config, geom, basis, params) returns a dict with the
+# solution `records` (a list) and the PS trace `diagnostics` of its last
+# deformation (None without one), plus the keys its mode reports.
+
+def run_spectrum(config: RunConfig, geom, basis, params):
+    return {"records": [], "diagnostics": None}
+
+
+def run_probe(config: RunConfig, geom, basis, params):
+    gap = check_spectral_gap(geom, params.rho)
+    margin = coercivity_probe(params, basis, r0=config["r0"], tau=config["tau"],
+                              n_samples=config["n_samples"], seed=config["seed"])
+    return {
+        "probe": {"margin": margin, "spectral_gap": gap,
+                  "r0": config["r0"], "tau": config["tau"]},
+        "records": [],
+        "diagnostics": None,
+    }
+
+
 def run_mountain_pass(config: RunConfig, geom, basis, params):
     mm = config.minmax_config()
     u_bar, s = mountain_pass_endpoint(params, basis)
-    u_end = ScalarField.constant(geom, u_bar)
-    psi1 = basis.eigenspinor(1)
-    end_pt = fiber_solve(u_end, s * psi1, params)
-    j_end = evaluate_J(end_pt.u, end_pt.psi, params)
-    nodes, frozen = straight_path(u_end, s, psi1, mm.path_nodes, params)
+    nodes, frozen = straight_path(ScalarField.constant(geom, u_bar), s,
+                                  basis.eigenspinor(1), mm.path_nodes, params)
+    end_pt = nodes[-1]
     candidate, diags = minmax_deform(nodes, frozen, mm, params)
     record = refine_if_possible(candidate, diags, params, mm.newton_tol)
     return {
-        "endpoint": {"u_bar": u_bar, "s": s, "J": j_end},
-        "record": record,
+        "endpoint": {"u_bar": u_bar, "s": s,
+                     "J": evaluate_J(end_pt.u, end_pt.psi, params)},
+        "levels": {"c1": record.level},
+        "records": [record],
         "diagnostics": diags,
-        "level": record.level,
     }
 
 
 def run_linking(config: RunConfig, geom, basis, params):
     mm = config.minmax_config()
     consts = linking_constants(params, basis)
-    mesh = (int(config["cylinder_nt"]), int(config["cylinder_nsphere"]))
+    mesh = (config["cylinder_nt"], config["cylinder_nsphere"])
     nodes, frozen, _ = build_cylinder(consts, mesh, params, basis, seed=mm.seed)
     # segment control runs along a chain ordered by the scalar level t
     candidate, diags = minmax_deform(nodes, frozen, mm, params,
-                                     segments=_cylinder_segments(nodes),
-                                     respread=None)
+                                     segments=_cylinder_segments(nodes))
     record = refine_if_possible(candidate, diags, params, mm.newton_tol)
     return {
-        "constants": {"T": consts.T, "A": consts.A, "R": consts.R,
-                      "k_index": consts.k_index, "lam_k": consts.lam_k,
-                      "lam_k1": consts.lam_k1},
-        "record": record,
+        "linking_constants": {"T": consts.T, "A": consts.A, "R": consts.R,
+                              "k_index": consts.k_index, "lam_k": consts.lam_k,
+                              "lam_k1": consts.lam_k1},
+        "levels": {"c1": record.level},
+        "records": [record],
         "diagnostics": diags,
-        "level": record.level,
     }
 
 
@@ -268,62 +314,63 @@ def _cylinder_segments(nodes):
 
 def run_multiplicity(config: RunConfig, geom, basis, params):
     mm = config.minmax_config()
-    rho = params.rho
-    lam1 = basis.eigenvalue(1)
-    chi_geom = TorusGeometry(grid_n=int(config["chi_grid_n"]),
+    chi_geom = TorusGeometry(grid_n=config["chi_grid_n"],
                              side_length=geom.side_length,
                              spin_delta=geom.spin_delta)
-    epsilon = float(config["epsilon_frac"]) * chi_geom.vol
-    chi = build_sweepout_chi(chi_geom, epsilon)
+    chi = build_sweepout_chi(chi_geom, config["epsilon_frac"] * chi_geom.vol)
 
-    if basis.harmonic_dim == 0 and rho < lam1:
+    if basis.harmonic_dim == 0 and params.rho < basis.eigenvalue(1):
         first = run_mountain_pass(config, geom, basis, params)
-        rec1 = first["record"]
-        c1 = rec1.level
+        rec1 = first["records"][0]
         fam = equivariant_family(first["endpoint"]["u_bar"], first["endpoint"]["s"],
-                                 chi, params, basis, n_theta=int(config["n_theta"]))
-        rec2, c2, diags2 = equivariant_disk_minmax(
+                                 chi, params, basis, n_theta=config["n_theta"])
+        rec2, c2, diags = equivariant_disk_minmax(
             fam, mm, params, basis,
-            n_theta_disk=int(config["n_theta_disk"]),
-            n_radii=int(config["n_radii"]))
-        out = {
+            n_theta_disk=config["n_theta_disk"], n_radii=config["n_radii"])
+        records = [rec1, rec2]
+        if abs(c2 - rec1.level) <= 1e-6:
+            records.append(orthogonal_restart(rec1.point.u, fam, mm, params, basis)[0])
+        return {
             "case": 1,
-            "records": [rec1, rec2],
-            "levels": {"c1": c1, "c2": c2},
+            "records": records,
+            "levels": {"c1": rec1.level, "c2": c2},
+            "distinct": _any_distinct(records),
             "first": first,
             "family_max_energy": fam.max_energy,
-            "theta_grid": list(fam.theta_grid),
-            "family_energies": [evaluate_J(p.u, p.psi, params) for p in fam.points],
-            "diagnostics": diags2,
+            "theta_sweep": [(th, evaluate_J(p.u, p.psi, params))
+                            for th, p in zip(fam.theta_grid, fam.points)],
+            "diagnostics": diags,
         }
-        if abs(c2 - c1) <= 1e-6:
-            rec3, diags3 = orthogonal_restart(rec1.point.u, fam, mm, params, basis)
-            out["records"].append(rec3)
-            out["restart_diagnostics"] = diags3
-        out["distinct"] = _any_distinct(out["records"])
-        return out
 
     # linking regime: (K+2)-dimensional equivariant product construction
     first = run_linking(config, geom, basis, params)
-    rec1 = first["record"]
-    rec2, c2, diags2 = case2_product_minmax(chi, mm, params, basis)
-    out = {
+    rec1 = first["records"][0]
+    rec2, c2, diags = case2_product_minmax(chi, mm, params, basis)
+    return {
         "case": 2,
         "records": [rec1, rec2],
         "levels": {"c1": rec1.level, "c2": c2},
+        "distinct": _any_distinct([rec1, rec2]),
         "first": first,
-        "diagnostics": diags2,
+        "diagnostics": diags,
     }
-    out["distinct"] = _any_distinct(out["records"])
-    return out
 
 
 def _any_distinct(records) -> bool:
-    for i in range(len(records)):
-        for j in range(i + 1, len(records)):
-            if records_distinct(records[i], records[j]):
-                return True
-    return False
+    return any(records_distinct(a, b) for a, b in itertools.combinations(records, 2))
+
+
+# mode -> (pipeline, timing key of the pipeline call or None, result keys
+# copied into the run output in this order when present)
+_MODE_TABLE = {
+    "spectrum": (run_spectrum, None, ()),
+    "mountain_pass": (run_mountain_pass, "minmax", ("endpoint", "levels")),
+    "linking": (run_linking, "minmax", ("linking_constants", "levels")),
+    "multiplicity": (run_multiplicity, "minmax",
+                     ("levels", "case", "distinct", "family_max_energy")),
+    "probe": (run_probe, "probe", ("probe",)),
+}
+MODES = tuple(_MODE_TABLE)
 
 
 def run(config: RunConfig) -> dict:
@@ -331,78 +378,38 @@ def run(config: RunConfig) -> dict:
     t_start = time.perf_counter()
     geom = config.geometry()
     params = config.action_params()
-    mode = config["mode"]
-    timings = {}
+    pipeline, stage, keys = _MODE_TABLE[config["mode"]]
 
     t0 = time.perf_counter()
-    cutoff = min(float(config["cutoff"]), geom.nyquist_bound)
-    basis = build_basis(geom, cutoff)
-    timings["build_basis"] = time.perf_counter() - t0
+    basis = build_basis(geom, min(config["cutoff"], geom.nyquist_bound))
+    timings = {"build_basis": time.perf_counter() - t0}
 
     output = {
         "config": dict(config.raw),
-        "mode": mode,
-        "seed": int(config["seed"]),
-        "threads": int(config["threads"]),
+        "mode": config["mode"],
+        "seed": config["seed"],
+        "threads": config["threads"],
         "rho": params.rho,
         "spectral": _spectral_summary(basis),
     }
-
-    records, diags, extra_csv = [], None, {}
-    if mode == "spectrum":
-        pass
-    elif mode == "probe":
-        gap = check_spectral_gap(geom, params.rho)
-        t0 = time.perf_counter()
-        margin = coercivity_probe(params, basis, r0=float(config["r0"]),
-                                  tau=float(config["tau"]),
-                                  n_samples=int(config["n_samples"]),
-                                  seed=int(config["seed"]))
-        timings["probe"] = time.perf_counter() - t0
-        output["probe"] = {"margin": margin, "spectral_gap": gap,
-                           "r0": float(config["r0"]), "tau": float(config["tau"])}
-    elif mode == "mountain_pass":
-        t0 = time.perf_counter()
-        result = run_mountain_pass(config, geom, basis, params)
-        timings["minmax"] = time.perf_counter() - t0
-        records = [result["record"]]
-        diags = result["diagnostics"]
-        output["endpoint"] = result["endpoint"]
-        output["levels"] = {"c1": result["level"]}
-    elif mode == "linking":
-        t0 = time.perf_counter()
-        result = run_linking(config, geom, basis, params)
-        timings["minmax"] = time.perf_counter() - t0
-        records = [result["record"]]
-        diags = result["diagnostics"]
-        output["linking_constants"] = result["constants"]
-        output["levels"] = {"c1": result["level"]}
-    elif mode == "multiplicity":
-        t0 = time.perf_counter()
-        result = run_multiplicity(config, geom, basis, params)
-        timings["minmax"] = time.perf_counter() - t0
-        records = result["records"]
-        diags = result["diagnostics"]
-        output["levels"] = result["levels"]
-        output["case"] = result["case"]
-        output["distinct"] = result["distinct"]
-        if "theta_grid" in result:
-            extra_csv["theta_sweep"] = (result["theta_grid"], result["family_energies"])
-            output["family_max_energy"] = result["family_max_energy"]
+    t0 = time.perf_counter()
+    result = pipeline(config, geom, basis, params)
+    if stage is not None:
+        timings[stage] = time.perf_counter() - t0
+    output.update((key, result[key]) for key in keys if key in result)
+    records, diags = result["records"], result["diagnostics"]
 
     out_dir = config["output_dir"]
-    checkpoints = []
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        for i, rec in enumerate(records):
+    output["records"], checkpoints = [], []
+    for i, rec in enumerate(records):
+        output["records"].append(_record_summary(rec))
+        if out_dir:
             path = os.path.join(out_dir, f"record_{i}.sshg")
             save_point(rec.point, params, path, extra={"level": rec.level})
+            output["records"][-1]["checkpoint"] = path
             checkpoints.append(path)
-
-    output["records"] = [
-        _record_summary(r, checkpoints[i] if i < len(checkpoints) else None)
-        for i, r in enumerate(records)
-    ]
     if diags is not None:
         output["diagnostics"] = _diag_summary(diags)
     # a run converges only when Newton refined every record: a descent that
@@ -411,12 +418,10 @@ def run(config: RunConfig) -> dict:
     timings["total"] = time.perf_counter() - t_start
     output["timings"] = timings
     output["checkpoints"] = checkpoints
-    output["_extra_csv"] = extra_csv  # stripped before serialization
 
     if out_dir:
-        payload = {k: v for k, v in output.items() if not k.startswith("_")}
-        write_json_atomic(payload, os.path.join(out_dir, "run_output.json"))
-        emit_plotdata(output, out_dir)
+        write_json_atomic(output, os.path.join(out_dir, "run_output.json"))
+        emit_plotdata(output, out_dir, result.get("theta_sweep", []))
     return output
 
 
@@ -424,37 +429,18 @@ def run(config: RunConfig) -> dict:
 # CSV emission
 # ---------------------------------------------------------------------------
 
-def emit_plotdata(output: dict, out_dir: str) -> list:
-    """Fixed-header CSV files: energy trace, theta sweep, spectrum."""
+def emit_plotdata(output: dict, out_dir: str, theta_sweep) -> list:
+    """Fixed-header CSV files: spectrum, energy trace, and the theta sweep
+    from its (theta, J) rows."""
+    spectral, diag = output["spectral"], output.get("diagnostics")
+    trace = zip(diag["energies"], diag["grad_norms"]) if diag else []
+    tables = {
+        "spectrum.csv": ["index,lambda"] + [f"0,{_fmt(0.0)}"] * spectral["harmonic_dim"]
+        + [f"{i},{_fmt(v)}" for i, v in enumerate(spectral["eigenvalues"], start=1)],
+        "energy_trace.csv": ["iteration,J_max,grad_norm"]
+        + [f"{i},{_fmt(e)},{_fmt(g)}" for i, (e, g) in enumerate(trace)],
+        "theta_sweep.csv": ["theta,J"] + [f"{_fmt(th)},{_fmt(j)}" for th, j in theta_sweep],
+    }
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-
-    path = os.path.join(out_dir, "spectrum.csv")
-    lines = ["index,lambda"]
-    lam = output.get("spectral", {}).get("eigenvalues", [])
-    h = output.get("spectral", {}).get("harmonic_dim", 0)
-    for i in range(h):
-        lines.append(f"0,{_fmt(0.0)}")
-    for i, v in enumerate(lam, start=1):
-        lines.append(f"{i},{_fmt(v)}")
-    write_atomic(path, ("\n".join(lines) + "\n").encode())
-    written.append(path)
-
-    path = os.path.join(out_dir, "energy_trace.csv")
-    lines = ["iteration,J_max,grad_norm"]
-    diag = output.get("diagnostics")
-    if diag:
-        for i, (e, g) in enumerate(zip(diag["energies"], diag["grad_norms"])):
-            lines.append(f"{i},{_fmt(e)},{_fmt(g)}")
-    write_atomic(path, ("\n".join(lines) + "\n").encode())
-    written.append(path)
-
-    path = os.path.join(out_dir, "theta_sweep.csv")
-    lines = ["theta,J"]
-    sweep = output.get("_extra_csv", {}).get("theta_sweep")
-    if sweep:
-        for th, j in zip(*sweep):
-            lines.append(f"{_fmt(th)},{_fmt(j)}")
-    write_atomic(path, ("\n".join(lines) + "\n").encode())
-    written.append(path)
-    return written
+    return [write_atomic(os.path.join(out_dir, name), ("\n".join(lines) + "\n").encode())
+            for name, lines in tables.items()]

@@ -202,6 +202,21 @@ def _family_attempt(u_bar, s, chi, params, basis, thetas, geom):
     return points, resids, float(np.max(energies))
 
 
+def check_n_theta(n_theta: int) -> None:
+    """The family mirrors its first half onto the second: n_theta even, >= 32."""
+    if n_theta < 32 or n_theta % 2 != 0:
+        raise ConfigError("n_theta must be even and >= 32")
+
+
+def check_n_theta_disk(n_theta: int, n_theta_disk: int) -> None:
+    """The disk takes every (n_theta / n_theta_disk)-th family angle: an even
+    count >= 4 dividing n_theta, so antipodal angles stay on the disk."""
+    check_n_theta(n_theta)
+    if n_theta_disk < 4 or n_theta_disk % 2 != 0 or n_theta % n_theta_disk != 0:
+        raise ConfigError(f"n_theta_disk must be even, >= 4 and divide "
+                          f"n_theta = {n_theta}, got {n_theta_disk}")
+
+
 def equivariant_family(u_bar: float, s: float, chi: SweepoutChi,
                        params: ActionParams, basis, n_theta: int = 64) -> EquivariantFamily:
     """Family (u_theta, psi_theta) on the manifold with max_theta J < 0.
@@ -210,8 +225,7 @@ def equivariant_family(u_bar: float, s: float, chi: SweepoutChi,
     warm starts.  Certification failure retries with larger s (then u_bar,
     then a smaller-epsilon sweepout when the grid permits).
     """
-    if n_theta < 32 or n_theta % 2 != 0:
-        raise ConfigError("n_theta must be even and >= 32")
+    check_n_theta(n_theta)
     geom = basis.geom
     thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
 
@@ -286,8 +300,7 @@ def _equivariant_deform(nodes, frozen, pairs, segments, config, params):
             energies_[partner] = j
 
     record, diags = minmax_deform(nodes, frozen, config, params,
-                                  segments=segments, respread=None,
-                                  step_hook=hook)
+                                  segments=segments, step_hook=hook)
     defect = equivariance_defect(deformed, pairs)
     if defect > 1e-9:
         raise CertificationError(f"equivariance drift {defect:.3e} exceeds 1e-9")
@@ -307,6 +320,34 @@ def equivariance_defect(nodes, pairs) -> float:
     return worst
 
 
+def equivariant_disk_mesh(shells_on_boundary, n_theta: int, n_r: int, node):
+    """Node set of Z2-equivariant disks, one disk per shell.
+
+    Each shell is a center and n_theta spokes of n_r radial nodes; the spoke
+    at angle index it pairs with the one at it + n_theta/2, the center with
+    itself.  node(shell, it, ir) returns the point at angle index it and
+    radius index ir = 1..n_r (the center is node(shell, 0, 0)), called in
+    mesh order.  A node is frozen on a boundary shell or at ir = n_r.
+    Returns (nodes, frozen, pairs, segments); the segments run from the
+    center out along each spoke.
+    """
+    nodes, frozen, pairs, segments = [], [], [], []
+    half = n_theta // 2
+    for shell, on_boundary in enumerate(shells_on_boundary):
+        center = len(nodes)
+        nodes.append(node(shell, 0, 0))
+        frozen.append(on_boundary)
+        pairs.append(center)
+        for it in range(n_theta):
+            for ir in range(1, n_r + 1):
+                k = len(nodes)
+                nodes.append(node(shell, it, ir))
+                frozen.append(on_boundary or ir == n_r)
+                pairs.append(k + ((it + half) % n_theta - it) * n_r)
+                segments.append((center if ir == 1 else k - 1, k))
+    return nodes, frozen, pairs, segments
+
+
 def equivariant_disk_minmax(family: EquivariantFamily, config: MinmaxConfig,
                             params: ActionParams, basis,
                             n_theta_disk: int, n_radii: int):
@@ -316,49 +357,28 @@ def equivariant_disk_minmax(family: EquivariantFamily, config: MinmaxConfig,
     synchronized antipodal updates; the boundary circle (the family) stays
     fixed at negative energy.  Returns (SolutionRecord, c2, PSDiagnostics).
     """
+    check_n_theta_disk(len(family), n_theta_disk)
     geom = basis.geom
-    n_fam = len(family)
-    if n_fam % n_theta_disk != 0 or n_theta_disk % 2 != 0:
-        n_theta_disk = 16 if n_fam % 16 == 0 else (n_fam // (n_fam // 16 + 1))
-        while n_fam % n_theta_disk or n_theta_disk % 2:
-            n_theta_disk -= 1
-        if n_theta_disk < 4:
-            raise ConfigError("family size admits no even theta subsampling")
-    stride = n_fam // n_theta_disk
-    psi1 = basis.eigenspinor(1)
-    s = family.s
+    stride = len(family) // n_theta_disk
+    free = family.s * basis.eigenspinor(1)
+    radii = np.linspace(0.0, 1.0, n_radii + 1)
+    warm = None
 
-    nodes, frozen, pairs = [], [], []
-    nodes.append(fiber_solve(ScalarField.zeros(geom), s * psi1, params))
-    frozen.append(False)
-    pairs.append(0)
-    index = {}
-    radii = np.linspace(0.0, 1.0, n_radii + 1)[1:]
-    half_disk = n_theta_disk // 2
-    for it in range(n_theta_disk):
-        th_idx = it * stride
-        fam_pt = family.points[th_idx]
-        warm = None
-        for ir, r in enumerate(radii):
-            if ir == len(radii) - 1:
-                pt = fam_pt
-            else:
-                u = ScalarField.from_values(geom, float(r) * fam_pt.u.values)
-                pt = fiber_solve(u, s * psi1, params, x0=warm)
-                warm = pt.split("minus")
-            index[(ir, it)] = len(nodes)
-            nodes.append(pt)
-            frozen.append(ir == len(radii) - 1)
-            pairs.append(None)
-    for (ir, it), k in index.items():
-        pairs[k] = index[(ir, (it + half_disk) % n_theta_disk)]
+    def node(_, it, ir):
+        # spokes are continued outward with warm starts and end on the family
+        nonlocal warm
+        if ir == 0:
+            return fiber_solve(ScalarField.zeros(geom), free, params)
+        fam_pt = family.points[it * stride]
+        if ir == n_radii:
+            return fam_pt
+        u = ScalarField.from_values(geom, float(radii[ir]) * fam_pt.u.values)
+        pt = fiber_solve(u, free, params, x0=warm if ir > 1 else None)
+        warm = pt.split("minus")
+        return pt
 
-    segments = []
-    for it in range(n_theta_disk):
-        segments.append((0, index[(0, it)]))
-        for ir in range(len(radii) - 1):
-            segments.append((index[(ir, it)], index[(ir + 1, it)]))
-
+    nodes, frozen, pairs, segments = equivariant_disk_mesh(
+        [False], n_theta_disk, n_radii, node)
     record, diags = _equivariant_deform(nodes, frozen, pairs, segments, config, params)
     return record, float(record.level), diags
 
@@ -418,12 +438,11 @@ def orthogonal_restart(u1: ScalarField, family: EquivariantFamily,
 
     u_t0 = orthogonalize(ScalarField.from_values(
         geom, family.chi.evaluate(theta0, geom) * family.u_bar))
-    psi1 = basis.eigenspinor(1)
-    end = fiber_solve(u_t0, family.s * psi1, params)
+    nodes, frozen = straight_path(u_t0, family.s, basis.eigenspinor(1),
+                                  config.path_nodes, params)
+    end = nodes[-1]
     if evaluate_J(end.u, end.psi, params) >= 0:
         raise CertificationError("restart endpoint energy is not negative")
-
-    nodes, frozen = straight_path(u_t0, family.s, psi1, config.path_nodes, params)
 
     def tangent_filter(var):
         return Variation(orthogonalize(var.du), var.dpsi,
@@ -488,41 +507,25 @@ def case2_product_minmax(chi: SweepoutChi, config: MinmaxConfig,
     n_rad_phi, n_sphere = CASE2_MESH
     dirs = _block_directions(weights, n_sphere, config.seed)
     psi_top = basis.eigenspinor(consts.k_index + 1)
+    shell_q = np.linspace(0, 1, n_rad_phi + 1)[1:]
+    on_boundary = [False] + [bool(q == 1.0) for q in shell_q for _ in dirs]
+    disk_r = np.linspace(0.0, 1.0, CASE2_N_R + 1)
+    chi_vals = [chi.evaluate(2.0 * np.pi * it / CASE2_N_THETA, geom)
+                for it in range(CASE2_N_THETA)]
 
     r_factor = 1.0
     for attempt in range(CASE2_RETRIES + 1):
         R = consts.R * r_factor
-        nodes, frozen, pairs = [], [], []
-        index = {}
-        half = CASE2_N_THETA // 2
-        phi_shells = [np.zeros(K)] + [q * R * d for q in np.linspace(0, 1, n_rad_phi + 1)[1:]
-                                      for d in dirs]
-        phi_on_boundary = [False] + [q == 1.0 for q in np.linspace(0, 1, n_rad_phi + 1)[1:]
-                                     for _ in dirs]
-        disk_r = np.linspace(0.0, 1.0, CASE2_N_R + 1)
-        for ip, (phiv, phi_bd) in enumerate(zip(phi_shells, phi_on_boundary)):
-            phi_field = _block_spinor(geom, fields, phiv)
-            for it in range(CASE2_N_THETA):
-                theta = 2.0 * np.pi * it / CASE2_N_THETA
-                chi_vals = chi.evaluate(theta, geom)
-                for ir, r in enumerate(disk_r):
-                    if ir == 0 and it > 0:
-                        continue  # disk center is theta-independent
-                    t_eff = consts.T * float(r)
-                    u = ScalarField.from_values(geom, chi_vals * t_eff)
-                    free = phi_field + (consts.A * t_eff) * psi_top
-                    pt = fiber_solve(u, free, params)
-                    key = (ip, it if ir > 0 else -1, ir)
-                    index[key] = len(nodes)
-                    nodes.append(pt)
-                    frozen.append(bool(phi_bd or ir == CASE2_N_R))
-                    pairs.append(None)
-        for (ip, it, ir), k in index.items():
-            if it < 0:
-                pairs[k] = k
-            else:
-                pairs[k] = index[(ip, (it + half) % CASE2_N_THETA, ir)]
+        phi_fields = [_block_spinor(geom, fields, phiv) for phiv in
+                      [np.zeros(K)] + [q * R * d for q in shell_q for d in dirs]]
 
+        def node(shell, it, ir):
+            t_eff = consts.T * float(disk_r[ir])
+            u = ScalarField.from_values(geom, chi_vals[it] * t_eff)
+            return fiber_solve(u, phi_fields[shell] + (consts.A * t_eff) * psi_top, params)
+
+        nodes, frozen, pairs, segments = equivariant_disk_mesh(
+            on_boundary, CASE2_N_THETA, CASE2_N_R, node)
         bad = positive_frozen_nodes(nodes, frozen, params)
         if not bad:
             break
@@ -530,16 +533,6 @@ def case2_product_minmax(chi: SweepoutChi, config: MinmaxConfig,
             raise CertificationError(
                 f"{len(bad)} case-2 boundary nodes stay positive after retries")
         r_factor *= 1.5
-
-    segments = []
-    for (ip, it, ir), k in index.items():
-        nxt = index.get((ip, it, ir + 1))
-        if nxt is not None:
-            segments.append((k, nxt))
-        if ir == 1:
-            center = index.get((ip, -1, 0))
-            if center is not None:
-                segments.append((center, k))
 
     record, diags = _equivariant_deform(nodes, frozen, pairs, segments, config, params)
     return record, float(record.level), diags

@@ -263,7 +263,7 @@ def test_criterion_6_mountain_pass_run(multiplicity_run):
     crit = Criterion(6, "mountain-pass existence run at rho = 0.5, grid 32")
     result = multiplicity_run
     first = result["first"]
-    rec = first["record"]
+    rec = first["records"][0]
     params = result["params"]
     basis = result["basis"]
 

@@ -46,6 +46,59 @@ def test_config_validation():
     assert config.action_params().rho == pytest.approx(1.0, rel=1e-14)
 
 
+def test_theta_sampling_validated(tmp_path):
+    # the disk takes every (n_theta / n_theta_disk)-th family angle; a count
+    # that is odd, below 4 or not a divisor is refused, not replaced
+    for over in ({"n_theta_disk": 10}, {"n_theta_disk": 7, "n_theta": 70},
+                 {"n_theta_disk": 2}, {"n_theta": 31, "n_theta_disk": 1},
+                 {"n_theta": 30, "n_theta_disk": 6}):
+        with pytest.raises(ConfigError, match="n_theta"):
+            RunConfig.from_dict(base_config(mode="multiplicity", **over))
+    config = RunConfig.from_dict(base_config(n_theta=48, n_theta_disk=12))
+    assert (config["n_theta"], config["n_theta_disk"]) == (48, 12)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(base_config(mode="multiplicity", n_theta_disk=10)))
+    assert main(["solve", "--config", str(bad)]) == 2
+
+
+def test_config_values_are_typed():
+    for over in ({"grid_n": "abc"}, {"max_outer": "ten"}, {"grid_n": 16.5},
+                 {"rho": "0.5"}, {"seed": True}, {"spin_delta": [0.5]},
+                 {"output_dir": 3}, {"cutoff": float("nan")}, {"tau": 10**400}):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(base_config(**over))
+    # integral numbers convert to the key's type, so the echo is unchanged
+    config = RunConfig.from_dict(base_config(grid_n=16.0, rho=1, spin_delta=[0, 0.5]))
+    assert config["grid_n"] == 16 and isinstance(config["grid_n"], int)
+    assert config["rho"] == 1.0 and isinstance(config["rho"], float)
+    assert config["spin_delta"] == [0.0, 0.5]
+
+
+def test_cli_missing_config_exits_2(tmp_path, capsys):
+    assert main(["solve", "--config", str(tmp_path / "absent.json")]) == 2
+    assert "cannot read config" in capsys.readouterr().err
+
+
+def test_cli_mistyped_value_exits_2(tmp_path):
+    for over in ({"grid_n": "abc"}, {"max_outer": "ten"}):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(**over)))
+        assert main(["solve", "--config", str(cfg_path)]) == 2
+
+
+def test_cli_bad_env_threads_exits_2(tmp_path, monkeypatch):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config()))
+    monkeypatch.setenv("SSHG_THREADS", "abc")
+    assert main(["solve", "--config", str(cfg_path)]) == 2
+
+
+def test_cli_negative_threads_exits_2(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config()))
+    assert main(["solve", "--config", str(cfg_path), "--threads", "-3"]) == 2
+
+
 def test_spectrum_mode(tmp_path):
     config = RunConfig.from_dict(base_config(output_dir=str(tmp_path / "out")))
     output = run(config)

@@ -137,6 +137,17 @@ def test_equivariance_drift_certified_on_deformed_nodes(mp16, family16, monkeypa
         equivariant_disk_minmax(family16, config, params, basis, n_theta_disk=8, n_radii=3)
 
 
+def test_disk_minmax_refuses_bad_theta_sampling(mp16, family16):
+    # 32 family angles: 10 and 6 do not divide 32, 2 is below 4; each used
+    # to be replaced silently by another sampling
+    geom, basis, params = mp16
+    config = MinmaxConfig(path_nodes=9, grad_tol=1e-3, max_outer=3, seed=0)
+    for n_theta_disk in (10, 6, 2):
+        with pytest.raises(ConfigError, match="n_theta_disk"):
+            equivariant_disk_minmax(family16, config, params, basis,
+                                    n_theta_disk=n_theta_disk, n_radii=3)
+
+
 def test_orthogonal_restart_direct(mp16, family16):
     # exercised unconditionally: the degenerate-level branch may not trigger
     # in the pipeline run, but the fallback must work on demand

@@ -20,8 +20,8 @@ CONFIG = {
 }
 
 CEILINGS = {
-    "fiber_solve": 799,
-    "cg.calls": 826,
+    "fiber_solve": 798,
+    "cg.calls": 825,
     "cg.iters": 2329,
     "minres.iters": 161,
     "constrained_gradient": 23,
