@@ -38,33 +38,28 @@ def _solve_parser(prog: str) -> argparse.ArgumentParser:
                    help="path to a flat JSON config (repeat for a batch)")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (falls back to SSHG_THREADS; "
-                        "the solver itself is sequential)")
+                   help="worker threads, over the config's own (falls back to "
+                        "SSHG_THREADS; the solver itself is sequential)")
     p.add_argument("--out", type=str, default=None, help="override output_dir")
     p.add_argument("--workers", type=int, default=1,
                    help="process count for batch configs (one run per process)")
     return p
 
 
-def _threads(args) -> int:
-    """--threads, else SSHG_THREADS, else 1: a positive integer."""
-    value = args.threads if args.threads is not None else os.environ.get("SSHG_THREADS", "1")
+def _threads(args):
+    """--threads, else SSHG_THREADS, else None (the config keeps its own)."""
+    value = args.threads if args.threads is not None else os.environ.get("SSHG_THREADS")
     try:
-        threads = int(value)
+        return None if value is None else int(value)
     except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ConfigError(f"threads must be a positive integer, got {value!r}")
-    return threads
+        raise ConfigError(f"threads must be a positive integer, got {value!r}") from None
 
 
 def _load_config(path: str, args) -> RunConfig:
-    overrides = {"threads": _threads(args)}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["output_dir"] = args.out
-    return RunConfig.from_dict({**read_config_file(path), **overrides})
+    # a flag (or SSHG_THREADS) overrides the config's value only when given
+    overrides = {"threads": _threads(args), "seed": args.seed, "output_dir": args.out}
+    return RunConfig.from_dict({**read_config_file(path),
+                                **{k: v for k, v in overrides.items() if v is not None}})
 
 
 def _execute(config: RunConfig) -> int:

@@ -1,11 +1,13 @@
 """Mountain-pass and linking min-max on the constraint manifold.
 
 The deformation scheme repeatedly locates the maximum-energy node of a
-discretized path/cylinder/disk, takes a backtracking step along the negative
+discretized path or disk, takes a backtracking step along the negative
 constrained gradient, retracts onto the manifold, and periodically re-spreads
-nodes.  Flagged (non-converged) outcomes are first-class results carried with
-full Palais-Smale diagnostics; a damped Newton pass on the free system,
-entered through one hand-off (`refine_if_possible`), sharpens candidates to
+nodes.  The linking min-max is the mountain-pass path with the plus_b + zero
+block filtered out of every descent direction (`block_filter`).  Flagged
+(non-converged) outcomes are first-class results carried with full
+Palais-Smale diagnostics; a damped Newton pass on the free system, entered
+through one hand-off (`refine_if_possible`), sharpens candidates to
 Euler-Lagrange solutions.
 """
 
@@ -24,7 +26,6 @@ from .action import (
     hess_vec,
 )
 from .errors import (
-    CapacityError,
     CertificationError,
     ConeStarvationError,
     ConfigError,
@@ -55,7 +56,8 @@ NEWTON_PRE_GRAD = 1e-3
 HANDOFF_GRAD = 1e3         # Newton is cheap and guarded; try it from almost anywhere
 NEWTON_MAX_STEPS = 30
 TRACE_CAP = 1e8            # PS traces beyond this magnitude count as unbounded
-CYLINDER_RADII = 3         # radial shells of the linking cylinder
+LINKING_T_MARGIN = 0.5     # T clears the step-(i) threshold by this much
+LINKING_FACTOR = 1.5       # safety factor of A and R over their thresholds
 # Sobolev decay of the coercivity probe's random directions; PSI_DECAY must
 # stay moderate, or the low plus_b modes starve the outside-cone sampling
 U_DECAY = 1.0
@@ -84,7 +86,8 @@ class MinmaxConfig:
 
 @dataclass
 class LinkingConstants:
-    """Certified (T, A, R) for the boundary-negative cylinder."""
+    """Certified (T, A, R): steps (i)-(ii) make the linking path's endpoint
+    (T, A T Psi_{k+1}) negative; R (step iii) bounds the case-2 block ball."""
 
     T: float
     A: float
@@ -230,8 +233,7 @@ def _split_spectrum_at(params: ActionParams, basis):
     return below, lam_k, lam_k1
 
 
-def linking_constants(params: ActionParams, basis, t_margin: float = 0.5,
-                      factor: float = 1.5) -> LinkingConstants:
+def linking_constants(params: ActionParams, basis) -> LinkingConstants:
     """Constants (T, A, R) in order, certified against all three inequalities.
 
     Step (i) is implemented with the orientation rho cosh(T) - lam_{k+1} > 1,
@@ -244,10 +246,10 @@ def linking_constants(params: ActionParams, basis, t_margin: float = 0.5,
         raise ConfigError("linking regime requires rho > lambda_1 or harmonic spinors")
 
     vol = basis.geom.vol
-    T = float(np.arccosh((lam_k1 + 1.0) / rho) + t_margin)
+    T = float(np.arccosh((lam_k1 + 1.0) / rho) + LINKING_T_MARGIN)
     A0 = np.sqrt(4 * rho**2 * vol * np.sinh(T) ** 2
                  / (8 * T**2 * (rho * np.cosh(T) - lam_k1)))
-    A = float(factor * A0)
+    A = float(LINKING_FACTOR * A0)
 
     tgrid = np.linspace(0.0, T, 1001)
     bound = (4 * rho**2 * vol * np.sinh(tgrid) ** 2
@@ -256,27 +258,13 @@ def linking_constants(params: ActionParams, basis, t_margin: float = 0.5,
 
     neg_lams = [0.0] * (1 if h > 0 else 0) + list(below)
     neg_factor = float(min((rho - lam) / (1.0 + lam) for lam in neg_lams))
-    R = float(factor * np.sqrt(max(bound_max, 1e-12) / neg_factor))
+    R = float(LINKING_FACTOR * np.sqrt(max(bound_max, 1e-12) / neg_factor))
 
     consts = LinkingConstants(T=T, A=A, R=R, k_index=int(below.size),
                               lam_k=lam_k, lam_k1=lam_k1,
                               neg_factor=neg_factor, bound_max=bound_max)
     consts.certify(params, vol)
     return consts
-
-
-def _span_block(basis, rho: float):
-    """Eigen-elements spanning plus_b + zero, with their H^{1/2} weights."""
-    fields = []
-    weights = []
-    for l in range(basis.harmonic_dim):
-        fields.append(basis.harmonic_spinor(l))
-        weights.append(1.0)
-    for j, lam in enumerate(basis.eigenvalues, start=1):
-        if lam < rho:
-            fields.append(basis.eigenspinor(j))
-            weights.append(1.0 + lam)
-    return fields, np.array(weights)
 
 
 def positive_frozen_nodes(nodes, frozen, params: ActionParams) -> list:
@@ -286,85 +274,25 @@ def positive_frozen_nodes(nodes, frozen, params: ActionParams) -> list:
             if fz and evaluate_J(nd.u, nd.psi, params) > 1e-9]
 
 
-def straight_path(u_end: ScalarField, s: float, psi1: SpinorField, n_nodes: int,
+def straight_path(u_end: ScalarField, s: float, psi: SpinorField, n_nodes: int,
                   params: ActionParams):
-    """Path t -> fiber(t u_end, t s Psi_1), t in [0, 1], from the origin to
-    the endpoint; returns (nodes, frozen) with both ends frozen."""
+    """Path t -> fiber(t u_end, t s psi), t in [0, 1], from the origin to the
+    endpoint (u_end, s psi); returns (nodes, frozen) with both ends frozen."""
     nodes = []
     for t in np.linspace(0.0, 1.0, n_nodes):
-        nodes.append(fiber_solve(float(t) * u_end, (float(t) * s) * psi1, params))
+        nodes.append(fiber_solve(float(t) * u_end, (float(t) * s) * psi, params))
     frozen = [True] + [False] * (n_nodes - 2) + [True]
     return nodes, frozen
 
 
-def _block_directions(weights, n_dirs: int, seed: int) -> np.ndarray:
-    """n_dirs random coefficient vectors of unit H^{1/2} norm in the block."""
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((n_dirs, len(weights)))
-    dirs /= np.sqrt((dirs**2 * weights[None, :]).sum(axis=1))[:, None]
-    return dirs
-
-
-def _block_spinor(geom, fields, coefvec) -> SpinorField:
-    """The spinor sum_l coefvec[l] fields[l]."""
-    out = SpinorField.zeros(geom)
-    for c, f in zip(coefvec, fields):
-        if c != 0.0:
-            out = out + float(c) * f
-    return out
-
-
-def build_cylinder(consts: LinkingConstants, mesh: tuple[int, int],
-                   params: ActionParams, basis, seed: int = 0, max_k: int = 12):
-    """Discretized solid cylinder D with boundary flags, every node certified.
-
-    Nodes are (u === t, phi + A t Psi_{k+1}) with phi in the plus_b + zero
-    block; constant u keeps eigenmodes invariant so the fiber part vanishes
-    identically.  Returns (nodes, frozen, psi_top) with psi_top = Psi_{k+1}.
-    Boundary certification failure retries once with doubled margins.
-    """
-    n_t, n_sphere = mesh
-    if n_t < 3 or n_sphere < 2:
-        raise ConfigError("cylinder mesh needs n_t >= 3 and n_sphere >= 2")
-    geom = basis.geom
-    rho = params.rho
-    fields, weights = _span_block(basis, rho)
-    K = len(fields)
-    if K == 0:
-        raise ConfigError("empty plus_b + zero block: no linking geometry")
-    if K > max_k:
-        raise CapacityError(f"linking block dimension K={K} exceeds the desk-scale cap {max_k}")
-
-    psi_top = basis.eigenspinor(consts.k_index + 1)
-    dirs = _block_directions(weights, n_sphere, seed)
-
-    nodes, frozen = [], []
-    tvals = np.linspace(0.0, consts.T, n_t)
-    radii = np.linspace(0.0, consts.R, CYLINDER_RADII + 1)
-    for it, t in enumerate(tvals):
-        u = ScalarField.constant(geom, float(t))
-        for ir, r in enumerate(radii):
-            on_side = ir == CYLINDER_RADII
-            on_cap = it == 0 or it == n_t - 1
-            if r == 0.0:
-                free = (consts.A * t) * psi_top
-                nodes.append(fiber_solve(u, free, params))
-                frozen.append(on_cap)
-                continue
-            for d in dirs:
-                free = _block_spinor(geom, fields, r * d) + (consts.A * t) * psi_top
-                nodes.append(fiber_solve(u, free, params))
-                frozen.append(on_cap or on_side)
-
-    bad = positive_frozen_nodes(nodes, frozen, params)
-    if bad:
-        if consts.T - np.arccosh((consts.lam_k1 + 1.0) / rho) < 0.9:
-            bigger = linking_constants(params, basis, t_margin=1.0, factor=3.0)
-            return build_cylinder(bigger, mesh, params, basis, seed=seed, max_k=max_k)
-        raise CertificationError(
-            f"{len(bad)} cylinder boundary nodes have positive energy after retry"
-        )
-    return nodes, frozen, psi_top
+def block_filter(rho: float):
+    """Tangent filter of the linking min-max: removes the plus_b + zero block
+    (eigenvalues below rho and harmonic spinors), on which J is negative, from
+    a descent direction, so the descent runs outside the block."""
+    def tangent_filter(var: Variation) -> Variation:
+        block = project(var.dpsi, "plus_b", rho) + project(var.dpsi, "zero")
+        return replace(var, dpsi=var.dpsi - block)
+    return tangent_filter
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +454,9 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
 
         res = constrained_gradient(point, params)
         if tangent_filter is not None:
-            # restricted manifolds (orthogonal restart) project the descent
-            # direction; convergence is then measured in the filtered norm
+            # restricted manifolds (orthogonal restart, the linking block)
+            # project the descent direction; convergence is then measured in
+            # the filtered norm
             filt = tangent_filter(res.tangent)
             res.tangent = filt
             res.norm = product_norm(filt.du, filt.dpsi)

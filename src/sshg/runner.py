@@ -23,7 +23,7 @@ from .fields import ScalarField
 from .geometry import TWO_PI, TorusGeometry
 from .minmax import (
     MinmaxConfig,
-    build_cylinder,
+    block_filter,
     coercivity_probe,
     linking_constants,
     minmax_deform,
@@ -67,8 +67,6 @@ _DEFAULTS = {
     "n_theta": 64,
     "epsilon_frac": 0.05,
     "chi_grid_n": 256,
-    "cylinder_nt": 5,
-    "cylinder_nsphere": 6,
     "n_theta_disk": 8,
     "n_radii": 3,
 }
@@ -139,6 +137,8 @@ class RunConfig:
             raise ConfigError("mu and b must be given together")
         if has_rho == (has_mu and has_b):
             raise ConfigError("provide exactly one of rho or the pair (mu, b)")
+        if merged["threads"] < 1:
+            raise ConfigError(f"threads must be a positive integer, got {merged['threads']!r}")
         check_n_theta_disk(merged["n_theta"], merged["n_theta_disk"])
         return cls(raw=merged)
 
@@ -269,14 +269,21 @@ def run_probe(config: RunConfig, geom, basis, params):
     }
 
 
-def run_mountain_pass(config: RunConfig, geom, basis, params):
+def _path_minmax(config: RunConfig, u_end, s, psi, params, tangent_filter=None):
+    """The straight path from the origin to (u_end, s psi), deformed and
+    handed to Newton; returns (endpoint node, record, diagnostics)."""
     mm = config.minmax_config()
-    u_bar, s = mountain_pass_endpoint(params, basis)
-    nodes, frozen = straight_path(ScalarField.constant(geom, u_bar), s,
-                                  basis.eigenspinor(1), mm.path_nodes, params)
-    end_pt = nodes[-1]
-    candidate, diags = minmax_deform(nodes, frozen, mm, params)
+    nodes, frozen = straight_path(u_end, s, psi, mm.path_nodes, params)
+    candidate, diags = minmax_deform(nodes, frozen, mm, params,
+                                     tangent_filter=tangent_filter)
     record = refine_if_possible(candidate, diags, params, mm.newton_tol)
+    return nodes[-1], record, diags
+
+
+def run_mountain_pass(config: RunConfig, geom, basis, params):
+    u_bar, s = mountain_pass_endpoint(params, basis)
+    end_pt, record, diags = _path_minmax(config, ScalarField.constant(geom, u_bar), s,
+                                         basis.eigenspinor(1), params)
     return {
         "endpoint": {"u_bar": u_bar, "s": s,
                      "J": evaluate_J(end_pt.u, end_pt.psi, params)},
@@ -287,14 +294,13 @@ def run_mountain_pass(config: RunConfig, geom, basis, params):
 
 
 def run_linking(config: RunConfig, geom, basis, params):
-    mm = config.minmax_config()
+    # the path ends at (T, A T Psi_{k+1}), certified negative by steps
+    # (i)-(ii); the descent runs outside the plus_b + zero block
     consts = linking_constants(params, basis)
-    mesh = (config["cylinder_nt"], config["cylinder_nsphere"])
-    nodes, frozen, _ = build_cylinder(consts, mesh, params, basis, seed=mm.seed)
-    # segment control runs along a chain ordered by the scalar level t
-    candidate, diags = minmax_deform(nodes, frozen, mm, params,
-                                     segments=_cylinder_segments(nodes))
-    record = refine_if_possible(candidate, diags, params, mm.newton_tol)
+    _, record, diags = _path_minmax(config, ScalarField.constant(geom, consts.T),
+                                    consts.A * consts.T,
+                                    basis.eigenspinor(consts.k_index + 1), params,
+                                    tangent_filter=block_filter(params.rho))
     return {
         "linking_constants": {"T": consts.T, "A": consts.A, "R": consts.R,
                               "k_index": consts.k_index, "lam_k": consts.lam_k,
@@ -303,13 +309,6 @@ def run_linking(config: RunConfig, geom, basis, params):
         "records": [record],
         "diagnostics": diags,
     }
-
-
-def _cylinder_segments(nodes):
-    """Chain segments through the node list ordered by scalar level t."""
-    tvals = [float(np.mean(nd.u.values)) for nd in nodes]
-    order = np.argsort(tvals, kind="stable")
-    return [(int(order[i]), int(order[i + 1])) for i in range(len(order) - 1)]
 
 
 def run_multiplicity(config: RunConfig, geom, basis, params):
@@ -357,7 +356,9 @@ def run_multiplicity(config: RunConfig, geom, basis, params):
 
 
 def _any_distinct(records) -> bool:
-    return any(records_distinct(a, b) for a, b in itertools.combinations(records, 2))
+    """Some two solutions are distinct; only refined, non-trivial records count."""
+    solutions = [r for r in records if r.refined and r.classification != "trivial"]
+    return any(records_distinct(a, b) for a, b in itertools.combinations(solutions, 2))
 
 
 # mode -> (pipeline, timing key of the pipeline call or None, result keys

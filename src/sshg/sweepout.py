@@ -21,14 +21,11 @@ from .errors import (
     ConfigError,
     ResolutionError,
 )
-from .fields import ScalarField
+from .fields import ScalarField, SpinorField
 from .geometry import TorusGeometry
 from .minmax import (
     MinmaxConfig,
     SolutionRecord,
-    _block_directions,
-    _block_spinor,
-    _span_block,
     linking_constants,
     make_record,
     minmax_deform,
@@ -487,6 +484,37 @@ def group_orbit_point(point: NehariPoint, sigma: float, q) -> NehariPoint:
 # ---------------------------------------------------------------------------
 # Case 2: (K+2)-dimensional equivariant set for the linking regime
 # ---------------------------------------------------------------------------
+
+def _span_block(basis, rho: float):
+    """Eigen-elements spanning plus_b + zero, with their H^{1/2} weights."""
+    fields = []
+    weights = []
+    for l in range(basis.harmonic_dim):
+        fields.append(basis.harmonic_spinor(l))
+        weights.append(1.0)
+    for j, lam in enumerate(basis.eigenvalues, start=1):
+        if lam < rho:
+            fields.append(basis.eigenspinor(j))
+            weights.append(1.0 + lam)
+    return fields, np.array(weights)
+
+
+def _block_directions(weights, n_dirs: int, seed: int) -> np.ndarray:
+    """n_dirs random coefficient vectors of unit H^{1/2} norm in the block."""
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((n_dirs, len(weights)))
+    dirs /= np.sqrt((dirs**2 * weights[None, :]).sum(axis=1))[:, None]
+    return dirs
+
+
+def _block_spinor(geom, fields, coefvec) -> SpinorField:
+    """The spinor sum_l coefvec[l] fields[l]."""
+    out = SpinorField.zeros(geom)
+    for c, f in zip(coefvec, fields):
+        if c != 0.0:
+            out = out + float(c) * f
+    return out
+
 
 def case2_product_minmax(chi: SweepoutChi, config: MinmaxConfig,
                          params: ActionParams, basis):

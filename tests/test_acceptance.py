@@ -14,10 +14,10 @@ from sshg.action import ActionParams, Variation, el_residual, evaluate_J, gradie
 from sshg.fields import ScalarField
 from sshg.geometry import GAMMA1, GAMMA2, TorusGeometry
 from sshg.minmax import (
-    build_cylinder,
     coercivity_probe,
     linking_constants,
     mountain_pass_endpoint,
+    straight_path,
 )
 from sshg.nehari import (
     constrained_gradient,
@@ -99,7 +99,7 @@ def linking_run():
         "grid_n": 32, "spin_delta": [0.5, 0.5], "rho": 1.0,
         "mode": "linking", "seed": 0, "cutoff": 3.0,
         "max_outer": 60, "grad_tol": 1e-3, "newton_tol": 1e-10,
-        "cylinder_nt": 4, "cylinder_nsphere": 4, "r0": 0.02,
+        "r0": 0.02,
     })
     output = run(config)
     output["_config"] = config
@@ -287,7 +287,7 @@ def test_criterion_6_mountain_pass_run(multiplicity_run):
 
 
 def test_criterion_7_linking(linking_run):
-    crit = Criterion(7, "linking constants, cylinder boundary, min-max run at rho = 1.0")
+    crit = Criterion(7, "linking constants, path ends, min-max run at rho = 1.0")
     output = linking_run
     config = output["_config"]
     geom = config.geometry()
@@ -305,17 +305,19 @@ def test_criterion_7_linking(linking_run):
     crit.check("step (iii): R dominates the t-maximum",
                consts.neg_factor * consts.R**2 > consts.bound_max)
 
-    nodes, frozen, _ = build_cylinder(consts, (4, 4), params, basis, seed=1)
-    worst_boundary = max(evaluate_J(nd.u, nd.psi, params)
-                         for nd, fz in zip(nodes, frozen) if fz)
-    crit.check(f"cylinder boundary max J {worst_boundary:.2e} <= 1e-9",
-               worst_boundary <= 1e-9)
+    nodes, _ = straight_path(ScalarField.constant(geom, consts.T), consts.A * consts.T,
+                             basis.eigenspinor(consts.k_index + 1), 5, params)
+    j_origin = evaluate_J(nodes[0].u, nodes[0].psi, params)
+    j_end = evaluate_J(nodes[-1].u, nodes[-1].psi, params)
+    crit.check(f"J(origin) = {j_origin:.2e} == 0", j_origin == 0.0)
+    crit.check(f"J(endpoint) = {j_end:.2e} < 0", j_end < 0)
 
     rec = output["records"][0]
     diag = output["diagnostics"]
     crit.check("PS diagnostics attached and consistent",
                len(diag["alpha_norms"]) == len(diag["energies"]) > 0)
-    crit.check("candidate flagged or converged", True)
+    crit.check("record refined, not trivial",
+               rec["refined"] and rec["classification"] != "trivial")
     if rec["refined"]:
         crit.check(f"residuals {rec['res_u'] + rec['res_psi']:.2e} <= 1e-5",
                    rec["res_u"] + rec["res_psi"] <= 1e-5)
@@ -323,6 +325,9 @@ def test_criterion_7_linking(linking_run):
                                   n_samples=50, seed=5)
         crit.check(f"level {rec['level']:.3f} >= margin*r0^2 = {margin * 4e-4:.2e}",
                    rec["level"] >= margin * 0.02**2)
+        closed_form = 4 * (consts.lam_k1**2 - rho**2) * vol
+        crit.check(f"level {rec['level']:.6f} = 4 (lam_k1^2 - rho^2) Vol = {closed_form:.6f}",
+                   abs(rec["level"] - closed_form) <= 1e-10 * closed_form)
     crit.conclude()
 
 

@@ -1,4 +1,5 @@
-"""Source hygiene: invariants are never asserts, broad handlers never swallow.
+"""Source hygiene: invariants are never asserts, broad handlers never swallow,
+nothing is imported unused and no config key goes unread.
 
 `python -O` strips assert statements, so every certificate must raise an
 SSHGError instead.  A handler for Exception, BaseException or a bare except
@@ -7,6 +8,8 @@ may only clean up and re-raise.
 
 import ast
 import pathlib
+
+from sshg.runner import _DEFAULTS
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "sshg"
 BROAD = {"Exception", "BaseException"}
@@ -24,14 +27,55 @@ def _reraises(handler: ast.ExceptHandler) -> bool:
     return isinstance(last, ast.Raise) and last.exc is None
 
 
-def test_no_asserts_and_no_swallowing_handlers():
+def _trees():
     paths = sorted(SRC.glob("*.py"))
     assert paths, f"no sources under {SRC}"
+    return [(path, ast.parse(path.read_text(), filename=str(path))) for path in paths]
+
+
+def test_no_asserts_and_no_swallowing_handlers():
     bad = []
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for path, tree in _trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Assert):
                 bad.append(f"{path.name}:{node.lineno}: assert statement")
             elif isinstance(node, ast.ExceptHandler) and _is_broad(node) and not _reraises(node):
                 bad.append(f"{path.name}:{node.lineno}: broad handler without a bare raise")
     assert not bad, "\n".join(bad)
+
+
+def _exported(tree) -> set:
+    """The names listed in a module-level __all__."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def test_no_unused_imports():
+    bad = []
+    for path, tree in _trees():
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        bad.append(f"{path.name}:{node.lineno}: {name} imported, never used")
+    assert not bad, "\n".join(bad)
+
+
+def test_every_config_key_is_read():
+    # a key only RunConfig.from_dict validates configures nothing
+    read = set()
+    for _, tree in _trees():
+        skip = {id(n) for f in ast.walk(tree)
+                if isinstance(f, ast.FunctionDef) and f.name == "from_dict"
+                for n in ast.walk(f)}
+        read |= {n.slice.value for n in ast.walk(tree)
+                 if isinstance(n, ast.Subscript) and id(n) not in skip
+                 and isinstance(n.slice, ast.Constant) and isinstance(n.slice.value, str)}
+    assert not set(_DEFAULTS) - read, f"config keys nothing reads: {sorted(set(_DEFAULTS) - read)}"

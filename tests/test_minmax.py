@@ -1,4 +1,4 @@
-"""Min-max engine: endpoints, linking constants, cylinder, descent, Newton."""
+"""Min-max engine: endpoints, linking constants, block filter, descent, Newton."""
 
 import dataclasses
 
@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 import sshg.minmax
-from sshg.action import ActionParams, el_residual, evaluate_J
-from sshg.errors import CapacityError, CertificationError, ConfigError
+from sshg.action import ActionParams, Variation, el_residual, evaluate_J
+from sshg.errors import CertificationError, ConfigError
 from sshg.fields import ScalarField, SpinorField
 from sshg.geometry import TorusGeometry
 from sshg.minmax import (
     LinkingConstants,
     MinmaxConfig,
-    build_cylinder,
+    block_filter,
     classify,
     coercivity_probe,
     linking_constants,
@@ -24,7 +24,7 @@ from sshg.minmax import (
     u_variance,
 )
 from sshg.nehari import constrained_gradient, fiber_solve
-from sshg.spectral import build_basis, hhalf_norm
+from sshg.spectral import build_basis, hhalf_norm, project
 
 LAM1 = np.sqrt(2.0) / 2.0
 LAM2 = np.sqrt(10.0) / 2.0
@@ -99,32 +99,23 @@ def test_linking_certify_rejects_bad_constants(setup16):
         bad.certify(params, geom.vol)
 
 
-def test_build_cylinder(setup16):
-    geom, basis = setup16
-    params = ActionParams(rho=1.0)
-    consts = linking_constants(params, basis)
-    nodes, frozen, psi_top = build_cylinder(consts, (4, 4), params, basis, seed=1)
-    assert any(frozen) and any(not f for f in frozen)
-    # origin node: t=0, phi=0 -> J = 0
-    j_origin = evaluate_J(nodes[0].u, nodes[0].psi, params)
-    assert abs(j_origin) < 1e-12
-    for nd, fz in zip(nodes, frozen):
-        assert nd.constraint_norm <= 1e-10
-        if fz:
-            assert evaluate_J(nd.u, nd.psi, params) <= 1e-9
-    # t=0 sphere nodes obey the quadratic bound
-    for nd, fz in zip(nodes, frozen):
-        if fz and np.max(np.abs(nd.u.values)) < 1e-14 and hhalf_norm(nd.psi) > 0:
-            r2 = hhalf_norm(nd.psi) ** 2
-            assert evaluate_J(nd.u, nd.psi, params) <= -consts.neg_factor * r2 * 0.99 + 1e-9
-
-
-def test_capacity_error_for_large_block(setup16):
-    geom, basis = setup16
-    params = ActionParams(rho=1.0)
-    consts = linking_constants(params, basis)
-    with pytest.raises(CapacityError):
-        build_cylinder(consts, (4, 4), params, basis, max_k=4)  # K = 8 > 4
+def test_block_filter_removes_the_negative_block():
+    # delta = (0, 0) at rho = 1.2: harmonic spinors and the eigenvalues below
+    # rho form the block; the filter keeps the rest and the representation tags
+    geom = TorusGeometry(grid_n=16, spin_delta=(0.0, 0.0))
+    basis = build_basis(geom, cutoff=2.5)
+    consts = linking_constants(ActionParams(rho=1.2), basis)
+    assert basis.harmonic_dim > 0 and consts.k_index > 0
+    top = basis.eigenspinor(consts.k_index + 1)
+    block = basis.harmonic_spinor(0) + 0.5 * basis.eigenspinor(consts.k_index)
+    du = ScalarField.from_values(geom, np.cos(geom.x1))
+    var = Variation(du, block + top, u_space="H1", psi_space="H1/2")
+    out = block_filter(1.2)(var)
+    assert (out.u_space, out.psi_space) == ("H1", "H1/2")
+    assert out.du is var.du
+    assert hhalf_norm(out.dpsi - top) < 1e-13
+    assert hhalf_norm(project(out.dpsi, "plus_b", 1.2)) < 1e-13
+    assert hhalf_norm(project(out.dpsi, "zero")) < 1e-13
 
 
 def test_classify_and_records(setup16):

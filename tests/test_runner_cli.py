@@ -8,7 +8,9 @@ import pytest
 
 from sshg.cli import main, main_solve
 from sshg.errors import ConfigError
+from sshg.minmax import linking_constants
 from sshg.runner import RunConfig, run, write_json_atomic
+from sshg.spectral import build_basis
 
 LAM1 = np.sqrt(2.0) / 2.0
 
@@ -27,8 +29,10 @@ def base_config(**over):
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        RunConfig.from_dict(base_config(bogus_key=1))
+    # the deleted linking-cylinder keys are unknown keys like any other
+    for key in ("bogus_key", "cylinder_nt", "cylinder_nsphere"):
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            RunConfig.from_dict(base_config(**{key: 1}))
     with pytest.raises(ConfigError):
         RunConfig.from_dict(base_config(mu=1.0))  # mu without b
     with pytest.raises(ConfigError):
@@ -197,8 +201,7 @@ def test_multiplicity_case2_route(tmp_path):
     # (K+2)-dimensional equivariant product construction
     config = RunConfig.from_dict(base_config(
         mode="multiplicity", spin_delta=[0.0, 0.0], rho=0.5,
-        max_outer=15, cylinder_nt=4, cylinder_nsphere=3,
-        output_dir=str(tmp_path / "c2")))
+        max_outer=15, output_dir=str(tmp_path / "c2")))
     output = run(config)
     assert output["case"] == 2
     assert len(output["records"]) == 2
@@ -273,19 +276,56 @@ def test_cli_solver_error_exit_code(tmp_path, monkeypatch):
     assert main(["solve", "--config", str(cfg_path)]) == 5
 
 
-def test_unrefined_run_is_not_converged(tmp_path):
-    # the linking descent meets grad_tol next to the origin (level ~1e-7);
-    # without a refined record the run reports non-convergence and exits 4
-    cfg = base_config(mode="linking", rho=1.0, seed=0, max_outer=60, grad_tol=1e-3,
-                      cylinder_nt=4, cylinder_nsphere=4)
-    output = run(RunConfig.from_dict(cfg))
-    rec = output["records"][0]
-    assert rec["converged"] and not rec["refined"]
-    assert output["converged"] is False
+# the grid-16 case-1 config of test_multiplicity_case1_outputs on a ten-step
+# budget: the disk descent ends far from a solution and Newton cannot refine
+# record 1 (res_psi ~1.7)
+UNREFINED_CASE1 = base_config(mode="multiplicity", rho=0.5, path_nodes=9, max_outer=10,
+                              n_theta=32, n_theta_disk=8, n_radii=3)
+
+
+@pytest.fixture(scope="module")
+def unrefined_case1():
+    return run(RunConfig.from_dict(UNREFINED_CASE1))
+
+
+def test_unrefined_run_is_not_converged(unrefined_case1, tmp_path):
+    # without every record refined the run reports non-convergence and exits 4
+    rec = unrefined_case1["records"][1]
+    assert not rec["refined"] and rec["res_psi"] > 1e-3
+    assert unrefined_case1["converged"] is False
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
+    cfg_path.write_text(json.dumps(UNREFINED_CASE1))
     assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 4
     assert (tmp_path / "o" / "run_output.json").exists()
+
+
+def test_distinct_counts_only_refined_records(unrefined_case1):
+    # an unrefined c2 is no second solution, whatever its level; c2 still
+    # reports record 1's level
+    records = unrefined_case1["records"]
+    assert records[0]["refined"] and not records[1]["refined"]
+    assert unrefined_case1["levels"]["c2"] == records[1]["level"]
+    assert unrefined_case1["distinct"] is False
+
+
+@pytest.mark.parametrize("delta, rho", [([0.5, 0.5], 1.0), ([0.0, 0.0], 0.5),
+                                        ([0.5, 0.0], 0.8)])
+def test_linking_returns_the_semi_trivial_solution(tmp_path, delta, rho):
+    # the block-filtered path min-max lands on the semi-trivial branch
+    # rho cosh(u) = lam_{k+1}, at level 4 (lam_{k+1}^2 - rho^2) Vol
+    cfg = base_config(mode="linking", spin_delta=delta, rho=rho, seed=0,
+                      path_nodes=9, max_outer=60)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    data = json.loads((tmp_path / "o" / "run_output.json").read_text())
+    config = RunConfig.from_dict(cfg)
+    geom = config.geometry()
+    lam_k1 = linking_constants(config.action_params(), build_basis(geom, cfg["cutoff"])).lam_k1
+    rec = data["records"][0]
+    assert rec["refined"] and rec["classification"] != "trivial"
+    assert rec["level"] == pytest.approx(4 * (lam_k1**2 - rho**2) * geom.vol, rel=1e-10)
+    assert data["converged"] is True
 
 
 def test_cli_batch_workers(tmp_path):
@@ -299,6 +339,21 @@ def test_cli_batch_workers(tmp_path):
     assert code == 0
     for i in range(2):
         assert (tmp_path / f"o{i}" / "run_output.json").exists()
+
+
+def test_config_threads_kept_without_override(tmp_path, monkeypatch):
+    # the config's own threads stands unless --threads or SSHG_THREADS is given
+    monkeypatch.delenv("SSHG_THREADS", raising=False)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(threads=4)))
+    assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "c")]) == 0
+    data = json.loads((tmp_path / "c" / "run_output.json").read_text())
+    assert data["threads"] == 4 and data["config"]["threads"] == 4
+    assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "f"),
+                 "--threads", "2"]) == 0
+    assert json.loads((tmp_path / "f" / "run_output.json").read_text())["threads"] == 2
+    cfg_path.write_text(json.dumps(base_config(threads=0)))
+    assert main(["solve", "--config", str(cfg_path)]) == 2
 
 
 def test_cli_env_threads(tmp_path, monkeypatch):
