@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, OverflowGuardError
-from .fields import ScalarField, SpinorField
+from .fields import ScalarField, SpinorField, constant_value
 from .geometry import TWO_PI
 from .spectral import (
     dirac_apply,
@@ -116,9 +116,9 @@ class Variation:
 def check_overflow(u: ScalarField, params: ActionParams) -> np.ndarray:
     vals = u.values
     m = float(np.max(np.abs(vals)))
-    if m > params.u_cap:
+    if not m <= params.u_cap:  # a NaN compares false, so it is refused too
         raise OverflowGuardError(
-            f"max|u| = {m:.6g} exceeds the overflow cap u_cap = {params.u_cap:g}"
+            f"max|u| = {m:.6g} is not finite or exceeds the overflow cap u_cap = {params.u_cap:g}"
         )
     return vals
 
@@ -135,8 +135,12 @@ def evaluate_J(u: ScalarField, psi: SpinorField, params: ActionParams) -> float:
     rho = params.rho
     grad_term = gradient_energy(u)
     dirac_term = 8.0 * l2_inner(dirac_apply(psi), psi)
-    dens = psi.density()
-    cosh_term = -8.0 * rho * geom.quad_weight * float(np.sum(np.cosh(uv) * dens))
+    c = constant_value(uv)
+    if c is None:
+        cosh_term = -8.0 * rho * geom.quad_weight * float(np.sum(np.cosh(uv) * psi.density()))
+    else:
+        # discrete Parseval: the grid sum of |psi|^2 is the coefficient sum
+        cosh_term = -8.0 * rho * float(np.cosh(c)) * l2_inner(psi, psi)
     sinh_term = 4.0 * rho * rho * geom.quad_weight * float(np.sum(np.sinh(uv) ** 2))
     return grad_term + dirac_term + cosh_term + sinh_term
 

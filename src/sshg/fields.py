@@ -9,6 +9,9 @@ Spinor psi: psi(x) = sum_k chat[:,k] e^{2 pi i (k+delta).x / L},
 
 With these normalizations the grid quadrature of |field|^2 equals
 L^2 * sum |coeff|^2 exactly for resolved fields (discrete Parseval).
+
+A grid function whose values are all equal has the single Fourier mode
+k = 0, so constant scalars and constant multipliers skip the FFTs.
 """
 
 from __future__ import annotations
@@ -16,6 +19,18 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import TorusGeometry
+
+
+def constant_value(a: np.ndarray):
+    """The common value of an array whose entries are all equal, else None.
+
+    Two far-apart entries are compared first, so most non-constant arrays
+    are rejected without a full pass.
+    """
+    first = a.flat[0]
+    if a.flat[-1] != first or a.flat[a.size // 2] != first or not np.all(a == first):
+        return None
+    return first
 
 
 class ScalarField:
@@ -64,7 +79,12 @@ class ScalarField:
     @property
     def coeffs(self) -> np.ndarray:
         if self._coeffs is None:
-            self._coeffs = np.fft.fft2(self._values) / self.geom.grid_n ** 2
+            c = constant_value(self._values)
+            if c is None:
+                self._coeffs = np.fft.fft2(self._values) / self.geom.grid_n ** 2
+            else:
+                self._coeffs = np.zeros(self._values.shape, dtype=complex)
+                self._coeffs[0, 0] = c
         return self._coeffs
 
     def hermitian_defect(self) -> float:
@@ -164,6 +184,9 @@ class SpinorField:
 
     def times(self, f: np.ndarray) -> "SpinorField":
         """Pointwise product with a real grid function."""
+        c = constant_value(f)
+        if c is not None:
+            return SpinorField(self.geom, coeffs=self.coeffs * c)
         return SpinorField.from_values(self.geom, f[None, :, :] * self.values)
 
     def __add__(self, other):

@@ -341,7 +341,8 @@ class _SegmentCache:
     jump the energy ridge unsampled; tracking interior samples and promoting
     any sample that exceeds the node max repairs that unfaithfulness.  Each
     entry keeps its endpoint objects alive and compares them by identity: an
-    id() of a freed node may be reused by its replacement.
+    id() of a freed node may be reused by its replacement, and the nodes of a
+    respread path are all new objects.
     """
 
     def __init__(self, segments, params):
@@ -369,9 +370,6 @@ class _SegmentCache:
             if best is None or js[k] > best[0]:
                 best = (js[k], i, j, pts[k])
         return best
-
-    def invalidate_all(self):
-        self._cache.clear()
 
 
 def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
@@ -519,7 +517,6 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
                 if max(new_energies) <= max(energies) + 1e-12 * (1 + abs(max(energies))):
                     nodes = new_nodes
                     energies = new_energies
-                    segcache.invalidate_all()
 
         # frozen nodes are never moved
         ids = [id(nd) for nd, fz in zip(nodes, frozen) if fz]

@@ -27,7 +27,7 @@ from .action import (
     dirac_minus_potential,
     gradient_J,
 )
-from .errors import ConfigError
+from .errors import ConfigError, OverflowGuardError
 from .fields import ScalarField, SpinorField
 from .krylov import cg
 from .spectral import (
@@ -114,6 +114,8 @@ def fiber_solve(u: ScalarField, psi_free: SpinorField, params: ActionParams,
     check_spectral_gap(u.geom, params.rho)
     neg_part = project(psi_free, "minus")
     free_scale = hhalf_norm(psi_free)
+    if not np.isfinite(free_scale):
+        raise OverflowGuardError(f"psi_free is not finite (H^1/2 norm {free_scale:.6g})")
     if hhalf_norm(neg_part) > 1e-10 * max(free_scale, 1.0):
         raise ConfigError("fiber_solve expects psi_free with zero negative part")
 

@@ -34,6 +34,7 @@ from .minmax import (
 from .spectral import build_basis, check_spectral_gap
 from .sweepout import (
     build_sweepout_chi,
+    case2_block,
     case2_product_minmax,
     check_n_theta_disk,
     equivariant_disk_minmax,
@@ -341,7 +342,9 @@ def run_multiplicity(config: RunConfig, geom, basis, params):
             "diagnostics": diags,
         }
 
-    # linking regime: (K+2)-dimensional equivariant product construction
+    # linking regime: (K+2)-dimensional equivariant product construction;
+    # the block's capacity check needs only the spectrum, so it comes first
+    case2_block(basis, params.rho)
     first = run_linking(config, geom, basis, params)
     rec1 = first["records"][0]
     rec2, c2, diags = case2_product_minmax(chi, mm, params, basis)

@@ -485,8 +485,12 @@ def group_orbit_point(point: NehariPoint, sigma: float, q) -> NehariPoint:
 # Case 2: (K+2)-dimensional equivariant set for the linking regime
 # ---------------------------------------------------------------------------
 
-def _span_block(basis, rho: float):
-    """Eigen-elements spanning plus_b + zero, with their H^{1/2} weights."""
+def case2_block(basis, rho: float):
+    """Eigen-elements spanning plus_b + zero, with their H^{1/2} weights.
+
+    The spectrum alone fixes the block, so its CapacityError comes before
+    any solve.
+    """
     fields = []
     weights = []
     for l in range(basis.harmonic_dim):
@@ -496,6 +500,9 @@ def _span_block(basis, rho: float):
         if lam < rho:
             fields.append(basis.eigenspinor(j))
             weights.append(1.0 + lam)
+    if len(fields) > CASE2_MAX_K:
+        raise CapacityError(f"case-2 block dimension K={len(fields)} exceeds the "
+                            f"desk-scale cap {CASE2_MAX_K}")
     return fields, np.array(weights)
 
 
@@ -525,11 +532,8 @@ def case2_product_minmax(chi: SweepoutChi, config: MinmaxConfig,
     have nonpositive energy (certified, with R inflation retries).
     """
     geom = basis.geom
-    fields, weights = _span_block(basis, params.rho)
+    fields, weights = case2_block(basis, params.rho)
     K = len(fields)
-    if K > CASE2_MAX_K:
-        raise CapacityError(
-            f"case-2 block dimension K={K} exceeds the desk-scale cap {CASE2_MAX_K}")
 
     consts = linking_constants(params, basis)
     n_rad_phi, n_sphere = CASE2_MESH

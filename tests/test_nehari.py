@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sshg.action import ActionParams, el_residual
-from sshg.errors import ConfigError
+from sshg.errors import ConfigError, OverflowGuardError
 from sshg.fields import ScalarField, SpinorField
 from sshg.geometry import TorusGeometry
 from sshg.nehari import (
@@ -203,3 +203,27 @@ def test_alpha_beta_at_solution_near_zero(setup16):
     # residual scale set by the 1e-6 detuning of rho
     assert res.alpha_norm < 1e-5
     assert res.beta_norm < 1e-5
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["u", "psi"])
+def test_non_finite_input_fails_before_cg(setup16, monkeypatch, where, bad):
+    # one corrupted grid point of u or psi is refused by the overflow guard
+    # before any Krylov work (a NaN compares false against the cap)
+    import sshg.nehari
+    geom, _, params = setup16
+    calls = []
+    cg = sshg.nehari.cg
+    monkeypatch.setattr(sshg.nehari, "cg", lambda *a, **k: calls.append(1) or cg(*a, **k))
+    uv = np.full((geom.grid_n, geom.grid_n), 0.3)
+    free = free_spinor(geom, np.random.default_rng(7))
+    if where == "u":
+        uv[3, 5] = bad
+    else:
+        vals = free.values.copy()
+        vals[0, 3, 5] = bad
+        with np.errstate(invalid="ignore"):
+            free = SpinorField.from_values(geom, vals)
+    with pytest.raises(OverflowGuardError), np.errstate(invalid="ignore"):
+        fiber_solve(ScalarField.from_values(geom, uv), free, params)
+    assert calls == []

@@ -208,6 +208,18 @@ def test_multiplicity_case2_route(tmp_path):
     assert "c2" in output["levels"]
 
 
+def test_case2_capacity_refused_before_linking(tmp_path, monkeypatch):
+    # delta=(1/2,1/2), rho=1: the plus_b block is wider than the case-2 cap,
+    # which the spectrum alone decides, so no linking run is spent on it
+    import sshg.runner
+    calls = []
+    monkeypatch.setattr(sshg.runner, "run_linking", lambda *a: calls.append(a))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(mode="multiplicity", rho=1.0)))
+    assert main(["solve", "--config", str(cfg_path)]) == 3
+    assert calls == []
+
+
 def test_determinism(tmp_path):
     cfg = base_config(mode="mountain_pass", path_nodes=9, max_outer=25, grad_tol=1e-3)
     out_a = run(RunConfig.from_dict({**cfg, "output_dir": str(tmp_path / "a")}))

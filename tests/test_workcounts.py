@@ -1,10 +1,11 @@
 """Work-count guard: a fixed small run must not silently do more work.
 
 Counts, not timings: the solver is deterministic for a given (config, seed),
-so the number of fiber solves, Krylov iterations and constrained gradients of
-a fixed run is a property of the code.  The ceilings are the counts measured
-for the grid-16 case-1 multiplicity config below; a change that lowers them
-lowers the ceilings too.
+so the number of fiber solves, Krylov iterations, constrained gradients and
+FFTs (fft2/ifft2 through `sshg.fields.np`, the binding the perfbench tracer
+wraps) of a fixed run is a property of the code.  The ceilings are the counts
+measured for the grid-16 case-1 multiplicity config below; a change that
+lowers them lowers the ceilings too.
 """
 
 import sys
@@ -12,6 +13,8 @@ import sys
 import sshg.krylov
 import sshg.nehari
 from sshg.runner import RunConfig, run
+
+from test_constant_fields import counting_ffts
 
 CONFIG = {
     "grid_n": 16, "spin_delta": [0.5, 0.5], "rho": 0.5, "mode": "multiplicity",
@@ -25,6 +28,7 @@ CEILINGS = {
     "cg.iters": 2329,
     "minres.iters": 161,
     "constrained_gradient": 23,
+    "fft": 8973,
 }
 
 
@@ -60,7 +64,9 @@ def test_work_counts_do_not_grow(monkeypatch):
     _count_calls(monkeypatch, sshg.krylov.minres,
                  bump(**{"minres.iters": lambda out: out[1].iterations}))
 
-    run(RunConfig.from_dict(CONFIG))
+    with counting_ffts() as ffts:
+        run(RunConfig.from_dict(CONFIG))
+    counts["fft"] = ffts["fft"]
     assert counts["fiber_solve"] > 0 and counts["minres.iters"] > 0
     for key, ceiling in CEILINGS.items():
         assert counts[key] <= ceiling, f"{key}: {counts[key]} > {ceiling}"
