@@ -22,7 +22,7 @@ class OverflowGuardError(SSHGError):
 
 
 class ConditioningError(SSHGError):
-    """An inner iterative solve exhausted its iteration budget."""
+    """An inner iterative solve hit its iteration cap or a non-finite right-hand side."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

@@ -7,14 +7,22 @@ Spinor psi: psi(x) = sum_k chat[:,k] e^{2 pi i (k+delta).x / L},
             chat = fft2(values * conj(phase)) / n^2 restricted to the valid
             mode mask of the geometry.
 
-With these normalizations the grid quadrature of |field|^2 equals
-L^2 * sum |coeff|^2 exactly for resolved fields (discrete Parseval).
+A spinor is stored in Dirac eigen-coordinates (a+, a-) = F^T chat per mode,
+F = [[p, -q], [q, p]] the geometry's orthonormal `dirac_frame`: a+ weighs
+the +|xi| eigenvector, a- the -|xi| one.  Only this module reads the frame,
+at the FFT boundary (with the 1/n^2, the n^2 and the mode mask folded in)
+and for `coeffs`, the component-basis view checkpoints keep.
+
+With these normalizations the grid quadrature of |field|^2 equals L^2 *
+sum |coeff|^2 (either basis) exactly for resolved fields (discrete Parseval).
 
 A grid function whose values are all equal has the single Fourier mode
 k = 0, so constant scalars and constant multipliers skip the FFTs.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,7 +92,7 @@ class ScalarField:
                 self._coeffs = np.fft.fft2(self._values) / self.geom.grid_n ** 2
             else:
                 self._coeffs = np.zeros(self._values.shape, dtype=complex)
-                self._coeffs[0, 0] = c
+                self._coeffs[0, 0] = c + 0.0  # fft2 of a -0.0 array gives +0.0
         return self._coeffs
 
     def hermitian_defect(self) -> float:
@@ -95,56 +103,76 @@ class ScalarField:
 
     # -- arithmetic (new objects; used by the descent loops) ---------------------
 
+    def _combine(self, op, *others):
+        """op on each view all operands hold (else values): no FFT for a missing view."""
+        fields = (self, *others)
+        coeffs = values = None
+        if all(f._coeffs is not None for f in fields):
+            coeffs = op(*(f._coeffs for f in fields))
+        if coeffs is None or all(f._values is not None for f in fields):
+            values = op(*(f.values for f in fields))
+        return ScalarField(self.geom, values=values, coeffs=coeffs)
+
     def __add__(self, other):
-        return ScalarField(self.geom, values=self.values + other.values)
+        return self._combine(np.add, other)
 
     def __sub__(self, other):
-        return ScalarField(self.geom, values=self.values - other.values)
+        return self._combine(np.subtract, other)
 
     def __mul__(self, a: float):
-        return ScalarField(self.geom, values=self.values * float(a))
+        a = float(a)
+        return self._combine(lambda x: x * a)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return ScalarField(self.geom, values=-self.values)
+        return self._combine(np.negative)
 
 
-def _spinor_coeffs(geom, values) -> np.ndarray:
-    """Fourier coefficients of spinor grid values, restricted to the valid
-    mode mask."""
+@lru_cache(maxsize=16)
+def _boundary(geom: TorusGeometry):
+    """FFT-boundary data: conj(phase), the frame (p, q) * mask / n^2 into
+    eigen-coordinates and its inverse (p, -q) * n^2."""
+    p, q = geom.dirac_frame
     n2 = geom.grid_n ** 2
-    conj_phase = np.conj(geom.spinor_phase)
-    c = np.fft.fft2(values * conj_phase[None, :, :], axes=(1, 2)) / n2
-    if not geom.spinor_mask_trivial:
-        c = c * geom.spinor_mask[None, :, :]
-    return c
+    m = geom.spinor_mask / n2
+    return np.conj(geom.spinor_phase)[None, :, :], (p * m, q * m), (p * n2, -q * n2)
+
+
+def _rotate(x: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """F^T x per mode for F = [[p, -q], [q, p]]; (p, -q) gives F x."""
+    out = np.empty_like(x)
+    out[0] = p * x[0] + q * x[1]
+    out[1] = p * x[1] - q * x[0]
+    return out
 
 
 class SpinorField:
     """C^2-valued field with real metric Re<.,.>; Fourier support on k+delta.
 
-    The coefficient view is the source of truth and is always restricted to
-    the geometry's valid mode mask, so conjugation-based operators close
-    exactly on the discrete space.
+    The eigen-coordinates `eig`, (a+, a-) per mode, are the source of truth
+    and always restricted to the geometry's valid mode mask, so
+    conjugation-based operators close exactly on the discrete space.
     """
 
-    __slots__ = ("geom", "_values", "_coeffs")
+    __slots__ = ("geom", "eig", "_values", "_coeffs")
 
-    def __init__(self, geom: TorusGeometry, values=None, coeffs=None):
+    def __init__(self, geom: TorusGeometry, values=None, eig=None):
         self.geom = geom
+        self.eig = eig
         self._values = values
-        self._coeffs = coeffs
+        self._coeffs = None
 
     @classmethod
     def from_values(cls, geom, values) -> "SpinorField":
         values = np.asarray(values, dtype=complex)
         if values.shape != (2, geom.grid_n, geom.grid_n):
             raise ValueError(f"spinor values shape {values.shape} does not match grid {geom.grid_n}")
-        coeffs = _spinor_coeffs(geom, values)
+        conj_phase, into, _ = _boundary(geom)
+        eig = _rotate(np.fft.fft2(values * conj_phase, axes=(1, 2)), *into)
         if not geom.spinor_mask_trivial:
-            return cls(geom, coeffs=coeffs)
-        return cls(geom, values=values, coeffs=coeffs)
+            return cls(geom, eig=eig)
+        return cls(geom, values=values, eig=eig)
 
     @classmethod
     def from_coeffs(cls, geom, coeffs) -> "SpinorField":
@@ -152,25 +180,29 @@ class SpinorField:
         if coeffs.shape != (2, geom.grid_n, geom.grid_n):
             raise ValueError(f"spinor coeffs shape {coeffs.shape} does not match grid {geom.grid_n}")
         if not geom.spinor_mask_trivial:
-            coeffs = coeffs * geom.spinor_mask[None, :, :]
-        return cls(geom, coeffs=coeffs)
+            coeffs = np.where(geom.spinor_mask, coeffs, 0)
+        field = cls(geom, eig=_rotate(coeffs, *geom.dirac_frame))
+        field._coeffs = coeffs
+        return field
 
     @classmethod
     def zeros(cls, geom) -> "SpinorField":
-        return cls(geom, coeffs=np.zeros((2, geom.grid_n, geom.grid_n), dtype=complex))
+        return cls(geom, eig=np.zeros((2, geom.grid_n, geom.grid_n), dtype=complex))
 
     @property
     def coeffs(self) -> np.ndarray:
+        """Component-basis coefficients chat, the checkpoint format; +0 off the
+        mask, so save -> load -> save is byte-identical."""
         if self._coeffs is None:
-            self._coeffs = _spinor_coeffs(self.geom, self._values)
+            p, q = self.geom.dirac_frame
+            self._coeffs = np.where(self.geom.spinor_mask, _rotate(self.eig, p, -q), 0)
         return self._coeffs
 
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            n2 = self.geom.grid_n ** 2
-            v = np.fft.ifft2(self.coeffs * n2, axes=(1, 2))
-            self._values = v * self.geom.spinor_phase[None, :, :]
+            c = _rotate(self.eig, *_boundary(self.geom)[2])
+            self._values = np.fft.ifft2(c, axes=(1, 2)) * self.geom.spinor_phase[None, :, :]
         return self._values
 
     def density(self) -> np.ndarray:
@@ -186,21 +218,21 @@ class SpinorField:
         """Pointwise product with a real grid function."""
         c = constant_value(f)
         if c is not None:
-            return SpinorField(self.geom, coeffs=self.coeffs * c)
+            return SpinorField(self.geom, eig=self.eig * c)
         return SpinorField.from_values(self.geom, f[None, :, :] * self.values)
 
     def __add__(self, other):
-        return SpinorField(self.geom, coeffs=self.coeffs + other.coeffs)
+        return SpinorField(self.geom, eig=self.eig + other.eig)
 
     def __sub__(self, other):
-        return SpinorField(self.geom, coeffs=self.coeffs - other.coeffs)
+        return SpinorField(self.geom, eig=self.eig - other.eig)
 
     def __mul__(self, a):
         # complex scalars are allowed: multiplication by i is the first
         # almost-complex structure of the quaternionic family
-        return SpinorField(self.geom, coeffs=self.coeffs * complex(a))
+        return SpinorField(self.geom, eig=self.eig * complex(a))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return SpinorField(self.geom, coeffs=-self.coeffs)
+        return SpinorField(self.geom, eig=-self.eig)

@@ -7,7 +7,9 @@ The Dirac operator is diagonal mode-by-mode with the 2x2 symbol
 
     A(xi) = [[-xi1, -xi2], [-xi2, xi1]],   eigenvalues +-|xi|,
 
-coming from the Clifford generators GAMMA1, GAMMA2 below.
+coming from the Clifford generators GAMMA1, GAMMA2 below.  Its eigenframe is
+written once, in `dirac_frame`: the real orthonormal pair of eigenvectors
+per mode in which spinors are stored (see `sshg.fields`).
 """
 
 from __future__ import annotations
@@ -76,34 +78,21 @@ class TorusGeometry:
         return np.fft.fftfreq(self.grid_n, d=1.0 / self.grid_n).astype(np.int64)
 
     @cached_property
-    def xi1(self) -> np.ndarray:
-        return (TWO_PI / self.side_length) * self.k_int[:, None] * np.ones((1, self.grid_n))
-
-    @cached_property
-    def xi2(self) -> np.ndarray:
-        return (TWO_PI / self.side_length) * np.ones((self.grid_n, 1)) * self.k_int[None, :]
-
-    @cached_property
     def xi_sq(self) -> np.ndarray:
-        return self.xi1 ** 2 + self.xi2 ** 2
+        xi = (TWO_PI / self.side_length) * self.k_int
+        return xi[:, None] ** 2 + xi[None, :] ** 2
 
     # -- spinor modes ---------------------------------------------------------
 
     @cached_property
-    def m1(self) -> np.ndarray:
-        return (self.k_int + self.spin_delta[0])[:, None] * np.ones((1, self.grid_n))
-
-    @cached_property
-    def m2(self) -> np.ndarray:
-        return np.ones((self.grid_n, 1)) * (self.k_int + self.spin_delta[1])[None, :]
-
-    @cached_property
     def sxi1(self) -> np.ndarray:
-        return (TWO_PI / self.side_length) * self.m1
+        m1 = (self.k_int + self.spin_delta[0])[:, None] * np.ones((1, self.grid_n))
+        return (TWO_PI / self.side_length) * m1
 
     @cached_property
     def sxi2(self) -> np.ndarray:
-        return (TWO_PI / self.side_length) * self.m2
+        m2 = np.ones((self.grid_n, 1)) * (self.k_int + self.spin_delta[1])[None, :]
+        return (TWO_PI / self.side_length) * m2
 
     @cached_property
     def s_abs(self) -> np.ndarray:
@@ -131,17 +120,15 @@ class TorusGeometry:
         return bool(self.spinor_mask.all())
 
     @cached_property
-    def symbol(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Entries (a11, a12, a22) of the Hermitian Dirac symbol per mode."""
-        return (-self.sxi1, -self.sxi2, self.sxi1)
-
-    @cached_property
-    def unit_symbol(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Symbol normalized by |xi|; zero at the harmonic mode."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = np.where(self.s_abs > 0, 1.0 / np.where(self.s_abs > 0, self.s_abs, 1.0), 0.0)
-        a11, a12, a22 = self.symbol
-        return (a11 * inv, a12 * inv, a22 * inv)
+    def dirac_frame(self) -> tuple[np.ndarray, np.ndarray]:
+        """Real orthonormal eigenframe per mode: (p, q) = (-xi2, xi1 + |xi|)/norm
+        is the +|xi| eigenvector of the symbol, omega(p, q) = (-q, p) the -|xi|
+        one; (1, 0) where xi1 + |xi| = 0 (harmonic mode, negative xi1 axis)."""
+        p, q = -self.sxi2, self.sxi1 + self.s_abs
+        norm = np.hypot(p, q)
+        on_axis = norm == 0.0
+        norm[on_axis] = 1.0
+        return np.where(on_axis, 1.0, p / norm), q / norm
 
     @cached_property
     def spinor_phase(self) -> np.ndarray:

@@ -29,9 +29,11 @@ def cg(apply_op, b, inner, x0=None, tol=1e-12, maxiter=500, atol=0.0):
     Returns (x, SolveInfo).  Stops when ||r|| <= max(tol * ||b||, atol); the
     absolute floor lets callers whose right-hand side is roundoff of a larger
     problem scale exit cleanly instead of iterating on noise.  Reaching
-    maxiter raises ConditioningError.
+    maxiter or a non-finite b raises ConditioningError.
     """
     norm_b = np.sqrt(max(inner(b, b), 0.0))
+    if not np.isfinite(norm_b):
+        raise ConditioningError(f"cg: right-hand side is not finite (norm {norm_b})")
     stop = max(tol * norm_b, atol)
     if norm_b == 0.0 or norm_b <= stop:
         return 0.0 * b, SolveInfo(True, 0, 0.0)
@@ -79,9 +81,11 @@ def minres(apply_op, b, inner, tol=1e-12, maxiter=400):
 
     Lanczos with Givens rotations, all pairings through `inner`.  Returns
     (x, SolveInfo); the iteration cap is not an error here because callers
-    (Newton) damp and retry.
+    (Newton) damp and retry.  A non-finite b raises ConditioningError.
     """
     norm_b = np.sqrt(max(inner(b, b), 0.0))
+    if not np.isfinite(norm_b):
+        raise ConditioningError(f"minres: right-hand side is not finite (norm {norm_b})")
     if norm_b == 0.0:
         return 0.0 * b, SolveInfo(True, 0, 0.0)
 

@@ -51,6 +51,7 @@ from .spectral import (
 
 SUFFICIENT_DECREASE = 1e-4
 MAX_BACKTRACKS = 25
+DESCENT_STEP = 0.1         # initial backtracking step, halved per backtrack
 RESPREAD_EVERY = 5
 NEWTON_PRE_GRAD = 1e-3
 HANDOFF_GRAD = 1e3         # Newton is cheap and guarded; try it from almost anywhere
@@ -73,15 +74,14 @@ class MinmaxConfig:
     path_nodes: int                    # odd, >= 5
     grad_tol: float
     max_outer: int
-    descent_step: float = 0.1          # initial backtracking step, factor 0.5
     newton_tol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
         if self.path_nodes < 5 or self.path_nodes % 2 == 0:
             raise ConfigError("path_nodes must be odd and >= 5")
-        if min(self.grad_tol, self.newton_tol, self.descent_step) <= 0:
-            raise ConfigError("tolerances and step sizes must be positive")
+        if min(self.grad_tol, self.newton_tol) <= 0:
+            raise ConfigError("tolerances must be positive")
 
 
 @dataclass
@@ -307,7 +307,7 @@ def _interp_points(a: NehariPoint, b: NehariPoint, w: float, params) -> NehariPo
     """Linear blend of u and the free spinor part, retracted to the manifold."""
     u = (1.0 - w) * a.u + w * b.u
     free = (1.0 - w) * a.free_part() + w * b.free_part()
-    minus = (1.0 - w) * a.split("minus") + w * b.split("minus")
+    minus = (1.0 - w) * project(a.psi, "minus") + w * project(b.psi, "minus")
     return fiber_solve(u, free, params, x0=minus)
 
 
@@ -407,7 +407,7 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
     diags = PSDiagnostics()
     boundary_ids = [id(nd) for nd, fz in zip(nodes, frozen) if fz]
 
-    step = config.descent_step
+    step = DESCENT_STEP
     converged = False
     stalls = 0
     prev_max = np.inf
@@ -498,7 +498,7 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
             if j_new <= target:
                 assign(idx, cand, j_new)
                 accepted = True
-                step = min(config.descent_step, 4.0 * trial_step)
+                step = min(DESCENT_STEP, 4.0 * trial_step)
                 break
             trial_step *= 0.5
         if not accepted:
@@ -682,10 +682,10 @@ def coercivity_probe(params: ActionParams, basis, r0: float, tau: float,
             free = scale * free
             point = fiber_solve(u, free, params)
         lhs = (h1_norm(point.u) ** 2
-               + hhalf_norm(point.split("minus")) ** 2
-               + hhalf_norm(point.split("plus_a")) ** 2)
-        rhs = (hhalf_norm(point.split("plus_b")) ** 2
-               + hhalf_norm(point.split("zero")) ** 2)
+               + hhalf_norm(project(point.psi, "minus")) ** 2
+               + hhalf_norm(project(point.psi, "plus_a", params.rho)) ** 2)
+        rhs = (hhalf_norm(project(point.psi, "plus_b", params.rho)) ** 2
+               + hhalf_norm(project(point.psi, "zero")) ** 2)
         if lhs < tau * rhs:
             continue  # inside the cone
         accepted += 1

@@ -16,7 +16,7 @@ H^{1/2} inner product and conjugate gradients apply directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,20 +65,9 @@ class NehariPoint:
     u: ScalarField
     psi: SpinorField
     constraint_norm: float
-    rho: float
-    _split: dict = field(default_factory=dict, repr=False)
-
-    def split(self, part: str) -> SpinorField:
-        """Cached rho-split components: plus_a, plus_b, zero, minus."""
-        if part not in self._split:
-            if part in ("plus_a", "plus_b"):
-                self._split[part] = project(self.psi, part, rho=self.rho)
-            else:
-                self._split[part] = project(self.psi, part)
-        return self._split[part]
 
     def free_part(self) -> SpinorField:
-        return self.psi - self.split("minus")
+        return self.psi - project(self.psi, "minus")
 
     def product_norm_sq(self) -> float:
         return h1_norm(self.u) ** 2 + hhalf_norm(self.psi) ** 2
@@ -129,7 +118,7 @@ def fiber_solve(u: ScalarField, psi_free: SpinorField, params: ActionParams,
 
     psi = psi_free + psi_minus
     cert = hhalf_norm(constraint_G(u, psi, params))
-    return NehariPoint(u=u, psi=psi, constraint_norm=cert, rho=rho)
+    return NehariPoint(u=u, psi=psi, constraint_norm=cert)
 
 
 def project_to_manifold(u: ScalarField, psi: SpinorField, params: ActionParams) -> NehariPoint:

@@ -44,6 +44,7 @@ from .sweepout import (
 )
 
 SPECTRAL_REPORT_COUNT = 40  # eigenvalues listed in every run's spectral summary
+EPSILON_FRAC = 0.05         # sweepout interface volume bound, as a fraction of Vol
 
 _DEFAULTS = {
     "side_length": TWO_PI,
@@ -58,7 +59,6 @@ _DEFAULTS = {
     "threads": 1,
     "cutoff": 3.0,
     "path_nodes": 33,
-    "descent_step": 0.1,
     "grad_tol": 1e-3,
     "newton_tol": 1e-10,
     "max_outer": 150,
@@ -66,7 +66,6 @@ _DEFAULTS = {
     "tau": 50.0,
     "n_samples": 100,
     "n_theta": 64,
-    "epsilon_frac": 0.05,
     "chi_grid_n": 256,
     "n_theta_disk": 8,
     "n_radii": 3,
@@ -159,8 +158,8 @@ class RunConfig:
     def minmax_config(self) -> MinmaxConfig:
         r = self.raw
         return MinmaxConfig(path_nodes=r["path_nodes"], grad_tol=r["grad_tol"],
-                            max_outer=r["max_outer"], descent_step=r["descent_step"],
-                            newton_tol=r["newton_tol"], seed=r["seed"])
+                            max_outer=r["max_outer"], newton_tol=r["newton_tol"],
+                            seed=r["seed"])
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +316,7 @@ def run_multiplicity(config: RunConfig, geom, basis, params):
     chi_geom = TorusGeometry(grid_n=config["chi_grid_n"],
                              side_length=geom.side_length,
                              spin_delta=geom.spin_delta)
-    chi = build_sweepout_chi(chi_geom, config["epsilon_frac"] * chi_geom.vol)
+    chi = build_sweepout_chi(chi_geom, EPSILON_FRAC * chi_geom.vol)
 
     if basis.harmonic_dim == 0 and params.rho < basis.eigenvalue(1):
         first = run_mountain_pass(config, geom, basis, params)

@@ -1,14 +1,16 @@
 """Dirac/Laplace operators, the eigenbasis, spectral projections and norms.
 
-Everything is diagonal per Fourier mode: the Dirac symbol A(xi) is a 2x2
-Hermitian matrix with eigenvalues +-|xi|, so |D|, (1+|D|)^{-1} and the
-Sobolev multipliers act as scalar factors per mode, while P^{+-} are the
-2x2 eigenprojectors of A(xi).
+Everything is diagonal per Fourier mode.  Spinors are stored in the
+eigenframe of the Dirac symbol (see `sshg.fields`), coordinates (a+, a-) on
+the +|xi| and -|xi| eigenvectors, so D is the multiplier (+|xi|, -|xi|),
+|D|, (1+|D|)^{-1} and the Sobolev weights are scalar factors per mode, the
+spectral projections are 0/1 masks, and the basis elements are one-hot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,14 +27,10 @@ MULTIPLICITY_REL_TOL = 1e-9  # eigenvalues this close (relative) count as one
 # ---------------------------------------------------------------------------
 
 def dirac_apply(psi: SpinorField) -> SpinorField:
-    """Apply D through the 2x2 Clifford symbol at each mode."""
-    g = psi.geom
-    a11, a12, a22 = g.symbol
-    c = psi.coeffs
-    out = np.empty_like(c)
-    out[0] = a11 * c[0] + a12 * c[1]
-    out[1] = a12 * c[0] + a22 * c[1]
-    return SpinorField(g, coeffs=out)
+    """D as the multiplier (+|xi|, -|xi|) on the eigen-coordinates."""
+    out = psi.eig * psi.geom.s_abs
+    out[1] *= -1.0
+    return SpinorField(psi.geom, eig=out)
 
 
 def laplace_apply(u: ScalarField) -> ScalarField:
@@ -47,21 +45,22 @@ def abs_dirac_apply(psi: SpinorField, s: float) -> SpinorField:
     lam = g.s_abs
     nz = lam > 0
     if s < 0:
-        zero_mass = np.abs(psi.coeffs[:, ~nz]).max(initial=0.0)
-        scale = np.abs(psi.coeffs).max(initial=0.0)
+        zero_mass = np.abs(psi.eig[:, ~nz]).max(initial=0.0)
+        scale = np.abs(psi.eig).max(initial=0.0)
         if zero_mass > 1e-14 * max(scale, 1e-300):
             raise IllPosedError("|D|^s with s < 0 is undefined on the harmonic block")
     mult = np.where(nz, np.where(nz, lam, 1.0) ** s, 0.0)
-    return SpinorField(g, coeffs=psi.coeffs * mult)
+    return SpinorField(g, eig=psi.eig * mult)
 
 
 def omega_mult(psi: SpinorField) -> SpinorField:
-    """Clifford action of the volume element: (p1, p2) -> (-p2, p1)."""
-    c = psi.coeffs
-    out = np.empty_like(c)
-    out[0] = -c[1]
-    out[1] = c[0]
-    return SpinorField(psi.geom, coeffs=out)
+    """Clifford action of the volume element, (c1, c2) -> (-c2, c1); it maps the
+    +|xi| eigenvector to the -|xi| one, so it is the same swap on (a+, a-)."""
+    a = psi.eig
+    out = np.empty_like(a)
+    out[0] = -a[1]
+    out[1] = a[0]
+    return SpinorField(psi.geom, eig=out)
 
 
 def quaternion_j(psi: SpinorField) -> SpinorField:
@@ -87,7 +86,10 @@ def quaternion_act(psi: SpinorField, q) -> SpinorField:
 def l2_inner(a, b) -> float:
     """Real L^2 pairing; exact Parseval form on coefficients."""
     g = a.geom
-    s = np.sum(np.conj(a.coeffs) * b.coeffs)
+    if isinstance(a, SpinorField):
+        s = np.sum(np.conj(a.eig) * b.eig)
+    else:
+        s = np.sum(np.conj(a.coeffs) * b.coeffs)
     return float(g.vol * s.real)
 
 
@@ -125,7 +127,7 @@ def sobolev_inner(a, b, space: str) -> float:
         mult = 1.0 + g.s_abs
         if space == "Hminus_half_spinor":
             mult = 1.0 / mult
-        s = np.sum(mult[None, :, :] * np.conj(a.coeffs) * b.coeffs)
+        s = np.sum(mult[None, :, :] * np.conj(a.eig) * b.eig)
     else:
         raise ConfigError(f"unknown Sobolev space tag {space!r}")
     return float(g.vol * s.real)
@@ -173,7 +175,7 @@ def riesz_hhalf(psi_dual: SpinorField) -> SpinorField:
     """Riesz representative in H^{1/2} of an L^2-represented functional:
     (1+|D|)^{-1} as the scalar multiplier (1+|xi|)^{-1}."""
     g = psi_dual.geom
-    return SpinorField(g, coeffs=psi_dual.coeffs / (1.0 + g.s_abs)[None, :, :])
+    return SpinorField(g, eig=psi_dual.eig / (1.0 + g.s_abs)[None, :, :])
 
 
 # ---------------------------------------------------------------------------
@@ -191,29 +193,30 @@ def check_spectral_gap(geom: TorusGeometry, rho: float) -> float:
 
 
 def project(psi: SpinorField, subspace: str, rho: float | None = None) -> SpinorField:
-    """Project onto a spectral subspace of D: plus/minus/zero/plus_a/plus_b."""
+    """Project onto a spectral subspace of D: plus/minus/zero/plus_a/plus_b,
+    a 0/1 mask on the eigen-coordinates (plus_a/plus_b split plus at rho)."""
     g = psi.geom
-    c = psi.coeffs
-    nz = g.s_abs > 0
-    if subspace == "zero":
-        return SpinorField(g, coeffs=c * (~nz)[None, :, :])
-    n11, n12, n22 = g.unit_symbol
-    if subspace in ("plus", "plus_a", "plus_b"):
-        sign = 1.0
-    elif subspace == "minus":
-        sign = -1.0
-    else:
-        raise ConfigError(f"unknown spectral subspace {subspace!r}")
-    sel = nz
     if subspace in ("plus_a", "plus_b"):
         if rho is None:
             raise ConfigError(f"subspace {subspace!r} requires rho")
         check_spectral_gap(g, rho)
-        sel = nz & ((g.s_abs > rho) if subspace == "plus_a" else (g.s_abs < rho))
-    out = np.empty_like(c)
-    out[0] = 0.5 * ((c[0] + sign * (n11 * c[0] + n12 * c[1])) * sel)
-    out[1] = 0.5 * ((c[1] + sign * (n12 * c[0] + n22 * c[1])) * sel)
-    return SpinorField(g, coeffs=out)
+    elif subspace in ("plus", "minus", "zero"):
+        rho = None
+    else:
+        raise ConfigError(f"unknown spectral subspace {subspace!r}")
+    return SpinorField(g, eig=psi.eig * _subspace_mask(g, subspace, rho))
+
+
+@lru_cache(maxsize=64)
+def _subspace_mask(geom: TorusGeometry, subspace: str, rho: float | None) -> np.ndarray:
+    lam = geom.s_abs
+    nz, off = lam > 0, np.zeros(lam.shape, dtype=bool)
+    rows = {"zero": (~nz, ~nz), "minus": (off, nz), "plus": (nz, off)}.get(subspace)
+    if rows is None:
+        rows = (nz & ((lam > rho) if subspace == "plus_a" else (lam < rho)), off)
+    mask = np.stack(rows).astype(float)
+    mask.flags.writeable = False
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -222,24 +225,14 @@ def project(psi: SpinorField, subspace: str, rho: float | None = None) -> Spinor
 
 @dataclass(frozen=True)
 class BasisElement:
-    """One real basis direction: mode (k1,k2), eigenvalue branch, phase 1 or i."""
+    """One real basis direction: mode (k1,k2), eigen-coordinate row, phase 1
+    or i.  Row 0 is the +|xi| eigenvector; a harmonic element (frame (1, 0))
+    takes either row, i.e. either C^2 component."""
     k1: int
     k2: int
-    sign: int          # +1 / -1 eigenvalue branch, 0 for harmonic
+    row: int
     phase_imag: bool   # False -> v e_k, True -> (i v) e_k
-    comp: int = 0      # harmonic block only: which C^2 component
     lam: float = 0.0
-
-
-def _plus_eigenvector(xi1: float, xi2: float) -> np.ndarray:
-    lam = np.hypot(xi1, xi2)
-    v = np.array([-xi2, xi1 + lam], dtype=complex)
-    nrm = np.linalg.norm(v)
-    if nrm < 1e-12 * max(lam, 1.0):
-        # xi on the negative xi1 axis: symbol is diag(|xi|, -|xi|)
-        v = np.array([1.0, 0.0], dtype=complex)
-        nrm = 1.0
-    return v / nrm
 
 
 @dataclass(frozen=True)
@@ -272,22 +265,15 @@ class SpectralBasis:
         return omega_mult(psi) if j < 0 else psi
 
     def harmonic_spinor(self, l: int) -> SpinorField:
-        el = self.harmonic[l]
-        g = self.geom
-        c = np.zeros((2, g.grid_n, g.grid_n), dtype=complex)
-        amp = (1j if el.phase_imag else 1.0) / g.side_length
-        c[el.comp, el.k1, el.k2] = amp
-        return SpinorField(g, coeffs=c)
+        return self._element_field(self.harmonic[l])
 
     def _element_field(self, el: BasisElement) -> SpinorField:
+        """The one-hot eigen-coordinates of a basis element."""
         g = self.geom
-        i1 = int(el.k1) % g.grid_n
-        i2 = int(el.k2) % g.grid_n
-        v = _plus_eigenvector(g.sxi1[i1, i2], g.sxi2[i1, i2])
-        c = np.zeros((2, g.grid_n, g.grid_n), dtype=complex)
+        a = np.zeros((2, g.grid_n, g.grid_n), dtype=complex)
         amp = (1j if el.phase_imag else 1.0) / g.side_length
-        c[:, i1, i2] = amp * v
-        return SpinorField(g, coeffs=c)
+        a[el.row, int(el.k1) % g.grid_n, int(el.k2) % g.grid_n] = amp
+        return SpinorField(g, eig=a)
 
     def multiplicity_of(self, lam: float) -> int:
         tol = MULTIPLICITY_REL_TOL * max(lam, 1.0)
@@ -327,12 +313,12 @@ def build_basis(geom: TorusGeometry, cutoff: float) -> SpectralBasis:
         kk1, kk2 = int(k1[t]), int(k2[t])
         lam_t = float(lam[idx1[t], idx2[t]])
         if lam_t == 0.0:
-            for comp in (0, 1):
+            for row in (0, 1):
                 for ph in (False, True):
-                    harmonic.append(BasisElement(kk1, kk2, 0, ph, comp=comp, lam=0.0))
+                    harmonic.append(BasisElement(kk1, kk2, row, ph))
             continue
         for ph in (False, True):
-            elements.append(BasisElement(kk1, kk2, +1, ph, lam=lam_t))
+            elements.append(BasisElement(kk1, kk2, 0, ph, lam=lam_t))
 
     eigenvalues = np.array([el.lam for el in elements])
     return SpectralBasis(

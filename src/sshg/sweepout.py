@@ -34,7 +34,7 @@ from .minmax import (
     straight_path,
 )
 from .nehari import NehariPoint, fiber_solve
-from .spectral import h1_norm, hhalf_norm, quaternion_act, sobolev_inner
+from .spectral import h1_norm, hhalf_norm, project, quaternion_act, sobolev_inner
 
 N_THETA_CHECK = 64  # theta samples on which a sweepout is certified
 FAMILY_RETRIES = 3
@@ -176,8 +176,7 @@ class EquivariantFamily:
 
 def _sigma_point(pt: NehariPoint) -> NehariPoint:
     """The Z2 action on the scalar component; J and the constraint are even."""
-    return NehariPoint(u=-1.0 * pt.u, psi=pt.psi,
-                       constraint_norm=pt.constraint_norm, rho=pt.rho)
+    return NehariPoint(u=-1.0 * pt.u, psi=pt.psi, constraint_norm=pt.constraint_norm)
 
 
 def _family_attempt(u_bar, s, chi, params, basis, thetas, geom):
@@ -188,7 +187,7 @@ def _family_attempt(u_bar, s, chi, params, basis, thetas, geom):
     for th in thetas[:half]:
         u = ScalarField.from_values(geom, chi.evaluate(float(th), geom) * u_bar)
         pt = fiber_solve(u, s * psi1, params, x0=warm)
-        warm = pt.split("minus")
+        warm = project(pt.psi, "minus")
         points.append(pt)
         resids.append(pt.constraint_norm)
     # mirror half: u_{theta+pi} = -u_theta exactly, psi identical (cosh even)
@@ -287,7 +286,7 @@ def _equivariant_deform(nodes, frozen, pairs, segments, config, params):
         deformed = nodes_
         partner = pairs[idx]
         if partner == idx:
-            free = cand.psi - cand.split("minus")
+            free = cand.free_part()
             cand = fiber_solve(ScalarField.zeros(cand.u.geom), free, params_)
         j = evaluate_J(cand.u, cand.psi, params_)
         nodes_[idx] = cand
@@ -371,7 +370,7 @@ def equivariant_disk_minmax(family: EquivariantFamily, config: MinmaxConfig,
             return fam_pt
         u = ScalarField.from_values(geom, float(radii[ir]) * fam_pt.u.values)
         pt = fiber_solve(u, free, params, x0=warm if ir > 1 else None)
-        warm = pt.split("minus")
+        warm = project(pt.psi, "minus")
         return pt
 
     nodes, frozen, pairs, segments = equivariant_disk_mesh(
@@ -450,7 +449,7 @@ def orthogonal_restart(u1: ScalarField, family: EquivariantFamily,
     # orthogonality certificate on the returned record
     final_u = orthogonalize(record.point.u)
     point = fiber_solve(final_u, record.point.free_part(), params,
-                        x0=record.point.split("minus"))
+                        x0=project(record.point.psi, "minus"))
     record = make_record(point, params, converged=record.converged, refined=False)
     ortho = abs(sobolev_inner(point.u, u1, "H1_scalar"))
     if ortho > 1e-8:
@@ -477,8 +476,7 @@ def group_orbit_point(point: NehariPoint, sigma: float, q) -> NehariPoint:
     """Apply a Z2 x quaternionic group element to a solution."""
     psi = quaternion_act(point.psi, q)
     u = sigma * point.u
-    return NehariPoint(u=u, psi=psi, constraint_norm=point.constraint_norm,
-                       rho=point.rho)
+    return NehariPoint(u=u, psi=psi, constraint_norm=point.constraint_norm)
 
 
 # ---------------------------------------------------------------------------

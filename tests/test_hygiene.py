@@ -79,3 +79,19 @@ def test_every_config_key_is_read():
                  if isinstance(n, ast.Subscript) and id(n) not in skip
                  and isinstance(n.slice, ast.Constant) and isinstance(n.slice.value, str)}
     assert not set(_DEFAULTS) - read, f"config keys nothing reads: {sorted(set(_DEFAULTS) - read)}"
+
+
+def test_dirac_frame_is_read_only_at_the_fft_boundary():
+    # the symbol's eigenframe is defined once, in geometry.py, and read only
+    # by the conversions in fields.py; everywhere else spinors are already in
+    # eigen-coordinates, so a read elsewhere brings 2x2 algebra back
+    defined, read = set(), set()
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "dirac_frame":
+                defined.add(path.name)
+            elif ((isinstance(node, ast.Attribute) and node.attr == "dirac_frame")
+                  or (isinstance(node, ast.Constant) and node.value == "dirac_frame")):
+                read.add(path.name)
+    assert defined == {"geometry.py"}, f"dirac_frame defined in {sorted(defined)}"
+    assert read == {"fields.py"}, f"dirac_frame read in {sorted(read)}"

@@ -112,3 +112,17 @@ def test_minres_zero_rhs():
 
     x, info = minres(lambda v: v, _Vec(np.zeros(5)), inner)
     assert info.converged and np.all(x.a == 0)
+
+
+@pytest.mark.parametrize("solver", [cg, minres])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_rhs_refused_before_any_apply(solver, bad):
+    def inner(x, y):
+        return float(x.a @ y.a)
+
+    calls = []
+    b = _Vec(np.ones(5))
+    b.a[2] = bad
+    with pytest.raises(ConditioningError, match="right-hand side is not finite"):
+        solver(lambda v: calls.append(1) or v, b, inner)
+    assert calls == []

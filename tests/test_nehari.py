@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from sshg.action import ActionParams, el_residual
-from sshg.errors import ConfigError, OverflowGuardError
+from sshg.errors import ConfigError, OverflowGuardError, SSHGError
 from sshg.fields import ScalarField, SpinorField
 from sshg.geometry import TorusGeometry
 from sshg.nehari import (
+    NehariPoint,
     constrained_gradient,
     constraint_G,
     fiber_rayleigh_margin,
@@ -227,3 +228,34 @@ def test_non_finite_input_fails_before_cg(setup16, monkeypatch, where, bad):
     with pytest.raises(OverflowGuardError), np.errstate(invalid="ignore"):
         fiber_solve(ScalarField.from_values(geom, uv), free, params)
     assert calls == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("solve", ["constrained_gradient", "newton_refine"])
+def test_non_finite_psi_fails_before_any_krylov_iteration(setup16, monkeypatch, solve, bad):
+    # one corrupted grid point of psi reaches the Krylov right-hand side,
+    # which is refused before the operator is applied once
+    import sshg.minmax
+    import sshg.nehari
+    geom, basis, params = setup16
+    applies = []
+
+    def counting(solver):
+        def wrapper(apply_op, *args, **kwargs):
+            return solver(lambda v: applies.append(1) or apply_op(v), *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sshg.nehari, "cg", counting(sshg.nehari.cg))
+    monkeypatch.setattr(sshg.minmax, "minres", counting(sshg.minmax.minres))
+    pt = fiber_solve(ScalarField.constant(geom, 0.3), basis.eigenspinor(1), params)
+    vals = pt.psi.values.copy()
+    vals[1, 4, 9] = bad
+    with np.errstate(invalid="ignore", over="ignore"):
+        bad_pt = NehariPoint(u=pt.u, psi=SpinorField.from_values(geom, vals),
+                             constraint_norm=pt.constraint_norm)
+        with pytest.raises(SSHGError):
+            if solve == "constrained_gradient":
+                constrained_gradient(bad_pt, params)
+            else:
+                sshg.minmax.newton_refine(bad_pt, params, check_pre=False)
+    assert applies == []

@@ -29,8 +29,10 @@ def base_config(**over):
 
 
 def test_config_validation():
-    # the deleted linking-cylinder keys are unknown keys like any other
-    for key in ("bogus_key", "cylinder_nt", "cylinder_nsphere"):
+    # deleted keys (the linking cylinder's, and the step and sweepout
+    # constants) are unknown keys like any other
+    for key in ("bogus_key", "cylinder_nt", "cylinder_nsphere", "descent_step",
+                "epsilon_frac"):
         with pytest.raises(ConfigError, match="unknown config keys"):
             RunConfig.from_dict(base_config(**{key: 1}))
     with pytest.raises(ConfigError):

@@ -129,7 +129,7 @@ def test_equivariance_drift_certified_on_deformed_nodes(mp16, family16, monkeypa
 
     def skewed(pt):
         return NehariPoint(u=-1.0 * pt.u, psi=1.001 * pt.psi,
-                           constraint_norm=pt.constraint_norm, rho=pt.rho)
+                           constraint_norm=pt.constraint_norm)
 
     monkeypatch.setattr(sshg.sweepout, "_sigma_point", skewed)
     config = MinmaxConfig(path_nodes=9, grad_tol=1e-3, max_outer=3, seed=0)

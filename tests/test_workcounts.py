@@ -26,9 +26,9 @@ CEILINGS = {
     "fiber_solve": 798,
     "cg.calls": 825,
     "cg.iters": 2329,
-    "minres.iters": 161,
+    "minres.iters": 91,
     "constrained_gradient": 23,
-    "fft": 8973,
+    "fft": 7674,
 }
 
 
