@@ -165,14 +165,15 @@ def save_point(point, params, path: str, extra: dict | None = None) -> str:
 
 
 def load_point(path: str, geom: TorusGeometry | None = None):
-    """Inverse of save_point; returns (NehariPoint, rho, extras); refuses NaN/Inf."""
+    """Inverse of save_point; returns (NehariPoint, rho, extras).  A point field
+    that is missing or holds NaN/Inf is refused."""
     from .fields import ScalarField, SpinorField
     from .nehari import NehariPoint
 
     state, stored_geom = checkpoint_load(path, geom)
     for name in ("u_values", "psi_coeffs", "rho", "constraint_norm"):
-        if not np.all(np.isfinite(state[name])):
-            raise CheckpointFormatError(f"checkpoint field {name!r} holds non-finite values")
+        if name not in state or not np.all(np.isfinite(state[name])):
+            raise CheckpointFormatError(f"checkpoint field {name!r} is missing or not finite")
     u = ScalarField.from_values(stored_geom, state.pop("u_values"))
     psi = SpinorField.from_coeffs(stored_geom, state.pop("psi_coeffs"))
     rho = state.pop("rho")

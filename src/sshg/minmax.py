@@ -304,11 +304,12 @@ def _product_dist(a: NehariPoint, b: NehariPoint) -> float:
 
 
 def _interp_points(a: NehariPoint, b: NehariPoint, w: float, params) -> NehariPoint:
-    """Linear blend of u and the free spinor part, retracted to the manifold."""
+    """Linear blend of u and the free spinor part, retracted to the manifold
+    with the blended negative part as the warm start."""
     u = (1.0 - w) * a.u + w * b.u
-    free = (1.0 - w) * a.free_part() + w * b.free_part()
-    minus = (1.0 - w) * project(a.psi, "minus") + w * project(b.psi, "minus")
-    return fiber_solve(u, free, params, x0=minus)
+    psi = (1.0 - w) * a.psi + w * b.psi
+    minus = project(psi, "minus")
+    return fiber_solve(u, psi - minus, params, x0=minus)
 
 
 def _respread_path(nodes, params):

@@ -260,8 +260,7 @@ class SpectralBasis:
     def eigenspinor(self, j: int) -> SpinorField:
         if j == 0:
             raise IndexError("eigenspinor index j runs over nonzero integers")
-        el = self.elements[abs(j) - 1]
-        psi = self._element_field(el)
+        psi = self._element_field(self.elements[abs(j) - 1])
         return omega_mult(psi) if j < 0 else psi
 
     def harmonic_spinor(self, l: int) -> SpinorField:

@@ -1,6 +1,7 @@
 """Checkpointed manifold points: a re-save of a loaded point is byte-identical
 in every spin structure, and, a checkpoint being input from outside the
-program, a point field holding NaN or Inf is refused on load."""
+program, a point field that is missing or holds NaN or Inf is refused on
+load, naming the field."""
 
 import numpy as np
 import pytest
@@ -30,13 +31,15 @@ def test_resave_is_byte_identical(tmp_path, delta):
 
 
 @pytest.mark.parametrize("name", ["u_values", "psi_coeffs", "rho", "constraint_norm"])
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_point_field_refused(tmp_path, name, bad):
+@pytest.mark.parametrize("bad", [np.nan, np.inf, None])
+def test_non_finite_or_missing_point_field_refused(tmp_path, name, bad):
     geom = TorusGeometry(grid_n=16, spin_delta=(0.5, 0.5))
     n = geom.grid_n
     state = {"u_values": np.full((n, n), 0.7), "psi_coeffs": np.zeros((2, n, n), dtype=complex),
              "rho": 0.5, "constraint_norm": 0.0}
-    if np.ndim(state[name]):
+    if bad is None:
+        del state[name]
+    elif np.ndim(state[name]):
         state[name][(0,) * state[name].ndim] = bad
     else:
         state[name] = bad
