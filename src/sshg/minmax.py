@@ -304,8 +304,7 @@ def _product_dist(a: NehariPoint, b: NehariPoint) -> float:
 
 
 def _interp_points(a: NehariPoint, b: NehariPoint, w: float, params) -> NehariPoint:
-    """Linear blend of u and the free spinor part, retracted to the manifold
-    with the blended negative part as the warm start."""
+    """Linear blend of (u, psi) retracted to the manifold, warm-started at its minus part."""
     u = (1.0 - w) * a.u + w * b.u
     psi = (1.0 - w) * a.psi + w * b.psi
     minus = project(psi, "minus")
