@@ -35,6 +35,8 @@ from .spectral import (
     riesz_hhalf,
 )
 
+U_CAP = 50.0  # overflow guard: max|u| beyond which cosh and sinh are refused
+
 
 def rho_from_physics(mu: float, b: float) -> float:
     """Coupling from the physical parameters: rho = 2 pi mu b^2."""
@@ -45,12 +47,11 @@ def rho_from_physics(mu: float, b: float) -> float:
 
 @dataclass(frozen=True)
 class ActionParams:
-    """Coupling rho (or the pair (mu, b) it derives from) plus the overflow cap."""
+    """Coupling rho, or the pair (mu, b) it derives from."""
 
     rho: float | None = None
     mu: float | None = None
     b: float | None = None
-    u_cap: float = 50.0
 
     def __post_init__(self):
         rho = self.rho
@@ -61,8 +62,6 @@ class ActionParams:
             object.__setattr__(self, "rho", float(rho))
         if not self.rho > 0:
             raise ConfigError(f"rho must be positive, got {self.rho!r}")
-        if not self.u_cap > 0:
-            raise ConfigError("u_cap must be positive")
 
 
 @dataclass
@@ -113,12 +112,12 @@ class Variation:
         return hminus1_norm(self.du), hminushalf_norm(self.dpsi)
 
 
-def check_overflow(u: ScalarField, params: ActionParams) -> np.ndarray:
+def check_overflow(u: ScalarField) -> np.ndarray:
     vals = u.values
     m = float(np.max(np.abs(vals)))
-    if not m <= params.u_cap:  # a NaN compares false, so it is refused too
+    if not m <= U_CAP:  # a NaN compares false, so it is refused too
         raise OverflowGuardError(
-            f"max|u| = {m:.6g} is not finite or exceeds the overflow cap u_cap = {params.u_cap:g}"
+            f"max|u| = {m:.6g} is not finite or exceeds the overflow cap U_CAP = {U_CAP:g}"
         )
     return vals
 
@@ -131,7 +130,7 @@ def dirac_minus_potential(psi: SpinorField, cosh_u: np.ndarray, rho: float) -> S
 
 def evaluate_J(u: ScalarField, psi: SpinorField, params: ActionParams) -> float:
     geom = u.geom
-    uv = check_overflow(u, params)
+    uv = check_overflow(u)
     rho = params.rho
     grad_term = gradient_energy(u)
     dirac_term = 8.0 * l2_inner(dirac_apply(psi), psi)
@@ -152,7 +151,7 @@ def gradient_J(u: ScalarField, psi: SpinorField, params: ActionParams) -> Variat
     Spinor part: 16 (D psi - rho cosh(u) psi).
     """
     geom = u.geom
-    uv = check_overflow(u, params)
+    uv = check_overflow(u)
     rho = params.rho
     sh, ch = np.sinh(uv), np.cosh(uv)
     dens = psi.density()
@@ -167,7 +166,7 @@ def el_residual(u: ScalarField, psi: SpinorField, params: ActionParams):
     Returns (Variation(res_u, res_psi), ||res_u||_{H^-1}, ||res_psi||_{H^-1/2}).
     """
     geom = u.geom
-    uv = check_overflow(u, params)
+    uv = check_overflow(u)
     rho = params.rho
     dens = psi.density()
     ru_vals = -2.0 * rho * rho * np.sinh(2.0 * uv) + 4.0 * rho * np.sinh(uv) * dens
@@ -181,7 +180,7 @@ def hess_vec(u: ScalarField, psi: SpinorField, direction: Variation,
              params: ActionParams) -> Variation:
     """Second variation applied to a primal direction, returned dual-tagged."""
     geom = u.geom
-    uv = check_overflow(u, params)
+    uv = check_overflow(u)
     rho = params.rho
     v = direction.du
     phi = direction.dpsi

@@ -56,6 +56,7 @@ RESPREAD_EVERY = 5
 NEWTON_PRE_GRAD = 1e-3
 HANDOFF_GRAD = 1e3         # Newton is cheap and guarded; try it from almost anywhere
 NEWTON_MAX_STEPS = 30
+NEWTON_TOL = 1e-10         # Newton stops once res_u + res_psi is at most this
 TRACE_CAP = 1e8            # PS traces beyond this magnitude count as unbounded
 LINKING_T_MARGIN = 0.5     # T clears the step-(i) threshold by this much
 LINKING_FACTOR = 1.5       # safety factor of A and R over their thresholds
@@ -74,14 +75,13 @@ class MinmaxConfig:
     path_nodes: int                    # odd, >= 5
     grad_tol: float
     max_outer: int
-    newton_tol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
         if self.path_nodes < 5 or self.path_nodes % 2 == 0:
             raise ConfigError("path_nodes must be odd and >= 5")
-        if min(self.grad_tol, self.newton_tol) <= 0:
-            raise ConfigError("tolerances must be positive")
+        if not self.grad_tol > 0:
+            raise ConfigError("grad_tol must be positive")
 
 
 @dataclass
@@ -152,7 +152,7 @@ class SolutionRecord:
     classification: str            # trivial / semi_trivial_constant_u / nontrivial
     u_variance: float
     converged: bool                # descent reached grad_tol
-    refined: bool                  # Newton reached newton_tol
+    refined: bool                  # Newton reached NEWTON_TOL
     multiplier_norm: float = np.nan
     u_h1: float = np.nan
     psi_hhalf: float = np.nan
@@ -551,10 +551,10 @@ def _grad_vec(u, psi, params) -> tuple[Variation, float]:
 
 
 def newton_refine(candidate: NehariPoint, params: ActionParams,
-                  newton_tol: float = 1e-10, check_pre: bool = True) -> SolutionRecord:
+                  check_pre: bool = True) -> SolutionRecord:
     """Damped Newton on the full Euler-Lagrange system via Hessian products.
 
-    Terminates when both residual dual norms are below newton_tol; divergence
+    Terminates when both residual dual norms are below NEWTON_TOL; divergence
     (no damped decrease across 10 halvings) returns the candidate flagged
     unrefined.  The record's `converged` is False: no descent ran here.
     """
@@ -570,7 +570,7 @@ def newton_refine(candidate: NehariPoint, params: ActionParams,
     refined = False
     for _ in range(NEWTON_MAX_STEPS):
         _, ru, rp = el_residual(u, psi, params)
-        if ru + rp <= newton_tol:
+        if ru + rp <= NEWTON_TOL:
             refined = True
             break
         gvec, gnorm = _grad_vec(u, psi, params)
@@ -607,7 +607,7 @@ def newton_refine(candidate: NehariPoint, params: ActionParams,
 
 
 def refine_if_possible(record: SolutionRecord, diags: PSDiagnostics,
-                       params: ActionParams, newton_tol: float) -> SolutionRecord:
+                       params: ActionParams) -> SolutionRecord:
     """Descent-to-Newton hand-off: Newton runs below HANDOFF_GRAD, and its
     record is accepted only if it converged to a nonzero solution.  The
     accepted record keeps the descent's `converged` flag and ends the PS trace
@@ -617,8 +617,7 @@ def refine_if_possible(record: SolutionRecord, diags: PSDiagnostics,
     if res.norm > HANDOFF_GRAD:
         return record
     try:
-        refined = newton_refine(record.point, params, newton_tol=newton_tol,
-                                check_pre=False)
+        refined = newton_refine(record.point, params, check_pre=False)
     except SSHGError:
         return record
     if not refined.refined or refined.classification == "trivial":

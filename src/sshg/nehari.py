@@ -53,7 +53,7 @@ def _hhalf_inner(a: SpinorField, b: SpinorField) -> float:
 
 def constraint_G(u: ScalarField, psi: SpinorField, params: ActionParams) -> SpinorField:
     """G(u, psi), supported in the negative spectral subspace."""
-    uv = check_overflow(u, params)
+    uv = check_overflow(u)
     op = dirac_minus_potential(psi, np.cosh(uv), params.rho)
     return project(riesz_hhalf(op), "minus")
 
@@ -99,7 +99,7 @@ def fiber_solve(u: ScalarField, psi_free: SpinorField, params: ActionParams,
     psi_free must have no negative component; returns the certified point
     (u, psi_free + psi^-).
     """
-    uv = check_overflow(u, params)
+    uv = check_overflow(u)
     check_spectral_gap(u.geom, params.rho)
     neg_part = project(psi_free, "minus")
     free_scale = hhalf_norm(psi_free)
@@ -235,7 +235,7 @@ def fiber_rayleigh_margin(u: ScalarField, params: ActionParams, rng, n_samples: 
     below that bound).
     """
     geom = u.geom
-    uv = check_overflow(u, params)
+    uv = check_overflow(u)
     apply_m = _fiber_operator(np.cosh(uv), params.rho)
     worst = -np.inf
     n = geom.grid_n

@@ -45,6 +45,7 @@ from .sweepout import (
 
 SPECTRAL_REPORT_COUNT = 40  # eigenvalues listed in every run's spectral summary
 EPSILON_FRAC = 0.05         # sweepout interface volume bound, as a fraction of Vol
+CHI_GRID_N = 256            # grid on which the sweepout profile is certified
 
 _DEFAULTS = {
     "side_length": TWO_PI,
@@ -60,13 +61,11 @@ _DEFAULTS = {
     "cutoff": 3.0,
     "path_nodes": 33,
     "grad_tol": 1e-3,
-    "newton_tol": 1e-10,
     "max_outer": 150,
     "r0": 0.05,
     "tau": 50.0,
     "n_samples": 100,
     "n_theta": 64,
-    "chi_grid_n": 256,
     "n_theta_disk": 8,
     "n_radii": 3,
 }
@@ -158,8 +157,7 @@ class RunConfig:
     def minmax_config(self) -> MinmaxConfig:
         r = self.raw
         return MinmaxConfig(path_nodes=r["path_nodes"], grad_tol=r["grad_tol"],
-                            max_outer=r["max_outer"], newton_tol=r["newton_tol"],
-                            seed=r["seed"])
+                            max_outer=r["max_outer"], seed=r["seed"])
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +274,7 @@ def _path_minmax(config: RunConfig, u_end, s, psi, params, tangent_filter=None):
     nodes, frozen = straight_path(u_end, s, psi, mm.path_nodes, params)
     candidate, diags = minmax_deform(nodes, frozen, mm, params,
                                      tangent_filter=tangent_filter)
-    record = refine_if_possible(candidate, diags, params, mm.newton_tol)
+    record = refine_if_possible(candidate, diags, params)
     return nodes[-1], record, diags
 
 
@@ -313,7 +311,7 @@ def run_linking(config: RunConfig, geom, basis, params):
 
 def run_multiplicity(config: RunConfig, geom, basis, params):
     mm = config.minmax_config()
-    chi_geom = TorusGeometry(grid_n=config["chi_grid_n"],
+    chi_geom = TorusGeometry(grid_n=CHI_GRID_N,
                              side_length=geom.side_length,
                              spin_delta=geom.spin_delta)
     chi = build_sweepout_chi(chi_geom, EPSILON_FRAC * chi_geom.vol)

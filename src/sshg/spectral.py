@@ -293,7 +293,6 @@ def build_basis(geom: TorusGeometry, cutoff: float) -> SpectralBasis:
             f"cutoff {cutoff} exceeds the Nyquist bound {geom.nyquist_bound:.6g} "
             f"for grid_n={geom.grid_n}"
         )
-    n = geom.grid_n
     mask = geom.spinor_mask
     lam = geom.s_abs
     keep = mask & (lam <= cutoff * (1.0 + 1e-12) + 1e-300)

@@ -78,7 +78,7 @@ def multiplicity_run():
         "grid_n": 32, "spin_delta": [0.5, 0.5], "rho": 0.5,
         "mode": "multiplicity", "seed": 0, "cutoff": 3.0,
         "path_nodes": 17, "max_outer": 80, "grad_tol": 1e-3,
-        "newton_tol": 1e-10, "n_theta": 64, "n_theta_disk": 8, "n_radii": 3,
+        "n_theta": 64, "n_theta_disk": 8, "n_radii": 3,
     })
     geom = config.geometry()
     basis = build_basis(geom, cutoff=3.0)
@@ -98,8 +98,7 @@ def linking_run():
     config = RunConfig.from_dict({
         "grid_n": 32, "spin_delta": [0.5, 0.5], "rho": 1.0,
         "mode": "linking", "seed": 0, "cutoff": 3.0,
-        "max_outer": 60, "grad_tol": 1e-3, "newton_tol": 1e-10,
-        "r0": 0.02,
+        "max_outer": 60, "grad_tol": 1e-3, "r0": 0.02,
     })
     output = run(config)
     output["_config"] = config

@@ -67,7 +67,7 @@ def test_J_constant_u_closed_form():
 
 def test_overflow_guard():
     geom = TorusGeometry(grid_n=16)
-    params = ActionParams(rho=0.5, u_cap=50.0)
+    params = ActionParams(rho=0.5)
     u = ScalarField.constant(geom, 51.0)
     with pytest.raises(OverflowGuardError) as exc:
         evaluate_J(u, SpinorField.zeros(geom), params)

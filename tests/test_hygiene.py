@@ -1,5 +1,6 @@
 """Source hygiene: invariants are never asserts, broad handlers never swallow,
-nothing is imported unused and no config key goes unread.
+nothing is imported unused, no local is assigned unread and no config key
+goes unread.
 
 `python -O` strips assert statements, so every certificate must raise an
 SSHGError instead.  A handler for Exception, BaseException or a bare except
@@ -65,6 +66,44 @@ def test_no_unused_imports():
                     name = alias.asname or alias.name.split(".")[0]
                     if name not in used:
                         bad.append(f"{path.name}:{node.lineno}: {name} imported, never used")
+    assert not bad, "\n".join(bad)
+
+
+def _own_scope(func):
+    """The nodes of `func` outside its nested functions and classes."""
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+                                 ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _dead_locals(func) -> set:
+    """Plain names `func` assigns but neither it nor a nested function reads.
+    Tuple-unpacking targets are exempt (a solver's info may be unpacked
+    unread), and so are names `func` declares nonlocal or global: the
+    enclosing scope reads those."""
+    read = {n.id for n in ast.walk(func)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    assigned, shared = set(), set()
+    for node in _own_scope(func):
+        if isinstance(node, (ast.Nonlocal, ast.Global)):
+            shared.update(node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            assigned.update(t.id for t in targets if isinstance(t, ast.Name))
+    return assigned - read - shared
+
+
+def test_no_dead_locals():
+    bad = []
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                bad += [f"{path.name}:{node.lineno}: {node.name} assigns {name}, never reads it"
+                        for name in sorted(_dead_locals(node))]
     assert not bad, "\n".join(bad)
 
 

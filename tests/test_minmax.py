@@ -142,7 +142,7 @@ def test_newton_refine_semi_trivial_seed(setup16):
     _, ru, rp = el_residual(seed_pt.u, seed_pt.psi, params)
     assert ru + rp < 1e-10  # exact solution up to roundoff
 
-    rec = newton_refine(seed_pt, params, newton_tol=1e-10)
+    rec = newton_refine(seed_pt, params)
     assert rec.refined
     assert rec.res_u + rec.res_psi <= 1e-10
     assert rec.classification == "semi_trivial_constant_u"
@@ -157,7 +157,7 @@ def test_newton_refine_from_perturbed_seed(setup16):
     s = geom.side_length * np.sqrt(LAM1)
     u = ScalarField.constant(geom, c) + ScalarField.from_values(geom, 1e-5 * np.cos(geom.x1))
     pt = fiber_solve(u, (s * 1.00001) * basis.eigenspinor(1), params)
-    rec = newton_refine(pt, params, newton_tol=1e-10)
+    rec = newton_refine(pt, params)
     assert rec.refined
     assert rec.res_u + rec.res_psi <= 1e-10
 
@@ -207,7 +207,7 @@ def test_minmax_deform_small_mountain_pass(setup16):
     assert record.psi_hhalf > 1e-3
 
     # Newton handoff lands on the semi-trivial branch at the closed-form level
-    refined = newton_refine(record.point, params, newton_tol=1e-10, check_pre=False)
+    refined = newton_refine(record.point, params, check_pre=False)
     assert refined.refined
     assert refined.res_u + refined.res_psi <= 1e-10
     assert refined.classification == "semi_trivial_constant_u"
@@ -223,7 +223,7 @@ def test_semi_trivial_eigenvalue_relation(setup16):
     s = geom.side_length * np.sqrt(LAM1)
     rec = newton_refine(
         fiber_solve(ScalarField.constant(geom, c), s * basis.eigenspinor(1), params),
-        params, newton_tol=1e-10)
+        params)
     assert rec.u_variance <= 1e-8
     ubar = float(np.mean(rec.point.u.values))
     lam_eff = params.rho * np.cosh(ubar)

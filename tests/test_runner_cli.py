@@ -29,10 +29,10 @@ def base_config(**over):
 
 
 def test_config_validation():
-    # deleted keys (the linking cylinder's, and the step and sweepout
-    # constants) are unknown keys like any other
+    # deleted keys (the linking cylinder's, and the step, sweepout, Newton
+    # tolerance and profile grid constants) are unknown keys like any other
     for key in ("bogus_key", "cylinder_nt", "cylinder_nsphere", "descent_step",
-                "epsilon_frac"):
+                "epsilon_frac", "newton_tol", "chi_grid_n"):
         with pytest.raises(ConfigError, match="unknown config keys"):
             RunConfig.from_dict(base_config(**{key: 1}))
     with pytest.raises(ConfigError):
@@ -270,7 +270,7 @@ def test_cli_exit_codes(tmp_path):
 
     cap = tmp_path / "cap.json"
     cap.write_text(json.dumps(base_config(
-        mode="multiplicity", rho=1.0, chi_grid_n=256, max_outer=5)))
+        mode="multiplicity", rho=1.0, max_outer=5)))
     assert main(["solve", "--config", str(cap)]) == 3
 
     assert main(["unknown-command"]) == 2

@@ -6,13 +6,15 @@ import pytest
 import sshg.sweepout
 from sshg.action import ActionParams, el_residual, evaluate_J
 from sshg.errors import CertificationError, ConfigError, ResolutionError
-from sshg.fields import ScalarField
+from sshg.fields import ScalarField, SpinorField
 from sshg.geometry import TorusGeometry
-from sshg.minmax import MinmaxConfig, mountain_pass_endpoint, newton_refine
+from sshg.minmax import NEWTON_TOL, MinmaxConfig, mountain_pass_endpoint, newton_refine
 from sshg.nehari import NehariPoint, fiber_solve
 from sshg.spectral import build_basis, hhalf_norm, sobolev_inner
 from sshg.sweepout import (
     build_sweepout_chi,
+    certify_equivariance,
+    equivariant_disk_mesh,
     equivariant_disk_minmax,
     equivariant_family,
     group_orbit_point,
@@ -92,7 +94,60 @@ def test_equivariant_family(mp16, family16):
     for pt in fam.points:
         assert evaluate_J(pt.u, pt.psi, params) < 0
         assert pt.constraint_norm <= 1e-10
-    assert max(fam.continuation_residuals) <= 1e-10
+
+
+def _skewed_sigma(pt):
+    # the Z2 image with psi off by one part in 10^12
+    return NehariPoint(u=-1.0 * pt.u, psi=(1.0 + 1e-12) * pt.psi,
+                       constraint_norm=pt.constraint_norm)
+
+
+def test_family_refuses_inexact_partners(mp16, chi256, monkeypatch):
+    # the mirror half must be the exact sigma-image: a relative psi drift of
+    # 1e-12 is refused, not forgiven by a tolerance
+    geom, basis, params = mp16
+    u_bar, s = mountain_pass_endpoint(params, basis)
+    monkeypatch.setattr(sshg.sweepout, "_sigma_point", _skewed_sigma)
+    with pytest.raises(CertificationError, match="equivariance drift"):
+        equivariant_family(u_bar, s, chi256, params, basis, n_theta=32)
+
+
+def test_disk_mesh_builds_each_orbit_once():
+    # node() runs for the centers and the first n_theta/2 spokes only, in
+    # mesh order; the other spokes are sigma-images and carry no segments
+    geom = TorusGeometry(grid_n=8, spin_delta=(0.5, 0.5))
+    rng = np.random.default_rng(3)
+    n_theta, n_r, half = 6, 2, 3
+    calls = []
+
+    def node(shell, it, ir):
+        calls.append((shell, it, ir))
+        values = np.zeros((8, 8)) if ir == 0 else rng.standard_normal((8, 8))
+        coeffs = rng.standard_normal((2, 8, 8)) + 1j * rng.standard_normal((2, 8, 8))
+        return NehariPoint(u=ScalarField.from_values(geom, values),
+                           psi=SpinorField.from_coeffs(geom, coeffs), constraint_norm=0.0)
+
+    nodes, frozen, pairs, segments = equivariant_disk_mesh(
+        [False, True], n_theta, n_r, node)
+    per_shell = 1 + n_theta * n_r
+    first_half = [(it, ir) for it in range(half) for ir in range(1, n_r + 1)]
+    assert calls == [(shell, *pos) for shell in (0, 1) for pos in [(0, 0)] + first_half]
+    assert len(nodes) == len(frozen) == len(pairs) == 2 * per_shell
+    assert len(segments) == 2 * half * n_r
+    assert all(k % per_shell <= half * n_r for seg in segments for k in seg)
+    for i, j in enumerate(pairs):
+        assert pairs[j] == i
+        assert np.array_equal(nodes[j].u.values, -nodes[i].u.values)
+        assert np.array_equal(nodes[j].psi.eig, nodes[i].psi.eig)
+    certify_equivariance(nodes, pairs)
+    # one ulp off in a single partner value is drift
+    k = pairs[1]
+    vals = nodes[k].u.values.copy()
+    vals[0, 0] = np.nextafter(vals[0, 0], np.inf)
+    nodes[k] = NehariPoint(u=ScalarField.from_values(geom, vals), psi=nodes[k].psi,
+                           constraint_norm=0.0)
+    with pytest.raises(CertificationError, match="equivariance drift"):
+        certify_equivariance(nodes, pairs)
 
 
 def test_disk_minmax_and_restart(mp16, family16):
@@ -103,12 +158,11 @@ def test_disk_minmax_and_restart(mp16, family16):
     s_exact = geom.side_length * np.sqrt(LAM1)
     seed_pt = fiber_solve(ScalarField.constant(geom, c_exact),
                           s_exact * basis.eigenspinor(1), params)
-    rec1 = newton_refine(seed_pt, params, newton_tol=1e-10)
+    rec1 = newton_refine(seed_pt, params)
     assert rec1.refined
     c1 = rec1.level
 
-    config = MinmaxConfig(path_nodes=9, grad_tol=1e-3, max_outer=40,
-                          newton_tol=1e-10, seed=0)
+    config = MinmaxConfig(path_nodes=9, grad_tol=1e-3, max_outer=40, seed=0)
     rec2, c2, diags = equivariant_disk_minmax(fam, config, params, basis,
                                               n_theta_disk=8, n_radii=3)
     assert diags.bounded()
@@ -124,14 +178,16 @@ def test_disk_minmax_and_restart(mp16, family16):
 
 
 def test_equivariance_drift_certified_on_deformed_nodes(mp16, family16, monkeypatch):
-    # a partner update that breaks the Z2 symmetry must fail the certificate
+    # the disk is built exact; a partner update of the deformation that
+    # breaks the Z2 symmetry must fail the certificate on the deformed nodes
     geom, basis, params = mp16
+    deform = sshg.sweepout.minmax_deform
 
-    def skewed(pt):
-        return NehariPoint(u=-1.0 * pt.u, psi=1.001 * pt.psi,
-                           constraint_norm=pt.constraint_norm)
+    def deform_skewed(*args, **kwargs):
+        monkeypatch.setattr(sshg.sweepout, "_sigma_point", _skewed_sigma)
+        return deform(*args, **kwargs)
 
-    monkeypatch.setattr(sshg.sweepout, "_sigma_point", skewed)
+    monkeypatch.setattr(sshg.sweepout, "minmax_deform", deform_skewed)
     config = MinmaxConfig(path_nodes=9, grad_tol=1e-3, max_outer=3, seed=0)
     with pytest.raises(CertificationError, match="equivariance drift"):
         equivariant_disk_minmax(family16, config, params, basis, n_theta_disk=8, n_radii=3)
@@ -157,7 +213,7 @@ def test_orthogonal_restart_direct(mp16, family16):
     s = geom.side_length * np.sqrt(LAM1)
     rec1 = newton_refine(
         fiber_solve(ScalarField.constant(geom, c), s * basis.eigenspinor(1), params),
-        params, newton_tol=1e-10)
+        params)
     config = MinmaxConfig(path_nodes=9, grad_tol=1e-3, max_outer=30, seed=1)
     rec3, diags = orthogonal_restart(rec1.point.u, fam, config, params, basis)
     ortho = abs(sobolev_inner(rec3.point.u, rec1.point.u, "H1_scalar"))
@@ -178,7 +234,7 @@ def test_orbit_closure(mp16):
     c = float(np.arccosh(LAM1 / 0.5))
     s = geom.side_length * np.sqrt(LAM1)
     pt = fiber_solve(ScalarField.constant(geom, c), s * basis.eigenspinor(1), params)
-    rec = newton_refine(pt, params, newton_tol=1e-10)
+    rec = newton_refine(pt, params)
     rng = np.random.default_rng(5)
     for _ in range(6):
         q = rng.standard_normal(4)
@@ -196,13 +252,12 @@ def test_case2_product_minmax_harmonic_block():
     params = ActionParams(rho=0.5)
     chig = TorusGeometry(grid_n=256, spin_delta=(0.0, 0.0))
     chi = build_sweepout_chi(chig, 0.05 * chig.vol)
-    config = MinmaxConfig(path_nodes=9, grad_tol=1e-3, max_outer=30,
-                          newton_tol=1e-10, seed=0)
+    config = MinmaxConfig(path_nodes=9, grad_tol=1e-3, max_outer=30, seed=0)
     from sshg.sweepout import case2_product_minmax
     rec, c2, diags = case2_product_minmax(chi, config, params, basis)
     assert diags.bounded()
     if rec.refined:
-        assert rec.res_u + rec.res_psi <= config.newton_tol
+        assert rec.res_u + rec.res_psi <= NEWTON_TOL
         assert rec.classification != "trivial"
         assert c2 > 0
 
@@ -224,11 +279,10 @@ def test_records_distinct_ledger(mp16):
     c = float(np.arccosh(LAM1 / 0.5))
     s = geom.side_length * np.sqrt(LAM1)
     pt = fiber_solve(ScalarField.constant(geom, c), s * basis.eigenspinor(1), params)
-    rec = newton_refine(pt, params, newton_tol=1e-10)
+    rec = newton_refine(pt, params)
     # same record: same level, scalar components parallel -> not distinct
     assert not records_distinct(rec, rec)
     # sigma-mirror: same level, <u, -u> = -|u|^2 != 0 -> not distinct
     mirror = newton_refine(
-        fiber_solve(-1.0 * rec.point.u, rec.point.psi, params), params,
-        newton_tol=1e-10)
+        fiber_solve(-1.0 * rec.point.u, rec.point.psi, params), params)
     assert not records_distinct(rec, mirror)
