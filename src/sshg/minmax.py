@@ -153,9 +153,9 @@ class SolutionRecord:
     u_variance: float
     converged: bool                # descent reached grad_tol
     refined: bool                  # Newton reached NEWTON_TOL
-    multiplier_norm: float = np.nan
-    u_h1: float = np.nan
-    psi_hhalf: float = np.nan
+    multiplier_norm: float
+    u_h1: float
+    psi_hhalf: float
 
 
 def u_variance(u: ScalarField) -> float:
@@ -440,7 +440,6 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
             did = True
         return did
 
-    last_idx = None
     for outer in range(config.max_outer):
         repaired = repair()
         diags.repairs.append(repaired)
@@ -469,7 +468,6 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
 
         if res.norm <= config.grad_tol:
             converged = True
-            last_idx = idx
             break
 
         # backtracking descent on the selected node; the displacement is
@@ -504,7 +502,6 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
         if not accepted:
             stalls += 1
             if stalls >= 3:
-                last_idx = idx
                 break
         else:
             stalls = 0
@@ -522,15 +519,13 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
         ids = [id(nd) for nd, fz in zip(nodes, frozen) if fz]
         if ids != boundary_ids:
             raise CertificationError("boundary node was moved during deformation")
-        last_idx = idx
 
-    if not converged or last_idx is None:
+    if not converged:
         # budget/stall exit: hand back the current max-energy free node, not
         # the node that was just stepped downhill
-        last_idx = int(np.argmax([e if not fz else -np.inf
-                                  for e, fz in zip(energies, frozen)]))
-    candidate = nodes[last_idx]
-    record = make_record(candidate, params, converged=converged, refined=False)
+        point = nodes[int(np.argmax([e if not fz else -np.inf
+                                     for e, fz in zip(energies, frozen)]))]
+    record = make_record(point, params, converged=converged, refined=False)
     if not diags.consistent_lengths():
         raise CertificationError("PS diagnostic traces have unequal lengths")
     return record, diags
@@ -624,8 +619,7 @@ def refine_if_possible(record: SolutionRecord, diags: PSDiagnostics,
         return record
     refined = replace(refined, converged=record.converged)
     res = constrained_gradient(refined.point, params)
-    diags.record(res, refined.level, h1_norm(refined.point.u),
-                 hhalf_norm(refined.point.psi))
+    diags.record(res, refined.level, refined.u_h1, refined.psi_hhalf)
     diags.repairs.append(True)
     return refined
 

@@ -51,11 +51,15 @@ def _hhalf_inner(a: SpinorField, b: SpinorField) -> float:
     return sobolev_inner(a, b, "Hhalf_spinor")
 
 
+def _constraint_map(psi: SpinorField, cosh_u: np.ndarray, rho: float) -> SpinorField:
+    """P^- (1+|D|)^{-1} (D - rho cosh u) psi: G(u, psi), and the fiber
+    operator A on the negative subspace, as a linear map of psi."""
+    return project(riesz_hhalf(dirac_minus_potential(psi, cosh_u, rho)), "minus")
+
+
 def constraint_G(u: ScalarField, psi: SpinorField, params: ActionParams) -> SpinorField:
     """G(u, psi), supported in the negative spectral subspace."""
-    uv = check_overflow(u)
-    op = dirac_minus_potential(psi, np.cosh(uv), params.rho)
-    return project(riesz_hhalf(op), "minus")
+    return _constraint_map(psi, np.cosh(check_overflow(u)), params.rho)
 
 
 @dataclass
@@ -87,8 +91,7 @@ class MultiplierData:
 def _fiber_operator(cosh_u: np.ndarray, rho: float):
     def apply_neg(phi: SpinorField) -> SpinorField:
         # -A restricted to the negative subspace (SPD in H^{1/2})
-        out = riesz_hhalf(dirac_minus_potential(phi, cosh_u, rho))
-        return -1.0 * project(out, "minus")
+        return -1.0 * _constraint_map(phi, cosh_u, rho)
     return apply_neg
 
 
@@ -111,13 +114,13 @@ def fiber_solve(u: ScalarField, psi_free: SpinorField, params: ActionParams,
     cosh_u = np.cosh(uv)
     rho = params.rho
     apply_m = _fiber_operator(cosh_u, rho)
-    b = project(riesz_hhalf(dirac_minus_potential(psi_free, cosh_u, rho)), "minus")
+    b = _constraint_map(psi_free, cosh_u, rho)
     atol = 1e-14 * max(free_scale, 1.0)
     psi_minus, info = cg(apply_m, b, _hhalf_inner, x0=x0, tol=FIBER_TOL,
                          maxiter=FIBER_MAXITER, atol=atol)
 
     psi = psi_free + psi_minus
-    cert = hhalf_norm(constraint_G(u, psi, params))
+    cert = hhalf_norm(_constraint_map(psi, cosh_u, rho))
     return NehariPoint(u=u, psi=psi, constraint_norm=cert)
 
 
@@ -191,10 +194,8 @@ class TangentResult:
 
     tangent: Variation            # Riesz representatives, tangent to N_rho
     norm: float                   # product-metric norm of the tangent
-    alpha: ScalarField            # u-equation residual density (dual)
-    beta: SpinorField             # psi-equation residual density (dual)
-    alpha_norm: float             # H^{-1} norm
-    beta_norm: float              # H^{-1/2} norm
+    alpha_norm: float             # H^{-1} norm of the u-equation residual
+    beta_norm: float              # H^{-1/2} norm of the psi-equation residual
     multiplier: MultiplierData
     tangency: float               # ||dG[tangent]||_{H^{1/2}}
 
@@ -218,8 +219,6 @@ def constrained_gradient(point: NehariPoint, params: ActionParams) -> TangentRes
     return TangentResult(
         tangent=tangent,
         norm=norm,
-        alpha=alpha,
-        beta=beta,
         alpha_norm=hminus1_norm(alpha),
         beta_norm=hminushalf_norm(beta),
         multiplier=MultiplierData(varphi=varphi, solve_residual=info.relative_residual),

@@ -334,8 +334,7 @@ def run_multiplicity(config: RunConfig, geom, basis, params):
             "distinct": _any_distinct(records),
             "first": first,
             "family_max_energy": fam.max_energy,
-            "theta_sweep": [(th, evaluate_J(p.u, p.psi, params))
-                            for th, p in zip(fam.theta_grid, fam.points)],
+            "theta_sweep": list(zip(fam.theta_grid, fam.energies)),
             "diagnostics": diags,
         }
 

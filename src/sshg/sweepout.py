@@ -8,10 +8,9 @@ critical level c2 >= c1, with an orthogonal-restart fallback inside
 {<u, u1>_{H1} = 0} when the two levels coincide.
 
 The symmetry sigma(u, psi) = (-u, psi) of J is applied once per Z2 orbit:
-the family and the disks solve one representative of each orbit and take
-its partner as the exact sigma-image (`_sigma_point`), the disks' ridge
-repair samples one segment per orbit, and `certify_equivariance` checks
-the partners bit for bit.
+the family solves and evaluates one representative of each orbit and stores
+its partner as the exact sigma-image (`_sigma_point`, checked bit for bit by
+`certify_equivariance`); the disks hold only the representatives.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from .minmax import (
     refine_if_possible,
     straight_path,
 )
-from .nehari import NehariPoint, fiber_solve
+from .nehari import NehariPoint, fiber_solve, project_to_manifold
 from .spectral import h1_norm, hhalf_norm, project, quaternion_act, sobolev_inner
 
 N_THETA_CHECK = 64  # theta samples on which a sweepout is certified
@@ -170,6 +169,7 @@ def build_sweepout_chi(geom: TorusGeometry, epsilon: float) -> SweepoutChi:
 class EquivariantFamily:
     theta_grid: np.ndarray
     points: list
+    energies: list           # J at each theta
     u_bar: float
     s: float
     chi: SweepoutChi
@@ -186,17 +186,17 @@ def _sigma_point(pt: NehariPoint) -> NehariPoint:
 
 def _family_attempt(u_bar, s, chi, params, basis, thetas, geom):
     psi1 = basis.eigenspinor(1)
-    points = []
+    points, energies = [], []
     warm = None
     for th in thetas[:len(thetas) // 2]:
         u = ScalarField.from_values(geom, chi.evaluate(float(th), geom) * u_bar)
         pt = fiber_solve(u, s * psi1, params, x0=warm)
         warm = project(pt.psi, "minus")
         points.append(pt)
-    # mirror half: u_{theta+pi} = -u_theta exactly, psi identical (cosh even)
-    points += [_sigma_point(pt) for pt in points]
-    energies = [evaluate_J(p.u, p.psi, params) for p in points]
-    return points, float(np.max(energies))
+        energies.append(evaluate_J(pt.u, pt.psi, params))
+    # mirror half: u_{theta+pi} = -u_theta exactly, psi identical; J is even
+    # bit for bit (cosh even, the gradient term quadratic)
+    return points + [_sigma_point(pt) for pt in points], energies + energies
 
 
 def check_n_theta(n_theta: int) -> None:
@@ -229,19 +229,19 @@ def equivariant_family(u_bar: float, s: float, chi: SweepoutChi,
     attempt = 0
     cur_u, cur_s, cur_chi = float(u_bar), float(s), chi
     while True:
-        points, max_j = _family_attempt(cur_u, cur_s, cur_chi, params,
-                                        basis, thetas, geom)
+        points, energies = _family_attempt(cur_u, cur_s, cur_chi, params,
+                                           basis, thetas, geom)
+        max_j = float(np.max(energies))
         if max_j < 0.0:
-            certify_equivariance(points, [(i + n_theta // 2) % n_theta for i in range(n_theta)])
-            return EquivariantFamily(theta_grid=thetas, points=points,
+            certify_equivariance(points)
+            return EquivariantFamily(theta_grid=thetas, points=points, energies=energies,
                                      u_bar=cur_u, s=cur_s, chi=cur_chi,
                                      max_energy=max_j)
         attempt += 1
         if attempt > FAMILY_RETRIES:
-            worst = int(np.argmax([evaluate_J(p.u, p.psi, params) for p in points]))
             raise CertificationError(
                 f"equivariant family certification failed after {FAMILY_RETRIES} retries: "
-                f"J = {max_j:.4g} > 0 at theta = {thetas[worst]:.4f}"
+                f"J = {max_j:.4g} > 0 at theta = {thetas[int(np.argmax(energies))]:.4f}"
             )
         cur_s *= 1.5
         if attempt >= 2:
@@ -253,88 +253,68 @@ def equivariant_family(u_bar: float, s: float, chi: SweepoutChi,
                 pass
 
 
-def certify_equivariance(points, pairs) -> None:
-    """Point pairs[i] must be the exact sigma-image of point i: u negated in
-    both views (an FFT can absorb a one-ulp change) and psi equal, bit for
-    bit.  sigma, cosh (even) and sinh (odd) commute exactly with rounding,
-    so partners built by `_sigma_point` pass and any drift is refused."""
-    for i, j in enumerate(pairs):
-        a, b = points[i], points[j]
+def certify_equivariance(points) -> None:
+    """The second half of `points` must be the exact sigma-image of the first:
+    u negated in both views (an FFT can absorb a one-ulp change) and psi
+    equal, bit for bit.  sigma, cosh (even) and sinh (odd) commute exactly
+    with rounding, so partners built by `_sigma_point` pass and any drift is
+    refused."""
+    half = len(points) // 2
+    for i, (a, b) in enumerate(zip(points[:half], points[half:])):
         if not (np.array_equal(a.u.values, -b.u.values)
                 and np.array_equal(a.u.coeffs, -b.u.coeffs)
                 and np.array_equal(a.psi.eig, b.psi.eig)):
             raise CertificationError(
-                f"equivariance drift: point {j} is not the exact sigma-image of point {i}")
+                f"equivariance drift: point {i + half} is not the exact sigma-image of point {i}")
 
 
 # ---------------------------------------------------------------------------
-# equivariant deformation (paired nodes)
+# equivariant deformation (one representative per Z2 orbit)
 # ---------------------------------------------------------------------------
 
-def _equivariant_deform(nodes, frozen, pairs, segments, config, params):
-    """minmax_deform with synchronized Z2-partner updates, the equivariance
-    certificate of the deformed nodes and the Newton hand-off.
+def _equivariant_deform(nodes, frozen, centers, segments, config, params):
+    """minmax_deform over the orbit representatives, with the sigma-fixed
+    centers pinned to u = 0, and the Newton hand-off.
 
-    pairs[i] is the index of the partner of node i (pairs[i] == i for the
-    self-paired center, whose u-component is pinned to zero).  Returns
-    (SolutionRecord, PSDiagnostics).
+    A spoke's sigma-image would follow it at equal energy and join no
+    segment, so the deformation never reads it and the disk holds none.
+    Returns (SolutionRecord, PSDiagnostics).
     """
-    deformed = nodes  # minmax_deform moves its own copy of the node list
-
     def hook(idx, cand, nodes_, energies_, params_):
-        nonlocal deformed
-        deformed = nodes_
-        partner = pairs[idx]
-        if partner == idx:
-            free = cand.free_part()
-            cand = fiber_solve(ScalarField.zeros(cand.u.geom), free, params_)
-        j = evaluate_J(cand.u, cand.psi, params_)
+        if idx in centers:
+            cand = fiber_solve(ScalarField.zeros(cand.u.geom), cand.free_part(), params_)
         nodes_[idx] = cand
-        energies_[idx] = j
-        if partner != idx:
-            nodes_[partner] = _sigma_point(cand)
-            energies_[partner] = j
+        energies_[idx] = evaluate_J(cand.u, cand.psi, params_)
 
     record, diags = minmax_deform(nodes, frozen, config, params,
                                   segments=segments, step_hook=hook)
-    certify_equivariance(deformed, pairs)
     return refine_if_possible(record, diags, params), diags
 
 
 def equivariant_disk_mesh(shells_on_boundary, n_theta: int, n_r: int, node):
-    """Node set of Z2-equivariant disks, one disk per shell, each Z2 orbit
-    built once.
+    """Orbit representatives of Z2-equivariant disks, one disk per shell.
 
     Each shell is a center and n_theta spokes of n_r radial nodes; the spoke
-    at angle index it pairs with the one at it + n_theta/2, the center with
-    itself.  node(shell, it, ir) returns the point at angle index
+    at angle index it + n_theta/2 is the sigma-image of spoke it, the center
+    its own image.  The mesh holds each shell's center and its first
+    n_theta/2 spokes: node(shell, it, ir) returns the point at angle index
     it < n_theta/2 and radius index ir = 1..n_r (the center is
-    node(shell, 0, 0)), called in mesh order; spoke it + n_theta/2 is the
-    `_sigma_point` image of spoke it.  A node is frozen on a boundary shell
-    or at ir = n_r.  Returns (nodes, frozen, pairs, segments); the segments
-    run from the center out along the first n_theta/2 spokes, one per Z2
-    orbit: a partner segment's samples are exact sigma-images, and partners
-    follow their representatives at equal energy, so the max node and the
-    best ridge sample of a deformation are always representatives.
+    node(shell, 0, 0)), called in mesh order.  A node is frozen on a
+    boundary shell or at ir = n_r.  Returns (nodes, frozen, centers,
+    segments); the segments run from each center out along its spokes.
     """
-    nodes, frozen, pairs, segments = [], [], [], []
-    half = n_theta // 2
+    nodes, frozen, centers, segments = [], [], [], []
     for shell, on_boundary in enumerate(shells_on_boundary):
-        center = len(nodes)
+        centers.append(len(nodes))
         nodes.append(node(shell, 0, 0))
         frozen.append(on_boundary)
-        pairs.append(center)
-        for it in range(n_theta):
+        for it in range(n_theta // 2):
             for ir in range(1, n_r + 1):
                 k = len(nodes)
-                if it < half:
-                    nodes.append(node(shell, it, ir))
-                    segments.append((center if ir == 1 else k - 1, k))
-                else:
-                    nodes.append(_sigma_point(nodes[k - half * n_r]))
+                nodes.append(node(shell, it, ir))
                 frozen.append(on_boundary or ir == n_r)
-                pairs.append(k + ((it + half) % n_theta - it) * n_r)
-    return nodes, frozen, pairs, segments
+                segments.append((centers[-1] if ir == 1 else k - 1, k))
+    return nodes, frozen, centers, segments
 
 
 def equivariant_disk_minmax(family: EquivariantFamily, config: MinmaxConfig,
@@ -342,9 +322,10 @@ def equivariant_disk_minmax(family: EquivariantFamily, config: MinmaxConfig,
                             n_theta_disk: int, n_radii: int):
     """Fountain-type min-max over Z2-equivariant fillings of the family.
 
-    The disk w(r e^{i theta}) = (r u_theta, fiber(sPsi_1)) is deformed with
-    synchronized antipodal updates; the boundary circle (the family) stays
-    fixed at negative energy.  Returns (SolutionRecord, c2, PSDiagnostics).
+    The disk w(r e^{i theta}) = (r u_theta, fiber(sPsi_1)) is deformed
+    through one representative of each Z2 orbit; the boundary circle (the
+    family) stays fixed at negative energy.  Returns (SolutionRecord, c2,
+    PSDiagnostics).
     """
     check_n_theta_disk(len(family), n_theta_disk)
     geom = basis.geom
@@ -366,9 +347,9 @@ def equivariant_disk_minmax(family: EquivariantFamily, config: MinmaxConfig,
         warm = project(pt.psi, "minus")
         return pt
 
-    nodes, frozen, pairs, segments = equivariant_disk_mesh(
+    nodes, frozen, centers, segments = equivariant_disk_mesh(
         [False], n_theta_disk, n_radii, node)
-    record, diags = _equivariant_deform(nodes, frozen, pairs, segments, config, params)
+    record, diags = _equivariant_deform(nodes, frozen, centers, segments, config, params)
     return record, float(record.level), diags
 
 
@@ -440,8 +421,7 @@ def orthogonal_restart(u1: ScalarField, family: EquivariantFamily,
                                   tangent_filter=tangent_filter)
     # orthogonality certificate on the returned record
     final_u = orthogonalize(record.point.u)
-    point = fiber_solve(final_u, record.point.free_part(), params,
-                        x0=project(record.point.psi, "minus"))
+    point = project_to_manifold(final_u, record.point.psi, params)
     record = make_record(point, params, converged=record.converged, refined=False)
     ortho = abs(sobolev_inner(point.u, u1, "H1_scalar"))
     if ortho > 1e-8:
@@ -546,7 +526,7 @@ def case2_product_minmax(chi: SweepoutChi, config: MinmaxConfig,
             u = ScalarField.from_values(geom, chi_vals[it] * t_eff)
             return fiber_solve(u, phi_fields[shell] + (consts.A * t_eff) * psi_top, params)
 
-        nodes, frozen, pairs, segments = equivariant_disk_mesh(
+        nodes, frozen, centers, segments = equivariant_disk_mesh(
             on_boundary, CASE2_N_THETA, CASE2_N_R, node)
         bad = positive_frozen_nodes(nodes, frozen, params)
         if not bad:
@@ -556,5 +536,5 @@ def case2_product_minmax(chi: SweepoutChi, config: MinmaxConfig,
                 f"{len(bad)} case-2 boundary nodes stay positive after retries")
         r_factor *= 1.5
 
-    record, diags = _equivariant_deform(nodes, frozen, pairs, segments, config, params)
+    record, diags = _equivariant_deform(nodes, frozen, centers, segments, config, params)
     return record, float(record.level), diags

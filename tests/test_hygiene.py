@@ -1,6 +1,6 @@
 """Source hygiene: invariants are never asserts, broad handlers never swallow,
-nothing is imported unused, no local is assigned unread and no config key
-goes unread.
+nothing is imported unused, no local is assigned unread, no config key and
+no dataclass field goes unread.
 
 `python -O` strips assert statements, so every certificate must raise an
 SSHGError instead.  A handler for Exception, BaseException or a bare except
@@ -12,7 +12,8 @@ import pathlib
 
 from sshg.runner import _DEFAULTS
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "sshg"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "sshg"
 BROAD = {"Exception", "BaseException"}
 
 
@@ -118,6 +119,28 @@ def test_every_config_key_is_read():
                  if isinstance(n, ast.Subscript) and id(n) not in skip
                  and isinstance(n.slice, ast.Constant) and isinstance(n.slice.value, str)}
     assert not set(_DEFAULTS) - read, f"config keys nothing reads: {sorted(set(_DEFAULTS) - read)}"
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    targets = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    return any(isinstance(t, ast.Name) and t.id == "dataclass" for t in targets)
+
+
+def test_every_dataclass_field_is_read():
+    # a field that the package, its tests and its benchmark never read as an
+    # attribute is stored for nobody
+    read = set()
+    for folder in (SRC, ROOT / "tests", ROOT / "perfbench"):
+        for path in folder.glob("*.py"):
+            read |= {n.attr for n in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = [f"{path.name}: {cls.name}.{stmt.target.id}"
+              for path, tree in _trees()
+              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+              for stmt in cls.body
+              if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+              and stmt.target.id not in read]
+    assert not unread, "dataclass fields nothing reads:\n" + "\n".join(unread)
 
 
 def test_dirac_frame_is_read_only_at_the_fft_boundary():

@@ -210,6 +210,25 @@ def test_multiplicity_case2_route(tmp_path):
     assert "c2" in output["levels"]
 
 
+def test_case2_reproducer_refines_a_second_solution():
+    # the paper's multiplicity theorem where it is reproduced today: the
+    # grid-16 harmonic-block config refines a nontrivial second solution, so
+    # the PS trace ends at the refined residual level
+    output = run(RunConfig.from_dict(base_config(
+        mode="multiplicity", spin_delta=[0.0, 0.0], rho=0.5, seed=0,
+        path_nodes=9, max_outer=60)))
+    assert output["case"] == 2
+    records = output["records"]
+    assert [r["refined"] for r in records] == [True, True]
+    assert records[1]["classification"] == "nontrivial"
+    assert output["distinct"] is True and output["converged"] is True
+    assert output["levels"]["c1"] == pytest.approx(118.43525281307231, rel=1e-8)
+    assert output["levels"]["c2"] == pytest.approx(177.57371436995513, rel=1e-8)
+    diag = output["diagnostics"]
+    assert diag["alpha_norms"][-1] <= 1e-6
+    assert diag["beta_norms"][-1] <= 1e-6
+
+
 def test_case2_capacity_refused_before_linking(tmp_path, monkeypatch):
     # delta=(1/2,1/2), rho=1: the plus_b block is wider than the case-2 cap,
     # which the spectrum alone decides, so no linking run is spent on it

@@ -6,7 +6,7 @@ import pytest
 import sshg.sweepout
 from sshg.action import ActionParams, el_residual, evaluate_J
 from sshg.errors import CertificationError, ConfigError, ResolutionError
-from sshg.fields import ScalarField, SpinorField
+from sshg.fields import ScalarField
 from sshg.geometry import TorusGeometry
 from sshg.minmax import NEWTON_TOL, MinmaxConfig, mountain_pass_endpoint, newton_refine
 from sshg.nehari import NehariPoint, fiber_solve
@@ -90,10 +90,11 @@ def test_equivariant_family(mp16, family16):
     for i in range(half):
         assert np.array_equal(fam.points[i].u.values, -fam.points[i + half].u.values)
         assert hhalf_norm(fam.points[i].psi - fam.points[i + half].psi) == 0.0
-    # all energies negative, all points certified
-    for pt in fam.points:
-        assert evaluate_J(pt.u, pt.psi, params) < 0
-        assert pt.constraint_norm <= 1e-10
+    # the stored energies are J at each point, bit for bit, all negative;
+    # all points certified
+    assert fam.energies == [evaluate_J(pt.u, pt.psi, params) for pt in fam.points]
+    assert max(fam.energies) == fam.max_energy < 0
+    assert all(pt.constraint_norm <= 1e-10 for pt in fam.points)
 
 
 def _skewed_sigma(pt):
@@ -112,42 +113,60 @@ def test_family_refuses_inexact_partners(mp16, chi256, monkeypatch):
         equivariant_family(u_bar, s, chi256, params, basis, n_theta=32)
 
 
+def test_equivariance_certificate_refuses_one_ulp(family16):
+    # the family's mirror half passes exactly; one ulp off in a single
+    # partner value is drift
+    points = list(family16.points)
+    certify_equivariance(points)
+    k = len(points) // 2 + 1
+    geom = points[k].u.geom
+    vals = points[k].u.values.copy()
+    vals[0, 0] = np.nextafter(vals[0, 0], np.inf)
+    points[k] = NehariPoint(u=ScalarField.from_values(geom, vals), psi=points[k].psi,
+                            constraint_norm=points[k].constraint_norm)
+    with pytest.raises(CertificationError, match="equivariance drift"):
+        certify_equivariance(points)
+
+
 def test_disk_mesh_builds_each_orbit_once():
     # node() runs for the centers and the first n_theta/2 spokes only, in
-    # mesh order; the other spokes are sigma-images and carry no segments
-    geom = TorusGeometry(grid_n=8, spin_delta=(0.5, 0.5))
-    rng = np.random.default_rng(3)
+    # mesh order, and the mesh holds exactly those nodes, with one radial
+    # segment into each non-center node
     n_theta, n_r, half = 6, 2, 3
     calls = []
 
     def node(shell, it, ir):
         calls.append((shell, it, ir))
-        values = np.zeros((8, 8)) if ir == 0 else rng.standard_normal((8, 8))
-        coeffs = rng.standard_normal((2, 8, 8)) + 1j * rng.standard_normal((2, 8, 8))
-        return NehariPoint(u=ScalarField.from_values(geom, values),
-                           psi=SpinorField.from_coeffs(geom, coeffs), constraint_norm=0.0)
+        return (shell, it, ir)
 
-    nodes, frozen, pairs, segments = equivariant_disk_mesh(
+    nodes, frozen, centers, segments = equivariant_disk_mesh(
         [False, True], n_theta, n_r, node)
-    per_shell = 1 + n_theta * n_r
     first_half = [(it, ir) for it in range(half) for ir in range(1, n_r + 1)]
-    assert calls == [(shell, *pos) for shell in (0, 1) for pos in [(0, 0)] + first_half]
-    assert len(nodes) == len(frozen) == len(pairs) == 2 * per_shell
-    assert len(segments) == 2 * half * n_r
-    assert all(k % per_shell <= half * n_r for seg in segments for k in seg)
-    for i, j in enumerate(pairs):
-        assert pairs[j] == i
-        assert np.array_equal(nodes[j].u.values, -nodes[i].u.values)
-        assert np.array_equal(nodes[j].psi.eig, nodes[i].psi.eig)
-    certify_equivariance(nodes, pairs)
-    # one ulp off in a single partner value is drift
-    k = pairs[1]
-    vals = nodes[k].u.values.copy()
-    vals[0, 0] = np.nextafter(vals[0, 0], np.inf)
-    nodes[k] = NehariPoint(u=ScalarField.from_values(geom, vals), psi=nodes[k].psi,
-                           constraint_norm=0.0)
-    with pytest.raises(CertificationError, match="equivariance drift"):
-        certify_equivariance(nodes, pairs)
+    expected = [(shell, *pos) for shell in (0, 1) for pos in [(0, 0)] + first_half]
+    assert calls == expected
+    assert nodes == expected
+    assert centers == [0, 1 + half * n_r]
+    assert frozen == [shell == 1 or ir == n_r for shell, _, ir in nodes]
+    assert sorted(j for _, j in segments) == [k for k in range(len(nodes))
+                                              if k not in centers]
+    for i, j in segments:
+        shell, it, ir = nodes[j]
+        assert nodes[i] == ((shell, 0, 0) if ir == 1 else (shell, it, ir - 1))
+
+
+def test_disk_minmax_builds_no_sigma_images(mp16, family16, monkeypatch):
+    # once the family exists, the disk holds one representative per Z2
+    # orbit: neither its mesh nor its deformation builds a sigma-image
+    geom, basis, params = mp16
+
+    def refuse(pt):
+        pytest.fail("the disk built a sigma-image")
+
+    monkeypatch.setattr(sshg.sweepout, "_sigma_point", refuse)
+    config = MinmaxConfig(path_nodes=9, grad_tol=1e-3, max_outer=3, seed=0)
+    rec, c2, diags = equivariant_disk_minmax(family16, config, params, basis,
+                                             n_theta_disk=8, n_radii=3)
+    assert diags.bounded() and c2 == rec.level
 
 
 def test_disk_minmax_and_restart(mp16, family16):
@@ -175,22 +194,6 @@ def test_disk_minmax_and_restart(mp16, family16):
         assert records_distinct(rec1, rec3)
     else:
         assert records_distinct(rec1, rec2)
-
-
-def test_equivariance_drift_certified_on_deformed_nodes(mp16, family16, monkeypatch):
-    # the disk is built exact; a partner update of the deformation that
-    # breaks the Z2 symmetry must fail the certificate on the deformed nodes
-    geom, basis, params = mp16
-    deform = sshg.sweepout.minmax_deform
-
-    def deform_skewed(*args, **kwargs):
-        monkeypatch.setattr(sshg.sweepout, "_sigma_point", _skewed_sigma)
-        return deform(*args, **kwargs)
-
-    monkeypatch.setattr(sshg.sweepout, "minmax_deform", deform_skewed)
-    config = MinmaxConfig(path_nodes=9, grad_tol=1e-3, max_outer=3, seed=0)
-    with pytest.raises(CertificationError, match="equivariance drift"):
-        equivariant_disk_minmax(family16, config, params, basis, n_theta_disk=8, n_radii=3)
 
 
 def test_disk_minmax_refuses_bad_theta_sampling(mp16, family16):

@@ -31,7 +31,7 @@ CEILINGS = {
     "cg.iters": 1232,
     "minres.iters": 91,
     "constrained_gradient": 23,
-    "fft": 4568,
+    "fft": 4547,
 }
 
 
