@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-    sshg solve --config cfg.json [--seed N] [--threads N] [--out DIR]
+    sshg solve --config cfg.json [--seed N] [--out DIR] [--workers N]
     solve --config cfg.json ...              (same command, direct alias)
 
 Exit codes: 0 success, 2 config error, 3 capacity/resolution error,
@@ -12,7 +12,6 @@ an inner solve or the overflow guard failed; no output is written).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -37,27 +36,15 @@ def _solve_parser(prog: str) -> argparse.ArgumentParser:
     p.add_argument("--config", action="append", required=True,
                    help="path to a flat JSON config (repeat for a batch)")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads, over the config's own (falls back to "
-                        "SSHG_THREADS; the solver itself is sequential)")
     p.add_argument("--out", type=str, default=None, help="override output_dir")
     p.add_argument("--workers", type=int, default=1,
                    help="process count for batch configs (one run per process)")
     return p
 
 
-def _threads(args):
-    """--threads, else SSHG_THREADS, else None (the config keeps its own)."""
-    value = args.threads if args.threads is not None else os.environ.get("SSHG_THREADS")
-    try:
-        return None if value is None else int(value)
-    except ValueError:
-        raise ConfigError(f"threads must be a positive integer, got {value!r}") from None
-
-
 def _load_config(path: str, args) -> RunConfig:
-    # a flag (or SSHG_THREADS) overrides the config's value only when given
-    overrides = {"threads": _threads(args), "seed": args.seed, "output_dir": args.out}
+    # a flag overrides the config's value only when given
+    overrides = {"seed": args.seed, "output_dir": args.out}
     return RunConfig.from_dict({**read_config_file(path),
                                 **{k: v for k, v in overrides.items() if v is not None}})
 

@@ -82,6 +82,8 @@ class MinmaxConfig:
             raise ConfigError("path_nodes must be odd and >= 5")
         if not self.grad_tol > 0:
             raise ConfigError("grad_tol must be positive")
+        if min(self.max_outer, self.seed) < 0:
+            raise ConfigError("max_outer and seed must be non-negative")
 
 
 @dataclass
@@ -384,7 +386,9 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
     budget exhaustion or stalled line searches yield the best candidate
     flagged non-converged with diagnostics attached.  A broken
     invariant (energy floor, moved frozen node, trace lengths) raises
-    CertificationError.
+    CertificationError.  step_hook(k, point, nodes, energies, params) runs
+    after each accepted step or ridge promotion has stored node k and its J,
+    and may override both in place.
     """
     nodes = list(nodes)
     frozen = list(frozen)
@@ -414,11 +418,10 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
     floor = -max(abs(min(energies)), 1.0)
 
     def assign(k, pt, j):
+        nodes[k] = pt
+        energies[k] = j
         if step_hook is not None:
             step_hook(k, pt, nodes, energies, params)
-        else:
-            nodes[k] = pt
-            energies[k] = j
 
     def repair() -> bool:
         """Promote ridge samples hiding inside segments; returns True if any."""
@@ -625,7 +628,7 @@ def refine_if_possible(record: SolutionRecord, diags: PSDiagnostics,
 
 
 # ---------------------------------------------------------------------------
-# coercivity probe and PS diagnostics
+# coercivity probe
 # ---------------------------------------------------------------------------
 
 def _random_direction(geom, rng):
@@ -685,18 +688,3 @@ def coercivity_probe(params: ActionParams, basis, r0: float, tau: float,
         quot = evaluate_J(point.u, point.psi, params) / point.product_norm_sq()
         margin = min(margin, quot)
     return float(margin)
-
-
-def ps_diagnostics(trace, params: ActionParams) -> PSDiagnostics:
-    """Recompute alpha/beta/multiplier traces for a list of manifold points."""
-    diags = PSDiagnostics()
-    for item in trace:
-        if isinstance(item, NehariPoint):
-            point = item
-        else:
-            u, psi = item
-            point = project_to_manifold(u, psi, params)
-        res = constrained_gradient(point, params)
-        level = evaluate_J(point.u, point.psi, params)
-        diags.record(res, level, h1_norm(point.u), hhalf_norm(point.psi))
-    return diags

@@ -27,7 +27,7 @@ from .action import (
     dirac_minus_potential,
     gradient_J,
 )
-from .errors import ConfigError, OverflowGuardError
+from .errors import CertificationError, ConfigError, OverflowGuardError
 from .fields import ScalarField, SpinorField
 from .krylov import cg
 from .spectral import (
@@ -45,6 +45,7 @@ from .spectral import (
 
 FIBER_TOL = 1e-12
 FIBER_MAXITER = 500
+FIBER_CERT = 1e-10   # bound on ||G(u, psi)||_{H^1/2} / max(||psi_free||_{H^1/2}, 1)
 
 
 def _hhalf_inner(a: SpinorField, b: SpinorField) -> float:
@@ -100,7 +101,7 @@ def fiber_solve(u: ScalarField, psi_free: SpinorField, params: ActionParams,
     """Slave the negative part: solve A psi^- = -(same operator) psi_free.
 
     psi_free must have no negative component; returns the certified point
-    (u, psi_free + psi^-).
+    (u, psi_free + psi^-); a residual beyond FIBER_CERT raises CertificationError.
     """
     uv = check_overflow(u)
     check_spectral_gap(u.geom, params.rho)
@@ -121,6 +122,8 @@ def fiber_solve(u: ScalarField, psi_free: SpinorField, params: ActionParams,
 
     psi = psi_free + psi_minus
     cert = hhalf_norm(_constraint_map(psi, cosh_u, rho))
+    if not cert <= FIBER_CERT * max(free_scale, 1.0):
+        raise CertificationError(f"fiber residual {cert:.3e} exceeds FIBER_CERT max(|psi_free|, 1)")
     return NehariPoint(u=u, psi=psi, constraint_norm=cert)
 
 

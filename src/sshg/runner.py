@@ -57,7 +57,6 @@ _DEFAULTS = {
     "mode": None,
     "output_dir": None,
     "seed": 0,
-    "threads": 1,
     "cutoff": 3.0,
     "path_nodes": 33,
     "grad_tol": 1e-3,
@@ -70,6 +69,8 @@ _DEFAULTS = {
     "n_radii": 3,
 }
 _OPTIONAL_FLOATS = ("rho", "mu", "b")
+# a zero or negative value leaves the probe, its report or the disk meaningless
+_POSITIVE = ("r0", "tau", "n_samples", "n_radii")
 
 
 def _number(key, value, kind):
@@ -118,9 +119,16 @@ def read_config_file(path: str) -> dict:
     return data
 
 
+def _minmax_config(raw: dict) -> MinmaxConfig:
+    """The deformation settings; MinmaxConfig refuses out-of-range values."""
+    return MinmaxConfig(path_nodes=raw["path_nodes"], grad_tol=raw["grad_tol"],
+                        max_outer=raw["max_outer"], seed=raw["seed"])
+
+
 @dataclass
 class RunConfig:
     raw: dict
+    minmax: MinmaxConfig
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -136,10 +144,11 @@ class RunConfig:
             raise ConfigError("mu and b must be given together")
         if has_rho == (has_mu and has_b):
             raise ConfigError("provide exactly one of rho or the pair (mu, b)")
-        if merged["threads"] < 1:
-            raise ConfigError(f"threads must be a positive integer, got {merged['threads']!r}")
+        for key in _POSITIVE:
+            if merged[key] <= 0:
+                raise ConfigError(f"{key} must be positive, got {merged[key]!r}")
         check_n_theta_disk(merged["n_theta"], merged["n_theta_disk"])
-        return cls(raw=merged)
+        return cls(raw=merged, minmax=_minmax_config(merged))
 
     def __getitem__(self, key):
         return self.raw[key]
@@ -153,11 +162,6 @@ class RunConfig:
         if self.raw["rho"] is not None:
             return ActionParams(rho=self.raw["rho"])
         return ActionParams(mu=self.raw["mu"], b=self.raw["b"])
-
-    def minmax_config(self) -> MinmaxConfig:
-        r = self.raw
-        return MinmaxConfig(path_nodes=r["path_nodes"], grad_tol=r["grad_tol"],
-                            max_outer=r["max_outer"], seed=r["seed"])
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +274,7 @@ def run_probe(config: RunConfig, geom, basis, params):
 def _path_minmax(config: RunConfig, u_end, s, psi, params, tangent_filter=None):
     """The straight path from the origin to (u_end, s psi), deformed and
     handed to Newton; returns (endpoint node, record, diagnostics)."""
-    mm = config.minmax_config()
+    mm = config.minmax
     nodes, frozen = straight_path(u_end, s, psi, mm.path_nodes, params)
     candidate, diags = minmax_deform(nodes, frozen, mm, params,
                                      tangent_filter=tangent_filter)
@@ -310,7 +314,7 @@ def run_linking(config: RunConfig, geom, basis, params):
 
 
 def run_multiplicity(config: RunConfig, geom, basis, params):
-    mm = config.minmax_config()
+    mm = config.minmax
     chi_geom = TorusGeometry(grid_n=CHI_GRID_N,
                              side_length=geom.side_length,
                              spin_delta=geom.spin_delta)
@@ -388,7 +392,6 @@ def run(config: RunConfig) -> dict:
         "config": dict(config.raw),
         "mode": config["mode"],
         "seed": config["seed"],
-        "threads": config["threads"],
         "rho": params.rho,
         "spectral": _spectral_summary(basis),
     }

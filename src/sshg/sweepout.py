@@ -278,13 +278,14 @@ def _equivariant_deform(nodes, frozen, centers, segments, config, params):
 
     A spoke's sigma-image would follow it at equal energy and join no
     segment, so the deformation never reads it and the disk holds none.
-    Returns (SolutionRecord, PSDiagnostics).
+    The hook runs after minmax_deform has stored a node and its J, and
+    overrides them only at a center.  Returns (SolutionRecord, PSDiagnostics).
     """
     def hook(idx, cand, nodes_, energies_, params_):
         if idx in centers:
             cand = fiber_solve(ScalarField.zeros(cand.u.geom), cand.free_part(), params_)
-        nodes_[idx] = cand
-        energies_[idx] = evaluate_J(cand.u, cand.psi, params_)
+            nodes_[idx] = cand
+            energies_[idx] = evaluate_J(cand.u, cand.psi, params_)
 
     record, diags = minmax_deform(nodes, frozen, config, params,
                                   segments=segments, step_hook=hook)

@@ -1,6 +1,6 @@
 """Source hygiene: invariants are never asserts, broad handlers never swallow,
 nothing is imported unused, no local is assigned unread, no config key and
-no dataclass field goes unread.
+no dataclass field goes unread, and nothing reads the environment.
 
 `python -O` strips assert statements, so every certificate must raise an
 SSHGError instead.  A handler for Exception, BaseException or a bare except
@@ -119,6 +119,18 @@ def test_every_config_key_is_read():
                  if isinstance(n, ast.Subscript) and id(n) not in skip
                  and isinstance(n.slice, ast.Constant) and isinstance(n.slice.value, str)}
     assert not set(_DEFAULTS) - read, f"config keys nothing reads: {sorted(set(_DEFAULTS) - read)}"
+
+
+def test_no_environment_reads():
+    # a run is configured by its config file and flags alone; an environment
+    # variable would be a knob no config records
+    names = {"environ", "getenv"}
+    bad = [f"{path.name}:{node.lineno}: environment read"
+           for path, tree in _trees() for node in ast.walk(tree)
+           if (isinstance(node, ast.Attribute) and node.attr in names)
+           or (isinstance(node, ast.ImportFrom) and node.module == "os"
+               and names & {alias.name for alias in node.names})]
+    assert not bad, "environment reads:\n" + "\n".join(bad)
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:

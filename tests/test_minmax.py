@@ -20,7 +20,6 @@ from sshg.minmax import (
     minmax_deform,
     mountain_pass_endpoint,
     newton_refine,
-    ps_diagnostics,
     u_variance,
 )
 from sshg.nehari import constrained_gradient, fiber_solve
@@ -245,12 +244,24 @@ def test_minmax_deform_frozen_node_moved(setup16):
     nodes, frozen, config, params = _small_mountain_pass(setup16)
 
     def hook(k, pt, nodes_, energies_, params_):
-        nodes_[k] = pt
-        energies_[k] = evaluate_J(pt.u, pt.psi, params_)
         nodes_[0] = dataclasses.replace(nodes_[0])  # equal values, another node
 
     with pytest.raises(CertificationError, match="boundary node was moved"):
         minmax_deform(nodes, frozen, config, params, step_hook=hook)
+
+
+def test_minmax_deform_stores_before_the_hook(setup16):
+    # the deformation stores each assigned node and its J itself, so a hook
+    # that does nothing leaves the descent as it is without one
+    nodes, frozen, config, params = _small_mountain_pass(setup16)
+    config = dataclasses.replace(config, max_outer=6)
+    calls = []
+    plain, plain_diags = minmax_deform(nodes, frozen, config, params)
+    hooked, hooked_diags = minmax_deform(nodes, frozen, config, params,
+                                         step_hook=lambda *args: calls.append(args[0]))
+    assert calls
+    assert hooked.level == plain.level
+    assert hooked_diags.energies == plain_diags.energies
 
 
 def test_minmax_deform_propagates_unexpected_errors(setup16, monkeypatch):
@@ -297,12 +308,12 @@ def test_segment_cache_recomputes_only_moved_segments(setup16, monkeypatch):
 
 
 def test_ps_diagnostics_exact_solution_trace(setup16):
+    # at an exact semi-trivial solution both PS residuals vanish
     geom, basis = setup16
     params = ActionParams(rho=0.5)
     c = float(np.arccosh(LAM1 / 0.5))
     s = geom.side_length * np.sqrt(LAM1)
     pt = fiber_solve(ScalarField.constant(geom, c), s * basis.eigenspinor(1), params)
-    diags = ps_diagnostics([pt, pt], params)
-    assert max(diags.alpha_norms) < 1e-9
-    assert max(diags.beta_norms) < 1e-9
-    assert diags.bounded()
+    res = constrained_gradient(pt, params)
+    assert res.alpha_norm < 1e-9
+    assert res.beta_norm < 1e-9

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sshg.action import ActionParams, el_residual
-from sshg.errors import ConfigError, OverflowGuardError, SSHGError
+from sshg.errors import CertificationError, ConfigError, OverflowGuardError, SSHGError
 from sshg.fields import ScalarField, SpinorField
 from sshg.geometry import TorusGeometry
 from sshg.nehari import (
@@ -80,6 +80,24 @@ def test_fiber_solve_certifies(setup16):
 
     with pytest.raises(ConfigError):
         fiber_solve(ubar, basis.eigenspinor(-1), params)
+
+
+def test_fiber_residual_is_enforced(setup16, monkeypatch):
+    # an inner solve that lands off the fiber by a minus-part spinor of
+    # H^1/2 norm 1e-6 is refused, not stored as the point's constraint_norm
+    import sshg.nehari
+    geom, basis, params = setup16
+    cg = sshg.nehari.cg
+    kick = basis.eigenspinor(-1)
+    kick = (1e-6 / hhalf_norm(kick)) * kick
+
+    def off_fiber_cg(*args, **kwargs):
+        x, info = cg(*args, **kwargs)
+        return x + kick, info
+
+    monkeypatch.setattr(sshg.nehari, "cg", off_fiber_cg)
+    with pytest.raises(CertificationError, match="fiber residual"):
+        fiber_solve(ScalarField.constant(geom, 0.8), basis.eigenspinor(1), params)
 
 
 def test_fiber_linearity(setup16):

@@ -67,10 +67,17 @@ def test_theta_sampling_validated(tmp_path):
     assert main(["solve", "--config", str(bad)]) == 2
 
 
+# values a run cannot honour, refused when the config is loaded
+OUT_OF_RANGE = ({"n_samples": 0}, {"r0": 0}, {"r0": -0.05}, {"tau": 0}, {"tau": -1.0},
+                {"seed": -1}, {"n_radii": 0}, {"max_outer": -1}, {"path_nodes": 4},
+                {"path_nodes": 10}, {"grad_tol": 0})
+
+
 def test_config_values_are_typed():
     for over in ({"grid_n": "abc"}, {"max_outer": "ten"}, {"grid_n": 16.5},
                  {"rho": "0.5"}, {"seed": True}, {"spin_delta": [0.5]},
-                 {"output_dir": 3}, {"cutoff": float("nan")}, {"tau": 10**400}):
+                 {"output_dir": 3}, {"cutoff": float("nan")}, {"tau": 10**400},
+                 *OUT_OF_RANGE):
         with pytest.raises(ConfigError):
             RunConfig.from_dict(base_config(**over))
     # integral numbers convert to the key's type, so the echo is unchanged
@@ -86,23 +93,26 @@ def test_cli_missing_config_exits_2(tmp_path, capsys):
 
 
 def test_cli_mistyped_value_exits_2(tmp_path):
-    for over in ({"grid_n": "abc"}, {"max_outer": "ten"}):
+    for over in ({"grid_n": "abc"}, {"max_outer": "ten"}, *OUT_OF_RANGE):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_config(**over)))
         assert main(["solve", "--config", str(cfg_path)]) == 2
 
 
-def test_cli_bad_env_threads_exits_2(tmp_path, monkeypatch):
+def test_cli_config_threads_exits_2(tmp_path, capsys):
+    # the solver is sequential, so threads is an unknown key like any other
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(base_config()))
-    monkeypatch.setenv("SSHG_THREADS", "abc")
+    cfg_path.write_text(json.dumps(base_config(threads=2)))
     assert main(["solve", "--config", str(cfg_path)]) == 2
+    assert "unknown config keys: ['threads']" in capsys.readouterr().err
 
 
-def test_cli_negative_threads_exits_2(tmp_path):
+def test_cli_threads_flag_is_unknown(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(base_config()))
-    assert main(["solve", "--config", str(cfg_path), "--threads", "-3"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--config", str(cfg_path), "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_spectrum_mode(tmp_path):
@@ -372,28 +382,3 @@ def test_cli_batch_workers(tmp_path):
     assert code == 0
     for i in range(2):
         assert (tmp_path / f"o{i}" / "run_output.json").exists()
-
-
-def test_config_threads_kept_without_override(tmp_path, monkeypatch):
-    # the config's own threads stands unless --threads or SSHG_THREADS is given
-    monkeypatch.delenv("SSHG_THREADS", raising=False)
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(base_config(threads=4)))
-    assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "c")]) == 0
-    data = json.loads((tmp_path / "c" / "run_output.json").read_text())
-    assert data["threads"] == 4 and data["config"]["threads"] == 4
-    assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "f"),
-                 "--threads", "2"]) == 0
-    assert json.loads((tmp_path / "f" / "run_output.json").read_text())["threads"] == 2
-    cfg_path.write_text(json.dumps(base_config(threads=0)))
-    assert main(["solve", "--config", str(cfg_path)]) == 2
-
-
-def test_cli_env_threads(tmp_path, monkeypatch):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(base_config()))
-    monkeypatch.setenv("SSHG_THREADS", "3")
-    out_dir = tmp_path / "t"
-    assert main(["solve", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
-    data = json.loads((out_dir / "run_output.json").read_text())
-    assert data["threads"] == 3

@@ -1,18 +1,19 @@
 """Work-count guard: a fixed small run must not silently do more work.
 
 Counts, not timings: the solver is deterministic for a given (config, seed),
-so the number of fiber solves, CG calls and iterations and constrained
-gradients of a fixed run is a property of the code.  Two counts also move
-with rounding luck: the FFTs (fft2/ifft2 through `sshg.fields.np`, the
-binding the perfbench tracer wraps) depend on whether an accepted descent
-step leaves u exactly constant, and the MINRES iterations on Newton's last
-solve near the rounding floor.  The ceilings are the counts measured for the
-grid-16 case-1 multiplicity config below; a change that lowers them lowers
-the ceilings too.
+so the number of fiber solves, energy evaluations, CG calls and iterations
+and constrained gradients of a fixed run is a property of the code.  Two
+counts also move with rounding luck: the FFTs (fft2/ifft2 through
+`sshg.fields.np`, the binding the perfbench tracer wraps) depend on whether
+an accepted descent step leaves u exactly constant, and the MINRES
+iterations on Newton's last solve near the rounding floor.  The ceilings
+are the counts measured for the grid-16 case-1 multiplicity config below; a
+change that lowers them lowers the ceilings too.
 """
 
 import sys
 
+import sshg.action
 import sshg.krylov
 import sshg.nehari
 from sshg.runner import RunConfig, run
@@ -27,6 +28,7 @@ CONFIG = {
 
 CEILINGS = {
     "fiber_solve": 502,
+    "evaluate_J": 519,
     "cg.calls": 529,
     "cg.iters": 1232,
     "minres.iters": 91,
@@ -60,6 +62,7 @@ def test_work_counts_do_not_grow(monkeypatch):
         return on_call
 
     _count_calls(monkeypatch, sshg.nehari.fiber_solve, bump(fiber_solve=1))
+    _count_calls(monkeypatch, sshg.action.evaluate_J, bump(evaluate_J=1))
     _count_calls(monkeypatch, sshg.nehari.constrained_gradient,
                  bump(constrained_gradient=1))
     _count_calls(monkeypatch, sshg.krylov.cg,
