@@ -70,7 +70,10 @@ def _run_one(path_and_args) -> int:
 
 
 def run_solve(argv, prog="sshg solve") -> int:
-    args = _solve_parser(prog).parse_args(argv)
+    try:
+        args = _solve_parser(prog).parse_args(argv)
+    except SystemExit as exc:   # argparse's usage error or --help
+        return EXIT_CONFIG if exc.code else EXIT_OK
     jobs = [(path, args) for path in args.config]
     if len(jobs) > 1 and args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:

@@ -6,9 +6,10 @@ constrained gradient, retracts onto the manifold, and periodically re-spreads
 nodes.  The linking min-max is the mountain-pass path with the plus_b + zero
 block filtered out of every descent direction (`block_filter`).  Flagged
 (non-converged) outcomes are first-class results carried with full
-Palais-Smale diagnostics; a damped Newton pass on the free system, entered
-through one hand-off (`refine_if_possible`), sharpens candidates to
-Euler-Lagrange solutions.
+Palais-Smale diagnostics; a damped Newton pass on the free system sharpens
+candidates to Euler-Lagrange solutions.  A path hands over to Newton inside
+its descent, once Newton contracts from the max node to the descent's level
+(Choi & McKenna); the disk hands over after its descent (`refine_if_possible`).
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ MAX_BACKTRACKS = 25
 DESCENT_STEP = 0.1         # initial backtracking step, halved per backtrack
 RESPREAD_EVERY = 5
 NEWTON_PRE_GRAD = 1e-3
-HANDOFF_GRAD = 1e3         # Newton is cheap and guarded; try it from almost anywhere
+HANDOFF_GRAD = 1e3         # the disk tries Newton from almost anywhere after its descent
+HANDOFF_RTOL = 1e-3        # a path hands off when Newton lands this close to its level
 NEWTON_MAX_STEPS = 30
 NEWTON_TOL = 1e-10         # Newton stops once res_u + res_psi is at most this
 TRACE_CAP = 1e8            # PS traces beyond this magnitude count as unbounded
@@ -113,7 +115,8 @@ class LinkingConstants:
 
 @dataclass
 class PSDiagnostics:
-    """Per-iterate residual traces of the constrained descent."""
+    """Per-iterate residual traces of the constrained descent, and why it
+    stopped: `exit` is grad_tol, handoff, stall or budget."""
 
     alpha_norms: list = field(default_factory=list)
     beta_norms: list = field(default_factory=list)
@@ -123,6 +126,7 @@ class PSDiagnostics:
     u_h1_trace: list = field(default_factory=list)
     psi_hhalf_trace: list = field(default_factory=list)
     repairs: list = field(default_factory=list)   # per iterate: ridge repair happened
+    exit: str = "budget"
 
     def record(self, tangent_res, level, u_h1, psi_hhalf):
         self.alpha_norms.append(tangent_res.alpha_norm)
@@ -376,15 +380,20 @@ class _SegmentCache:
 
 def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
                   segments="chain", step_hook=None, tangent_filter=None):
-    """Descend the max-energy node until its constrained gradient is small.
+    """Descend the max-energy node until its constrained gradient is small,
+    or, on a path, until Newton takes over.
 
     Each outer iteration: repair discretization gaps (promote any segment
     sample that exceeds the node max), locate the max-energy node, take a
     backtracking step along the negative constrained gradient, retract, and,
     when the segments are the "chain" of a path, periodically re-spread the
-    nodes by arclength.  Returns (SolutionRecord candidate, PSDiagnostics);
-    budget exhaustion or stalled line searches yield the best candidate
-    flagged non-converged with diagnostics attached.  A broken
+    nodes by arclength.  On a path, right after a re-spread, Newton is tried
+    from the max node once the level has almost stopped falling; a trial
+    that refines to a non-trivial solution within HANDOFF_RTOL of the level
+    ends the descent with that record, and any other changes nothing.
+    Returns (SolutionRecord candidate, PSDiagnostics), with the reason in
+    `diags.exit`; budget exhaustion or stalled line searches yield the best
+    candidate flagged non-converged with diagnostics attached.  A broken
     invariant (energy floor, moved frozen node, trace lengths) raises
     CertificationError.  step_hook(k, point, nodes, energies, params) runs
     after each accepted step or ridge promotion has stored node k and its J,
@@ -412,7 +421,8 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
     boundary_ids = [id(nd) for nd, fz in zip(nodes, frozen) if fz]
 
     step = DESCENT_STEP
-    converged = False
+    handed = None
+    critical_levels = []   # levels Newton refined to in rejected trials
     stalls = 0
     prev_max = np.inf
     floor = -max(abs(min(energies)), 1.0)
@@ -470,8 +480,21 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
             raise CertificationError("energy trace fell below the endpoint floor")
 
         if res.norm <= config.grad_tol:
-            converged = True
+            diags.exit = "grad_tol"
             break
+        # a trial needs a level that fell by at most HANDOFF_RTOL over the
+        # last period, and no critical level found farther than that from it
+        if (chain and outer > 0 and outer % RESPREAD_EVERY == 0
+                and diags.energies[-1 - RESPREAD_EVERY] - level <= HANDOFF_RTOL * abs(level)
+                and all(_near(level, c) for c in critical_levels)):
+            trial = _newton_trial(point, params)
+            if trial is not None and trial.refined:
+                critical_levels.append(trial.level)
+                if _near(level, trial.level):
+                    handed = _accept_refined(trial, diags, params, converged=False)
+            if handed is not None:
+                diags.exit = "handoff"
+                break
 
         # backtracking descent on the selected node; the displacement is
         # capped near the local mesh scale so the max node cannot leap across
@@ -505,6 +528,7 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
         if not accepted:
             stalls += 1
             if stalls >= 3:
+                diags.exit = "stall"
                 break
         else:
             stalls = 0
@@ -523,12 +547,15 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
         if ids != boundary_ids:
             raise CertificationError("boundary node was moved during deformation")
 
-    if not converged:
-        # budget/stall exit: hand back the current max-energy free node, not
-        # the node that was just stepped downhill
-        point = nodes[int(np.argmax([e if not fz else -np.inf
-                                     for e, fz in zip(energies, frozen)]))]
-    record = make_record(point, params, converged=converged, refined=False)
+    record = handed
+    if record is None:
+        converged = diags.exit == "grad_tol"
+        if not converged:
+            # budget/stall exit: hand back the current max-energy free node,
+            # not the node that was just stepped downhill
+            point = nodes[int(np.argmax([e if not fz else -np.inf
+                                         for e, fz in zip(energies, frozen)]))]
+        record = make_record(point, params, converged=converged, refined=False)
     if not diags.consistent_lengths():
         raise CertificationError("PS diagnostic traces have unequal lengths")
     return record, diags
@@ -604,27 +631,46 @@ def newton_refine(candidate: NehariPoint, params: ActionParams,
     return make_record(point, params, converged=False, refined=refined)
 
 
+def _near(level: float, critical_level: float) -> bool:
+    return abs(level - critical_level) <= HANDOFF_RTOL * abs(critical_level)
+
+
+def _newton_trial(point: NehariPoint, params: ActionParams):
+    """newton_refine from point, or None when a solver check refused it."""
+    try:
+        return newton_refine(point, params, check_pre=False)
+    except SSHGError:
+        return None
+
+
+def _accept_refined(trial, diags: PSDiagnostics, params: ActionParams,
+                    converged: bool):
+    """The hand-off's acceptance test, written once: a Newton record that
+    refined to a non-trivial solution is returned with the descent's
+    `converged` flag and ends the PS trace `diags`, so the final iterate
+    carries the converged residual levels; any other trial gives None."""
+    if trial is None or not trial.refined or trial.classification == "trivial":
+        return None
+    res = constrained_gradient(trial.point, params)
+    diags.record(res, trial.level, trial.u_h1, trial.psi_hhalf)
+    diags.repairs.append(True)
+    return replace(trial, converged=converged)
+
+
 def refine_if_possible(record: SolutionRecord, diags: PSDiagnostics,
                        params: ActionParams) -> SolutionRecord:
-    """Descent-to-Newton hand-off: Newton runs below HANDOFF_GRAD, and its
-    record is accepted only if it converged to a nonzero solution.  The
-    accepted record keeps the descent's `converged` flag and ends the PS trace
-    `diags`, so the final iterate carries the converged residual levels;
-    otherwise the flagged descent candidate is returned."""
+    """Descent-to-Newton hand-off after the descent: Newton runs below
+    HANDOFF_GRAD and its record is accepted by `_accept_refined`; otherwise
+    the flagged descent candidate is returned.  A record the descent already
+    handed off is returned as it is."""
+    if record.refined:
+        return record
     res = constrained_gradient(record.point, params)
     if res.norm > HANDOFF_GRAD:
         return record
-    try:
-        refined = newton_refine(record.point, params, check_pre=False)
-    except SSHGError:
-        return record
-    if not refined.refined or refined.classification == "trivial":
-        return record
-    refined = replace(refined, converged=record.converged)
-    res = constrained_gradient(refined.point, params)
-    diags.record(res, refined.level, refined.u_h1, refined.psi_hhalf)
-    diags.repairs.append(True)
-    return refined
+    refined = _accept_refined(_newton_trial(record.point, params), diags, params,
+                              converged=record.converged)
+    return record if refined is None else refined
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,7 @@ def _diag_summary(diags) -> dict:
         "u_h1_trace": list(diags.u_h1_trace),
         "psi_hhalf_trace": list(diags.psi_hhalf_trace),
         "bounded": diags.bounded(),
+        "exit": diags.exit,
     }
 
 
@@ -273,7 +274,8 @@ def run_probe(config: RunConfig, geom, basis, params):
 
 def _path_minmax(config: RunConfig, u_end, s, psi, params, tangent_filter=None):
     """The straight path from the origin to (u_end, s psi), deformed and
-    handed to Newton; returns (endpoint node, record, diagnostics)."""
+    handed to Newton (inside the descent, or after it when the descent ran
+    out); returns (endpoint node, record, diagnostics)."""
     mm = config.minmax
     nodes, frozen = straight_path(u_end, s, psi, mm.path_nodes, params)
     candidate, diags = minmax_deform(nodes, frozen, mm, params,

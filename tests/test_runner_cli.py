@@ -1,5 +1,6 @@
 """Runner pipelines, JSON/CSV outputs, CLI exit codes, determinism."""
 
+import dataclasses
 import json
 import os
 
@@ -108,11 +109,12 @@ def test_cli_config_threads_exits_2(tmp_path, capsys):
 
 
 def test_cli_threads_flag_is_unknown(tmp_path):
+    # an unknown flag is argparse's usage error, returned as the config-error
+    # code rather than raised out of main()
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(base_config()))
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", "--config", str(cfg_path), "--threads", "2"])
-    assert exc.value.code == 2
+    assert main(["solve", "--config", str(cfg_path), "--threads", "2"]) == 2
+    assert main_solve(["--config", str(cfg_path), "--threads", "2"]) == 2
 
 
 def test_spectrum_mode(tmp_path):
@@ -369,6 +371,72 @@ def test_linking_returns_the_semi_trivial_solution(tmp_path, delta, rho):
     assert rec["refined"] and rec["classification"] != "trivial"
     assert rec["level"] == pytest.approx(4 * (lam_k1**2 - rho**2) * geom.vol, rel=1e-10)
     assert data["converged"] is True
+
+
+# the grid-16 default mountain pass: its path max is near c1 by outer
+# iteration 30, where Newton from the max node refines to c1
+DEFAULT_MOUNTAIN_PASS = base_config(mode="mountain_pass")
+
+
+@pytest.fixture(scope="module")
+def default_mountain_pass():
+    return run(RunConfig.from_dict(DEFAULT_MOUNTAIN_PASS))
+
+
+def test_mountain_pass_hands_off_to_newton(default_mountain_pass):
+    diag = default_mountain_pass["diagnostics"]
+    assert diag["exit"] == "handoff"
+    # one entry per outer iteration, then the refined record: Newton takes
+    # over long before the 150-step budget
+    assert len(diag["energies"]) <= 41
+    rec = default_mountain_pass["records"][0]
+    assert rec["refined"] and not rec["converged"]
+    assert rec["classification"] == "semi_trivial_constant_u"
+    vol = (2 * np.pi) ** 2
+    c1 = 4 * 0.5**2 * np.sinh(np.arccosh(LAM1 / 0.5)) ** 2 * vol
+    assert default_mountain_pass["levels"]["c1"] == pytest.approx(c1, rel=1e-12)
+
+
+def test_linking_hands_off_to_newton():
+    output = run(RunConfig.from_dict(base_config(mode="linking", rho=1.0, seed=0)))
+    assert output["diagnostics"]["exit"] == "handoff"
+    assert output["records"][0]["refined"]
+    assert output["levels"]["c1"] == pytest.approx(236.87050562614442, rel=1e-12)
+
+
+def test_rejected_handoff_changes_nothing(default_mountain_pass, monkeypatch):
+    # every trial rejected: the descent runs on to its budget along exactly
+    # the iterates it takes when no trial is ever made, and, up to the
+    # hand-off, along those of the unpatched run
+    import sshg.minmax
+    newton = sshg.minmax.newton_refine
+    trials = []
+
+    def never_refined(*args, **kwargs):
+        trials.append(1)
+        return dataclasses.replace(newton(*args, **kwargs), refined=False)
+
+    monkeypatch.setattr(sshg.minmax, "newton_refine", never_refined)
+    # outer iterations of the unpatched descent, the hand-off's included
+    before = default_mountain_pass["diagnostics"]
+    iters = len(before["energies"]) - 1
+    config = RunConfig.from_dict({**DEFAULT_MOUNTAIN_PASS, "max_outer": iters + 10})
+    rejected = run(config)
+    assert len(trials) >= 2  # the rejected hand-off, then the one after the budget
+    diag = rejected["diagnostics"]
+    assert diag["exit"] == "budget" and len(diag["energies"]) == iters + 10
+    assert not rejected["records"][0]["refined"]
+    assert diag["energies"][:iters] == before["energies"][:iters]
+    assert diag["grad_norms"][:iters] == before["grad_norms"][:iters]
+
+    # a negative tolerance admits no trial: it asks the positive max level
+    # to have risen by its own size over a re-spread period
+    monkeypatch.setattr(sshg.minmax, "HANDOFF_RTOL", -1.0)
+    trials.clear()
+    untried = run(config)
+    assert len(trials) == 1  # only the one after the budget
+    for key in ("energies", "grad_norms", "alpha_norms", "beta_norms", "u_h1_trace"):
+        assert untried["diagnostics"][key] == diag[key]
 
 
 def test_cli_batch_workers(tmp_path):

@@ -7,14 +7,17 @@ counts also move with rounding luck: the FFTs (fft2/ifft2 through
 `sshg.fields.np`, the binding the perfbench tracer wraps) depend on whether
 an accepted descent step leaves u exactly constant, and the MINRES
 iterations on Newton's last solve near the rounding floor.  The ceilings
-are the counts measured for the grid-16 case-1 multiplicity config below; a
-change that lowers them lowers the ceilings too.
+are the counts measured for the two grid-16 configs below, the case-1
+multiplicity run and the default mountain pass, whose descent hands off to
+one Newton trial at outer iteration 30 instead of spending its 150-step
+budget; a change that lowers them lowers the ceilings too.
 """
 
 import sys
 
 import sshg.action
 import sshg.krylov
+import sshg.minmax
 import sshg.nehari
 from sshg.runner import RunConfig, run
 
@@ -33,7 +36,24 @@ CEILINGS = {
     "cg.iters": 1232,
     "minres.iters": 91,
     "constrained_gradient": 23,
+    "newton_refine": 2,
     "fft": 4547,
+}
+
+MOUNTAIN_PASS = {
+    "grid_n": 16, "spin_delta": [0.5, 0.5], "rho": 0.5, "mode": "mountain_pass",
+    "seed": 1, "cutoff": 2.5,
+}
+
+MOUNTAIN_PASS_CEILINGS = {
+    "fiber_solve": 1144,
+    "evaluate_J": 1159,
+    "cg.calls": 1177,
+    "cg.iters": 0,
+    "minres.iters": 22,
+    "constrained_gradient": 32,
+    "newton_refine": 1,
+    "fft": 699,
 }
 
 
@@ -52,8 +72,10 @@ def _count_calls(monkeypatch, orig, on_call):
                     monkeypatch.setattr(mod, attr, counted)
 
 
-def test_work_counts_do_not_grow(monkeypatch):
-    counts = dict.fromkeys(CEILINGS, 0)
+def _work_counts(monkeypatch, config):
+    """The counts of one run of `config`."""
+    counts = dict.fromkeys(("fiber_solve", "evaluate_J", "cg.calls", "cg.iters",
+                            "minres.iters", "constrained_gradient", "newton_refine"), 0)
 
     def bump(**inc):
         def on_call(out):
@@ -69,10 +91,25 @@ def test_work_counts_do_not_grow(monkeypatch):
                  bump(**{"cg.calls": 1, "cg.iters": lambda out: out[1].iterations}))
     _count_calls(monkeypatch, sshg.krylov.minres,
                  bump(**{"minres.iters": lambda out: out[1].iterations}))
+    _count_calls(monkeypatch, sshg.minmax.newton_refine, bump(newton_refine=1))
 
     with counting_ffts() as ffts:
-        run(RunConfig.from_dict(CONFIG))
+        run(RunConfig.from_dict(config))
     counts["fft"] = ffts["fft"]
     assert counts["fiber_solve"] > 0 and counts["minres.iters"] > 0
-    for key, ceiling in CEILINGS.items():
+    return counts
+
+
+def _check(counts, ceilings):
+    for key, ceiling in ceilings.items():
         assert counts[key] <= ceiling, f"{key}: {counts[key]} > {ceiling}"
+
+
+def test_work_counts_do_not_grow(monkeypatch):
+    _check(_work_counts(monkeypatch, CONFIG), CEILINGS)
+
+
+def test_mountain_pass_hands_off_within_its_work_counts(monkeypatch):
+    # a hand-off that stops firing spends the whole budget: about five
+    # times these counts
+    _check(_work_counts(monkeypatch, MOUNTAIN_PASS), MOUNTAIN_PASS_CEILINGS)
