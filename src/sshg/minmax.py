@@ -7,9 +7,10 @@ nodes.  The linking min-max is the mountain-pass path with the plus_b + zero
 block filtered out of every descent direction (`block_filter`).  Flagged
 (non-converged) outcomes are first-class results carried with full
 Palais-Smale diagnostics; a damped Newton pass on the free system sharpens
-candidates to Euler-Lagrange solutions.  A path hands over to Newton inside
-its descent, once Newton contracts from the max node to the descent's level
-(Choi & McKenna); the disk hands over after its descent (`refine_if_possible`).
+candidates to Euler-Lagrange solutions.  `minmax_deform` ends every descent
+itself: a path hands over to Newton inside its descent, once Newton contracts
+from the max node to the descent's level (Choi & McKenna), and any descent
+that did not hands its max free node to Newton when it ends.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ MAX_BACKTRACKS = 25
 DESCENT_STEP = 0.1         # initial backtracking step, halved per backtrack
 RESPREAD_EVERY = 5
 NEWTON_PRE_GRAD = 1e-3
-HANDOFF_GRAD = 1e3         # the disk tries Newton from almost anywhere after its descent
+HANDOFF_GRAD = 1e3         # a descent's exit tries Newton from almost anywhere
 HANDOFF_RTOL = 1e-3        # a path hands off when Newton lands this close to its level
 NEWTON_MAX_STEPS = 30
 NEWTON_TOL = 1e-10         # Newton stops once res_u + res_psi is at most this
@@ -381,7 +382,7 @@ class _SegmentCache:
 def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
                   segments="chain", step_hook=None, tangent_filter=None):
     """Descend the max-energy node until its constrained gradient is small,
-    or, on a path, until Newton takes over.
+    or, on a path, until Newton takes over; then hand the result to Newton.
 
     Each outer iteration: repair discretization gaps (promote any segment
     sample that exceeds the node max), locate the max-energy node, take a
@@ -390,14 +391,15 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
     nodes by arclength.  On a path, right after a re-spread, Newton is tried
     from the max node once the level has almost stopped falling; a trial
     that refines to a non-trivial solution within HANDOFF_RTOL of the level
-    ends the descent with that record, and any other changes nothing.
-    Returns (SolutionRecord candidate, PSDiagnostics), with the reason in
-    `diags.exit`; budget exhaustion or stalled line searches yield the best
-    candidate flagged non-converged with diagnostics attached.  A broken
-    invariant (energy floor, moved frozen node, trace lengths) raises
-    CertificationError.  step_hook(k, point, nodes, energies, params) runs
-    after each accepted step or ridge promotion has stored node k and its J,
-    and may override both in place.
+    ends the descent with that record, and any other changes nothing.  Any
+    other exit (grad_tol, stall, budget) tries Newton from the max free node
+    below HANDOFF_GRAD.  Returns (SolutionRecord, PSDiagnostics), with the
+    reason in `diags.exit`: Newton's record when a hand-off was accepted,
+    else the max free node flagged unrefined.  A broken invariant (energy
+    floor, moved frozen node, trace lengths) raises CertificationError.
+    step_hook(k, point, nodes, energies, params) runs after each accepted
+    step or ridge promotion has stored node k and its J, and may override
+    both in place.
     """
     nodes = list(nodes)
     frozen = list(frozen)
@@ -421,7 +423,7 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
     boundary_ids = [id(nd) for nd, fz in zip(nodes, frozen) if fz]
 
     step = DESCENT_STEP
-    handed = None
+    record = None          # Newton's record, once a hand-off is accepted
     critical_levels = []   # levels Newton refined to in rejected trials
     stalls = 0
     prev_max = np.inf
@@ -432,6 +434,9 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
         energies[k] = j
         if step_hook is not None:
             step_hook(k, pt, nodes, energies, params)
+
+    def max_free() -> int:
+        return int(np.argmax([e if not fz else -np.inf for e, fz in zip(energies, frozen)]))
 
     def repair() -> bool:
         """Promote ridge samples hiding inside segments; returns True if any."""
@@ -457,8 +462,7 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
         repaired = repair()
         diags.repairs.append(repaired)
 
-        sel = [e if not fz else -np.inf for e, fz in zip(energies, frozen)]
-        idx = int(np.argmax(sel))
+        idx = max_free()
         point = nodes[idx]
         level = max(energies)
 
@@ -491,8 +495,8 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
             if trial is not None and trial.refined:
                 critical_levels.append(trial.level)
                 if _near(level, trial.level):
-                    handed = _accept_refined(trial, diags, params, converged=False)
-            if handed is not None:
+                    record = _accept_refined(trial, diags, params, converged=False)
+            if record is not None:
                 diags.exit = "handoff"
                 break
 
@@ -547,15 +551,15 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
         if ids != boundary_ids:
             raise CertificationError("boundary node was moved during deformation")
 
-    record = handed
     if record is None:
+        # any other exit: Newton from the max free node, not the one just stepped
+        point = nodes[max_free()]
         converged = diags.exit == "grad_tol"
-        if not converged:
-            # budget/stall exit: hand back the current max-energy free node,
-            # not the node that was just stepped downhill
-            point = nodes[int(np.argmax([e if not fz else -np.inf
-                                         for e, fz in zip(energies, frozen)]))]
-        record = make_record(point, params, converged=converged, refined=False)
+        if constrained_gradient(point, params).norm <= HANDOFF_GRAD:
+            record = _accept_refined(_newton_trial(point, params), diags, params,
+                                     converged=converged)
+        if record is None:
+            record = make_record(point, params, converged=converged, refined=False)
     if not diags.consistent_lengths():
         raise CertificationError("PS diagnostic traces have unequal lengths")
     return record, diags
@@ -655,22 +659,6 @@ def _accept_refined(trial, diags: PSDiagnostics, params: ActionParams,
     diags.record(res, trial.level, trial.u_h1, trial.psi_hhalf)
     diags.repairs.append(True)
     return replace(trial, converged=converged)
-
-
-def refine_if_possible(record: SolutionRecord, diags: PSDiagnostics,
-                       params: ActionParams) -> SolutionRecord:
-    """Descent-to-Newton hand-off after the descent: Newton runs below
-    HANDOFF_GRAD and its record is accepted by `_accept_refined`; otherwise
-    the flagged descent candidate is returned.  A record the descent already
-    handed off is returned as it is."""
-    if record.refined:
-        return record
-    res = constrained_gradient(record.point, params)
-    if res.norm > HANDOFF_GRAD:
-        return record
-    refined = _accept_refined(_newton_trial(record.point, params), diags, params,
-                              converged=record.converged)
-    return record if refined is None else refined
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,11 @@ from .minmax import (
     linking_constants,
     minmax_deform,
     mountain_pass_endpoint,
-    refine_if_possible,
     straight_path,
 )
 from .spectral import build_basis, check_spectral_gap
 from .sweepout import (
+    DISTINCT_LEVEL_TOL,
     build_sweepout_chi,
     case2_block,
     case2_product_minmax,
@@ -274,13 +274,12 @@ def run_probe(config: RunConfig, geom, basis, params):
 
 def _path_minmax(config: RunConfig, u_end, s, psi, params, tangent_filter=None):
     """The straight path from the origin to (u_end, s psi), deformed and
-    handed to Newton (inside the descent, or after it when the descent ran
-    out); returns (endpoint node, record, diagnostics)."""
+    handed to Newton by minmax_deform; returns (endpoint node, record,
+    diagnostics)."""
     mm = config.minmax
     nodes, frozen = straight_path(u_end, s, psi, mm.path_nodes, params)
-    candidate, diags = minmax_deform(nodes, frozen, mm, params,
-                                     tangent_filter=tangent_filter)
-    record = refine_if_possible(candidate, diags, params)
+    record, diags = minmax_deform(nodes, frozen, mm, params,
+                                  tangent_filter=tangent_filter)
     return nodes[-1], record, diags
 
 
@@ -327,16 +326,16 @@ def run_multiplicity(config: RunConfig, geom, basis, params):
         rec1 = first["records"][0]
         fam = equivariant_family(first["endpoint"]["u_bar"], first["endpoint"]["s"],
                                  chi, params, basis, n_theta=config["n_theta"])
-        rec2, c2, diags = equivariant_disk_minmax(
+        rec2, diags = equivariant_disk_minmax(
             fam, mm, params, basis,
             n_theta_disk=config["n_theta_disk"], n_radii=config["n_radii"])
         records = [rec1, rec2]
-        if abs(c2 - rec1.level) <= 1e-6:
+        if abs(rec2.level - rec1.level) <= DISTINCT_LEVEL_TOL:
             records.append(orthogonal_restart(rec1.point.u, fam, mm, params, basis)[0])
         return {
             "case": 1,
             "records": records,
-            "levels": {"c1": rec1.level, "c2": c2},
+            "levels": {"c1": rec1.level, "c2": rec2.level},
             "distinct": _any_distinct(records),
             "first": first,
             "family_max_energy": fam.max_energy,
@@ -349,11 +348,13 @@ def run_multiplicity(config: RunConfig, geom, basis, params):
     case2_block(basis, params.rho)
     first = run_linking(config, geom, basis, params)
     rec1 = first["records"][0]
-    rec2, c2, diags = case2_product_minmax(chi, mm, params, basis)
+    rec2, diags = case2_product_minmax(
+        chi, mm, params, basis,
+        n_theta_disk=config["n_theta_disk"], n_radii=config["n_radii"])
     return {
         "case": 2,
         "records": [rec1, rec2],
-        "levels": {"c1": rec1.level, "c2": c2},
+        "levels": {"c1": rec1.level, "c2": rec2.level},
         "distinct": _any_distinct([rec1, rec2]),
         "first": first,
         "diagnostics": diags,

@@ -35,7 +35,6 @@ from .minmax import (
     make_record,
     minmax_deform,
     positive_frozen_nodes,
-    refine_if_possible,
     straight_path,
 )
 from .nehari import NehariPoint, fiber_solve, project_to_manifold
@@ -46,8 +45,6 @@ FAMILY_RETRIES = 3
 CASE2_MAX_K = 4     # desk-scale cap on the case-2 block dimension
 CASE2_RETRIES = 2
 CASE2_MESH = (2, 4)  # (phi shells, phi directions) of the linking ball
-CASE2_N_THETA = 8    # theta samples of the case-2 disk
-CASE2_N_R = 3        # radial samples of the case-2 disk
 DISTINCT_LEVEL_TOL = 1e-6
 DISTINCT_ORTHO_TOL = 1e-8
 
@@ -274,7 +271,7 @@ def certify_equivariance(points) -> None:
 
 def _equivariant_deform(nodes, frozen, centers, segments, config, params):
     """minmax_deform over the orbit representatives, with the sigma-fixed
-    centers pinned to u = 0, and the Newton hand-off.
+    centers pinned to u = 0; minmax_deform also runs the Newton hand-off.
 
     A spoke's sigma-image would follow it at equal energy and join no
     segment, so the deformation never reads it and the disk holds none.
@@ -287,9 +284,8 @@ def _equivariant_deform(nodes, frozen, centers, segments, config, params):
             nodes_[idx] = cand
             energies_[idx] = evaluate_J(cand.u, cand.psi, params_)
 
-    record, diags = minmax_deform(nodes, frozen, config, params,
-                                  segments=segments, step_hook=hook)
-    return refine_if_possible(record, diags, params), diags
+    return minmax_deform(nodes, frozen, config, params,
+                         segments=segments, step_hook=hook)
 
 
 def equivariant_disk_mesh(shells_on_boundary, n_theta: int, n_r: int, node):
@@ -325,8 +321,8 @@ def equivariant_disk_minmax(family: EquivariantFamily, config: MinmaxConfig,
 
     The disk w(r e^{i theta}) = (r u_theta, fiber(sPsi_1)) is deformed
     through one representative of each Z2 orbit; the boundary circle (the
-    family) stays fixed at negative energy.  Returns (SolutionRecord, c2,
-    PSDiagnostics).
+    family) stays fixed at negative energy.  Returns (SolutionRecord,
+    PSDiagnostics); the record's level is c2.
     """
     check_n_theta_disk(len(family), n_theta_disk)
     geom = basis.geom
@@ -350,8 +346,7 @@ def equivariant_disk_minmax(family: EquivariantFamily, config: MinmaxConfig,
 
     nodes, frozen, centers, segments = equivariant_disk_mesh(
         [False], n_theta_disk, n_radii, node)
-    record, diags = _equivariant_deform(nodes, frozen, centers, segments, config, params)
-    return record, float(record.level), diags
+    return _equivariant_deform(nodes, frozen, centers, segments, config, params)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +359,8 @@ def orthogonal_restart(u1: ScalarField, family: EquivariantFamily,
 
     theta_0 with <u1, u_{theta_0}> = 0 exists by the intermediate value
     theorem (the family is theta-antisymmetric); descent directions are
-    projected against u1 so orthogonality propagates exactly.
+    projected against u1 so orthogonality propagates exactly.  A record
+    that Newton refined inside {<u, u1>_{H1} = 0} is returned as it is.
     """
     geom = basis.geom
     u1_sq = sobolev_inner(u1, u1, "H1_scalar")
@@ -420,11 +416,13 @@ def orthogonal_restart(u1: ScalarField, family: EquivariantFamily,
 
     record, diags = minmax_deform(nodes, frozen, config, params,
                                   tangent_filter=tangent_filter)
-    # orthogonality certificate on the returned record
-    final_u = orthogonalize(record.point.u)
-    point = project_to_manifold(final_u, record.point.psi, params)
-    record = make_record(point, params, converged=record.converged, refined=False)
-    ortho = abs(sobolev_inner(point.u, u1, "H1_scalar"))
+    # orthogonality certificate on the returned record; a refined record
+    # that passes it as returned is kept, any other is re-projected first
+    ortho = abs(sobolev_inner(record.point.u, u1, "H1_scalar"))
+    if not record.refined or ortho > 1e-8:
+        point = project_to_manifold(orthogonalize(record.point.u), record.point.psi, params)
+        record = make_record(point, params, converged=record.converged, refined=False)
+        ortho = abs(sobolev_inner(point.u, u1, "H1_scalar"))
     if ortho > 1e-8:
         raise CertificationError(f"restart orthogonality defect {ortho:.3e} > 1e-8")
     return record, diags
@@ -495,12 +493,15 @@ def _block_spinor(geom, fields, coefvec) -> SpinorField:
 
 
 def case2_product_minmax(chi: SweepoutChi, config: MinmaxConfig,
-                         params: ActionParams, basis):
+                         params: ActionParams, basis,
+                         n_theta_disk: int, n_radii: int):
     """Equivariant min-max over the product of the linking ball and a disk.
 
     Elements are (u, psi) = (chi(theta,.) T r, phi + A T r Psi_{k+1}) with
-    phi in the plus_b + zero block; the boundary {|phi| = R} u {r = 1} must
-    have nonpositive energy (certified, with R inflation retries).
+    phi in the plus_b + zero block, on n_theta_disk angles and n_radii radii;
+    the boundary {|phi| = R} u {r = 1} must have nonpositive energy
+    (certified, with R inflation retries).  Returns (SolutionRecord,
+    PSDiagnostics); the record's level is c2.
     """
     geom = basis.geom
     fields, weights = case2_block(basis, params.rho)
@@ -512,9 +513,9 @@ def case2_product_minmax(chi: SweepoutChi, config: MinmaxConfig,
     psi_top = basis.eigenspinor(consts.k_index + 1)
     shell_q = np.linspace(0, 1, n_rad_phi + 1)[1:]
     on_boundary = [False] + [bool(q == 1.0) for q in shell_q for _ in dirs]
-    disk_r = np.linspace(0.0, 1.0, CASE2_N_R + 1)
-    chi_vals = [chi.evaluate(2.0 * np.pi * it / CASE2_N_THETA, geom)
-                for it in range(CASE2_N_THETA // 2)]
+    disk_r = np.linspace(0.0, 1.0, n_radii + 1)
+    chi_vals = [chi.evaluate(2.0 * np.pi * it / n_theta_disk, geom)
+                for it in range(n_theta_disk // 2)]
 
     r_factor = 1.0
     for attempt in range(CASE2_RETRIES + 1):
@@ -528,7 +529,7 @@ def case2_product_minmax(chi: SweepoutChi, config: MinmaxConfig,
             return fiber_solve(u, phi_fields[shell] + (consts.A * t_eff) * psi_top, params)
 
         nodes, frozen, centers, segments = equivariant_disk_mesh(
-            on_boundary, CASE2_N_THETA, CASE2_N_R, node)
+            on_boundary, n_theta_disk, n_radii, node)
         bad = positive_frozen_nodes(nodes, frozen, params)
         if not bad:
             break
@@ -537,5 +538,4 @@ def case2_product_minmax(chi: SweepoutChi, config: MinmaxConfig,
                 f"{len(bad)} case-2 boundary nodes stay positive after retries")
         r_factor *= 1.5
 
-    record, diags = _equivariant_deform(nodes, frozen, centers, segments, config, params)
-    return record, float(record.level), diags
+    return _equivariant_deform(nodes, frozen, centers, segments, config, params)

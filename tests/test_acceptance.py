@@ -396,6 +396,13 @@ def test_criterion_10_diagnostics_fidelity(multiplicity_run, linking_run):
 
     diag = result["diagnostics"]
     crit.check("norm traces bounded (multiplicity run)", diag.bounded())
+    # the PS trace belongs to the disk (record 1): refined, it ends at the
+    # converged residual level
+    crit.check("disk record refined", result["records"][1].refined)
+    crit.check(f"disk trace ends at alpha {diag.alpha_norms[-1]:.2e} <= 1e-6",
+               diag.alpha_norms[-1] <= 1e-6)
+    crit.check(f"disk trace ends at beta {diag.beta_norms[-1]:.2e} <= 1e-6",
+               diag.beta_norms[-1] <= 1e-6)
     ldiag = linking_run["diagnostics"]
     crit.check("norm traces bounded (linking run)", bool(ldiag["bounded"]))
     crit.conclude()

@@ -214,6 +214,22 @@ def test_minmax_deform_small_mountain_pass(setup16):
     assert refined.level == pytest.approx(4 * 0.25 * np.sinh(c) ** 2 * geom.vol, rel=1e-9)
 
 
+def test_minmax_deform_hands_off_at_its_exit(setup16):
+    # a descent that ends on budget hands its max node to Newton itself:
+    # the record is refined, the descent is not converged, and the PS trace
+    # has one entry per outer iteration plus the refined point
+    geom, basis = setup16
+    params = ActionParams(rho=0.5)
+    u_bar, s = mountain_pass_endpoint(params, basis)
+    config = MinmaxConfig(path_nodes=9, grad_tol=1e-3, max_outer=5, seed=0)
+    nodes, frozen = straight_path(geom, basis, params, u_bar, s, config.path_nodes)
+    record, diags = minmax_deform(nodes, frozen, config, params)
+    assert record.refined and not record.converged
+    assert diags.exit == "budget"
+    assert len(diags.energies) == 6 and diags.consistent_lengths()
+    assert diags.energies[-1] == record.level
+
+
 def test_semi_trivial_eigenvalue_relation(setup16):
     # constant-u records must satisfy rho cosh(ubar) in the computed spectrum
     geom, basis = setup16

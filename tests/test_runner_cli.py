@@ -201,13 +201,16 @@ def test_multiplicity_case1_outputs(tmp_path):
     assert all(float(row.split(",")[1]) < 0 for row in sweep[1:])
     spec_rows = (out / "spectrum.csv").read_text().splitlines()
     assert float(spec_rows[1].split(",")[1]) == pytest.approx(LAM1, rel=1e-12)
-    # serialized PS trace ends at the refined residual level for refined runs
-    # (the diagnostics belong to the disk deformation, i.e. record index 1)
+    # this coarse config finds no second solution: the disk (record 1) runs
+    # out of budget at a constant-u point that Newton does not refine
     data = json.loads((out / "run_output.json").read_text())
-    if data["records"][1]["refined"]:
-        diag = data["diagnostics"]
-        assert diag["alpha_norms"][-1] <= 1e-6
-        assert diag["beta_norms"][-1] <= 1e-6
+    disk = data["records"][1]
+    assert data["levels"]["c2"] == pytest.approx(165.78228280172323, rel=1e-8)
+    assert disk["res_psi"] > 1.0
+    assert disk["classification"] == "semi_trivial_constant_u"
+    assert not disk["refined"] and not disk["converged"]
+    assert data["distinct"] is False and data["converged"] is False
+    assert data["diagnostics"]["exit"] == "budget"
 
 
 def test_multiplicity_case2_route(tmp_path):

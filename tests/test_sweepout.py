@@ -164,9 +164,9 @@ def test_disk_minmax_builds_no_sigma_images(mp16, family16, monkeypatch):
 
     monkeypatch.setattr(sshg.sweepout, "_sigma_point", refuse)
     config = MinmaxConfig(path_nodes=9, grad_tol=1e-3, max_outer=3, seed=0)
-    rec, c2, diags = equivariant_disk_minmax(family16, config, params, basis,
-                                             n_theta_disk=8, n_radii=3)
-    assert diags.bounded() and c2 == rec.level
+    rec, diags = equivariant_disk_minmax(family16, config, params, basis,
+                                         n_theta_disk=8, n_radii=3)
+    assert diags.bounded()
 
 
 def test_disk_minmax_and_restart(mp16, family16):
@@ -182,8 +182,9 @@ def test_disk_minmax_and_restart(mp16, family16):
     c1 = rec1.level
 
     config = MinmaxConfig(path_nodes=9, grad_tol=1e-3, max_outer=40, seed=0)
-    rec2, c2, diags = equivariant_disk_minmax(fam, config, params, basis,
-                                              n_theta_disk=8, n_radii=3)
+    rec2, diags = equivariant_disk_minmax(fam, config, params, basis,
+                                          n_theta_disk=8, n_radii=3)
+    c2 = rec2.level
     assert diags.bounded()
     assert c2 >= c1 - 1e-9
 
@@ -222,6 +223,10 @@ def test_orthogonal_restart_direct(mp16, family16):
     ortho = abs(sobolev_inner(rec3.point.u, rec1.point.u, "H1_scalar"))
     assert ortho <= 1e-8
     assert diags.bounded()
+    # Newton refines the restart to a solution that already lies in the
+    # orthogonal complement, and the restart returns it refined
+    assert rec3.refined
+    assert rec3.classification == "nontrivial"
     # the restricted level cannot drop below the free min-max floor
     assert rec3.level > 0
     # theta-antisymmetry of the pairing: p(theta) + p(theta + pi) = 0
@@ -257,12 +262,45 @@ def test_case2_product_minmax_harmonic_block():
     chi = build_sweepout_chi(chig, 0.05 * chig.vol)
     config = MinmaxConfig(path_nodes=9, grad_tol=1e-3, max_outer=30, seed=0)
     from sshg.sweepout import case2_product_minmax
-    rec, c2, diags = case2_product_minmax(chi, config, params, basis)
+    rec, diags = case2_product_minmax(chi, config, params, basis,
+                                      n_theta_disk=8, n_radii=3)
     assert diags.bounded()
     if rec.refined:
         assert rec.res_u + rec.res_psi <= NEWTON_TOL
         assert rec.classification != "trivial"
-        assert c2 > 0
+        assert rec.level > 0
+
+
+def test_case2_disk_follows_n_theta_disk_and_n_radii(monkeypatch):
+    # the case-2 disk is sampled on the configured angles and radii
+    geom = TorusGeometry(grid_n=16, spin_delta=(0.0, 0.0))
+    basis = build_basis(geom, cutoff=2.2)
+    chig = TorusGeometry(grid_n=256, spin_delta=(0.0, 0.0))
+    chi = build_sweepout_chi(chig, 0.05 * chig.vol)
+    config = MinmaxConfig(path_nodes=9, grad_tol=1e-3, max_outer=5, seed=0)
+    mesh = sshg.sweepout.equivariant_disk_mesh
+    built = []
+
+    class MeshBuilt(Exception):
+        pass
+
+    def mesh_then_stop(shells_on_boundary, n_theta, n_r, node):
+        built.append((n_theta, n_r, mesh(shells_on_boundary, n_theta, n_r, node)))
+        raise MeshBuilt
+
+    monkeypatch.setattr(sshg.sweepout, "equivariant_disk_mesh", mesh_then_stop)
+    from sshg.sweepout import case2_product_minmax
+    with pytest.raises(MeshBuilt):
+        case2_product_minmax(chi, config, ActionParams(rho=0.5), basis,
+                             n_theta_disk=4, n_radii=2)
+    (n_theta, n_r, (nodes, frozen, centers, segments)), = built
+    assert (n_theta, n_r) == (4, 2)
+    # each shell: a center and n_theta/2 spokes of n_r radial nodes, the
+    # outermost of which is frozen
+    per_shell = 1 + (4 // 2) * 2
+    assert len(nodes) == per_shell * len(centers)
+    assert centers == list(range(0, len(nodes), per_shell))
+    assert frozen[centers[0] + 2] and not frozen[centers[0] + 1]
 
 
 def test_case2_capacity_guard(mp16):
@@ -274,7 +312,8 @@ def test_case2_capacity_guard(mp16):
     chi = build_sweepout_chi(chig, 0.05 * chig.vol)
     config = MinmaxConfig(path_nodes=9, grad_tol=1e-3, max_outer=5, seed=0)
     with pytest.raises(CapacityError):
-        case2_product_minmax(chi, config, ActionParams(rho=1.0), basis)
+        case2_product_minmax(chi, config, ActionParams(rho=1.0), basis,
+                             n_theta_disk=8, n_radii=3)
 
 
 def test_records_distinct_ledger(mp16):

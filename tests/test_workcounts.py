@@ -31,13 +31,13 @@ CONFIG = {
 
 CEILINGS = {
     "fiber_solve": 502,
-    "evaluate_J": 519,
-    "cg.calls": 529,
+    "evaluate_J": 518,
+    "cg.calls": 528,
     "cg.iters": 1232,
     "minres.iters": 91,
     "constrained_gradient": 23,
     "newton_refine": 2,
-    "fft": 4547,
+    "fft": 4537,
 }
 
 MOUNTAIN_PASS = {
