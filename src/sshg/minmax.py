@@ -60,6 +60,7 @@ HANDOFF_GRAD = 1e3         # a descent's exit tries Newton from almost anywhere
 HANDOFF_RTOL = 1e-3        # a path hands off when Newton lands this close to its level
 NEWTON_MAX_STEPS = 30
 NEWTON_TOL = 1e-10         # Newton stops once res_u + res_psi is at most this
+NEWTON_FORCING = 1e-2      # largest relative MINRES tolerance of a Newton step
 TRACE_CAP = 1e8            # PS traces beyond this magnitude count as unbounded
 LINKING_T_MARGIN = 0.5     # T clears the step-(i) threshold by this much
 LINKING_FACTOR = 1.5       # safety factor of A and R over their thresholds
@@ -163,6 +164,8 @@ class SolutionRecord:
     multiplier_norm: float
     u_h1: float
     psi_hhalf: float
+    newton_steps: int = 0          # accepted steps of the Newton that built it
+    minres_iters: int = 0          # MINRES iterations that Newton spent
 
 
 def u_variance(u: ScalarField) -> float:
@@ -579,13 +582,24 @@ def _grad_vec(u, psi, params) -> tuple[Variation, float]:
     return r, product_norm(r.du, r.dpsi)
 
 
+def _forcing(res: float) -> float:
+    """Relative MINRES tolerance of a Newton step from residual res (inexact
+    Newton: Dembo, Eisenstat & Steihaug 1982).  Far from a solution the linear
+    error stays below Newton's quadratic error (eta <= NEWTON_FORCING * res);
+    near one MINRES lands about 1000 times below NEWTON_TOL."""
+    return max(1e-12, min(NEWTON_FORCING, NEWTON_FORCING * res),
+               NEWTON_FORCING * NEWTON_TOL / (10.0 * res))
+
+
 def newton_refine(candidate: NehariPoint, params: ActionParams,
                   check_pre: bool = True) -> SolutionRecord:
-    """Damped Newton on the full Euler-Lagrange system via Hessian products.
+    """Damped inexact Newton on the full Euler-Lagrange system via Hessian
+    products.
 
     Terminates when both residual dual norms are below NEWTON_TOL; divergence
     (no damped decrease across 10 halvings) returns the candidate flagged
-    unrefined.  The record's `converged` is False: no descent ran here.
+    unrefined.  The record's `converged` is False: no descent ran here; it
+    carries the accepted steps and the MINRES iterations spent.
     """
     if check_pre:
         pre = constrained_gradient(candidate, params)
@@ -597,12 +611,15 @@ def newton_refine(candidate: NehariPoint, params: ActionParams,
 
     u, psi = candidate.u, candidate.psi
     refined = False
+    steps = iters = 0
+    grad = None
     for _ in range(NEWTON_MAX_STEPS):
         _, ru, rp = el_residual(u, psi, params)
         if ru + rp <= NEWTON_TOL:
             refined = True
             break
-        gvec, gnorm = _grad_vec(u, psi, params)
+        # an accepted line-search trial already holds the gradient here
+        gvec, gnorm = grad if grad is not None else _grad_vec(u, psi, params)
 
         # solutions come in group orbits, so the Hessian is singular along
         # the orbit directions; a gradient-sized shift keeps the Krylov solve
@@ -612,27 +629,29 @@ def newton_refine(candidate: NehariPoint, params: ActionParams,
         def hess_op(d: Variation) -> Variation:
             return hess_vec(u, psi, d, params).riesz() + shift * d
 
-        d, info = minres(hess_op, -1.0 * gvec, _prod_inner, tol=1e-12, maxiter=250)
+        d, info = minres(hess_op, -1.0 * gvec, _prod_inner,
+                         tol=_forcing(ru + rp), maxiter=250)
+        iters += info.iterations
         lam = 1.0
-        moved = False
         for _ in range(10):
             u_try = u + lam * d.du
             psi_try = psi + lam * d.dpsi
             try:
-                _, gn = _grad_vec(u_try, psi_try, params)
+                g_try, gn = _grad_vec(u_try, psi_try, params)
             except (SSHGError, FloatingPointError):
                 lam *= 0.5
                 continue
             if gn <= (1.0 - SUFFICIENT_DECREASE * lam) * gnorm:
-                u, psi = u_try, psi_try
-                moved = True
+                u, psi, grad = u_try, psi_try, (g_try, gn)
                 break
             lam *= 0.5
-        if not moved:
+        else:
             break
+        steps += 1
 
     point = project_to_manifold(u, psi, params)
-    return make_record(point, params, converged=False, refined=refined)
+    return replace(make_record(point, params, converged=False, refined=refined),
+                   newton_steps=steps, minres_iters=iters)
 
 
 def _near(level: float, critical_level: float) -> bool:

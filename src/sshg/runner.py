@@ -212,6 +212,8 @@ def _record_summary(rec) -> dict:
         "psi_hhalf": rec.psi_hhalf,
         "converged": rec.converged,
         "refined": rec.refined,
+        "newton_steps": rec.newton_steps,
+        "minres_iters": rec.minres_iters,
     }
 
 

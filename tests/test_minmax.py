@@ -161,6 +161,42 @@ def test_newton_refine_from_perturbed_seed(setup16):
     assert rec.res_u + rec.res_psi <= 1e-10
 
 
+def test_inexact_newton_from_a_perturbed_semi_trivial_start(monkeypatch):
+    # the start shape of the newton-n128 benchmark workload at grid 32:
+    # u = arccosh(lam1/rho) plus a smooth perturbation of max size 0.05,
+    # psi = L sqrt(lam1) Psi_1
+    geom = TorusGeometry(grid_n=32, spin_delta=(0.5, 0.5))
+    basis = build_basis(geom, cutoff=3.0)
+    params = ActionParams(rho=0.5)
+    c = float(np.arccosh(LAM1 / 0.5))
+    modes = [(a, b) for a in range(-3, 4) for b in range(-3, 4) if (a, b) != (0, 0)]
+    coef = np.random.default_rng(0).standard_normal((len(modes), 2))
+    pert = sum(cc * np.cos(a * geom.x1 + b * geom.x2) + cs * np.sin(a * geom.x1 + b * geom.x2)
+               for (a, b), (cc, cs) in zip(modes, coef))
+    u = ScalarField.from_values(geom, c + 0.05 * pert / np.max(np.abs(pert)))
+    psi = (geom.side_length * np.sqrt(LAM1)) * basis.eigenspinor(1)
+
+    solves = []
+    orig = sshg.minmax.minres
+
+    def recording_minres(*args, tol, **kwargs):
+        out = orig(*args, tol=tol, **kwargs)
+        solves.append((tol, out[1].iterations))
+        return out
+
+    monkeypatch.setattr(sshg.minmax, "minres", recording_minres)
+    rec = newton_refine(fiber_solve(u, psi, params), params, check_pre=False)
+
+    assert rec.refined and rec.newton_steps == 4 == len(solves)
+    assert rec.level == pytest.approx(4 * 0.25 * np.sinh(c) ** 2 * geom.vol, rel=1e-12)
+    assert rec.res_u + rec.res_psi <= 1e-12
+    # a MINRES solve to 1e-12 each step spent 517 iterations here
+    assert rec.minres_iters == sum(it for _, it in solves) <= 137
+    tols = [tol for tol, _ in solves]
+    assert all(1e-12 <= tol <= sshg.minmax.NEWTON_FORCING for tol in tols)
+    assert tols[-1] > 1e-12
+
+
 def test_newton_pre_violation(setup16):
     geom, basis = setup16
     params = ActionParams(rho=0.5)

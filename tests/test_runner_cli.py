@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+import sshg.minmax
 from sshg.cli import main, main_solve
 from sshg.errors import ConfigError
 from sshg.minmax import linking_constants
@@ -186,6 +187,44 @@ def test_refined_record_keeps_the_descent_flag():
     assert output["converged"] is True
 
 
+def test_records_report_newton_work(tmp_path, monkeypatch):
+    # newton_steps and minres_iters of the record match what the Newton that
+    # built it did: one el_residual per step, one at its stop, one in its record
+    calls = []
+    orig_newton, orig_minres, orig_el = (sshg.minmax.newton_refine, sshg.minmax.minres,
+                                         sshg.minmax.el_residual)
+
+    def newton_refine(*args, **kwargs):
+        calls.append({"minres": 0, "iters": 0, "el_residual": 0, "open": True})
+        try:
+            return orig_newton(*args, **kwargs)
+        finally:
+            calls[-1]["open"] = False
+
+    def minres(*args, **kwargs):
+        out = orig_minres(*args, **kwargs)
+        calls[-1]["minres"] += 1
+        calls[-1]["iters"] += out[1].iterations
+        return out
+
+    def el_residual(*args, **kwargs):
+        if calls and calls[-1]["open"]:
+            calls[-1]["el_residual"] += 1
+        return orig_el(*args, **kwargs)
+
+    monkeypatch.setattr(sshg.minmax, "newton_refine", newton_refine)
+    monkeypatch.setattr(sshg.minmax, "minres", minres)
+    monkeypatch.setattr(sshg.minmax, "el_residual", el_residual)
+    run(RunConfig.from_dict(base_config(
+        mode="mountain_pass", path_nodes=9, max_outer=5, grad_tol=1e-3,
+        output_dir=str(tmp_path))))
+    rec = json.loads((tmp_path / "run_output.json").read_text())["records"][0]
+    (call,) = calls
+    assert rec["refined"] and rec["newton_steps"] > 0
+    assert rec["newton_steps"] == call["minres"] == call["el_residual"] - 2
+    assert rec["minres_iters"] == call["iters"]
+
+
 def test_multiplicity_case1_outputs(tmp_path):
     config = RunConfig.from_dict(base_config(
         mode="multiplicity", rho=0.5, path_nodes=9, max_outer=25,
@@ -209,6 +248,8 @@ def test_multiplicity_case1_outputs(tmp_path):
     assert disk["res_psi"] > 1.0
     assert disk["classification"] == "semi_trivial_constant_u"
     assert not disk["refined"] and not disk["converged"]
+    # a rejected Newton trial leaves no work on the descent's own record
+    assert disk["newton_steps"] == 0 and disk["minres_iters"] == 0
     assert data["distinct"] is False and data["converged"] is False
     assert data["diagnostics"]["exit"] == "budget"
 
