@@ -128,11 +128,23 @@ def dirac_minus_potential(psi: SpinorField, cosh_u: np.ndarray, rho: float) -> S
     return dirac_apply(psi) - psi.times(rho * cosh_u)
 
 
+def _scalar_terms(u: ScalarField, uv: np.ndarray, rho: float) -> tuple[float, float]:
+    """int |grad u|^2 and 4 rho^2 int sinh(u)^2, the two psi-free terms of J."""
+    return gradient_energy(u), 4.0 * rho * rho * u.geom.quad_weight * float(np.sum(np.sinh(uv) ** 2))
+
+
+def scalar_energy(u: ScalarField, params: ActionParams) -> float:
+    """E(u) = int |grad u|^2 + 4 rho^2 sinh(u)^2, the scalar part of J:
+    J(u, psi) = E(u) + 8 <(D - rho cosh u) psi, psi>_{L^2}."""
+    grad_term, sinh_term = _scalar_terms(u, check_overflow(u), params.rho)
+    return grad_term + sinh_term
+
+
 def evaluate_J(u: ScalarField, psi: SpinorField, params: ActionParams) -> float:
     geom = u.geom
     uv = check_overflow(u)
     rho = params.rho
-    grad_term = gradient_energy(u)
+    grad_term, sinh_term = _scalar_terms(u, uv, rho)
     dirac_term = 8.0 * l2_inner(dirac_apply(psi), psi)
     c = constant_value(uv)
     if c is None:
@@ -140,7 +152,6 @@ def evaluate_J(u: ScalarField, psi: SpinorField, params: ActionParams) -> float:
     else:
         # discrete Parseval: the grid sum of |psi|^2 is the coefficient sum
         cosh_term = -8.0 * rho * float(np.cosh(c)) * l2_inner(psi, psi)
-    sinh_term = 4.0 * rho * rho * geom.quad_weight * float(np.sum(np.sinh(uv) ** 2))
     return grad_term + dirac_term + cosh_term + sinh_term
 
 

@@ -38,6 +38,7 @@ from .krylov import minres
 from .nehari import (
     NehariPoint,
     constrained_gradient,
+    fiber_energy_bound,
     fiber_solve,
     lagrange_multiplier,
     project_to_manifold,
@@ -166,6 +167,7 @@ class SolutionRecord:
     psi_hhalf: float
     newton_steps: int = 0          # accepted steps of the Newton that built it
     minres_iters: int = 0          # MINRES iterations that Newton spent
+    minres_capped: int = 0         # its MINRES solves that stopped at the iteration cap
 
 
 def u_variance(u: ScalarField) -> float:
@@ -277,11 +279,10 @@ def linking_constants(params: ActionParams, basis) -> LinkingConstants:
     return consts
 
 
-def positive_frozen_nodes(nodes, frozen, params: ActionParams) -> list:
+def positive_frozen_nodes(energies, frozen) -> list:
     """Indices of frozen nodes whose energy exceeds the boundary tolerance
     1e-9: a min-max boundary must have nonpositive energy."""
-    return [i for i, (nd, fz) in enumerate(zip(nodes, frozen))
-            if fz and evaluate_J(nd.u, nd.psi, params) > 1e-9]
+    return [i for i, (e, fz) in enumerate(zip(energies, frozen)) if fz and e > 1e-9]
 
 
 def straight_path(u_end: ScalarField, s: float, psi: SpinorField, n_nodes: int,
@@ -313,10 +314,13 @@ def _product_dist(a: NehariPoint, b: NehariPoint) -> float:
     return float(np.sqrt(h1_norm(a.u - b.u) ** 2 + hhalf_norm(a.psi - b.psi) ** 2))
 
 
+def _blend(a: NehariPoint, b: NehariPoint, w: float):
+    return (1.0 - w) * a.u + w * b.u, (1.0 - w) * a.psi + w * b.psi
+
+
 def _interp_points(a: NehariPoint, b: NehariPoint, w: float, params) -> NehariPoint:
     """Linear blend of (u, psi) retracted to the manifold, warm-started at its minus part."""
-    u = (1.0 - w) * a.u + w * b.u
-    psi = (1.0 - w) * a.psi + w * b.psi
+    u, psi = _blend(a, b, w)
     minus = project(psi, "minus")
     return fiber_solve(u, psi - minus, params, x0=minus)
 
@@ -345,40 +349,52 @@ SEGMENT_SAMPLES = (0.25, 0.5, 0.75)
 
 
 class _SegmentCache:
-    """Interior samples of mesh segments, recomputed when an endpoint moves.
+    """Interior samples of mesh segments, bounded when an endpoint moves and
+    solved only when their bound reaches the promotion threshold.
 
     A discrete node set can cheat the min-max level by letting one segment
     jump the energy ridge unsampled; tracking interior samples and promoting
-    any sample that exceeds the node max repairs that unfaithfulness.  Each
-    entry keeps its endpoint objects alive and compares them by identity: an
-    id() of a freed node may be reused by its replacement, and the nodes of a
-    respread path are all new objects.
+    any sample that exceeds the node max repairs that unfaithfulness.  A
+    sample's fiber maximum is at most its `fiber_energy_bound`, so a sample
+    whose bound stays at or below the threshold could never be promoted and
+    is not solved.  Each entry keeps its endpoint objects alive and compares
+    them by identity: an id() of a freed node may be reused by its
+    replacement, and the nodes of a respread path are all new objects.
     """
 
     def __init__(self, segments, params):
         self.segments = list(segments or [])
         self.params = params
-        self._cache = {}
+        self._cache = {}   # (i, j) -> (a, b, bounds, [(J, point) or None per sample])
 
-    def refresh(self, nodes):
+    def refresh(self, nodes, floor):
+        """Bound the samples of every segment whose endpoint moved, then solve
+        each unsolved sample whose bound exceeds floor; a solved J above its
+        bound raises CertificationError."""
         for (i, j) in self.segments:
             a, b = nodes[i], nodes[j]
             hit = self._cache.get((i, j))
-            if hit is not None and hit[0] is a and hit[1] is b:
-                continue
-            pts, js = [], []
-            for w in SEGMENT_SAMPLES:
-                pt = _interp_points(a, b, w, self.params)
-                pts.append(pt)
-                js.append(evaluate_J(pt.u, pt.psi, self.params))
-            self._cache[(i, j)] = (a, b, pts, js)
+            if hit is None or hit[0] is not a or hit[1] is not b:
+                bounds = [fiber_energy_bound(*_blend(a, b, w), self.params)
+                          for w in SEGMENT_SAMPLES]
+                hit = self._cache[(i, j)] = (a, b, bounds, [None] * len(SEGMENT_SAMPLES))
+            _, _, bounds, solved = hit
+            for k, w in enumerate(SEGMENT_SAMPLES):
+                if solved[k] is None and bounds[k] > floor:
+                    pt = _interp_points(a, b, w, self.params)
+                    j_s = evaluate_J(pt.u, pt.psi, self.params)
+                    if not j_s <= bounds[k]:
+                        raise CertificationError(
+                            f"ridge sample J {j_s!r} exceeds its fiber bound {bounds[k]!r}")
+                    solved[k] = (j_s, pt)
 
     def best_sample(self):
+        """(J, i, j, point) of the highest solved sample, or None."""
         best = None
-        for (i, j), (_, _, pts, js) in self._cache.items():
-            k = int(np.argmax(js))
-            if best is None or js[k] > best[0]:
-                best = (js[k], i, j, pts[k])
+        for (i, j), (_, _, _, solved) in self._cache.items():
+            for sample in solved:
+                if sample is not None and (best is None or sample[0] > best[0]):
+                    best = (sample[0], i, j, sample[1])
         return best
 
 
@@ -408,7 +424,8 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
     frozen = list(frozen)
     if not any(not f for f in frozen):
         raise ConfigError("deformation needs at least one free node")
-    bad = positive_frozen_nodes(nodes, frozen, params)
+    energies = [evaluate_J(nd.u, nd.psi, params) for nd in nodes]
+    bad = positive_frozen_nodes(energies, frozen)
     if bad:
         raise CertificationError(f"frozen node {bad[0]} has positive energy at start")
 
@@ -421,7 +438,6 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
         neighbors.setdefault(i, set()).add(j)
         neighbors.setdefault(j, set()).add(i)
 
-    energies = [evaluate_J(nd.u, nd.psi, params) for nd in nodes]
     diags = PSDiagnostics()
     boundary_ids = [id(nd) for nd, fz in zip(nodes, frozen) if fz]
 
@@ -445,14 +461,13 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
         """Promote ridge samples hiding inside segments; returns True if any."""
         did = False
         for _ in range(3 * len(nodes)):
-            segcache.refresh(nodes)
+            node_max = max(energies)
+            threshold = node_max + 1e-9 * (1.0 + abs(node_max))
+            segcache.refresh(nodes, threshold)
             best = segcache.best_sample()
-            if best is None:
+            if best is None or best[0] <= threshold:
                 break
             j_s, i, j, pt = best
-            node_max = max(energies)
-            if j_s <= node_max + 1e-9 * (1.0 + abs(node_max)):
-                break
             free_ends = [k for k in (i, j) if not frozen[k]]
             if not free_ends:
                 break
@@ -544,7 +559,10 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
         if chain and (outer + 1) % RESPREAD_EVERY == 0:
             new_nodes = _respread_path(nodes, params)
             if new_nodes is not None:
-                new_energies = [evaluate_J(nd.u, nd.psi, params) for nd in new_nodes]
+                # _respread_path keeps both end nodes, whose energies are known
+                new_energies = ([energies[0]]
+                                + [evaluate_J(nd.u, nd.psi, params) for nd in new_nodes[1:-1]]
+                                + [energies[-1]])
                 if max(new_energies) <= max(energies) + 1e-12 * (1 + abs(max(energies))):
                     nodes = new_nodes
                     energies = new_energies
@@ -599,7 +617,9 @@ def newton_refine(candidate: NehariPoint, params: ActionParams,
     Terminates when both residual dual norms are below NEWTON_TOL; divergence
     (no damped decrease across 10 halvings) returns the candidate flagged
     unrefined.  The record's `converged` is False: no descent ran here; it
-    carries the accepted steps and the MINRES iterations spent.
+    carries the accepted steps, the MINRES iterations spent and the number of
+    MINRES solves that stopped at the cap unconverged (their step is still
+    tried).
     """
     if check_pre:
         pre = constrained_gradient(candidate, params)
@@ -611,7 +631,7 @@ def newton_refine(candidate: NehariPoint, params: ActionParams,
 
     u, psi = candidate.u, candidate.psi
     refined = False
-    steps = iters = 0
+    steps = iters = capped = 0
     grad = None
     for _ in range(NEWTON_MAX_STEPS):
         _, ru, rp = el_residual(u, psi, params)
@@ -632,6 +652,7 @@ def newton_refine(candidate: NehariPoint, params: ActionParams,
         d, info = minres(hess_op, -1.0 * gvec, _prod_inner,
                          tol=_forcing(ru + rp), maxiter=250)
         iters += info.iterations
+        capped += not info.converged
         lam = 1.0
         for _ in range(10):
             u_try = u + lam * d.du
@@ -651,7 +672,7 @@ def newton_refine(candidate: NehariPoint, params: ActionParams,
 
     point = project_to_manifold(u, psi, params)
     return replace(make_record(point, params, converged=False, refined=refined),
-                   newton_steps=steps, minres_iters=iters)
+                   newton_steps=steps, minres_iters=iters, minres_capped=capped)
 
 
 def _near(level: float, critical_level: float) -> bool:

@@ -26,6 +26,7 @@ from .action import (
     check_overflow,
     dirac_minus_potential,
     gradient_J,
+    scalar_energy,
 )
 from .errors import CertificationError, ConfigError, OverflowGuardError
 from .fields import ScalarField, SpinorField
@@ -36,6 +37,7 @@ from .spectral import (
     hhalf_norm,
     hminus1_norm,
     hminushalf_norm,
+    l2_inner,
     product_norm,
     project,
     riesz_h1,
@@ -52,10 +54,16 @@ def _hhalf_inner(a: SpinorField, b: SpinorField) -> float:
     return sobolev_inner(a, b, "Hhalf_spinor")
 
 
+def _minus_riesz(h: SpinorField) -> SpinorField:
+    """P^- (1+|D|)^{-1} h: the H^{1/2} representative on E^- of the L^2
+    functional h."""
+    return project(riesz_hhalf(h), "minus")
+
+
 def _constraint_map(psi: SpinorField, cosh_u: np.ndarray, rho: float) -> SpinorField:
     """P^- (1+|D|)^{-1} (D - rho cosh u) psi: G(u, psi), and the fiber
     operator A on the negative subspace, as a linear map of psi."""
-    return project(riesz_hhalf(dirac_minus_potential(psi, cosh_u, rho)), "minus")
+    return _minus_riesz(dirac_minus_potential(psi, cosh_u, rho))
 
 
 def constraint_G(u: ScalarField, psi: SpinorField, params: ActionParams) -> SpinorField:
@@ -87,6 +95,47 @@ class MultiplierData:
 
     def norm(self) -> float:
         return hhalf_norm(self.varphi)
+
+
+def fiber_coercivity(geom, rho: float, cosh_min: float) -> float:
+    """c = min over the minus modes of (|xi| + rho cosh_min)/(1 + |xi|).
+
+    Where cosh u >= cosh_min, -A >= c in H^{1/2} on E^-:
+    <-A phi, phi>_{H^{1/2}} = <|D| phi, phi> + rho int cosh(u) |phi|^2
+    >= sum (|xi| + rho cosh_min) |a-|^2 >= c ||phi||^2_{H^{1/2}}, exactly on
+    the discrete space (the grid quadrature of cosh(u)|phi|^2 has positive
+    weights).
+    """
+    lam = geom.s_abs[geom.spinor_mask & (geom.s_abs > 0)]
+    return float(np.min((lam + rho * cosh_min) / (1.0 + lam)))
+
+
+def fiber_energy_bound(u: ScalarField, psi: SpinorField, params: ActionParams) -> float:
+    """Upper bound of J over the fiber {psi_free + phi : phi in E^-} through
+    (u, psi), psi_free = psi - P^- psi: at least J of any point the fiber
+    solve can return from there, without solving.
+
+    With h = (D - rho cosh u) psi and g = P^- (1+|D|)^{-1} h = G(u, psi),
+    J(u, psi + delta) = J0 + 16 <g, delta> + 8 <A delta, delta> for delta in
+    E^- (H^{1/2} pairings), exactly on the discrete space, where
+    J0 = E(u) + 8 <h, psi>_{L^2} is J at (u, psi).  Since -A >= c
+    (`fiber_coercivity`), the fiber maximum is at most J0 + 8 ||g||^2 / c,
+    reached within ||g|| / c of psi.  The returned value adds a rounding pad
+    of 1e-12 times a bound on the summed magnitudes of J's terms at any point
+    within that distance, far above the relative rounding (~1e-15) of J's
+    grid sums and FFTs.
+    """
+    uv = check_overflow(u)
+    cosh_u = np.cosh(uv)
+    rho = params.rho
+    h = dirac_minus_potential(psi, cosh_u, rho)
+    g_norm = hhalf_norm(_minus_riesz(h))
+    c = fiber_coercivity(u.geom, rho, float(np.min(cosh_u)))
+    e_u = scalar_energy(u, params)
+    j0 = e_u + 8.0 * l2_inner(h, psi)
+    reach = hhalf_norm(psi) + g_norm / c
+    pad = 1e-12 * (e_u + 8.0 * (1.0 + rho * float(np.max(cosh_u))) * reach ** 2)
+    return j0 + 8.0 * g_norm ** 2 / c + pad
 
 
 def _fiber_operator(cosh_u: np.ndarray, rho: float):
@@ -232,9 +281,9 @@ def constrained_gradient(point: NehariPoint, params: ActionParams) -> TangentRes
 def fiber_rayleigh_margin(u: ScalarField, params: ActionParams, rng, n_samples: int = 50) -> float:
     """Most positive Rayleigh quotient of A over random negative directions.
 
-    Negative-definiteness of the fiber operator means every quotient is
-    <= -min(lambda_1/(1+lambda_1), rho); returns max over samples (should be
-    below that bound).
+    Every quotient is at most -c, c = `fiber_coercivity` at min cosh u
+    (which implies the weaker -min(lambda_1/(1+lambda_1), rho)); returns the
+    max over samples.
     """
     geom = u.geom
     uv = check_overflow(u)

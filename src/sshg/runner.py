@@ -214,6 +214,7 @@ def _record_summary(rec) -> dict:
         "refined": rec.refined,
         "newton_steps": rec.newton_steps,
         "minres_iters": rec.minres_iters,
+        "minres_capped": rec.minres_capped,
     }
 
 

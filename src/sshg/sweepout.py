@@ -530,7 +530,9 @@ def case2_product_minmax(chi: SweepoutChi, config: MinmaxConfig,
 
         nodes, frozen, centers, segments = equivariant_disk_mesh(
             on_boundary, n_theta_disk, n_radii, node)
-        bad = positive_frozen_nodes(nodes, frozen, params)
+        bad = positive_frozen_nodes(
+            [evaluate_J(nd.u, nd.psi, params) if fz else 0.0 for nd, fz in zip(nodes, frozen)],
+            frozen)
         if not bad:
             break
         if attempt == CASE2_RETRIES:

@@ -21,6 +21,7 @@ from sshg.minmax import (
 )
 from sshg.nehari import (
     constrained_gradient,
+    fiber_coercivity,
     fiber_rayleigh_margin,
     fiber_solve,
     lagrange_multiplier,
@@ -243,9 +244,9 @@ def test_criterion_4_nehari_certification(setup32):
     crit.check("fiber evenness in u exact", even_same)
 
     worst_rayleigh = fiber_rayleigh_margin(u, params, rng, n_samples=50)
-    bound = -min(LAM1 / (1 + LAM1), params.rho)
+    bound = -fiber_coercivity(geom, params.rho, float(np.min(np.cosh(u.values))))
     crit.check(f"fiber operator margin ({worst_rayleigh:.3f} <= {bound:.3f})",
-               worst_rayleigh <= bound + 1e-12)
+               worst_rayleigh <= bound)
     crit.conclude()
 
 

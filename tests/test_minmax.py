@@ -329,34 +329,56 @@ def test_minmax_deform_propagates_unexpected_errors(setup16, monkeypatch):
 
 
 def test_segment_cache_recomputes_only_moved_segments(setup16, monkeypatch):
-    # samples are recomputed exactly when an endpoint object changes
+    # sample bounds are recomputed exactly when an endpoint object changes;
+    # a sample is solved once, when its bound first exceeds the floor
     nodes, _, _, params = _small_mountain_pass(setup16)
-    solves = []
+    calls = {"bound": 0, "solve": 0}
+    orig_bound = sshg.minmax.fiber_energy_bound
+
+    def counting_bound(*args, **kwargs):
+        calls["bound"] += 1
+        return orig_bound(*args, **kwargs)
 
     def counting_fiber_solve(*args, **kwargs):
-        solves.append(1)
+        calls["solve"] += 1
         return fiber_solve(*args, **kwargs)
 
+    monkeypatch.setattr(sshg.minmax, "fiber_energy_bound", counting_bound)
     monkeypatch.setattr(sshg.minmax, "fiber_solve", counting_fiber_solve)
     cache = sshg.minmax._SegmentCache([(0, 1), (1, 2), (2, 3)], params)
     per_segment = len(sshg.minmax.SEGMENT_SAMPLES)
 
-    def refresh():
-        solves.clear()
-        cache.refresh(nodes)
-        return len(solves)
+    def refresh(floor):
+        calls.update(bound=0, solve=0)
+        cache.refresh(nodes, floor)
+        return calls["bound"], calls["solve"]
 
-    assert refresh() == 3 * per_segment
-    assert refresh() == 0
+    assert refresh(np.inf) == (3 * per_segment, 0)
+    assert cache.best_sample() is None   # only solved samples compete
+    assert refresh(np.inf) == (0, 0)
     # an equal-valued node that is another object moves both its segments
     nodes[1] = dataclasses.replace(nodes[1])
-    assert refresh() == 2 * per_segment
+    assert refresh(np.inf) == (2 * per_segment, 0)
     # replaced twice between refreshes (ridge promotion, then a descent
     # step): the second replacement can take the id() the first one freed
     nodes[3] = dataclasses.replace(nodes[3])
     nodes[3] = dataclasses.replace(nodes[3])
-    assert refresh() == per_segment
-    assert refresh() == 0
+    assert refresh(np.inf) == (per_segment, 0)
+
+    # a floor between the bounds solves exactly the samples above it
+    bounds = sorted(b for (_, _, bs, _) in cache._cache.values() for b in bs)
+    floor = 0.5 * (bounds[4] + bounds[5])
+    assert refresh(floor) == (0, 3 * per_segment - 5)
+    assert refresh(floor) == (0, 0)
+    # a lower floor solves the skipped samples without re-bounding them
+    assert refresh(-np.inf) == (0, 5)
+    assert refresh(-np.inf) == (0, 0)
+    samples = [(b, s) for (_, _, bs, ss) in cache._cache.values() for b, s in zip(bs, ss)]
+    assert all(s is not None and s[0] <= b for b, s in samples)
+    assert cache.best_sample()[0] == max(s[0] for _, s in samples)
+    # a moved endpoint drops the solved samples of its segments
+    nodes[0] = dataclasses.replace(nodes[0])
+    assert refresh(-np.inf) == (per_segment, per_segment)
 
 
 def test_ps_diagnostics_exact_solution_trace(setup16):

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from sshg.action import ActionParams, el_residual
+from sshg.action import ActionParams, el_residual, evaluate_J
 from sshg.errors import CertificationError, ConfigError, OverflowGuardError, SSHGError
 from sshg.fields import ScalarField, SpinorField
 from sshg.geometry import TorusGeometry
@@ -11,6 +13,8 @@ from sshg.nehari import (
     NehariPoint,
     constrained_gradient,
     constraint_G,
+    fiber_coercivity,
+    fiber_energy_bound,
     fiber_rayleigh_margin,
     fiber_solve,
     lagrange_multiplier,
@@ -18,6 +22,7 @@ from sshg.nehari import (
 )
 from sshg.spectral import build_basis, hhalf_norm, l2_norm, project
 
+from test_constant_fields import PROPERTY, SEEDS
 from test_spectral import random_scalar, random_spinor
 
 LAM1 = np.sqrt(2.0) / 2.0
@@ -145,8 +150,35 @@ def test_fiber_negative_definiteness(setup16):
     rng = np.random.default_rng(5)
     u = bounded_scalar(geom, rng)
     worst = fiber_rayleigh_margin(u, params, rng, n_samples=50)
-    bound = -min(LAM1 / (1.0 + LAM1), params.rho)
-    assert worst <= bound + 1e-12
+    c = fiber_coercivity(geom, params.rho, float(np.min(np.cosh(u.values))))
+    assert worst <= -c
+    # the coercivity constant implies the spectral bound
+    assert -c <= -min(LAM1 / (1.0 + LAM1), params.rho)
+
+
+@PROPERTY
+@given(delta=st.sampled_from([(0.5, 0.5), (0.0, 0.0)]), seed=SEEDS,
+       rho=st.floats(0.2, 1.8), mean=st.floats(-4.0, 4.0),
+       wiggle=st.sampled_from([0.0, 0.3, 2.0]), amp=st.floats(0.0, 20.0))
+def test_fiber_energy_bound_dominates_the_fiber_solve(delta, seed, rho, mean, wiggle, amp):
+    # grid 16; delta = (0, 0) drops a Nyquist line and has harmonic modes;
+    # u constant (wiggle 0) or not, with |u| up to about 7; the
+    # warm start keeps a random minus part, far from the fiber maximum
+    geom = TorusGeometry(grid_n=16, spin_delta=delta)
+    assume(geom.spectral_gap(rho) > 1e-3)
+    params = ActionParams(rho=rho)
+    rng = np.random.default_rng(seed)
+    u = ScalarField.constant(geom, mean)
+    if wiggle:
+        u = u + bounded_scalar(geom, rng, h1_cap=wiggle * geom.side_length)
+    psi = amp * random_spinor(geom, rng, decay=1.0)
+    minus = project(psi, "minus")
+    pt = fiber_solve(u, psi - minus, params, x0=minus)
+    j = evaluate_J(pt.u, pt.psi, params)
+    assert j <= fiber_energy_bound(u, psi, params)
+    # at the fiber maximum G = 0, so the bound is J up to the pad
+    tight = fiber_energy_bound(pt.u, pt.psi, params)
+    assert j <= tight <= j + 1e-9 * (1.0 + abs(j) + hhalf_norm(pt.psi) ** 2)
 
 
 def test_project_to_manifold(setup16):

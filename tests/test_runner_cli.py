@@ -223,6 +223,29 @@ def test_records_report_newton_work(tmp_path, monkeypatch):
     assert rec["refined"] and rec["newton_steps"] > 0
     assert rec["newton_steps"] == call["minres"] == call["el_residual"] - 2
     assert rec["minres_iters"] == call["iters"]
+    assert rec["minres_capped"] == 0
+
+
+def test_records_report_capped_minres_solves(tmp_path, monkeypatch):
+    # a Newton step whose MINRES solve stops at its cap unconverged is still
+    # tried, and the record says how many such solves its Newton made
+    orig = sshg.minmax.minres
+    capped = []
+
+    def minres(*args, **kwargs):
+        x, info = orig(*args, **kwargs)
+        if not capped:
+            capped.append(info.iterations)
+            info = dataclasses.replace(info, converged=False)
+        return x, info
+
+    monkeypatch.setattr(sshg.minmax, "minres", minres)
+    run(RunConfig.from_dict(base_config(
+        mode="mountain_pass", path_nodes=9, max_outer=5, grad_tol=1e-3,
+        output_dir=str(tmp_path))))
+    rec = json.loads((tmp_path / "run_output.json").read_text())["records"][0]
+    assert len(capped) == 1
+    assert rec["refined"] and rec["minres_capped"] == 1
 
 
 def test_multiplicity_case1_outputs(tmp_path):

@@ -1,8 +1,11 @@
 """Sweepout lemma, equivariant family, disk min-max, restart, distinctness."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import sshg.minmax
 import sshg.sweepout
 from sshg.action import ActionParams, el_residual, evaluate_J
 from sshg.errors import CertificationError, ConfigError, ResolutionError
@@ -167,6 +170,38 @@ def test_disk_minmax_builds_no_sigma_images(mp16, family16, monkeypatch):
     rec, diags = equivariant_disk_minmax(family16, config, params, basis,
                                          n_theta_disk=8, n_radii=3)
     assert diags.bounded()
+
+
+def test_disk_minmax_unchanged_when_every_ridge_sample_is_solved(mp16, family16,
+                                                                  monkeypatch):
+    # ridge repair skips only samples whose fiber-energy bound shows they
+    # could never be promoted: with an infinite bound every sample is solved,
+    # as without the bound, and the disk's record and diagnostics are equal
+    geom, basis, params = mp16
+    config = MinmaxConfig(path_nodes=9, grad_tol=1e-3, max_outer=15, seed=0)
+    solves = []
+    orig = sshg.minmax._interp_points
+
+    def counting_interp(*args, **kwargs):
+        solves.append(1)
+        return orig(*args, **kwargs)
+
+    def disk():
+        solves.clear()
+        rec, diags = equivariant_disk_minmax(family16, config, params, basis,
+                                             n_theta_disk=8, n_radii=3)
+        return rec, diags, len(solves)
+
+    monkeypatch.setattr(sshg.minmax, "_interp_points", counting_interp)
+    rec, diags, bounded_solves = disk()
+    monkeypatch.setattr(sshg.minmax, "fiber_energy_bound", lambda u, psi, params_: np.inf)
+    rec_all, diags_all, all_solves = disk()
+
+    assert any(diags.repairs[:-1]) and bounded_solves < all_solves
+    assert diags == diags_all
+    assert dataclasses.replace(rec, point=None) == dataclasses.replace(rec_all, point=None)
+    assert np.array_equal(rec.point.u.values, rec_all.point.u.values)
+    assert np.array_equal(rec.point.psi.eig, rec_all.point.psi.eig)
 
 
 def test_disk_minmax_and_restart(mp16, family16):

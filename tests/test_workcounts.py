@@ -1,8 +1,11 @@
 """Work-count guard: a fixed small run must not silently do more work.
 
 Counts, not timings: the solver is deterministic for a given (config, seed),
-so the number of fiber solves, energy evaluations, CG calls and iterations
-and constrained gradients of a fixed run is a property of the code.  The
+so the number of fiber solves, fiber-energy bounds, energy evaluations, CG
+calls and iterations and constrained gradients of a fixed run is a property
+of the code.  Ridge repair bounds every segment sample and solves only those
+whose bound reaches the promotion threshold, so most of its samples count as
+bounds, not as fiber solves, J evaluations or CG work.  The
 FFTs (fft2/ifft2 through `sshg.fields.np`, the binding the perfbench tracer
 wraps) also move with rounding luck: they depend on whether an accepted
 descent step leaves u exactly constant.  The MINRES iterations do not: each
@@ -32,14 +35,15 @@ CONFIG = {
 }
 
 CEILINGS = {
-    "fiber_solve": 502,
-    "evaluate_J": 518,
-    "cg.calls": 528,
-    "cg.iters": 1232,
+    "fiber_solve": 134,
+    "fiber_energy_bound": 420,
+    "evaluate_J": 140,
+    "cg.calls": 160,
+    "cg.iters": 251,
     "minres.iters": 38,
     "constrained_gradient": 23,
     "newton_refine": 2,
-    "fft": 4287,
+    "fft": 1765,
 }
 
 MOUNTAIN_PASS = {
@@ -48,14 +52,15 @@ MOUNTAIN_PASS = {
 }
 
 MOUNTAIN_PASS_CEILINGS = {
-    "fiber_solve": 1144,
-    "evaluate_J": 1159,
-    "cg.calls": 1177,
+    "fiber_solve": 299,
+    "fiber_energy_bound": 894,
+    "evaluate_J": 300,
+    "cg.calls": 332,
     "cg.iters": 0,
     "minres.iters": 6,
     "constrained_gradient": 32,
     "newton_refine": 1,
-    "fft": 615,
+    "fft": 538,
 }
 
 
@@ -76,8 +81,9 @@ def _count_calls(monkeypatch, orig, on_call):
 
 def _work_counts(monkeypatch, config):
     """The counts of one run of `config`."""
-    counts = dict.fromkeys(("fiber_solve", "evaluate_J", "cg.calls", "cg.iters",
-                            "minres.iters", "constrained_gradient", "newton_refine"), 0)
+    counts = dict.fromkeys(("fiber_solve", "fiber_energy_bound", "evaluate_J", "cg.calls",
+                            "cg.iters", "minres.iters", "constrained_gradient",
+                            "newton_refine"), 0)
 
     def bump(**inc):
         def on_call(out):
@@ -86,6 +92,7 @@ def _work_counts(monkeypatch, config):
         return on_call
 
     _count_calls(monkeypatch, sshg.nehari.fiber_solve, bump(fiber_solve=1))
+    _count_calls(monkeypatch, sshg.nehari.fiber_energy_bound, bump(fiber_energy_bound=1))
     _count_calls(monkeypatch, sshg.action.evaluate_J, bump(evaluate_J=1))
     _count_calls(monkeypatch, sshg.nehari.constrained_gradient,
                  bump(constrained_gradient=1))
