@@ -26,7 +26,6 @@ from .fields import ScalarField, SpinorField, constant_value
 from .geometry import TWO_PI
 from .spectral import (
     dirac_apply,
-    gradient_energy,
     hminus1_norm,
     hminushalf_norm,
     l2_inner,
@@ -112,8 +111,10 @@ class Variation:
         return hminus1_norm(self.du), hminushalf_norm(self.dpsi)
 
 
-def check_overflow(u: ScalarField) -> np.ndarray:
-    vals = u.values
+def check_overflow(u) -> np.ndarray:
+    """The grid values of u, a ScalarField or a stack of grid values,
+    refused beyond U_CAP."""
+    vals = u.values if isinstance(u, ScalarField) else u
     m = float(np.max(np.abs(vals)))
     if not m <= U_CAP:  # a NaN compares false, so it is refused too
         raise OverflowGuardError(
@@ -128,23 +129,19 @@ def dirac_minus_potential(psi: SpinorField, cosh_u: np.ndarray, rho: float) -> S
     return dirac_apply(psi) - psi.times(rho * cosh_u)
 
 
-def _scalar_terms(u: ScalarField, uv: np.ndarray, rho: float) -> tuple[float, float]:
-    """int |grad u|^2 and 4 rho^2 int sinh(u)^2, the two psi-free terms of J."""
-    return gradient_energy(u), 4.0 * rho * rho * u.geom.quad_weight * float(np.sum(np.sinh(uv) ** 2))
-
-
-def scalar_energy(u: ScalarField, params: ActionParams) -> float:
-    """E(u) = int |grad u|^2 + 4 rho^2 sinh(u)^2, the scalar part of J:
-    J(u, psi) = E(u) + 8 <(D - rho cosh u) psi, psi>_{L^2}."""
-    grad_term, sinh_term = _scalar_terms(u, check_overflow(u), params.rho)
-    return grad_term + sinh_term
+def scalar_terms(geom, coeffs: np.ndarray, uv: np.ndarray, rho: float):
+    """int |grad u|^2 (spectral) and 4 rho^2 int sinh(u)^2 (grid), the two
+    psi-free terms of J, of each u of a stack of coefficients and grid
+    values (..., n, n)."""
+    grad_term = geom.vol * np.sum(geom.xi_sq * np.abs(coeffs) ** 2, axis=(-2, -1))
+    return grad_term, 4.0 * rho * rho * geom.quad_weight * np.sum(np.sinh(uv) ** 2, axis=(-2, -1))
 
 
 def evaluate_J(u: ScalarField, psi: SpinorField, params: ActionParams) -> float:
     geom = u.geom
     uv = check_overflow(u)
     rho = params.rho
-    grad_term, sinh_term = _scalar_terms(u, uv, rho)
+    grad_term, sinh_term = scalar_terms(geom, u.coeffs, uv, rho)
     dirac_term = 8.0 * l2_inner(dirac_apply(psi), psi)
     c = constant_value(uv)
     if c is None:
@@ -152,7 +149,7 @@ def evaluate_J(u: ScalarField, psi: SpinorField, params: ActionParams) -> float:
     else:
         # discrete Parseval: the grid sum of |psi|^2 is the coefficient sum
         cosh_term = -8.0 * rho * float(np.cosh(c)) * l2_inner(psi, psi)
-    return grad_term + dirac_term + cosh_term + sinh_term
+    return float(grad_term + dirac_term + cosh_term + sinh_term)
 
 
 def gradient_J(u: ScalarField, psi: SpinorField, params: ActionParams) -> Variation:

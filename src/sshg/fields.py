@@ -140,11 +140,19 @@ def _boundary(geom: TorusGeometry):
 
 
 def _rotate(x: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """F^T x per mode for F = [[p, -q], [q, p]]; (p, -q) gives F x."""
+    """F^T x per mode for F = [[p, -q], [q, p]], on x of shape (..., 2, n, n);
+    (p, -q) gives F x."""
     out = np.empty_like(x)
-    out[0] = p * x[0] + q * x[1]
-    out[1] = p * x[1] - q * x[0]
+    out[..., 0, :, :] = p * x[..., 0, :, :] + q * x[..., 1, :, :]
+    out[..., 1, :, :] = p * x[..., 1, :, :] - q * x[..., 0, :, :]
     return out
+
+
+def spinor_eig(geom: TorusGeometry, values: np.ndarray) -> np.ndarray:
+    """Masked eigen-coordinates of spinor grid values of shape (..., 2, n, n):
+    one fft2 over the whole stack."""
+    conj_phase, into, _ = _boundary(geom)
+    return _rotate(np.fft.fft2(values * conj_phase, axes=(-2, -1)), *into)
 
 
 class SpinorField:
@@ -168,8 +176,7 @@ class SpinorField:
         values = np.asarray(values, dtype=complex)
         if values.shape != (2, geom.grid_n, geom.grid_n):
             raise ValueError(f"spinor values shape {values.shape} does not match grid {geom.grid_n}")
-        conj_phase, into, _ = _boundary(geom)
-        eig = _rotate(np.fft.fft2(values * conj_phase, axes=(1, 2)), *into)
+        eig = spinor_eig(geom, values)
         if not geom.spinor_mask_trivial:
             return cls(geom, eig=eig)
         return cls(geom, values=values, eig=eig)

@@ -38,7 +38,7 @@ from .krylov import minres
 from .nehari import (
     NehariPoint,
     constrained_gradient,
-    fiber_energy_bound,
+    fiber_energy_bounds,
     fiber_solve,
     lagrange_multiplier,
     project_to_manifold,
@@ -314,21 +314,18 @@ def _product_dist(a: NehariPoint, b: NehariPoint) -> float:
     return float(np.sqrt(h1_norm(a.u - b.u) ** 2 + hhalf_norm(a.psi - b.psi) ** 2))
 
 
-def _blend(a: NehariPoint, b: NehariPoint, w: float):
-    return (1.0 - w) * a.u + w * b.u, (1.0 - w) * a.psi + w * b.psi
-
-
 def _interp_points(a: NehariPoint, b: NehariPoint, w: float, params) -> NehariPoint:
     """Linear blend of (u, psi) retracted to the manifold, warm-started at its minus part."""
-    u, psi = _blend(a, b, w)
+    u, psi = (1.0 - w) * a.u + w * b.u, (1.0 - w) * a.psi + w * b.psi
     minus = project(psi, "minus")
     return fiber_solve(u, psi - minus, params, x0=minus)
 
 
-def _respread_path(nodes, params):
-    """Arclength reparametrization in the product norm (endpoints fixed)."""
+def _respread_path(nodes, params, segcache):
+    """Arclength reparametrization in the product norm (endpoints fixed);
+    segment lengths come from segcache."""
     m = len(nodes)
-    seg = np.array([_product_dist(nodes[i], nodes[i + 1]) for i in range(m - 1)])
+    seg = np.array([segcache.length(nodes, i, i + 1) for i in range(m - 1)])
     total = seg.sum()
     if total <= 0:
         return None
@@ -350,35 +347,40 @@ SEGMENT_SAMPLES = (0.25, 0.5, 0.75)
 
 class _SegmentCache:
     """Interior samples of mesh segments, bounded when an endpoint moves and
-    solved only when their bound reaches the promotion threshold.
+    solved only when their bound reaches the promotion threshold, and the
+    segments' product lengths.
 
     A discrete node set can cheat the min-max level by letting one segment
     jump the energy ridge unsampled; tracking interior samples and promoting
     any sample that exceeds the node max repairs that unfaithfulness.  A
-    sample's fiber maximum is at most its `fiber_energy_bound`, so a sample
-    whose bound stays at or below the threshold could never be promoted and
-    is not solved.  Each entry keeps its endpoint objects alive and compares
-    them by identity: an id() of a freed node may be reused by its
-    replacement, and the nodes of a respread path are all new objects.
+    sample's fiber maximum is at most its `fiber_energy_bounds` entry, so a
+    sample whose bound stays at or below the threshold could never be
+    promoted and is not solved.  Each entry keeps its endpoint objects alive
+    and compares them by identity: an id() of a freed node may be reused by
+    its replacement, and the nodes of a respread path are all new objects.
     """
 
     def __init__(self, segments, params):
         self.segments = list(segments or [])
         self.params = params
-        self._cache = {}   # (i, j) -> (a, b, bounds, [(J, point) or None per sample])
+        self._cache = {}   # (i, j) -> (a, b, bounds, [(J, point) or None per sample], length)
+
+    def _current(self, nodes, i, j):
+        hit = self._cache.get((i, j))
+        return hit if hit is not None and hit[0] is nodes[i] and hit[1] is nodes[j] else None
 
     def refresh(self, nodes, floor):
-        """Bound the samples of every segment whose endpoint moved, then solve
-        each unsolved sample whose bound exceeds floor; a solved J above its
-        bound raises CertificationError."""
+        """Bound the samples and measure the length of every segment whose
+        endpoint moved, then solve each unsolved sample whose bound exceeds
+        floor; a solved J above its bound raises CertificationError."""
         for (i, j) in self.segments:
-            a, b = nodes[i], nodes[j]
-            hit = self._cache.get((i, j))
-            if hit is None or hit[0] is not a or hit[1] is not b:
-                bounds = [fiber_energy_bound(*_blend(a, b, w), self.params)
-                          for w in SEGMENT_SAMPLES]
-                hit = self._cache[(i, j)] = (a, b, bounds, [None] * len(SEGMENT_SAMPLES))
-            _, _, bounds, solved = hit
+            hit = self._current(nodes, i, j)
+            if hit is None:
+                a, b = nodes[i], nodes[j]
+                bounds = fiber_energy_bounds(a, b, SEGMENT_SAMPLES, self.params).tolist()
+                hit = self._cache[(i, j)] = (a, b, bounds, [None] * len(SEGMENT_SAMPLES),
+                                             _product_dist(a, b))
+            a, b, bounds, solved, _ = hit
             for k, w in enumerate(SEGMENT_SAMPLES):
                 if solved[k] is None and bounds[k] > floor:
                     pt = _interp_points(a, b, w, self.params)
@@ -388,10 +390,16 @@ class _SegmentCache:
                             f"ridge sample J {j_s!r} exceeds its fiber bound {bounds[k]!r}")
                     solved[k] = (j_s, pt)
 
+    def length(self, nodes, i, j) -> float:
+        """Product distance of nodes i and j: the cached one while the
+        segment's entry is current, else computed and not stored."""
+        hit = self._current(nodes, i, j)
+        return _product_dist(nodes[i], nodes[j]) if hit is None else hit[4]
+
     def best_sample(self):
         """(J, i, j, point) of the highest solved sample, or None."""
         best = None
-        for (i, j), (_, _, _, solved) in self._cache.items():
+        for (i, j), (_, _, _, solved, _) in self._cache.items():
             for sample in solved:
                 if sample is not None and (best is None or sample[0] > best[0]):
                     best = (sample[0], i, j, sample[1])
@@ -433,10 +441,10 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
     if chain:
         segments = [(i, i + 1) for i in range(len(nodes) - 1)]
     segcache = _SegmentCache(segments, params)
-    neighbors = {}
-    for (i, j) in (segments or []):
-        neighbors.setdefault(i, set()).add(j)
-        neighbors.setdefault(j, set()).add(i)
+    incident = {}   # node -> its segments
+    for seg in (segments or []):
+        for k in seg:
+            incident.setdefault(k, []).append(seg)
 
     diags = PSDiagnostics()
     boundary_ids = [id(nd) for nd, fz in zip(nodes, frozen) if fz]
@@ -524,9 +532,9 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
         # length so promotion-induced clustering cannot freeze the descent
         accepted = False
         trial_step = step
-        if neighbors.get(idx):
-            gap = min(_product_dist(point, nodes[j]) for j in neighbors[idx])
-            med = np.median([_product_dist(nodes[i], nodes[j]) for i, j in segments])
+        if incident.get(idx):
+            gap = min(segcache.length(nodes, i, j) for i, j in incident[idx])
+            med = np.median([segcache.length(nodes, i, j) for i, j in segments])
             cap = 0.5 * max(gap, 0.25 * med)
             if cap > 0 and res.norm > 0:
                 trial_step = min(trial_step, cap / res.norm)
@@ -557,7 +565,7 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
 
         # periodic re-spreading with a monotonicity guard
         if chain and (outer + 1) % RESPREAD_EVERY == 0:
-            new_nodes = _respread_path(nodes, params)
+            new_nodes = _respread_path(nodes, params, segcache)
             if new_nodes is not None:
                 # _respread_path keeps both end nodes, whose energies are known
                 new_energies = ([energies[0]]

@@ -17,6 +17,7 @@ H^{1/2} inner product and conjugate gradients apply directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,10 +27,10 @@ from .action import (
     check_overflow,
     dirac_minus_potential,
     gradient_J,
-    scalar_energy,
+    scalar_terms,
 )
 from .errors import CertificationError, ConfigError, OverflowGuardError
-from .fields import ScalarField, SpinorField
+from .fields import ScalarField, SpinorField, constant_value, spinor_eig
 from .krylov import cg
 from .spectral import (
     check_spectral_gap,
@@ -37,7 +38,6 @@ from .spectral import (
     hhalf_norm,
     hminus1_norm,
     hminushalf_norm,
-    l2_inner,
     product_norm,
     project,
     riesz_h1,
@@ -54,16 +54,10 @@ def _hhalf_inner(a: SpinorField, b: SpinorField) -> float:
     return sobolev_inner(a, b, "Hhalf_spinor")
 
 
-def _minus_riesz(h: SpinorField) -> SpinorField:
-    """P^- (1+|D|)^{-1} h: the H^{1/2} representative on E^- of the L^2
-    functional h."""
-    return project(riesz_hhalf(h), "minus")
-
-
 def _constraint_map(psi: SpinorField, cosh_u: np.ndarray, rho: float) -> SpinorField:
     """P^- (1+|D|)^{-1} (D - rho cosh u) psi: G(u, psi), and the fiber
     operator A on the negative subspace, as a linear map of psi."""
-    return _minus_riesz(dirac_minus_potential(psi, cosh_u, rho))
+    return project(riesz_hhalf(dirac_minus_potential(psi, cosh_u, rho)), "minus")
 
 
 def constraint_G(u: ScalarField, psi: SpinorField, params: ActionParams) -> SpinorField:
@@ -97,8 +91,20 @@ class MultiplierData:
         return hhalf_norm(self.varphi)
 
 
-def fiber_coercivity(geom, rho: float, cosh_min: float) -> float:
-    """c = min over the minus modes of (|xi| + rho cosh_min)/(1 + |xi|).
+@lru_cache(maxsize=16)
+def _minus_modes(geom) -> tuple[np.ndarray, np.ndarray]:
+    """|xi| of the minus modes (the valid modes with |xi| > 0), and the grid
+    of H^{1/2} Riesz weights 1/(1 + |xi|) on them, 0 elsewhere."""
+    mask = geom.spinor_mask & (geom.s_abs > 0)
+    lam = geom.s_abs[mask]
+    weight = np.where(mask, 1.0 / (1.0 + geom.s_abs), 0.0)
+    lam.flags.writeable = weight.flags.writeable = False
+    return lam, weight
+
+
+def fiber_coercivity(geom, rho: float, cosh_min):
+    """c = min over the minus modes of (|xi| + rho cosh_min)/(1 + |xi|), one
+    per entry of cosh_min.
 
     Where cosh u >= cosh_min, -A >= c in H^{1/2} on E^-:
     <-A phi, phi>_{H^{1/2}} = <|D| phi, phi> + rho int cosh(u) |phi|^2
@@ -106,36 +112,60 @@ def fiber_coercivity(geom, rho: float, cosh_min: float) -> float:
     the discrete space (the grid quadrature of cosh(u)|phi|^2 has positive
     weights).
     """
-    lam = geom.s_abs[geom.spinor_mask & (geom.s_abs > 0)]
-    return float(np.min((lam + rho * cosh_min) / (1.0 + lam)))
+    lam = _minus_modes(geom)[0]
+    return np.min((lam + rho * np.asarray(cosh_min)[..., None]) / (1.0 + lam), axis=-1)
 
 
-def fiber_energy_bound(u: ScalarField, psi: SpinorField, params: ActionParams) -> float:
-    """Upper bound of J over the fiber {psi_free + phi : phi in E^-} through
-    (u, psi), psi_free = psi - P^- psi: at least J of any point the fiber
-    solve can return from there, without solving.
+def fiber_energy_bounds(a, b, weights, params: ActionParams) -> np.ndarray:
+    """Upper bounds of J over the fibers {psi_free + phi : phi in E^-}
+    through the blends (u, psi) = (1 - w) (a.u, a.psi) + w (b.u, b.psi), one
+    per w in weights: at least J of any point the fiber solve can return
+    from there, without solving.  A single point p is (p, p, (0.0,)).
 
     With h = (D - rho cosh u) psi and g = P^- (1+|D|)^{-1} h = G(u, psi),
     J(u, psi + delta) = J0 + 16 <g, delta> + 8 <A delta, delta> for delta in
     E^- (H^{1/2} pairings), exactly on the discrete space, where
     J0 = E(u) + 8 <h, psi>_{L^2} is J at (u, psi).  Since -A >= c
     (`fiber_coercivity`), the fiber maximum is at most J0 + 8 ||g||^2 / c,
-    reached within ||g|| / c of psi.  The returned value adds a rounding pad
-    of 1e-12 times a bound on the summed magnitudes of J's terms at any point
+    reached within ||g|| / c of psi.  Each bound adds a rounding pad of
+    1e-12 times a bound on the summed magnitudes of J's terms at any point
     within that distance, far above the relative rounding (~1e-15) of J's
     grid sums and FFTs.
+
+    The blends are stacked on a leading axis and formed from the endpoints'
+    views: <h, psi> = <D psi, psi> - rho int cosh(u) |psi|^2 (discrete
+    Parseval) needs no FFT, and g only the a- row of cosh(u) psi, one fft2
+    of the stack, none when both endpoints' u are constant.
     """
-    uv = check_overflow(u)
-    cosh_u = np.cosh(uv)
+    geom = a.u.geom
     rho = params.rho
-    h = dirac_minus_potential(psi, cosh_u, rho)
-    g_norm = hhalf_norm(_minus_riesz(h))
-    c = fiber_coercivity(u.geom, rho, float(np.min(cosh_u)))
-    e_u = scalar_energy(u, params)
-    j0 = e_u + 8.0 * l2_inner(h, psi)
-    reach = hhalf_norm(psi) + g_norm / c
-    pad = 1e-12 * (e_u + 8.0 * (1.0 + rho * float(np.max(cosh_u))) * reach ** 2)
-    return j0 + 8.0 * g_norm ** 2 / c + pad
+    w = np.asarray(weights, dtype=float)[:, None, None]
+    uv = check_overflow((1.0 - w) * a.u.values + w * b.u.values)
+    grad_term, sinh_term = scalar_terms(geom, (1.0 - w) * a.u.coeffs + w * b.u.coeffs, uv, rho)
+    e_u = grad_term + sinh_term
+    cosh_u = np.cosh(uv)
+    cosh_min, cosh_max = cosh_u.min(axis=(1, 2)), cosh_u.max(axis=(1, 2))
+    w = w[:, None]
+    eig = (1.0 - w) * a.psi.eig + w * b.psi.eig
+    dens = eig.real ** 2 + eig.imag ** 2
+    lam = geom.s_abs
+    if constant_value(a.u.values) is None or constant_value(b.u.values) is None:
+        vals = (1.0 - w) * a.psi.values + w * b.psi.values
+        psi_dens = (vals.real ** 2 + vals.imag ** 2).sum(axis=1)
+        potential = geom.quad_weight * np.sum(cosh_u * psi_dens, axis=(1, 2))
+        # the a- row of -h: |xi| a- + rho (cosh(u) psi)-
+        h_minus = lam * eig[:, 1] + rho * spinor_eig(geom, cosh_u[:, None] * vals)[:, 1]
+        h_minus_sq = h_minus.real ** 2 + h_minus.imag ** 2
+    else:
+        potential = cosh_min * geom.vol * np.sum(dens, axis=(1, 2, 3))
+        h_minus_sq = (lam + rho * cosh_min[:, None, None]) ** 2 * dens[:, 1]
+    # ||g||^2_{H^1/2}: the minus modes' |h|^2 / (1 + |xi|)
+    g_sq = geom.vol * np.sum(_minus_modes(geom)[1] * h_minus_sq, axis=(1, 2))
+    c = fiber_coercivity(geom, rho, cosh_min)
+    j0 = e_u + 8.0 * (geom.vol * np.sum(lam * (dens[:, 0] - dens[:, 1]), axis=(1, 2)) - rho * potential)
+    reach = np.sqrt(geom.vol * np.sum((1.0 + lam) * dens, axis=(1, 2, 3))) + np.sqrt(g_sq) / c
+    pad = 1e-12 * (e_u + 8.0 * (1.0 + rho * cosh_max) * reach ** 2)
+    return j0 + 8.0 * g_sq / c + pad
 
 
 def _fiber_operator(cosh_u: np.ndarray, rho: float):

@@ -159,12 +159,6 @@ def l2_norm(a) -> float:
     return np.sqrt(max(l2_inner(a, a), 0.0))
 
 
-def gradient_energy(u: ScalarField) -> float:
-    """Integral of |grad u|^2 over the torus (spectral)."""
-    g = u.geom
-    return float(g.vol * np.sum(g.xi_sq * np.abs(u.coeffs) ** 2))
-
-
 def riesz_h1(u_dual: ScalarField) -> ScalarField:
     """Riesz representative in H^1 of an L^2-represented functional."""
     g = u_dual.geom

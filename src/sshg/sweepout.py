@@ -38,7 +38,7 @@ from .minmax import (
     straight_path,
 )
 from .nehari import NehariPoint, fiber_solve, project_to_manifold
-from .spectral import h1_norm, hhalf_norm, project, quaternion_act, sobolev_inner
+from .spectral import h1_norm, hhalf_norm, project, sobolev_inner
 
 N_THETA_CHECK = 64  # theta samples on which a sweepout is certified
 FAMILY_RETRIES = 3
@@ -429,7 +429,7 @@ def orthogonal_restart(u1: ScalarField, family: EquivariantFamily,
 
 
 # ---------------------------------------------------------------------------
-# distinctness ledger and the solution orbit
+# distinctness ledger
 # ---------------------------------------------------------------------------
 
 def records_distinct(r1: SolutionRecord, r2: SolutionRecord) -> bool:
@@ -441,13 +441,6 @@ def records_distinct(r1: SolutionRecord, r2: SolutionRecord) -> bool:
     nonzero1 = h1_norm(r1.point.u) + hhalf_norm(r1.point.psi) > 1e-8
     nonzero2 = h1_norm(r2.point.u) + hhalf_norm(r2.point.psi) > 1e-8
     return bool(inner <= DISTINCT_ORTHO_TOL and nonzero1 and nonzero2)
-
-
-def group_orbit_point(point: NehariPoint, sigma: float, q) -> NehariPoint:
-    """Apply a Z2 x quaternionic group element to a solution."""
-    psi = quaternion_act(point.psi, q)
-    u = sigma * point.u
-    return NehariPoint(u=u, psi=psi, constraint_norm=point.constraint_norm)
 
 
 # ---------------------------------------------------------------------------

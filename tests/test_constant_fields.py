@@ -31,19 +31,23 @@ PROPERTY = settings(max_examples=40, deadline=None)
 
 @contextmanager
 def counting_ffts():
-    """Count the fft2/ifft2 calls made through `sshg.fields.np`."""
-    counts = {"fft": 0}
+    """Count the fft2/ifft2 calls made through `sshg.fields.np`: each kind
+    and their total "fft"."""
+    counts = {"fft": 0, "fft2": 0, "ifft2": 0}
     real = sshg.fields.np
 
-    def counted(fn):
+    def counted(name):
+        fn = getattr(real.fft, name)
+
         def wrapper(*args, **kwargs):
             counts["fft"] += 1
+            counts[name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
     fft = types.SimpleNamespace(**vars(real.fft))
-    fft.fft2 = counted(real.fft.fft2)
-    fft.ifft2 = counted(real.fft.ifft2)
+    fft.fft2 = counted("fft2")
+    fft.ifft2 = counted("ifft2")
     proxy = types.ModuleType("numpy")
     proxy.__dict__.update(real.__dict__)
     proxy.fft = fft

@@ -329,36 +329,58 @@ def test_minmax_deform_propagates_unexpected_errors(setup16, monkeypatch):
 
 
 def test_segment_cache_recomputes_only_moved_segments(setup16, monkeypatch):
-    # sample bounds are recomputed exactly when an endpoint object changes;
-    # a sample is solved once, when its bound first exceeds the floor
+    # sample bounds and segment lengths are recomputed exactly when an
+    # endpoint object changes; a sample is solved once, when its bound first
+    # exceeds the floor
     nodes, _, _, params = _small_mountain_pass(setup16)
-    calls = {"bound": 0, "solve": 0}
-    orig_bound = sshg.minmax.fiber_energy_bound
+    calls = {"bound": 0, "solve": 0, "length": 0}
+    orig_bounds = sshg.minmax.fiber_energy_bounds
+    orig_dist = sshg.minmax._product_dist
 
-    def counting_bound(*args, **kwargs):
-        calls["bound"] += 1
-        return orig_bound(*args, **kwargs)
+    def counting_bounds(a, b, weights, params_):
+        calls["bound"] += len(weights)
+        return orig_bounds(a, b, weights, params_)
 
     def counting_fiber_solve(*args, **kwargs):
         calls["solve"] += 1
         return fiber_solve(*args, **kwargs)
 
-    monkeypatch.setattr(sshg.minmax, "fiber_energy_bound", counting_bound)
+    def counting_dist(a, b):
+        calls["length"] += 1
+        return orig_dist(a, b)
+
+    monkeypatch.setattr(sshg.minmax, "fiber_energy_bounds", counting_bounds)
     monkeypatch.setattr(sshg.minmax, "fiber_solve", counting_fiber_solve)
-    cache = sshg.minmax._SegmentCache([(0, 1), (1, 2), (2, 3)], params)
+    monkeypatch.setattr(sshg.minmax, "_product_dist", counting_dist)
+    segments = [(0, 1), (1, 2), (2, 3)]
+    cache = sshg.minmax._SegmentCache(segments, params)
     per_segment = len(sshg.minmax.SEGMENT_SAMPLES)
 
     def refresh(floor):
-        calls.update(bound=0, solve=0)
+        calls.update(bound=0, solve=0, length=0)
         cache.refresh(nodes, floor)
+        assert calls["length"] * per_segment == calls["bound"]
         return calls["bound"], calls["solve"]
 
+    def lengths_bitwise_equal():
+        calls["length"] = 0
+        cached = [cache.length(nodes, i, j) for i, j in segments]
+        assert calls["length"] == 0
+        return all(a == orig_dist(nodes[i], nodes[j]) for a, (i, j) in zip(cached, segments))
+
     assert refresh(np.inf) == (3 * per_segment, 0)
+    assert lengths_bitwise_equal()
     assert cache.best_sample() is None   # only solved samples compete
     assert refresh(np.inf) == (0, 0)
     # an equal-valued node that is another object moves both its segments
     nodes[1] = dataclasses.replace(nodes[1])
+    # until the next refresh a stale length is computed and not stored
+    calls["length"] = 0
+    assert cache.length(nodes, 0, 1) == orig_dist(nodes[0], nodes[1])
+    assert cache.length(nodes, 0, 1) == orig_dist(nodes[0], nodes[1])
+    assert calls["length"] == 2
     assert refresh(np.inf) == (2 * per_segment, 0)
+    assert lengths_bitwise_equal()
     # replaced twice between refreshes (ridge promotion, then a descent
     # step): the second replacement can take the id() the first one freed
     nodes[3] = dataclasses.replace(nodes[3])
@@ -366,19 +388,20 @@ def test_segment_cache_recomputes_only_moved_segments(setup16, monkeypatch):
     assert refresh(np.inf) == (per_segment, 0)
 
     # a floor between the bounds solves exactly the samples above it
-    bounds = sorted(b for (_, _, bs, _) in cache._cache.values() for b in bs)
+    bounds = sorted(b for (_, _, bs, _, _) in cache._cache.values() for b in bs)
     floor = 0.5 * (bounds[4] + bounds[5])
     assert refresh(floor) == (0, 3 * per_segment - 5)
     assert refresh(floor) == (0, 0)
     # a lower floor solves the skipped samples without re-bounding them
     assert refresh(-np.inf) == (0, 5)
     assert refresh(-np.inf) == (0, 0)
-    samples = [(b, s) for (_, _, bs, ss) in cache._cache.values() for b, s in zip(bs, ss)]
+    samples = [(b, s) for (_, _, bs, ss, _) in cache._cache.values() for b, s in zip(bs, ss)]
     assert all(s is not None and s[0] <= b for b, s in samples)
     assert cache.best_sample()[0] == max(s[0] for _, s in samples)
     # a moved endpoint drops the solved samples of its segments
     nodes[0] = dataclasses.replace(nodes[0])
     assert refresh(-np.inf) == (per_segment, per_segment)
+    assert lengths_bitwise_equal()
 
 
 def test_ps_diagnostics_exact_solution_trace(setup16):

@@ -14,7 +14,7 @@ from sshg.nehari import (
     constrained_gradient,
     constraint_G,
     fiber_coercivity,
-    fiber_energy_bound,
+    fiber_energy_bounds,
     fiber_rayleigh_margin,
     fiber_solve,
     lagrange_multiplier,
@@ -22,7 +22,7 @@ from sshg.nehari import (
 )
 from sshg.spectral import build_basis, hhalf_norm, l2_norm, project
 
-from test_constant_fields import PROPERTY, SEEDS
+from test_constant_fields import PROPERTY, SEEDS, counting_ffts
 from test_spectral import random_scalar, random_spinor
 
 LAM1 = np.sqrt(2.0) / 2.0
@@ -156,29 +156,98 @@ def test_fiber_negative_definiteness(setup16):
     assert -c <= -min(LAM1 / (1.0 + LAM1), params.rho)
 
 
+SEGMENT_WEIGHTS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+def _segment_end(geom, rng, mean, wiggle, amp):
+    """A point (u, psi), u constant when wiggle is 0, off the manifold: psi
+    keeps a random minus part, far from its fiber maximum."""
+    u = ScalarField.constant(geom, mean)
+    if wiggle:
+        u = u + bounded_scalar(geom, rng, h1_cap=wiggle * geom.side_length)
+    return NehariPoint(u=u, psi=amp * random_spinor(geom, rng, decay=1.0), constraint_norm=np.inf)
+
+
+def _blend(a, b, w):
+    return (1.0 - w) * a.u + w * b.u, (1.0 - w) * a.psi + w * b.psi
+
+
+def _closed_form_bound(u, psi, params):
+    """J0 + 8 ||G||^2 / c plus the rounding pad at one point, from J and G
+    themselves; also returns the pad's scale, a bound on the summed
+    magnitudes of J's terms."""
+    rho = params.rho
+    cosh_u = np.cosh(u.values)
+    g_norm = hhalf_norm(constraint_G(u, psi, params))
+    c = fiber_coercivity(u.geom, rho, float(np.min(cosh_u)))
+    e_u = evaluate_J(u, SpinorField.zeros(u.geom), params)
+    reach = hhalf_norm(psi) + g_norm / c
+    scale = e_u + 8.0 * (1.0 + rho * float(np.max(cosh_u))) * reach ** 2
+    return evaluate_J(u, psi, params) + 8.0 * g_norm ** 2 / c + 1e-12 * scale, scale
+
+
 @PROPERTY
 @given(delta=st.sampled_from([(0.5, 0.5), (0.0, 0.0)]), seed=SEEDS,
-       rho=st.floats(0.2, 1.8), mean=st.floats(-4.0, 4.0),
-       wiggle=st.sampled_from([0.0, 0.3, 2.0]), amp=st.floats(0.0, 20.0))
-def test_fiber_energy_bound_dominates_the_fiber_solve(delta, seed, rho, mean, wiggle, amp):
+       rho=st.floats(0.2, 1.8), means=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+       wiggles=st.sampled_from([(0.0, 0.0), (0.0, 0.3), (2.0, 0.0), (0.3, 2.0)]),
+       amps=st.tuples(st.floats(0.0, 20.0), st.floats(0.0, 20.0)))
+def test_fiber_energy_bound_dominates_the_fiber_solve(delta, seed, rho, means, wiggles, amps):
     # grid 16; delta = (0, 0) drops a Nyquist line and has harmonic modes;
-    # u constant (wiggle 0) or not, with |u| up to about 7; the
-    # warm start keeps a random minus part, far from the fiber maximum
+    # both ends, one end or neither end at constant u, with |u| up to
+    # about 7; each sample is fiber-solved from its blend, as ridge repair
+    # does, and its bound is the closed form at the blend
     geom = TorusGeometry(grid_n=16, spin_delta=delta)
     assume(geom.spectral_gap(rho) > 1e-3)
     params = ActionParams(rho=rho)
     rng = np.random.default_rng(seed)
-    u = ScalarField.constant(geom, mean)
-    if wiggle:
-        u = u + bounded_scalar(geom, rng, h1_cap=wiggle * geom.side_length)
-    psi = amp * random_spinor(geom, rng, decay=1.0)
-    minus = project(psi, "minus")
-    pt = fiber_solve(u, psi - minus, params, x0=minus)
-    j = evaluate_J(pt.u, pt.psi, params)
-    assert j <= fiber_energy_bound(u, psi, params)
+    a, b = (_segment_end(geom, rng, *end) for end in zip(means, wiggles, amps))
+    bounds = fiber_energy_bounds(a, b, SEGMENT_WEIGHTS, params)
+    assert bounds.shape == (len(SEGMENT_WEIGHTS),)
+    for w, bound in zip(SEGMENT_WEIGHTS, bounds):
+        u, psi = _blend(a, b, w)
+        ref, scale = _closed_form_bound(u, psi, params)
+        assert abs(bound - ref) <= 1e-12 * scale + 1e-300   # underflow floor
+        minus = project(psi, "minus")
+        pt = fiber_solve(u, psi - minus, params, x0=minus)
+        assert evaluate_J(pt.u, pt.psi, params) <= bound
     # at the fiber maximum G = 0, so the bound is J up to the pad
-    tight = fiber_energy_bound(pt.u, pt.psi, params)
+    j = evaluate_J(pt.u, pt.psi, params)
+    (tight,) = fiber_energy_bounds(pt, pt, (0.0,), params)
     assert j <= tight <= j + 1e-9 * (1.0 + abs(j) + hhalf_norm(pt.psi) ** 2)
+
+
+@pytest.mark.parametrize("delta", [(0.5, 0.5), (0.0, 0.0)])
+def test_bounding_a_segment_costs_one_fft_of_its_stacked_samples(delta):
+    # the endpoints hold their grid and Fourier views, as minmax_deform's
+    # nodes do once their J is known: only the a- row of cosh(u) psi needs
+    # a transform, one fft2 for all samples, and none at constant u
+    geom = TorusGeometry(grid_n=16, spin_delta=delta)
+    params = ActionParams(rho=0.5)
+    rng = np.random.default_rng(3)
+    for wiggle, ffts in ((0.3, {"fft": 1, "fft2": 1, "ifft2": 0}),
+                         (0.0, {"fft": 0, "fft2": 0, "ifft2": 0})):
+        a, b = (_segment_end(geom, rng, mean, wiggle, 2.0) for mean in (0.4, -1.1))
+        for end in (a, b):
+            evaluate_J(end.u, end.psi, params)
+            assert end.u._values is not None and end.u._coeffs is not None
+        with counting_ffts() as counts:
+            fiber_energy_bounds(a, b, (0.25, 0.5, 0.75), params)
+        assert counts == ffts
+
+
+def test_fiber_energy_bounds_refuse_overflowing_blends():
+    # the U_CAP guard covers every blended u, NaN included
+    geom = TorusGeometry(grid_n=16)
+    params = ActionParams(rho=0.5)
+    psi = random_spinor(geom, np.random.default_rng(4))
+    end = NehariPoint(u=ScalarField.constant(geom, 49.0), psi=psi, constraint_norm=0.0)
+    fiber_energy_bounds(end, end, (0.5,), params)
+    far = NehariPoint(u=ScalarField.constant(geom, 60.0), psi=psi, constraint_norm=0.0)
+    with pytest.raises(OverflowGuardError):
+        fiber_energy_bounds(end, far, (0.0, 0.5), params)
+    nan = NehariPoint(u=ScalarField.constant(geom, np.nan), psi=psi, constraint_norm=0.0)
+    with pytest.raises(OverflowGuardError):
+        fiber_energy_bounds(end, nan, (0.0, 0.5), params)
 
 
 def test_project_to_manifold(setup16):

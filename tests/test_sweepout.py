@@ -13,14 +13,13 @@ from sshg.fields import ScalarField
 from sshg.geometry import TorusGeometry
 from sshg.minmax import NEWTON_TOL, MinmaxConfig, mountain_pass_endpoint, newton_refine
 from sshg.nehari import NehariPoint, fiber_solve
-from sshg.spectral import build_basis, hhalf_norm, sobolev_inner
+from sshg.spectral import build_basis, hhalf_norm, quaternion_act, sobolev_inner
 from sshg.sweepout import (
     build_sweepout_chi,
     certify_equivariance,
     equivariant_disk_mesh,
     equivariant_disk_minmax,
     equivariant_family,
-    group_orbit_point,
     orthogonal_restart,
     records_distinct,
 )
@@ -194,7 +193,8 @@ def test_disk_minmax_unchanged_when_every_ridge_sample_is_solved(mp16, family16,
 
     monkeypatch.setattr(sshg.minmax, "_interp_points", counting_interp)
     rec, diags, bounded_solves = disk()
-    monkeypatch.setattr(sshg.minmax, "fiber_energy_bound", lambda u, psi, params_: np.inf)
+    monkeypatch.setattr(sshg.minmax, "fiber_energy_bounds",
+                        lambda a, b, weights, params_: np.full(len(weights), np.inf))
     rec_all, diags_all, all_solves = disk()
 
     assert any(diags.repairs[:-1]) and bounded_solves < all_solves
@@ -283,8 +283,8 @@ def test_orbit_closure(mp16):
         q = rng.standard_normal(4)
         q /= np.linalg.norm(q)
         sigma = float(rng.choice([-1.0, 1.0]))
-        moved = group_orbit_point(rec.point, sigma, q)
-        _, ru, rp = el_residual(moved.u, moved.psi, params)
+        # the Z2 x quaternionic group element (sigma, q) applied to the solution
+        _, ru, rp = el_residual(sigma * rec.point.u, quaternion_act(rec.point.psi, q), params)
         assert ru + rp <= 1e-9
 
 
