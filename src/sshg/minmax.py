@@ -64,7 +64,7 @@ NEWTON_TOL = 1e-10         # Newton stops once res_u + res_psi is at most this
 NEWTON_FORCING = 1e-2      # largest relative MINRES tolerance of a Newton step
 TRACE_CAP = 1e8            # PS traces beyond this magnitude count as unbounded
 LINKING_T_MARGIN = 0.5     # T clears the step-(i) threshold by this much
-LINKING_FACTOR = 1.5       # safety factor of A and R over their thresholds
+LINKING_FACTOR = 1.5       # safety factor of s and R over their thresholds
 # Sobolev decay of the coercivity probe's random directions; PSI_DECAY must
 # stay moderate, or the low plus_b modes starve the outside-cone sampling
 U_DECAY = 1.0
@@ -93,27 +93,30 @@ class MinmaxConfig:
 
 @dataclass
 class LinkingConstants:
-    """Certified (T, A, R): steps (i)-(ii) make the linking path's endpoint
-    (T, A T Psi_{k+1}) negative; R (step iii) bounds the case-2 block ball."""
+    """Certified endpoint (T, s Psi_{k+1}) of the first min-max path: steps
+    (i)-(ii) make its energy negative.  The block, harmonic spinors plus the
+    k eigenvalues below rho, is empty in the mountain-pass regime, where the
+    endpoint is (ubar, s Psi_1); in the paper's linking notation A = s / T."""
 
     T: float
-    A: float
-    R: float
+    s: float
     k_index: int
     lam_k: float          # largest eigenvalue below rho (0 when only harmonic)
     lam_k1: float         # smallest eigenvalue above rho
-    neg_factor: float     # min (rho - lam)/(1 + lam) over the spanned block
-    bound_max: float      # max_t of the sigma_1 energy bound
+    harmonic_dim: int
+
+    @property
+    def block_dim(self) -> int:
+        """Dimension of the plus_b + zero block; 0 selects the mountain pass."""
+        return self.harmonic_dim + self.k_index
 
     def certify(self, params, vol) -> None:
         rho = params.rho
         if not (rho * np.cosh(self.T) - self.lam_k1 > 1.0):
             raise CertificationError("linking step (i) failed: rho cosh(T) - lam_{k+1} <= 1")
         if not (4 * rho**2 * vol * np.sinh(self.T) ** 2
-                - 8 * self.A**2 * self.T**2 * (rho * np.cosh(self.T) - self.lam_k1) < 0):
+                - 8 * self.s**2 * (rho * np.cosh(self.T) - self.lam_k1) < 0):
             raise CertificationError("linking step (ii) failed: endcap energy not negative")
-        if not (self.neg_factor * self.R**2 > self.bound_max):
-            raise CertificationError("linking step (iii) failed: R does not dominate the bound")
 
 
 @dataclass
@@ -154,17 +157,19 @@ class PSDiagnostics:
 
 @dataclass
 class SolutionRecord:
+    """A solution candidate; every field but `point` is reported, in this order."""
+
     point: NehariPoint
+    classification: str            # trivial / semi_trivial_constant_u / nontrivial
     level: float
     res_u: float
     res_psi: float
-    classification: str            # trivial / semi_trivial_constant_u / nontrivial
     u_variance: float
-    converged: bool                # descent reached grad_tol
-    refined: bool                  # Newton reached NEWTON_TOL
     multiplier_norm: float
     u_h1: float
     psi_hhalf: float
+    converged: bool                # descent reached grad_tol
+    refined: bool                  # Newton reached NEWTON_TOL
     newton_steps: int = 0          # accepted steps of the Newton that built it
     minres_iters: int = 0          # MINRES iterations that Newton spent
     minres_capped: int = 0         # its MINRES solves that stopped at the iteration cap
@@ -208,31 +213,17 @@ def make_record(point: NehariPoint, params: ActionParams, converged: bool,
 
 
 # ---------------------------------------------------------------------------
-# endpoint and linking constants
+# endpoint constants
 # ---------------------------------------------------------------------------
 
-def mountain_pass_endpoint(params: ActionParams, basis) -> tuple[float, float]:
-    """Constant ubar and amplitude s with J(ubar, s Psi_1) < 0.
+def linking_constants(params: ActionParams, basis) -> LinkingConstants:
+    """The certified endpoint constants (T, s) for every rho.
 
-    ubar clears rho cosh(ubar) > lam_1 + 1 with margin 0.5; s carries a 1.5
-    factor over the sign-change threshold of
-    4 rho^2 sinh(ubar)^2 Vol - 8 (rho cosh(ubar) - lam_1) s^2.
+    Step (i) is implemented with the orientation rho cosh(T) - lam_{k+1} > 1,
+    the one consistent with step (ii)'s sign; s carries LINKING_FACTOR over
+    the sign-change threshold of
+    4 rho^2 sinh(T)^2 Vol - 8 (rho cosh(T) - lam_{k+1}) s^2.
     """
-    rho = params.rho
-    lam1 = basis.eigenvalue(1)
-    if basis.harmonic_dim != 0 or not (0 < rho < lam1):
-        raise ConfigError(
-            f"mountain-pass regime requires h = 0 and 0 < rho < lambda_1 "
-            f"(rho={rho}, lambda_1={lam1}, h={basis.harmonic_dim})"
-        )
-    vol = basis.geom.vol
-    u_bar = float(np.arccosh((lam1 + 1.0) / rho) + 0.5)
-    s_threshold = np.sqrt(4 * rho**2 * np.sinh(u_bar) ** 2 * vol
-                          / (8 * (rho * np.cosh(u_bar) - lam1)))
-    return u_bar, float(1.5 * s_threshold)
-
-
-def _split_spectrum_at(params: ActionParams, basis):
     rho = params.rho
     check_spectral_gap(basis.geom, rho)
     lam = basis.eigenvalues
@@ -240,41 +231,15 @@ def _split_spectrum_at(params: ActionParams, basis):
     above = lam[lam > rho]
     if above.size == 0:
         raise ConfigError("basis cutoff too small: no eigenvalue above rho tabulated")
-    lam_k = float(below.max()) if below.size else 0.0
     lam_k1 = float(above.min())
-    return below, lam_k, lam_k1
-
-
-def linking_constants(params: ActionParams, basis) -> LinkingConstants:
-    """Constants (T, A, R) in order, certified against all three inequalities.
-
-    Step (i) is implemented with the orientation rho cosh(T) - lam_{k+1} > 1,
-    the one consistent with step (ii)'s sign.
-    """
-    rho = params.rho
-    below, lam_k, lam_k1 = _split_spectrum_at(params, basis)
-    h = basis.harmonic_dim
-    if below.size == 0 and h == 0:
-        raise ConfigError("linking regime requires rho > lambda_1 or harmonic spinors")
 
     vol = basis.geom.vol
     T = float(np.arccosh((lam_k1 + 1.0) / rho) + LINKING_T_MARGIN)
-    A0 = np.sqrt(4 * rho**2 * vol * np.sinh(T) ** 2
-                 / (8 * T**2 * (rho * np.cosh(T) - lam_k1)))
-    A = float(LINKING_FACTOR * A0)
-
-    tgrid = np.linspace(0.0, T, 1001)
-    bound = (4 * rho**2 * vol * np.sinh(tgrid) ** 2
-             + 8 * (lam_k1 - rho * np.cosh(tgrid)) * A**2 * tgrid**2)
-    bound_max = float(np.max(bound))
-
-    neg_lams = [0.0] * (1 if h > 0 else 0) + list(below)
-    neg_factor = float(min((rho - lam) / (1.0 + lam) for lam in neg_lams))
-    R = float(LINKING_FACTOR * np.sqrt(max(bound_max, 1e-12) / neg_factor))
-
-    consts = LinkingConstants(T=T, A=A, R=R, k_index=int(below.size),
-                              lam_k=lam_k, lam_k1=lam_k1,
-                              neg_factor=neg_factor, bound_max=bound_max)
+    s = float(LINKING_FACTOR * np.sqrt(4 * rho**2 * np.sinh(T) ** 2 * vol
+                                       / (8 * (rho * np.cosh(T) - lam_k1))))
+    consts = LinkingConstants(T=T, s=s, k_index=int(below.size),
+                              lam_k=float(below.max()) if below.size else 0.0,
+                              lam_k1=lam_k1, harmonic_dim=basis.harmonic_dim)
     consts.certify(params, vol)
     return consts
 

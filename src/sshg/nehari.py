@@ -279,7 +279,6 @@ class TangentResult:
     alpha_norm: float             # H^{-1} norm of the u-equation residual
     beta_norm: float              # H^{-1/2} norm of the psi-equation residual
     multiplier: MultiplierData
-    tangency: float               # ||dG[tangent]||_{H^{1/2}}
 
 
 def constrained_gradient(point: NehariPoint, params: ActionParams) -> TangentResult:
@@ -292,7 +291,6 @@ def constrained_gradient(point: NehariPoint, params: ActionParams) -> TangentRes
     t_psi = g.dpsi - wdpsi
     tangent = Variation(t_u, t_psi, u_space="H1", psi_space="H1/2")
     norm = product_norm(t_u, t_psi)
-    tangency = hhalf_norm(_dg_apply(point, params, t_u, t_psi))
 
     varphi = (1.0 / 16.0) * w
     cross = point.psi.cross_density(varphi)
@@ -304,7 +302,6 @@ def constrained_gradient(point: NehariPoint, params: ActionParams) -> TangentRes
         alpha_norm=hminus1_norm(alpha),
         beta_norm=hminushalf_norm(beta),
         multiplier=MultiplierData(varphi=varphi, solve_residual=info.relative_residual),
-        tangency=tangency,
     )
 
 

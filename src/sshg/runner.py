@@ -12,7 +12,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .minmax import (
     coercivity_probe,
     linking_constants,
     minmax_deform,
-    mountain_pass_endpoint,
     straight_path,
 )
 from .spectral import build_basis, check_spectral_gap
@@ -201,21 +200,7 @@ def write_json_atomic(obj, path: str) -> str:
 
 
 def _record_summary(rec) -> dict:
-    return {
-        "classification": rec.classification,
-        "level": rec.level,
-        "res_u": rec.res_u,
-        "res_psi": rec.res_psi,
-        "u_variance": rec.u_variance,
-        "multiplier_norm": rec.multiplier_norm,
-        "u_h1": rec.u_h1,
-        "psi_hhalf": rec.psi_hhalf,
-        "converged": rec.converged,
-        "refined": rec.refined,
-        "newton_steps": rec.newton_steps,
-        "minres_iters": rec.minres_iters,
-        "minres_capped": rec.minres_capped,
-    }
+    return {f.name: getattr(rec, f.name) for f in fields(rec) if f.name != "point"}
 
 
 def _diag_summary(diags) -> dict:
@@ -275,46 +260,37 @@ def run_probe(config: RunConfig, geom, basis, params):
     }
 
 
-def _path_minmax(config: RunConfig, u_end, s, psi, params, tangent_filter=None):
-    """The straight path from the origin to (u_end, s psi), deformed and
-    handed to Newton by minmax_deform; returns (endpoint node, record,
-    diagnostics)."""
+def run_path(config: RunConfig, basis, params, consts):
+    """The straight path from the origin to the certified endpoint
+    (T, s Psi_{k+1}) of `consts`, deformed outside the plus_b + zero block
+    when that block is not empty and handed to Newton by minmax_deform."""
     mm = config.minmax
-    nodes, frozen = straight_path(u_end, s, psi, mm.path_nodes, params)
-    record, diags = minmax_deform(nodes, frozen, mm, params,
-                                  tangent_filter=tangent_filter)
-    return nodes[-1], record, diags
-
-
-def run_mountain_pass(config: RunConfig, geom, basis, params):
-    u_bar, s = mountain_pass_endpoint(params, basis)
-    end_pt, record, diags = _path_minmax(config, ScalarField.constant(geom, u_bar), s,
-                                         basis.eigenspinor(1), params)
+    nodes, frozen = straight_path(ScalarField.constant(basis.geom, consts.T), consts.s,
+                                  basis.eigenspinor(consts.k_index + 1), mm.path_nodes, params)
+    record, diags = minmax_deform(
+        nodes, frozen, mm, params,
+        tangent_filter=block_filter(params.rho) if consts.block_dim else None)
+    end = nodes[-1]
     return {
-        "endpoint": {"u_bar": u_bar, "s": s,
-                     "J": evaluate_J(end_pt.u, end_pt.psi, params)},
+        "endpoint": {"u_bar": consts.T, "s": consts.s,
+                     "J": evaluate_J(end.u, end.psi, params)},
         "levels": {"c1": record.level},
         "records": [record],
         "diagnostics": diags,
     }
 
 
-def run_linking(config: RunConfig, geom, basis, params):
-    # the path ends at (T, A T Psi_{k+1}), certified negative by steps
-    # (i)-(ii); the descent runs outside the plus_b + zero block
+def run_first_solution(config: RunConfig, geom, basis, params):
+    """The mountain_pass and linking modes: the path pipeline, in the regime
+    the mode names."""
     consts = linking_constants(params, basis)
-    _, record, diags = _path_minmax(config, ScalarField.constant(geom, consts.T),
-                                    consts.A * consts.T,
-                                    basis.eigenspinor(consts.k_index + 1), params,
-                                    tangent_filter=block_filter(params.rho))
-    return {
-        "linking_constants": {"T": consts.T, "A": consts.A, "R": consts.R,
-                              "k_index": consts.k_index, "lam_k": consts.lam_k,
-                              "lam_k1": consts.lam_k1},
-        "levels": {"c1": record.level},
-        "records": [record],
-        "diagnostics": diags,
-    }
+    if config["mode"] == "mountain_pass" and consts.block_dim:
+        raise ConfigError(
+            f"mountain-pass regime requires h = 0 and 0 < rho < lambda_1 "
+            f"(rho={params.rho}, lambda_1={basis.eigenvalue(1)}, h={consts.harmonic_dim})")
+    if config["mode"] == "linking" and not consts.block_dim:
+        raise ConfigError("linking regime requires rho > lambda_1 or harmonic spinors")
+    return run_path(config, basis, params, consts)
 
 
 def run_multiplicity(config: RunConfig, geom, basis, params):
@@ -323,12 +299,13 @@ def run_multiplicity(config: RunConfig, geom, basis, params):
                              side_length=geom.side_length,
                              spin_delta=geom.spin_delta)
     chi = build_sweepout_chi(chi_geom, EPSILON_FRAC * chi_geom.vol)
+    consts = linking_constants(params, basis)
 
-    if basis.harmonic_dim == 0 and params.rho < basis.eigenvalue(1):
-        first = run_mountain_pass(config, geom, basis, params)
+    if not consts.block_dim:
+        first = run_path(config, basis, params, consts)
         rec1 = first["records"][0]
-        fam = equivariant_family(first["endpoint"]["u_bar"], first["endpoint"]["s"],
-                                 chi, params, basis, n_theta=config["n_theta"])
+        fam = equivariant_family(consts.T, consts.s, chi, params, basis,
+                                 n_theta=config["n_theta"])
         rec2, diags = equivariant_disk_minmax(
             fam, mm, params, basis,
             n_theta_disk=config["n_theta_disk"], n_radii=config["n_radii"])
@@ -348,11 +325,11 @@ def run_multiplicity(config: RunConfig, geom, basis, params):
 
     # linking regime: (K+2)-dimensional equivariant product construction;
     # the block's capacity check needs only the spectrum, so it comes first
-    case2_block(basis, params.rho)
-    first = run_linking(config, geom, basis, params)
+    case2_block(basis, consts)
+    first = run_path(config, basis, params, consts)
     rec1 = first["records"][0]
     rec2, diags = case2_product_minmax(
-        chi, mm, params, basis,
+        chi, consts, mm, params, basis,
         n_theta_disk=config["n_theta_disk"], n_radii=config["n_radii"])
     return {
         "case": 2,
@@ -374,8 +351,8 @@ def _any_distinct(records) -> bool:
 # copied into the run output in this order when present)
 _MODE_TABLE = {
     "spectrum": (run_spectrum, None, ()),
-    "mountain_pass": (run_mountain_pass, "minmax", ("endpoint", "levels")),
-    "linking": (run_linking, "minmax", ("linking_constants", "levels")),
+    "mountain_pass": (run_first_solution, "minmax", ("endpoint", "levels")),
+    "linking": (run_first_solution, "minmax", ("endpoint", "levels")),
     "multiplicity": (run_multiplicity, "minmax",
                      ("levels", "case", "distinct", "family_max_energy")),
     "probe": (run_probe, "probe", ("probe",)),

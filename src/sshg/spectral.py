@@ -72,13 +72,6 @@ def quaternion_j(psi: SpinorField) -> SpinorField:
     return SpinorField.from_values(psi.geom, out)
 
 
-def quaternion_act(psi: SpinorField, q) -> SpinorField:
-    """Action of a quaternion q = (a, b, c, d) through a + bI + cJ + dK."""
-    a, b, c, d = (float(t) for t in q)
-    jpsi = quaternion_j(psi)
-    return a * psi + (1j * b) * psi + c * jpsi + (1j * d) * jpsi
-
-
 # ---------------------------------------------------------------------------
 # inner products and norms
 # ---------------------------------------------------------------------------

@@ -29,9 +29,10 @@ from .errors import (
 from .fields import ScalarField, SpinorField
 from .geometry import TorusGeometry
 from .minmax import (
+    LINKING_FACTOR,
+    LinkingConstants,
     MinmaxConfig,
     SolutionRecord,
-    linking_constants,
     make_record,
     minmax_deform,
     positive_frozen_nodes,
@@ -447,25 +448,38 @@ def records_distinct(r1: SolutionRecord, r2: SolutionRecord) -> bool:
 # Case 2: (K+2)-dimensional equivariant set for the linking regime
 # ---------------------------------------------------------------------------
 
-def case2_block(basis, rho: float):
-    """Eigen-elements spanning plus_b + zero, with their H^{1/2} weights.
+def case2_block(basis, consts: LinkingConstants):
+    """Eigen-elements spanning plus_b + zero, with their eigenvalues (0 for a
+    harmonic spinor).
 
     The spectrum alone fixes the block, so its CapacityError comes before
     any solve.
     """
-    fields = []
-    weights = []
-    for l in range(basis.harmonic_dim):
-        fields.append(basis.harmonic_spinor(l))
-        weights.append(1.0)
-    for j, lam in enumerate(basis.eigenvalues, start=1):
-        if lam < rho:
-            fields.append(basis.eigenspinor(j))
-            weights.append(1.0 + lam)
-    if len(fields) > CASE2_MAX_K:
-        raise CapacityError(f"case-2 block dimension K={len(fields)} exceeds the "
+    h, k = consts.harmonic_dim, consts.k_index
+    if h + k > CASE2_MAX_K:
+        raise CapacityError(f"case-2 block dimension K={h + k} exceeds the "
                             f"desk-scale cap {CASE2_MAX_K}")
-    return fields, np.array(weights)
+    fields = ([basis.harmonic_spinor(l) for l in range(h)]
+              + [basis.eigenspinor(j) for j in range(1, k + 1)])
+    return fields, np.concatenate([np.zeros(h), basis.eigenvalues[:k]])
+
+
+def case2_radius(consts: LinkingConstants, lams, params: ActionParams, vol: float) -> float:
+    """Step (iii): the radius R of the block ball, certified to satisfy
+    neg_factor R^2 > max_t [4 rho^2 Vol sinh(t)^2 + 8 (lam_{k+1} - rho cosh t) A^2 t^2]
+    over t in [0, T], A = s / T, where neg_factor = min (rho - lam)/(1 + lam)
+    over the block's eigenvalues `lams`.  R grows like (rho - lam_k)^{-1/2}
+    as rho decreases to lam_k."""
+    rho, T = params.rho, consts.T
+    A = consts.s / T
+    tgrid = np.linspace(0.0, T, 1001)
+    bound_max = float(np.max(4 * rho**2 * vol * np.sinh(tgrid) ** 2
+                             + 8 * (consts.lam_k1 - rho * np.cosh(tgrid)) * A**2 * tgrid**2))
+    neg_factor = float(np.min((rho - lams) / (1.0 + lams)))
+    R = float(LINKING_FACTOR * np.sqrt(max(bound_max, 1e-12) / neg_factor))
+    if not neg_factor * R**2 > bound_max:
+        raise CertificationError("linking step (iii) failed: R does not dominate the bound")
+    return R
 
 
 def _block_directions(weights, n_dirs: int, seed: int) -> np.ndarray:
@@ -485,24 +499,24 @@ def _block_spinor(geom, fields, coefvec) -> SpinorField:
     return out
 
 
-def case2_product_minmax(chi: SweepoutChi, config: MinmaxConfig,
-                         params: ActionParams, basis,
+def case2_product_minmax(chi: SweepoutChi, consts: LinkingConstants,
+                         config: MinmaxConfig, params: ActionParams, basis,
                          n_theta_disk: int, n_radii: int):
     """Equivariant min-max over the product of the linking ball and a disk.
 
-    Elements are (u, psi) = (chi(theta,.) T r, phi + A T r Psi_{k+1}) with
+    Elements are (u, psi) = (chi(theta,.) T r, phi + s r Psi_{k+1}) with
     phi in the plus_b + zero block, on n_theta_disk angles and n_radii radii;
     the boundary {|phi| = R} u {r = 1} must have nonpositive energy
     (certified, with R inflation retries).  Returns (SolutionRecord,
     PSDiagnostics); the record's level is c2.
     """
     geom = basis.geom
-    fields, weights = case2_block(basis, params.rho)
+    fields, lams = case2_block(basis, consts)
     K = len(fields)
+    radius = case2_radius(consts, lams, params, geom.vol)
 
-    consts = linking_constants(params, basis)
     n_rad_phi, n_sphere = CASE2_MESH
-    dirs = _block_directions(weights, n_sphere, config.seed)
+    dirs = _block_directions(1.0 + lams, n_sphere, config.seed)
     psi_top = basis.eigenspinor(consts.k_index + 1)
     shell_q = np.linspace(0, 1, n_rad_phi + 1)[1:]
     on_boundary = [False] + [bool(q == 1.0) for q in shell_q for _ in dirs]
@@ -512,14 +526,14 @@ def case2_product_minmax(chi: SweepoutChi, config: MinmaxConfig,
 
     r_factor = 1.0
     for attempt in range(CASE2_RETRIES + 1):
-        R = consts.R * r_factor
+        R = radius * r_factor
         phi_fields = [_block_spinor(geom, fields, phiv) for phiv in
                       [np.zeros(K)] + [q * R * d for q in shell_q for d in dirs]]
 
         def node(shell, it, ir):
-            t_eff = consts.T * float(disk_r[ir])
-            u = ScalarField.from_values(geom, chi_vals[it] * t_eff)
-            return fiber_solve(u, phi_fields[shell] + (consts.A * t_eff) * psi_top, params)
+            r = float(disk_r[ir])
+            u = ScalarField.from_values(geom, chi_vals[it] * (consts.T * r))
+            return fiber_solve(u, phi_fields[shell] + (consts.s * r) * psi_top, params)
 
         nodes, frozen, centers, segments = equivariant_disk_mesh(
             on_boundary, n_theta_disk, n_radii, node)

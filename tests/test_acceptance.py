@@ -16,7 +16,6 @@ from sshg.geometry import GAMMA1, GAMMA2, TorusGeometry
 from sshg.minmax import (
     coercivity_probe,
     linking_constants,
-    mountain_pass_endpoint,
     straight_path,
 )
 from sshg.nehari import (
@@ -300,12 +299,11 @@ def test_criterion_7_linking(linking_run):
                rho * np.cosh(consts.T) - consts.lam_k1 > 1.0)
     crit.check("step (ii): endcap bound negative",
                4 * rho**2 * vol * np.sinh(consts.T) ** 2
-               - 8 * consts.A**2 * consts.T**2
-               * (rho * np.cosh(consts.T) - consts.lam_k1) < 0)
-    crit.check("step (iii): R dominates the t-maximum",
-               consts.neg_factor * consts.R**2 > consts.bound_max)
+               - 8 * consts.s**2 * (rho * np.cosh(consts.T) - consts.lam_k1) < 0)
+    crit.check(f"endpoint reported: u_bar = T, s = {consts.s:.6f}",
+               output["endpoint"]["u_bar"] == consts.T and output["endpoint"]["s"] == consts.s)
 
-    nodes, _ = straight_path(ScalarField.constant(geom, consts.T), consts.A * consts.T,
+    nodes, _ = straight_path(ScalarField.constant(geom, consts.T), consts.s,
                              basis.eigenspinor(consts.k_index + 1), 5, params)
     j_origin = evaluate_J(nodes[0].u, nodes[0].psi, params)
     j_end = evaluate_J(nodes[-1].u, nodes[-1].psi, params)
@@ -351,8 +349,8 @@ def test_criterion_8_sweepout():
     solver_geom = TorusGeometry(grid_n=32, spin_delta=(0.5, 0.5))
     basis = build_basis(solver_geom, cutoff=3.0)
     params = ActionParams(rho=0.5)
-    u_bar, s = mountain_pass_endpoint(params, basis)
-    fam = equivariant_family(u_bar, s, chi, params, basis, n_theta=64)
+    consts = linking_constants(params, basis)
+    fam = equivariant_family(consts.T, consts.s, chi, params, basis, n_theta=64)
     crit.check(f"family max J {fam.max_energy:.2f} < 0", fam.max_energy < 0)
     crit.conclude()
 

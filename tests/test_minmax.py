@@ -11,14 +11,12 @@ from sshg.errors import CertificationError, ConfigError
 from sshg.fields import ScalarField, SpinorField
 from sshg.geometry import TorusGeometry
 from sshg.minmax import (
-    LinkingConstants,
     MinmaxConfig,
     block_filter,
     classify,
     coercivity_probe,
     linking_constants,
     minmax_deform,
-    mountain_pass_endpoint,
     newton_refine,
     u_variance,
 )
@@ -47,55 +45,59 @@ def straight_path(geom, basis, params, u_bar, s, n_nodes):
 
 
 def test_mountain_pass_endpoint(setup16):
+    # rho < lam1 without harmonic spinors: the block is empty, and the
+    # endpoint constants are the two displayed formulas, bit for bit
     geom, basis = setup16
     params = ActionParams(rho=0.5)
-    u_bar, s = mountain_pass_endpoint(params, basis)
-    # oracle: the two displayed formulas
-    want_u = np.arccosh((LAM1 + 1.0) / 0.5) + 0.5
-    assert u_bar == pytest.approx(want_u, rel=1e-12)
-    s0 = np.sqrt(4 * 0.25 * np.sinh(u_bar) ** 2 * geom.vol
-                 / (8 * (0.5 * np.cosh(u_bar) - LAM1)))
-    assert s == pytest.approx(1.5 * s0, rel=1e-12)
+    consts = linking_constants(params, basis)
+    assert consts.block_dim == 0 and consts.k_index == 0 and consts.harmonic_dim == 0
+    assert consts.lam_k == 0.0 and consts.lam_k1 == basis.eigenvalue(1)
+    consts.certify(params, geom.vol)  # steps (i)-(ii)
+    lam1 = basis.eigenvalue(1)
+    u_bar = float(np.arccosh((lam1 + 1.0) / 0.5) + 0.5)
+    s0 = np.sqrt(4 * 0.5**2 * np.sinh(u_bar) ** 2 * geom.vol
+                 / (8 * (0.5 * np.cosh(u_bar) - lam1)))
+    assert consts.T == u_bar
+    assert consts.s == float(1.5 * s0)
+    assert u_bar == pytest.approx(np.arccosh((LAM1 + 1.0) / 0.5) + 0.5, rel=1e-12)
     # certified endpoint energy after the fiber solve is negative
-    pt = fiber_solve(ScalarField.constant(geom, u_bar), s * basis.eigenspinor(1), params)
+    pt = fiber_solve(ScalarField.constant(geom, consts.T),
+                     consts.s * basis.eigenspinor(1), params)
     j_end = evaluate_J(pt.u, pt.psi, params)
     assert j_end < 0
     # monotone in s beyond the threshold
-    pt2 = fiber_solve(ScalarField.constant(geom, u_bar), (1.1 * s) * basis.eigenspinor(1), params)
+    pt2 = fiber_solve(ScalarField.constant(geom, consts.T),
+                      (1.1 * consts.s) * basis.eigenspinor(1), params)
     assert evaluate_J(pt2.u, pt2.psi, params) < j_end
-    with pytest.raises(ConfigError):
-        mountain_pass_endpoint(ActionParams(rho=0.9), basis)  # rho >= lam1
 
 
 def test_linking_constants(setup16):
     geom, basis = setup16
     params = ActionParams(rho=1.0)
     consts = linking_constants(params, basis)
-    assert consts.k_index == 8
+    assert consts.k_index == 8 and consts.block_dim == 8
     assert consts.lam_k == pytest.approx(LAM1, rel=1e-12)
     assert consts.lam_k1 == pytest.approx(LAM2, rel=1e-12)
     # oracle: step (i) threshold with the corrected orientation
     assert consts.T > np.arccosh((LAM2 + 1.0) / 1.0)
-    consts.certify(params, geom.vol)  # all three inequalities
-
-    # shrinking rho toward lam_k forces R up, like (rho - lam_k)^{-1/2}
-    rs = [linking_constants(ActionParams(rho=r), basis).R for r in (0.75, 0.72, 0.71)]
-    assert rs[0] < rs[1] < rs[2]
-
-    with pytest.raises(ConfigError):
-        linking_constants(ActionParams(rho=0.5), basis)  # mountain-pass regime
+    consts.certify(params, geom.vol)  # steps (i)-(ii)
+    # the endpoint amplitude s = A T carries the 1.5 factor over step (ii)
+    s0 = np.sqrt(4 * geom.vol * np.sinh(consts.T) ** 2
+                 / (8 * (np.cosh(consts.T) - LAM2)))
+    assert consts.s == pytest.approx(1.5 * s0, rel=1e-12)
 
 
 def test_linking_certify_rejects_bad_constants(setup16):
     geom, basis = setup16
-    params = ActionParams(rho=1.0)
-    good = linking_constants(params, basis)
-    from sshg.errors import CertificationError
-    bad = LinkingConstants(T=0.5, A=good.A, R=good.R, k_index=good.k_index,
-                           lam_k=good.lam_k, lam_k1=good.lam_k1,
-                           neg_factor=good.neg_factor, bound_max=good.bound_max)
-    with pytest.raises(CertificationError):
-        bad.certify(params, geom.vol)
+    for rho in (1.0, 0.5):  # both regimes
+        params = ActionParams(rho=rho)
+        good = linking_constants(params, basis)
+        # step (i): T too small
+        with pytest.raises(CertificationError, match="step \\(i\\)"):
+            dataclasses.replace(good, T=0.5).certify(params, geom.vol)
+        # step (ii): s below its threshold
+        with pytest.raises(CertificationError, match="step \\(ii\\)"):
+            dataclasses.replace(good, s=good.s / 1.6).certify(params, geom.vol)
 
 
 def test_block_filter_removes_the_negative_block():
@@ -104,7 +106,7 @@ def test_block_filter_removes_the_negative_block():
     geom = TorusGeometry(grid_n=16, spin_delta=(0.0, 0.0))
     basis = build_basis(geom, cutoff=2.5)
     consts = linking_constants(ActionParams(rho=1.2), basis)
-    assert basis.harmonic_dim > 0 and consts.k_index > 0
+    assert consts.harmonic_dim > 0 and consts.k_index > 0
     top = basis.eigenspinor(consts.k_index + 1)
     block = basis.harmonic_spinor(0) + 0.5 * basis.eigenspinor(consts.k_index)
     du = ScalarField.from_values(geom, np.cos(geom.x1))
@@ -192,6 +194,7 @@ def test_inexact_newton_from_a_perturbed_semi_trivial_start(monkeypatch):
     assert rec.res_u + rec.res_psi <= 1e-12
     # a MINRES solve to 1e-12 each step spent 517 iterations here
     assert rec.minres_iters == sum(it for _, it in solves) <= 137
+    assert rec.minres_capped == 0  # every sized solve met its tolerance
     tols = [tol for tol, _ in solves]
     assert all(1e-12 <= tol <= sshg.minmax.NEWTON_FORCING for tol in tols)
     assert tols[-1] > 1e-12
@@ -227,7 +230,8 @@ def test_coercivity_probe_linking_regime(setup16):
 def test_minmax_deform_small_mountain_pass(setup16):
     geom, basis = setup16
     params = ActionParams(rho=0.5)
-    u_bar, s = mountain_pass_endpoint(params, basis)
+    consts = linking_constants(params, basis)
+    u_bar, s = consts.T, consts.s
     config = MinmaxConfig(path_nodes=9, grad_tol=5e-4, max_outer=60, seed=0)
     nodes, frozen = straight_path(geom, basis, params, u_bar, s, config.path_nodes)
     record, diags = minmax_deform(nodes, frozen, config, params)
@@ -256,7 +260,8 @@ def test_minmax_deform_hands_off_at_its_exit(setup16):
     # has one entry per outer iteration plus the refined point
     geom, basis = setup16
     params = ActionParams(rho=0.5)
-    u_bar, s = mountain_pass_endpoint(params, basis)
+    consts = linking_constants(params, basis)
+    u_bar, s = consts.T, consts.s
     config = MinmaxConfig(path_nodes=9, grad_tol=1e-3, max_outer=5, seed=0)
     nodes, frozen = straight_path(geom, basis, params, u_bar, s, config.path_nodes)
     record, diags = minmax_deform(nodes, frozen, config, params)
@@ -285,7 +290,8 @@ def test_semi_trivial_eigenvalue_relation(setup16):
 def _small_mountain_pass(setup16):
     geom, basis = setup16
     params = ActionParams(rho=0.5)
-    u_bar, s = mountain_pass_endpoint(params, basis)
+    consts = linking_constants(params, basis)
+    u_bar, s = consts.T, consts.s
     config = MinmaxConfig(path_nodes=5, grad_tol=1e-12, max_outer=5, seed=0)
     nodes, frozen = straight_path(geom, basis, params, u_bar, s, config.path_nodes)
     return nodes, frozen, config, params

@@ -310,14 +310,29 @@ def test_case2_reproducer_refines_a_second_solution():
 
 def test_case2_capacity_refused_before_linking(tmp_path, monkeypatch):
     # delta=(1/2,1/2), rho=1: the plus_b block is wider than the case-2 cap,
-    # which the spectrum alone decides, so no linking run is spent on it
+    # which the spectrum alone decides, so no linking path is spent on it
     import sshg.runner
     calls = []
-    monkeypatch.setattr(sshg.runner, "run_linking", lambda *a: calls.append(a))
+    monkeypatch.setattr(sshg.runner, "run_path", lambda *a: calls.append(a))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(base_config(mode="multiplicity", rho=1.0)))
     assert main(["solve", "--config", str(cfg_path)]) == 3
     assert calls == []
+
+
+@pytest.mark.parametrize("mode, rho, message", [
+    ("mountain_pass", 0.9, "mountain-pass regime requires h = 0 and 0 < rho < lambda_1"),
+    ("linking", 0.5, "linking regime requires rho > lambda_1 or harmonic spinors"),
+])
+def test_mode_regime_mismatch_exits_2(tmp_path, mode, rho, message):
+    # delta = (1/2, 1/2): the block is empty below lambda_1 = 0.707 and not
+    # above it; a mode that names the other regime is a config error
+    cfg = base_config(mode=mode, rho=rho)
+    with pytest.raises(ConfigError, match=message):
+        run(RunConfig.from_dict(cfg))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["solve", "--config", str(cfg_path)]) == 2
 
 
 def test_determinism(tmp_path):
@@ -466,6 +481,8 @@ def test_mountain_pass_hands_off_to_newton(default_mountain_pass):
 
 def test_linking_hands_off_to_newton():
     output = run(RunConfig.from_dict(base_config(mode="linking", rho=1.0, seed=0)))
+    # the same endpoint report as a mountain pass: (u_bar, s) = (T, A T)
+    assert list(output["endpoint"]) == ["u_bar", "s", "J"] and output["endpoint"]["J"] < 0
     assert output["diagnostics"]["exit"] == "handoff"
     assert output["records"][0]["refined"]
     assert output["levels"]["c1"] == pytest.approx(236.87050562614442, rel=1e-12)

@@ -11,11 +11,12 @@ from sshg.action import ActionParams, el_residual, evaluate_J
 from sshg.errors import CertificationError, ConfigError, ResolutionError
 from sshg.fields import ScalarField
 from sshg.geometry import TorusGeometry
-from sshg.minmax import NEWTON_TOL, MinmaxConfig, mountain_pass_endpoint, newton_refine
+from sshg.minmax import NEWTON_TOL, MinmaxConfig, linking_constants, newton_refine
 from sshg.nehari import NehariPoint, fiber_solve
-from sshg.spectral import build_basis, hhalf_norm, quaternion_act, sobolev_inner
+from sshg.spectral import build_basis, hhalf_norm, quaternion_j, sobolev_inner
 from sshg.sweepout import (
     build_sweepout_chi,
+    case2_radius,
     certify_equivariance,
     equivariant_disk_mesh,
     equivariant_disk_minmax,
@@ -78,8 +79,8 @@ def test_sweepout_volume_scales_with_epsilon():
 @pytest.fixture(scope="module")
 def family16(mp16, chi256):
     geom, basis, params = mp16
-    u_bar, s = mountain_pass_endpoint(params, basis)
-    return equivariant_family(u_bar, s, chi256, params, basis, n_theta=32)
+    consts = linking_constants(params, basis)
+    return equivariant_family(consts.T, consts.s, chi256, params, basis, n_theta=32)
 
 
 def test_equivariant_family(mp16, family16):
@@ -109,10 +110,10 @@ def test_family_refuses_inexact_partners(mp16, chi256, monkeypatch):
     # the mirror half must be the exact sigma-image: a relative psi drift of
     # 1e-12 is refused, not forgiven by a tolerance
     geom, basis, params = mp16
-    u_bar, s = mountain_pass_endpoint(params, basis)
+    consts = linking_constants(params, basis)
     monkeypatch.setattr(sshg.sweepout, "_sigma_point", _skewed_sigma)
     with pytest.raises(CertificationError, match="equivariance drift"):
-        equivariant_family(u_bar, s, chi256, params, basis, n_theta=32)
+        equivariant_family(consts.T, consts.s, chi256, params, basis, n_theta=32)
 
 
 def test_equivariance_certificate_refuses_one_ulp(family16):
@@ -283,8 +284,13 @@ def test_orbit_closure(mp16):
         q = rng.standard_normal(4)
         q /= np.linalg.norm(q)
         sigma = float(rng.choice([-1.0, 1.0]))
-        # the Z2 x quaternionic group element (sigma, q) applied to the solution
-        _, ru, rp = el_residual(sigma * rec.point.u, quaternion_act(rec.point.psi, q), params)
+        # the Z2 x quaternionic group element (sigma, q) applied to the
+        # solution, q = (a, b, c, d) acting through a + bI + cJ + dK
+        a, b, c, d = (float(t) for t in q)
+        psi = rec.point.psi
+        jpsi = quaternion_j(psi)
+        q_psi = a * psi + (1j * b) * psi + c * jpsi + (1j * d) * jpsi
+        _, ru, rp = el_residual(sigma * rec.point.u, q_psi, params)
         assert ru + rp <= 1e-9
 
 
@@ -297,8 +303,8 @@ def test_case2_product_minmax_harmonic_block():
     chi = build_sweepout_chi(chig, 0.05 * chig.vol)
     config = MinmaxConfig(path_nodes=9, grad_tol=1e-3, max_outer=30, seed=0)
     from sshg.sweepout import case2_product_minmax
-    rec, diags = case2_product_minmax(chi, config, params, basis,
-                                      n_theta_disk=8, n_radii=3)
+    rec, diags = case2_product_minmax(chi, linking_constants(params, basis), config,
+                                      params, basis, n_theta_disk=8, n_radii=3)
     assert diags.bounded()
     if rec.refined:
         assert rec.res_u + rec.res_psi <= NEWTON_TOL
@@ -326,7 +332,8 @@ def test_case2_disk_follows_n_theta_disk_and_n_radii(monkeypatch):
     monkeypatch.setattr(sshg.sweepout, "equivariant_disk_mesh", mesh_then_stop)
     from sshg.sweepout import case2_product_minmax
     with pytest.raises(MeshBuilt):
-        case2_product_minmax(chi, config, ActionParams(rho=0.5), basis,
+        params = ActionParams(rho=0.5)
+        case2_product_minmax(chi, linking_constants(params, basis), config, params, basis,
                              n_theta_disk=4, n_radii=2)
     (n_theta, n_r, (nodes, frozen, centers, segments)), = built
     assert (n_theta, n_r) == (4, 2)
@@ -347,8 +354,26 @@ def test_case2_capacity_guard(mp16):
     chi = build_sweepout_chi(chig, 0.05 * chig.vol)
     config = MinmaxConfig(path_nodes=9, grad_tol=1e-3, max_outer=5, seed=0)
     with pytest.raises(CapacityError):
-        case2_product_minmax(chi, config, ActionParams(rho=1.0), basis,
+        params = ActionParams(rho=1.0)
+        case2_product_minmax(chi, linking_constants(params, basis), config, params, basis,
                              n_theta_disk=8, n_radii=3)
+
+
+def test_case2_radius_certifies_step_iii(mp16, monkeypatch):
+    # step (iii): R grows like (rho - lam_k)^{-1/2} as rho decreases to lam_k
+    geom, basis, _ = mp16
+
+    def radius(rho):
+        params = ActionParams(rho=rho)
+        consts = linking_constants(params, basis)
+        return case2_radius(consts, basis.eigenvalues[:consts.k_index], params, geom.vol)
+
+    rs = [radius(rho) for rho in (0.75, 0.72, 0.71)]
+    assert rs[0] < rs[1] < rs[2]
+    # an R that does not dominate the bound is refused
+    monkeypatch.setattr(sshg.sweepout, "LINKING_FACTOR", 0.5)
+    with pytest.raises(CertificationError, match="step \\(iii\\)"):
+        radius(0.75)
 
 
 def test_records_distinct_ledger(mp16):

@@ -9,14 +9,15 @@ solves only those whose bound reaches the promotion threshold, so most of
 its samples count as bounds, not as fiber solves, J evaluations or CG work.
 The FFTs (fft2/ifft2 through `sshg.fields.np`, the binding the perfbench
 tracer wraps) also move with rounding luck: they depend on whether an
-accepted descent step leaves u exactly constant.  The MINRES iterations do
-not: each Newton step solves only to a tolerance sized to its residual
-(`minmax.NEWTON_FORCING`), so no solve runs down to the rounding floor,
-where the near-singular orbit directions made the count swing.  The ceilings
-are the counts measured for the two grid-16 configs below, the case-1
-multiplicity run and the default mountain pass, whose descent hands off to
-one Newton trial at outer iteration 30 instead of spending its 150-step
-budget; a change that lowers them lowers the ceilings too.
+accepted descent step leaves u exactly constant.  The MINRES iterations
+move by a few at most: each Newton step solves only to a tolerance sized to
+its residual (`minmax.NEWTON_FORCING`), so no solve runs down to the
+rounding floor, where the near-singular orbit directions made the count
+swing.  The ceilings are the counts measured for the two grid-16 configs
+below, the case-1 multiplicity run and the default mountain pass, whose
+descent hands off to one Newton trial at outer iteration 30 instead of
+spending its 150-step budget; a change that lowers them lowers the ceilings
+too.
 """
 
 import sys
@@ -41,10 +42,10 @@ CEILINGS = {
     "evaluate_J": 140,
     "cg.calls": 160,
     "cg.iters": 251,
-    "minres.iters": 38,
+    "minres.iters": 36,
     "constrained_gradient": 23,
     "newton_refine": 2,
-    "fft": 1557,
+    "fft": 1430,
 }
 
 MOUNTAIN_PASS = {
@@ -61,7 +62,7 @@ MOUNTAIN_PASS_CEILINGS = {
     "minres.iters": 6,
     "constrained_gradient": 32,
     "newton_refine": 1,
-    "fft": 495,
+    "fft": 344,
 }
 
 
