@@ -336,8 +336,17 @@ class _SegmentCache:
 
     def refresh(self, nodes, floor):
         """Bound the samples and measure the length of every segment whose
-        endpoint moved, then solve each unsolved sample whose bound exceeds
-        floor; a solved J above its bound raises CertificationError."""
+        endpoint moved, then solve unsolved samples above floor in
+        decreasing bound order until the best solved J exceeds every
+        remaining bound (a tie is solved); a solved J above its bound raises
+        CertificationError.
+
+        Returns (J, i, j, point) of the highest solved sample, the first in
+        segment and sample order among equals, or None.  A skipped sample
+        has J <= bound < that J, so this is the sample that solving every
+        sample above floor would pick.
+        """
+        top, todo = -np.inf, []
         for (i, j) in self.segments:
             hit = self._current(nodes, i, j)
             if hit is None:
@@ -346,29 +355,30 @@ class _SegmentCache:
                 hit = self._cache[(i, j)] = (a, b, bounds, [None] * len(SEGMENT_SAMPLES),
                                              _product_dist(a, b))
             a, b, bounds, solved, _ = hit
-            for k, w in enumerate(SEGMENT_SAMPLES):
-                if solved[k] is None and bounds[k] > floor:
-                    pt = _interp_points(a, b, w, self.params)
-                    j_s = evaluate_J(pt.u, pt.psi, self.params)
-                    if not j_s <= bounds[k]:
-                        raise CertificationError(
-                            f"ridge sample J {j_s!r} exceeds its fiber bound {bounds[k]!r}")
-                    solved[k] = (j_s, pt)
+            for k, sample in enumerate(solved):
+                if sample is not None:
+                    top = max(top, sample[0])
+                elif bounds[k] > floor:
+                    todo.append((bounds[k], k, a, b, solved))
+        for bound, k, a, b, solved in sorted(todo, key=lambda t: -t[0]):
+            if top > bound:
+                break
+            pt = _interp_points(a, b, SEGMENT_SAMPLES[k], self.params)
+            j_s = evaluate_J(pt.u, pt.psi, self.params)
+            if not j_s <= bound:
+                raise CertificationError(
+                    f"ridge sample J {j_s!r} exceeds its fiber bound {bound!r}")
+            solved[k] = (j_s, pt)
+            top = max(top, j_s)
+        samples = [(s[0], i, j, s[1]) for (i, j) in self.segments
+                   for s in self._cache[(i, j)][3] if s is not None]
+        return max(samples, key=lambda s: s[0], default=None)
 
     def length(self, nodes, i, j) -> float:
         """Product distance of nodes i and j: the cached one while the
         segment's entry is current, else computed and not stored."""
         hit = self._current(nodes, i, j)
         return _product_dist(nodes[i], nodes[j]) if hit is None else hit[4]
-
-    def best_sample(self):
-        """(J, i, j, point) of the highest solved sample, or None."""
-        best = None
-        for (i, j), (_, _, _, solved, _) in self._cache.items():
-            for sample in solved:
-                if sample is not None and (best is None or sample[0] > best[0]):
-                    best = (sample[0], i, j, sample[1])
-        return best
 
 
 def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
@@ -436,8 +446,7 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
         for _ in range(3 * len(nodes)):
             node_max = max(energies)
             threshold = node_max + 1e-9 * (1.0 + abs(node_max))
-            segcache.refresh(nodes, threshold)
-            best = segcache.best_sample()
+            best = segcache.refresh(nodes, threshold)
             if best is None or best[0] <= threshold:
                 break
             j_s, i, j, pt = best

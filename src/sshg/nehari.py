@@ -200,7 +200,11 @@ def fiber_solve(u: ScalarField, psi_free: SpinorField, params: ActionParams,
                          maxiter=FIBER_MAXITER, atol=atol)
 
     psi = psi_free + psi_minus
-    cert = hhalf_norm(_constraint_map(psi, cosh_u, rho))
+    if psi_minus.eig.any():
+        cert = hhalf_norm(_constraint_map(psi, cosh_u, rho))
+    else:
+        # psi is psi_free (at constant u CG never iterates), whose G is b
+        cert = hhalf_norm(b)
     if not cert <= FIBER_CERT * max(free_scale, 1.0):
         raise CertificationError(f"fiber residual {cert:.3e} exceeds FIBER_CERT max(|psi_free|, 1)")
     return NehariPoint(u=u, psi=psi, constraint_norm=cert)

@@ -336,8 +336,8 @@ def test_minmax_deform_propagates_unexpected_errors(setup16, monkeypatch):
 
 def test_segment_cache_recomputes_only_moved_segments(setup16, monkeypatch):
     # sample bounds and segment lengths are recomputed exactly when an
-    # endpoint object changes; a sample is solved once, when its bound first
-    # exceeds the floor
+    # endpoint object changes; a sample is solved at most once, best bound
+    # first, and only while its bound can beat the best solved J
     nodes, _, _, params = _small_mountain_pass(setup16)
     calls = {"bound": 0, "solve": 0, "length": 0}
     orig_bounds = sshg.minmax.fiber_energy_bounds
@@ -364,9 +364,12 @@ def test_segment_cache_recomputes_only_moved_segments(setup16, monkeypatch):
 
     def refresh(floor):
         calls.update(bound=0, solve=0, length=0)
-        cache.refresh(nodes, floor)
+        refresh.best = cache.refresh(nodes, floor)
         assert calls["length"] * per_segment == calls["bound"]
         return calls["bound"], calls["solve"]
+
+    def entries():
+        return [(b, s) for (_, _, bs, ss, _) in cache._cache.values() for b, s in zip(bs, ss)]
 
     def lengths_bitwise_equal():
         calls["length"] = 0
@@ -376,7 +379,7 @@ def test_segment_cache_recomputes_only_moved_segments(setup16, monkeypatch):
 
     assert refresh(np.inf) == (3 * per_segment, 0)
     assert lengths_bitwise_equal()
-    assert cache.best_sample() is None   # only solved samples compete
+    assert refresh.best is None   # only solved samples compete
     assert refresh(np.inf) == (0, 0)
     # an equal-valued node that is another object moves both its segments
     nodes[1] = dataclasses.replace(nodes[1])
@@ -393,21 +396,63 @@ def test_segment_cache_recomputes_only_moved_segments(setup16, monkeypatch):
     nodes[3] = dataclasses.replace(nodes[3])
     assert refresh(np.inf) == (per_segment, 0)
 
-    # a floor between the bounds solves exactly the samples above it
-    bounds = sorted(b for (_, _, bs, _, _) in cache._cache.values() for b in bs)
+    # a floor between the bounds solves the samples above it best bound
+    # first, and stops once the best J beats every remaining bound
+    bounds = sorted(b for b, _ in entries())
     floor = 0.5 * (bounds[4] + bounds[5])
-    assert refresh(floor) == (0, 3 * per_segment - 5)
+    _, solves = refresh(floor)
+    assert 1 <= solves <= 3 * per_segment - 5
+    solved = [(b, s) for b, s in entries() if s is not None]
+    assert len(solved) == solves
+    best_j = refresh.best[0]
+    assert best_j == max(s[0] for _, s in solved)
+    assert all(b < best_j for b, s in entries() if s is None and b > floor)
+    assert min(b for b, _ in solved) >= max(b for b, s in entries() if s is None)
     assert refresh(floor) == (0, 0)
-    # a lower floor solves the skipped samples without re-bounding them
-    assert refresh(-np.inf) == (0, 5)
-    assert refresh(-np.inf) == (0, 0)
-    samples = [(b, s) for (_, _, bs, ss, _) in cache._cache.values() for b, s in zip(bs, ss)]
-    assert all(s is not None and s[0] <= b for b, s in samples)
-    assert cache.best_sample()[0] == max(s[0] for _, s in samples)
+    # solving every sample confirms the pick, and a lower floor changes nothing
+    full = [sshg.minmax._interp_points(a, b, w, params)
+            for a, b, _, _, _ in cache._cache.values() for w in sshg.minmax.SEGMENT_SAMPLES]
+    assert best_j == max(evaluate_J(pt.u, pt.psi, params) for pt in full)
+    assert refresh(-np.inf) == (0, 0) and refresh.best[0] == best_j
+    assert all(s[0] <= b for b, s in entries() if s is not None)
     # a moved endpoint drops the solved samples of its segments
     nodes[0] = dataclasses.replace(nodes[0])
-    assert refresh(-np.inf) == (per_segment, per_segment)
+    assert refresh(-np.inf)[0] == per_segment
+    assert all(s is None for _, s in entries()[:per_segment])
     assert lengths_bitwise_equal()
+
+
+def test_segment_cache_solves_ties_and_returns_the_first_best(monkeypatch):
+    # bounds 7 and 7 are solved, then bound 6 ties the best J 6 and is
+    # solved too; bound 5 cannot beat it.  Among equal J the first sample in
+    # segment and sample order is returned, as solving every sample would.
+    nodes = [object(), object(), object()]
+    bounds = {(0, 1): [5.0, 7.0, 3.0], (1, 2): [7.0, 6.0, 2.0]}
+    energy = {(0, 1, 0.5): 6.0, (1, 2, 0.25): 6.0, (1, 2, 0.5): 6.0}
+    index = {id(nd): k for k, nd in enumerate(nodes)}
+    solved = []
+
+    def fake_bounds(a, b, weights, params):
+        return np.array(bounds[(index[id(a)], index[id(b)])])
+
+    def fake_interp(a, b, w, params):
+        solved.append((index[id(a)], index[id(b)], w))
+        return NehariPointStub(solved[-1])
+
+    monkeypatch.setattr(sshg.minmax, "fiber_energy_bounds", fake_bounds)
+    monkeypatch.setattr(sshg.minmax, "_product_dist", lambda a, b: 1.0)
+    monkeypatch.setattr(sshg.minmax, "_interp_points", fake_interp)
+    monkeypatch.setattr(sshg.minmax, "evaluate_J", lambda u, psi, params: energy[u])
+    cache = sshg.minmax._SegmentCache([(0, 1), (1, 2)], ActionParams(rho=0.5))
+    best = cache.refresh(nodes, 4.0)
+    assert solved == [(0, 1, 0.5), (1, 2, 0.25), (1, 2, 0.5)]
+    assert best[:3] == (6.0, 0, 1) and best[3].u == (0, 1, 0.5)
+
+
+@dataclasses.dataclass
+class NehariPointStub:
+    u: tuple
+    psi: None = None
 
 
 def test_ps_diagnostics_exact_solution_trace(setup16):

@@ -106,6 +106,40 @@ def test_fiber_residual_is_enforced(setup16, monkeypatch):
         fiber_solve(ScalarField.constant(geom, 0.8), basis.eigenspinor(1), params)
 
 
+def test_fiber_solve_without_cg_work_certifies_with_the_right_hand_side(setup16, monkeypatch):
+    # when CG returns 0 b without iterating, psi is psi_free and its residual
+    # map is b: the certificate is ||b||, bitwise what recomputing G gives,
+    # formed without a second constraint map, and still enforced
+    geom, basis, params = setup16
+    rng = np.random.default_rng(3)
+    u = bounded_scalar(geom, rng)
+    cases = [
+        (ScalarField.constant(geom, 0.8), basis.eigenspinor(1) + basis.eigenspinor(2)),
+        (u, SpinorField.zeros(geom)),
+        (u, free_spinor(geom, rng, amp=1e-20)),   # b below CG's absolute floor
+    ]
+    maps = []
+    orig = sshg.nehari._constraint_map
+
+    def counting_map(*args):
+        maps.append(1)
+        return orig(*args)
+
+    for u_c, free in cases:
+        monkeypatch.setattr(sshg.nehari, "_constraint_map", counting_map)
+        maps.clear()
+        pt = fiber_solve(u_c, free, params)
+        assert len(maps) == 1
+        monkeypatch.undo()
+        assert not (pt.psi - free).eig.any()
+        b_norm = hhalf_norm(constraint_G(u_c, free, params))
+        assert pt.constraint_norm == b_norm == hhalf_norm(constraint_G(u_c, pt.psi, params))
+    assert pt.constraint_norm > 0.0
+    monkeypatch.setattr(sshg.nehari, "FIBER_CERT", 1e-30)
+    with pytest.raises(CertificationError, match="fiber residual"):
+        fiber_solve(u, cases[-1][1], params)
+
+
 def test_fiber_linearity(setup16):
     geom, basis, params = setup16
     rng = np.random.default_rng(2)

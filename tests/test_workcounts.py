@@ -5,8 +5,9 @@ so the number of fiber solves, bounded ridge samples, energy evaluations, CG
 calls and iterations and constrained gradients of a fixed run is a property
 of the code.  Ridge repair bounds every segment sample (one
 `fiber_energy_bounds` call per moved segment, counted here per sample) and
-solves only those whose bound reaches the promotion threshold, so most of
-its samples count as bounds, not as fiber solves, J evaluations or CG work.
+solves, best bound first, only those whose bound can still beat the best
+solved sample above the promotion threshold, so most of its samples count
+as bounds, not as fiber solves, J evaluations or CG work.
 The FFTs (fft2/ifft2 through `sshg.fields.np`, the binding the perfbench
 tracer wraps) also move with rounding luck: they depend on whether an
 accepted descent step leaves u exactly constant.  The MINRES iterations
@@ -37,15 +38,15 @@ CONFIG = {
 }
 
 CEILINGS = {
-    "fiber_solve": 134,
+    "fiber_solve": 111,
     "bounded_samples": 420,
-    "evaluate_J": 140,
-    "cg.calls": 160,
-    "cg.iters": 251,
+    "evaluate_J": 117,
+    "cg.calls": 137,
+    "cg.iters": 173,
     "minres.iters": 36,
     "constrained_gradient": 23,
     "newton_refine": 2,
-    "fft": 1430,
+    "fft": 1208,
 }
 
 MOUNTAIN_PASS = {
@@ -54,10 +55,10 @@ MOUNTAIN_PASS = {
 }
 
 MOUNTAIN_PASS_CEILINGS = {
-    "fiber_solve": 299,
+    "fiber_solve": 278,
     "bounded_samples": 894,
-    "evaluate_J": 300,
-    "cg.calls": 332,
+    "evaluate_J": 279,
+    "cg.calls": 311,
     "cg.iters": 0,
     "minres.iters": 6,
     "constrained_gradient": 32,
