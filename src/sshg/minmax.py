@@ -49,7 +49,6 @@ from .spectral import (
     hhalf_norm,
     product_norm,
     project,
-    sobolev_inner,
 )
 
 SUFFICIENT_DECREASE = 1e-4
@@ -62,6 +61,16 @@ HANDOFF_RTOL = 1e-3        # a path hands off when Newton lands this close to it
 NEWTON_MAX_STEPS = 30
 NEWTON_TOL = 1e-10         # Newton stops once res_u + res_psi is at most this
 NEWTON_FORCING = 1e-2      # largest relative MINRES tolerance of a Newton step
+# Least per-mode weight of Newton's |H0| metric (`_abs_metric`); 2 is the u
+# block's high-mode weight.  Without a floor the near-kernel modes at lambda_1
+# (weight about `shift`) dominate the MINRES residual norm, so a solve stops
+# before the other modes are resolved.  MINRES iterations, seed 1, on the
+# three newton-n128 starts (Newton steps) and the multiplicity-n32 disk
+# hand-off (steps); no preconditioner: 138/141/140 (4), 634 (10):
+#   floor 0: 113/120/113 (5), 847 (11)    floor 1: 77/77/75 (4), 492 (10)
+#   floor 2:  76/76/76   (4), 414 (10)    floor 3: 72/71/70 (4), 817 (13)
+#   floor 4:  69/69/69   (4), 515 (11)
+NEWTON_METRIC_FLOOR = 2.0
 TRACE_CAP = 1e8            # PS traces beyond this magnitude count as unbounded
 LINKING_T_MARGIN = 0.5     # T clears the step-(i) threshold by this much
 LINKING_FACTOR = 1.5       # safety factor of s and R over their thresholds
@@ -572,9 +581,44 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
 # Newton refinement on the free system
 # ---------------------------------------------------------------------------
 
-def _prod_inner(a: Variation, b: Variation) -> float:
-    return (sobolev_inner(a.du, b.du, "H1_scalar")
-            + sobolev_inner(a.dpsi, b.dpsi, "Hhalf_spinor"))
+def _abs_metric(u: ScalarField, psi: SpinorField, params: ActionParams, shift: float):
+    """The per-mode multiplier W = max(|R H0| + shift, NEWTON_METRIC_FLOOR)
+    of Newton's MINRES, and the inner product <a, W b> in H^1 x H^{1/2}.
+
+    H0 is the Hessian at (u, psi) with u and |psi|^2 replaced by their grid
+    means and the u-psi coupling dropped, so it is diagonal per mode: with
+    a_u = mean(8 rho^2 cosh 2u - 8 rho cosh u |psi|^2) and c = mean(cosh u),
+    |R H0| is |2|xi|^2 + a_u| / (1+|xi|^2) on u's coefficients and
+    16 |+-|xi| - rho c| / (1+|xi|) on psi's eigen-coordinates (R the Riesz
+    map).  W is positive, even in xi, and commutes with the product metric,
+    so W^{-1} (R H + shift) stays self-adjoint in <a, W b>: the
+    absolute-value preconditioner of Vecharynski & Knyazev (SIAM J. Sci.
+    Comput. 35, 2013).  Returns (1/W_u, 1/W_psi, inner).
+    """
+    geom = u.geom
+    rho = params.rho
+    uv = u.values
+    ch = np.cosh(uv)
+    a_u = np.mean(8.0 * rho * rho * np.cosh(2.0 * uv) - 8.0 * rho * ch * psi.density())
+    rho_c = rho * np.mean(ch)
+    lam = geom.s_abs
+    w_u = np.abs(2.0 * geom.xi_sq + a_u) / (1.0 + geom.xi_sq) + shift
+    w_psi = 16.0 * np.abs(np.stack((lam, -lam)) - rho_c) / (1.0 + lam) + shift
+    w_u, w_psi = np.maximum(w_u, NEWTON_METRIC_FLOOR), np.maximum(w_psi, NEWTON_METRIC_FLOOR)
+    m_u = geom.vol * (1.0 + geom.xi_sq) * w_u
+    m_psi = geom.vol * (1.0 + lam) * w_psi
+
+    def inner(a: Variation, b: Variation) -> float:
+        return float(np.vdot(a.du.coeffs, m_u * b.du.coeffs).real
+                     + np.vdot(a.dpsi.eig, m_psi * b.dpsi.eig).real)
+
+    return 1.0 / w_u, 1.0 / w_psi, inner
+
+
+def _scaled(d: Variation, m_u: np.ndarray, m_psi: np.ndarray) -> Variation:
+    """d with its u coefficients and psi eigen-coordinates multiplied per mode."""
+    return replace(d, du=ScalarField(d.du.geom, coeffs=m_u * d.du.coeffs),
+                   dpsi=SpinorField(d.dpsi.geom, eig=m_psi * d.dpsi.eig))
 
 
 def _grad_vec(u, psi, params) -> tuple[Variation, float]:
@@ -627,11 +671,12 @@ def newton_refine(candidate: NehariPoint, params: ActionParams,
         # the orbit directions; a gradient-sized shift keeps the Krylov solve
         # from amplifying kernel noise while preserving fast local convergence
         shift = min(1e-2, gnorm)
+        inv_u, inv_psi, inner = _abs_metric(u, psi, params, shift)
 
         def hess_op(d: Variation) -> Variation:
-            return hess_vec(u, psi, d, params).riesz() + shift * d
+            return _scaled(hess_vec(u, psi, d, params).riesz() + shift * d, inv_u, inv_psi)
 
-        d, info = minres(hess_op, -1.0 * gvec, _prod_inner,
+        d, info = minres(hess_op, _scaled(-1.0 * gvec, inv_u, inv_psi), inner,
                          tol=_forcing(ru + rp), maxiter=250)
         iters += info.iterations
         capped += not info.converged

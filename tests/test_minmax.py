@@ -192,12 +192,76 @@ def test_inexact_newton_from_a_perturbed_semi_trivial_start(monkeypatch):
     assert rec.refined and rec.newton_steps == 4 == len(solves)
     assert rec.level == pytest.approx(4 * 0.25 * np.sinh(c) ** 2 * geom.vol, rel=1e-12)
     assert rec.res_u + rec.res_psi <= 1e-12
-    # a MINRES solve to 1e-12 each step spent 517 iterations here
-    assert rec.minres_iters == sum(it for _, it in solves) <= 137
+    # a MINRES solve to 1e-12 each step spent 517 iterations here, the
+    # sized solves in the plain product metric 137
+    assert rec.minres_iters == sum(it for _, it in solves) <= 75
     assert rec.minres_capped == 0  # every sized solve met its tolerance
     tols = [tol for tol, _ in solves]
     assert all(1e-12 <= tol <= sshg.minmax.NEWTON_FORCING for tol in tols)
     assert tols[-1] > 1e-12
+
+
+def _random_variation(geom, rng):
+    from test_spectral import random_scalar, random_spinor
+    return Variation(random_scalar(geom, rng), random_spinor(geom, rng),
+                     u_space="H1", psi_space="H1/2")
+
+
+def test_newton_minres_runs_in_the_abs_hessian_metric(setup16, monkeypatch):
+    # a non-constant start, so the Hessian's u-psi coupling is live
+    geom, basis = setup16
+    params = ActionParams(rho=0.5)
+    c = float(np.arccosh(LAM1 / 0.5))
+    u = ScalarField.constant(geom, c) + ScalarField.from_values(
+        geom, 0.05 * np.cos(geom.x1) + 0.03 * np.sin(geom.x1 + 2 * geom.x2))
+    pt = fiber_solve(u, (geom.side_length * np.sqrt(LAM1)) * basis.eigenspinor(1), params)
+
+    rng = np.random.default_rng(7)
+    iters, hess_calls, pairs = [], [], []
+    orig_minres, orig_hess = sshg.minmax.minres, sshg.minmax.hess_vec
+
+    def checking_minres(apply_op, b, inner, **kwargs):
+        # <M a, b>_W = <a, M b>_W on random pairs, at the iterate of this step
+        for _ in range(3):
+            x, y = _random_variation(geom, rng), _random_variation(geom, rng)
+            pairs.append((inner(apply_op(x), y), inner(x, apply_op(y)), inner(x, x)))
+        calls = len(hess_calls)
+        out = orig_minres(apply_op, b, inner, **kwargs)
+        iters.append((out[1].iterations, len(hess_calls) - calls))
+        return out
+
+    def counting_hess(*args):
+        hess_calls.append(1)
+        return orig_hess(*args)
+
+    monkeypatch.setattr(sshg.minmax, "minres", checking_minres)
+    monkeypatch.setattr(sshg.minmax, "hess_vec", counting_hess)
+    rec = newton_refine(pt, params, check_pre=False)
+    assert rec.refined and iters
+    # one Hessian product per MINRES iteration, the tracer's contract
+    assert all(it == calls for it, calls in iters)
+    assert rec.minres_iters == sum(it for it, _ in iters)
+    for lhs, rhs, norm_sq in pairs:
+        assert lhs == pytest.approx(rhs, rel=1e-12)
+        assert norm_sq > 0.0
+
+
+def test_abs_metric_is_positive_and_even(setup16):
+    geom, basis = setup16
+    params = ActionParams(rho=0.5)
+    rng = np.random.default_rng(3)
+    u = ScalarField.constant(geom, 1.0) + 0.1 * _random_variation(geom, rng).du
+    psi = (geom.side_length * np.sqrt(LAM1)) * basis.eigenspinor(1)
+    for shift in (0.0, 1e-12, 1e-2):
+        inv_u, inv_psi, _ = sshg.minmax._abs_metric(u, psi, params, shift)
+        w_u, w_psi = 1.0 / inv_u, 1.0 / inv_psi
+        assert np.all(np.isfinite(w_u)) and np.all(np.isfinite(w_psi))
+        assert w_u.min() >= sshg.minmax.NEWTON_METRIC_FLOOR > 0.0
+        assert w_psi.min() >= sshg.minmax.NEWTON_METRIC_FLOOR
+        # W_u(-xi) = W_u(xi) on the FFT grid, so a real u stays real
+        assert np.array_equal(w_u, np.roll(np.flip(w_u, axis=(0, 1)), 1, axis=(0, 1)))
+    scaled = sshg.minmax._scaled(_random_variation(geom, rng), inv_u, inv_psi).du.coeffs
+    assert np.max(np.abs(np.fft.ifft2(scaled).imag)) <= 1e-15 * np.max(np.abs(scaled))
 
 
 def test_newton_pre_violation(setup16):
