@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import ConfigError, OverflowGuardError
 from .fields import ScalarField, SpinorField, constant_value
-from .geometry import TWO_PI
 from .spectral import (
     dirac_apply,
     hminus1_norm,
@@ -37,28 +36,13 @@ from .spectral import (
 U_CAP = 50.0  # overflow guard: max|u| beyond which cosh and sinh are refused
 
 
-def rho_from_physics(mu: float, b: float) -> float:
-    """Coupling from the physical parameters: rho = 2 pi mu b^2."""
-    if not (mu > 0 and b > 0):
-        raise ConfigError(f"mu and b must be positive, got mu={mu!r}, b={b!r}")
-    return TWO_PI * mu * b * b
-
-
 @dataclass(frozen=True)
 class ActionParams:
-    """Coupling rho, or the pair (mu, b) it derives from."""
+    """The coupling rho, the action's only parameter."""
 
-    rho: float | None = None
-    mu: float | None = None
-    b: float | None = None
+    rho: float
 
     def __post_init__(self):
-        rho = self.rho
-        if rho is None:
-            if self.mu is None or self.b is None:
-                raise ConfigError("provide rho or both mu and b")
-            rho = rho_from_physics(self.mu, self.b)
-            object.__setattr__(self, "rho", float(rho))
         if not self.rho > 0:
             raise ConfigError(f"rho must be positive, got {self.rho!r}")
 
@@ -169,17 +153,14 @@ def gradient_J(u: ScalarField, psi: SpinorField, params: ActionParams) -> Variat
 
 
 def el_residual(u: ScalarField, psi: SpinorField, params: ActionParams):
-    """Euler-Lagrange residuals and their dual-multiplier norms.
+    """Euler-Lagrange residuals and their dual norms: the first variation
+    scaled to the system's normalization, res_u = -g_u / 2 and
+    res_psi = g_psi / 16.
 
     Returns (Variation(res_u, res_psi), ||res_u||_{H^-1}, ||res_psi||_{H^-1/2}).
     """
-    geom = u.geom
-    uv = check_overflow(u)
-    rho = params.rho
-    dens = psi.density()
-    ru_vals = -2.0 * rho * rho * np.sinh(2.0 * uv) + 4.0 * rho * np.sinh(uv) * dens
-    res_u = laplace_apply(u) + ScalarField.from_values(geom, ru_vals)
-    var = Variation(res_u, dirac_minus_potential(psi, np.cosh(uv), rho))
+    g = gradient_J(u, psi, params)
+    var = Variation(-0.5 * g.du, (1.0 / 16.0) * g.dpsi)
     nu, npsi = var.dual_norms()
     return var, nu, npsi
 

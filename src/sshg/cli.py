@@ -1,7 +1,6 @@
 """Command-line entry points.
 
     sshg solve --config cfg.json [--seed N] [--out DIR] [--workers N]
-    solve --config cfg.json ...              (same command, direct alias)
 
 Exit codes: 0 success, 2 config error, 3 capacity/resolution error,
 4 non-convergence (the flagged output is still written; a run converges
@@ -31,8 +30,8 @@ EXIT_NONCONVERGED = 4
 EXIT_SOLVER = 5
 
 
-def _solve_parser(prog: str) -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog=prog, description="Run a solver pipeline")
+def _solve_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(prog="sshg solve", description="Run a solver pipeline")
     p.add_argument("--config", action="append", required=True,
                    help="path to a flat JSON config (repeat for a batch)")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -69,9 +68,9 @@ def _run_one(path_and_args) -> int:
         return EXIT_SOLVER
 
 
-def run_solve(argv, prog="sshg solve") -> int:
+def run_solve(argv) -> int:
     try:
-        args = _solve_parser(prog).parse_args(argv)
+        args = _solve_parser().parse_args(argv)
     except SystemExit as exc:   # argparse's usage error or --help
         return EXIT_CONFIG if exc.code else EXIT_OK
     jobs = [(path, args) for path in args.config]
@@ -96,11 +95,6 @@ def main(argv=None) -> int:
         parser.print_help(sys.stderr)
         return EXIT_CONFIG
     return run_solve(rest)
-
-
-def main_solve(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    return run_solve(argv, prog="solve")
 
 
 if __name__ == "__main__":

@@ -297,12 +297,12 @@ def _interp_points(a: NehariPoint, b: NehariPoint, w: float, params) -> NehariPo
 
 def _respread_path(nodes, params, segcache):
     """Arclength reparametrization in the product norm (endpoints fixed);
-    segment lengths come from segcache."""
+    segment lengths come from segcache.  Only chains re-spread, and a
+    chain's frozen ends are distinct (J = 0 at the origin, J < 0 at the
+    end), so the total length is positive."""
     m = len(nodes)
     seg = np.array([segcache.length(nodes, i, i + 1) for i in range(m - 1)])
     total = seg.sum()
-    if total <= 0:
-        return None
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     targets = np.linspace(0.0, total, m)
     out = [nodes[0]]
@@ -335,7 +335,7 @@ class _SegmentCache:
     """
 
     def __init__(self, segments, params):
-        self.segments = list(segments or [])
+        self.segments = list(segments)
         self.params = params
         self._cache = {}   # (i, j) -> (a, b, bounds, [(J, point) or None per sample], length)
 
@@ -426,7 +426,7 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
         segments = [(i, i + 1) for i in range(len(nodes) - 1)]
     segcache = _SegmentCache(segments, params)
     incident = {}   # node -> its segments
-    for seg in (segments or []):
+    for seg in segments:
         for k in seg:
             incident.setdefault(k, []).append(seg)
 
@@ -481,8 +481,7 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
             # project the descent direction; convergence is then measured in
             # the filtered norm
             filt = tangent_filter(res.tangent)
-            res.tangent = filt
-            res.norm = product_norm(filt.du, filt.dpsi)
+            res = replace(res, tangent=filt, norm=product_norm(filt.du, filt.dpsi))
         diags.record(res, level, h1_norm(point.u), hhalf_norm(point.psi))
 
         # descent never raises the certified max; repairs may (logged above)
@@ -549,14 +548,13 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
         # periodic re-spreading with a monotonicity guard
         if chain and (outer + 1) % RESPREAD_EVERY == 0:
             new_nodes = _respread_path(nodes, params, segcache)
-            if new_nodes is not None:
-                # _respread_path keeps both end nodes, whose energies are known
-                new_energies = ([energies[0]]
-                                + [evaluate_J(nd.u, nd.psi, params) for nd in new_nodes[1:-1]]
-                                + [energies[-1]])
-                if max(new_energies) <= max(energies) + 1e-12 * (1 + abs(max(energies))):
-                    nodes = new_nodes
-                    energies = new_energies
+            # _respread_path keeps both end nodes, whose energies are known
+            new_energies = ([energies[0]]
+                            + [evaluate_J(nd.u, nd.psi, params) for nd in new_nodes[1:-1]]
+                            + [energies[-1]])
+            if max(new_energies) <= max(energies) + 1e-12 * (1 + abs(max(energies))):
+                nodes = new_nodes
+                energies = new_energies
 
         # frozen nodes are never moved
         ids = [id(nd) for nd, fz in zip(nodes, frozen) if fz]
@@ -658,14 +656,14 @@ def newton_refine(candidate: NehariPoint, params: ActionParams,
     u, psi = candidate.u, candidate.psi
     refined = False
     steps = iters = capped = 0
-    grad = None
+    gvec, gnorm = _grad_vec(u, psi, params)
     for _ in range(NEWTON_MAX_STEPS):
-        _, ru, rp = el_residual(u, psi, params)
-        if ru + rp <= NEWTON_TOL:
+        # res_u + res_psi of `el_residual`, read off the Riesz gradient:
+        # res_u = -g_u / 2, res_psi = g_psi / 16 and ||f||_{H^-s} = ||R f||_{H^s}
+        res = 0.5 * h1_norm(gvec.du) + hhalf_norm(gvec.dpsi) / 16.0
+        if res <= NEWTON_TOL:
             refined = True
             break
-        # an accepted line-search trial already holds the gradient here
-        gvec, gnorm = grad if grad is not None else _grad_vec(u, psi, params)
 
         # solutions come in group orbits, so the Hessian is singular along
         # the orbit directions; a gradient-sized shift keeps the Krylov solve
@@ -677,7 +675,7 @@ def newton_refine(candidate: NehariPoint, params: ActionParams,
             return _scaled(hess_vec(u, psi, d, params).riesz() + shift * d, inv_u, inv_psi)
 
         d, info = minres(hess_op, _scaled(-1.0 * gvec, inv_u, inv_psi), inner,
-                         tol=_forcing(ru + rp), maxiter=250)
+                         tol=_forcing(res), maxiter=250)
         iters += info.iterations
         capped += not info.converged
         lam = 1.0
@@ -690,7 +688,7 @@ def newton_refine(candidate: NehariPoint, params: ActionParams,
                 lam *= 0.5
                 continue
             if gn <= (1.0 - SUFFICIENT_DECREASE * lam) * gnorm:
-                u, psi, grad = u_try, psi_try, (g_try, gn)
+                u, psi, gvec, gnorm = u_try, psi_try, g_try, gn
                 break
             lam *= 0.5
         else:

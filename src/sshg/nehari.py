@@ -36,8 +36,6 @@ from .spectral import (
     check_spectral_gap,
     h1_norm,
     hhalf_norm,
-    hminus1_norm,
-    hminushalf_norm,
     product_norm,
     project,
     riesz_h1,
@@ -251,11 +249,9 @@ def _normal_equation_solve(point: NehariPoint, params: ActionParams):
 
     Solves the normal equations (dG dG^*) w = dG[Riesz dJ] on the negative
     subspace (SPD Gram operator); the multiplier of the 16-normalized system
-    is varphi = w / 16.  Returns (dJ dual-tagged, its Riesz pair, w,
-    SolveInfo).
+    is varphi = w / 16.  Returns (the Riesz pair of dJ, w, SolveInfo).
     """
-    gdual = gradient_J(point.u, point.psi, params)
-    g = gdual.riesz()
+    g = gradient_J(point.u, point.psi, params).riesz()
     rhs = _dg_apply(point, params, g.du, g.dpsi)
     scale = h1_norm(g.du) + hhalf_norm(g.dpsi)
 
@@ -265,12 +261,12 @@ def _normal_equation_solve(point: NehariPoint, params: ActionParams):
 
     atol = 1e-14 * max(scale, 1.0)
     w, info = cg(gram, rhs, _hhalf_inner, tol=1e-12, maxiter=FIBER_MAXITER, atol=atol)
-    return gdual, g, w, info
+    return g, w, info
 
 
 def lagrange_multiplier(point: NehariPoint, params: ActionParams) -> MultiplierData:
     """Least-squares multiplier varphi of the constrained criticality system."""
-    _, _, w, info = _normal_equation_solve(point, params)
+    _, w, info = _normal_equation_solve(point, params)
     return MultiplierData(varphi=(1.0 / 16.0) * w, solve_residual=info.relative_residual)
 
 
@@ -286,26 +282,23 @@ class TangentResult:
 
 
 def constrained_gradient(point: NehariPoint, params: ActionParams) -> TangentResult:
-    """Riesz representative of dJ restricted to ker dG, plus PS residual data."""
-    uv = point.u.values
-    rho = params.rho
-    gdual, g, w, info = _normal_equation_solve(point, params)
+    """Riesz representative of dJ restricted to ker dG, plus PS residual data.
+
+    The tangent t = R(dJ - dG^* w) is the Riesz image of the residuals of
+    the multiplier system, alpha = (dJ - dG^* w)_u and
+    beta = (dJ - dG^* w)_psi / 16, so (||f||_{H^-s} = ||R f||_{H^s})
+    alpha_norm = ||t_u||_{H^1} and beta_norm = ||t_psi||_{H^1/2} / 16.
+    """
+    g, w, info = _normal_equation_solve(point, params)
     wdu, wdpsi = _dg_adjoint(point, params, w)
     t_u = g.du - wdu
     t_psi = g.dpsi - wdpsi
-    tangent = Variation(t_u, t_psi, u_space="H1", psi_space="H1/2")
-    norm = product_norm(t_u, t_psi)
-
-    varphi = (1.0 / 16.0) * w
-    cross = point.psi.cross_density(varphi)
-    alpha = gdual.du + ScalarField.from_values(point.u.geom, 16.0 * rho * np.sinh(uv) * cross)
-    beta = (1.0 / 16.0) * gdual.dpsi - dirac_minus_potential(varphi, np.cosh(uv), rho)
     return TangentResult(
-        tangent=tangent,
-        norm=norm,
-        alpha_norm=hminus1_norm(alpha),
-        beta_norm=hminushalf_norm(beta),
-        multiplier=MultiplierData(varphi=varphi, solve_residual=info.relative_residual),
+        tangent=Variation(t_u, t_psi, u_space="H1", psi_space="H1/2"),
+        norm=product_norm(t_u, t_psi),
+        alpha_norm=h1_norm(t_u),
+        beta_norm=hhalf_norm(t_psi) / 16.0,
+        multiplier=MultiplierData(varphi=(1.0 / 16.0) * w, solve_residual=info.relative_residual),
     )
 
 

@@ -51,8 +51,6 @@ _DEFAULTS = {
     "grid_n": 32,
     "spin_delta": [0.5, 0.5],
     "rho": None,
-    "mu": None,
-    "b": None,
     "mode": None,
     "output_dir": None,
     "seed": 0,
@@ -67,7 +65,6 @@ _DEFAULTS = {
     "n_theta_disk": 8,
     "n_radii": 3,
 }
-_OPTIONAL_FLOATS = ("rho", "mu", "b")
 # a zero or negative value leaves the probe, its report or the disk meaningless
 _POSITIVE = ("r0", "tau", "n_samples", "n_radii")
 
@@ -99,8 +96,8 @@ def _typed(key, value):
         if not isinstance(value, (list, tuple)) or len(value) != 2:
             raise ConfigError(f"spin_delta must be a pair of numbers, got {value!r}")
         return [_number(key, d, float) for d in value]
-    if key in _OPTIONAL_FLOATS:
-        return None if value is None else _number(key, value, float)
+    if key == "rho":   # required: its default None is refused
+        return _number(key, value, float)
     return _number(key, value, type(_DEFAULTS[key]))
 
 
@@ -137,12 +134,6 @@ class RunConfig:
         merged = dict(_DEFAULTS)
         merged.update(data)
         merged = {key: _typed(key, value) for key, value in merged.items()}
-        has_rho = merged["rho"] is not None
-        has_mu, has_b = merged["mu"] is not None, merged["b"] is not None
-        if has_mu != has_b:
-            raise ConfigError("mu and b must be given together")
-        if has_rho == (has_mu and has_b):
-            raise ConfigError("provide exactly one of rho or the pair (mu, b)")
         for key in _POSITIVE:
             if merged[key] <= 0:
                 raise ConfigError(f"{key} must be positive, got {merged[key]!r}")
@@ -158,9 +149,7 @@ class RunConfig:
                              spin_delta=tuple(self.raw["spin_delta"]))
 
     def action_params(self) -> ActionParams:
-        if self.raw["rho"] is not None:
-            return ActionParams(rho=self.raw["rho"])
-        return ActionParams(mu=self.raw["mu"], b=self.raw["b"])
+        return ActionParams(rho=self.raw["rho"])
 
 
 # ---------------------------------------------------------------------------

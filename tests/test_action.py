@@ -10,12 +10,19 @@ from sshg.action import (
     evaluate_J,
     gradient_J,
     hess_vec,
-    rho_from_physics,
 )
 from sshg.errors import ConfigError, OverflowGuardError
 from sshg.fields import ScalarField, SpinorField
 from sshg.geometry import TWO_PI, TorusGeometry
-from sshg.spectral import build_basis, hhalf_norm, quaternion_j
+from sshg.spectral import (
+    build_basis,
+    dirac_apply,
+    hhalf_norm,
+    hminus1_norm,
+    hminushalf_norm,
+    laplace_apply,
+    quaternion_j,
+)
 
 from test_spectral import random_scalar, random_spinor
 
@@ -29,16 +36,11 @@ def smooth_pair(geom, rng, u_amp=0.4, psi_amp=0.7):
     return u, psi
 
 
-def test_rho_from_physics():
-    assert rho_from_physics(1.0, 1.0) == pytest.approx(TWO_PI, rel=1e-15)
-    assert rho_from_physics(1.0 / TWO_PI, 1.0) == pytest.approx(1.0, rel=1e-14)
-    assert rho_from_physics(2.0, 0.5) == pytest.approx(np.pi, rel=1e-15)
-    with pytest.raises(ConfigError):
-        rho_from_physics(-1.0, 1.0)
-    p = ActionParams(mu=1.0, b=1.0)
-    assert p.rho == pytest.approx(TWO_PI)
-    with pytest.raises(ConfigError):
-        ActionParams()
+def test_action_params_refuses_nonpositive_rho():
+    # rho is the only coupling input; a NaN compares false, so it is refused too
+    for rho in (0.0, -0.5, float("nan")):
+        with pytest.raises(ConfigError):
+            ActionParams(rho=rho)
 
 
 def test_J_at_origin_and_eigen_directions():
@@ -125,6 +127,30 @@ def test_el_residual_semi_trivial_and_coefficient_oracle():
     want = abs(lam1 - rho) / np.sqrt(1.0 + lam1)
     assert npsi == pytest.approx(want, rel=1e-12)
     assert nu < 1e-14
+
+
+def test_el_residual_matches_the_pointwise_system():
+    # the Euler-Lagrange system written out on the grid at a non-constant u:
+    # res_u = Lap u - 2 rho^2 sinh(2u) + 4 rho sinh(u) |psi|^2 and
+    # res_psi = (D - rho cosh u) psi
+    geom = TorusGeometry(grid_n=16, spin_delta=(0.5, 0.5))
+    params = ActionParams(rho=0.8)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        u, psi = smooth_pair(geom, rng)
+        assert np.ptp(u.values) > 0.1
+        rho, uv = params.rho, u.values
+        want_u = laplace_apply(u) + ScalarField.from_values(
+            geom, -2.0 * rho * rho * np.sinh(2.0 * uv) + 4.0 * rho * np.sinh(uv) * psi.density())
+        want_psi = dirac_apply(psi) - psi.times(rho * np.cosh(uv))
+        var, nu, npsi = el_residual(u, psi, params)
+        scale_u = hminus1_norm(laplace_apply(u)) + hminus1_norm(
+            ScalarField.from_values(geom, 2.0 * rho * rho * np.sinh(2.0 * uv)))
+        scale_psi = hminushalf_norm(dirac_apply(psi))
+        assert hminus1_norm(var.du - want_u) <= 1e-13 * scale_u
+        assert hminushalf_norm(var.dpsi - want_psi) <= 1e-13 * scale_psi
+        assert nu == pytest.approx(hminus1_norm(want_u), rel=1e-12)
+        assert npsi == pytest.approx(hminushalf_norm(want_psi), rel=1e-12)
 
 
 def test_hessian_at_origin_and_symmetry():

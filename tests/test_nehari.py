@@ -6,7 +6,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import sshg.nehari
-from sshg.action import ActionParams, el_residual, evaluate_J
+from sshg.action import ActionParams, el_residual, evaluate_J, gradient_J
 from sshg.errors import CertificationError, ConfigError, OverflowGuardError, SSHGError
 from sshg.fields import ScalarField, SpinorField
 from sshg.geometry import TorusGeometry
@@ -21,7 +21,15 @@ from sshg.nehari import (
     lagrange_multiplier,
     project_to_manifold,
 )
-from sshg.spectral import build_basis, hhalf_norm, l2_norm, project
+from sshg.spectral import (
+    build_basis,
+    dirac_apply,
+    hhalf_norm,
+    hminus1_norm,
+    hminushalf_norm,
+    l2_norm,
+    project,
+)
 
 from test_constant_fields import PROPERTY, SEEDS, counting_ffts
 from test_spectral import random_scalar, random_spinor
@@ -360,6 +368,30 @@ def test_alpha_beta_at_solution_near_zero(setup16):
     # residual scale set by the 1e-6 detuning of rho
     assert res.alpha_norm < 1e-5
     assert res.beta_norm < 1e-5
+
+
+@pytest.mark.parametrize("delta", [(0.5, 0.5), (0.0, 0.0)])
+def test_alpha_beta_match_the_multiplier_formula(delta):
+    # oracle: the residuals of the multiplier system written out at a
+    # non-constant u, alpha = dJ_u + 16 rho sinh(u) Re<psi, varphi> in H^-1
+    # and beta = dJ_psi / 16 - (D - rho cosh u) varphi in H^-1/2
+    geom = TorusGeometry(grid_n=16, spin_delta=delta)
+    params = ActionParams(rho=0.5)
+    rho = params.rho
+    rng = np.random.default_rng(21)
+    for _ in range(3):
+        pt = fiber_solve(bounded_scalar(geom, rng), free_spinor(geom, rng), params)
+        uv = pt.u.values
+        assert np.ptp(uv) > 0.1
+        res = constrained_gradient(pt, params)
+        varphi = res.multiplier.varphi
+        g = gradient_J(pt.u, pt.psi, params)
+        cross = np.real(np.sum(np.conj(pt.psi.values) * varphi.values, axis=0))
+        alpha = g.du + ScalarField.from_values(geom, 16.0 * rho * np.sinh(uv) * cross)
+        potential = SpinorField.from_values(geom, (rho * np.cosh(uv))[None] * varphi.values)
+        beta = (1.0 / 16.0) * g.dpsi - (dirac_apply(varphi) - potential)
+        assert res.alpha_norm == pytest.approx(hminus1_norm(alpha), rel=1e-12)
+        assert res.beta_norm == pytest.approx(hminushalf_norm(beta), rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

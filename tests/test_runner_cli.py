@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import sshg.minmax
-from sshg.cli import main, main_solve
+from sshg.cli import main
 from sshg.errors import ConfigError
 from sshg.minmax import linking_constants
 from sshg.runner import RunConfig, run, write_json_atomic
@@ -31,27 +31,21 @@ def base_config(**over):
 
 
 def test_config_validation():
-    # deleted keys (the linking cylinder's, and the step, sweepout, Newton
-    # tolerance and profile grid constants) are unknown keys like any other
+    # deleted keys (the linking cylinder's, the step, sweepout, Newton
+    # tolerance and profile grid constants, and the (mu, b) alias of rho) are
+    # unknown keys like any other
     for key in ("bogus_key", "cylinder_nt", "cylinder_nsphere", "descent_step",
-                "epsilon_frac", "newton_tol", "chi_grid_n"):
+                "epsilon_frac", "newton_tol", "chi_grid_n", "mu", "b"):
         with pytest.raises(ConfigError, match="unknown config keys"):
             RunConfig.from_dict(base_config(**{key: 1}))
     with pytest.raises(ConfigError):
-        RunConfig.from_dict(base_config(mu=1.0))  # mu without b
-    with pytest.raises(ConfigError):
-        RunConfig.from_dict(base_config(mu=1.0, b=1.0))  # both rho and (mu,b)
-    with pytest.raises(ConfigError):
         RunConfig.from_dict(base_config(mode="nonsense"))
+    # rho is the only coupling input, and it is required
     cfg = base_config()
     del cfg["rho"]
-    with pytest.raises(ConfigError):
-        RunConfig.from_dict(cfg)
-    # mu/b route resolves rho = 2 pi mu b^2
-    cfg = base_config()
-    del cfg["rho"]
-    config = RunConfig.from_dict({**cfg, "mu": 1.0 / (2 * np.pi), "b": 1.0})
-    assert config.action_params().rho == pytest.approx(1.0, rel=1e-14)
+    for data in (cfg, {**cfg, "mu": 1.0 / (2 * np.pi), "b": 1.0}):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(data)
 
 
 def test_theta_sampling_validated(tmp_path):
@@ -109,13 +103,25 @@ def test_cli_config_threads_exits_2(tmp_path, capsys):
     assert "unknown config keys: ['threads']" in capsys.readouterr().err
 
 
+def test_cli_coupling_is_rho_only(tmp_path, capsys):
+    # mu and b are unknown keys, and a config without rho is refused
+    cfg_path = tmp_path / "cfg.json"
+    no_rho = base_config()
+    del no_rho["rho"]
+    for cfg, err in ((base_config(mu=1.0), "unknown config keys: ['mu']"),
+                     (base_config(b=1.0), "unknown config keys: ['b']"),
+                     (no_rho, "rho must be a number")):
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["solve", "--config", str(cfg_path)]) == 2
+        assert err in capsys.readouterr().err
+
+
 def test_cli_threads_flag_is_unknown(tmp_path):
     # an unknown flag is argparse's usage error, returned as the config-error
     # code rather than raised out of main()
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(base_config()))
     assert main(["solve", "--config", str(cfg_path), "--threads", "2"]) == 2
-    assert main_solve(["--config", str(cfg_path), "--threads", "2"]) == 2
 
 
 def test_spectrum_mode(tmp_path):
@@ -189,7 +195,8 @@ def test_refined_record_keeps_the_descent_flag():
 
 def test_records_report_newton_work(tmp_path, monkeypatch):
     # newton_steps and minres_iters of the record match what the Newton that
-    # built it did: one el_residual per step, one at its stop, one in its record
+    # built it did: one MINRES solve per accepted step, and one el_residual,
+    # in its record (the loop reads its residual off the gradient it holds)
     calls = []
     orig_newton, orig_minres, orig_el = (sshg.minmax.newton_refine, sshg.minmax.minres,
                                          sshg.minmax.el_residual)
@@ -221,7 +228,8 @@ def test_records_report_newton_work(tmp_path, monkeypatch):
     rec = json.loads((tmp_path / "run_output.json").read_text())["records"][0]
     (call,) = calls
     assert rec["refined"] and rec["newton_steps"] > 0
-    assert rec["newton_steps"] == call["minres"] == call["el_residual"] - 2
+    assert rec["newton_steps"] == call["minres"]
+    assert call["el_residual"] == 1
     assert rec["minres_iters"] == call["iters"]
     assert rec["minres_capped"] == 0
 
@@ -367,9 +375,6 @@ def test_cli_solve(tmp_path):
     code = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     assert code == 0
     assert (tmp_path / "o" / "run_output.json").exists()
-    # direct alias entry point
-    code = main_solve(["--config", str(cfg_path), "--out", str(tmp_path / "o2")])
-    assert code == 0
 
 
 def test_cli_exit_codes(tmp_path):

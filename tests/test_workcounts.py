@@ -46,7 +46,7 @@ CEILINGS = {
     "minres.iters": 14,
     "constrained_gradient": 23,
     "newton_refine": 2,
-    "fft": 1119,
+    "fft": 1058,
 }
 
 MOUNTAIN_PASS = {
@@ -63,7 +63,7 @@ MOUNTAIN_PASS_CEILINGS = {
     "minres.iters": 6,
     "constrained_gradient": 32,
     "newton_refine": 1,
-    "fft": 344,
+    "fft": 272,
 }
 
 
