@@ -155,6 +155,26 @@ def spinor_eig(geom: TorusGeometry, values: np.ndarray) -> np.ndarray:
     return _rotate(np.fft.fft2(values * conj_phase, axes=(-2, -1)), *into)
 
 
+def minus_row_times(geom: TorusGeometry, f: np.ndarray, values=None, row=None) -> np.ndarray:
+    """The a- row of f psi for a real grid function f, non-constant.
+
+    psi is given by its grid values (..., 2, n, n), with f of shape
+    (..., n, n), or it is the E^- vector whose a- row is `row` (n, n), with
+    a+ = 0, whose grid values come in through the a- column of the inverse
+    frame only.  Either way this is `psi.times(f).eig[1]` bit for bit: the
+    same ifft2 (for a row) and fft2 calls, phase multiplies and operation
+    order, with only the a- row of the rotation into eigen-coordinates.
+    """
+    conj_phase, (p, q), (p_out, mq_out) = _boundary(geom)
+    if values is None:
+        c = np.empty((2,) + row.shape, dtype=complex)
+        c[0] = mq_out * row
+        c[1] = p_out * row
+        values = np.fft.ifft2(c, axes=(1, 2)) * geom.spinor_phase[None, :, :]
+    x = np.fft.fft2(f[..., None, :, :] * values * conj_phase, axes=(-2, -1))
+    return p * x[..., 1, :, :] - q * x[..., 0, :, :]
+
+
 class SpinorField:
     """C^2-valued field with real metric Re<.,.>; Fourier support on k+delta.
 

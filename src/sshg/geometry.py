@@ -15,7 +15,7 @@ per mode in which spinors are stored (see `sshg.fields`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -141,7 +141,9 @@ class TorusGeometry:
 
     # -- spectrum helpers -----------------------------------------------------
 
+    @lru_cache(maxsize=64)
     def spectral_gap(self, rho: float) -> float:
-        """Distance from rho to the computed Dirac spectrum (grid modes)."""
+        """Distance from rho to the computed Dirac spectrum (grid modes),
+        computed once per (geometry, rho)."""
         lam = self.s_abs[self.spinor_mask]
         return float(np.min(np.abs(lam - rho)))

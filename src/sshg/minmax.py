@@ -337,18 +337,18 @@ class _SegmentCache:
     def __init__(self, segments, params):
         self.segments = list(segments)
         self.params = params
-        self._cache = {}   # (i, j) -> (a, b, bounds, [(J, point) or None per sample], length)
+        # (i, j) -> [a, b, bounds, [(J, point) or None per sample], length or None]
+        self._cache = {}
 
     def _current(self, nodes, i, j):
         hit = self._cache.get((i, j))
         return hit if hit is not None and hit[0] is nodes[i] and hit[1] is nodes[j] else None
 
     def refresh(self, nodes, floor):
-        """Bound the samples and measure the length of every segment whose
-        endpoint moved, then solve unsolved samples above floor in
-        decreasing bound order until the best solved J exceeds every
-        remaining bound (a tie is solved); a solved J above its bound raises
-        CertificationError.
+        """Bound the samples of every segment whose endpoint moved, then
+        solve unsolved samples above floor in decreasing bound order until
+        the best solved J exceeds every remaining bound (a tie is solved); a
+        solved J above its bound raises CertificationError.
 
         Returns (J, i, j, point) of the highest solved sample, the first in
         segment and sample order among equals, or None.  A skipped sample
@@ -361,8 +361,7 @@ class _SegmentCache:
             if hit is None:
                 a, b = nodes[i], nodes[j]
                 bounds = fiber_energy_bounds(a, b, SEGMENT_SAMPLES, self.params).tolist()
-                hit = self._cache[(i, j)] = (a, b, bounds, [None] * len(SEGMENT_SAMPLES),
-                                             _product_dist(a, b))
+                hit = self._cache[(i, j)] = [a, b, bounds, [None] * len(SEGMENT_SAMPLES), None]
             a, b, bounds, solved, _ = hit
             for k, sample in enumerate(solved):
                 if sample is not None:
@@ -384,10 +383,15 @@ class _SegmentCache:
         return max(samples, key=lambda s: s[0], default=None)
 
     def length(self, nodes, i, j) -> float:
-        """Product distance of nodes i and j: the cached one while the
-        segment's entry is current, else computed and not stored."""
+        """Product distance of nodes i and j: computed on the first call
+        while the segment's entry is current and kept there, else computed
+        and not stored."""
         hit = self._current(nodes, i, j)
-        return _product_dist(nodes[i], nodes[j]) if hit is None else hit[4]
+        if hit is None:
+            return _product_dist(nodes[i], nodes[j])
+        if hit[4] is None:
+            hit[4] = _product_dist(nodes[i], nodes[j])
+        return hit[4]
 
 
 def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,

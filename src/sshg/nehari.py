@@ -11,13 +11,14 @@ through the fiber solve.  On the negative subspace the fiber operator
 
 satisfies <A phi, chi>_{H^{1/2}} = <(D - rho cosh u) phi, chi>_{L^2} (the
 (1+|D|) multipliers cancel), so -A is symmetric positive definite in the
-H^{1/2} inner product and conjugate gradients apply directly.
+H^{1/2} inner product and conjugate gradients apply directly.  E^- lives on
+the a- row of the eigen-coordinates, so the fiber solve iterates on that row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .action import (
     scalar_terms,
 )
 from .errors import CertificationError, ConfigError, OverflowGuardError
-from .fields import ScalarField, SpinorField, constant_value, spinor_eig
+from .fields import ScalarField, SpinorField, constant_value, minus_row_times
 from .krylov import cg
 from .spectral import (
     check_spectral_gap,
@@ -41,6 +42,8 @@ from .spectral import (
     riesz_h1,
     riesz_hhalf,
     sobolev_inner,
+    sobolev_weight,
+    subspace_mask,
 )
 
 FIBER_TOL = 1e-12
@@ -52,15 +55,11 @@ def _hhalf_inner(a: SpinorField, b: SpinorField) -> float:
     return sobolev_inner(a, b, "Hhalf_spinor")
 
 
-def _constraint_map(psi: SpinorField, cosh_u: np.ndarray, rho: float) -> SpinorField:
-    """P^- (1+|D|)^{-1} (D - rho cosh u) psi: G(u, psi), and the fiber
-    operator A on the negative subspace, as a linear map of psi."""
-    return project(riesz_hhalf(dirac_minus_potential(psi, cosh_u, rho)), "minus")
-
-
 def constraint_G(u: ScalarField, psi: SpinorField, params: ActionParams) -> SpinorField:
-    """G(u, psi), supported in the negative spectral subspace."""
-    return _constraint_map(psi, np.cosh(check_overflow(u)), params.rho)
+    """G(u, psi) = P^- (1+|D|)^{-1} (D - rho cosh u) psi, supported in the
+    negative spectral subspace: the dense form of `_fiber_map`."""
+    cosh_u = np.cosh(check_overflow(u))
+    return project(riesz_hhalf(dirac_minus_potential(psi, cosh_u, params.rho)), "minus")
 
 
 @dataclass
@@ -91,13 +90,25 @@ class MultiplierData:
 
 @lru_cache(maxsize=16)
 def _minus_modes(geom) -> tuple[np.ndarray, np.ndarray]:
-    """|xi| of the minus modes (the valid modes with |xi| > 0), and the grid
-    of H^{1/2} Riesz weights 1/(1 + |xi|) on them, 0 elsewhere."""
+    """Distinct |xi| of the minus modes (the valid modes with |xi| > 0), and
+    the grid of H^{1/2} Riesz weights 1/(1 + |xi|) on them, 0 elsewhere."""
     mask = geom.spinor_mask & (geom.s_abs > 0)
-    lam = geom.s_abs[mask]
+    lam = np.array(sorted(set(geom.s_abs[mask].tolist())))
     weight = np.where(mask, 1.0 / (1.0 + geom.s_abs), 0.0)
     lam.flags.writeable = weight.flags.writeable = False
     return lam, weight
+
+
+@lru_cache(maxsize=16)
+def _pairing_weights(geom) -> np.ndarray:
+    """Read-only per-mode weights 1, |xi| and the Riesz weights times
+    |xi|^2, |xi| and 1, one row each, per real coordinate of one row of
+    eigen-coordinates (the real and imaginary part of each mode)."""
+    s, riesz = geom.s_abs, _minus_modes(geom)[1]
+    weights = np.repeat(np.stack((np.ones_like(s), s, riesz * s * s, riesz * s, riesz)),
+                        2, axis=-1).reshape(5, -1)
+    weights.flags.writeable = False
+    return weights
 
 
 def fiber_coercivity(geom, rho: float, cosh_min):
@@ -128,49 +139,102 @@ def fiber_energy_bounds(a, b, weights, params: ActionParams) -> np.ndarray:
     reached within ||g|| / c of psi.  Each bound adds a rounding pad of
     1e-12 times a bound on the summed magnitudes of J's terms at any point
     within that distance, far above the relative rounding (~1e-15) of J's
-    grid sums and FFTs.
+    grid sums and FFTs; it bounds ||psi|| by (1 - w) ||a.psi|| + w ||b.psi||,
+    which also covers the rounding of the blend expansion below.
 
-    The blends are stacked on a leading axis and formed from the endpoints'
-    views: <h, psi> = <D psi, psi> - rho int cosh(u) |psi|^2 (discrete
-    Parseval) needs no FFT, and g only the a- row of cosh(u) psi, one fft2
-    of the stack, none when both endpoints' u are constant.
+    A per-mode form Q (||psi||^2, <D psi, psi>) of the blend is
+    (1 - w)^2 Q(a, a) + 2 w (1 - w) Q(a, b) + w^2 Q(b, b), from the
+    pairings of the endpoints' eigen-coordinates, which also give their
+    H^{1/2} norms.  At constant u so is
+    ||g||^2 = sum (1 + |xi|)^{-1} (|xi| + rho cosh u)^2 |a-|^2 over the
+    minus modes, <h, psi> = <D psi, psi> - rho cosh(u) ||psi||^2 (discrete
+    Parseval) and E(u) = 4 rho^2 Vol sinh(u)^2: no FFT and no stacked
+    array.  Otherwise the potential and E(u) are grid sums of the stacked
+    blends and g needs only the a- row of cosh(u) psi, one fft2 of the
+    stack.
     """
     geom = a.u.geom
     rho = params.rho
-    w = np.asarray(weights, dtype=float)[:, None, None]
-    uv = check_overflow((1.0 - w) * a.u.values + w * b.u.values)
-    grad_term, sinh_term = scalar_terms(geom, (1.0 - w) * a.u.coeffs + w * b.u.coeffs, uv, rho)
-    e_u = grad_term + sinh_term
-    cosh_u = np.cosh(uv)
-    cosh_min, cosh_max = cosh_u.min(axis=(1, 2)), cosh_u.max(axis=(1, 2))
-    w = w[:, None]
-    eig = (1.0 - w) * a.psi.eig + w * b.psi.eig
-    dens = eig.real ** 2 + eig.imag ** 2
-    lam = geom.s_abs
-    if constant_value(a.u.values) is None or constant_value(b.u.values) is None:
-        vals = (1.0 - w) * a.psi.values + w * b.psi.values
+    w = np.asarray(weights, dtype=float)
+    ws = w[:, None, None]
+    # the products aa, ab and bb of the endpoints' real coordinates, per
+    # row (a+, a-), summed against each weight of `_pairing_weights`
+    ra, rb = (np.ascontiguousarray(p.psi.eig).view(float).reshape(2, -1) for p in (a, b))
+    pairs = np.empty((3,) + ra.shape)
+    np.multiply(ra, ra, out=pairs[0])
+    np.multiply(ra, rb, out=pairs[1])
+    np.multiply(rb, rb, out=pairs[2])
+    sums = geom.vol * (_pairing_weights(geom) @ pairs.reshape(6, -1).T).reshape(5, 3, 2)
+    one, lam = sums[0], sums[1]
+    ends = np.sqrt((one + lam).sum(-1)[::2])   # ||a.psi||, ||b.psi|| in H^{1/2}
+    # per pair: ||psi||^2, <D psi, psi>, and the a- row's Riesz-weighted
+    # sums that make ||g||^2 at constant u
+    forms = np.stack((one.sum(-1), lam[:, 0] - lam[:, 1], *sums[2:, :, 1]))
+    norm_sq, dirac, g_lam2, g_lam, g_one = forms @ np.stack(
+        ((1.0 - w) ** 2, 2.0 * w * (1.0 - w), w ** 2))
+    ua, ub = constant_value(a.u.values), constant_value(b.u.values)
+    if ua is None or ub is None:
+        uv = check_overflow((1.0 - ws) * a.u.values + ws * b.u.values)
+        grad_term, sinh_term = scalar_terms(geom, (1.0 - ws) * a.u.coeffs + ws * b.u.coeffs,
+                                            uv, rho)
+        e_u = grad_term + sinh_term
+        cosh_u = np.cosh(uv)
+        cosh_min, cosh_max = cosh_u.min(axis=(1, 2)), cosh_u.max(axis=(1, 2))
+        vals = (1.0 - ws[:, None]) * a.psi.values + ws[:, None] * b.psi.values
         psi_dens = (vals.real ** 2 + vals.imag ** 2).sum(axis=1)
         potential = geom.quad_weight * np.sum(cosh_u * psi_dens, axis=(1, 2))
         # the a- row of -h: |xi| a- + rho (cosh(u) psi)-
-        h_minus = lam * eig[:, 1] + rho * spinor_eig(geom, cosh_u[:, None] * vals)[:, 1]
-        h_minus_sq = h_minus.real ** 2 + h_minus.imag ** 2
+        h_minus = (geom.s_abs * ((1.0 - ws) * a.psi.eig[1] + ws * b.psi.eig[1])
+                   + rho * minus_row_times(geom, cosh_u, values=vals))
+        # ||g||^2_{H^1/2}: the minus modes' |h|^2 / (1 + |xi|)
+        h_sq = h_minus.real ** 2 + h_minus.imag ** 2
+        g_sq = geom.vol * np.sum(_minus_modes(geom)[1] * h_sq, axis=(1, 2))
     else:
-        potential = cosh_min * geom.vol * np.sum(dens, axis=(1, 2, 3))
-        h_minus_sq = (lam + rho * cosh_min[:, None, None]) ** 2 * dens[:, 1]
-    # ||g||^2_{H^1/2}: the minus modes' |h|^2 / (1 + |xi|)
-    g_sq = geom.vol * np.sum(_minus_modes(geom)[1] * h_minus_sq, axis=(1, 2))
+        # constant blends: no gradient, and the grid sum of sinh(u)^2 is
+        # Vol sinh(u)^2
+        uc = check_overflow((1.0 - w) * ua + w * ub)
+        e_u = 4.0 * rho * rho * geom.vol * np.sinh(uc) ** 2
+        cosh_min = cosh_max = np.cosh(uc)
+        potential = cosh_min * norm_sq
+        k = rho * cosh_min
+        g_sq = np.maximum(g_lam2 + 2.0 * k * g_lam + k * k * g_one, 0.0)
     c = fiber_coercivity(geom, rho, cosh_min)
-    j0 = e_u + 8.0 * (geom.vol * np.sum(lam * (dens[:, 0] - dens[:, 1]), axis=(1, 2)) - rho * potential)
-    reach = np.sqrt(geom.vol * np.sum((1.0 + lam) * dens, axis=(1, 2, 3))) + np.sqrt(g_sq) / c
+    j0 = e_u + 8.0 * (dirac - rho * potential)
+    reach = (1.0 - w) * ends[0] + w * ends[1] + np.sqrt(g_sq) / c
     pad = 1e-12 * (e_u + 8.0 * (1.0 + rho * cosh_max) * reach ** 2)
     return j0 + 8.0 * g_sq / c + pad
 
 
-def _fiber_operator(cosh_u: np.ndarray, rho: float):
-    def apply_neg(phi: SpinorField) -> SpinorField:
-        # -A restricted to the negative subspace (SPD in H^{1/2})
-        return -1.0 * _constraint_map(phi, cosh_u, rho)
-    return apply_neg
+def _row_inner(geom, a: np.ndarray, b: np.ndarray) -> float:
+    """The H^{1/2} pairing of two E^- vectors given by their a- rows."""
+    s = np.sum(sobolev_weight(geom, "Hhalf_spinor") * np.conj(a) * b)
+    return float(geom.vol * s.real)
+
+
+def _row_norm(geom, a: np.ndarray) -> float:
+    return np.sqrt(max(_row_inner(geom, a, a), 0.0))
+
+
+def _fiber_map(geom, cosh_u: np.ndarray, rho: float):
+    """The a- row of P^- (1+|D|)^{-1} (D - rho cosh u) psi as a linear map:
+    G(u, psi) for a spinor psi, and the fiber operator A on an E^- vector
+    given by its a- row.  Its arithmetic is `constraint_G`'s, in the same
+    order, on the a- row alone, so the row is bitwise that map's."""
+    f = rho * cosh_u
+    c = constant_value(f)
+    mask = subspace_mask(geom, "minus", None)[1]
+    riesz = sobolev_weight(geom, "Hhalf_spinor")
+
+    def apply(psi) -> np.ndarray:
+        row = psi.eig[1] if isinstance(psi, SpinorField) else psi
+        if c is not None:
+            prod = row * c
+        elif isinstance(psi, SpinorField):
+            prod = minus_row_times(geom, f, values=psi.values)
+        else:
+            prod = minus_row_times(geom, f, row=row)
+        return ((row * geom.s_abs) * -1.0 - prod) / riesz * mask
+    return apply
 
 
 def fiber_solve(u: ScalarField, psi_free: SpinorField, params: ActionParams,
@@ -179,30 +243,33 @@ def fiber_solve(u: ScalarField, psi_free: SpinorField, params: ActionParams,
 
     psi_free must have no negative component; returns the certified point
     (u, psi_free + psi^-); a residual beyond FIBER_CERT raises CertificationError.
+    The solve runs on the a- row: the CG iterate, its start x0 (an E^-
+    spinor), the right-hand side and the certificate are E^- vectors given
+    by their a- rows.
     """
+    geom = u.geom
     uv = check_overflow(u)
-    check_spectral_gap(u.geom, params.rho)
-    neg_part = project(psi_free, "minus")
+    check_spectral_gap(geom, params.rho)
     free_scale = hhalf_norm(psi_free)
     if not np.isfinite(free_scale):
         raise OverflowGuardError(f"psi_free is not finite (H^1/2 norm {free_scale:.6g})")
-    if hhalf_norm(neg_part) > 1e-10 * max(free_scale, 1.0):
+    neg_row = psi_free.eig[1] * subspace_mask(geom, "minus", None)[1]
+    if _row_norm(geom, neg_row) > 1e-10 * max(free_scale, 1.0):
         raise ConfigError("fiber_solve expects psi_free with zero negative part")
 
-    cosh_u = np.cosh(uv)
-    rho = params.rho
-    apply_m = _fiber_operator(cosh_u, rho)
-    b = _constraint_map(psi_free, cosh_u, rho)
+    g_map = _fiber_map(geom, np.cosh(uv), params.rho)
+    b = g_map(psi_free)
     atol = 1e-14 * max(free_scale, 1.0)
-    psi_minus, info = cg(apply_m, b, _hhalf_inner, x0=x0, tol=FIBER_TOL,
-                         maxiter=FIBER_MAXITER, atol=atol)
+    minus, info = cg(lambda phi: -1.0 * g_map(phi), b, partial(_row_inner, geom),
+                     x0=None if x0 is None else x0.eig[1], tol=FIBER_TOL,
+                     maxiter=FIBER_MAXITER, atol=atol)
 
-    psi = psi_free + psi_minus
-    if psi_minus.eig.any():
-        cert = hhalf_norm(_constraint_map(psi, cosh_u, rho))
-    else:
-        # psi is psi_free (at constant u CG never iterates), whose G is b
-        cert = hhalf_norm(b)
+    eig = psi_free.eig.copy()
+    eig[1] += minus
+    psi = SpinorField(geom, eig=eig)
+    # psi is psi_free when CG moved nothing (at constant u it never
+    # iterates), and its G is then b
+    cert = _row_norm(geom, g_map(psi) if minus.any() else b)
     if not cert <= FIBER_CERT * max(free_scale, 1.0):
         raise CertificationError(f"fiber residual {cert:.3e} exceeds FIBER_CERT max(|psi_free|, 1)")
     return NehariPoint(u=u, psi=psi, constraint_norm=cert)
@@ -311,13 +378,13 @@ def fiber_rayleigh_margin(u: ScalarField, params: ActionParams, rng, n_samples: 
     """
     geom = u.geom
     uv = check_overflow(u)
-    apply_m = _fiber_operator(np.cosh(uv), params.rho)
+    g_map = _fiber_map(geom, np.cosh(uv), params.rho)
     worst = -np.inf
     n = geom.grid_n
     for _ in range(n_samples):
         c = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
         c *= (1.0 + geom.s_abs) ** -1.0
-        phi = project(SpinorField.from_coeffs(geom, c), "minus")
-        quot = -_hhalf_inner(apply_m(phi), phi) / _hhalf_inner(phi, phi)
+        phi = project(SpinorField.from_coeffs(geom, c), "minus").eig[1]
+        quot = _row_inner(geom, g_map(phi), phi) / _row_inner(geom, phi, phi)
         worst = max(worst, quot)
     return float(worst)

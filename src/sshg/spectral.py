@@ -100,29 +100,36 @@ _SCALAR_SPACES = ("H1_scalar", "Hminus1_scalar")
 _SPINOR_SPACES = ("Hhalf_spinor", "Hminus_half_spinor")
 
 
-def sobolev_inner(a, b, space: str) -> float:
-    """Sobolev pairings via diagonal multipliers.
+@lru_cache(maxsize=64)
+def sobolev_weight(geom: TorusGeometry, space: str) -> np.ndarray:
+    """The read-only per-mode multiplier of a Sobolev pairing: H1: 1+|xi|^2,
+    H^-1: its inverse, H^{1/2}: 1+|xi|, H^{-1/2}: its inverse."""
+    if space in _SCALAR_SPACES:
+        mult = 1.0 + geom.xi_sq
+    elif space in _SPINOR_SPACES:
+        mult = 1.0 + geom.s_abs
+    else:
+        raise ConfigError(f"unknown Sobolev space tag {space!r}")
+    if space in ("Hminus1_scalar", "Hminus_half_spinor"):
+        mult = 1.0 / mult
+    mult.flags.writeable = False
+    return mult
 
-    H1: 1+|xi|^2, H^-1: its inverse, H^{1/2}: 1+|xi|, H^{-1/2}: its inverse.
+
+def sobolev_inner(a, b, space: str) -> float:
+    """Sobolev pairings via the diagonal multipliers of `sobolev_weight`.
     The H^{-s} forms are the dual norms of L^2-represented functionals.
     """
     g = a.geom
+    mult = sobolev_weight(g, space)
     if space in _SCALAR_SPACES:
         if not isinstance(a, ScalarField) or not isinstance(b, ScalarField):
             raise ConfigError(f"space {space} expects scalar fields")
-        mult = 1.0 + g.xi_sq
-        if space == "Hminus1_scalar":
-            mult = 1.0 / mult
         s = np.sum(mult * np.conj(a.coeffs) * b.coeffs)
-    elif space in _SPINOR_SPACES:
+    else:
         if not isinstance(a, SpinorField) or not isinstance(b, SpinorField):
             raise ConfigError(f"space {space} expects spinor fields")
-        mult = 1.0 + g.s_abs
-        if space == "Hminus_half_spinor":
-            mult = 1.0 / mult
         s = np.sum(mult[None, :, :] * np.conj(a.eig) * b.eig)
-    else:
-        raise ConfigError(f"unknown Sobolev space tag {space!r}")
     return float(g.vol * s.real)
 
 
@@ -155,14 +162,14 @@ def l2_norm(a) -> float:
 def riesz_h1(u_dual: ScalarField) -> ScalarField:
     """Riesz representative in H^1 of an L^2-represented functional."""
     g = u_dual.geom
-    return ScalarField(g, coeffs=u_dual.coeffs / (1.0 + g.xi_sq))
+    return ScalarField(g, coeffs=u_dual.coeffs / sobolev_weight(g, "H1_scalar"))
 
 
 def riesz_hhalf(psi_dual: SpinorField) -> SpinorField:
     """Riesz representative in H^{1/2} of an L^2-represented functional:
     (1+|D|)^{-1} as the scalar multiplier (1+|xi|)^{-1}."""
     g = psi_dual.geom
-    return SpinorField(g, eig=psi_dual.eig / (1.0 + g.s_abs)[None, :, :])
+    return SpinorField(g, eig=psi_dual.eig / sobolev_weight(g, "Hhalf_spinor")[None, :, :])
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +198,12 @@ def project(psi: SpinorField, subspace: str, rho: float | None = None) -> Spinor
         rho = None
     else:
         raise ConfigError(f"unknown spectral subspace {subspace!r}")
-    return SpinorField(g, eig=psi.eig * _subspace_mask(g, subspace, rho))
+    return SpinorField(g, eig=psi.eig * subspace_mask(g, subspace, rho))
 
 
 @lru_cache(maxsize=64)
-def _subspace_mask(geom: TorusGeometry, subspace: str, rho: float | None) -> np.ndarray:
+def subspace_mask(geom: TorusGeometry, subspace: str, rho: float | None) -> np.ndarray:
+    """The read-only 0/1 mask (2, n, n) of `project` on the eigen-coordinates."""
     lam = geom.s_abs
     nz, off = lam > 0, np.zeros(lam.shape, dtype=bool)
     rows = {"zero": (~nz, ~nz), "minus": (off, nz), "plus": (nz, off)}.get(subspace)

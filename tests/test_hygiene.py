@@ -169,3 +169,17 @@ def test_dirac_frame_is_read_only_at_the_fft_boundary():
                 read.add(path.name)
     assert defined == {"geometry.py"}, f"dirac_frame defined in {sorted(defined)}"
     assert read == {"fields.py"}, f"dirac_frame read in {sorted(read)}"
+
+
+def test_ffts_are_called_only_in_fields():
+    # the perfbench tracer and the work-count ceilings see the FFTs through
+    # `sshg.fields.np`; a transform called anywhere else escapes both
+    # (`fftfreq` only builds the frequency grid)
+    names = {"fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft", "rfft2",
+             "irfft2", "rfftn", "irfftn", "hfft", "ihfft"}
+    bad = [f"{path.name}:{node.lineno}: {node.func.attr}"
+           for path, tree in _trees() if path.name != "fields.py"
+           for node in ast.walk(tree)
+           if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+           and node.func.attr in names]
+    assert not bad, "FFT calls outside fields.py:\n" + "\n".join(bad)

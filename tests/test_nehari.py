@@ -6,9 +6,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import sshg.nehari
-from sshg.action import ActionParams, el_residual, evaluate_J, gradient_J
+from sshg.action import ActionParams, el_residual, evaluate_J, gradient_J, scalar_terms
 from sshg.errors import CertificationError, ConfigError, OverflowGuardError, SSHGError
-from sshg.fields import ScalarField, SpinorField
+from sshg.fields import ScalarField, SpinorField, minus_row_times, spinor_eig
 from sshg.geometry import TorusGeometry
 from sshg.nehari import (
     NehariPoint,
@@ -97,27 +97,30 @@ def test_fiber_solve_certifies(setup16):
 
 
 def test_fiber_residual_is_enforced(setup16, monkeypatch):
-    # an inner solve that lands off the fiber by a minus-part spinor of
-    # H^1/2 norm 1e-6 is refused, not stored as the point's constraint_norm
+    # an inner solve that lands off the fiber by a minus-part row of H^1/2
+    # norm 1e-6 is refused, not stored as the point's constraint_norm, at
+    # constant u (CG never iterates) and at non-constant u (it does)
     import sshg.nehari
     geom, basis, params = setup16
     cg = sshg.nehari.cg
     kick = basis.eigenspinor(-1)
-    kick = (1e-6 / hhalf_norm(kick)) * kick
+    kick = ((1e-6 / hhalf_norm(kick)) * kick).eig[1]
 
     def off_fiber_cg(*args, **kwargs):
         x, info = cg(*args, **kwargs)
         return x + kick, info
 
     monkeypatch.setattr(sshg.nehari, "cg", off_fiber_cg)
-    with pytest.raises(CertificationError, match="fiber residual"):
-        fiber_solve(ScalarField.constant(geom, 0.8), basis.eigenspinor(1), params)
+    rng = np.random.default_rng(7)
+    for u in (ScalarField.constant(geom, 0.8), bounded_scalar(geom, rng)):
+        with pytest.raises(CertificationError, match="fiber residual"):
+            fiber_solve(u, basis.eigenspinor(1), params)
 
 
 def test_fiber_solve_without_cg_work_certifies_with_the_right_hand_side(setup16, monkeypatch):
     # when CG returns 0 b without iterating, psi is psi_free and its residual
-    # map is b: the certificate is ||b||, bitwise what recomputing G gives,
-    # formed without a second constraint map, and still enforced
+    # row is b: the certificate is ||b||, bitwise what recomputing G gives,
+    # formed with one row map (b's) and still enforced
     geom, basis, params = setup16
     rng = np.random.default_rng(3)
     u = bounded_scalar(geom, rng)
@@ -127,14 +130,18 @@ def test_fiber_solve_without_cg_work_certifies_with_the_right_hand_side(setup16,
         (u, free_spinor(geom, rng, amp=1e-20)),   # b below CG's absolute floor
     ]
     maps = []
-    orig = sshg.nehari._constraint_map
+    orig = sshg.nehari._fiber_map
 
-    def counting_map(*args):
-        maps.append(1)
-        return orig(*args)
+    def counting_fiber_map(*args):
+        apply = orig(*args)
+
+        def counted(psi):
+            maps.append(1)
+            return apply(psi)
+        return counted
 
     for u_c, free in cases:
-        monkeypatch.setattr(sshg.nehari, "_constraint_map", counting_map)
+        monkeypatch.setattr(sshg.nehari, "_fiber_map", counting_fiber_map)
         maps.clear()
         pt = fiber_solve(u_c, free, params)
         assert len(maps) == 1
@@ -146,6 +153,49 @@ def test_fiber_solve_without_cg_work_certifies_with_the_right_hand_side(setup16,
     monkeypatch.setattr(sshg.nehari, "FIBER_CERT", 1e-30)
     with pytest.raises(CertificationError, match="fiber residual"):
         fiber_solve(u, cases[-1][1], params)
+
+
+@pytest.mark.parametrize("delta", [(0.5, 0.5), (0.0, 0.0)])
+def test_fiber_solve_with_cg_work_certifies_with_the_dense_constraint(delta):
+    # at non-constant u CG iterates on the a- row; the certificate is the
+    # row of G at the returned psi, bitwise the norm of the dense
+    # constraint_G, with and without a starting guess
+    geom = TorusGeometry(grid_n=16, spin_delta=delta)
+    params = ActionParams(rho=0.5)
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        u = bounded_scalar(geom, rng)
+        psi = random_spinor(geom, rng, decay=1.5)
+        minus = project(psi, "minus")
+        for x0 in (None, minus):
+            pt = fiber_solve(u, psi - minus, params, x0=x0)
+            assert project(pt.psi, "minus").eig.any()
+            assert pt.constraint_norm == hhalf_norm(constraint_G(u, pt.psi, params))
+            assert 0.0 < pt.constraint_norm <= 1e-10 * max(hhalf_norm(psi - minus), 1.0)
+
+
+@pytest.mark.parametrize("delta", [(0.5, 0.5), (0.0, 0.0), (0.5, 0.0)])
+@pytest.mark.parametrize("grid_n", [16, 24])
+def test_minus_row_times_is_the_a_minus_row_of_the_product(grid_n, delta):
+    # from grid values (one spinor or a stack) and from an E^- row alone,
+    # the a- row of f psi is bitwise that of SpinorField.times, with the
+    # same FFT calls
+    geom = TorusGeometry(grid_n=grid_n, spin_delta=delta)
+    rng = np.random.default_rng(9)
+    f = 0.7 * np.cosh(random_scalar(geom, rng).values)
+    psi = random_spinor(geom, rng)
+    minus = project(random_spinor(geom, rng), "minus")
+    for field, kwargs in ((psi, {"values": psi.values}), (minus, {"row": minus.eig[1]})):
+        with counting_ffts() as dense_ffts:
+            ref = field.times(f).eig[1]
+        with counting_ffts() as row_ffts:
+            row = minus_row_times(geom, f, **kwargs)
+        assert row.tobytes() == ref.tobytes()
+        assert row_ffts == dense_ffts
+    stack_f = np.stack((f, 2.0 * f))
+    stack = np.stack((psi.values, minus.values))
+    ref = spinor_eig(geom, stack_f[:, None] * stack)[:, 1]
+    assert minus_row_times(geom, stack_f, values=stack).tobytes() == ref.tobytes()
 
 
 def test_fiber_linearity(setup16):
@@ -215,16 +265,16 @@ def _blend(a, b, w):
     return (1.0 - w) * a.u + w * b.u, (1.0 - w) * a.psi + w * b.psi
 
 
-def _closed_form_bound(u, psi, params):
+def _closed_form_bound(u, psi, params, psi_reach):
     """J0 + 8 ||G||^2 / c plus the rounding pad at one point, from J and G
-    themselves; also returns the pad's scale, a bound on the summed
-    magnitudes of J's terms."""
+    themselves, with psi_reach >= ||psi||_{H^1/2} in the pad; also returns
+    the pad's scale, a bound on the summed magnitudes of J's terms."""
     rho = params.rho
     cosh_u = np.cosh(u.values)
     g_norm = hhalf_norm(constraint_G(u, psi, params))
     c = fiber_coercivity(u.geom, rho, float(np.min(cosh_u)))
     e_u = evaluate_J(u, SpinorField.zeros(u.geom), params)
-    reach = hhalf_norm(psi) + g_norm / c
+    reach = psi_reach + g_norm / c
     scale = e_u + 8.0 * (1.0 + rho * float(np.max(cosh_u))) * reach ** 2
     return evaluate_J(u, psi, params) + 8.0 * g_norm ** 2 / c + 1e-12 * scale, scale
 
@@ -248,7 +298,8 @@ def test_fiber_energy_bound_dominates_the_fiber_solve(delta, seed, rho, means, w
     assert bounds.shape == (len(SEGMENT_WEIGHTS),)
     for w, bound in zip(SEGMENT_WEIGHTS, bounds):
         u, psi = _blend(a, b, w)
-        ref, scale = _closed_form_bound(u, psi, params)
+        ends = (1.0 - w) * hhalf_norm(a.psi) + w * hhalf_norm(b.psi)
+        ref, scale = _closed_form_bound(u, psi, params, ends)
         assert abs(bound - ref) <= 1e-12 * scale + 1e-300   # underflow floor
         minus = project(psi, "minus")
         pt = fiber_solve(u, psi - minus, params, x0=minus)
@@ -257,6 +308,75 @@ def test_fiber_energy_bound_dominates_the_fiber_solve(delta, seed, rho, means, w
     j = evaluate_J(pt.u, pt.psi, params)
     (tight,) = fiber_energy_bounds(pt, pt, (0.0,), params)
     assert j <= tight <= j + 1e-9 * (1.0 + abs(j) + hhalf_norm(pt.psi) ** 2)
+
+
+def _dense_bounds(a, b, weights, params):
+    """fiber_energy_bounds as first written, by dense sweeps of the stacked
+    blends' eigen-coordinates and grid values (S, 2, n, n) at any u, with
+    the pad's reach from the endpoints' norms; also returns the pad scales."""
+    geom = a.u.geom
+    rho = params.rho
+    lam = geom.s_abs
+    w = np.asarray(weights, dtype=float)[:, None, None]
+    uv = (1.0 - w) * a.u.values + w * b.u.values
+    grad_term, sinh_term = scalar_terms(geom, (1.0 - w) * a.u.coeffs + w * b.u.coeffs, uv, rho)
+    e_u = grad_term + sinh_term
+    cosh_u = np.cosh(uv)
+    cosh_min, cosh_max = cosh_u.min(axis=(1, 2)), cosh_u.max(axis=(1, 2))
+    ends = (1.0 - w.ravel()) * hhalf_norm(a.psi) + w.ravel() * hhalf_norm(b.psi)
+    w = w[:, None]
+    eig = (1.0 - w) * a.psi.eig + w * b.psi.eig
+    dens = eig.real ** 2 + eig.imag ** 2
+    vals = (1.0 - w) * a.psi.values + w * b.psi.values
+    psi_dens = (vals.real ** 2 + vals.imag ** 2).sum(axis=1)
+    potential = geom.quad_weight * np.sum(cosh_u * psi_dens, axis=(1, 2))
+    h_minus = lam * eig[:, 1] + rho * spinor_eig(geom, cosh_u[:, None] * vals)[:, 1]
+    weight = np.where(geom.spinor_mask & (lam > 0), 1.0 / (1.0 + lam), 0.0)
+    g_sq = geom.vol * np.sum(weight * np.abs(h_minus) ** 2, axis=(1, 2))
+    c = fiber_coercivity(geom, rho, cosh_min)
+    j0 = e_u + 8.0 * (geom.vol * np.sum(lam * (dens[:, 0] - dens[:, 1]), axis=(1, 2))
+                      - rho * potential)
+    scale = e_u + 8.0 * (1.0 + rho * cosh_max) * (ends + np.sqrt(g_sq) / c) ** 2
+    return j0 + 8.0 * g_sq / c + 1e-12 * scale, scale
+
+
+@PROPERTY
+@given(delta=st.sampled_from([(0.5, 0.5), (0.0, 0.0)]), seed=SEEDS,
+       rho=st.floats(0.2, 1.8), means=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+       wiggles=st.sampled_from([(0.0, 0.0), (0.0, 0.3), (2.0, 0.0), (0.3, 2.0)]),
+       amps=st.tuples(st.floats(0.0, 20.0), st.floats(0.0, 20.0)))
+def test_fiber_energy_bounds_match_the_dense_formula(delta, seed, rho, means, wiggles, amps):
+    # the endpoint pairings (and, at constant u, the Parseval potential and
+    # ||g||^2) agree with the dense sweeps to 1e-13 of the summed
+    # magnitudes of J's terms, a tenth of the pad
+    geom = TorusGeometry(grid_n=16, spin_delta=delta)
+    assume(geom.spectral_gap(rho) > 1e-3)
+    params = ActionParams(rho=rho)
+    rng = np.random.default_rng(seed)
+    a, b = (_segment_end(geom, rng, *end) for end in zip(means, wiggles, amps))
+    ref, scale = _dense_bounds(a, b, SEGMENT_WEIGHTS, params)
+    bounds = fiber_energy_bounds(a, b, SEGMENT_WEIGHTS, params)
+    assert np.all(np.abs(bounds - ref) <= 1e-13 * scale + 1e-300)
+
+
+@pytest.mark.parametrize("grid_n", [16, 32])
+def test_fiber_energy_bound_pads_a_near_cancelling_blend(grid_n):
+    # u = 0, psi_b = -(1 + 1e-7) psi_a, w = 1/2, psi_a on its fiber (G = 0,
+    # so the bound is J up to the pad): the blend is -5e-8 psi_a, and the
+    # expansion rounds at the endpoints' scale, so the pad's reach uses the
+    # endpoints' norms, not the blend's
+    geom = TorusGeometry(grid_n=grid_n)
+    params = ActionParams(rho=0.5)
+    u = ScalarField.zeros(geom)
+    psi = random_spinor(geom, np.random.default_rng(0), decay=1.0)
+    psi = psi - project(psi, "minus")
+    a = NehariPoint(u=u, psi=psi, constraint_norm=np.inf)
+    b = NehariPoint(u=u, psi=-(1.0 + 1e-7) * psi, constraint_norm=np.inf)
+    (bound,) = fiber_energy_bounds(a, b, (0.5,), params)
+    _, blend = _blend(a, b, 0.5)
+    minus = project(blend, "minus")
+    pt = fiber_solve(u, blend - minus, params, x0=minus)
+    assert evaluate_J(pt.u, pt.psi, params) <= bound
 
 
 @pytest.mark.parametrize("delta", [(0.5, 0.5), (0.0, 0.0)])
