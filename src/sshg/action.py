@@ -1,5 +1,5 @@
 """The sinh-Gordon/spinor action, its first variation, Hessian products and
-Euler-Lagrange residuals.
+the norms of the Euler-Lagrange residuals.
 
 The functional on H^1 x H^{1/2} is
 
@@ -25,8 +25,8 @@ from .errors import ConfigError, OverflowGuardError
 from .fields import ScalarField, SpinorField, constant_value
 from .spectral import (
     dirac_apply,
-    hminus1_norm,
-    hminushalf_norm,
+    h1_norm,
+    hhalf_norm,
     l2_inner,
     laplace_apply,
     riesz_h1,
@@ -76,23 +76,12 @@ class Variation:
     def __neg__(self):
         return replace(self, du=-self.du, dpsi=-self.dpsi)
 
-    def pair(self, v: ScalarField, phi: SpinorField) -> float:
-        """Dual pairing against a test direction (v, phi)."""
-        if self.u_space != "H-1" or self.psi_space != "H-1/2":
-            raise ConfigError("pair() expects dual-tagged data")
-        return l2_inner(self.du, v) + l2_inner(self.dpsi, phi)
-
     def riesz(self) -> "Variation":
         """Riesz representatives in H^1 x H^{1/2} of dual-tagged data."""
         if self.u_space != "H-1" or self.psi_space != "H-1/2":
             raise ConfigError("riesz() expects dual-tagged data")
         return Variation(riesz_h1(self.du), riesz_hhalf(self.dpsi),
                          u_space="H1", psi_space="H1/2")
-
-    def dual_norms(self) -> tuple[float, float]:
-        if self.u_space != "H-1" or self.psi_space != "H-1/2":
-            raise ConfigError("dual_norms() expects dual-tagged data")
-        return hminus1_norm(self.du), hminushalf_norm(self.dpsi)
 
 
 def check_overflow(u) -> np.ndarray:
@@ -152,17 +141,12 @@ def gradient_J(u: ScalarField, psi: SpinorField, params: ActionParams) -> Variat
     return Variation(gu, 16.0 * dirac_minus_potential(psi, ch, rho))
 
 
-def el_residual(u: ScalarField, psi: SpinorField, params: ActionParams):
-    """Euler-Lagrange residuals and their dual norms: the first variation
-    scaled to the system's normalization, res_u = -g_u / 2 and
-    res_psi = g_psi / 16.
-
-    Returns (Variation(res_u, res_psi), ||res_u||_{H^-1}, ||res_psi||_{H^-1/2}).
-    """
-    g = gradient_J(u, psi, params)
-    var = Variation(-0.5 * g.du, (1.0 / 16.0) * g.dpsi)
-    nu, npsi = var.dual_norms()
-    return var, nu, npsi
+def el_residual_norms(g: Variation) -> tuple[float, float]:
+    """(res_u, res_psi): the dual norms of the Euler-Lagrange residuals, read
+    off the Riesz gradient g of J.  The residuals are the first variation
+    scaled to the system's normalization, -dJ_u / 2 and dJ_psi / 16, and
+    ||f||_{H^-s} = ||R f||_{H^s}."""
+    return 0.5 * h1_norm(g.du), hhalf_norm(g.dpsi) / 16.0
 
 
 def hess_vec(u: ScalarField, psi: SpinorField, direction: Variation,

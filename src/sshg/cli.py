@@ -37,7 +37,8 @@ def _solve_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--out", type=str, default=None, help="override output_dir")
     p.add_argument("--workers", type=int, default=1,
-                   help="process count for batch configs (one run per process)")
+                   help="process count for batch configs (one run per process, "
+                        "at most one per config)")
     return p
 
 
@@ -73,9 +74,15 @@ def run_solve(argv) -> int:
         args = _solve_parser().parse_args(argv)
     except SystemExit as exc:   # argparse's usage error or --help
         return EXIT_CONFIG if exc.code else EXIT_OK
+    if args.workers < 1:
+        print(f"config error: --workers must be at least 1, got {args.workers}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     jobs = [(path, args) for path in args.config]
-    if len(jobs) > 1 and args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # the pool starts all its workers at once, so it gets no more than the jobs
+    workers = min(args.workers, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             codes = list(pool.map(_run_one, jobs))
     else:
         codes = [_run_one(job) for job in jobs]

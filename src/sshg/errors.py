@@ -37,10 +37,6 @@ class ConeStarvationError(SSHGError):
     """Rejection sampling outside the linking cone failed to produce samples."""
 
 
-class IllPosedError(SSHGError):
-    """Operator application is undefined for the given arguments."""
-
-
 class CheckpointFormatError(SSHGError):
     """Checkpoint container failed magic/version/shape validation."""
 

@@ -95,12 +95,6 @@ class ScalarField:
                 self._coeffs[0, 0] = c + 0.0  # fft2 of a -0.0 array gives +0.0
         return self._coeffs
 
-    def hermitian_defect(self) -> float:
-        """Max deviation of the coefficients from Hermitian symmetry."""
-        c = self.coeffs
-        mirrored = np.conj(np.roll(np.flip(c, axis=(0, 1)), shift=(1, 1), axis=(0, 1)))
-        return float(np.max(np.abs(c - mirrored)))
-
     # -- arithmetic (new objects; used by the descent loops) ---------------------
 
     def _combine(self, op, *others):

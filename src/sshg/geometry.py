@@ -63,16 +63,6 @@ class TorusGeometry:
         return (self.grid_n // 2 - 1) * TWO_PI / self.side_length
 
     @cached_property
-    def x1(self) -> np.ndarray:
-        j = np.arange(self.grid_n) * (self.side_length / self.grid_n)
-        return j[:, None] * np.ones((1, self.grid_n))
-
-    @cached_property
-    def x2(self) -> np.ndarray:
-        j = np.arange(self.grid_n) * (self.side_length / self.grid_n)
-        return np.ones((self.grid_n, 1)) * j[None, :]
-
-    @cached_property
     def k_int(self) -> np.ndarray:
         # integer FFT frequencies in numpy ordering: 0..n/2-1, -n/2..-1
         return np.fft.fftfreq(self.grid_n, d=1.0 / self.grid_n).astype(np.int64)

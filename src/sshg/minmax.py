@@ -22,7 +22,7 @@ import numpy as np
 from .action import (
     ActionParams,
     Variation,
-    el_residual,
+    el_residual_norms,
     evaluate_J,
     gradient_J,
     hess_vec,
@@ -36,11 +36,13 @@ from .errors import (
 from .fields import ScalarField, SpinorField
 from .krylov import minres
 from .nehari import (
+    MultiplierData,
     NehariPoint,
     constrained_gradient,
+    constrained_tangent,
     fiber_energy_bounds,
     fiber_solve,
-    lagrange_multiplier,
+    multiplier_solve,
     project_to_manifold,
 )
 from .spectral import (
@@ -166,9 +168,11 @@ class PSDiagnostics:
 
 @dataclass
 class SolutionRecord:
-    """A solution candidate; every field but `point` is reported, in this order."""
+    """A solution candidate; every field but `point` and `multiplier` is
+    reported, in this order."""
 
     point: NehariPoint
+    multiplier: MultiplierData     # the one multiplier solve at point
     classification: str            # trivial / semi_trivial_constant_u / nontrivial
     level: float
     res_u: float
@@ -201,13 +205,16 @@ def classify(u: ScalarField, psi: SpinorField) -> tuple[str, float]:
     return "nontrivial", var
 
 
-def make_record(point: NehariPoint, params: ActionParams, converged: bool,
-                refined: bool) -> SolutionRecord:
-    _, ru, rp = el_residual(point.u, point.psi, params)
+def make_record(point: NehariPoint, multiplier: MultiplierData, params: ActionParams,
+                converged: bool, refined: bool) -> SolutionRecord:
+    """The record of point from its multiplier solve: the Euler-Lagrange
+    residuals are read off the solve's Riesz gradient, the multiplier norm
+    off its multiplier."""
+    ru, rp = el_residual_norms(multiplier.gradient)
     cls, var = classify(point.u, point.psi)
-    mnorm = lagrange_multiplier(point, params).norm()
     return SolutionRecord(
         point=point,
+        multiplier=multiplier,
         level=evaluate_J(point.u, point.psi, params),
         res_u=ru,
         res_psi=rp,
@@ -215,7 +222,7 @@ def make_record(point: NehariPoint, params: ActionParams, converged: bool,
         u_variance=var,
         converged=converged,
         refined=refined,
-        multiplier_norm=mnorm,
+        multiplier_norm=multiplier.norm(),
         u_h1=h1_norm(point.u),
         psi_hhalf=hhalf_norm(point.psi),
     )
@@ -569,11 +576,13 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
         # any other exit: Newton from the max free node, not the one just stepped
         point = nodes[max_free()]
         converged = diags.exit == "grad_tol"
-        if constrained_gradient(point, params).norm <= HANDOFF_GRAD:
+        res = constrained_gradient(point, params)
+        if res.norm <= HANDOFF_GRAD:
             record = _accept_refined(_newton_trial(point, params), diags, params,
                                      converged=converged)
         if record is None:
-            record = make_record(point, params, converged=converged, refined=False)
+            record = make_record(point, res.multiplier, params, converged=converged,
+                                 refined=False)
     if not diags.consistent_lengths():
         raise CertificationError("PS diagnostic traces have unequal lengths")
     return record, diags
@@ -642,9 +651,9 @@ def newton_refine(candidate: NehariPoint, params: ActionParams,
     """Damped inexact Newton on the full Euler-Lagrange system via Hessian
     products.
 
-    Terminates when both residual dual norms are below NEWTON_TOL; divergence
-    (no damped decrease across 10 halvings) returns the candidate flagged
-    unrefined.  The record's `converged` is False: no descent ran here; it
+    Terminates when res_u + res_psi (`el_residual_norms`) is at most
+    NEWTON_TOL; divergence (no damped decrease across 10 halvings) returns
+    the candidate flagged unrefined.  The record's `converged` is False: no descent ran here; it
     carries the accepted steps, the MINRES iterations spent and the number of
     MINRES solves that stopped at the cap unconverged (their step is still
     tried).
@@ -662,9 +671,8 @@ def newton_refine(candidate: NehariPoint, params: ActionParams,
     steps = iters = capped = 0
     gvec, gnorm = _grad_vec(u, psi, params)
     for _ in range(NEWTON_MAX_STEPS):
-        # res_u + res_psi of `el_residual`, read off the Riesz gradient:
-        # res_u = -g_u / 2, res_psi = g_psi / 16 and ||f||_{H^-s} = ||R f||_{H^s}
-        res = 0.5 * h1_norm(gvec.du) + hhalf_norm(gvec.dpsi) / 16.0
+        res_u, res_psi = el_residual_norms(gvec)
+        res = res_u + res_psi
         if res <= NEWTON_TOL:
             refined = True
             break
@@ -700,7 +708,8 @@ def newton_refine(candidate: NehariPoint, params: ActionParams,
         steps += 1
 
     point = project_to_manifold(u, psi, params)
-    return replace(make_record(point, params, converged=False, refined=refined),
+    return replace(make_record(point, multiplier_solve(point, params), params,
+                               converged=False, refined=refined),
                    newton_steps=steps, minres_iters=iters, minres_capped=capped)
 
 
@@ -720,11 +729,13 @@ def _accept_refined(trial, diags: PSDiagnostics, params: ActionParams,
                     converged: bool):
     """The hand-off's acceptance test, written once: a Newton record that
     refined to a non-trivial solution is returned with the descent's
-    `converged` flag and ends the PS trace `diags`, so the final iterate
-    carries the converged residual levels; any other trial gives None."""
+    `converged` flag and ends the PS trace `diags` with the constrained
+    gradient of the record's own multiplier solve (no further solve), so
+    the final iterate carries the converged residual levels; any other
+    trial gives None."""
     if trial is None or not trial.refined or trial.classification == "trivial":
         return None
-    res = constrained_gradient(trial.point, params)
+    res = constrained_tangent(trial.point, params, trial.multiplier)
     diags.record(res, trial.level, trial.u_h1, trial.psi_hhalf)
     diags.repairs.append(True)
     return replace(trial, converged=converged)

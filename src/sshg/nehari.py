@@ -51,17 +51,6 @@ FIBER_MAXITER = 500
 FIBER_CERT = 1e-10   # bound on ||G(u, psi)||_{H^1/2} / max(||psi_free||_{H^1/2}, 1)
 
 
-def _hhalf_inner(a: SpinorField, b: SpinorField) -> float:
-    return sobolev_inner(a, b, "Hhalf_spinor")
-
-
-def constraint_G(u: ScalarField, psi: SpinorField, params: ActionParams) -> SpinorField:
-    """G(u, psi) = P^- (1+|D|)^{-1} (D - rho cosh u) psi, supported in the
-    negative spectral subspace: the dense form of `_fiber_map`."""
-    cosh_u = np.cosh(check_overflow(u))
-    return project(riesz_hhalf(dirac_minus_potential(psi, cosh_u, params.rho)), "minus")
-
-
 @dataclass
 class NehariPoint:
     """A pair (u, psi) certified to satisfy G = 0 within tolerance."""
@@ -79,10 +68,17 @@ class NehariPoint:
 
 @dataclass
 class MultiplierData:
-    """Negative-subspace Lagrange multiplier and the normal-equation residual."""
+    """One multiplier solve at a point: the Riesz pair of dJ there, the
+    solution w of the normal equations and their relative residual."""
 
-    varphi: SpinorField
+    gradient: Variation
+    w: SpinorField
     solve_residual: float
+
+    @property
+    def varphi(self) -> SpinorField:
+        """The negative-subspace Lagrange multiplier of the 16-normalized system."""
+        return (1.0 / 16.0) * self.w
 
     def norm(self) -> float:
         return hhalf_norm(self.varphi)
@@ -207,7 +203,7 @@ def fiber_energy_bounds(a, b, weights, params: ActionParams) -> np.ndarray:
 
 def _row_inner(geom, a: np.ndarray, b: np.ndarray) -> float:
     """The H^{1/2} pairing of two E^- vectors given by their a- rows."""
-    s = np.sum(sobolev_weight(geom, "Hhalf_spinor") * np.conj(a) * b)
+    s = np.sum(sobolev_weight(geom, SpinorField) * np.conj(a) * b)
     return float(geom.vol * s.real)
 
 
@@ -218,12 +214,13 @@ def _row_norm(geom, a: np.ndarray) -> float:
 def _fiber_map(geom, cosh_u: np.ndarray, rho: float):
     """The a- row of P^- (1+|D|)^{-1} (D - rho cosh u) psi as a linear map:
     G(u, psi) for a spinor psi, and the fiber operator A on an E^- vector
-    given by its a- row.  Its arithmetic is `constraint_G`'s, in the same
-    order, on the a- row alone, so the row is bitwise that map's."""
+    given by its a- row.  Its arithmetic is the dense map's on spinors
+    (D - rho cosh u, then the Riesz map, then P^-), in the same order, on
+    the a- row alone, so the row is bitwise that map's."""
     f = rho * cosh_u
     c = constant_value(f)
     mask = subspace_mask(geom, "minus", None)[1]
-    riesz = sobolev_weight(geom, "Hhalf_spinor")
+    riesz = sobolev_weight(geom, SpinorField)
 
     def apply(psi) -> np.ndarray:
         row = psi.eig[1] if isinstance(psi, SpinorField) else psi
@@ -311,12 +308,11 @@ def _dg_apply(point: NehariPoint, params: ActionParams, v: ScalarField, phi: Spi
     return project(riesz_hhalf(lin), "minus")
 
 
-def _normal_equation_solve(point: NehariPoint, params: ActionParams):
+def multiplier_solve(point: NehariPoint, params: ActionParams) -> MultiplierData:
     """Least-squares multiplier solve of the constrained criticality system.
 
     Solves the normal equations (dG dG^*) w = dG[Riesz dJ] on the negative
-    subspace (SPD Gram operator); the multiplier of the 16-normalized system
-    is varphi = w / 16.  Returns (the Riesz pair of dJ, w, SolveInfo).
+    subspace (SPD Gram operator).
     """
     g = gradient_J(point.u, point.psi, params).riesz()
     rhs = _dg_apply(point, params, g.du, g.dpsi)
@@ -327,14 +323,8 @@ def _normal_equation_solve(point: NehariPoint, params: ActionParams):
         return _dg_apply(point, params, du, dpsi)
 
     atol = 1e-14 * max(scale, 1.0)
-    w, info = cg(gram, rhs, _hhalf_inner, tol=1e-12, maxiter=FIBER_MAXITER, atol=atol)
-    return g, w, info
-
-
-def lagrange_multiplier(point: NehariPoint, params: ActionParams) -> MultiplierData:
-    """Least-squares multiplier varphi of the constrained criticality system."""
-    _, w, info = _normal_equation_solve(point, params)
-    return MultiplierData(varphi=(1.0 / 16.0) * w, solve_residual=info.relative_residual)
+    w, info = cg(gram, rhs, sobolev_inner, tol=1e-12, maxiter=FIBER_MAXITER, atol=atol)
+    return MultiplierData(gradient=g, w=w, solve_residual=info.relative_residual)
 
 
 @dataclass
@@ -348,16 +338,18 @@ class TangentResult:
     multiplier: MultiplierData
 
 
-def constrained_gradient(point: NehariPoint, params: ActionParams) -> TangentResult:
-    """Riesz representative of dJ restricted to ker dG, plus PS residual data.
+def constrained_tangent(point: NehariPoint, params: ActionParams,
+                        multiplier: MultiplierData) -> TangentResult:
+    """The constrained gradient at point from its multiplier solve, with no
+    further solve.
 
     The tangent t = R(dJ - dG^* w) is the Riesz image of the residuals of
     the multiplier system, alpha = (dJ - dG^* w)_u and
     beta = (dJ - dG^* w)_psi / 16, so (||f||_{H^-s} = ||R f||_{H^s})
     alpha_norm = ||t_u||_{H^1} and beta_norm = ||t_psi||_{H^1/2} / 16.
     """
-    g, w, info = _normal_equation_solve(point, params)
-    wdu, wdpsi = _dg_adjoint(point, params, w)
+    g = multiplier.gradient
+    wdu, wdpsi = _dg_adjoint(point, params, multiplier.w)
     t_u = g.du - wdu
     t_psi = g.dpsi - wdpsi
     return TangentResult(
@@ -365,26 +357,11 @@ def constrained_gradient(point: NehariPoint, params: ActionParams) -> TangentRes
         norm=product_norm(t_u, t_psi),
         alpha_norm=h1_norm(t_u),
         beta_norm=hhalf_norm(t_psi) / 16.0,
-        multiplier=MultiplierData(varphi=(1.0 / 16.0) * w, solve_residual=info.relative_residual),
+        multiplier=multiplier,
     )
 
 
-def fiber_rayleigh_margin(u: ScalarField, params: ActionParams, rng, n_samples: int = 50) -> float:
-    """Most positive Rayleigh quotient of A over random negative directions.
-
-    Every quotient is at most -c, c = `fiber_coercivity` at min cosh u
-    (which implies the weaker -min(lambda_1/(1+lambda_1), rho)); returns the
-    max over samples.
-    """
-    geom = u.geom
-    uv = check_overflow(u)
-    g_map = _fiber_map(geom, np.cosh(uv), params.rho)
-    worst = -np.inf
-    n = geom.grid_n
-    for _ in range(n_samples):
-        c = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
-        c *= (1.0 + geom.s_abs) ** -1.0
-        phi = project(SpinorField.from_coeffs(geom, c), "minus").eig[1]
-        quot = _row_inner(geom, g_map(phi), phi) / _row_inner(geom, phi, phi)
-        worst = max(worst, quot)
-    return float(worst)
+def constrained_gradient(point: NehariPoint, params: ActionParams) -> TangentResult:
+    """Riesz representative of dJ restricted to ker dG, plus PS residual
+    data: `constrained_tangent` of the multiplier solve at point."""
+    return constrained_tangent(point, params, multiplier_solve(point, params))

@@ -189,7 +189,8 @@ def write_json_atomic(obj, path: str) -> str:
 
 
 def _record_summary(rec) -> dict:
-    return {f.name: getattr(rec, f.name) for f in fields(rec) if f.name != "point"}
+    return {f.name: getattr(rec, f.name) for f in fields(rec)
+            if f.name not in ("point", "multiplier")}
 
 
 def _diag_summary(diags) -> dict:

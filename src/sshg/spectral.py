@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, IllPosedError, ResolutionError, SpectralGapError
+from .errors import ConfigError, ResolutionError, SpectralGapError
 from .fields import ScalarField, SpinorField
 from .geometry import TorusGeometry
 
@@ -39,20 +39,6 @@ def laplace_apply(u: ScalarField) -> ScalarField:
     return ScalarField(g, coeffs=-g.xi_sq * u.coeffs)
 
 
-def abs_dirac_apply(psi: SpinorField, s: float) -> SpinorField:
-    """|D|^s as the scalar multiplier |xi|^s; harmonic block annihilated."""
-    g = psi.geom
-    lam = g.s_abs
-    nz = lam > 0
-    if s < 0:
-        zero_mass = np.abs(psi.eig[:, ~nz]).max(initial=0.0)
-        scale = np.abs(psi.eig).max(initial=0.0)
-        if zero_mass > 1e-14 * max(scale, 1e-300):
-            raise IllPosedError("|D|^s with s < 0 is undefined on the harmonic block")
-    mult = np.where(nz, np.where(nz, lam, 1.0) ** s, 0.0)
-    return SpinorField(g, eig=psi.eig * mult)
-
-
 def omega_mult(psi: SpinorField) -> SpinorField:
     """Clifford action of the volume element, (c1, c2) -> (-c2, c1); it maps the
     +|xi| eigenvector to the -|xi| one, so it is the same swap on (a+, a-)."""
@@ -61,15 +47,6 @@ def omega_mult(psi: SpinorField) -> SpinorField:
     out[0] = -a[1]
     out[1] = a[0]
     return SpinorField(psi.geom, eig=out)
-
-
-def quaternion_j(psi: SpinorField) -> SpinorField:
-    """D-commuting almost-complex structure: omega composed with conjugation."""
-    v = np.conj(psi.values)
-    out = np.empty_like(v)
-    out[0] = -v[1]
-    out[1] = v[0]
-    return SpinorField.from_values(psi.geom, out)
 
 
 # ---------------------------------------------------------------------------
@@ -86,90 +63,51 @@ def l2_inner(a, b) -> float:
     return float(g.vol * s.real)
 
 
-def grid_l2_inner(a, b) -> float:
-    """Real L^2 pairing by grid quadrature (independent of the spectral path)."""
-    g = a.geom
-    if isinstance(a, SpinorField):
-        s = np.sum(np.conj(a.values) * b.values)
-    else:
-        s = np.sum(a.values * b.values)
-    return float(g.quad_weight * np.real(s))
-
-
-_SCALAR_SPACES = ("H1_scalar", "Hminus1_scalar")
-_SPINOR_SPACES = ("Hhalf_spinor", "Hminus_half_spinor")
-
-
 @lru_cache(maxsize=64)
-def sobolev_weight(geom: TorusGeometry, space: str) -> np.ndarray:
-    """The read-only per-mode multiplier of a Sobolev pairing: H1: 1+|xi|^2,
-    H^-1: its inverse, H^{1/2}: 1+|xi|, H^{-1/2}: its inverse."""
-    if space in _SCALAR_SPACES:
-        mult = 1.0 + geom.xi_sq
-    elif space in _SPINOR_SPACES:
-        mult = 1.0 + geom.s_abs
-    else:
-        raise ConfigError(f"unknown Sobolev space tag {space!r}")
-    if space in ("Hminus1_scalar", "Hminus_half_spinor"):
-        mult = 1.0 / mult
+def sobolev_weight(geom: TorusGeometry, field_type: type) -> np.ndarray:
+    """The read-only per-mode multiplier of the Sobolev pairing of a field
+    type: 1+|xi|^2 for a ScalarField (H^1), 1+|xi| for a SpinorField (H^{1/2})."""
+    mult = 1.0 + (geom.xi_sq if field_type is ScalarField else geom.s_abs)
     mult.flags.writeable = False
     return mult
 
 
-def sobolev_inner(a, b, space: str) -> float:
-    """Sobolev pairings via the diagonal multipliers of `sobolev_weight`.
-    The H^{-s} forms are the dual norms of L^2-represented functionals.
-    """
+def sobolev_inner(a, b) -> float:
+    """The H^1 pairing of two scalar fields, or the H^{1/2} pairing of two
+    spinors, via the diagonal multipliers of `sobolev_weight`."""
     g = a.geom
-    mult = sobolev_weight(g, space)
-    if space in _SCALAR_SPACES:
-        if not isinstance(a, ScalarField) or not isinstance(b, ScalarField):
-            raise ConfigError(f"space {space} expects scalar fields")
+    mult = sobolev_weight(g, type(a))
+    if isinstance(a, ScalarField):
         s = np.sum(mult * np.conj(a.coeffs) * b.coeffs)
     else:
-        if not isinstance(a, SpinorField) or not isinstance(b, SpinorField):
-            raise ConfigError(f"space {space} expects spinor fields")
         s = np.sum(mult[None, :, :] * np.conj(a.eig) * b.eig)
     return float(g.vol * s.real)
 
 
 def h1_norm(u: ScalarField) -> float:
-    return np.sqrt(max(sobolev_inner(u, u, "H1_scalar"), 0.0))
+    return np.sqrt(max(sobolev_inner(u, u), 0.0))
 
 
 def hhalf_norm(psi: SpinorField) -> float:
-    return np.sqrt(max(sobolev_inner(psi, psi, "Hhalf_spinor"), 0.0))
+    return np.sqrt(max(sobolev_inner(psi, psi), 0.0))
 
 
 def product_norm(u: ScalarField, psi: SpinorField) -> float:
     """Norm of the pair (u, psi) in the product metric H^1 x H^{1/2}."""
-    return float(np.sqrt(max(
-        sobolev_inner(u, u, "H1_scalar") + sobolev_inner(psi, psi, "Hhalf_spinor"), 0.0)))
-
-
-def hminus1_norm(u: ScalarField) -> float:
-    return np.sqrt(max(sobolev_inner(u, u, "Hminus1_scalar"), 0.0))
-
-
-def hminushalf_norm(psi: SpinorField) -> float:
-    return np.sqrt(max(sobolev_inner(psi, psi, "Hminus_half_spinor"), 0.0))
-
-
-def l2_norm(a) -> float:
-    return np.sqrt(max(l2_inner(a, a), 0.0))
+    return float(np.sqrt(max(sobolev_inner(u, u) + sobolev_inner(psi, psi), 0.0)))
 
 
 def riesz_h1(u_dual: ScalarField) -> ScalarField:
     """Riesz representative in H^1 of an L^2-represented functional."""
     g = u_dual.geom
-    return ScalarField(g, coeffs=u_dual.coeffs / sobolev_weight(g, "H1_scalar"))
+    return ScalarField(g, coeffs=u_dual.coeffs / sobolev_weight(g, ScalarField))
 
 
 def riesz_hhalf(psi_dual: SpinorField) -> SpinorField:
     """Riesz representative in H^{1/2} of an L^2-represented functional:
     (1+|D|)^{-1} as the scalar multiplier (1+|xi|)^{-1}."""
     g = psi_dual.geom
-    return SpinorField(g, eig=psi_dual.eig / sobolev_weight(g, "Hhalf_spinor")[None, :, :])
+    return SpinorField(g, eig=psi_dual.eig / sobolev_weight(g, SpinorField)[None, :, :])
 
 
 # ---------------------------------------------------------------------------

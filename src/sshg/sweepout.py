@@ -38,7 +38,7 @@ from .minmax import (
     positive_frozen_nodes,
     straight_path,
 )
-from .nehari import NehariPoint, fiber_solve, project_to_manifold
+from .nehari import NehariPoint, fiber_solve, multiplier_solve, project_to_manifold
 from .spectral import h1_norm, hhalf_norm, project, sobolev_inner
 
 N_THETA_CHECK = 64  # theta samples on which a sweepout is certified
@@ -364,14 +364,14 @@ def orthogonal_restart(u1: ScalarField, family: EquivariantFamily,
     that Newton refined inside {<u, u1>_{H1} = 0} is returned as it is.
     """
     geom = basis.geom
-    u1_sq = sobolev_inner(u1, u1, "H1_scalar")
+    u1_sq = sobolev_inner(u1, u1)
     if u1_sq <= 0:
         raise ConfigError("orthogonal restart needs a nonzero first solution")
 
     def pairing(theta: float) -> float:
         u_th = ScalarField.from_values(
             geom, family.chi.evaluate(float(theta), geom) * family.u_bar)
-        return sobolev_inner(u1, u_th, "H1_scalar")
+        return sobolev_inner(u1, u_th)
 
     thetas = family.theta_grid
     vals = np.array([pairing(th) for th in thetas])
@@ -400,7 +400,7 @@ def orthogonal_restart(u1: ScalarField, family: EquivariantFamily,
         theta0 = 0.5 * (lo + hi)
 
     def orthogonalize(u: ScalarField) -> ScalarField:
-        coef = sobolev_inner(u, u1, "H1_scalar") / u1_sq
+        coef = sobolev_inner(u, u1) / u1_sq
         return u - coef * u1
 
     u_t0 = orthogonalize(ScalarField.from_values(
@@ -419,11 +419,12 @@ def orthogonal_restart(u1: ScalarField, family: EquivariantFamily,
                                   tangent_filter=tangent_filter)
     # orthogonality certificate on the returned record; a refined record
     # that passes it as returned is kept, any other is re-projected first
-    ortho = abs(sobolev_inner(record.point.u, u1, "H1_scalar"))
+    ortho = abs(sobolev_inner(record.point.u, u1))
     if not record.refined or ortho > 1e-8:
         point = project_to_manifold(orthogonalize(record.point.u), record.point.psi, params)
-        record = make_record(point, params, converged=record.converged, refined=False)
-        ortho = abs(sobolev_inner(point.u, u1, "H1_scalar"))
+        record = make_record(point, multiplier_solve(point, params), params,
+                             converged=record.converged, refined=False)
+        ortho = abs(sobolev_inner(point.u, u1))
     if ortho > 1e-8:
         raise CertificationError(f"restart orthogonality defect {ortho:.3e} > 1e-8")
     return record, diags
@@ -438,7 +439,7 @@ def records_distinct(r1: SolutionRecord, r2: SolutionRecord) -> bool:
     scalar components are H^1-orthogonal with both records nonzero."""
     if abs(r1.level - r2.level) > DISTINCT_LEVEL_TOL:
         return True
-    inner = abs(sobolev_inner(r1.point.u, r2.point.u, "H1_scalar"))
+    inner = abs(sobolev_inner(r1.point.u, r2.point.u))
     nonzero1 = h1_norm(r1.point.u) + hhalf_norm(r1.point.psi) > 1e-8
     nonzero2 = h1_norm(r2.point.u) + hhalf_norm(r2.point.psi) > 1e-8
     return bool(inner <= DISTINCT_ORTHO_TOL and nonzero1 and nonzero2)

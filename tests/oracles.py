@@ -1,0 +1,234 @@
+"""Reference oracles that only the tests read.
+
+Each is an independent route to a quantity the package computes another
+way (grid quadrature against Parseval, H^{-s} dual norms against Riesz
+norms, the dense constraint against its a- row), or a helper the tests
+need and the package does not: grid coordinates, |D|^s, the quaternionic
+structure, Hermitian symmetry, the reader of the checkpoints that
+`checkpoint_save` and `save_point` write.
+"""
+
+import struct
+
+import numpy as np
+
+from sshg.action import Variation, check_overflow, dirac_minus_potential
+from sshg.checkpoint import MAGIC, VERSION
+from sshg.errors import CheckpointFormatError, ConfigError, SSHGError
+from sshg.fields import ScalarField, SpinorField
+from sshg.geometry import TorusGeometry
+from sshg.nehari import NehariPoint, _fiber_map, _row_inner
+from sshg.spectral import l2_inner, project, riesz_hhalf
+
+
+class IllPosedError(SSHGError):
+    """Operator application is undefined for the given arguments."""
+
+
+# ---------------------------------------------------------------------------
+# grids and fields
+# ---------------------------------------------------------------------------
+
+def grid_x1(geom) -> np.ndarray:
+    """The first grid coordinate, (n, n)."""
+    j = np.arange(geom.grid_n) * (geom.side_length / geom.grid_n)
+    return j[:, None] * np.ones((1, geom.grid_n))
+
+
+def grid_x2(geom) -> np.ndarray:
+    """The second grid coordinate, (n, n)."""
+    j = np.arange(geom.grid_n) * (geom.side_length / geom.grid_n)
+    return np.ones((geom.grid_n, 1)) * j[None, :]
+
+
+def hermitian_defect(u: ScalarField) -> float:
+    """Max deviation of the coefficients of u from Hermitian symmetry."""
+    c = u.coeffs
+    mirrored = np.conj(np.roll(np.flip(c, axis=(0, 1)), shift=(1, 1), axis=(0, 1)))
+    return float(np.max(np.abs(c - mirrored)))
+
+
+# ---------------------------------------------------------------------------
+# operators
+# ---------------------------------------------------------------------------
+
+def abs_dirac_apply(psi: SpinorField, s: float) -> SpinorField:
+    """|D|^s as the scalar multiplier |xi|^s; harmonic block annihilated."""
+    g = psi.geom
+    lam = g.s_abs
+    nz = lam > 0
+    if s < 0:
+        zero_mass = np.abs(psi.eig[:, ~nz]).max(initial=0.0)
+        scale = np.abs(psi.eig).max(initial=0.0)
+        if zero_mass > 1e-14 * max(scale, 1e-300):
+            raise IllPosedError("|D|^s with s < 0 is undefined on the harmonic block")
+    mult = np.where(nz, np.where(nz, lam, 1.0) ** s, 0.0)
+    return SpinorField(g, eig=psi.eig * mult)
+
+
+def quaternion_j(psi: SpinorField) -> SpinorField:
+    """D-commuting almost-complex structure: omega composed with conjugation."""
+    v = np.conj(psi.values)
+    out = np.empty_like(v)
+    out[0] = -v[1]
+    out[1] = v[0]
+    return SpinorField.from_values(psi.geom, out)
+
+
+# ---------------------------------------------------------------------------
+# pairings and norms
+# ---------------------------------------------------------------------------
+
+def grid_l2_inner(a, b) -> float:
+    """Real L^2 pairing by grid quadrature (independent of the spectral path)."""
+    g = a.geom
+    if isinstance(a, SpinorField):
+        s = np.sum(np.conj(a.values) * b.values)
+    else:
+        s = np.sum(a.values * b.values)
+    return float(g.quad_weight * np.real(s))
+
+
+def l2_norm(a) -> float:
+    return np.sqrt(max(l2_inner(a, a), 0.0))
+
+
+def dual_pair(var: Variation, v: ScalarField, phi: SpinorField) -> float:
+    """Dual pairing of dual-tagged data against a test direction (v, phi)."""
+    if var.u_space != "H-1" or var.psi_space != "H-1/2":
+        raise ConfigError("dual_pair() expects dual-tagged data")
+    return l2_inner(var.du, v) + l2_inner(var.dpsi, phi)
+
+
+def hminus1_norm(u: ScalarField) -> float:
+    """The H^{-1} dual norm of an L^2-represented functional: the inverse
+    weight 1/(1+|xi|^2) on the coefficients."""
+    g = u.geom
+    s = np.sum((1.0 / (1.0 + g.xi_sq)) * np.conj(u.coeffs) * u.coeffs)
+    return np.sqrt(max(float(g.vol * s.real), 0.0))
+
+
+def hminushalf_norm(psi: SpinorField) -> float:
+    """The H^{-1/2} dual norm of an L^2-represented functional: the inverse
+    weight 1/(1+|xi|) on the eigen-coordinates."""
+    g = psi.geom
+    s = np.sum((1.0 / (1.0 + g.s_abs))[None, :, :] * np.conj(psi.eig) * psi.eig)
+    return np.sqrt(max(float(g.vol * s.real), 0.0))
+
+
+# ---------------------------------------------------------------------------
+# the constraint
+# ---------------------------------------------------------------------------
+
+def constraint_G(u: ScalarField, psi: SpinorField, params) -> SpinorField:
+    """G(u, psi) = P^- (1+|D|)^{-1} (D - rho cosh u) psi, supported in the
+    negative spectral subspace: the dense form of `nehari._fiber_map`."""
+    cosh_u = np.cosh(check_overflow(u))
+    return project(riesz_hhalf(dirac_minus_potential(psi, cosh_u, params.rho)), "minus")
+
+
+def fiber_rayleigh_margin(u: ScalarField, params, rng, n_samples: int = 50) -> float:
+    """Most positive Rayleigh quotient of A over random negative directions.
+
+    Every quotient is at most -c, c = `fiber_coercivity` at min cosh u
+    (which implies the weaker -min(lambda_1/(1+lambda_1), rho)); returns the
+    max over samples.
+    """
+    geom = u.geom
+    uv = check_overflow(u)
+    g_map = _fiber_map(geom, np.cosh(uv), params.rho)
+    worst = -np.inf
+    n = geom.grid_n
+    for _ in range(n_samples):
+        c = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+        c *= (1.0 + geom.s_abs) ** -1.0
+        phi = project(SpinorField.from_coeffs(geom, c), "minus").eig[1]
+        quot = _row_inner(geom, g_map(phi), phi) / _row_inner(geom, phi, phi)
+        worst = max(worst, quot)
+    return float(worst)
+
+
+# ---------------------------------------------------------------------------
+# checkpoints
+# ---------------------------------------------------------------------------
+
+class _Reader:
+    def __init__(self, blob: bytes):
+        self.blob = blob
+        self.off = 0
+
+    def take(self, n: int) -> bytes:
+        if self.off + n > len(self.blob):
+            raise CheckpointFormatError("truncated checkpoint file")
+        out = self.blob[self.off:self.off + n]
+        self.off += n
+        return out
+
+    def unpack(self, fmt: str):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+
+def checkpoint_load(path: str, geom=None):
+    """Read a checkpoint; returns (state dict, TorusGeometry).
+
+    If `geom` is given, the stored geometry must match it exactly (grid
+    compatibility check).
+    """
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    r = _Reader(blob)
+    if r.take(len(MAGIC)) != MAGIC:
+        raise CheckpointFormatError("bad magic: not an SSHG checkpoint")
+    (version,) = r.unpack("<B")
+    if version != VERSION:
+        raise CheckpointFormatError(f"unsupported checkpoint version {version}")
+    side_length, grid_n = r.unpack("<dI")
+    d1, d2 = r.unpack("<BB")
+    stored_geom = TorusGeometry(grid_n=int(grid_n), side_length=float(side_length),
+                                spin_delta=(d1 / 2.0, d2 / 2.0))
+    if geom is not None and (geom.grid_n != stored_geom.grid_n
+                             or geom.side_length != stored_geom.side_length
+                             or geom.spin_delta != stored_geom.spin_delta):
+        raise CheckpointFormatError(
+            f"checkpoint geometry (grid {stored_geom.grid_n}, L={stored_geom.side_length:g}, "
+            f"delta={stored_geom.spin_delta}) does not match the requested geometry"
+        )
+
+    (nfields,) = r.unpack("<I")
+    state = {}
+    for _ in range(nfields):
+        (name_len,) = r.unpack("<B")
+        name = r.take(name_len).decode("ascii")
+        kind, ndim = r.unpack("<BB")
+        if kind == 3:
+            (val,) = r.unpack("<d")
+            state[name] = float(val)
+            continue
+        dims = tuple(r.unpack("<I")[0] for _ in range(ndim))
+        count = int(np.prod(dims)) if dims else 1
+        if kind == 1:
+            data = np.frombuffer(r.take(8 * count), dtype="<f8").reshape(dims)
+            state[name] = data.copy()
+        elif kind == 2:
+            raw = np.frombuffer(r.take(16 * count), dtype="<f8").reshape(dims + (2,))
+            state[name] = (raw[..., 0] + 1j * raw[..., 1]).reshape(dims)
+        else:
+            raise CheckpointFormatError(f"unknown field kind {kind}")
+    if r.off != len(blob):
+        raise CheckpointFormatError("trailing bytes after the last field")
+    return state, stored_geom
+
+
+def load_point(path: str, geom=None):
+    """Inverse of `save_point`; returns (NehariPoint, rho, extras).  A point
+    field that is missing or holds NaN/Inf is refused."""
+    state, stored_geom = checkpoint_load(path, geom)
+    for name in ("u_values", "psi_coeffs", "rho", "constraint_norm"):
+        if name not in state or not np.all(np.isfinite(state[name])):
+            raise CheckpointFormatError(f"checkpoint field {name!r} is missing or not finite")
+    u = ScalarField.from_values(stored_geom, state.pop("u_values"))
+    psi = SpinorField.from_coeffs(stored_geom, state.pop("psi_coeffs"))
+    rho = state.pop("rho")
+    cert = state.pop("constraint_norm")
+    point = NehariPoint(u=u, psi=psi, constraint_norm=float(cert))
+    return point, float(rho), state

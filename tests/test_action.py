@@ -6,7 +6,7 @@ import pytest
 from sshg.action import (
     ActionParams,
     Variation,
-    el_residual,
+    el_residual_norms,
     evaluate_J,
     gradient_J,
     hess_vec,
@@ -18,11 +18,10 @@ from sshg.spectral import (
     build_basis,
     dirac_apply,
     hhalf_norm,
-    hminus1_norm,
-    hminushalf_norm,
     laplace_apply,
-    quaternion_j,
 )
+
+from oracles import dual_pair, grid_x1, grid_x2, hminus1_norm, hminushalf_norm, quaternion_j
 
 from test_spectral import random_scalar, random_spinor
 
@@ -81,11 +80,11 @@ def test_gradient_zero_at_critical_points():
     basis = build_basis(geom, cutoff=2.0)
     params = ActionParams(rho=0.5)
     g = gradient_J(ScalarField.zeros(geom), SpinorField.zeros(geom), params)
-    assert g.dual_norms() == (0.0, 0.0)
+    assert (hminus1_norm(g.du), hminushalf_norm(g.dpsi)) == (0.0, 0.0)
     # semi-trivial branch: u = 0, psi an eigenspinor, rho = lambda_k
     lam1 = basis.eigenvalue(1)
     g = gradient_J(ScalarField.zeros(geom), basis.eigenspinor(1), ActionParams(rho=lam1))
-    nu, npsi = g.dual_norms()
+    nu, npsi = hminus1_norm(g.du), hminushalf_norm(g.dpsi)
     assert nu < 1e-12 and npsi < 1e-12
 
 
@@ -97,7 +96,7 @@ def test_gradient_matches_finite_differences():
         u, psi = smooth_pair(geom, rng)
         v, phi = smooth_pair(geom, rng)
         g = gradient_J(u, psi, params)
-        pairing = g.pair(v, phi)
+        pairing = dual_pair(g, v, phi)
         best = np.inf
         for h in (1e-3, 1e-4, 1e-5):
             jp = evaluate_J(u + h * v, psi + h * phi, params)
@@ -107,6 +106,11 @@ def test_gradient_matches_finite_differences():
         assert best <= 1e-6
 
 
+def el_norms(u, psi, params):
+    """(res_u, res_psi) as records and Newton read them off the Riesz gradient."""
+    return el_residual_norms(gradient_J(u, psi, params).riesz())
+
+
 def test_el_residual_semi_trivial_and_coefficient_oracle():
     geom = TorusGeometry(grid_n=16, spin_delta=(0.5, 0.5))
     basis = build_basis(geom, cutoff=2.0)
@@ -114,16 +118,16 @@ def test_el_residual_semi_trivial_and_coefficient_oracle():
     zero_u = ScalarField.zeros(geom)
     psi1 = basis.eigenspinor(1)
 
-    var, nu, npsi = el_residual(zero_u, SpinorField.zeros(geom), ActionParams(rho=0.3))
+    nu, npsi = el_norms(zero_u, SpinorField.zeros(geom), ActionParams(rho=0.3))
     assert nu == 0.0 and npsi == 0.0
 
-    var, nu, npsi = el_residual(zero_u, psi1, ActionParams(rho=lam1))
+    nu, npsi = el_norms(zero_u, psi1, ActionParams(rho=lam1))
     assert nu < 1e-10 and npsi < 1e-10
 
     # coefficient-level oracle at rho = lam1/2: residual is (lam1-rho) Psi_1,
     # whose dual multiplier norm is |lam1-rho| / sqrt(1+lam1)
     rho = lam1 / 2.0
-    var, nu, npsi = el_residual(zero_u, psi1, ActionParams(rho=rho))
+    nu, npsi = el_norms(zero_u, psi1, ActionParams(rho=rho))
     want = abs(lam1 - rho) / np.sqrt(1.0 + lam1)
     assert npsi == pytest.approx(want, rel=1e-12)
     assert nu < 1e-14
@@ -132,7 +136,8 @@ def test_el_residual_semi_trivial_and_coefficient_oracle():
 def test_el_residual_matches_the_pointwise_system():
     # the Euler-Lagrange system written out on the grid at a non-constant u:
     # res_u = Lap u - 2 rho^2 sinh(2u) + 4 rho sinh(u) |psi|^2 and
-    # res_psi = (D - rho cosh u) psi
+    # res_psi = (D - rho cosh u) psi, against the first variation scaled by
+    # (-1/2, 1/16) and the norms read off its Riesz gradient
     geom = TorusGeometry(grid_n=16, spin_delta=(0.5, 0.5))
     params = ActionParams(rho=0.8)
     rng = np.random.default_rng(11)
@@ -143,7 +148,9 @@ def test_el_residual_matches_the_pointwise_system():
         want_u = laplace_apply(u) + ScalarField.from_values(
             geom, -2.0 * rho * rho * np.sinh(2.0 * uv) + 4.0 * rho * np.sinh(uv) * psi.density())
         want_psi = dirac_apply(psi) - psi.times(rho * np.cosh(uv))
-        var, nu, npsi = el_residual(u, psi, params)
+        g = gradient_J(u, psi, params)
+        var = Variation(-0.5 * g.du, (1.0 / 16.0) * g.dpsi)
+        nu, npsi = el_residual_norms(g.riesz())
         scale_u = hminus1_norm(laplace_apply(u)) + hminus1_norm(
             ScalarField.from_values(geom, 2.0 * rho * rho * np.sinh(2.0 * uv)))
         scale_psi = hminushalf_norm(dirac_apply(psi))
@@ -174,8 +181,8 @@ def test_hessian_at_origin_and_symmetry():
         b_u, b_psi = smooth_pair(geom, rng)
         da = Variation(a_u, a_psi, u_space="H1", psi_space="H1/2")
         db = Variation(b_u, b_psi, u_space="H1", psi_space="H1/2")
-        hab = hess_vec(u, psi, da, params).pair(b_u, b_psi)
-        hba = hess_vec(u, psi, db, params).pair(a_u, a_psi)
+        hab = dual_pair(hess_vec(u, psi, da, params), b_u, b_psi)
+        hba = dual_pair(hess_vec(u, psi, db, params), a_u, a_psi)
         assert abs(hab - hba) <= 1e-9 * (1.0 + abs(hab))
 
 
@@ -187,11 +194,11 @@ def test_hessian_matches_gradient_differences():
     d_u, d_psi = smooth_pair(geom, rng)
     t_u, t_psi = smooth_pair(geom, rng)
     d = Variation(d_u, d_psi, u_space="H1", psi_space="H1/2")
-    hv = hess_vec(u, psi, d, params).pair(t_u, t_psi)
+    hv = dual_pair(hess_vec(u, psi, d, params), t_u, t_psi)
     best = np.inf
     for h in (1e-4, 1e-5):
-        gp = gradient_J(u + h * d_u, psi + h * d_psi, params).pair(t_u, t_psi)
-        gm = gradient_J(u - h * d_u, psi - h * d_psi, params).pair(t_u, t_psi)
+        gp = dual_pair(gradient_J(u + h * d_u, psi + h * d_psi, params), t_u, t_psi)
+        gm = dual_pair(gradient_J(u - h * d_u, psi - h * d_psi, params), t_u, t_psi)
         fd = (gp - gm) / (2.0 * h)
         best = min(best, abs(fd - hv) / max(abs(hv), 1e-10))
     assert best <= 1e-5
@@ -225,7 +232,7 @@ def test_resolution_robustness():
     params = ActionParams(rho=0.5)
 
     def build(geom):
-        u_vals = 0.35 * np.cos(geom.x1) * np.sin(2 * geom.x2)
+        u_vals = 0.35 * np.cos(grid_x1(geom)) * np.sin(2 * grid_x2(geom))
         u = ScalarField.from_values(geom, u_vals)
         c = np.zeros((2, geom.grid_n, geom.grid_n), dtype=complex)
         for (k1, k2, a) in ((0, 0, 0.5 + 0.2j), (1, 0, 0.3), (0, -2, 0.15j), (-1, 1, 0.1)):

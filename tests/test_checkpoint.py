@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from sshg.action import ActionParams
-from sshg.checkpoint import checkpoint_load, checkpoint_save, load_point, save_point
+from sshg.checkpoint import checkpoint_save, save_point
 from sshg.errors import CheckpointFormatError
 from sshg.fields import ScalarField
 from sshg.geometry import TorusGeometry
 from sshg.nehari import fiber_solve
 from sshg.spectral import build_basis
+
+from oracles import checkpoint_load, load_point
 
 
 def test_roundtrip_bit_exact(tmp_path):

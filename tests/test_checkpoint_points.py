@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from sshg.action import ActionParams
-from sshg.checkpoint import checkpoint_save, load_point, save_point
+from sshg.checkpoint import checkpoint_save, save_point
 from sshg.errors import CheckpointFormatError
 from sshg.fields import ScalarField
 from sshg.geometry import TorusGeometry
 from sshg.nehari import fiber_solve
 from sshg.spectral import project
+
+from oracles import grid_x1, load_point
 
 from test_spectral import ALL_DELTAS, random_spinor
 
@@ -22,7 +24,7 @@ def test_resave_is_byte_identical(tmp_path, delta):
     geom = TorusGeometry(grid_n=16, spin_delta=delta)
     psi = random_spinor(geom, np.random.default_rng(3), decay=2.0)
     params = ActionParams(rho=0.3)
-    u = ScalarField.from_values(geom, 0.3 * np.cos(geom.x1) + 0.1)
+    u = ScalarField.from_values(geom, 0.3 * np.cos(grid_x1(geom)) + 0.1)
     pt = fiber_solve(u, psi - project(psi, "minus"), params)
     first, second = tmp_path / "a.sshg", tmp_path / "b.sshg"
     save_point(pt, params, str(first))

@@ -1,6 +1,7 @@
 """Source hygiene: invariants are never asserts, broad handlers never swallow,
 nothing is imported unused, no local is assigned unread, no config key and
-no dataclass field goes unread, and nothing reads the environment.
+no dataclass field goes unread, nothing reads the environment, and every
+module-level function and class is read outside the tests.
 
 `python -O` strips assert statements, so every certificate must raise an
 SSHGError instead.  A handler for Exception, BaseException or a bare except
@@ -9,6 +10,7 @@ may only clean up and re-raise.
 
 import ast
 import pathlib
+import tomllib
 
 from sshg.runner import _DEFAULTS
 
@@ -183,3 +185,29 @@ def test_ffts_are_called_only_in_fields():
            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
            and node.func.attr in names]
     assert not bad, "FFT calls outside fields.py:\n" + "\n".join(bad)
+
+
+def _entry_point_names() -> set:
+    """The attribute names of the console scripts in pyproject.toml."""
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"].get("scripts", {})
+    return {target.rpartition(":")[2] for target in scripts.values()}
+
+
+def test_every_module_level_definition_is_read_outside_tests():
+    # a function or class that only tests read is an oracle, and oracles
+    # live in tests/; the perfbench tracer resolves names from strings
+    read = _entry_point_names()
+    for folder in (SRC, ROOT / "perfbench"):
+        for path in folder.glob("*.py"):
+            for n in ast.walk(ast.parse(path.read_text())):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                    read.add(n.id)
+                elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                    read.add(n.attr)
+                elif folder != SRC and isinstance(n, ast.Constant) and isinstance(n.value, str):
+                    read.add(n.value)
+    unread = [f"{path.name}:{node.lineno}: {node.name}"
+              for path, tree in _trees() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in read]
+    assert not unread, "definitions only tests read:\n" + "\n".join(unread)

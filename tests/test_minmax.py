@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import sshg.minmax
-from sshg.action import ActionParams, Variation, el_residual, evaluate_J
+from sshg.action import ActionParams, Variation, el_residual_norms, evaluate_J, gradient_J
 from sshg.errors import CertificationError, ConfigError
 from sshg.fields import ScalarField, SpinorField
 from sshg.geometry import TorusGeometry
@@ -16,12 +16,17 @@ from sshg.minmax import (
     classify,
     coercivity_probe,
     linking_constants,
+    make_record,
     minmax_deform,
     newton_refine,
     u_variance,
 )
-from sshg.nehari import constrained_gradient, fiber_solve
-from sshg.spectral import build_basis, hhalf_norm, project
+from sshg.nehari import constrained_gradient, fiber_solve, multiplier_solve
+from sshg.spectral import build_basis, h1_norm, hhalf_norm, project
+
+from oracles import grid_x1, grid_x2, hminus1_norm, hminushalf_norm
+
+from test_spectral import random_scalar, random_spinor
 
 LAM1 = np.sqrt(2.0) / 2.0
 LAM2 = np.sqrt(10.0) / 2.0
@@ -109,7 +114,7 @@ def test_block_filter_removes_the_negative_block():
     assert consts.harmonic_dim > 0 and consts.k_index > 0
     top = basis.eigenspinor(consts.k_index + 1)
     block = basis.harmonic_spinor(0) + 0.5 * basis.eigenspinor(consts.k_index)
-    du = ScalarField.from_values(geom, np.cos(geom.x1))
+    du = ScalarField.from_values(geom, np.cos(grid_x1(geom)))
     var = Variation(du, block + top, u_space="H1", psi_space="H1/2")
     out = block_filter(1.2)(var)
     assert (out.u_space, out.psi_space) == ("H1", "H1/2")
@@ -125,11 +130,34 @@ def test_classify_and_records(setup16):
     assert classify(ScalarField.zeros(geom), SpinorField.zeros(geom))[0] == "trivial"
     assert classify(ScalarField.constant(geom, 0.9), basis.eigenspinor(1))[0] == \
         "semi_trivial_constant_u"
-    wobble = ScalarField.from_values(geom, 0.3 * np.cos(geom.x1))
+    wobble = ScalarField.from_values(geom, 0.3 * np.cos(grid_x1(geom)))
     assert classify(wobble, basis.eigenspinor(1))[0] == "nontrivial"
     # psi = 0 forces u = 0 at a solution, whatever u the point carries
     assert classify(wobble, SpinorField.zeros(geom))[0] == "trivial"
     assert u_variance(ScalarField.constant(geom, 3.0)) < 1e-25
+
+
+@pytest.mark.parametrize("delta", [(0.5, 0.5), (0.0, 0.0)])
+def test_record_residuals_are_the_dual_norms_of_the_scaled_first_variation(delta):
+    # oracle: the H^-1 and H^-1/2 dual norms of the first variation scaled
+    # by (-1/2, 1/16), with the inverse Sobolev weights written out, against
+    # the residuals a record reads off its multiplier solve's Riesz gradient
+    geom = TorusGeometry(grid_n=16, spin_delta=delta)
+    params = ActionParams(rho=0.5)
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        u = random_scalar(geom, rng)
+        psi = random_spinor(geom, rng, decay=1.5)
+        pt = fiber_solve((1.0 / h1_norm(u)) * u, psi - project(psi, "minus"), params)
+        assert np.ptp(pt.u.values) > 0.1
+        rec = make_record(pt, multiplier_solve(pt, params), params, converged=False,
+                          refined=False)
+        g = gradient_J(pt.u, pt.psi, params)
+        assert rec.res_u == pytest.approx(hminus1_norm(-0.5 * g.du), rel=1e-13, abs=0.0)
+        assert rec.res_psi == pytest.approx(hminushalf_norm((1.0 / 16.0) * g.dpsi),
+                                            rel=1e-13, abs=0.0)
+        # Newton's stop test reads the same pair off the gradient it holds
+        assert el_residual_norms(g.riesz()) == (rec.res_u, rec.res_psi)
 
 
 def test_newton_refine_semi_trivial_seed(setup16):
@@ -140,7 +168,7 @@ def test_newton_refine_semi_trivial_seed(setup16):
     c = float(np.arccosh(LAM1 / 0.5))
     s = geom.side_length * np.sqrt(LAM1)
     seed_pt = fiber_solve(ScalarField.constant(geom, c), s * basis.eigenspinor(1), params)
-    _, ru, rp = el_residual(seed_pt.u, seed_pt.psi, params)
+    ru, rp = el_residual_norms(gradient_J(seed_pt.u, seed_pt.psi, params).riesz())
     assert ru + rp < 1e-10  # exact solution up to roundoff
 
     rec = newton_refine(seed_pt, params)
@@ -156,7 +184,8 @@ def test_newton_refine_from_perturbed_seed(setup16):
     params = ActionParams(rho=0.5)
     c = float(np.arccosh(LAM1 / 0.5))
     s = geom.side_length * np.sqrt(LAM1)
-    u = ScalarField.constant(geom, c) + ScalarField.from_values(geom, 1e-5 * np.cos(geom.x1))
+    wobble = ScalarField.from_values(geom, 1e-5 * np.cos(grid_x1(geom)))
+    u = ScalarField.constant(geom, c) + wobble
     pt = fiber_solve(u, (s * 1.00001) * basis.eigenspinor(1), params)
     rec = newton_refine(pt, params)
     assert rec.refined
@@ -173,7 +202,8 @@ def test_inexact_newton_from_a_perturbed_semi_trivial_start(monkeypatch):
     c = float(np.arccosh(LAM1 / 0.5))
     modes = [(a, b) for a in range(-3, 4) for b in range(-3, 4) if (a, b) != (0, 0)]
     coef = np.random.default_rng(0).standard_normal((len(modes), 2))
-    pert = sum(cc * np.cos(a * geom.x1 + b * geom.x2) + cs * np.sin(a * geom.x1 + b * geom.x2)
+    x1, x2 = grid_x1(geom), grid_x2(geom)
+    pert = sum(cc * np.cos(a * x1 + b * x2) + cs * np.sin(a * x1 + b * x2)
                for (a, b), (cc, cs) in zip(modes, coef))
     u = ScalarField.from_values(geom, c + 0.05 * pert / np.max(np.abs(pert)))
     psi = (geom.side_length * np.sqrt(LAM1)) * basis.eigenspinor(1)
@@ -213,7 +243,7 @@ def test_newton_minres_runs_in_the_abs_hessian_metric(setup16, monkeypatch):
     params = ActionParams(rho=0.5)
     c = float(np.arccosh(LAM1 / 0.5))
     u = ScalarField.constant(geom, c) + ScalarField.from_values(
-        geom, 0.05 * np.cos(geom.x1) + 0.03 * np.sin(geom.x1 + 2 * geom.x2))
+        geom, 0.05 * np.cos(grid_x1(geom)) + 0.03 * np.sin(grid_x1(geom) + 2 * grid_x2(geom)))
     pt = fiber_solve(u, (geom.side_length * np.sqrt(LAM1)) * basis.eigenspinor(1), params)
 
     rng = np.random.default_rng(7)

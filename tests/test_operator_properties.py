@@ -18,15 +18,14 @@ from sshg.fields import ScalarField, SpinorField
 from sshg.geometry import TorusGeometry
 from sshg.nehari import fiber_solve
 from sshg.spectral import (
-    abs_dirac_apply,
     build_basis,
     dirac_apply,
     l2_inner,
-    l2_norm,
     omega_mult,
     project,
-    quaternion_j,
 )
+
+from oracles import abs_dirac_apply, l2_norm, quaternion_j
 
 from test_constant_fields import DELTAS, GRIDS, PROPERTY, SEEDS
 from test_spectral import assembled_symbol, random_spinor

@@ -7,7 +7,9 @@ import os
 import numpy as np
 import pytest
 
+import sshg.cli
 import sshg.minmax
+import sshg.nehari
 from sshg.cli import main
 from sshg.errors import ConfigError
 from sshg.minmax import linking_constants
@@ -193,16 +195,45 @@ def test_refined_record_keeps_the_descent_flag():
     assert output["converged"] is True
 
 
+def test_an_accepted_hand_off_solves_the_multiplier_once_at_its_point(tmp_path, monkeypatch):
+    # the record's residuals and multiplier norm and the PS trace's final
+    # entry all come from one multiplier solve at the record's point
+    solved, accepted = [], []
+    orig_solve, orig_accept = sshg.nehari.multiplier_solve, sshg.minmax._accept_refined
+
+    def multiplier_solve(point, params):
+        solved.append(point)
+        return orig_solve(point, params)
+
+    def accept_refined(*args, **kwargs):
+        record = orig_accept(*args, **kwargs)
+        if record is not None:
+            accepted.append(record)
+        return record
+
+    for module in (sshg.nehari, sshg.minmax):
+        monkeypatch.setattr(module, "multiplier_solve", multiplier_solve)
+    monkeypatch.setattr(sshg.minmax, "_accept_refined", accept_refined)
+    output = run(RunConfig.from_dict(base_config(
+        mode="mountain_pass", path_nodes=9, max_outer=5, grad_tol=1e-3,
+        output_dir=str(tmp_path))))
+    (record,) = accepted
+    assert output["records"][0]["refined"]
+    assert sum(point is record.point for point in solved) == 1
+    assert output["diagnostics"]["multiplier_norms"][-1] == record.multiplier_norm
+
+
 def test_records_report_newton_work(tmp_path, monkeypatch):
     # newton_steps and minres_iters of the record match what the Newton that
-    # built it did: one MINRES solve per accepted step, and one el_residual,
-    # in its record (the loop reads its residual off the gradient it holds)
+    # built it did: one MINRES solve per accepted step, and one multiplier
+    # solve, its record's (the loop reads its residual off the gradient it
+    # holds)
     calls = []
-    orig_newton, orig_minres, orig_el = (sshg.minmax.newton_refine, sshg.minmax.minres,
-                                         sshg.minmax.el_residual)
+    orig_newton, orig_minres, orig_solve = (sshg.minmax.newton_refine, sshg.minmax.minres,
+                                            sshg.nehari.multiplier_solve)
 
     def newton_refine(*args, **kwargs):
-        calls.append({"minres": 0, "iters": 0, "el_residual": 0, "open": True})
+        calls.append({"minres": 0, "iters": 0, "solves": 0, "open": True})
         try:
             return orig_newton(*args, **kwargs)
         finally:
@@ -214,14 +245,15 @@ def test_records_report_newton_work(tmp_path, monkeypatch):
         calls[-1]["iters"] += out[1].iterations
         return out
 
-    def el_residual(*args, **kwargs):
+    def multiplier_solve(*args, **kwargs):
         if calls and calls[-1]["open"]:
-            calls[-1]["el_residual"] += 1
-        return orig_el(*args, **kwargs)
+            calls[-1]["solves"] += 1
+        return orig_solve(*args, **kwargs)
 
     monkeypatch.setattr(sshg.minmax, "newton_refine", newton_refine)
     monkeypatch.setattr(sshg.minmax, "minres", minres)
-    monkeypatch.setattr(sshg.minmax, "el_residual", el_residual)
+    for module in (sshg.nehari, sshg.minmax):
+        monkeypatch.setattr(module, "multiplier_solve", multiplier_solve)
     run(RunConfig.from_dict(base_config(
         mode="mountain_pass", path_nodes=9, max_outer=5, grad_tol=1e-3,
         output_dir=str(tmp_path))))
@@ -229,7 +261,7 @@ def test_records_report_newton_work(tmp_path, monkeypatch):
     (call,) = calls
     assert rec["refined"] and rec["newton_steps"] > 0
     assert rec["newton_steps"] == call["minres"]
-    assert call["el_residual"] == 1
+    assert call["solves"] == 1
     assert rec["minres_iters"] == call["iters"]
     assert rec["minres_capped"] == 0
 
@@ -539,3 +571,53 @@ def test_cli_batch_workers(tmp_path):
     assert code == 0
     for i in range(2):
         assert (tmp_path / f"o{i}" / "run_output.json").exists()
+
+
+def _batch_configs(tmp_path, n):
+    paths = []
+    for i in range(n):
+        p = tmp_path / f"cfg{i}.json"
+        p.write_text(json.dumps(base_config(output_dir=str(tmp_path / f"o{i}"))))
+        paths.append(str(p))
+    return [arg for path in paths for arg in ("--config", path)]
+
+
+def test_cli_batch_pool_never_exceeds_the_configs(tmp_path, monkeypatch):
+    # the pool forks all its workers on the first task, so --workers is
+    # capped at the number of configs; the stand-in pool runs the jobs in
+    # this process and starts none
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return list(map(fn, jobs))
+
+    monkeypatch.setattr(sshg.cli, "ProcessPoolExecutor", Pool)
+    assert main(["solve", *_batch_configs(tmp_path, 2), "--workers", "100000"]) == 0
+    assert sizes == [2]
+    assert main(["solve", *_batch_configs(tmp_path, 3), "--workers", "2"]) == 0
+    assert sizes == [2, 2]
+    # a single config runs in this process
+    assert main(["solve", *_batch_configs(tmp_path, 1), "--workers", "100000"]) == 0
+    assert sizes == [2, 2]
+    for i in range(3):
+        assert (tmp_path / f"o{i}" / "run_output.json").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_refuses_fewer_than_one_worker(tmp_path, monkeypatch, workers):
+    def pool(max_workers):
+        raise AssertionError("no pool for a refused worker count")
+
+    monkeypatch.setattr(sshg.cli, "ProcessPoolExecutor", pool)
+    assert main(["solve", *_batch_configs(tmp_path, 2), "--workers", workers]) == 2
+    assert not (tmp_path / "o0").exists()

@@ -7,13 +7,13 @@ import pytest
 
 import sshg.minmax
 import sshg.sweepout
-from sshg.action import ActionParams, el_residual, evaluate_J
+from sshg.action import ActionParams, el_residual_norms, evaluate_J, gradient_J
 from sshg.errors import CertificationError, ConfigError, ResolutionError
 from sshg.fields import ScalarField
 from sshg.geometry import TorusGeometry
 from sshg.minmax import NEWTON_TOL, MinmaxConfig, linking_constants, newton_refine
 from sshg.nehari import NehariPoint, fiber_solve
-from sshg.spectral import build_basis, hhalf_norm, quaternion_j, sobolev_inner
+from sshg.spectral import build_basis, hhalf_norm, sobolev_inner
 from sshg.sweepout import (
     build_sweepout_chi,
     case2_radius,
@@ -24,6 +24,8 @@ from sshg.sweepout import (
     orthogonal_restart,
     records_distinct,
 )
+
+from oracles import quaternion_j
 
 LAM1 = np.sqrt(2.0) / 2.0
 
@@ -200,7 +202,9 @@ def test_disk_minmax_unchanged_when_every_ridge_sample_is_solved(mp16, family16,
 
     assert any(diags.repairs[:-1]) and bounded_solves < all_solves
     assert diags == diags_all
-    assert dataclasses.replace(rec, point=None) == dataclasses.replace(rec_all, point=None)
+    # the reported fields; the multiplier solve holds fields compared by identity
+    assert (dataclasses.replace(rec, point=None, multiplier=None)
+            == dataclasses.replace(rec_all, point=None, multiplier=None))
     assert np.array_equal(rec.point.u.values, rec_all.point.u.values)
     assert np.array_equal(rec.point.psi.eig, rec_all.point.psi.eig)
 
@@ -226,7 +230,7 @@ def test_disk_minmax_and_restart(mp16, family16):
 
     if abs(c2 - c1) <= 1e-6:
         rec3, rdiags = orthogonal_restart(rec1.point.u, fam, config, params, basis)
-        ortho = abs(sobolev_inner(rec3.point.u, rec1.point.u, "H1_scalar"))
+        ortho = abs(sobolev_inner(rec3.point.u, rec1.point.u))
         assert ortho <= 1e-8
         assert records_distinct(rec1, rec3)
     else:
@@ -256,7 +260,7 @@ def test_orthogonal_restart_direct(mp16, family16):
         params)
     config = MinmaxConfig(path_nodes=9, grad_tol=1e-3, max_outer=30, seed=1)
     rec3, diags = orthogonal_restart(rec1.point.u, fam, config, params, basis)
-    ortho = abs(sobolev_inner(rec3.point.u, rec1.point.u, "H1_scalar"))
+    ortho = abs(sobolev_inner(rec3.point.u, rec1.point.u))
     assert ortho <= 1e-8
     assert diags.bounded()
     # Newton refines the restart to a solution that already lies in the
@@ -268,8 +272,8 @@ def test_orthogonal_restart_direct(mp16, family16):
     # theta-antisymmetry of the pairing: p(theta) + p(theta + pi) = 0
     half = len(fam) // 2
     for i in range(0, half, 4):
-        a = sobolev_inner(rec1.point.u, fam.points[i].u, "H1_scalar")
-        b = sobolev_inner(rec1.point.u, fam.points[i + half].u, "H1_scalar")
+        a = sobolev_inner(rec1.point.u, fam.points[i].u)
+        b = sobolev_inner(rec1.point.u, fam.points[i + half].u)
         assert abs(a + b) <= 1e-9 * (1 + abs(a))
 
 
@@ -290,7 +294,7 @@ def test_orbit_closure(mp16):
         psi = rec.point.psi
         jpsi = quaternion_j(psi)
         q_psi = a * psi + (1j * b) * psi + c * jpsi + (1j * d) * jpsi
-        _, ru, rp = el_residual(sigma * rec.point.u, q_psi, params)
+        ru, rp = el_residual_norms(gradient_J(sigma * rec.point.u, q_psi, params).riesz())
         assert ru + rp <= 1e-9
 
 

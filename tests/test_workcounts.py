@@ -2,8 +2,10 @@
 
 Counts, not timings: the solver is deterministic for a given (config, seed),
 so the number of fiber solves, bounded ridge samples, energy evaluations, CG
-calls and iterations and constrained gradients of a fixed run is a property
-of the code.  Ridge repair bounds every segment sample (one
+calls and iterations, constrained gradients and first variations of a fixed
+run is a property of the code.  A solution record costs one first variation
+and one multiplier CG solve at its point, and a hand-off's final PS entry
+reuses them.  Ridge repair bounds every segment sample (one
 `fiber_energy_bounds` call per moved segment, counted here per sample) and
 solves samples above the promotion threshold best bound first, stopping
 once the best solved J beats every remaining bound, so most of its samples
@@ -41,12 +43,13 @@ CEILINGS = {
     "fiber_solve": 111,
     "bounded_samples": 420,
     "evaluate_J": 117,
-    "cg.calls": 137,
+    "cg.calls": 135,
     "cg.iters": 173,
     "minres.iters": 14,
-    "constrained_gradient": 23,
+    "constrained_gradient": 22,
+    "gradient_J": 34,
     "newton_refine": 2,
-    "fft": 1058,
+    "fft": 1048,
 }
 
 MOUNTAIN_PASS = {
@@ -58,12 +61,13 @@ MOUNTAIN_PASS_CEILINGS = {
     "fiber_solve": 278,
     "bounded_samples": 894,
     "evaluate_J": 279,
-    "cg.calls": 311,
+    "cg.calls": 310,
     "cg.iters": 0,
     "minres.iters": 6,
-    "constrained_gradient": 32,
+    "constrained_gradient": 31,
+    "gradient_J": 36,
     "newton_refine": 1,
-    "fft": 272,
+    "fft": 266,
 }
 
 
@@ -86,7 +90,7 @@ def _work_counts(monkeypatch, config):
     """The counts of one run of `config`."""
     counts = dict.fromkeys(("fiber_solve", "bounded_samples", "evaluate_J", "cg.calls",
                             "cg.iters", "minres.iters", "constrained_gradient",
-                            "newton_refine"), 0)
+                            "gradient_J", "newton_refine"), 0)
 
     def bump(**inc):
         def on_call(out):
@@ -100,6 +104,7 @@ def _work_counts(monkeypatch, config):
     _count_calls(monkeypatch, sshg.action.evaluate_J, bump(evaluate_J=1))
     _count_calls(monkeypatch, sshg.nehari.constrained_gradient,
                  bump(constrained_gradient=1))
+    _count_calls(monkeypatch, sshg.action.gradient_J, bump(gradient_J=1))
     _count_calls(monkeypatch, sshg.krylov.cg,
                  bump(**{"cg.calls": 1, "cg.iters": lambda out: out[1].iterations}))
     _count_calls(monkeypatch, sshg.krylov.minres,
