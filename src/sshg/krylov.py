@@ -1,10 +1,13 @@
 """Matrix-free Krylov solvers in user-supplied inner products.
 
 The iterate lives in any vector space whose elements support +, -, unary
-negation and real scalar multiplication: the spinor fields of the fiber and
-normal-equation solves, and `action.Variation` pairs (u, psi) in Newton's
-MINRES.  `inner` defines the metric; operators must be self-adjoint with
-respect to it, and positive definite for CG.
+negation and real scalar multiplication: the a- rows (numpy arrays) of the
+fiber solve, the spinor fields of the normal-equation solve, and
+`action.Variation` pairs (u, psi) in Newton's MINRES.  `inner` defines the
+metric; operators must be self-adjoint with respect to it, and positive
+definite for CG.  CG takes an optional preconditioner, SPD in the same
+metric; MINRES callers precondition by solving in a weighted metric instead
+(Newton's |H0| metric).
 """
 
 from __future__ import annotations
@@ -23,13 +26,18 @@ class SolveInfo:
     relative_residual: float
 
 
-def cg(apply_op, b, inner, x0=None, tol=1e-12, maxiter=500, atol=0.0):
-    """Conjugate gradients for an SPD operator in the given inner product.
+def cg(apply_op, b, inner, x0=None, tol=1e-12, maxiter=500, atol=0.0, precond=None):
+    """Preconditioned conjugate gradients for an SPD operator in the given
+    inner product.
 
-    Returns (x, SolveInfo).  Stops when ||r|| <= max(tol * ||b||, atol); the
-    absolute floor lets callers whose right-hand side is roundoff of a larger
-    problem scale exit cleanly instead of iterating on noise.  Reaching
-    maxiter or a non-finite b raises ConditioningError.
+    `precond` maps a residual r to z = M^{-1} r for an M that is SPD in
+    `inner`; None is the identity, and then the iterates are plain CG's.
+    It is called only once CG iterates, so a solve that exits at its start
+    never applies it.  Returns (x, SolveInfo).  Stops when the true residual
+    ||r|| <= max(tol * ||b||, atol); the absolute floor lets callers whose
+    right-hand side is roundoff of a larger problem scale exit cleanly
+    instead of iterating on noise.  Reaching maxiter or a non-finite b
+    raises ConditioningError.
     """
     norm_b = np.sqrt(max(inner(b, b), 0.0))
     if not np.isfinite(norm_b):
@@ -48,7 +56,12 @@ def cg(apply_op, b, inner, x0=None, tol=1e-12, maxiter=500, atol=0.0):
     if np.sqrt(max(rr, 0.0)) <= stop:
         return x, SolveInfo(True, 0, float(np.sqrt(max(rr, 0.0)) / norm_b))
 
-    p = r
+    if precond is None:
+        def precond(v):
+            return v
+    z = precond(r)
+    rz = inner(r, z)
+    p = z
     for it in range(1, maxiter + 1):
         ap = apply_op(p)
         pap = inner(p, ap)
@@ -60,14 +73,16 @@ def cg(apply_op, b, inner, x0=None, tol=1e-12, maxiter=500, atol=0.0):
                 f"cg: operator lost positive definiteness (p.Ap = {pap:.3e})",
                 residual=float(np.sqrt(max(rr, 0.0)) / norm_b),
             )
-        alpha = rr / pap
+        alpha = rz / pap
         x = x + alpha * p
         r = r - alpha * ap
-        rr_new = inner(r, r)
-        if np.sqrt(max(rr_new, 0.0)) <= stop:
-            return x, SolveInfo(True, it, float(np.sqrt(max(rr_new, 0.0)) / norm_b))
-        p = r + (rr_new / rr) * p
-        rr = rr_new
+        rr = inner(r, r)
+        if np.sqrt(max(rr, 0.0)) <= stop:
+            return x, SolveInfo(True, it, float(np.sqrt(max(rr, 0.0)) / norm_b))
+        z = precond(r)
+        rz_new = inner(r, z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
 
     relres = float(np.sqrt(max(rr, 0.0)) / norm_b)
     raise ConditioningError(

@@ -13,6 +13,9 @@ satisfies <A phi, chi>_{H^{1/2}} = <(D - rho cosh u) phi, chi>_{L^2} (the
 (1+|D|) multipliers cancel), so -A is symmetric positive definite in the
 H^{1/2} inner product and conjugate gradients apply directly.  E^- lives on
 the a- row of the eigen-coordinates, so the fiber solve iterates on that row.
+Both CG solves here, the fiber solve and the multiplier's normal equations,
+are preconditioned with the symbol of -A at constant cosh u = mean(cosh u)
+(`mean_field_symbol`).
 """
 
 from __future__ import annotations
@@ -107,9 +110,34 @@ def _pairing_weights(geom) -> np.ndarray:
     return weights
 
 
+def mean_field_symbol(lam, rho: float, cosh_u):
+    """a0 = (|xi| + rho c) / (1 + |xi|), the symbol of -A on a minus mode
+    |xi| = lam at constant cosh u = c: its eigenvalue in H^{1/2} there."""
+    return (lam + rho * cosh_u) / (1.0 + lam)
+
+
+def _mean_field_precond(geom, rho: float, uv: np.ndarray, power: int):
+    """The CG preconditioner z = r / a0^power per mode, a0 the
+    `mean_field_symbol` at c = mean(cosh u), on a- rows or E^- spinors.
+
+    a0 is positive and commutes with the H^{1/2} weight, so the map is SPD
+    in the H^{1/2} pairing.  It is formed on the first call: a solve that
+    exits before iterating never forms it.
+    """
+    inverse = []
+
+    def apply(r):
+        if not inverse:
+            inverse.append(1.0 / mean_field_symbol(geom.s_abs, rho, np.mean(np.cosh(uv))) ** power)
+        if isinstance(r, SpinorField):
+            return SpinorField(geom, eig=r.eig * inverse[0])
+        return r * inverse[0]
+    return apply
+
+
 def fiber_coercivity(geom, rho: float, cosh_min):
-    """c = min over the minus modes of (|xi| + rho cosh_min)/(1 + |xi|), one
-    per entry of cosh_min.
+    """c = min over the minus modes of `mean_field_symbol` at cosh u =
+    cosh_min, one per entry of cosh_min.
 
     Where cosh u >= cosh_min, -A >= c in H^{1/2} on E^-:
     <-A phi, phi>_{H^{1/2}} = <|D| phi, phi> + rho int cosh(u) |phi|^2
@@ -118,7 +146,7 @@ def fiber_coercivity(geom, rho: float, cosh_min):
     weights).
     """
     lam = _minus_modes(geom)[0]
-    return np.min((lam + rho * np.asarray(cosh_min)[..., None]) / (1.0 + lam), axis=-1)
+    return np.min(mean_field_symbol(lam, rho, np.asarray(cosh_min)[..., None]), axis=-1)
 
 
 def fiber_energy_bounds(a, b, weights, params: ActionParams) -> np.ndarray:
@@ -242,7 +270,8 @@ def fiber_solve(u: ScalarField, psi_free: SpinorField, params: ActionParams,
     (u, psi_free + psi^-); a residual beyond FIBER_CERT raises CertificationError.
     The solve runs on the a- row: the CG iterate, its start x0 (an E^-
     spinor), the right-hand side and the certificate are E^- vectors given
-    by their a- rows.
+    by their a- rows.  CG is preconditioned with 1/a0 (`mean_field_symbol`),
+    the exact inverse of -A at constant u.
     """
     geom = u.geom
     uv = check_overflow(u)
@@ -259,7 +288,8 @@ def fiber_solve(u: ScalarField, psi_free: SpinorField, params: ActionParams,
     atol = 1e-14 * max(free_scale, 1.0)
     minus, info = cg(lambda phi: -1.0 * g_map(phi), b, partial(_row_inner, geom),
                      x0=None if x0 is None else x0.eig[1], tol=FIBER_TOL,
-                     maxiter=FIBER_MAXITER, atol=atol)
+                     maxiter=FIBER_MAXITER, atol=atol,
+                     precond=_mean_field_precond(geom, params.rho, uv, 1))
 
     eig = psi_free.eig.copy()
     eig[1] += minus
@@ -312,7 +342,9 @@ def multiplier_solve(point: NehariPoint, params: ActionParams) -> MultiplierData
     """Least-squares multiplier solve of the constrained criticality system.
 
     Solves the normal equations (dG dG^*) w = dG[Riesz dJ] on the negative
-    subspace (SPD Gram operator).
+    subspace (SPD Gram operator), by CG preconditioned with 1/a0^2
+    (`mean_field_symbol`): at constant u the Gram operator is a0^2 plus the
+    u-coupling's positive part.
     """
     g = gradient_J(point.u, point.psi, params).riesz()
     rhs = _dg_apply(point, params, g.du, g.dpsi)
@@ -323,7 +355,8 @@ def multiplier_solve(point: NehariPoint, params: ActionParams) -> MultiplierData
         return _dg_apply(point, params, du, dpsi)
 
     atol = 1e-14 * max(scale, 1.0)
-    w, info = cg(gram, rhs, sobolev_inner, tol=1e-12, maxiter=FIBER_MAXITER, atol=atol)
+    w, info = cg(gram, rhs, sobolev_inner, tol=1e-12, maxiter=FIBER_MAXITER, atol=atol,
+                 precond=_mean_field_precond(point.u.geom, params.rho, point.u.values, 2))
     return MultiplierData(gradient=g, w=w, solve_residual=info.relative_residual)
 
 

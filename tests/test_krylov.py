@@ -1,5 +1,7 @@
 """Krylov solvers checked against dense numpy solves in weighted metrics."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,73 @@ def test_cg_iteration_cap_raises():
     with pytest.raises(ConditioningError) as exc:
         cg(lambda v: _Vec(D @ v.a), b, inner, tol=1e-14, maxiter=1)
     assert exc.value.residual is not None
+
+
+def _ill_conditioned_setup():
+    # T = W^{-1} S, S a symmetric diagonally dominant tridiagonal matrix with
+    # diagonal from 1 to 1e4, is SPD in <x, y>_W = sum w x y; elementwise
+    # arithmetic only, so every iterate is reproducible bit for bit
+    n = 40
+    rng = np.random.default_rng(11)
+    d = np.logspace(0.0, 4.0, n)
+    w = rng.uniform(0.5, 2.0, n)
+
+    def apply_op(x):
+        a = x.a
+        return _Vec((d * a - 0.3 * (np.roll(a, 1) + np.roll(a, -1))) / w)
+
+    def inner(x, y):
+        return float(np.sum(w * x.a * y.a))
+
+    return apply_op, inner, _Vec(rng.standard_normal(n)), d, w
+
+
+@pytest.mark.parametrize("precond", [None, lambda r: r])
+def test_cg_with_the_identity_preconditioner_is_plain_cg(precond):
+    # x, the iteration count and the residual of plain CG on this problem,
+    # as the solver gave them before it took a preconditioner
+    apply_op, inner, b, _, _ = _ill_conditioned_setup()
+    x, info = cg(apply_op, b, inner, tol=1e-12, maxiter=500, precond=precond)
+    assert info.iterations == 106
+    assert info.relative_residual.hex() == "0x1.86d4c31888f75p-41"
+    assert hashlib.sha256(x.a.tobytes()).hexdigest() == (
+        "11b4a9fe4f90e35afe19153de7a667d4a500a83bec59d8c820251f4e344c072b")
+
+
+def test_diagonal_preconditioner_cuts_the_iterations():
+    # Jacobi: M = W^{-1} diag(S), SPD in the W metric; the same solution to
+    # tolerance in 12 iterations instead of 106, and the reported residual
+    # is the true one up to the rounding of recomputing it
+    apply_op, inner, b, d, w = _ill_conditioned_setup()
+    x, info = cg(apply_op, b, inner, tol=1e-12, maxiter=500)
+    xp, info_p = cg(apply_op, b, inner, tol=1e-12, maxiter=500,
+                    precond=lambda r: _Vec(r.a * w / d))
+    assert info_p.converged and info_p.iterations < info.iterations
+    assert np.max(np.abs(xp.a - x.a)) <= 1e-11 * np.max(np.abs(x.a))
+    r = b - apply_op(xp)
+    true_res = np.sqrt(inner(r, r) / inner(b, b))
+    assert true_res <= 1e-12
+    assert info_p.relative_residual == pytest.approx(true_res, rel=1e-2)
+
+
+def test_cg_that_does_not_iterate_never_applies_the_preconditioner():
+    # b = 0, b below the absolute floor and an exact start all return at
+    # iteration 0 without one call of the preconditioner
+    apply_op, inner, b, _, _ = _ill_conditioned_setup()
+    x_exact, _ = cg(apply_op, b, inner, tol=1e-12)
+    calls = []
+
+    def precond(r):
+        calls.append(1)
+        return r
+
+    norm_b = np.sqrt(inner(b, b))
+    cases = [dict(b=0.0 * b), dict(b=b, atol=2.0 * norm_b),
+             dict(b=apply_op(x_exact), x0=x_exact, tol=1e-8)]
+    for case in cases:
+        _, info = cg(apply_op, inner=inner, precond=precond, **case)
+        assert info.converged and info.iterations == 0
+    assert calls == []
 
 
 def test_minres_indefinite_weighted():

@@ -10,7 +10,9 @@ from sshg.action import ActionParams, el_residual_norms, evaluate_J, gradient_J,
 from sshg.errors import CertificationError, ConfigError, OverflowGuardError, SSHGError
 from sshg.fields import ScalarField, SpinorField, minus_row_times, spinor_eig
 from sshg.geometry import TorusGeometry
+from sshg.krylov import SolveInfo, cg
 from sshg.nehari import (
+    FIBER_TOL,
     NehariPoint,
     constrained_gradient,
     fiber_coercivity,
@@ -169,6 +171,102 @@ def test_fiber_solve_with_cg_work_certifies_with_the_dense_constraint(delta):
             assert project(pt.psi, "minus").eig.any()
             assert pt.constraint_norm == hhalf_norm(constraint_G(u, pt.psi, params))
             assert 0.0 < pt.constraint_norm <= 1e-10 * max(hhalf_norm(psi - minus), 1.0)
+
+
+def _recording_cg(solver, calls):
+    """A stand-in for `nehari.cg` that runs `solver` and records each call's
+    operator, right-hand side, inner product, keyword arguments and info."""
+    def run(apply_op, b, inner, **kwargs):
+        x, info = solver(apply_op, b, inner, **kwargs)
+        calls.append((apply_op, b, inner, kwargs, info))
+        return x, info
+    return run
+
+
+def _plain_cg(apply_op, b, inner, x0=None, tol=1e-12, maxiter=500, atol=0.0, precond=None):
+    """Textbook CG without a preconditioner (`precond` is ignored), with the
+    solver's stop rule ||r|| <= max(tol ||b||, atol) and no iteration cap."""
+    norm_b = np.sqrt(inner(b, b))
+    stop = max(tol * norm_b, atol)
+    if norm_b <= stop:
+        return 0.0 * b, SolveInfo(True, 0, 0.0)
+    x, r = (0.0 * b, b) if x0 is None else (x0, b - apply_op(x0))
+    p, rr, it = r, inner(r, r), 0
+    while np.sqrt(rr) > stop:
+        it += 1
+        ap = apply_op(p)
+        alpha = rr / inner(p, ap)
+        x, r = x + alpha * p, r - alpha * ap
+        rr_new = inner(r, r)
+        p, rr = r + (rr_new / rr) * p, rr_new
+    return x, SolveInfo(True, it, float(np.sqrt(rr) / norm_b))
+
+
+@pytest.mark.parametrize("delta", [(0.5, 0.5), (0.0, 0.0)])
+def test_fiber_preconditioner_inverts_the_fiber_operator_at_constant_u(delta, monkeypatch):
+    # at constant u, -A (the fiber solve's CG operator) is the multiplier
+    # a0 on the a- row, so its preconditioner 1/a0 is the exact inverse and
+    # CG, given the fiber solve's own operator, metric and preconditioner,
+    # converges in one iteration on any E^- right-hand side
+    geom = TorusGeometry(grid_n=16, spin_delta=delta)
+    params = ActionParams(rho=0.5)
+    rng = np.random.default_rng(12)
+    calls = []
+    monkeypatch.setattr(sshg.nehari, "cg", _recording_cg(cg, calls))
+    free = free_spinor(geom, rng)
+    fiber_solve(ScalarField.constant(geom, 1.3), free, params)
+    ((apply_op, _, inner, kwargs, info),) = calls
+    assert info.iterations == 0
+    precond = kwargs["precond"]
+    for _ in range(3):
+        rhs = project(random_spinor(geom, rng), "minus").eig[1]
+        inv = precond(apply_op(rhs))
+        assert np.max(np.abs(inv - rhs)) <= 1e-15 * np.max(np.abs(rhs))
+        _, info = cg(apply_op, rhs, inner, tol=FIBER_TOL, atol=kwargs["atol"], precond=precond)
+        assert info.converged and info.iterations == 1
+
+
+@PROPERTY
+@given(delta=st.sampled_from([(0.5, 0.5), (0.0, 0.0)]), seed=SEEDS,
+       mean=st.floats(-4.0, 4.0), amp=st.floats(0.05, 1.0))
+def test_preconditioned_solves_agree_with_plain_cg(delta, seed, mean, amp):
+    # grid 16, u non-constant with |u| <= 5: the preconditioned fiber and
+    # multiplier solves land within their stop rule of textbook CG's.  Each
+    # solve stops at a residual below stop = max(tol ||b||, atol), so two
+    # solves differ by at most 2 stop / c, c the least eigenvalue: for -A
+    # c = fiber_coercivity at min cosh u, and the Gram operator dG dG^* is
+    # at least A^2 >= c^2 on E^-
+    geom = TorusGeometry(grid_n=16, spin_delta=delta)
+    params = ActionParams(rho=0.5)
+    rng = np.random.default_rng(seed)
+    v = random_scalar(geom, rng).values
+    u = ScalarField.from_values(geom, mean + amp * v / np.max(np.abs(v)))
+    free = free_spinor(geom, rng)
+    c = fiber_coercivity(geom, params.rho, float(np.min(np.cosh(u.values))))
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for name, solver in (("pcg", cg), ("plain", _plain_cg)):
+            calls = []
+            mp.setattr(sshg.nehari, "cg", _recording_cg(solver, calls))
+            pt = fiber_solve(u, free, params)
+            md = multiplier_solve(runs["pcg"][0] if runs else pt, params)
+            runs[name] = (pt, md, calls)
+        (pt, md, calls), (pt_plain, md_plain, _) = runs["pcg"], runs["plain"]
+        assert all(kwargs["precond"] is not None for *_, kwargs, _ in calls)
+        norms = [np.sqrt(inner(b, b)) for _, b, inner, *_ in calls]
+        stop_f, stop_m = (max(tol * norm_b, kwargs["atol"]) for norm_b, (*_, kwargs, _), tol
+                          in zip(norms, calls, (FIBER_TOL, 1e-12)))
+        assert hhalf_norm(pt.psi - pt_plain.psi) <= 2.0 * stop_f / c
+        assert hhalf_norm(md.w - md_plain.w) <= 2.0 * stop_m / c ** 2
+        assert md.solve_residual * norms[1] <= stop_m * (1.0 + 1e-12)   # rounding of the ratio
+        # the certificate is G's at the returned point, and still enforced
+        scale = max(hhalf_norm(free), 1.0)
+        assert pt.constraint_norm == hhalf_norm(constraint_G(u, pt.psi, params))
+        assert pt.constraint_norm <= sshg.nehari.FIBER_CERT * scale
+        mp.setattr(sshg.nehari, "cg", cg)
+        mp.setattr(sshg.nehari, "FIBER_CERT", 0.5 * pt.constraint_norm / scale)
+        with pytest.raises(CertificationError, match="fiber residual"):
+            fiber_solve(u, free, params)
 
 
 @pytest.mark.parametrize("delta", [(0.5, 0.5), (0.0, 0.0), (0.5, 0.0)])
