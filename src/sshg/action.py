@@ -17,12 +17,12 @@ densities pointwise on the grid with the uniform quadrature weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, OverflowGuardError
-from .fields import ScalarField, SpinorField, constant_value
+from .fields import ScalarField, SpinorField, constant_value, stacked_coeffs, stacked_values
 from .spectral import (
     dirac_apply,
     h1_norm,
@@ -53,28 +53,13 @@ class Variation:
 
     Tags "H-1"/"H-1/2" mean the components are L^2 densities to be paired
     against test directions; "H1"/"H1/2" mean Riesz representatives in the
-    product metric.  As a Krylov vector the pair adds, subtracts, negates and
-    takes real multiples componentwise, keeping the left operand's tags.
+    product metric.
     """
 
     du: ScalarField
     dpsi: SpinorField
     u_space: str = "H-1"
     psi_space: str = "H-1/2"
-
-    def __add__(self, other):
-        return replace(self, du=self.du + other.du, dpsi=self.dpsi + other.dpsi)
-
-    def __sub__(self, other):
-        return replace(self, du=self.du - other.du, dpsi=self.dpsi - other.dpsi)
-
-    def __mul__(self, a):
-        return replace(self, du=float(a) * self.du, dpsi=float(a) * self.dpsi)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return replace(self, du=-self.du, dpsi=-self.dpsi)
 
     def riesz(self) -> "Variation":
         """Riesz representatives in H^1 x H^{1/2} of dual-tagged data."""
@@ -149,24 +134,49 @@ def el_residual_norms(g: Variation) -> tuple[float, float]:
     return 0.5 * h1_norm(g.du), hhalf_norm(g.dpsi) / 16.0
 
 
-def hess_vec(u: ScalarField, psi: SpinorField, direction: Variation,
-             params: ActionParams) -> Variation:
-    """Second variation applied to a primal direction, returned dual-tagged."""
-    geom = u.geom
+@dataclass(frozen=True)
+class Linearization:
+    """The per-point grids of the second variation at (u, psi), formed once
+    per Newton step by `linearize` and applied by `hess_vec`."""
+
+    psi: SpinorField        # psi, whose grid values are read
+    dens: np.ndarray        # |psi|^2
+    uu: np.ndarray          # 8 rho^2 cosh 2u
+    uu_dens: np.ndarray     # 8 rho cosh u, the factor of v |psi|^2
+    u_cross: np.ndarray     # 16 rho sinh u, the factor of Re<psi, phi>
+    psi_phi: np.ndarray     # rho cosh u, the factor of phi
+    psi_v: np.ndarray       # rho sinh u, the factor of v psi
+
+
+def linearize(u: ScalarField, psi: SpinorField, params: ActionParams) -> Linearization:
+    """The grids of the second variation at (u, psi); u beyond U_CAP is
+    refused."""
     uv = check_overflow(u)
     rho = params.rho
-    v = direction.du
-    phi = direction.dpsi
-    vv = v.values
     sh, ch = np.sinh(uv), np.cosh(uv)
-    dens = psi.density()
-    cross = psi.cross_density(phi)
+    return Linearization(psi=psi, dens=psi.density(), uu=8.0 * rho * rho * np.cosh(2.0 * uv),
+                         uu_dens=8.0 * rho * ch, u_cross=16.0 * rho * sh,
+                         psi_phi=rho * ch, psi_v=rho * sh)
 
-    hu_vals = (8.0 * rho * rho * np.cosh(2.0 * uv) * vv
-               - 8.0 * rho * ch * vv * dens
-               - 16.0 * rho * sh * cross)
-    hu = ScalarField.from_values(geom, hu_vals) + (-2.0) * laplace_apply(v)
 
-    hpsi_vals = (rho * ch)[None, :, :] * phi.values + (rho * sh * vv)[None, :, :] * psi.values
-    hpsi = dirac_apply(phi) - SpinorField.from_values(geom, hpsi_vals)
-    return Variation(hu, 16.0 * hpsi)
+def hess_vec(lin: Linearization, x: np.ndarray) -> np.ndarray:
+    """Second variation at lin's point applied to the packed primal direction
+    x = (v, phi) (`fields.pack`), returned packed and dual:
+
+        (-2 Lap v + 8 rho^2 cosh(2u) v - 8 rho cosh(u) |psi|^2 v
+             - 16 rho sinh(u) Re<psi, phi>,
+         16 (D phi - rho cosh(u) phi - rho sinh(u) v psi)).
+
+    One ifft2 carries v, -2 Lap v and phi to the grid, one fft2 brings the
+    products back.  Every product and sum is taken in the order of the
+    formula on fields, so the result is theirs bit for bit."""
+    geom = lin.psi.geom
+    v = ScalarField(geom, coeffs=x[0])
+    (vv, lap), phi = stacked_values(geom, (x[0], ((-2.0) * laplace_apply(v)).coeffs), x[1:])
+    cross = lin.psi.cross_density(phi)
+    hu_vals = lin.uu * vv - lin.uu_dens * vv * lin.dens - lin.u_cross * cross + lap
+    hpsi_vals = lin.psi_phi[None, :, :] * phi.values + (lin.psi_v * vv)[None, :, :] * lin.psi.values
+    out = stacked_coeffs(geom, hu_vals, hpsi_vals)
+    np.subtract(dirac_apply(phi).eig, out[1:], out=out[1:])
+    out[1:] *= 16.0
+    return out

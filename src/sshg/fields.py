@@ -91,8 +91,7 @@ class ScalarField:
             if c is None:
                 self._coeffs = np.fft.fft2(self._values) / self.geom.grid_n ** 2
             else:
-                self._coeffs = np.zeros(self._values.shape, dtype=complex)
-                self._coeffs[0, 0] = c + 0.0  # fft2 of a -0.0 array gives +0.0
+                self._coeffs = _constant_coeffs(c, np.empty(self._values.shape, dtype=complex))
         return self._coeffs
 
     # -- arithmetic (new objects; used by the descent loops) ---------------------
@@ -133,12 +132,24 @@ def _boundary(geom: TorusGeometry):
     return np.conj(geom.spinor_phase)[None, :, :], (p * m, q * m), (p * n2, -q * n2)
 
 
-def _rotate(x: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """F^T x per mode for F = [[p, -q], [q, p]], on x of shape (..., 2, n, n);
-    (p, -q) gives F x."""
-    out = np.empty_like(x)
-    out[..., 0, :, :] = p * x[..., 0, :, :] + q * x[..., 1, :, :]
-    out[..., 1, :, :] = p * x[..., 1, :, :] - q * x[..., 0, :, :]
+def _constant_coeffs(c, out: np.ndarray) -> np.ndarray:
+    """The Fourier coefficients of a grid array whose entries all equal c,
+    written into out (n, n): c at k = 0, zero elsewhere."""
+    out[...] = 0.0
+    out[0, 0] = c + 0.0  # fft2 of a -0.0 array gives +0.0
+    return out
+
+
+def _rotate(x: np.ndarray, p: np.ndarray, q: np.ndarray, out=None) -> np.ndarray:
+    """F^T x per mode for F = [[p, -q], [q, p]], on x of shape (..., 2, n, n),
+    into a new array or into out (not x); (p, -q) gives F x."""
+    if out is None:
+        out = np.empty_like(x)
+    x0, x1, out0, out1 = x[..., 0, :, :], x[..., 1, :, :], out[..., 0, :, :], out[..., 1, :, :]
+    np.multiply(p, x0, out=out0)
+    out0 += q * x1
+    np.multiply(p, x1, out=out1)
+    out1 -= q * x0
     return out
 
 
@@ -257,3 +268,58 @@ class SpinorField:
 
     def __neg__(self):
         return SpinorField(self.geom, eig=-self.eig)
+
+
+# -- packed (u, psi) arrays -----------------------------------------------------
+#
+# Newton's MINRES iterates on one complex array (3, n, n): row 0 holds u's
+# Fourier coefficients, rows 1-2 psi's eigen-coordinates.  The two stacked
+# transforms below carry a Hessian product to the grid and back in one
+# ifft2 and one fft2, bit for bit the per-field views.
+
+def pack(u: ScalarField, psi: SpinorField) -> np.ndarray:
+    """The packed array of the pair (u, psi)."""
+    x = np.empty((3,) + psi.eig.shape[1:], dtype=complex)
+    x[0] = u.coeffs
+    x[1:] = psi.eig
+    return x
+
+
+def unpack(geom: TorusGeometry, x: np.ndarray) -> tuple[ScalarField, SpinorField]:
+    """The pair (u, psi) of a packed array, as views of its rows."""
+    return ScalarField(geom, coeffs=x[0]), SpinorField(geom, eig=x[1:])
+
+
+def stacked_values(geom: TorusGeometry, scalar_coeffs, eig: np.ndarray):
+    """The grid values of scalar Fourier coefficient arrays (n, n) and of
+    the spinor with eigen-coordinates eig (2, n, n), from one ifft2 over
+    all their rows: (values (k, n, n), the spinor holding both views), each
+    `ScalarField.values` and `SpinorField.values` bit for bit."""
+    k = len(scalar_coeffs)
+    c = np.empty((k + 2,) + eig.shape[1:], dtype=complex)
+    for row, coeffs in zip(c, scalar_coeffs):
+        np.multiply(coeffs, geom.grid_n ** 2, out=row)
+    _rotate(eig, *_boundary(geom)[2], out=c[k:])
+    g = np.fft.ifft2(c, axes=(-2, -1))
+    g[k:] *= geom.spinor_phase[None, :, :]
+    return g[:k].real, SpinorField(geom, values=g[k:], eig=eig)
+
+
+def stacked_coeffs(geom: TorusGeometry, scalar_values: np.ndarray,
+                   spinor_values: np.ndarray) -> np.ndarray:
+    """The packed array of a scalar and a spinor given by their grid values,
+    from one fft2 over the three rows: row 0 is `ScalarField.coeffs` (with
+    its constant shortcut) and rows 1-2 `SpinorField.from_values(...).eig`,
+    bit for bit."""
+    conj_phase, into, _ = _boundary(geom)
+    s = np.empty((3,) + scalar_values.shape, dtype=complex)
+    s[0] = scalar_values
+    np.multiply(spinor_values, conj_phase, out=s[1:])
+    f = np.fft.fft2(s, axes=(-2, -1))
+    c = constant_value(scalar_values)
+    if c is None:
+        np.divide(f[0], geom.grid_n ** 2, out=s[0])
+    else:
+        _constant_coeffs(c, s[0])
+    _rotate(f[1:], *into, out=s[1:])
+    return s

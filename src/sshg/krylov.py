@@ -2,8 +2,10 @@
 
 The iterate lives in any vector space whose elements support +, -, unary
 negation and real scalar multiplication: the a- rows (numpy arrays) of the
-fiber solve, the spinor fields of the normal-equation solve, and
-`action.Variation` pairs (u, psi) in Newton's MINRES.  `inner` defines the
+fiber solve, the spinor fields of the normal-equation solve, and in Newton's
+MINRES one packed complex array per (u, psi) direction (`fields.pack`: u's
+Fourier coefficients, then psi's eigen-coordinates), whose Hessian is formed
+once per Newton step (`action.linearize`).  `inner` defines the
 metric; operators must be self-adjoint with respect to it, and positive
 definite for CG.  CG takes an optional preconditioner, SPD in the same
 metric; MINRES callers precondition by solving in a weighted metric instead
@@ -94,7 +96,9 @@ def cg(apply_op, b, inner, x0=None, tol=1e-12, maxiter=500, atol=0.0, precond=No
 def minres(apply_op, b, inner, tol=1e-12, maxiter=400):
     """MINRES for a self-adjoint, possibly indefinite operator.
 
-    Lanczos with Givens rotations, all pairings through `inner`.  Returns
+    Lanczos with Givens rotations, all pairings through `inner`.  The
+    vectors it forms itself are updated in place (augmented assignment; a
+    type without it gets a new vector, with the same values).  Returns
     (x, SolveInfo); the iteration cap is not an error here because callers
     (Newton) damp and retry.  A non-finite b raises ConditioningError.
     """
@@ -120,7 +124,7 @@ def minres(apply_op, b, inner, tol=1e-12, maxiter=400):
         delta = inner(av, v)
         v_next = av - delta * v
         if v_prev is not None:
-            v_next = v_next - beta * v_prev
+            v_next -= beta * v_prev
         beta_next = np.sqrt(max(inner(v_next, v_next), 0.0))
 
         a0 = gamma * delta - gamma_prev * sigma * beta
@@ -133,8 +137,10 @@ def minres(apply_op, b, inner, tol=1e-12, maxiter=400):
         gamma_next = a0 / a1
         sigma_next = beta_next / a1
 
-        w_next = (1.0 / a1) * (v - a3 * w_prev - a2 * w)
-        x = x + (gamma_next * eta) * w_next
+        w_next = v - a3 * w_prev
+        w_next -= a2 * w
+        w_next *= 1.0 / a1
+        x += (gamma_next * eta) * w_next
         eta = -sigma_next * eta
 
         relres = abs(eta) / norm_b
@@ -143,7 +149,8 @@ def minres(apply_op, b, inner, tol=1e-12, maxiter=400):
         if beta_next == 0.0:
             return x, SolveInfo(True, it, float(relres))
 
-        v_prev, v = v, (1.0 / beta_next) * v_next
+        v_next *= 1.0 / beta_next
+        v_prev, v = v, v_next
         beta = beta_next
         w_prev, w = w, w_next
         gamma_prev, gamma = gamma, gamma_next

@@ -21,11 +21,13 @@ import numpy as np
 
 from .action import (
     ActionParams,
+    Linearization,
     Variation,
     el_residual_norms,
     evaluate_J,
     gradient_J,
     hess_vec,
+    linearize,
 )
 from .errors import (
     CertificationError,
@@ -33,7 +35,7 @@ from .errors import (
     ConfigError,
     SSHGError,
 )
-from .fields import ScalarField, SpinorField
+from .fields import ScalarField, SpinorField, pack, unpack
 from .krylov import minres
 from .nehari import (
     MultiplierData,
@@ -49,6 +51,7 @@ from .spectral import (
     check_spectral_gap,
     h1_norm,
     hhalf_norm,
+    packed_sobolev_weight,
     product_norm,
     project,
 )
@@ -186,6 +189,11 @@ class SolutionRecord:
     newton_steps: int = 0          # accepted steps of the Newton that built it
     minres_iters: int = 0          # MINRES iterations that Newton spent
     minres_capped: int = 0         # its MINRES solves that stopped at the iteration cap
+    # set by minmax_deform for the descent that built the record; None on
+    # a record of a bare newton_refine
+    descent_level: float | None = None  # the descent's max level at its exit
+    handoff_grad: float | None = None   # constrained-gradient norm at the point handed to Newton
+    exit: str | None = None             # why the descent stopped (PSDiagnostics.exit)
 
 
 def u_variance(u: ScalarField) -> float:
@@ -417,7 +425,10 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
     other exit (grad_tol, stall, budget) tries Newton from the max free node
     below HANDOFF_GRAD.  Returns (SolutionRecord, PSDiagnostics), with the
     reason in `diags.exit`: Newton's record when a hand-off was accepted,
-    else the max free node flagged unrefined.  A broken invariant (energy
+    else the max free node flagged unrefined.  Either record carries the
+    descent's max level at exit (`descent_level`), the constrained-gradient
+    norm at the point handed to Newton (`handoff_grad`, in the filtered norm
+    for a trial inside the loop) and `exit`.  A broken invariant (energy
     floor, moved frozen node, trace lengths) raises CertificationError.
     step_hook(k, point, nodes, energies, params) runs after each accepted
     step or ridge promotion has stored node k and its J, and may override
@@ -585,51 +596,46 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
                                  refined=False)
     if not diags.consistent_lengths():
         raise CertificationError("PS diagnostic traces have unequal lengths")
-    return record, diags
+    # res is the constrained gradient at the point handed to Newton, by the
+    # loop's trial or by the exit
+    return replace(record, descent_level=max(energies), handoff_grad=res.norm,
+                   exit=diags.exit), diags
 
 
 # ---------------------------------------------------------------------------
 # Newton refinement on the free system
 # ---------------------------------------------------------------------------
 
-def _abs_metric(u: ScalarField, psi: SpinorField, params: ActionParams, shift: float):
+def _abs_metric(u: ScalarField, lin: Linearization, params: ActionParams, shift: float):
     """The per-mode multiplier W = max(|R H0| + shift, NEWTON_METRIC_FLOOR)
-    of Newton's MINRES, and the inner product <a, W b> in H^1 x H^{1/2}.
+    of Newton's MINRES, and the inner product <a, W b> in H^1 x H^{1/2}, on
+    packed arrays (`fields.pack`).
 
     H0 is the Hessian at (u, psi) with u and |psi|^2 replaced by their grid
     means and the u-psi coupling dropped, so it is diagonal per mode: with
-    a_u = mean(8 rho^2 cosh 2u - 8 rho cosh u |psi|^2) and c = mean(cosh u),
-    |R H0| is |2|xi|^2 + a_u| / (1+|xi|^2) on u's coefficients and
+    a_u = mean(8 rho^2 cosh 2u - 8 rho cosh u |psi|^2), read off the
+    linearization lin, and c = mean(cosh u), |R H0| is
+    |2|xi|^2 + a_u| / (1+|xi|^2) on u's coefficients and
     16 |+-|xi| - rho c| / (1+|xi|) on psi's eigen-coordinates (R the Riesz
     map).  W is positive, even in xi, and commutes with the product metric,
     so W^{-1} (R H + shift) stays self-adjoint in <a, W b>: the
     absolute-value preconditioner of Vecharynski & Knyazev (SIAM J. Sci.
-    Comput. 35, 2013).  Returns (1/W_u, 1/W_psi, inner).
+    Comput. 35, 2013).  Returns (1/W, inner).
     """
     geom = u.geom
-    rho = params.rho
-    uv = u.values
-    ch = np.cosh(uv)
-    a_u = np.mean(8.0 * rho * rho * np.cosh(2.0 * uv) - 8.0 * rho * ch * psi.density())
-    rho_c = rho * np.mean(ch)
+    a_u = np.mean(lin.uu - lin.uu_dens * lin.dens)
+    rho_c = params.rho * np.mean(np.cosh(u.values))
     lam = geom.s_abs
-    w_u = np.abs(2.0 * geom.xi_sq + a_u) / (1.0 + geom.xi_sq) + shift
-    w_psi = 16.0 * np.abs(np.stack((lam, -lam)) - rho_c) / (1.0 + lam) + shift
-    w_u, w_psi = np.maximum(w_u, NEWTON_METRIC_FLOOR), np.maximum(w_psi, NEWTON_METRIC_FLOOR)
-    m_u = geom.vol * (1.0 + geom.xi_sq) * w_u
-    m_psi = geom.vol * (1.0 + lam) * w_psi
+    w = np.stack((np.abs(2.0 * geom.xi_sq + a_u) / (1.0 + geom.xi_sq),
+                  16.0 * np.abs(lam - rho_c) / (1.0 + lam),
+                  16.0 * np.abs(-lam - rho_c) / (1.0 + lam))) + shift
+    w = np.maximum(w, NEWTON_METRIC_FLOOR)
+    m = geom.vol * packed_sobolev_weight(geom) * w
 
-    def inner(a: Variation, b: Variation) -> float:
-        return float(np.vdot(a.du.coeffs, m_u * b.du.coeffs).real
-                     + np.vdot(a.dpsi.eig, m_psi * b.dpsi.eig).real)
+    def inner(a: np.ndarray, b: np.ndarray) -> float:
+        return float(np.vdot(a[0], m[0] * b[0]).real + np.vdot(a[1:], m[1:] * b[1:]).real)
 
-    return 1.0 / w_u, 1.0 / w_psi, inner
-
-
-def _scaled(d: Variation, m_u: np.ndarray, m_psi: np.ndarray) -> Variation:
-    """d with its u coefficients and psi eigen-coordinates multiplied per mode."""
-    return replace(d, du=ScalarField(d.du.geom, coeffs=m_u * d.du.coeffs),
-                   dpsi=SpinorField(d.dpsi.geom, eig=m_psi * d.dpsi.eig))
+    return 1.0 / w, inner
 
 
 def _grad_vec(u, psi, params) -> tuple[Variation, float]:
@@ -667,6 +673,7 @@ def newton_refine(candidate: NehariPoint, params: ActionParams,
             )
 
     u, psi = candidate.u, candidate.psi
+    geom = u.geom
     refined = False
     steps = iters = capped = 0
     gvec, gnorm = _grad_vec(u, psi, params)
@@ -681,19 +688,27 @@ def newton_refine(candidate: NehariPoint, params: ActionParams,
         # the orbit directions; a gradient-sized shift keeps the Krylov solve
         # from amplifying kernel noise while preserving fast local convergence
         shift = min(1e-2, gnorm)
-        inv_u, inv_psi, inner = _abs_metric(u, psi, params, shift)
+        lin = linearize(u, psi, params)
+        inv_w, inner = _abs_metric(u, lin, params, shift)
+        riesz_w = packed_sobolev_weight(geom)
 
-        def hess_op(d: Variation) -> Variation:
-            return _scaled(hess_vec(u, psi, d, params).riesz() + shift * d, inv_u, inv_psi)
+        def hess_op(x: np.ndarray) -> np.ndarray:
+            # W^{-1} (R H + shift) x, each factor a per-mode multiplier
+            h = hess_vec(lin, x)
+            h /= riesz_w
+            h += shift * x
+            h *= inv_w
+            return h
 
-        d, info = minres(hess_op, _scaled(-1.0 * gvec, inv_u, inv_psi), inner,
+        d, info = minres(hess_op, (-1.0 * pack(gvec.du, gvec.dpsi)) * inv_w, inner,
                          tol=_forcing(res), maxiter=250)
         iters += info.iterations
         capped += not info.converged
+        d_u, d_psi = unpack(geom, d)
         lam = 1.0
         for _ in range(10):
-            u_try = u + lam * d.du
-            psi_try = psi + lam * d.dpsi
+            u_try = u + lam * d_u
+            psi_try = psi + lam * d_psi
             try:
                 g_try, gn = _grad_vec(u_try, psi_try, params)
             except (SSHGError, FloatingPointError):

@@ -72,6 +72,16 @@ def sobolev_weight(geom: TorusGeometry, field_type: type) -> np.ndarray:
     return mult
 
 
+@lru_cache(maxsize=16)
+def packed_sobolev_weight(geom: TorusGeometry) -> np.ndarray:
+    """The read-only per-mode multiplier (3, n, n) of the H^1 x H^{1/2}
+    pairing on packed (u, psi) arrays (`fields.pack`): `sobolev_weight` of
+    each field on its rows."""
+    mult = np.stack((sobolev_weight(geom, ScalarField),) + (sobolev_weight(geom, SpinorField),) * 2)
+    mult.flags.writeable = False
+    return mult
+
+
 def sobolev_inner(a, b) -> float:
     """The H^1 pairing of two scalar fields, or the H^{1/2} pairing of two
     spinors, via the diagonal multipliers of `sobolev_weight`."""

@@ -15,7 +15,7 @@ its partner as the exact sigma-image (`_sigma_point`, checked bit for bit by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -422,8 +422,10 @@ def orthogonal_restart(u1: ScalarField, family: EquivariantFamily,
     ortho = abs(sobolev_inner(record.point.u, u1))
     if not record.refined or ortho > 1e-8:
         point = project_to_manifold(orthogonalize(record.point.u), record.point.psi, params)
-        record = make_record(point, multiplier_solve(point, params), params,
-                             converged=record.converged, refined=False)
+        record = replace(make_record(point, multiplier_solve(point, params), params,
+                                     converged=record.converged, refined=False),
+                         descent_level=record.descent_level,
+                         handoff_grad=record.handoff_grad, exit=record.exit)
         ortho = abs(sobolev_inner(point.u, u1))
     if ortho > 1e-8:
         raise CertificationError(f"restart orthogonality defect {ortho:.3e} > 1e-8")

@@ -12,13 +12,13 @@ import struct
 
 import numpy as np
 
-from sshg.action import Variation, check_overflow, dirac_minus_potential
+from sshg.action import Variation, check_overflow, dirac_minus_potential, hess_vec, linearize
 from sshg.checkpoint import MAGIC, VERSION
 from sshg.errors import CheckpointFormatError, ConfigError, SSHGError
-from sshg.fields import ScalarField, SpinorField
+from sshg.fields import ScalarField, SpinorField, pack, unpack
 from sshg.geometry import TorusGeometry
 from sshg.nehari import NehariPoint, _fiber_map, _row_inner
-from sshg.spectral import l2_inner, project, riesz_hhalf
+from sshg.spectral import dirac_apply, l2_inner, laplace_apply, project, riesz_hhalf
 
 
 class IllPosedError(SSHGError):
@@ -98,6 +98,39 @@ def dual_pair(var: Variation, v: ScalarField, phi: SpinorField) -> float:
     if var.u_space != "H-1" or var.psi_space != "H-1/2":
         raise ConfigError("dual_pair() expects dual-tagged data")
     return l2_inner(var.du, v) + l2_inner(var.dpsi, phi)
+
+
+def field_hess_vec(u: ScalarField, psi: SpinorField, direction: Variation, params) -> Variation:
+    """The second variation at (u, psi) applied to a primal direction,
+    returned dual-tagged: the Hessian formula on the field types, with every
+    grid product and every transform of its own, which the package's
+    linearize-and-apply `hess_vec` reproduces bit for bit."""
+    geom = u.geom
+    uv = check_overflow(u)
+    rho = params.rho
+    v = direction.du
+    phi = direction.dpsi
+    vv = v.values
+    sh, ch = np.sinh(uv), np.cosh(uv)
+    dens = psi.density()
+    cross = psi.cross_density(phi)
+
+    hu_vals = (8.0 * rho * rho * np.cosh(2.0 * uv) * vv
+               - 8.0 * rho * ch * vv * dens
+               - 16.0 * rho * sh * cross)
+    hu = ScalarField.from_values(geom, hu_vals) + (-2.0) * laplace_apply(v)
+
+    hpsi_vals = (rho * ch)[None, :, :] * phi.values + (rho * sh * vv)[None, :, :] * psi.values
+    hpsi = dirac_apply(phi) - SpinorField.from_values(geom, hpsi_vals)
+    return Variation(hu, 16.0 * hpsi)
+
+
+def hessian(u: ScalarField, psi: SpinorField, v: ScalarField, phi: SpinorField,
+            params) -> Variation:
+    """The package's Hessian product at (u, psi) applied to (v, phi), as
+    dual-tagged data for `dual_pair`."""
+    du, dpsi = unpack(u.geom, hess_vec(linearize(u, psi, params), pack(v, phi)))
+    return Variation(du, dpsi)
 
 
 def hminus1_norm(u: ScalarField) -> float:

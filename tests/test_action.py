@@ -10,9 +10,10 @@ from sshg.action import (
     evaluate_J,
     gradient_J,
     hess_vec,
+    linearize,
 )
 from sshg.errors import ConfigError, OverflowGuardError
-from sshg.fields import ScalarField, SpinorField
+from sshg.fields import ScalarField, SpinorField, pack, unpack
 from sshg.geometry import TWO_PI, TorusGeometry
 from sshg.spectral import (
     build_basis,
@@ -21,7 +22,16 @@ from sshg.spectral import (
     laplace_apply,
 )
 
-from oracles import dual_pair, grid_x1, grid_x2, hminus1_norm, hminushalf_norm, quaternion_j
+from oracles import (
+    dual_pair,
+    field_hess_vec,
+    grid_x1,
+    grid_x2,
+    hessian,
+    hminus1_norm,
+    hminushalf_norm,
+    quaternion_j,
+)
 
 from test_spectral import random_scalar, random_spinor
 
@@ -168,8 +178,7 @@ def test_hessian_at_origin_and_symmetry():
     zero_psi = SpinorField.zeros(geom)
     for j in (1, 5):
         lam = basis.eigenvalue(j)
-        d = Variation(zero_u, basis.eigenspinor(j), u_space="H1", psi_space="H1/2")
-        h = hess_vec(zero_u, zero_psi, d, params)
+        h = hessian(zero_u, zero_psi, zero_u, basis.eigenspinor(j), params)
         diff = h.dpsi - 16.0 * (lam - 0.5) * basis.eigenspinor(j)
         assert hhalf_norm(diff) < 1e-12
         assert np.max(np.abs(h.du.values)) < 1e-13
@@ -179,10 +188,8 @@ def test_hessian_at_origin_and_symmetry():
     for _ in range(4):
         a_u, a_psi = smooth_pair(geom, rng)
         b_u, b_psi = smooth_pair(geom, rng)
-        da = Variation(a_u, a_psi, u_space="H1", psi_space="H1/2")
-        db = Variation(b_u, b_psi, u_space="H1", psi_space="H1/2")
-        hab = dual_pair(hess_vec(u, psi, da, params), b_u, b_psi)
-        hba = dual_pair(hess_vec(u, psi, db, params), a_u, a_psi)
+        hab = dual_pair(hessian(u, psi, a_u, a_psi, params), b_u, b_psi)
+        hba = dual_pair(hessian(u, psi, b_u, b_psi, params), a_u, a_psi)
         assert abs(hab - hba) <= 1e-9 * (1.0 + abs(hab))
 
 
@@ -193,8 +200,7 @@ def test_hessian_matches_gradient_differences():
     u, psi = smooth_pair(geom, rng)
     d_u, d_psi = smooth_pair(geom, rng)
     t_u, t_psi = smooth_pair(geom, rng)
-    d = Variation(d_u, d_psi, u_space="H1", psi_space="H1/2")
-    hv = dual_pair(hess_vec(u, psi, d, params), t_u, t_psi)
+    hv = dual_pair(hessian(u, psi, d_u, d_psi, params), t_u, t_psi)
     best = np.inf
     for h in (1e-4, 1e-5):
         gp = dual_pair(gradient_J(u + h * d_u, psi + h * d_psi, params), t_u, t_psi)
@@ -202,6 +208,39 @@ def test_hessian_matches_gradient_differences():
         fd = (gp - gm) / (2.0 * h)
         best = min(best, abs(fd - hv) / max(abs(hv), 1e-10))
     assert best <= 1e-5
+
+
+@pytest.mark.parametrize("delta", [(0.5, 0.5), (0.0, 0.0)])
+def test_linearized_hessian_is_the_field_formula_bit_for_bit(delta):
+    # u non-constant and psi on two Dirac modes, so the u-psi coupling is
+    # live; directions as MINRES holds them: u by its coefficients, psi by
+    # its eigen-coordinates
+    geom = TorusGeometry(grid_n=16, spin_delta=delta)
+    basis = build_basis(geom, cutoff=2.0)
+    params = ActionParams(rho=0.5)
+    u = ScalarField.from_values(geom, 0.9 + 0.2 * np.cos(grid_x1(geom))
+                                + 0.1 * np.sin(grid_x1(geom) + 2.0 * grid_x2(geom)))
+    psi = 3.0 * basis.eigenspinor(1) + (1.0 - 2.0j) * basis.eigenspinor(3)
+    lin = linearize(u, psi, params)
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        v, phi = smooth_pair(geom, rng)
+        x = pack(v, phi)
+        v, phi = unpack(geom, x)
+        want = field_hess_vec(u, psi, Variation(v, phi, u_space="H1", psi_space="H1/2"),
+                              params)
+        got = hess_vec(lin, x)
+        assert np.array_equal(got[0], want.du.coeffs)
+        assert np.array_equal(got[1:], want.dpsi.eig)
+        assert np.max(np.abs(got[0])) > 0.0 and np.max(np.abs(got[1:])) > 0.0
+    # a constant direction u and a vanishing direction psi take the
+    # constant-coefficient shortcut on both sides
+    zero_psi = SpinorField.zeros(geom)
+    x = pack(ScalarField.constant(geom, 0.3), zero_psi)
+    want = field_hess_vec(ScalarField.constant(geom, 0.5), zero_psi,
+                          Variation(*unpack(geom, x), u_space="H1", psi_space="H1/2"), params)
+    got = hess_vec(linearize(ScalarField.constant(geom, 0.5), zero_psi, params), x)
+    assert np.array_equal(got[0], want.du.coeffs) and np.array_equal(got[1:], want.dpsi.eig)
 
 
 def test_symmetries_of_J():

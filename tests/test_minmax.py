@@ -6,9 +6,16 @@ import numpy as np
 import pytest
 
 import sshg.minmax
-from sshg.action import ActionParams, Variation, el_residual_norms, evaluate_J, gradient_J
+from sshg.action import (
+    ActionParams,
+    Variation,
+    el_residual_norms,
+    evaluate_J,
+    gradient_J,
+    linearize,
+)
 from sshg.errors import CertificationError, ConfigError
-from sshg.fields import ScalarField, SpinorField
+from sshg.fields import ScalarField, SpinorField, pack
 from sshg.geometry import TorusGeometry
 from sshg.minmax import (
     MinmaxConfig,
@@ -174,6 +181,8 @@ def test_newton_refine_semi_trivial_seed(setup16):
     rec = newton_refine(seed_pt, params)
     assert rec.refined
     assert rec.res_u + rec.res_psi <= 1e-10
+    # no descent ran, so the record carries no descent fields
+    assert rec.descent_level is None and rec.handoff_grad is None and rec.exit is None
     assert rec.classification == "semi_trivial_constant_u"
     assert rec.level == pytest.approx(4 * 0.25 * np.sinh(c) ** 2 * geom.vol, rel=1e-10)
     assert rec.multiplier_norm <= 10 * 1e-10
@@ -231,10 +240,8 @@ def test_inexact_newton_from_a_perturbed_semi_trivial_start(monkeypatch):
     assert tols[-1] > 1e-12
 
 
-def _random_variation(geom, rng):
-    from test_spectral import random_scalar, random_spinor
-    return Variation(random_scalar(geom, rng), random_spinor(geom, rng),
-                     u_space="H1", psi_space="H1/2")
+def _random_packed(geom, rng):
+    return pack(random_scalar(geom, rng), random_spinor(geom, rng))
 
 
 def test_newton_minres_runs_in_the_abs_hessian_metric(setup16, monkeypatch):
@@ -251,9 +258,11 @@ def test_newton_minres_runs_in_the_abs_hessian_metric(setup16, monkeypatch):
     orig_minres, orig_hess = sshg.minmax.minres, sshg.minmax.hess_vec
 
     def checking_minres(apply_op, b, inner, **kwargs):
-        # <M a, b>_W = <a, M b>_W on random pairs, at the iterate of this step
+        # <M a, b>_W = <a, M b>_W on random packed pairs, at the iterate of
+        # this step
+        assert b.shape == (3, geom.grid_n, geom.grid_n)
         for _ in range(3):
-            x, y = _random_variation(geom, rng), _random_variation(geom, rng)
+            x, y = _random_packed(geom, rng), _random_packed(geom, rng)
             pairs.append((inner(apply_op(x), y), inner(x, apply_op(y)), inner(x, x)))
         calls = len(hess_calls)
         out = orig_minres(apply_op, b, inner, **kwargs)
@@ -280,17 +289,18 @@ def test_abs_metric_is_positive_and_even(setup16):
     geom, basis = setup16
     params = ActionParams(rho=0.5)
     rng = np.random.default_rng(3)
-    u = ScalarField.constant(geom, 1.0) + 0.1 * _random_variation(geom, rng).du
+    u = ScalarField.constant(geom, 1.0) + 0.1 * random_scalar(geom, rng)
     psi = (geom.side_length * np.sqrt(LAM1)) * basis.eigenspinor(1)
+    lin = linearize(u, psi, params)
     for shift in (0.0, 1e-12, 1e-2):
-        inv_u, inv_psi, _ = sshg.minmax._abs_metric(u, psi, params, shift)
-        w_u, w_psi = 1.0 / inv_u, 1.0 / inv_psi
-        assert np.all(np.isfinite(w_u)) and np.all(np.isfinite(w_psi))
-        assert w_u.min() >= sshg.minmax.NEWTON_METRIC_FLOOR > 0.0
-        assert w_psi.min() >= sshg.minmax.NEWTON_METRIC_FLOOR
+        inv_w, _ = sshg.minmax._abs_metric(u, lin, params, shift)
+        w = 1.0 / inv_w
+        assert w.shape == (3, geom.grid_n, geom.grid_n)
+        assert np.all(np.isfinite(w))
+        assert w.min() >= sshg.minmax.NEWTON_METRIC_FLOOR > 0.0
         # W_u(-xi) = W_u(xi) on the FFT grid, so a real u stays real
-        assert np.array_equal(w_u, np.roll(np.flip(w_u, axis=(0, 1)), 1, axis=(0, 1)))
-    scaled = sshg.minmax._scaled(_random_variation(geom, rng), inv_u, inv_psi).du.coeffs
+        assert np.array_equal(w[0], np.roll(np.flip(w[0], axis=(0, 1)), 1, axis=(0, 1)))
+    scaled = inv_w[0] * _random_packed(geom, rng)[0]
     assert np.max(np.abs(np.fft.ifft2(scaled).imag)) <= 1e-15 * np.max(np.abs(scaled))
 
 
@@ -363,6 +373,11 @@ def test_minmax_deform_hands_off_at_its_exit(setup16):
     assert diags.exit == "budget"
     assert len(diags.energies) == 6 and diags.consistent_lengths()
     assert diags.energies[-1] == record.level
+    # the exit's own fields: the max level after the last step, which the
+    # descent never raised, and the gradient at the node handed to Newton
+    assert record.exit == "budget"
+    assert record.descent_level <= diags.energies[-2]
+    assert 0.0 < record.handoff_grad <= sshg.minmax.HANDOFF_GRAD
 
 
 def test_semi_trivial_eigenvalue_relation(setup16):

@@ -313,6 +313,8 @@ def test_multiplicity_case1_outputs(tmp_path):
     assert not disk["refined"] and not disk["converged"]
     # a rejected Newton trial leaves no work on the descent's own record
     assert disk["newton_steps"] == 0 and disk["minres_iters"] == 0
+    assert disk["exit"] == "budget" and disk["descent_level"] >= disk["level"]
+    assert 0.0 < disk["handoff_grad"] <= 1e3
     assert data["distinct"] is False and data["converged"] is False
     assert data["diagnostics"]["exit"] == "budget"
 
@@ -511,6 +513,11 @@ def test_mountain_pass_hands_off_to_newton(default_mountain_pass):
     rec = default_mountain_pass["records"][0]
     assert rec["refined"] and not rec["converged"]
     assert rec["classification"] == "semi_trivial_constant_u"
+    # the record reports the descent that built it: the level and gradient
+    # of the iteration that handed off, the entry before the refined point
+    assert rec["exit"] == "handoff"
+    assert rec["descent_level"] == diag["energies"][-2] > rec["level"]
+    assert rec["handoff_grad"] == diag["grad_norms"][-2]
     vol = (2 * np.pi) ** 2
     c1 = 4 * 0.5**2 * np.sinh(np.arccosh(LAM1 / 0.5)) ** 2 * vol
     assert default_mountain_pass["levels"]["c1"] == pytest.approx(c1, rel=1e-12)

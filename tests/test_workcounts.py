@@ -16,7 +16,8 @@ once a solve iterates, so the mountain pass, whose CG solves never
 iterate, keeps every count it had without it.
 The FFTs (fft2/ifft2 through `sshg.fields.np`, the binding the perfbench
 tracer wraps) also move with rounding luck: they depend on whether an
-accepted descent step leaves u exactly constant.  The MINRES iterations
+accepted descent step leaves u exactly constant.  A Newton Hessian product
+makes two of them, one stacked ifft2 and one stacked fft2 (`action.hess_vec`).  The MINRES iterations
 move by a few at most: each Newton step solves, in the |H0| metric
 (`minmax._abs_metric`), only to a tolerance sized to its residual
 (`minmax.NEWTON_FORCING`), so no solve runs down to the rounding floor,
@@ -53,7 +54,7 @@ CEILINGS = {
     "constrained_gradient": 22,
     "gradient_J": 34,
     "newton_refine": 2,
-    "fft": 743,
+    "fft": 707,
 }
 
 MOUNTAIN_PASS = {
@@ -71,7 +72,7 @@ MOUNTAIN_PASS_CEILINGS = {
     "constrained_gradient": 31,
     "gradient_J": 36,
     "newton_refine": 1,
-    "fft": 266,
+    "fft": 248,
 }
 
 
