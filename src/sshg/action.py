@@ -1,5 +1,6 @@
-"""The sinh-Gordon/spinor action, its first variation, Hessian products and
-the norms of the Euler-Lagrange residuals.
+"""The sinh-Gordon/spinor action, its Riesz gradient, Hessian products and
+the norms of the Euler-Lagrange residuals; directions, gradients included,
+are packed (u, psi) arrays (`fields.pack`).
 
 The functional on H^1 x H^{1/2} is
 
@@ -22,15 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, OverflowGuardError
-from .fields import ScalarField, SpinorField, constant_value, stacked_coeffs, stacked_values
+from .fields import ScalarField, SpinorField, constant_value, pack, stacked_coeffs, stacked_values
 from .spectral import (
     dirac_apply,
-    h1_norm,
-    hhalf_norm,
     l2_inner,
     laplace_apply,
-    riesz_h1,
-    riesz_hhalf,
+    packed_sobolev_weight,
+    sobolev_norms_sq,
 )
 
 U_CAP = 50.0  # overflow guard: max|u| beyond which cosh and sinh are refused
@@ -45,28 +44,6 @@ class ActionParams:
     def __post_init__(self):
         if not self.rho > 0:
             raise ConfigError(f"rho must be positive, got {self.rho!r}")
-
-
-@dataclass
-class Variation:
-    """A (du, dpsi) pair with representation tags.
-
-    Tags "H-1"/"H-1/2" mean the components are L^2 densities to be paired
-    against test directions; "H1"/"H1/2" mean Riesz representatives in the
-    product metric.
-    """
-
-    du: ScalarField
-    dpsi: SpinorField
-    u_space: str = "H-1"
-    psi_space: str = "H-1/2"
-
-    def riesz(self) -> "Variation":
-        """Riesz representatives in H^1 x H^{1/2} of dual-tagged data."""
-        if self.u_space != "H-1" or self.psi_space != "H-1/2":
-            raise ConfigError("riesz() expects dual-tagged data")
-        return Variation(riesz_h1(self.du), riesz_hhalf(self.dpsi),
-                         u_space="H1", psi_space="H1/2")
 
 
 def check_overflow(u) -> np.ndarray:
@@ -110,11 +87,14 @@ def evaluate_J(u: ScalarField, psi: SpinorField, params: ActionParams) -> float:
     return float(grad_term + dirac_term + cosh_term + sinh_term)
 
 
-def gradient_J(u: ScalarField, psi: SpinorField, params: ActionParams) -> Variation:
-    """First variation as dual densities.
+def gradient_J(u: ScalarField, psi: SpinorField, params: ActionParams) -> np.ndarray:
+    """The Riesz gradient of J in H^1 x H^{1/2}, packed (`fields.pack`): the
+    first variation's densities
 
-    Scalar part: -2 Lap u + 8 rho^2 sinh(u) cosh(u) - 8 rho sinh(u) |psi|^2.
-    Spinor part: 16 (D psi - rho cosh(u) psi).
+        scalar part: -2 Lap u + 8 rho^2 sinh(u) cosh(u) - 8 rho sinh(u) |psi|^2,
+        spinor part: 16 (D psi - rho cosh(u) psi),
+
+    divided per mode by the product metric's weight (`packed_sobolev_weight`).
     """
     geom = u.geom
     uv = check_overflow(u)
@@ -123,15 +103,18 @@ def gradient_J(u: ScalarField, psi: SpinorField, params: ActionParams) -> Variat
     dens = psi.density()
     gu_vals = 8.0 * rho * rho * sh * ch - 8.0 * rho * sh * dens
     gu = ScalarField.from_values(geom, gu_vals) + (-2.0) * laplace_apply(u)
-    return Variation(gu, 16.0 * dirac_minus_potential(psi, ch, rho))
+    g = pack(gu, 16.0 * dirac_minus_potential(psi, ch, rho))
+    g /= packed_sobolev_weight(geom)
+    return g
 
 
-def el_residual_norms(g: Variation) -> tuple[float, float]:
+def el_residual_norms(geom, g: np.ndarray) -> tuple[float, float]:
     """(res_u, res_psi): the dual norms of the Euler-Lagrange residuals, read
-    off the Riesz gradient g of J.  The residuals are the first variation
-    scaled to the system's normalization, -dJ_u / 2 and dJ_psi / 16, and
-    ||f||_{H^-s} = ||R f||_{H^s}."""
-    return 0.5 * h1_norm(g.du), hhalf_norm(g.dpsi) / 16.0
+    off the packed Riesz gradient g of J.  The residuals are the first
+    variation scaled to the system's normalization, -dJ_u / 2 and
+    dJ_psi / 16, and ||f||_{H^-s} = ||R f||_{H^s}."""
+    h1_sq, hhalf_sq = sobolev_norms_sq(geom, g)
+    return 0.5 * np.sqrt(h1_sq), np.sqrt(hhalf_sq) / 16.0
 
 
 @dataclass(frozen=True)

@@ -272,8 +272,9 @@ class SpinorField:
 
 # -- packed (u, psi) arrays -----------------------------------------------------
 #
-# Newton's MINRES iterates on one complex array (3, n, n): row 0 holds u's
-# Fourier coefficients, rows 1-2 psi's eigen-coordinates.  The two stacked
+# A (u, psi) direction (a gradient, a tangent, a Newton step) is one complex
+# array (3, n, n): row 0 holds u's Fourier coefficients, rows 1-2 psi's
+# eigen-coordinates.  The two stacked
 # transforms below carry a Hessian product to the grid and back in one
 # ifft2 and one fft2, bit for bit the per-field views.
 

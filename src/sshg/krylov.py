@@ -2,11 +2,12 @@
 
 The iterate lives in any vector space whose elements support +, -, unary
 negation and real scalar multiplication: the a- rows (numpy arrays) of the
-fiber solve, the spinor fields of the normal-equation solve, and in Newton's
-MINRES one packed complex array per (u, psi) direction (`fields.pack`: u's
-Fourier coefficients, then psi's eigen-coordinates), whose Hessian is formed
-once per Newton step (`action.linearize`).  `inner` defines the
-metric; operators must be self-adjoint with respect to it, and positive
+fiber solve, the E^- spinor fields of the multiplier's normal equations,
+and in Newton's MINRES the packed complex arrays (`fields.pack`: u's
+Fourier coefficients, then psi's eigen-coordinates) that are the package's
+one representation of a (u, psi) direction, gradient and tangent alike;
+Newton's Hessian is formed once per step (`action.linearize`).  `inner`
+defines the metric; operators must be self-adjoint with respect to it, and positive
 definite for CG.  CG takes an optional preconditioner, SPD in the same
 metric; MINRES callers precondition by solving in a weighted metric instead
 (Newton's |H0| metric).

@@ -22,7 +22,6 @@ import numpy as np
 from .action import (
     ActionParams,
     Linearization,
-    Variation,
     el_residual_norms,
     evaluate_J,
     gradient_J,
@@ -35,7 +34,7 @@ from .errors import (
     ConfigError,
     SSHGError,
 )
-from .fields import ScalarField, SpinorField, pack, unpack
+from .fields import ScalarField, SpinorField, unpack
 from .krylov import minres
 from .nehari import (
     MultiplierData,
@@ -52,8 +51,9 @@ from .spectral import (
     h1_norm,
     hhalf_norm,
     packed_sobolev_weight,
-    product_norm,
     project,
+    sobolev_norms_sq,
+    subspace_mask,
 )
 
 SUFFICIENT_DECREASE = 1e-4
@@ -218,7 +218,7 @@ def make_record(point: NehariPoint, multiplier: MultiplierData, params: ActionPa
     """The record of point from its multiplier solve: the Euler-Lagrange
     residuals are read off the solve's Riesz gradient, the multiplier norm
     off its multiplier."""
-    ru, rp = el_residual_norms(multiplier.gradient)
+    ru, rp = el_residual_norms(point.u.geom, multiplier.gradient)
     cls, var = classify(point.u, point.psi)
     return SolutionRecord(
         point=point,
@@ -285,19 +285,29 @@ def straight_path(u_end: ScalarField, s: float, psi: SpinorField, n_nodes: int,
     return nodes, frozen
 
 
-def block_filter(rho: float):
+def block_filter(geom, rho: float):
     """Tangent filter of the linking min-max: removes the plus_b + zero block
     (eigenvalues below rho and harmonic spinors), on which J is negative, from
-    a descent direction, so the descent runs outside the block."""
-    def tangent_filter(var: Variation) -> Variation:
-        block = project(var.dpsi, "plus_b", rho) + project(var.dpsi, "zero")
-        return replace(var, dpsi=var.dpsi - block)
+    a packed descent direction, so the descent runs outside the block."""
+    check_spectral_gap(geom, rho)
+    plus_b, zero = subspace_mask(geom, "plus_b", rho), subspace_mask(geom, "zero", None)
+
+    def tangent_filter(t: np.ndarray) -> np.ndarray:
+        out = t.copy()
+        out[1:] -= t[1:] * plus_b + t[1:] * zero
+        return out
     return tangent_filter
 
 
 # ---------------------------------------------------------------------------
 # deformation loop
 # ---------------------------------------------------------------------------
+
+def _norm(geom, x: np.ndarray) -> float:
+    """The H^1 x H^{1/2} norm of a packed (u, psi) array."""
+    h1_sq, hhalf_sq = sobolev_norms_sq(geom, x)
+    return float(np.sqrt(h1_sq + hhalf_sq))
+
 
 def _product_dist(a: NehariPoint, b: NehariPoint) -> float:
     return float(np.sqrt(h1_norm(a.u - b.u) ** 2 + hhalf_norm(a.psi - b.psi) ** 2))
@@ -503,7 +513,7 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
             # project the descent direction; convergence is then measured in
             # the filtered norm
             filt = tangent_filter(res.tangent)
-            res = replace(res, tangent=filt, norm=product_norm(filt.du, filt.dpsi))
+            res = replace(res, tangent=filt, norm=_norm(point.u.geom, filt))
         diags.record(res, level, h1_norm(point.u), hhalf_norm(point.psi))
 
         # descent never raises the certified max; repairs may (logged above)
@@ -543,9 +553,10 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
             if cap > 0 and res.norm > 0:
                 trial_step = min(trial_step, cap / res.norm)
         j_old = energies[idx]
+        t_u, t_psi = unpack(point.u.geom, res.tangent)
         for _ in range(MAX_BACKTRACKS):
-            cand_u = point.u - trial_step * res.tangent.du
-            cand_psi = point.psi - trial_step * res.tangent.dpsi
+            cand_u = point.u - trial_step * t_u
+            cand_psi = point.psi - trial_step * t_psi
             try:
                 cand = project_to_manifold(cand_u, cand_psi, params)
                 j_new = evaluate_J(cand.u, cand.psi, params)
@@ -638,11 +649,6 @@ def _abs_metric(u: ScalarField, lin: Linearization, params: ActionParams, shift:
     return 1.0 / w, inner
 
 
-def _grad_vec(u, psi, params) -> tuple[Variation, float]:
-    r = gradient_J(u, psi, params).riesz()
-    return r, product_norm(r.du, r.dpsi)
-
-
 def _forcing(res: float) -> float:
     """Relative MINRES tolerance of a Newton step from residual res (inexact
     Newton: Dembo, Eisenstat & Steihaug 1982).  Far from a solution the linear
@@ -658,11 +664,12 @@ def newton_refine(candidate: NehariPoint, params: ActionParams,
     products.
 
     Terminates when res_u + res_psi (`el_residual_norms`) is at most
-    NEWTON_TOL; divergence (no damped decrease across 10 halvings) returns
-    the candidate flagged unrefined.  The record's `converged` is False: no descent ran here; it
-    carries the accepted steps, the MINRES iterations spent and the number of
-    MINRES solves that stopped at the cap unconverged (their step is still
-    tried).
+    NEWTON_TOL.  Divergence (no damped decrease across 10 halvings) stops at
+    the last accepted iterate, and so does the step cap; the record is built
+    at that iterate re-projected onto the manifold, flagged unrefined.  The
+    record's `converged` is False: no descent ran here; it carries the
+    accepted steps, the MINRES iterations spent and the number of MINRES
+    solves that stopped at the cap unconverged (their step is still tried).
     """
     if check_pre:
         pre = constrained_gradient(candidate, params)
@@ -676,9 +683,10 @@ def newton_refine(candidate: NehariPoint, params: ActionParams,
     geom = u.geom
     refined = False
     steps = iters = capped = 0
-    gvec, gnorm = _grad_vec(u, psi, params)
+    g = gradient_J(u, psi, params)
+    gnorm = _norm(geom, g)
     for _ in range(NEWTON_MAX_STEPS):
-        res_u, res_psi = el_residual_norms(gvec)
+        res_u, res_psi = el_residual_norms(geom, g)
         res = res_u + res_psi
         if res <= NEWTON_TOL:
             refined = True
@@ -700,7 +708,7 @@ def newton_refine(candidate: NehariPoint, params: ActionParams,
             h *= inv_w
             return h
 
-        d, info = minres(hess_op, (-1.0 * pack(gvec.du, gvec.dpsi)) * inv_w, inner,
+        d, info = minres(hess_op, (-1.0 * g) * inv_w, inner,
                          tol=_forcing(res), maxiter=250)
         iters += info.iterations
         capped += not info.converged
@@ -710,12 +718,13 @@ def newton_refine(candidate: NehariPoint, params: ActionParams,
             u_try = u + lam * d_u
             psi_try = psi + lam * d_psi
             try:
-                g_try, gn = _grad_vec(u_try, psi_try, params)
+                g_try = gradient_J(u_try, psi_try, params)
             except (SSHGError, FloatingPointError):
                 lam *= 0.5
                 continue
+            gn = _norm(geom, g_try)
             if gn <= (1.0 - SUFFICIENT_DECREASE * lam) * gnorm:
-                u, psi, gvec, gnorm = u_try, psi_try, g_try, gn
+                u, psi, g, gnorm = u_try, psi_try, g_try, gn
                 break
             lam *= 0.5
         else:

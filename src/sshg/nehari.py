@@ -27,24 +27,23 @@ import numpy as np
 
 from .action import (
     ActionParams,
-    Variation,
     check_overflow,
     dirac_minus_potential,
     gradient_J,
     scalar_terms,
 )
 from .errors import CertificationError, ConfigError, OverflowGuardError
-from .fields import ScalarField, SpinorField, constant_value, minus_row_times
+from .fields import ScalarField, SpinorField, constant_value, minus_row_times, pack, unpack
 from .krylov import cg
 from .spectral import (
     check_spectral_gap,
     h1_norm,
     hhalf_norm,
-    product_norm,
+    packed_sobolev_weight,
     project,
-    riesz_h1,
     riesz_hhalf,
     sobolev_inner,
+    sobolev_norms_sq,
     sobolev_weight,
     subspace_mask,
 )
@@ -71,10 +70,11 @@ class NehariPoint:
 
 @dataclass
 class MultiplierData:
-    """One multiplier solve at a point: the Riesz pair of dJ there, the
-    solution w of the normal equations and their relative residual."""
+    """One multiplier solve at a point: the packed Riesz gradient of J
+    there, the solution w of the normal equations and their relative
+    residual."""
 
-    gradient: Variation
+    gradient: np.ndarray
     w: SpinorField
     solve_residual: float
 
@@ -313,24 +313,28 @@ def project_to_manifold(u: ScalarField, psi: SpinorField, params: ActionParams) 
 # multipliers and constrained gradients
 # ---------------------------------------------------------------------------
 
-def _dg_adjoint(point: NehariPoint, params: ActionParams, w: SpinorField):
-    """dG(u,psi)^* w in the product metric H^1 x H^{1/2}.
+def _dg_adjoint(point: NehariPoint, params: ActionParams, w: SpinorField) -> np.ndarray:
+    """dG(u,psi)^* w in the product metric H^1 x H^{1/2}, packed.
 
     <dG[v,phi], w>_{H^{1/2}} = <phi, (D - rho cosh u) w>_{L^2}
                                - rho int sinh(u) v Re<psi, w>,
-    so the adjoint pair is (Riesz_{H^1}(-rho sinh(u) Re<psi,w>),
-    Riesz_{H^{1/2}}((D - rho cosh u) w)).
+    so the adjoint is the Riesz image of the pair
+    (-rho sinh(u) Re<psi,w>, (D - rho cosh u) w).
     """
+    geom = point.u.geom
     uv = point.u.values
     rho = params.rho
     cross = point.psi.cross_density(w)
-    du_dual = ScalarField.from_values(point.u.geom, -rho * np.sinh(uv) * cross)
-    dpsi_dual = dirac_minus_potential(w, np.cosh(uv), rho)
-    return riesz_h1(du_dual), riesz_hhalf(dpsi_dual)
+    du_dual = ScalarField.from_values(geom, -rho * np.sinh(uv) * cross)
+    out = pack(du_dual, dirac_minus_potential(w, np.cosh(uv), rho))
+    out /= packed_sobolev_weight(geom)
+    return out
 
 
-def _dg_apply(point: NehariPoint, params: ActionParams, v: ScalarField, phi: SpinorField) -> SpinorField:
-    """dG(u,psi)[v, phi], negative-subspace valued."""
+def _dg_apply(point: NehariPoint, params: ActionParams, x: np.ndarray) -> SpinorField:
+    """dG(u,psi)[v, phi] of the packed direction x = (v, phi),
+    negative-subspace valued."""
+    v, phi = unpack(point.u.geom, x)
     uv = point.u.values
     rho = params.rho
     lin = dirac_minus_potential(phi, np.cosh(uv), rho)
@@ -346,13 +350,13 @@ def multiplier_solve(point: NehariPoint, params: ActionParams) -> MultiplierData
     (`mean_field_symbol`): at constant u the Gram operator is a0^2 plus the
     u-coupling's positive part.
     """
-    g = gradient_J(point.u, point.psi, params).riesz()
-    rhs = _dg_apply(point, params, g.du, g.dpsi)
-    scale = h1_norm(g.du) + hhalf_norm(g.dpsi)
+    g = gradient_J(point.u, point.psi, params)
+    rhs = _dg_apply(point, params, g)
+    h1_sq, hhalf_sq = sobolev_norms_sq(point.u.geom, g)
+    scale = np.sqrt(h1_sq) + np.sqrt(hhalf_sq)
 
     def gram(w: SpinorField) -> SpinorField:
-        du, dpsi = _dg_adjoint(point, params, w)
-        return _dg_apply(point, params, du, dpsi)
+        return _dg_apply(point, params, _dg_adjoint(point, params, w))
 
     atol = 1e-14 * max(scale, 1.0)
     w, info = cg(gram, rhs, sobolev_inner, tol=1e-12, maxiter=FIBER_MAXITER, atol=atol,
@@ -364,7 +368,7 @@ def multiplier_solve(point: NehariPoint, params: ActionParams) -> MultiplierData
 class TangentResult:
     """Constrained gradient data at a certified point."""
 
-    tangent: Variation            # Riesz representatives, tangent to N_rho
+    tangent: np.ndarray           # packed Riesz representative, tangent to N_rho
     norm: float                   # product-metric norm of the tangent
     alpha_norm: float             # H^{-1} norm of the u-equation residual
     beta_norm: float              # H^{-1/2} norm of the psi-equation residual
@@ -381,15 +385,13 @@ def constrained_tangent(point: NehariPoint, params: ActionParams,
     beta = (dJ - dG^* w)_psi / 16, so (||f||_{H^-s} = ||R f||_{H^s})
     alpha_norm = ||t_u||_{H^1} and beta_norm = ||t_psi||_{H^1/2} / 16.
     """
-    g = multiplier.gradient
-    wdu, wdpsi = _dg_adjoint(point, params, multiplier.w)
-    t_u = g.du - wdu
-    t_psi = g.dpsi - wdpsi
+    t = multiplier.gradient - _dg_adjoint(point, params, multiplier.w)
+    h1_sq, hhalf_sq = sobolev_norms_sq(point.u.geom, t)
     return TangentResult(
-        tangent=Variation(t_u, t_psi, u_space="H1", psi_space="H1/2"),
-        norm=product_norm(t_u, t_psi),
-        alpha_norm=h1_norm(t_u),
-        beta_norm=hhalf_norm(t_psi) / 16.0,
+        tangent=t,
+        norm=float(np.sqrt(h1_sq + hhalf_sq)),
+        alpha_norm=np.sqrt(h1_sq),
+        beta_norm=np.sqrt(hhalf_sq) / 16.0,
         multiplier=multiplier,
     )
 

@@ -259,7 +259,7 @@ def run_path(config: RunConfig, basis, params, consts):
                                   basis.eigenspinor(consts.k_index + 1), mm.path_nodes, params)
     record, diags = minmax_deform(
         nodes, frozen, mm, params,
-        tangent_filter=block_filter(params.rho) if consts.block_dim else None)
+        tangent_filter=block_filter(basis.geom, params.rho) if consts.block_dim else None)
     end = nodes[-1]
     return {
         "endpoint": {"u_bar": consts.T, "s": consts.s,

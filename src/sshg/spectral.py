@@ -102,15 +102,12 @@ def hhalf_norm(psi: SpinorField) -> float:
     return np.sqrt(max(sobolev_inner(psi, psi), 0.0))
 
 
-def product_norm(u: ScalarField, psi: SpinorField) -> float:
-    """Norm of the pair (u, psi) in the product metric H^1 x H^{1/2}."""
-    return float(np.sqrt(max(sobolev_inner(u, u) + sobolev_inner(psi, psi), 0.0)))
-
-
-def riesz_h1(u_dual: ScalarField) -> ScalarField:
-    """Riesz representative in H^1 of an L^2-represented functional."""
-    g = u_dual.geom
-    return ScalarField(g, coeffs=u_dual.coeffs / sobolev_weight(g, ScalarField))
+def sobolev_norms_sq(geom: TorusGeometry, x: np.ndarray) -> tuple[float, float]:
+    """The squared H^1 norm of u and H^{1/2} norm of psi of a packed (u, psi)
+    array, from the weights of `packed_sobolev_weight`: `sobolev_inner` of
+    each field with itself, bit for bit."""
+    s = packed_sobolev_weight(geom) * np.conj(x) * x
+    return float(geom.vol * np.sum(s[0]).real), float(geom.vol * np.sum(s[1:]).real)
 
 
 def riesz_hhalf(psi_dual: SpinorField) -> SpinorField:

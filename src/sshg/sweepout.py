@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .action import ActionParams, Variation, evaluate_J
+from .action import ActionParams, evaluate_J
 from .errors import (
     CapacityError,
     CertificationError,
@@ -411,9 +411,10 @@ def orthogonal_restart(u1: ScalarField, family: EquivariantFamily,
     if evaluate_J(end.u, end.psi, params) >= 0:
         raise CertificationError("restart endpoint energy is not negative")
 
-    def tangent_filter(var):
-        return Variation(orthogonalize(var.du), var.dpsi,
-                         u_space="H1", psi_space="H1/2")
+    def tangent_filter(t: np.ndarray) -> np.ndarray:
+        out = t.copy()
+        out[0] = orthogonalize(ScalarField(geom, coeffs=t[0])).coeffs
+        return out
 
     record, diags = minmax_deform(nodes, frozen, config, params,
                                   tangent_filter=tangent_filter)

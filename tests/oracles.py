@@ -2,7 +2,9 @@
 
 Each is an independent route to a quantity the package computes another
 way (grid quadrature against Parseval, H^{-s} dual norms against Riesz
-norms, the dense constraint against its a- row), or a helper the tests
+norms, the dense constraint against its a- row, the field-pair first
+variation, Riesz maps and constraint derivatives against the packed (u, psi)
+arrays), or a helper the tests
 need and the package does not: grid coordinates, |D|^s, the quaternionic
 structure, Hermitian symmetry, the reader of the checkpoints that
 `checkpoint_save` and `save_point` write.
@@ -12,13 +14,21 @@ import struct
 
 import numpy as np
 
-from sshg.action import Variation, check_overflow, dirac_minus_potential, hess_vec, linearize
+from sshg.action import check_overflow, dirac_minus_potential, hess_vec, linearize
 from sshg.checkpoint import MAGIC, VERSION
-from sshg.errors import CheckpointFormatError, ConfigError, SSHGError
+from sshg.errors import CheckpointFormatError, SSHGError
 from sshg.fields import ScalarField, SpinorField, pack, unpack
 from sshg.geometry import TorusGeometry
 from sshg.nehari import NehariPoint, _fiber_map, _row_inner
-from sshg.spectral import dirac_apply, l2_inner, laplace_apply, project, riesz_hhalf
+from sshg.spectral import (
+    dirac_apply,
+    l2_inner,
+    laplace_apply,
+    project,
+    riesz_hhalf,
+    sobolev_inner,
+    sobolev_weight,
+)
 
 
 class IllPosedError(SSHGError):
@@ -93,23 +103,77 @@ def l2_norm(a) -> float:
     return np.sqrt(max(l2_inner(a, a), 0.0))
 
 
-def dual_pair(var: Variation, v: ScalarField, phi: SpinorField) -> float:
-    """Dual pairing of dual-tagged data against a test direction (v, phi)."""
-    if var.u_space != "H-1" or var.psi_space != "H-1/2":
-        raise ConfigError("dual_pair() expects dual-tagged data")
-    return l2_inner(var.du, v) + l2_inner(var.dpsi, phi)
+def dual_pair(dual, v: ScalarField, phi: SpinorField) -> float:
+    """The pairing of L^2 densities dual = (du, dpsi) against a test
+    direction (v, phi)."""
+    du, dpsi = dual
+    return l2_inner(du, v) + l2_inner(dpsi, phi)
 
 
-def field_hess_vec(u: ScalarField, psi: SpinorField, direction: Variation, params) -> Variation:
-    """The second variation at (u, psi) applied to a primal direction,
-    returned dual-tagged: the Hessian formula on the field types, with every
-    grid product and every transform of its own, which the package's
-    linearize-and-apply `hess_vec` reproduces bit for bit."""
+def riesz_pair(g: np.ndarray, v: ScalarField, phi: SpinorField) -> float:
+    """The H^1 x H^{1/2} pairing of a packed Riesz gradient g with a test
+    direction (v, phi): the dual pairing of the functional g represents."""
+    gu, gpsi = unpack(v.geom, g)
+    return sobolev_inner(gu, v) + sobolev_inner(gpsi, phi)
+
+
+def riesz_h1(u_dual: ScalarField) -> ScalarField:
+    """Riesz representative in H^1 of an L^2-represented functional."""
+    g = u_dual.geom
+    return ScalarField(g, coeffs=u_dual.coeffs / sobolev_weight(g, ScalarField))
+
+
+def field_gradient(u: ScalarField, psi: SpinorField, params):
+    """The first variation of J at (u, psi) as L^2 densities (du, dpsi),
+    each field with its own transforms:
+
+        du = -2 Lap u + 8 rho^2 sinh(u) cosh(u) - 8 rho sinh(u) |psi|^2,
+        dpsi = 16 (D psi - rho cosh(u) psi).
+    """
     geom = u.geom
     uv = check_overflow(u)
     rho = params.rho
-    v = direction.du
-    phi = direction.dpsi
+    sh, ch = np.sinh(uv), np.cosh(uv)
+    gu_vals = 8.0 * rho * rho * sh * ch - 8.0 * rho * sh * psi.density()
+    gu = ScalarField.from_values(geom, gu_vals) + (-2.0) * laplace_apply(u)
+    return gu, 16.0 * dirac_minus_potential(psi, ch, rho)
+
+
+def field_riesz_gradient(u: ScalarField, psi: SpinorField, params):
+    """The Riesz pair of `field_gradient` in H^1 x H^{1/2}, which the
+    package's packed `gradient_J` reproduces bit for bit."""
+    gu, gpsi = field_gradient(u, psi, params)
+    return riesz_h1(gu), riesz_hhalf(gpsi)
+
+
+def field_dg_apply(point: NehariPoint, params, v: ScalarField, phi: SpinorField) -> SpinorField:
+    """dG(u, psi)[v, phi] on the field pair, negative-subspace valued."""
+    uv = point.u.values
+    rho = params.rho
+    lin = dirac_minus_potential(phi, np.cosh(uv), rho)
+    lin = lin - point.psi.times(rho * np.sinh(uv) * v.values)
+    return project(riesz_hhalf(lin), "minus")
+
+
+def field_dg_adjoint(point: NehariPoint, params, w: SpinorField):
+    """dG(u, psi)^* w in H^1 x H^{1/2} as a field pair: the Riesz images of
+    -rho sinh(u) Re<psi, w> and (D - rho cosh u) w."""
+    uv = point.u.values
+    rho = params.rho
+    cross = point.psi.cross_density(w)
+    du_dual = ScalarField.from_values(point.u.geom, -rho * np.sinh(uv) * cross)
+    return riesz_h1(du_dual), riesz_hhalf(dirac_minus_potential(w, np.cosh(uv), rho))
+
+
+def field_hess_vec(u: ScalarField, psi: SpinorField, v: ScalarField, phi: SpinorField,
+                   params):
+    """The second variation at (u, psi) applied to a primal direction
+    (v, phi), returned as L^2 densities: the Hessian formula on the field
+    types, with every grid product and every transform of its own, which
+    the package's linearize-and-apply `hess_vec` reproduces bit for bit."""
+    geom = u.geom
+    uv = check_overflow(u)
+    rho = params.rho
     vv = v.values
     sh, ch = np.sinh(uv), np.cosh(uv)
     dens = psi.density()
@@ -122,15 +186,13 @@ def field_hess_vec(u: ScalarField, psi: SpinorField, direction: Variation, param
 
     hpsi_vals = (rho * ch)[None, :, :] * phi.values + (rho * sh * vv)[None, :, :] * psi.values
     hpsi = dirac_apply(phi) - SpinorField.from_values(geom, hpsi_vals)
-    return Variation(hu, 16.0 * hpsi)
+    return hu, 16.0 * hpsi
 
 
-def hessian(u: ScalarField, psi: SpinorField, v: ScalarField, phi: SpinorField,
-            params) -> Variation:
-    """The package's Hessian product at (u, psi) applied to (v, phi), as
-    dual-tagged data for `dual_pair`."""
-    du, dpsi = unpack(u.geom, hess_vec(linearize(u, psi, params), pack(v, phi)))
-    return Variation(du, dpsi)
+def hessian(u: ScalarField, psi: SpinorField, v: ScalarField, phi: SpinorField, params):
+    """The package's Hessian product at (u, psi) applied to (v, phi), as the
+    pair of L^2 densities that `dual_pair` reads."""
+    return unpack(u.geom, hess_vec(linearize(u, psi, params), pack(v, phi)))
 
 
 def hminus1_norm(u: ScalarField) -> float:

@@ -5,7 +5,6 @@ import pytest
 
 from sshg.action import (
     ActionParams,
-    Variation,
     el_residual_norms,
     evaluate_J,
     gradient_J,
@@ -18,8 +17,11 @@ from sshg.geometry import TWO_PI, TorusGeometry
 from sshg.spectral import (
     build_basis,
     dirac_apply,
+    h1_norm,
     hhalf_norm,
     laplace_apply,
+    riesz_hhalf,
+    sobolev_norms_sq,
 )
 
 from oracles import (
@@ -31,6 +33,8 @@ from oracles import (
     hminus1_norm,
     hminushalf_norm,
     quaternion_j,
+    riesz_h1,
+    riesz_pair,
 )
 
 from test_spectral import random_scalar, random_spinor
@@ -89,12 +93,13 @@ def test_gradient_zero_at_critical_points():
     geom = TorusGeometry(grid_n=16, spin_delta=(0.5, 0.5))
     basis = build_basis(geom, cutoff=2.0)
     params = ActionParams(rho=0.5)
+    # ||f||_{H^-s} = ||R f||_{H^s}: the norms of the packed Riesz gradient
     g = gradient_J(ScalarField.zeros(geom), SpinorField.zeros(geom), params)
-    assert (hminus1_norm(g.du), hminushalf_norm(g.dpsi)) == (0.0, 0.0)
+    assert sobolev_norms_sq(geom, g) == (0.0, 0.0)
     # semi-trivial branch: u = 0, psi an eigenspinor, rho = lambda_k
     lam1 = basis.eigenvalue(1)
     g = gradient_J(ScalarField.zeros(geom), basis.eigenspinor(1), ActionParams(rho=lam1))
-    nu, npsi = hminus1_norm(g.du), hminushalf_norm(g.dpsi)
+    nu, npsi = np.sqrt(sobolev_norms_sq(geom, g))
     assert nu < 1e-12 and npsi < 1e-12
 
 
@@ -105,8 +110,7 @@ def test_gradient_matches_finite_differences():
     for _ in range(6):
         u, psi = smooth_pair(geom, rng)
         v, phi = smooth_pair(geom, rng)
-        g = gradient_J(u, psi, params)
-        pairing = dual_pair(g, v, phi)
+        pairing = riesz_pair(gradient_J(u, psi, params), v, phi)
         best = np.inf
         for h in (1e-3, 1e-4, 1e-5):
             jp = evaluate_J(u + h * v, psi + h * phi, params)
@@ -118,7 +122,7 @@ def test_gradient_matches_finite_differences():
 
 def el_norms(u, psi, params):
     """(res_u, res_psi) as records and Newton read them off the Riesz gradient."""
-    return el_residual_norms(gradient_J(u, psi, params).riesz())
+    return el_residual_norms(u.geom, gradient_J(u, psi, params))
 
 
 def test_el_residual_semi_trivial_and_coefficient_oracle():
@@ -147,7 +151,9 @@ def test_el_residual_matches_the_pointwise_system():
     # the Euler-Lagrange system written out on the grid at a non-constant u:
     # res_u = Lap u - 2 rho^2 sinh(2u) + 4 rho sinh(u) |psi|^2 and
     # res_psi = (D - rho cosh u) psi, against the first variation scaled by
-    # (-1/2, 1/16) and the norms read off its Riesz gradient
+    # (-1/2, 1/16) and the norms read off its Riesz gradient; the Riesz map
+    # is an isometry H^-s -> H^s, so the differences are measured on the
+    # Riesz side
     geom = TorusGeometry(grid_n=16, spin_delta=(0.5, 0.5))
     params = ActionParams(rho=0.8)
     rng = np.random.default_rng(11)
@@ -159,13 +165,13 @@ def test_el_residual_matches_the_pointwise_system():
             geom, -2.0 * rho * rho * np.sinh(2.0 * uv) + 4.0 * rho * np.sinh(uv) * psi.density())
         want_psi = dirac_apply(psi) - psi.times(rho * np.cosh(uv))
         g = gradient_J(u, psi, params)
-        var = Variation(-0.5 * g.du, (1.0 / 16.0) * g.dpsi)
-        nu, npsi = el_residual_norms(g.riesz())
+        gu, gpsi = unpack(geom, g)
+        nu, npsi = el_residual_norms(geom, g)
         scale_u = hminus1_norm(laplace_apply(u)) + hminus1_norm(
             ScalarField.from_values(geom, 2.0 * rho * rho * np.sinh(2.0 * uv)))
         scale_psi = hminushalf_norm(dirac_apply(psi))
-        assert hminus1_norm(var.du - want_u) <= 1e-13 * scale_u
-        assert hminushalf_norm(var.dpsi - want_psi) <= 1e-13 * scale_psi
+        assert h1_norm(-0.5 * gu - riesz_h1(want_u)) <= 1e-13 * scale_u
+        assert hhalf_norm((1.0 / 16.0) * gpsi - riesz_hhalf(want_psi)) <= 1e-13 * scale_psi
         assert nu == pytest.approx(hminus1_norm(want_u), rel=1e-12)
         assert npsi == pytest.approx(hminushalf_norm(want_psi), rel=1e-12)
 
@@ -178,10 +184,10 @@ def test_hessian_at_origin_and_symmetry():
     zero_psi = SpinorField.zeros(geom)
     for j in (1, 5):
         lam = basis.eigenvalue(j)
-        h = hessian(zero_u, zero_psi, zero_u, basis.eigenspinor(j), params)
-        diff = h.dpsi - 16.0 * (lam - 0.5) * basis.eigenspinor(j)
+        h_u, h_psi = hessian(zero_u, zero_psi, zero_u, basis.eigenspinor(j), params)
+        diff = h_psi - 16.0 * (lam - 0.5) * basis.eigenspinor(j)
         assert hhalf_norm(diff) < 1e-12
-        assert np.max(np.abs(h.du.values)) < 1e-13
+        assert np.max(np.abs(h_u.values)) < 1e-13
 
     rng = np.random.default_rng(7)
     u, psi = smooth_pair(geom, rng)
@@ -203,8 +209,8 @@ def test_hessian_matches_gradient_differences():
     hv = dual_pair(hessian(u, psi, d_u, d_psi, params), t_u, t_psi)
     best = np.inf
     for h in (1e-4, 1e-5):
-        gp = dual_pair(gradient_J(u + h * d_u, psi + h * d_psi, params), t_u, t_psi)
-        gm = dual_pair(gradient_J(u - h * d_u, psi - h * d_psi, params), t_u, t_psi)
+        gp = riesz_pair(gradient_J(u + h * d_u, psi + h * d_psi, params), t_u, t_psi)
+        gm = riesz_pair(gradient_J(u - h * d_u, psi - h * d_psi, params), t_u, t_psi)
         fd = (gp - gm) / (2.0 * h)
         best = min(best, abs(fd - hv) / max(abs(hv), 1e-10))
     assert best <= 1e-5
@@ -227,20 +233,19 @@ def test_linearized_hessian_is_the_field_formula_bit_for_bit(delta):
         v, phi = smooth_pair(geom, rng)
         x = pack(v, phi)
         v, phi = unpack(geom, x)
-        want = field_hess_vec(u, psi, Variation(v, phi, u_space="H1", psi_space="H1/2"),
-                              params)
+        want_u, want_psi = field_hess_vec(u, psi, v, phi, params)
         got = hess_vec(lin, x)
-        assert np.array_equal(got[0], want.du.coeffs)
-        assert np.array_equal(got[1:], want.dpsi.eig)
+        assert np.array_equal(got[0], want_u.coeffs)
+        assert np.array_equal(got[1:], want_psi.eig)
         assert np.max(np.abs(got[0])) > 0.0 and np.max(np.abs(got[1:])) > 0.0
     # a constant direction u and a vanishing direction psi take the
     # constant-coefficient shortcut on both sides
     zero_psi = SpinorField.zeros(geom)
     x = pack(ScalarField.constant(geom, 0.3), zero_psi)
-    want = field_hess_vec(ScalarField.constant(geom, 0.5), zero_psi,
-                          Variation(*unpack(geom, x), u_space="H1", psi_space="H1/2"), params)
+    want_u, want_psi = field_hess_vec(ScalarField.constant(geom, 0.5), zero_psi,
+                                      *unpack(geom, x), params)
     got = hess_vec(linearize(ScalarField.constant(geom, 0.5), zero_psi, params), x)
-    assert np.array_equal(got[0], want.du.coeffs) and np.array_equal(got[1:], want.dpsi.eig)
+    assert np.array_equal(got[0], want_u.coeffs) and np.array_equal(got[1:], want_psi.eig)
 
 
 def test_symmetries_of_J():

@@ -8,14 +8,13 @@ import pytest
 import sshg.minmax
 from sshg.action import (
     ActionParams,
-    Variation,
     el_residual_norms,
     evaluate_J,
     gradient_J,
     linearize,
 )
 from sshg.errors import CertificationError, ConfigError
-from sshg.fields import ScalarField, SpinorField, pack
+from sshg.fields import ScalarField, SpinorField, pack, unpack
 from sshg.geometry import TorusGeometry
 from sshg.minmax import (
     MinmaxConfig,
@@ -31,7 +30,7 @@ from sshg.minmax import (
 from sshg.nehari import constrained_gradient, fiber_solve, multiplier_solve
 from sshg.spectral import build_basis, h1_norm, hhalf_norm, project
 
-from oracles import grid_x1, grid_x2, hminus1_norm, hminushalf_norm
+from oracles import field_gradient, grid_x1, grid_x2, hminus1_norm, hminushalf_norm
 
 from test_spectral import random_scalar, random_spinor
 
@@ -114,21 +113,23 @@ def test_linking_certify_rejects_bad_constants(setup16):
 
 def test_block_filter_removes_the_negative_block():
     # delta = (0, 0) at rho = 1.2: harmonic spinors and the eigenvalues below
-    # rho form the block; the filter keeps the rest and the representation tags
+    # rho form the block; the filter keeps the rest of the packed direction,
+    # the u row bit for bit, and leaves its input as it was
     geom = TorusGeometry(grid_n=16, spin_delta=(0.0, 0.0))
     basis = build_basis(geom, cutoff=2.5)
     consts = linking_constants(ActionParams(rho=1.2), basis)
     assert consts.harmonic_dim > 0 and consts.k_index > 0
     top = basis.eigenspinor(consts.k_index + 1)
     block = basis.harmonic_spinor(0) + 0.5 * basis.eigenspinor(consts.k_index)
-    du = ScalarField.from_values(geom, np.cos(grid_x1(geom)))
-    var = Variation(du, block + top, u_space="H1", psi_space="H1/2")
-    out = block_filter(1.2)(var)
-    assert (out.u_space, out.psi_space) == ("H1", "H1/2")
-    assert out.du is var.du
-    assert hhalf_norm(out.dpsi - top) < 1e-13
-    assert hhalf_norm(project(out.dpsi, "plus_b", 1.2)) < 1e-13
-    assert hhalf_norm(project(out.dpsi, "zero")) < 1e-13
+    t = pack(ScalarField.from_values(geom, np.cos(grid_x1(geom))), block + top)
+    before = t.copy()
+    out = block_filter(geom, 1.2)(t)
+    assert np.array_equal(t, before)
+    assert np.array_equal(out[0], t[0])
+    out_psi = unpack(geom, out)[1]
+    assert hhalf_norm(out_psi - top) < 1e-13
+    assert hhalf_norm(project(out_psi, "plus_b", 1.2)) < 1e-13
+    assert hhalf_norm(project(out_psi, "zero")) < 1e-13
 
 
 def test_classify_and_records(setup16):
@@ -159,12 +160,13 @@ def test_record_residuals_are_the_dual_norms_of_the_scaled_first_variation(delta
         assert np.ptp(pt.u.values) > 0.1
         rec = make_record(pt, multiplier_solve(pt, params), params, converged=False,
                           refined=False)
-        g = gradient_J(pt.u, pt.psi, params)
-        assert rec.res_u == pytest.approx(hminus1_norm(-0.5 * g.du), rel=1e-13, abs=0.0)
-        assert rec.res_psi == pytest.approx(hminushalf_norm((1.0 / 16.0) * g.dpsi),
+        gu, gpsi = field_gradient(pt.u, pt.psi, params)
+        assert rec.res_u == pytest.approx(hminus1_norm(-0.5 * gu), rel=1e-13, abs=0.0)
+        assert rec.res_psi == pytest.approx(hminushalf_norm((1.0 / 16.0) * gpsi),
                                             rel=1e-13, abs=0.0)
         # Newton's stop test reads the same pair off the gradient it holds
-        assert el_residual_norms(g.riesz()) == (rec.res_u, rec.res_psi)
+        g = gradient_J(pt.u, pt.psi, params)
+        assert el_residual_norms(geom, g) == (rec.res_u, rec.res_psi)
 
 
 def test_newton_refine_semi_trivial_seed(setup16):
@@ -175,7 +177,7 @@ def test_newton_refine_semi_trivial_seed(setup16):
     c = float(np.arccosh(LAM1 / 0.5))
     s = geom.side_length * np.sqrt(LAM1)
     seed_pt = fiber_solve(ScalarField.constant(geom, c), s * basis.eigenspinor(1), params)
-    ru, rp = el_residual_norms(gradient_J(seed_pt.u, seed_pt.psi, params).riesz())
+    ru, rp = el_residual_norms(geom, gradient_J(seed_pt.u, seed_pt.psi, params))
     assert ru + rp < 1e-10  # exact solution up to roundoff
 
     rec = newton_refine(seed_pt, params)

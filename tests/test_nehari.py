@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 import sshg.nehari
 from sshg.action import ActionParams, el_residual_norms, evaluate_J, gradient_J, scalar_terms
 from sshg.errors import CertificationError, ConfigError, OverflowGuardError, SSHGError
-from sshg.fields import ScalarField, SpinorField, minus_row_times, spinor_eig
+from sshg.fields import ScalarField, SpinorField, minus_row_times, pack, spinor_eig, unpack
 from sshg.geometry import TorusGeometry
 from sshg.krylov import SolveInfo, cg
 from sshg.nehari import (
     FIBER_TOL,
     NehariPoint,
     constrained_gradient,
+    constrained_tangent,
     fiber_coercivity,
     fiber_energy_bounds,
     fiber_solve,
@@ -24,14 +25,27 @@ from sshg.nehari import (
 from sshg.spectral import (
     build_basis,
     dirac_apply,
+    h1_norm,
     hhalf_norm,
     project,
+    sobolev_inner,
+    sobolev_norms_sq,
 )
 
-from oracles import constraint_G, fiber_rayleigh_margin, hminus1_norm, hminushalf_norm, l2_norm
+from oracles import (
+    constraint_G,
+    fiber_rayleigh_margin,
+    field_dg_adjoint,
+    field_dg_apply,
+    field_gradient,
+    field_riesz_gradient,
+    hminus1_norm,
+    hminushalf_norm,
+    l2_norm,
+)
 
 from test_constant_fields import PROPERTY, SEEDS, counting_ffts
-from test_spectral import random_scalar, random_spinor
+from test_spectral import ALL_DELTAS, random_scalar, random_spinor
 
 LAM1 = np.sqrt(2.0) / 2.0
 
@@ -51,7 +65,6 @@ def free_spinor(geom, rng, amp=1.0):
 
 
 def bounded_scalar(geom, rng, h1_cap=1.0):
-    from sshg.spectral import h1_norm
     u = random_scalar(geom, rng)
     return u * (h1_cap / max(h1_norm(u), 1e-12))
 
@@ -539,7 +552,7 @@ def test_lagrange_multiplier(setup16):
     lam_params = ActionParams(rho=LAM1 * (1 + 1e-6))
     pt = fiber_solve(zero_u, basis.eigenspinor(1), lam_params)
     md = multiplier_solve(pt, lam_params)
-    ru, rpsi = el_residual_norms(md.gradient)
+    ru, rpsi = el_residual_norms(geom, md.gradient)
     assert md.norm() <= 10.0 * (ru + rpsi)
 
     # generic certified point: multiplier solve residual certified
@@ -560,18 +573,17 @@ def test_constrained_gradient(setup16):
     pt = fiber_solve(zero_u, t * basis.eigenspinor(1), params)
     res = constrained_gradient(pt, params)
     assert res.norm > 0
-    dir_psi = res.tangent.dpsi
+    dir_u, dir_psi = unpack(geom, res.tangent)
     expected = (16.0 * t * (LAM1 - params.rho) / (1.0 + LAM1)) * basis.eigenspinor(1)
     assert hhalf_norm(dir_psi - expected) <= 1e-10 * (1 + hhalf_norm(expected))
-    assert np.max(np.abs(res.tangent.du.values)) < 1e-12
+    assert np.max(np.abs(dir_u.values)) < 1e-12
 
     # tangency on random certified points: ||dG[tangent]||_{H^{1/2}} ~ 0
     rng = np.random.default_rng(8)
     for _ in range(5):
         pt = fiber_solve(bounded_scalar(geom, rng), free_spinor(geom, rng), params)
         res = constrained_gradient(pt, params)
-        tangency = hhalf_norm(sshg.nehari._dg_apply(pt, params, res.tangent.du,
-                                                     res.tangent.dpsi))
+        tangency = hhalf_norm(sshg.nehari._dg_apply(pt, params, res.tangent))
         assert tangency <= 1e-9 * (1.0 + res.norm)
 
 
@@ -600,13 +612,47 @@ def test_alpha_beta_match_the_multiplier_formula(delta):
         assert np.ptp(uv) > 0.1
         res = constrained_gradient(pt, params)
         varphi = res.multiplier.varphi
-        g = gradient_J(pt.u, pt.psi, params)
+        gu, gpsi = field_gradient(pt.u, pt.psi, params)
         cross = np.real(np.sum(np.conj(pt.psi.values) * varphi.values, axis=0))
-        alpha = g.du + ScalarField.from_values(geom, 16.0 * rho * np.sinh(uv) * cross)
+        alpha = gu + ScalarField.from_values(geom, 16.0 * rho * np.sinh(uv) * cross)
         potential = SpinorField.from_values(geom, (rho * np.cosh(uv))[None] * varphi.values)
-        beta = (1.0 / 16.0) * g.dpsi - (dirac_apply(varphi) - potential)
+        beta = (1.0 / 16.0) * gpsi - (dirac_apply(varphi) - potential)
         assert res.alpha_norm == pytest.approx(hminus1_norm(alpha), rel=1e-12)
         assert res.beta_norm == pytest.approx(hminushalf_norm(beta), rel=1e-12)
+
+
+@pytest.mark.parametrize("delta", ALL_DELTAS)
+def test_packed_directions_are_the_field_pair_route_bit_for_bit(delta):
+    # the packed gradient, its norms and residuals, dG and dG^*, and the
+    # constrained tangent with its norm, alpha and beta, against the same
+    # formulas on field pairs (dual densities, then the Riesz maps), at a
+    # certified point with non-constant u; the delta = 0 axes are masked,
+    # and rho = 0.6 stays off the spectrum for every delta
+    geom = TorusGeometry(grid_n=16, spin_delta=delta)
+    params = ActionParams(rho=0.6)
+    rng = np.random.default_rng(23)
+    pt = fiber_solve(bounded_scalar(geom, rng), free_spinor(geom, rng), params)
+    assert np.ptp(pt.u.values) > 0.1
+
+    g = gradient_J(pt.u, pt.psi, params)
+    ru, rpsi = field_riesz_gradient(pt.u, pt.psi, params)
+    assert np.array_equal(g, pack(ru, rpsi))
+    h1_sq, hhalf_sq = sobolev_norms_sq(geom, g)
+    assert (h1_sq, hhalf_sq) == (sobolev_inner(ru, ru), sobolev_inner(rpsi, rpsi))
+    assert h1_sq > 0.0 and hhalf_sq > 0.0
+    assert el_residual_norms(geom, g) == (0.5 * h1_norm(ru), hhalf_norm(rpsi) / 16.0)
+    assert np.array_equal(sshg.nehari._dg_apply(pt, params, g).eig,
+                          field_dg_apply(pt, params, ru, rpsi).eig)
+
+    md = multiplier_solve(pt, params)
+    assert np.array_equal(md.gradient, g)
+    wu, wpsi = field_dg_adjoint(pt, params, md.w)
+    assert np.array_equal(sshg.nehari._dg_adjoint(pt, params, md.w), pack(wu, wpsi))
+    res = constrained_tangent(pt, params, md)
+    t_u, t_psi = ru - wu, rpsi - wpsi
+    assert np.array_equal(res.tangent, pack(t_u, t_psi))
+    assert res.norm == float(np.sqrt(sobolev_inner(t_u, t_u) + sobolev_inner(t_psi, t_psi)))
+    assert (res.alpha_norm, res.beta_norm) == (h1_norm(t_u), hhalf_norm(t_psi) / 16.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

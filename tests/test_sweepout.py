@@ -294,7 +294,7 @@ def test_orbit_closure(mp16):
         psi = rec.point.psi
         jpsi = quaternion_j(psi)
         q_psi = a * psi + (1j * b) * psi + c * jpsi + (1j * d) * jpsi
-        ru, rp = el_residual_norms(gradient_J(sigma * rec.point.u, q_psi, params).riesz())
+        ru, rp = el_residual_norms(geom, gradient_J(sigma * rec.point.u, q_psi, params))
         assert ru + rp <= 1e-9
 
 
