@@ -120,7 +120,8 @@ def el_residual_norms(geom, g: np.ndarray) -> tuple[float, float]:
 @dataclass(frozen=True)
 class Linearization:
     """The per-point grids of the second variation at (u, psi), formed once
-    per Newton step by `linearize` and applied by `hess_vec`."""
+    per Newton step by `linearize` and applied by `hess_vec`, with the work
+    arrays of one product."""
 
     psi: SpinorField        # psi, whose grid values are read
     dens: np.ndarray        # |psi|^2
@@ -129,37 +130,64 @@ class Linearization:
     u_cross: np.ndarray     # 16 rho sinh u, the factor of Re<psi, phi>
     psi_phi: np.ndarray     # rho cosh u, the factor of phi
     psi_v: np.ndarray       # rho sinh u, the factor of v psi
+    grid: np.ndarray        # (4, n, n) complex: v, -2 Lap v and phi on the grid
+    spec: np.ndarray        # (3, n, n) complex: the product on the grid, then its
+                            # spectrum; idle between products, for callers to borrow
+    tmp: np.ndarray         # (2, n, n) real: grid temporaries
 
 
 def linearize(u: ScalarField, psi: SpinorField, params: ActionParams) -> Linearization:
-    """The grids of the second variation at (u, psi); u beyond U_CAP is
-    refused."""
+    """The grids of the second variation at (u, psi) and the work arrays of
+    one product; u beyond U_CAP is refused."""
     uv = check_overflow(u)
     rho = params.rho
     sh, ch = np.sinh(uv), np.cosh(uv)
+    n = uv.shape[-1]
     return Linearization(psi=psi, dens=psi.density(), uu=8.0 * rho * rho * np.cosh(2.0 * uv),
                          uu_dens=8.0 * rho * ch, u_cross=16.0 * rho * sh,
-                         psi_phi=rho * ch, psi_v=rho * sh)
+                         psi_phi=rho * ch, psi_v=rho * sh,
+                         grid=np.empty((4, n, n), dtype=complex),
+                         spec=np.empty((3, n, n), dtype=complex), tmp=np.empty((2, n, n)))
 
 
-def hess_vec(lin: Linearization, x: np.ndarray) -> np.ndarray:
+def hess_vec(lin: Linearization, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Second variation at lin's point applied to the packed primal direction
-    x = (v, phi) (`fields.pack`), returned packed and dual:
+    x = (v, phi) (`fields.pack`), written packed and dual into out (3, n, n),
+    which is returned:
 
         (-2 Lap v + 8 rho^2 cosh(2u) v - 8 rho cosh(u) |psi|^2 v
              - 16 rho sinh(u) Re<psi, phi>,
          16 (D phi - rho cosh(u) phi - rho sinh(u) v psi)).
 
-    One ifft2 carries v, -2 Lap v and phi to the grid, one fft2 brings the
-    products back.  Every product and sum is taken in the order of the
-    formula on fields, so the result is theirs bit for bit."""
+    One fft2 carries v, -2 Lap v and phi to the grid, one brings the
+    products back; every intermediate lives in lin's work arrays, so a
+    product allocates no array.  Every product and sum is taken in the order
+    of the formula on fields, so on power-of-two grids the result is theirs
+    bit for bit (`fields.stacked_values`).  x is left unchanged and must not
+    overlap out."""
     geom = lin.psi.geom
-    v = ScalarField(geom, coeffs=x[0])
-    (vv, lap), phi = stacked_values(geom, (x[0], ((-2.0) * laplace_apply(v)).coeffs), x[1:])
-    cross = lin.psi.cross_density(phi)
-    hu_vals = lin.uu * vv - lin.uu_dens * vv * lin.dens - lin.u_cross * cross + lap
-    hpsi_vals = lin.psi_phi[None, :, :] * phi.values + (lin.psi_v * vv)[None, :, :] * lin.psi.values
-    out = stacked_coeffs(geom, hu_vals, hpsi_vals)
-    np.subtract(dirac_apply(phi).eig, out[1:], out=out[1:])
+    grid, spec, tmp = lin.grid, lin.spec, lin.tmp
+    # -2 Lap v, in the order of (-2) * laplace_apply(v)
+    np.multiply(np.negative(geom.xi_sq, out=tmp[0]), x[0], out=spec[0])
+    spec[0] *= -2.0
+    (vv, lap), phi = stacked_values(geom, (x[0], spec[0]), x[1:], grid)
+    # Re<psi, phi> (`SpinorField.cross_density`)
+    prod = np.multiply(np.conjugate(lin.psi.values, out=spec[1:]), phi.values, out=spec[1:])
+    cross = np.sum(prod, axis=0, out=spec[0]).real
+    hu = tmp[0]
+    np.multiply(lin.uu, vv, out=hu)
+    hu -= np.multiply(np.multiply(lin.uu_dens, vv, out=tmp[1]), lin.dens, out=tmp[1])
+    hu -= np.multiply(lin.u_cross, cross, out=tmp[1])
+    hu += lap
+    spec[0] = hu
+    # rho sinh(u) v psi, then rho cosh(u) phi plus it
+    np.multiply(np.multiply(lin.psi_v, vv, out=tmp[1])[None, :, :], lin.psi.values, out=grid[:2])
+    np.multiply(lin.psi_phi[None, :, :], phi.values, out=spec[1:])
+    spec[1:] += grid[:2]
+    stacked_coeffs(geom, spec, out)
+    # D phi (`spectral.dirac_apply`) minus the products, times 16
+    dphi = np.multiply(x[1:], geom.s_abs, out=grid[:2])
+    dphi[1] *= -1.0
+    np.subtract(dphi, out[1:], out=out[1:])
     out[1:] *= 16.0
     return out

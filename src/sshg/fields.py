@@ -125,11 +125,13 @@ class ScalarField:
 @lru_cache(maxsize=16)
 def _boundary(geom: TorusGeometry):
     """FFT-boundary data: conj(phase), the frame (p, q) * mask / n^2 into
-    eigen-coordinates and its inverse (p, -q) * n^2."""
+    eigen-coordinates, its inverse (p, -q) * n^2 and the unscaled inverse
+    (p, -q)."""
     p, q = geom.dirac_frame
     n2 = geom.grid_n ** 2
     m = geom.spinor_mask / n2
-    return np.conj(geom.spinor_phase)[None, :, :], (p * m, q * m), (p * n2, -q * n2)
+    return (np.conj(geom.spinor_phase)[None, :, :], (p * m, q * m), (p * n2, -q * n2),
+            (p, -q))
 
 
 def _constant_coeffs(c, out: np.ndarray) -> np.ndarray:
@@ -140,24 +142,29 @@ def _constant_coeffs(c, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rotate(x: np.ndarray, p: np.ndarray, q: np.ndarray, out=None) -> np.ndarray:
+def _rotate(x: np.ndarray, p: np.ndarray, q: np.ndarray, out: np.ndarray,
+            scratch: np.ndarray) -> np.ndarray:
     """F^T x per mode for F = [[p, -q], [q, p]], on x of shape (..., 2, n, n),
-    into a new array or into out (not x); (p, -q) gives F x."""
-    if out is None:
-        out = np.empty_like(x)
+    written into out; scratch (..., n, n) holds one product at a time, and
+    neither it nor out overlaps x.  (p, -q) gives F x."""
     x0, x1, out0, out1 = x[..., 0, :, :], x[..., 1, :, :], out[..., 0, :, :], out[..., 1, :, :]
     np.multiply(p, x0, out=out0)
-    out0 += q * x1
+    out0 += np.multiply(q, x1, out=scratch)
     np.multiply(p, x1, out=out1)
-    out1 -= q * x0
+    out1 -= np.multiply(q, x0, out=scratch)
     return out
+
+
+def _rotated(x: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """`_rotate` into a new array."""
+    return _rotate(x, p, q, np.empty_like(x), np.empty_like(x[..., 0, :, :]))
 
 
 def spinor_eig(geom: TorusGeometry, values: np.ndarray) -> np.ndarray:
     """Masked eigen-coordinates of spinor grid values of shape (..., 2, n, n):
     one fft2 over the whole stack."""
-    conj_phase, into, _ = _boundary(geom)
-    return _rotate(np.fft.fft2(values * conj_phase, axes=(-2, -1)), *into)
+    conj_phase, into = _boundary(geom)[:2]
+    return _rotated(np.fft.fft2(values * conj_phase, axes=(-2, -1)), *into)
 
 
 def minus_row_times(geom: TorusGeometry, f: np.ndarray, values=None, row=None) -> np.ndarray:
@@ -170,7 +177,7 @@ def minus_row_times(geom: TorusGeometry, f: np.ndarray, values=None, row=None) -
     same ifft2 (for a row) and fft2 calls, phase multiplies and operation
     order, with only the a- row of the rotation into eigen-coordinates.
     """
-    conj_phase, (p, q), (p_out, mq_out) = _boundary(geom)
+    conj_phase, (p, q), (p_out, mq_out), _ = _boundary(geom)
     if values is None:
         c = np.empty((2,) + row.shape, dtype=complex)
         c[0] = mq_out * row
@@ -213,7 +220,7 @@ class SpinorField:
             raise ValueError(f"spinor coeffs shape {coeffs.shape} does not match grid {geom.grid_n}")
         if not geom.spinor_mask_trivial:
             coeffs = np.where(geom.spinor_mask, coeffs, 0)
-        field = cls(geom, eig=_rotate(coeffs, *geom.dirac_frame))
+        field = cls(geom, eig=_rotated(coeffs, *geom.dirac_frame))
         field._coeffs = coeffs
         return field
 
@@ -227,13 +234,13 @@ class SpinorField:
         mask, so save -> load -> save is byte-identical."""
         if self._coeffs is None:
             p, q = self.geom.dirac_frame
-            self._coeffs = np.where(self.geom.spinor_mask, _rotate(self.eig, p, -q), 0)
+            self._coeffs = np.where(self.geom.spinor_mask, _rotated(self.eig, p, -q), 0)
         return self._coeffs
 
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            c = _rotate(self.eig, *_boundary(self.geom)[2])
+            c = _rotated(self.eig, *_boundary(self.geom)[2])
             self._values = np.fft.ifft2(c, axes=(1, 2)) * self.geom.spinor_phase[None, :, :]
         return self._values
 
@@ -274,9 +281,9 @@ class SpinorField:
 #
 # A (u, psi) direction (a gradient, a tangent, a Newton step) is one complex
 # array (3, n, n): row 0 holds u's Fourier coefficients, rows 1-2 psi's
-# eigen-coordinates.  The two stacked
-# transforms below carry a Hessian product to the grid and back in one
-# ifft2 and one fft2, bit for bit the per-field views.
+# eigen-coordinates.  The two stacked transforms below carry a Hessian
+# product to the grid and back in one fft2 each, written into arrays the
+# caller gives, bit for bit the per-field views on power-of-two grids.
 
 def pack(u: ScalarField, psi: SpinorField) -> np.ndarray:
     """The packed array of the pair (u, psi)."""
@@ -291,36 +298,44 @@ def unpack(geom: TorusGeometry, x: np.ndarray) -> tuple[ScalarField, SpinorField
     return ScalarField(geom, coeffs=x[0]), SpinorField(geom, eig=x[1:])
 
 
-def stacked_values(geom: TorusGeometry, scalar_coeffs, eig: np.ndarray):
-    """The grid values of scalar Fourier coefficient arrays (n, n) and of
-    the spinor with eigen-coordinates eig (2, n, n), from one ifft2 over
-    all their rows: (values (k, n, n), the spinor holding both views), each
-    `ScalarField.values` and `SpinorField.values` bit for bit."""
+def stacked_values(geom: TorusGeometry, scalar_coeffs, eig: np.ndarray, out: np.ndarray):
+    """The grid values of k >= 1 scalar Fourier coefficient arrays (n, n)
+    and of the spinor with eigen-coordinates eig (2, n, n), none of them
+    overlapping out (k + 2, n, n), computed in out by one fft2 over its
+    rows.  Returns (values, the spinor holding both views): values is the
+    real view of out[:k], and the spinor's grid values are out[k:].
+
+    The inverse transform is conj(fft2(conj(c))) with the n^2 pre-scale
+    dropped, since numpy's ifft2 leaves an out= array unwritten.  On
+    power-of-two grids, where the scalings by n^2 and 1/n are exact, this is
+    `ScalarField.values` and `SpinorField.values` bit for bit; elsewhere
+    they agree to rounding."""
     k = len(scalar_coeffs)
-    c = np.empty((k + 2,) + eig.shape[1:], dtype=complex)
-    for row, coeffs in zip(c, scalar_coeffs):
-        np.multiply(coeffs, geom.grid_n ** 2, out=row)
-    _rotate(eig, *_boundary(geom)[2], out=c[k:])
-    g = np.fft.ifft2(c, axes=(-2, -1))
-    g[k:] *= geom.spinor_phase[None, :, :]
-    return g[:k].real, SpinorField(geom, values=g[k:], eig=eig)
+    _rotate(eig, *_boundary(geom)[3], out[k:], out[0])
+    for row, coeffs in zip(out, scalar_coeffs):
+        np.conjugate(coeffs, out=row)
+    spinor = out[k:]
+    np.conjugate(spinor, out=spinor)
+    np.fft.fft2(out, axes=(-2, -1), out=out)
+    # the real parts of the scalar rows need no conjugation
+    np.conjugate(spinor, out=spinor)
+    spinor *= geom.spinor_phase[None, :, :]
+    return out[:k].real, SpinorField(geom, values=spinor, eig=eig)
 
 
-def stacked_coeffs(geom: TorusGeometry, scalar_values: np.ndarray,
-                   spinor_values: np.ndarray) -> np.ndarray:
-    """The packed array of a scalar and a spinor given by their grid values,
-    from one fft2 over the three rows: row 0 is `ScalarField.coeffs` (with
-    its constant shortcut) and rows 1-2 `SpinorField.from_values(...).eig`,
+def stacked_coeffs(geom: TorusGeometry, s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The packed array of a scalar and a spinor whose grid values are the
+    rows of s (3, n, n), row 0 (real) the scalar's, written into out by one
+    fft2 over s, in place, so s is consumed.  Row 0 is `ScalarField.coeffs`
+    (with its constant shortcut) and rows 1-2 `SpinorField.from_values(...).eig`,
     bit for bit."""
-    conj_phase, into, _ = _boundary(geom)
-    s = np.empty((3,) + scalar_values.shape, dtype=complex)
-    s[0] = scalar_values
-    np.multiply(spinor_values, conj_phase, out=s[1:])
-    f = np.fft.fft2(s, axes=(-2, -1))
-    c = constant_value(scalar_values)
+    conj_phase, into = _boundary(geom)[:2]
+    c = constant_value(s[0])
+    s[1:] *= conj_phase
+    np.fft.fft2(s, axes=(-2, -1), out=s)
     if c is None:
-        np.divide(f[0], geom.grid_n ** 2, out=s[0])
+        np.divide(s[0], geom.grid_n ** 2, out=out[0])
     else:
-        _constant_coeffs(c, s[0])
-    _rotate(f[1:], *into, out=s[1:])
-    return s
+        _constant_coeffs(c.real, out[0])
+    _rotate(s[1:], *into, out[1:], s[0])
+    return out

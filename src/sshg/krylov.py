@@ -1,16 +1,17 @@
 """Matrix-free Krylov solvers in user-supplied inner products.
 
-The iterate lives in any vector space whose elements support +, -, unary
+CG's iterate lives in any vector space whose elements support +, -, unary
 negation and real scalar multiplication: the a- rows (numpy arrays) of the
-fiber solve, the E^- spinor fields of the multiplier's normal equations,
-and in Newton's MINRES the packed complex arrays (`fields.pack`: u's
-Fourier coefficients, then psi's eigen-coordinates) that are the package's
-one representation of a (u, psi) direction, gradient and tangent alike;
+fiber solve and the E^- spinor fields of the multiplier's normal equations.
+MINRES iterates on numpy arrays and updates a working set allocated once
+per solve in place; in Newton these are the packed complex arrays
+(`fields.pack`: u's Fourier coefficients, then psi's eigen-coordinates)
+that are the package's one representation of a (u, psi) direction, and
 Newton's Hessian is formed once per step (`action.linearize`).  `inner`
-defines the metric; operators must be self-adjoint with respect to it, and positive
-definite for CG.  CG takes an optional preconditioner, SPD in the same
-metric; MINRES callers precondition by solving in a weighted metric instead
-(Newton's |H0| metric).
+defines the metric; operators must be self-adjoint with respect to it, and
+positive definite for CG.  CG takes an optional preconditioner, SPD in the
+same metric; MINRES callers precondition by solving in a weighted metric
+instead (Newton's |H0| metric).
 """
 
 from __future__ import annotations
@@ -95,11 +96,16 @@ def cg(apply_op, b, inner, x0=None, tol=1e-12, maxiter=500, atol=0.0, precond=No
 
 
 def minres(apply_op, b, inner, tol=1e-12, maxiter=400):
-    """MINRES for a self-adjoint, possibly indefinite operator.
+    """MINRES for a self-adjoint, possibly indefinite operator on numpy
+    arrays shaped like b.
 
-    Lanczos with Givens rotations, all pairings through `inner`.  The
-    vectors it forms itself are updated in place (augmented assignment; a
-    type without it gets a new vector, with the same values).  Returns
+    Lanczos with Givens rotations, all pairings through `inner`.  The seven
+    vectors of the recurrence are allocated once per solve and updated in
+    place: `apply_op(v, out)` writes the operator's value at v into out, an
+    array of the working set that is free at that moment, and returns it
+    (out never overlaps v; three arrays take turns as out).  Each vector
+    update takes its products and sums in the order of the plain
+    expressions, so the iterates are theirs bit for bit.  Returns
     (x, SolveInfo); the iteration cap is not an error here because callers
     (Newton) damp and retry.  A non-finite b raises ConditioningError.
     """
@@ -109,24 +115,29 @@ def minres(apply_op, b, inner, tol=1e-12, maxiter=400):
     if norm_b == 0.0:
         return 0.0 * b, SolveInfo(True, 0, 0.0)
 
-    x = 0.0 * b
-    v_prev = None
-    v = (1.0 / norm_b) * b
+    # v_prev, v and the free array the next operator value goes into; at
+    # the first iteration v_prev holds no vector yet
+    v_prev, v, v_next = np.empty_like(b), (1.0 / norm_b) * b, np.empty_like(b)
     beta = norm_b
 
     gamma_prev, gamma = 1.0, 1.0
     sigma_prev, sigma = 0.0, 0.0
-    w_prev = 0.0 * b
-    w = 0.0 * b
+    w_prev, w, w_next = 0.0 * b, 0.0 * b, np.empty_like(b)
+    # x, which the caller keeps, is allocated last: glibc returns only the
+    # top of its heap to the system, so the working set freed below x stays
+    # mapped for the next solve instead of being faulted in again
+    x = 0.0 * b
     eta = norm_b
 
     for it in range(1, maxiter + 1):
-        av = apply_op(v)
+        av = apply_op(v, v_next)
         delta = inner(av, v)
-        v_next = av - delta * v
-        if v_prev is not None:
-            v_next -= beta * v_prev
-        beta_next = np.sqrt(max(inner(v_next, v_next), 0.0))
+        # v_next = av - delta v - beta v_prev, the products formed in the
+        # free w_next; v_prev is free once it has been subtracted
+        av -= np.multiply(v, delta, out=w_next)
+        if it > 1:
+            av -= np.multiply(v_prev, beta, out=w_next)
+        beta_next = np.sqrt(max(inner(av, av), 0.0))
 
         a0 = gamma * delta - gamma_prev * sigma * beta
         a1 = np.hypot(a0, beta_next)
@@ -138,10 +149,11 @@ def minres(apply_op, b, inner, tol=1e-12, maxiter=400):
         gamma_next = a0 / a1
         sigma_next = beta_next / a1
 
-        w_next = v - a3 * w_prev
-        w_next -= a2 * w
+        # w_next = (v - a3 w_prev - a2 w) / a1, then x += gamma_next eta w_next
+        np.subtract(v, np.multiply(w_prev, a3, out=w_next), out=w_next)
+        w_next -= np.multiply(w, a2, out=v_prev)
         w_next *= 1.0 / a1
-        x += (gamma_next * eta) * w_next
+        x += np.multiply(w_next, gamma_next * eta, out=v_prev)
         eta = -sigma_next * eta
 
         relres = abs(eta) / norm_b
@@ -150,10 +162,10 @@ def minres(apply_op, b, inner, tol=1e-12, maxiter=400):
         if beta_next == 0.0:
             return x, SolveInfo(True, it, float(relres))
 
-        v_next *= 1.0 / beta_next
-        v_prev, v = v, v_next
+        av *= 1.0 / beta_next
+        v_prev, v, v_next = v, av, v_prev
         beta = beta_next
-        w_prev, w = w, w_next
+        w_prev, w, w_next = w, w_next, w_prev
         gamma_prev, gamma = gamma, gamma_next
         sigma_prev, sigma = sigma, sigma_next
 

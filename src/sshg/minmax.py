@@ -631,7 +631,9 @@ def _abs_metric(u: ScalarField, lin: Linearization, params: ActionParams, shift:
     map).  W is positive, even in xi, and commutes with the product metric,
     so W^{-1} (R H + shift) stays self-adjoint in <a, W b>: the
     absolute-value preconditioner of Vecharynski & Knyazev (SIAM J. Sci.
-    Comput. 35, 2013).  Returns (1/W, inner).
+    Comput. 35, 2013).  Returns (1/W, inner); inner forms its products in
+    lin's idle `spec` array, so it must not be called during a Hessian
+    product.
     """
     geom = u.geom
     a_u = np.mean(lin.uu - lin.uu_dens * lin.dens)
@@ -644,7 +646,11 @@ def _abs_metric(u: ScalarField, lin: Linearization, params: ActionParams, shift:
     m = geom.vol * packed_sobolev_weight(geom) * w
 
     def inner(a: np.ndarray, b: np.ndarray) -> float:
-        return float(np.vdot(a[0], m[0] * b[0]).real + np.vdot(a[1:], m[1:] * b[1:]).real)
+        # the products go into lin's idle `spec`; taking u's row and psi's
+        # rows apart keeps numpy's buffer for casting m to complex to two rows
+        mb = lin.spec
+        return float(np.vdot(a[0], np.multiply(m[0], b[0], out=mb[0])).real
+                     + np.vdot(a[1:], np.multiply(m[1:], b[1:], out=mb[1:])).real)
 
     return 1.0 / w, inner
 
@@ -656,6 +662,32 @@ def _forcing(res: float) -> float:
     near one MINRES lands about 1000 times below NEWTON_TOL."""
     return max(1e-12, min(NEWTON_FORCING, NEWTON_FORCING * res),
                NEWTON_FORCING * NEWTON_TOL / (10.0 * res))
+
+
+def _newton_direction(u: ScalarField, psi: SpinorField, g: np.ndarray, params: ActionParams,
+                      shift: float, tol: float):
+    """MINRES's (d, SolveInfo) for (R H + shift) d = -g at (u, psi), solved
+    to relative tolerance tol in the |H0| metric (`_abs_metric`).  The
+    linearization and its work arrays live only as long as the solve."""
+    lin = linearize(u, psi, params)
+    inv_w, inner = _abs_metric(u, lin, params, shift)
+    riesz_w = packed_sobolev_weight(u.geom)
+
+    def hess_op(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # W^{-1} (R H + shift) x, each factor a per-mode multiplier; the
+        # shifted term is formed in lin's idle `spec`.  The real multipliers
+        # act on u's row, then on psi's rows: numpy casts a real operand to
+        # complex through a fresh buffer of up to 8192 entries, which on a
+        # small grid would otherwise be a whole packed array per call
+        h = hess_vec(lin, x, out)
+        sx = np.multiply(x, shift, out=lin.spec)
+        for rows in (slice(0, 1), slice(1, 3)):
+            h[rows] /= riesz_w[rows]
+            h[rows] += sx[rows]
+            h[rows] *= inv_w[rows]
+        return h
+
+    return minres(hess_op, (-1.0 * g) * inv_w, inner, tol=tol, maxiter=250)
 
 
 def newton_refine(candidate: NehariPoint, params: ActionParams,
@@ -695,21 +727,7 @@ def newton_refine(candidate: NehariPoint, params: ActionParams,
         # solutions come in group orbits, so the Hessian is singular along
         # the orbit directions; a gradient-sized shift keeps the Krylov solve
         # from amplifying kernel noise while preserving fast local convergence
-        shift = min(1e-2, gnorm)
-        lin = linearize(u, psi, params)
-        inv_w, inner = _abs_metric(u, lin, params, shift)
-        riesz_w = packed_sobolev_weight(geom)
-
-        def hess_op(x: np.ndarray) -> np.ndarray:
-            # W^{-1} (R H + shift) x, each factor a per-mode multiplier
-            h = hess_vec(lin, x)
-            h /= riesz_w
-            h += shift * x
-            h *= inv_w
-            return h
-
-        d, info = minres(hess_op, (-1.0 * g) * inv_w, inner,
-                         tol=_forcing(res), maxiter=250)
+        d, info = _newton_direction(u, psi, g, params, min(1e-2, gnorm), _forcing(res))
         iters += info.iterations
         capped += not info.converged
         d_u, d_psi = unpack(geom, d)

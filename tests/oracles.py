@@ -192,7 +192,8 @@ def field_hess_vec(u: ScalarField, psi: SpinorField, v: ScalarField, phi: Spinor
 def hessian(u: ScalarField, psi: SpinorField, v: ScalarField, phi: SpinorField, params):
     """The package's Hessian product at (u, psi) applied to (v, phi), as the
     pair of L^2 densities that `dual_pair` reads."""
-    return unpack(u.geom, hess_vec(linearize(u, psi, params), pack(v, phi)))
+    x = pack(v, phi)
+    return unpack(u.geom, hess_vec(linearize(u, psi, params), x, np.empty_like(x)))
 
 
 def hminus1_norm(u: ScalarField) -> float:

@@ -218,10 +218,16 @@ def test_hessian_matches_gradient_differences():
 
 @pytest.mark.parametrize("delta", [(0.5, 0.5), (0.0, 0.0)])
 def test_linearized_hessian_is_the_field_formula_bit_for_bit(delta):
+    for n in (16, 128):
+        _check_linearized_hessian(n, delta)
+
+
+def _check_linearized_hessian(n, delta):
     # u non-constant and psi on two Dirac modes, so the u-psi coupling is
     # live; directions as MINRES holds them: u by its coefficients, psi by
-    # its eigen-coordinates
-    geom = TorusGeometry(grid_n=16, spin_delta=delta)
+    # its eigen-coordinates.  Successive directions run through the one
+    # linearization's work arrays into one out array, as in Newton's MINRES
+    geom = TorusGeometry(grid_n=n, spin_delta=delta)
     basis = build_basis(geom, cutoff=2.0)
     params = ActionParams(rho=0.5)
     u = ScalarField.from_values(geom, 0.9 + 0.2 * np.cos(grid_x1(geom))
@@ -229,14 +235,18 @@ def test_linearized_hessian_is_the_field_formula_bit_for_bit(delta):
     psi = 3.0 * basis.eigenspinor(1) + (1.0 - 2.0j) * basis.eigenspinor(3)
     lin = linearize(u, psi, params)
     rng = np.random.default_rng(5)
+    out = np.empty((3, n, n), dtype=complex)
     for _ in range(4):
         v, phi = smooth_pair(geom, rng)
         x = pack(v, phi)
+        before = x.tobytes()
         v, phi = unpack(geom, x)
         want_u, want_psi = field_hess_vec(u, psi, v, phi, params)
-        got = hess_vec(lin, x)
-        assert np.array_equal(got[0], want_u.coeffs)
-        assert np.array_equal(got[1:], want_psi.eig)
+        got = hess_vec(lin, x, out)
+        assert got is out
+        assert x.tobytes() == before
+        assert got[0].tobytes() == want_u.coeffs.tobytes()
+        assert got[1:].tobytes() == want_psi.eig.tobytes()
         assert np.max(np.abs(got[0])) > 0.0 and np.max(np.abs(got[1:])) > 0.0
     # a constant direction u and a vanishing direction psi take the
     # constant-coefficient shortcut on both sides
@@ -244,8 +254,9 @@ def test_linearized_hessian_is_the_field_formula_bit_for_bit(delta):
     x = pack(ScalarField.constant(geom, 0.3), zero_psi)
     want_u, want_psi = field_hess_vec(ScalarField.constant(geom, 0.5), zero_psi,
                                       *unpack(geom, x), params)
-    got = hess_vec(linearize(ScalarField.constant(geom, 0.5), zero_psi, params), x)
-    assert np.array_equal(got[0], want_u.coeffs) and np.array_equal(got[1:], want_psi.eig)
+    got = hess_vec(linearize(ScalarField.constant(geom, 0.5), zero_psi, params), x, out)
+    assert got[0].tobytes() == want_u.coeffs.tobytes()
+    assert got[1:].tobytes() == want_psi.eig.tobytes()
 
 
 def test_symmetries_of_J():

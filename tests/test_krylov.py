@@ -10,7 +10,7 @@ from sshg.krylov import cg, minres
 
 
 class _Vec:
-    """Thin wrapper so plain arrays satisfy the solver's vector protocol."""
+    """Thin wrapper so plain arrays satisfy CG's vector protocol."""
 
     def __init__(self, a):
         self.a = np.asarray(a, dtype=float)
@@ -31,7 +31,8 @@ class _Vec:
 
 
 def _weighted_setup(rng, n=24):
-    # metric M (SPD) and a symmetric S; T = M^{-1} S is self-adjoint in <a,b>_M
+    # metric M (SPD) and a symmetric S; T = M^{-1} S is self-adjoint in
+    # <a,b>_M; MINRES's operator protocol on arrays: apply_op(v, out)
     q = rng.standard_normal((n, n))
     M = q @ q.T + n * np.eye(n)
     s = rng.standard_normal((n, n))
@@ -40,10 +41,10 @@ def _weighted_setup(rng, n=24):
     T = Minv @ S
 
     def inner(x, y):
-        return float(x.a @ M @ y.a)
+        return float(x @ M @ y)
 
-    def apply_op(x):
-        return _Vec(T @ x.a)
+    def apply_op(x, out):
+        return np.matmul(T, x, out=out)
 
     return T, inner, apply_op
 
@@ -168,30 +169,50 @@ def test_cg_that_does_not_iterate_never_applies_the_preconditioner():
 def test_minres_indefinite_weighted():
     rng = np.random.default_rng(3)
     T, inner, apply_op = _weighted_setup(rng)
-    b = _Vec(rng.standard_normal(T.shape[0]))
-    x, info = minres(apply_op, b, inner, tol=1e-12, maxiter=500)
+    b = rng.standard_normal(T.shape[0])
+    b_before = b.tobytes()
+    outs = []
+
+    def recording_op(v, out):
+        assert not np.shares_memory(v, out)
+        outs.append(out)
+        return apply_op(v, out)
+
+    x, info = minres(recording_op, b, inner, tol=1e-12, maxiter=500)
     assert info.converged
-    want = np.linalg.solve(T, b.a)
-    assert np.max(np.abs(x.a - want)) < 1e-7
+    want = np.linalg.solve(T, b)
+    assert np.max(np.abs(x - want)) < 1e-7
+    # the iterate, iteration count and residual of the solver before it
+    # updated a working set in place
+    assert info.iterations == 32
+    assert info.relative_residual.hex() == "0x1.8d963d8796e51p-43"
+    assert hashlib.sha256(x.tobytes()).hexdigest() == (
+        "cdf3b3058652d12c530a2324e2e41666ba3592a808cfc72a51db9187e0ca8925")
+    # the working set is allocated once: three arrays take turns as out
+    assert len(outs) == info.iterations >= 10
+    assert len({id(out) for out in outs}) <= 3
+    assert b.tobytes() == b_before
 
 
 def test_minres_zero_rhs():
     def inner(x, y):
-        return float(x.a @ y.a)
+        return float(x @ y)
 
-    x, info = minres(lambda v: v, _Vec(np.zeros(5)), inner)
-    assert info.converged and np.all(x.a == 0)
+    x, info = minres(lambda v, out: np.copyto(out, v) or out, np.zeros(5), inner)
+    assert info.converged and np.all(x == 0)
 
 
 @pytest.mark.parametrize("solver", [cg, minres])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_rhs_refused_before_any_apply(solver, bad):
+    # plain arrays, which both solvers take; the operator takes CG's (v) and
+    # MINRES's (v, out)
     def inner(x, y):
-        return float(x.a @ y.a)
+        return float(x @ y)
 
     calls = []
-    b = _Vec(np.ones(5))
-    b.a[2] = bad
+    b = np.ones(5)
+    b[2] = bad
     with pytest.raises(ConditioningError, match="right-hand side is not finite"):
-        solver(lambda v: calls.append(1) or v, b, inner)
+        solver(lambda v, *out: calls.append(1) or v, b, inner)
     assert calls == []

@@ -1,6 +1,7 @@
 """Min-max engine: endpoints, linking constants, block filter, descent, Newton."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -265,7 +266,8 @@ def test_newton_minres_runs_in_the_abs_hessian_metric(setup16, monkeypatch):
         assert b.shape == (3, geom.grid_n, geom.grid_n)
         for _ in range(3):
             x, y = _random_packed(geom, rng), _random_packed(geom, rng)
-            pairs.append((inner(apply_op(x), y), inner(x, apply_op(y)), inner(x, x)))
+            hx, hy = apply_op(x, np.empty_like(x)), apply_op(y, np.empty_like(y))
+            pairs.append((inner(hx, y), inner(x, hy), inner(x, x)))
         calls = len(hess_calls)
         out = orig_minres(apply_op, b, inner, **kwargs)
         iters.append((out[1].iterations, len(hess_calls) - calls))
@@ -285,6 +287,54 @@ def test_newton_minres_runs_in_the_abs_hessian_metric(setup16, monkeypatch):
     for lhs, rhs, norm_sq in pairs:
         assert lhs == pytest.approx(rhs, rel=1e-12)
         assert norm_sq > 0.0
+
+
+def test_newton_minres_allocates_no_array_per_iteration(monkeypatch):
+    # MINRES's working set and the Hessian's work arrays are allocated once
+    # per solve, so after the first iteration, which may fill caches, no
+    # iteration's traced peak exceeds the memory it started with by one
+    # packed array; numpy's arrays are traced, and a transform returning a
+    # fresh (4, n, n) output alone exceeds it
+    geom = TorusGeometry(grid_n=32, spin_delta=(0.5, 0.5))
+    basis = build_basis(geom, cutoff=2.0)
+    params = ActionParams(rho=0.5)
+    c = float(np.arccosh(LAM1 / 0.5))
+    u = ScalarField.constant(geom, c) + ScalarField.from_values(
+        geom, 0.05 * np.cos(grid_x1(geom)) + 0.03 * np.sin(grid_x1(geom) + 2 * grid_x2(geom)))
+    pt = fiber_solve(u, (geom.side_length * np.sqrt(LAM1)) * basis.eigenspinor(1), params)
+    packed_bytes = 3 * geom.grid_n ** 2 * 16
+    starts, peaks = [], []
+    orig = sshg.minmax.minres
+
+    def tracing_minres(apply_op, b, inner, **kwargs):
+        if starts:  # only the first solve is traced
+            return orig(apply_op, b, inner, **kwargs)
+
+        def traced_op(*args):
+            # an iteration runs from one operator call to the next
+            cur, peak = tracemalloc.get_traced_memory()
+            if starts:
+                peaks.append(peak)
+            starts.append(cur)
+            tracemalloc.reset_peak()
+            return apply_op(*args)
+
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            out = orig(traced_op, b, inner, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        return out
+
+    monkeypatch.setattr(sshg.minmax, "minres", tracing_minres)
+    newton_refine(pt, params, check_pre=False)
+    assert len(peaks) == len(starts) >= 5
+    growth = [peak - start for start, peak in zip(starts, peaks)][1:]
+    assert max(growth) < packed_bytes, (growth, packed_bytes)
 
 
 def test_abs_metric_is_positive_and_even(setup16):

@@ -691,7 +691,7 @@ def test_non_finite_psi_fails_before_any_krylov_iteration(setup16, monkeypatch, 
 
     def counting(solver):
         def wrapper(apply_op, *args, **kwargs):
-            return solver(lambda v: applies.append(1) or apply_op(v), *args, **kwargs)
+            return solver(lambda v, *out: applies.append(1) or apply_op(v, *out), *args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(sshg.nehari, "cg", counting(sshg.nehari.cg))

@@ -17,10 +17,11 @@ iterate, keeps every count it had without it.
 The FFTs (fft2/ifft2 through `sshg.fields.np`, the binding the perfbench
 tracer wraps) also move with rounding luck: they depend on whether an
 accepted descent step leaves u exactly constant.  A Newton Hessian product
-makes two of them, one stacked ifft2 and one stacked fft2 (`action.hess_vec`).  The MINRES iterations
-move by a few at most: each Newton step solves, in the |H0| metric
-(`minmax._abs_metric`), only to a tolerance sized to its residual
-(`minmax.NEWTON_FORCING`), so no solve runs down to the rounding floor,
+makes two of them, two stacked fft2 calls, the inverse one conjugated
+(`action.hess_vec`).  The MINRES iterations move by a few at most: each
+Newton step solves, in the |H0| metric (`minmax._abs_metric`), only to a
+tolerance sized to its residual (`minmax.NEWTON_FORCING`), so no solve runs
+down to the rounding floor,
 where the near-singular orbit directions made the count swing.  The
 ceilings are the counts measured for the two grid-16 configs below, the
 case-1 multiplicity run and the default mountain pass, whose descent hands
