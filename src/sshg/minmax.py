@@ -145,7 +145,8 @@ class PSDiagnostics:
     grad_norms: list = field(default_factory=list)
     u_h1_trace: list = field(default_factory=list)
     psi_hhalf_trace: list = field(default_factory=list)
-    repairs: list = field(default_factory=list)   # per iterate: ridge repair happened
+    # per entry: the level may rise there (a ridge repair or the hand-off's Newton entry)
+    repairs: list = field(default_factory=list)
     exit: str = "budget"
 
     def record(self, tangent_res, level, u_h1, psi_hhalf):
@@ -419,8 +420,82 @@ class _SegmentCache:
         return hit[4]
 
 
+class _Mesh:
+    """A path or disk under deformation: nodes, energies, frozen flags and the
+    `_SegmentCache` of its segments ("chain": a path's consecutive pairs).
+    `assign`, the only place a node changes, re-solves `centers` at u = 0."""
+
+    def __init__(self, nodes, frozen, segments, centers, params, step_hook):
+        if all(frozen):
+            raise ConfigError("deformation needs at least one free node")
+        self.nodes = list(nodes)
+        self.frozen = list(frozen)
+        self.energies = [evaluate_J(nd.u, nd.psi, params) for nd in self.nodes]
+        bad = positive_frozen_nodes(self.energies, self.frozen)
+        if bad:
+            raise CertificationError(f"frozen node {bad[0]} has positive energy at start")
+        self.chain = segments == "chain"
+        if self.chain:
+            segments = [(i, i + 1) for i in range(len(self.nodes) - 1)]
+        self.segcache = _SegmentCache(segments, params)
+        self.centers = set(centers)
+        self.params = params
+        self.step_hook = step_hook
+        self._boundary = {k: nd for k, nd in enumerate(self.nodes) if self.frozen[k]}
+
+    def max_free(self) -> int:
+        return int(np.argmax([e if not fz else -np.inf
+                              for e, fz in zip(self.energies, self.frozen)]))
+
+    def assign(self, k, pt, j):
+        """Store pt and its J at node k; a pinned center is then re-solved
+        at u = 0 from pt's free part."""
+        self.nodes[k] = pt
+        self.energies[k] = j
+        if self.step_hook is not None:
+            self.step_hook(k, pt, self.nodes, self.energies, self.params)
+        if k in self.centers:
+            pt = fiber_solve(ScalarField.zeros(pt.u.geom), pt.free_part(), self.params)
+            self.nodes[k] = pt
+            self.energies[k] = evaluate_J(pt.u, pt.psi, self.params)
+
+    def repair(self) -> bool:
+        """Promote ridge samples hiding inside segments; returns True if any."""
+        did = False
+        for _ in range(3 * len(self.nodes)):
+            node_max = max(self.energies)
+            threshold = node_max + 1e-9 * (1.0 + abs(node_max))
+            best = self.segcache.refresh(self.nodes, threshold)
+            if best is None or best[0] <= threshold:
+                break
+            j_s, i, j, pt = best
+            free_ends = [k for k in (i, j) if not self.frozen[k]]
+            if not free_ends:
+                break
+            k_rep = min(free_ends, key=lambda k: self.energies[k])
+            self.assign(k_rep, pt, j_s)
+            did = True
+        return did
+
+    def respread(self):
+        """Re-spread a chain by arclength, unless that raises the node max."""
+        nodes = _respread_path(self.nodes, self.params, self.segcache)
+        # _respread_path keeps both end nodes, whose energies are known
+        energies = ([self.energies[0]]
+                    + [evaluate_J(nd.u, nd.psi, self.params) for nd in nodes[1:-1]]
+                    + [self.energies[-1]])
+        if max(energies) <= max(self.energies) + 1e-12 * (1 + abs(max(self.energies))):
+            self.nodes = nodes
+            self.energies = energies
+
+    def check_boundary(self):
+        """Frozen nodes are never moved."""
+        if any(self.nodes[k] is not nd for k, nd in self._boundary.items()):
+            raise CertificationError("boundary node was moved during deformation")
+
+
 def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
-                  segments="chain", step_hook=None, tangent_filter=None):
+                  segments="chain", centers=(), step_hook=None, tangent_filter=None):
     """Descend the max-energy node until its constrained gradient is small,
     or, on a path, until Newton takes over; then hand the result to Newton.
 
@@ -440,72 +515,27 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
     norm at the point handed to Newton (`handoff_grad`, in the filtered norm
     for a trial inside the loop) and `exit`.  A broken invariant (energy
     floor, moved frozen node, trace lengths) raises CertificationError.
-    step_hook(k, point, nodes, energies, params) runs after each accepted
-    step or ridge promotion has stored node k and its J, and may override
-    both in place.
+    Nodes in `centers` stay at u = 0.  step_hook(k, point, nodes, energies,
+    params), for the perfbench tracer and tests only, runs after each
+    accepted step or ridge promotion has stored node k and its J, before a
+    center is re-solved, and may override both in place.
     """
-    nodes = list(nodes)
-    frozen = list(frozen)
-    if not any(not f for f in frozen):
-        raise ConfigError("deformation needs at least one free node")
-    energies = [evaluate_J(nd.u, nd.psi, params) for nd in nodes]
-    bad = positive_frozen_nodes(energies, frozen)
-    if bad:
-        raise CertificationError(f"frozen node {bad[0]} has positive energy at start")
-
-    chain = segments == "chain"
-    if chain:
-        segments = [(i, i + 1) for i in range(len(nodes) - 1)]
-    segcache = _SegmentCache(segments, params)
-    incident = {}   # node -> its segments
-    for seg in segments:
-        for k in seg:
-            incident.setdefault(k, []).append(seg)
-
+    mesh = _Mesh(nodes, frozen, segments, centers, params, step_hook)
     diags = PSDiagnostics()
-    boundary_ids = [id(nd) for nd, fz in zip(nodes, frozen) if fz]
-
     step = DESCENT_STEP
     record = None          # Newton's record, once a hand-off is accepted
     critical_levels = []   # levels Newton refined to in rejected trials
     stalls = 0
     prev_max = np.inf
-    floor = -max(abs(min(energies)), 1.0)
-
-    def assign(k, pt, j):
-        nodes[k] = pt
-        energies[k] = j
-        if step_hook is not None:
-            step_hook(k, pt, nodes, energies, params)
-
-    def max_free() -> int:
-        return int(np.argmax([e if not fz else -np.inf for e, fz in zip(energies, frozen)]))
-
-    def repair() -> bool:
-        """Promote ridge samples hiding inside segments; returns True if any."""
-        did = False
-        for _ in range(3 * len(nodes)):
-            node_max = max(energies)
-            threshold = node_max + 1e-9 * (1.0 + abs(node_max))
-            best = segcache.refresh(nodes, threshold)
-            if best is None or best[0] <= threshold:
-                break
-            j_s, i, j, pt = best
-            free_ends = [k for k in (i, j) if not frozen[k]]
-            if not free_ends:
-                break
-            k_rep = min(free_ends, key=lambda k: energies[k])
-            assign(k_rep, pt, j_s)
-            did = True
-        return did
+    floor = -max(abs(min(mesh.energies)), 1.0)
 
     for outer in range(config.max_outer):
-        repaired = repair()
+        repaired = mesh.repair()
         diags.repairs.append(repaired)
 
-        idx = max_free()
-        point = nodes[idx]
-        level = max(energies)
+        idx = mesh.max_free()
+        point = mesh.nodes[idx]
+        level = max(mesh.energies)
 
         res = constrained_gradient(point, params)
         if tangent_filter is not None:
@@ -528,7 +558,7 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
             break
         # a trial needs a level that fell by at most HANDOFF_RTOL over the
         # last period, and no critical level found farther than that from it
-        if (chain and outer > 0 and outer % RESPREAD_EVERY == 0
+        if (mesh.chain and outer > 0 and outer % RESPREAD_EVERY == 0
                 and diags.energies[-1 - RESPREAD_EVERY] - level <= HANDOFF_RTOL * abs(level)
                 and all(_near(level, c) for c in critical_levels)):
             trial = _newton_trial(point, params)
@@ -544,15 +574,14 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
         # capped near the local mesh scale so the max node cannot leap across
         # the ridge in one accepted step, with a floor at the median segment
         # length so promotion-induced clustering cannot freeze the descent
-        accepted = False
         trial_step = step
-        if incident.get(idx):
-            gap = min(segcache.length(nodes, i, j) for i, j in incident[idx])
-            med = np.median([segcache.length(nodes, i, j) for i, j in segments])
-            cap = 0.5 * max(gap, 0.25 * med)
-            if cap > 0 and res.norm > 0:
-                trial_step = min(trial_step, cap / res.norm)
-        j_old = energies[idx]
+        cache = mesh.segcache
+        gap = min(cache.length(mesh.nodes, i, j) for i, j in cache.segments if idx in (i, j))
+        med = np.median([cache.length(mesh.nodes, i, j) for i, j in cache.segments])
+        cap = 0.5 * max(gap, 0.25 * med)
+        if cap > 0 and res.norm > 0:
+            trial_step = min(trial_step, cap / res.norm)
+        j_old = mesh.energies[idx]
         t_u, t_psi = unpack(point.u.geom, res.tangent)
         for _ in range(MAX_BACKTRACKS):
             cand_u = point.u - trial_step * t_u
@@ -565,38 +594,24 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
                 continue
             target = j_old - SUFFICIENT_DECREASE * trial_step * res.norm ** 2
             if j_new <= target:
-                assign(idx, cand, j_new)
-                accepted = True
+                mesh.assign(idx, cand, j_new)
                 step = min(DESCENT_STEP, 4.0 * trial_step)
+                stalls = 0
                 break
             trial_step *= 0.5
-        if not accepted:
+        else:
             stalls += 1
             if stalls >= 3:
                 diags.exit = "stall"
                 break
-        else:
-            stalls = 0
 
-        # periodic re-spreading with a monotonicity guard
-        if chain and (outer + 1) % RESPREAD_EVERY == 0:
-            new_nodes = _respread_path(nodes, params, segcache)
-            # _respread_path keeps both end nodes, whose energies are known
-            new_energies = ([energies[0]]
-                            + [evaluate_J(nd.u, nd.psi, params) for nd in new_nodes[1:-1]]
-                            + [energies[-1]])
-            if max(new_energies) <= max(energies) + 1e-12 * (1 + abs(max(energies))):
-                nodes = new_nodes
-                energies = new_energies
-
-        # frozen nodes are never moved
-        ids = [id(nd) for nd, fz in zip(nodes, frozen) if fz]
-        if ids != boundary_ids:
-            raise CertificationError("boundary node was moved during deformation")
+        if mesh.chain and (outer + 1) % RESPREAD_EVERY == 0:
+            mesh.respread()
+        mesh.check_boundary()
 
     if record is None:
         # any other exit: Newton from the max free node, not the one just stepped
-        point = nodes[max_free()]
+        point = mesh.nodes[mesh.max_free()]
         converged = diags.exit == "grad_tol"
         res = constrained_gradient(point, params)
         if res.norm <= HANDOFF_GRAD:
@@ -609,7 +624,7 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
         raise CertificationError("PS diagnostic traces have unequal lengths")
     # res is the constrained gradient at the point handed to Newton, by the
     # loop's trial or by the exit
-    return replace(record, descent_level=max(energies), handoff_grad=res.norm,
+    return replace(record, descent_level=max(mesh.energies), handoff_grad=res.norm,
                    exit=diags.exit), diags
 
 
@@ -802,8 +817,8 @@ def _random_direction(geom, rng):
 
 def coercivity_probe(params: ActionParams, basis, r0: float, tau: float,
                      n_samples: int = 100, seed: int = 0) -> float:
-    """Sampled lower bound of J/(||u||^2 + ||psi||^2) on the r0-sphere
-    outside the cone around the negative-Hessian block.
+    """Estimate of inf J/(||u||^2 + ||psi||^2) on the r0-sphere outside the
+    cone around the negative-Hessian block: a sample minimum, so an upper bound.
 
     Rejection sampling on the negated cone inequality; starvation raises with
     a suggestion to enlarge tau.

@@ -10,7 +10,8 @@ critical level c2 >= c1, with an orthogonal-restart fallback inside
 The symmetry sigma(u, psi) = (-u, psi) of J is applied once per Z2 orbit:
 the family solves and evaluates one representative of each orbit and stores
 its partner as the exact sigma-image (`_sigma_point`, checked bit for bit by
-`certify_equivariance`); the disks hold only the representatives.
+`certify_equivariance`); the disks hold only the representatives, and
+`minmax_deform` keeps their sigma-fixed centers at u = 0 (its `centers`).
 """
 
 from __future__ import annotations
@@ -270,25 +271,6 @@ def certify_equivariance(points) -> None:
 # equivariant deformation (one representative per Z2 orbit)
 # ---------------------------------------------------------------------------
 
-def _equivariant_deform(nodes, frozen, centers, segments, config, params):
-    """minmax_deform over the orbit representatives, with the sigma-fixed
-    centers pinned to u = 0; minmax_deform also runs the Newton hand-off.
-
-    A spoke's sigma-image would follow it at equal energy and join no
-    segment, so the deformation never reads it and the disk holds none.
-    The hook runs after minmax_deform has stored a node and its J, and
-    overrides them only at a center.  Returns (SolutionRecord, PSDiagnostics).
-    """
-    def hook(idx, cand, nodes_, energies_, params_):
-        if idx in centers:
-            cand = fiber_solve(ScalarField.zeros(cand.u.geom), cand.free_part(), params_)
-            nodes_[idx] = cand
-            energies_[idx] = evaluate_J(cand.u, cand.psi, params_)
-
-    return minmax_deform(nodes, frozen, config, params,
-                         segments=segments, step_hook=hook)
-
-
 def equivariant_disk_mesh(shells_on_boundary, n_theta: int, n_r: int, node):
     """Orbit representatives of Z2-equivariant disks, one disk per shell.
 
@@ -347,7 +329,7 @@ def equivariant_disk_minmax(family: EquivariantFamily, config: MinmaxConfig,
 
     nodes, frozen, centers, segments = equivariant_disk_mesh(
         [False], n_theta_disk, n_radii, node)
-    return _equivariant_deform(nodes, frozen, centers, segments, config, params)
+    return minmax_deform(nodes, frozen, config, params, segments=segments, centers=centers)
 
 
 # ---------------------------------------------------------------------------
@@ -551,4 +533,4 @@ def case2_product_minmax(chi: SweepoutChi, consts: LinkingConstants,
                 f"{len(bad)} case-2 boundary nodes stay positive after retries")
         r_factor *= 1.5
 
-    return _equivariant_deform(nodes, frozen, centers, segments, config, params)
+    return minmax_deform(nodes, frozen, config, params, segments=segments, centers=centers)

@@ -1,0 +1,60 @@
+"""Fingerprints of fixed runs, for refactors that must not change a bit.
+
+Run by hand (pytest does not collect it):
+
+    PYTHONPATH=src python tests/fingerprint.py [name ...]
+
+For each config below it prints the sha256 of `sshg.runner.run`'s output
+with `timings` dropped, rendered as the run's JSON (floats at 17
+significant digits), followed by the run's levels.  Two trees print the
+same line for a config exactly when their outputs agree bit for bit.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+
+from sshg.runner import RunConfig, _render_json, run
+
+from test_workcounts import CONFIG, MOUNTAIN_PASS
+
+CONFIGS = {
+    # the two work-count configs of test_workcounts
+    "workcounts-multiplicity": CONFIG,
+    "workcounts-mountain-pass": MOUNTAIN_PASS,
+    # grid 16 with n_radii 5: the disk's Newton lands below c1
+    "multiplicity-n16-radii5": {
+        "grid_n": 16, "spin_delta": [0.5, 0.5], "rho": 0.5, "mode": "multiplicity",
+        "n_radii": 5,
+    },
+    # the harmonic block at delta = (0, 0): case 2, the (K+2)-dimensional set
+    "case2-n16": {
+        "grid_n": 16, "spin_delta": [0.0, 0.0], "rho": 0.5, "mode": "multiplicity",
+    },
+    # the multiplicity-n32 benchmark workload, seed 1
+    "multiplicity-n32": {
+        "grid_n": 32, "spin_delta": [0.5, 0.5], "rho": 0.5, "mode": "multiplicity",
+        "path_nodes": 17, "max_outer": 80, "grad_tol": 1e-3,
+        "n_theta": 64, "n_theta_disk": 8, "n_radii": 3, "seed": 1,
+    },
+}
+
+
+def fingerprint(config: dict) -> tuple[str, dict]:
+    """(sha256 of the run's output without timings, its levels)."""
+    output = run(RunConfig.from_dict(config))
+    output.pop("timings")
+    digest = hashlib.sha256(_render_json(output).encode()).hexdigest()
+    return digest, output.get("levels", {})
+
+
+def main(names) -> None:
+    for name in names or CONFIGS:
+        digest, levels = fingerprint(CONFIGS[name])
+        shown = " ".join(f"{k}={v!r}" for k, v in levels.items())
+        print(f"{name} {digest} {shown}", flush=True)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

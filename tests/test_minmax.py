@@ -30,6 +30,7 @@ from sshg.minmax import (
 )
 from sshg.nehari import constrained_gradient, fiber_solve, multiplier_solve
 from sshg.spectral import build_basis, h1_norm, hhalf_norm, project
+from sshg.sweepout import equivariant_disk_mesh
 
 from oracles import field_gradient, grid_x1, grid_x2, hminus1_norm, hminushalf_norm
 
@@ -458,15 +459,84 @@ def _small_mountain_pass(setup16):
     return nodes, frozen, config, params
 
 
-def test_minmax_deform_frozen_node_moved(setup16):
+def _one_shell_disk(setup16):
+    """A one-shell disk from `equivariant_disk_mesh`: the center
+    (0, s Psi_1) and two spoke representatives of two radial nodes each,
+    with u = r T (1 + 0.3 cos(y + it pi/2)) and psi = s Psi_1 at radius r;
+    the rim nodes are frozen at negative energy."""
+    geom, basis = setup16
+    params = ActionParams(rho=0.5)
+    consts = linking_constants(params, basis)
+    psi = consts.s * basis.eigenspinor(1)
+
+    def node(shell, it, ir):
+        profile = 1.0 + 0.3 * np.cos(grid_x2(geom) + it * np.pi / 2)
+        return fiber_solve(ScalarField.from_values(geom, (ir / 2) * consts.T * profile),
+                           psi, params)
+
+    nodes, frozen, centers, segments = equivariant_disk_mesh([False], 4, 2, node)
+    config = MinmaxConfig(path_nodes=5, grad_tol=1e-12, max_outer=3, seed=0)
+    return nodes, frozen, config, params, {"segments": segments, "centers": centers}
+
+
+@pytest.mark.parametrize("mesh", ["chain", "disk"])
+def test_minmax_deform_frozen_node_moved(setup16, mesh):
     # the invariant is a certificate, not an assert: python -O keeps it
-    nodes, frozen, config, params = _small_mountain_pass(setup16)
+    if mesh == "chain":
+        nodes, frozen, config, params = _small_mountain_pass(setup16)
+        kwargs = {}
+    else:
+        nodes, frozen, config, params, kwargs = _one_shell_disk(setup16)
+    k_frozen = frozen.index(True)
 
     def hook(k, pt, nodes_, energies_, params_):
-        nodes_[0] = dataclasses.replace(nodes_[0])  # equal values, another node
+        nodes_[k_frozen] = dataclasses.replace(nodes_[k_frozen])  # equal values, another node
 
     with pytest.raises(CertificationError, match="boundary node was moved"):
-        minmax_deform(nodes, frozen, config, params, step_hook=hook)
+        minmax_deform(nodes, frozen, config, params, step_hook=hook, **kwargs)
+
+
+def test_minmax_deform_pins_disk_centers(setup16, monkeypatch):
+    # every assignment that hits a disk's sigma-fixed center leaves it at
+    # exactly u = 0 with its own J; step_hook sees the stored raw point
+    # first: the retraction of a descent step, or the promoted ridge sample
+    nodes, frozen, config, params, kwargs = _one_shell_disk(setup16)
+    (center,) = kwargs["centers"]
+    retractions, samples = [], []
+
+    def recording(orig, made):
+        def wrapper(*args):
+            made.append(orig(*args))
+            return made[-1]
+        return wrapper
+
+    monkeypatch.setattr(sshg.minmax, "project_to_manifold",
+                        recording(sshg.minmax.project_to_manifold, retractions))
+    monkeypatch.setattr(sshg.minmax, "_interp_points",
+                        recording(sshg.minmax._interp_points, samples))
+
+    def pinned(nodes_, energies_):
+        pt = nodes_[center]
+        return (not np.any(pt.u.values) and not np.any(pt.u.coeffs)
+                and energies_[center] == evaluate_J(pt.u, pt.psi, params))
+
+    hits = []
+
+    def hook(k, pt, nodes_, energies_, params_):
+        descent = bool(retractions) and pt is retractions[-1]
+        assert descent or any(pt is sample for sample in samples)
+        assert nodes_[k] is pt
+        assert k == center or pinned(nodes_, energies_)
+        hits.append((k, descent, bool(np.any(pt.u.values))))
+        hook.mesh = nodes_, energies_
+
+    minmax_deform(nodes, frozen, config, params, step_hook=hook, **kwargs)
+    assert pinned(*hook.mesh)
+    # the center took a descent step, and a promotion brought it a sample
+    # off u = 0; other nodes took descent steps too
+    assert any(k == center and descent for k, descent, _ in hits)
+    assert any(k == center and not descent and off for k, descent, off in hits)
+    assert any(k != center and descent for k, descent, _ in hits)
 
 
 def test_minmax_deform_stores_before_the_hook(setup16):
