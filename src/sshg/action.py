@@ -120,8 +120,8 @@ def el_residual_norms(geom, g: np.ndarray) -> tuple[float, float]:
 @dataclass(frozen=True)
 class Linearization:
     """The per-point grids of the second variation at (u, psi), formed once
-    per Newton step by `linearize` and applied by `hess_vec`, with the work
-    arrays of one product."""
+    per Newton step and once per multiplier solve by `linearize` and applied
+    by `hess_vec`, with the work arrays of one product."""
 
     psi: SpinorField        # psi, whose grid values are read
     dens: np.ndarray        # |psi|^2
@@ -171,7 +171,7 @@ def hess_vec(lin: Linearization, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     np.multiply(np.negative(geom.xi_sq, out=tmp[0]), x[0], out=spec[0])
     spec[0] *= -2.0
     (vv, lap), phi = stacked_values(geom, (x[0], spec[0]), x[1:], grid)
-    # Re<psi, phi> (`SpinorField.cross_density`)
+    # Re<psi, phi>, pointwise
     prod = np.multiply(np.conjugate(lin.psi.values, out=spec[1:]), phi.values, out=spec[1:])
     cross = np.sum(prod, axis=0, out=spec[0]).real
     hu = tmp[0]

@@ -249,10 +249,6 @@ class SpinorField:
         v = self.values
         return (v.real ** 2 + v.imag ** 2).sum(axis=0)
 
-    def cross_density(self, other) -> np.ndarray:
-        """Pointwise Re<self, other> on the grid."""
-        return np.real(np.sum(np.conj(self.values) * other.values, axis=0))
-
     def times(self, f: np.ndarray) -> "SpinorField":
         """Pointwise product with a real grid function."""
         c = constant_value(f)

@@ -1,13 +1,13 @@
 """Matrix-free Krylov solvers in user-supplied inner products.
 
-CG's iterate lives in any vector space whose elements support +, -, unary
-negation and real scalar multiplication: the a- rows (numpy arrays) of the
-fiber solve and the E^- spinor fields of the multiplier's normal equations.
-MINRES iterates on numpy arrays and updates a working set allocated once
-per solve in place; in Newton these are the packed complex arrays
-(`fields.pack`: u's Fourier coefficients, then psi's eigen-coordinates)
-that are the package's one representation of a (u, psi) direction, and
-Newton's Hessian is formed once per step (`action.linearize`).  `inner`
+Both iterate on numpy arrays.  CG's are the a- rows of E^- vectors, in
+the fiber solve and in the multiplier's normal equations, whose operator
+is two Hessian products (`nehari.multiplier_solve`).  MINRES updates a
+working set allocated once per solve in place; in Newton these are the
+packed complex arrays (`fields.pack`: u's Fourier coefficients, then psi's
+eigen-coordinates) that are the package's one representation of a (u, psi)
+direction, and Newton's Hessian is formed once per step
+(`action.linearize`).  `inner`
 defines the metric; operators must be self-adjoint with respect to it, and
 positive definite for CG.  CG takes an optional preconditioner, SPD in the
 same metric; MINRES callers precondition by solving in a weighted metric

@@ -152,7 +152,7 @@ class PSDiagnostics:
     def record(self, tangent_res, level, u_h1, psi_hhalf):
         self.alpha_norms.append(tangent_res.alpha_norm)
         self.beta_norms.append(tangent_res.beta_norm)
-        self.multiplier_norms.append(tangent_res.multiplier.norm())
+        self.multiplier_norms.append(tangent_res.multiplier.norm)
         self.energies.append(level)
         self.grad_norms.append(tangent_res.norm)
         self.u_h1_trace.append(u_h1)
@@ -231,7 +231,7 @@ def make_record(point: NehariPoint, multiplier: MultiplierData, params: ActionPa
         u_variance=var,
         converged=converged,
         refined=refined,
-        multiplier_norm=multiplier.norm(),
+        multiplier_norm=multiplier.norm,
         u_h1=h1_norm(point.u),
         psi_hhalf=hhalf_norm(point.psi),
     )
@@ -565,7 +565,7 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
             if trial is not None and trial.refined:
                 critical_levels.append(trial.level)
                 if _near(level, trial.level):
-                    record = _accept_refined(trial, diags, params, converged=False)
+                    record = _accept_refined(trial, diags, converged=False)
             if record is not None:
                 diags.exit = "handoff"
                 break
@@ -615,8 +615,7 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
         converged = diags.exit == "grad_tol"
         res = constrained_gradient(point, params)
         if res.norm <= HANDOFF_GRAD:
-            record = _accept_refined(_newton_trial(point, params), diags, params,
-                                     converged=converged)
+            record = _accept_refined(_newton_trial(point, params), diags, converged=converged)
         if record is None:
             record = make_record(point, res.multiplier, params, converged=converged,
                                  refined=False)
@@ -782,8 +781,7 @@ def _newton_trial(point: NehariPoint, params: ActionParams):
         return None
 
 
-def _accept_refined(trial, diags: PSDiagnostics, params: ActionParams,
-                    converged: bool):
+def _accept_refined(trial, diags: PSDiagnostics, converged: bool):
     """The hand-off's acceptance test, written once: a Newton record that
     refined to a non-trivial solution is returned with the descent's
     `converged` flag and ends the PS trace `diags` with the constrained
@@ -792,7 +790,7 @@ def _accept_refined(trial, diags: PSDiagnostics, params: ActionParams,
     trial gives None."""
     if trial is None or not trial.refined or trial.classification == "trivial":
         return None
-    res = constrained_tangent(trial.point, params, trial.multiplier)
+    res = constrained_tangent(trial.point.u.geom, trial.multiplier)
     diags.record(res, trial.level, trial.u_h1, trial.psi_hhalf)
     diags.repairs.append(True)
     return replace(trial, converged=converged)

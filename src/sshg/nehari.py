@@ -12,10 +12,13 @@ through the fiber solve.  On the negative subspace the fiber operator
 satisfies <A phi, chi>_{H^{1/2}} = <(D - rho cosh u) phi, chi>_{L^2} (the
 (1+|D|) multipliers cancel), so -A is symmetric positive definite in the
 H^{1/2} inner product and conjugate gradients apply directly.  E^- lives on
-the a- row of the eigen-coordinates, so the fiber solve iterates on that row.
-Both CG solves here, the fiber solve and the multiplier's normal equations,
-are preconditioned with the symbol of -A at constant cosh u = mean(cosh u)
-(`mean_field_symbol`).
+the a- row of the eigen-coordinates, so both CG solves here, the fiber
+solve and the multiplier's normal equations (dG dG^*) w = dG[Riesz dJ],
+iterate on that row, preconditioned with the symbol of -A at constant
+cosh u = mean(cosh u) (`mean_field_symbol`).  G is 1/16 of J's psi-gradient
+before P^- (1+|D|)^{-1}, so dG is the spinor row of J's second variation:
+dG and dG^* are read off one linearization of the point (`action.linearize`,
+`action.hess_vec`), not written a second time.
 """
 
 from __future__ import annotations
@@ -27,13 +30,16 @@ import numpy as np
 
 from .action import (
     ActionParams,
+    Linearization,
     check_overflow,
     dirac_minus_potential,
     gradient_J,
+    hess_vec,
+    linearize,
     scalar_terms,
 )
 from .errors import CertificationError, ConfigError, OverflowGuardError
-from .fields import ScalarField, SpinorField, constant_value, minus_row_times, pack, unpack
+from .fields import ScalarField, SpinorField, constant_value, minus_row_times
 from .krylov import cg
 from .spectral import (
     check_spectral_gap,
@@ -41,12 +47,19 @@ from .spectral import (
     hhalf_norm,
     packed_sobolev_weight,
     project,
-    riesz_hhalf,
-    sobolev_inner,
     sobolev_norms_sq,
     sobolev_weight,
     subspace_mask,
 )
+
+# dirac_minus_potential is re-exported: the perfbench tracer times it as
+# the layer `nehari.operator_apply` through this module's binding
+__all__ = [
+    "FIBER_CERT", "FIBER_MAXITER", "FIBER_TOL", "MultiplierData", "NehariPoint",
+    "TangentResult", "constrained_gradient", "constrained_tangent", "dirac_minus_potential",
+    "fiber_coercivity", "fiber_energy_bounds", "fiber_solve", "mean_field_symbol",
+    "multiplier_solve", "project_to_manifold",
+]
 
 FIBER_TOL = 1e-12
 FIBER_MAXITER = 500
@@ -71,20 +84,16 @@ class NehariPoint:
 @dataclass
 class MultiplierData:
     """One multiplier solve at a point: the packed Riesz gradient of J
-    there, the solution w of the normal equations and their relative
-    residual."""
+    there, the a- row of the solution w of the normal equations, the
+    H^{1/2} norm of the negative-subspace Lagrange multiplier w / 16 of the
+    16-normalized system, the packed tangent Riesz dJ - dG^* w and the
+    solve's relative residual."""
 
     gradient: np.ndarray
-    w: SpinorField
+    w: np.ndarray
+    norm: float
+    tangent: np.ndarray
     solve_residual: float
-
-    @property
-    def varphi(self) -> SpinorField:
-        """The negative-subspace Lagrange multiplier of the 16-normalized system."""
-        return (1.0 / 16.0) * self.w
-
-    def norm(self) -> float:
-        return hhalf_norm(self.varphi)
 
 
 @lru_cache(maxsize=16)
@@ -117,8 +126,8 @@ def mean_field_symbol(lam, rho: float, cosh_u):
 
 
 def _mean_field_precond(geom, rho: float, uv: np.ndarray, power: int):
-    """The CG preconditioner z = r / a0^power per mode, a0 the
-    `mean_field_symbol` at c = mean(cosh u), on a- rows or E^- spinors.
+    """The CG preconditioner z = r / a0^power per mode on a- rows, a0 the
+    `mean_field_symbol` at c = mean(cosh u).
 
     a0 is positive and commutes with the H^{1/2} weight, so the map is SPD
     in the H^{1/2} pairing.  It is formed on the first call: a solve that
@@ -129,8 +138,6 @@ def _mean_field_precond(geom, rho: float, uv: np.ndarray, power: int):
     def apply(r):
         if not inverse:
             inverse.append(1.0 / mean_field_symbol(geom.s_abs, rho, np.mean(np.cosh(uv))) ** power)
-        if isinstance(r, SpinorField):
-            return SpinorField(geom, eig=r.eig * inverse[0])
         return r * inverse[0]
     return apply
 
@@ -313,55 +320,54 @@ def project_to_manifold(u: ScalarField, psi: SpinorField, params: ActionParams) 
 # multipliers and constrained gradients
 # ---------------------------------------------------------------------------
 
-def _dg_adjoint(point: NehariPoint, params: ActionParams, w: SpinorField) -> np.ndarray:
-    """dG(u,psi)^* w in the product metric H^1 x H^{1/2}, packed.
-
-    <dG[v,phi], w>_{H^{1/2}} = <phi, (D - rho cosh u) w>_{L^2}
-                               - rho int sinh(u) v Re<psi, w>,
-    so the adjoint is the Riesz image of the pair
-    (-rho sinh(u) Re<psi,w>, (D - rho cosh u) w).
+def _constraint_derivative(lin: Linearization):
+    """dG and dG^* at lin's point, both read off J's second variation
+    (`hess_vec`), whose spinor row is 16 dG before P^- R: dG[x] is the a-
+    row of P^- R (H x)_psi / 16 for a packed direction x, and, since
+    <dG[x], w>_{H^{1/2}} = <(H x)_psi, w>_{L^2} / 16 for w in E^-, dG^* w is
+    R H (0, 0, w) / 16, R the per-mode division by `packed_sobolev_weight`.
+    The E^- vector w is given by its a- row, as dG returns it.  dG^* is
+    written packed into one work array, valid until its next call.
     """
-    geom = point.u.geom
-    uv = point.u.values
-    rho = params.rho
-    cross = point.psi.cross_density(w)
-    du_dual = ScalarField.from_values(geom, -rho * np.sinh(uv) * cross)
-    out = pack(du_dual, dirac_minus_potential(w, np.cosh(uv), rho))
-    out /= packed_sobolev_weight(geom)
-    return out
+    geom = lin.psi.geom
+    scale = 16.0 * packed_sobolev_weight(geom)
+    mask = subspace_mask(geom, "minus", None)[1]
+    hx, x_w, dual = np.zeros((3,) + scale.shape, dtype=complex)
 
+    def apply(x: np.ndarray) -> np.ndarray:
+        return hess_vec(lin, x, hx)[2] / scale[2] * mask
 
-def _dg_apply(point: NehariPoint, params: ActionParams, x: np.ndarray) -> SpinorField:
-    """dG(u,psi)[v, phi] of the packed direction x = (v, phi),
-    negative-subspace valued."""
-    v, phi = unpack(point.u.geom, x)
-    uv = point.u.values
-    rho = params.rho
-    lin = dirac_minus_potential(phi, np.cosh(uv), rho)
-    lin = lin - point.psi.times(rho * np.sinh(uv) * v.values)
-    return project(riesz_hhalf(lin), "minus")
+    def adjoint(w: np.ndarray) -> np.ndarray:
+        x_w[2] = w
+        out = hess_vec(lin, x_w, dual)
+        out /= scale
+        return out
+    return apply, adjoint
 
 
 def multiplier_solve(point: NehariPoint, params: ActionParams) -> MultiplierData:
     """Least-squares multiplier solve of the constrained criticality system.
 
     Solves the normal equations (dG dG^*) w = dG[Riesz dJ] on the negative
-    subspace (SPD Gram operator), by CG preconditioned with 1/a0^2
-    (`mean_field_symbol`): at constant u the Gram operator is a0^2 plus the
-    u-coupling's positive part.
+    subspace (SPD Gram operator) on the a- row, as `fiber_solve` does, by
+    CG preconditioned with 1/a0^2 (`mean_field_symbol`): at constant u the
+    Gram operator is a0^2 plus the u-coupling's positive part.  dG and dG^*
+    come from one linearization of the point (`_constraint_derivative`),
+    which lives only as long as the solve and also forms the tangent
+    Riesz dJ - dG^* w; when CG returns w = 0 the tangent is the gradient.
     """
+    geom = point.u.geom
     g = gradient_J(point.u, point.psi, params)
-    rhs = _dg_apply(point, params, g)
-    h1_sq, hhalf_sq = sobolev_norms_sq(point.u.geom, g)
+    dg, dg_adjoint = _constraint_derivative(linearize(point.u, point.psi, params))
+    h1_sq, hhalf_sq = sobolev_norms_sq(geom, g)
     scale = np.sqrt(h1_sq) + np.sqrt(hhalf_sq)
-
-    def gram(w: SpinorField) -> SpinorField:
-        return _dg_apply(point, params, _dg_adjoint(point, params, w))
-
     atol = 1e-14 * max(scale, 1.0)
-    w, info = cg(gram, rhs, sobolev_inner, tol=1e-12, maxiter=FIBER_MAXITER, atol=atol,
-                 precond=_mean_field_precond(point.u.geom, params.rho, point.u.values, 2))
-    return MultiplierData(gradient=g, w=w, solve_residual=info.relative_residual)
+    w, info = cg(lambda r: dg(dg_adjoint(r)), dg(g), partial(_row_inner, geom), tol=1e-12,
+                 maxiter=FIBER_MAXITER, atol=atol,
+                 precond=_mean_field_precond(geom, params.rho, point.u.values, 2))
+    return MultiplierData(gradient=g, w=w, norm=_row_norm(geom, w) / 16.0,
+                          tangent=g - dg_adjoint(w) if w.any() else g,
+                          solve_residual=info.relative_residual)
 
 
 @dataclass
@@ -375,18 +381,17 @@ class TangentResult:
     multiplier: MultiplierData
 
 
-def constrained_tangent(point: NehariPoint, params: ActionParams,
-                        multiplier: MultiplierData) -> TangentResult:
-    """The constrained gradient at point from its multiplier solve, with no
-    further solve.
+def constrained_tangent(geom, multiplier: MultiplierData) -> TangentResult:
+    """The constrained gradient from a multiplier solve on geom: the norms
+    of the tangent the solve formed, with no further operator apply.
 
     The tangent t = R(dJ - dG^* w) is the Riesz image of the residuals of
     the multiplier system, alpha = (dJ - dG^* w)_u and
     beta = (dJ - dG^* w)_psi / 16, so (||f||_{H^-s} = ||R f||_{H^s})
     alpha_norm = ||t_u||_{H^1} and beta_norm = ||t_psi||_{H^1/2} / 16.
     """
-    t = multiplier.gradient - _dg_adjoint(point, params, multiplier.w)
-    h1_sq, hhalf_sq = sobolev_norms_sq(point.u.geom, t)
+    t = multiplier.tangent
+    h1_sq, hhalf_sq = sobolev_norms_sq(geom, t)
     return TangentResult(
         tangent=t,
         norm=float(np.sqrt(h1_sq + hhalf_sq)),
@@ -399,4 +404,4 @@ def constrained_tangent(point: NehariPoint, params: ActionParams,
 def constrained_gradient(point: NehariPoint, params: ActionParams) -> TangentResult:
     """Riesz representative of dJ restricted to ker dG, plus PS residual
     data: `constrained_tangent` of the multiplier solve at point."""
-    return constrained_tangent(point, params, multiplier_solve(point, params))
+    return constrained_tangent(point.u.geom, multiplier_solve(point, params))

@@ -110,13 +110,6 @@ def sobolev_norms_sq(geom: TorusGeometry, x: np.ndarray) -> tuple[float, float]:
     return float(geom.vol * np.sum(s[0]).real), float(geom.vol * np.sum(s[1:]).real)
 
 
-def riesz_hhalf(psi_dual: SpinorField) -> SpinorField:
-    """Riesz representative in H^{1/2} of an L^2-represented functional:
-    (1+|D|)^{-1} as the scalar multiplier (1+|xi|)^{-1}."""
-    g = psi_dual.geom
-    return SpinorField(g, eig=psi_dual.eig / sobolev_weight(g, SpinorField)[None, :, :])
-
-
 # ---------------------------------------------------------------------------
 # spectral projections
 # ---------------------------------------------------------------------------

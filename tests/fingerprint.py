@@ -6,8 +6,11 @@ Run by hand (pytest does not collect it):
 
 For each config below it prints the sha256 of `sshg.runner.run`'s output
 with `timings` dropped, rendered as the run's JSON (floats at 17
-significant digits), followed by the run's levels.  Two trees print the
-same line for a config exactly when their outputs agree bit for bit.
+significant digits), followed by the run's levels, each record's
+`classification`, `refined` and `exit`, and the run's `converged`.  Two
+trees print the same line for a config exactly when their outputs agree
+bit for bit; where a rounding-level change moves the hash, the tail of the
+line shows whether it moved a classification or an exit.
 """
 
 from __future__ import annotations
@@ -42,18 +45,20 @@ CONFIGS = {
 
 
 def fingerprint(config: dict) -> tuple[str, dict]:
-    """(sha256 of the run's output without timings, its levels)."""
+    """(sha256 of the run's output without timings, the output)."""
     output = run(RunConfig.from_dict(config))
     output.pop("timings")
-    digest = hashlib.sha256(_render_json(output).encode()).hexdigest()
-    return digest, output.get("levels", {})
+    return hashlib.sha256(_render_json(output).encode()).hexdigest(), output
 
 
 def main(names) -> None:
     for name in names or CONFIGS:
-        digest, levels = fingerprint(CONFIGS[name])
-        shown = " ".join(f"{k}={v!r}" for k, v in levels.items())
-        print(f"{name} {digest} {shown}", flush=True)
+        digest, output = fingerprint(CONFIGS[name])
+        shown = [f"{k}={v!r}" for k, v in output.get("levels", {}).items()]
+        shown += [f"record{i}={r['classification']}/refined={r['refined']}/exit={r['exit']}"
+                  for i, r in enumerate(output["records"])]
+        shown.append(f"converged={output['converged']}")
+        print(f"{name} {digest} {' '.join(shown)}", flush=True)
 
 
 if __name__ == "__main__":

@@ -3,11 +3,11 @@
 Each is an independent route to a quantity the package computes another
 way (grid quadrature against Parseval, H^{-s} dual norms against Riesz
 norms, the dense constraint against its a- row, the field-pair first
-variation, Riesz maps and constraint derivatives against the packed (u, psi)
-arrays), or a helper the tests
-need and the package does not: grid coordinates, |D|^s, the quaternionic
-structure, Hermitian symmetry, the reader of the checkpoints that
-`checkpoint_save` and `save_point` write.
+variation, Riesz maps, Re<psi, phi> and the constraint derivative against
+the packed (u, psi) arrays and `hess_vec`), or a helper the tests need and
+the package does not: grid coordinates, |D|^s, E^- spinors from a- rows,
+the quaternionic structure, Hermitian symmetry, the reader of the
+checkpoints that `checkpoint_save` and `save_point` write.
 """
 
 import struct
@@ -25,7 +25,6 @@ from sshg.spectral import (
     l2_inner,
     laplace_apply,
     project,
-    riesz_hhalf,
     sobolev_inner,
     sobolev_weight,
 )
@@ -117,6 +116,13 @@ def riesz_pair(g: np.ndarray, v: ScalarField, phi: SpinorField) -> float:
     return sobolev_inner(gu, v) + sobolev_inner(gpsi, phi)
 
 
+def riesz_hhalf(psi_dual: SpinorField) -> SpinorField:
+    """Riesz representative in H^{1/2} of an L^2-represented functional:
+    (1+|D|)^{-1} as the scalar multiplier (1+|xi|)^{-1}."""
+    g = psi_dual.geom
+    return SpinorField(g, eig=psi_dual.eig / sobolev_weight(g, SpinorField)[None, :, :])
+
+
 def riesz_h1(u_dual: ScalarField) -> ScalarField:
     """Riesz representative in H^1 of an L^2-represented functional."""
     g = u_dual.geom
@@ -155,12 +161,22 @@ def field_dg_apply(point: NehariPoint, params, v: ScalarField, phi: SpinorField)
     return project(riesz_hhalf(lin), "minus")
 
 
+def cross_density(psi: SpinorField, phi: SpinorField) -> np.ndarray:
+    """Pointwise Re<psi, phi> on the grid."""
+    return np.real(np.sum(np.conj(psi.values) * phi.values, axis=0))
+
+
+def minus_spinor(geom, row: np.ndarray) -> SpinorField:
+    """The E^- spinor whose a- row is row (a+ = 0)."""
+    return SpinorField(geom, eig=np.stack((np.zeros_like(row), row)))
+
+
 def field_dg_adjoint(point: NehariPoint, params, w: SpinorField):
     """dG(u, psi)^* w in H^1 x H^{1/2} as a field pair: the Riesz images of
     -rho sinh(u) Re<psi, w> and (D - rho cosh u) w."""
     uv = point.u.values
     rho = params.rho
-    cross = point.psi.cross_density(w)
+    cross = cross_density(point.psi, w)
     du_dual = ScalarField.from_values(point.u.geom, -rho * np.sinh(uv) * cross)
     return riesz_h1(du_dual), riesz_hhalf(dirac_minus_potential(w, np.cosh(uv), rho))
 
@@ -177,7 +193,7 @@ def field_hess_vec(u: ScalarField, psi: SpinorField, v: ScalarField, phi: Spinor
     vv = v.values
     sh, ch = np.sinh(uv), np.cosh(uv)
     dens = psi.density()
-    cross = psi.cross_density(phi)
+    cross = cross_density(psi, phi)
 
     hu_vals = (8.0 * rho * rho * np.cosh(2.0 * uv) * vv
                - 8.0 * rho * ch * vv * dens

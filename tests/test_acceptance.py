@@ -393,8 +393,8 @@ def test_criterion_10_diagnostics_fidelity(multiplicity_run, linking_run):
     for i, rec in enumerate(converged):
         res = constrained_gradient(rec.point, params)
         md = res.multiplier
-        crit.check(f"record {i}: multiplier {md.norm():.2e} <= 10*newton_tol",
-                   md.norm() <= 10 * newton_tol)
+        crit.check(f"record {i}: multiplier {md.norm:.2e} <= 10*newton_tol",
+                   md.norm <= 10 * newton_tol)
         crit.check(f"record {i}: alpha {res.alpha_norm:.2e} <= 1e-6",
                    res.alpha_norm <= 1e-6)
         crit.check(f"record {i}: beta {res.beta_norm:.2e} <= 1e-6",

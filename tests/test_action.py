@@ -20,7 +20,6 @@ from sshg.spectral import (
     h1_norm,
     hhalf_norm,
     laplace_apply,
-    riesz_hhalf,
     sobolev_norms_sq,
 )
 
@@ -34,6 +33,7 @@ from oracles import (
     hminushalf_norm,
     quaternion_j,
     riesz_h1,
+    riesz_hhalf,
     riesz_pair,
 )
 

@@ -6,7 +6,14 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import sshg.nehari
-from sshg.action import ActionParams, el_residual_norms, evaluate_J, gradient_J, scalar_terms
+from sshg.action import (
+    ActionParams,
+    el_residual_norms,
+    evaluate_J,
+    gradient_J,
+    linearize,
+    scalar_terms,
+)
 from sshg.errors import CertificationError, ConfigError, OverflowGuardError, SSHGError
 from sshg.fields import ScalarField, SpinorField, minus_row_times, pack, spinor_eig, unpack
 from sshg.geometry import TorusGeometry
@@ -30,6 +37,7 @@ from sshg.spectral import (
     project,
     sobolev_inner,
     sobolev_norms_sq,
+    subspace_mask,
 )
 
 from oracles import (
@@ -42,6 +50,8 @@ from oracles import (
     hminus1_norm,
     hminushalf_norm,
     l2_norm,
+    minus_spinor,
+    riesz_pair,
 )
 
 from test_constant_fields import PROPERTY, SEEDS, counting_ffts
@@ -270,7 +280,7 @@ def test_preconditioned_solves_agree_with_plain_cg(delta, seed, mean, amp):
         stop_f, stop_m = (max(tol * norm_b, kwargs["atol"]) for norm_b, (*_, kwargs, _), tol
                           in zip(norms, calls, (FIBER_TOL, 1e-12)))
         assert hhalf_norm(pt.psi - pt_plain.psi) <= 2.0 * stop_f / c
-        assert hhalf_norm(md.w - md_plain.w) <= 2.0 * stop_m / c ** 2
+        assert hhalf_norm(minus_spinor(geom, md.w - md_plain.w)) <= 2.0 * stop_m / c ** 2
         assert md.solve_residual * norms[1] <= stop_m * (1.0 + 1e-12)   # rounding of the ratio
         # the certificate is G's at the returned point, and still enforced
         scale = max(hhalf_norm(free), 1.0)
@@ -545,7 +555,7 @@ def test_lagrange_multiplier(setup16):
 
     pt = fiber_solve(zero_u, SpinorField.zeros(geom), params)
     md = multiplier_solve(pt, params)
-    assert md.norm() == 0.0
+    assert md.norm == 0.0
 
     # naturality at the semi-trivial branch; rho exactly on the spectrum is
     # forbidden by the gap guard, so perturb just outside it
@@ -553,15 +563,18 @@ def test_lagrange_multiplier(setup16):
     pt = fiber_solve(zero_u, basis.eigenspinor(1), lam_params)
     md = multiplier_solve(pt, lam_params)
     ru, rpsi = el_residual_norms(geom, md.gradient)
-    assert md.norm() <= 10.0 * (ru + rpsi)
+    assert md.norm <= 10.0 * (ru + rpsi)
+    # the right-hand side is rounding of the E^+ gradient, below the CG's
+    # floor: w is exactly 0 and the solve forms no dG^* w
+    assert not md.w.any() and md.tangent is md.gradient
 
     # generic certified point: multiplier solve residual certified
     rng = np.random.default_rng(7)
     pt = fiber_solve(bounded_scalar(geom, rng), free_spinor(geom, rng), params)
     md = multiplier_solve(pt, params)
     assert md.solve_residual <= 1e-10
-    # constructed in-subspace: reprojection changes it only by rounding
-    assert hhalf_norm(project(md.varphi, "minus") - md.varphi) <= 1e-14 * (1 + md.norm())
+    # an E^- vector: its a- row is exactly zero off the minus modes
+    assert np.array_equal(md.w * subspace_mask(geom, "minus", None)[1], md.w)
 
 
 def test_constrained_gradient(setup16):
@@ -583,7 +596,7 @@ def test_constrained_gradient(setup16):
     for _ in range(5):
         pt = fiber_solve(bounded_scalar(geom, rng), free_spinor(geom, rng), params)
         res = constrained_gradient(pt, params)
-        tangency = hhalf_norm(sshg.nehari._dg_apply(pt, params, res.tangent))
+        tangency = hhalf_norm(field_dg_apply(pt, params, *unpack(geom, res.tangent)))
         assert tangency <= 1e-9 * (1.0 + res.norm)
 
 
@@ -611,7 +624,7 @@ def test_alpha_beta_match_the_multiplier_formula(delta):
         uv = pt.u.values
         assert np.ptp(uv) > 0.1
         res = constrained_gradient(pt, params)
-        varphi = res.multiplier.varphi
+        varphi = (1.0 / 16.0) * minus_spinor(geom, res.multiplier.w)
         gu, gpsi = field_gradient(pt.u, pt.psi, params)
         cross = np.real(np.sum(np.conj(pt.psi.values) * varphi.values, axis=0))
         alpha = gu + ScalarField.from_values(geom, 16.0 * rho * np.sinh(uv) * cross)
@@ -621,13 +634,23 @@ def test_alpha_beta_match_the_multiplier_formula(delta):
         assert res.beta_norm == pytest.approx(hminushalf_norm(beta), rel=1e-12)
 
 
+def _max_rel(a: np.ndarray, b: np.ndarray, scale: np.ndarray) -> float:
+    """Max-norm distance of a from b, relative to the max norm of scale."""
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(scale)))
+
+
 @pytest.mark.parametrize("delta", ALL_DELTAS)
-def test_packed_directions_are_the_field_pair_route_bit_for_bit(delta):
+def test_packed_directions_match_the_field_pair_route(delta):
     # the packed gradient, its norms and residuals, dG and dG^*, and the
     # constrained tangent with its norm, alpha and beta, against the same
     # formulas on field pairs (dual densities, then the Riesz maps), at a
     # certified point with non-constant u; the delta = 0 axes are masked,
-    # and rho = 0.6 stays off the spectrum for every delta
+    # and rho = 0.6 stays off the spectrum for every delta.  The gradient
+    # and the norms are bitwise the field route's; dG and dG^* are read
+    # off the Hessian product, whose sums run in another order, so they
+    # and the tangent agree to rounding.  At a certified point dG[g] is
+    # about 1e-3 of g, the difference of terms of g's size, so its rounding
+    # is measured against g
     geom = TorusGeometry(grid_n=16, spin_delta=delta)
     params = ActionParams(rho=0.6)
     rng = np.random.default_rng(23)
@@ -641,18 +664,58 @@ def test_packed_directions_are_the_field_pair_route_bit_for_bit(delta):
     assert (h1_sq, hhalf_sq) == (sobolev_inner(ru, ru), sobolev_inner(rpsi, rpsi))
     assert h1_sq > 0.0 and hhalf_sq > 0.0
     assert el_residual_norms(geom, g) == (0.5 * h1_norm(ru), hhalf_norm(rpsi) / 16.0)
-    assert np.array_equal(sshg.nehari._dg_apply(pt, params, g).eig,
-                          field_dg_apply(pt, params, ru, rpsi).eig)
+    dg, dg_adjoint = sshg.nehari._constraint_derivative(linearize(pt.u, pt.psi, params))
+    assert _max_rel(dg(g), field_dg_apply(pt, params, ru, rpsi).eig[1], g) <= 1e-15
 
     md = multiplier_solve(pt, params)
     assert np.array_equal(md.gradient, g)
-    wu, wpsi = field_dg_adjoint(pt, params, md.w)
-    assert np.array_equal(sshg.nehari._dg_adjoint(pt, params, md.w), pack(wu, wpsi))
-    res = constrained_tangent(pt, params, md)
-    t_u, t_psi = ru - wu, rpsi - wpsi
-    assert np.array_equal(res.tangent, pack(t_u, t_psi))
+    wu, wpsi = field_dg_adjoint(pt, params, minus_spinor(geom, md.w))
+    want = pack(wu, wpsi)
+    assert _max_rel(dg_adjoint(md.w), want, want) <= 1e-15
+    want = pack(ru - wu, rpsi - wpsi)
+    assert _max_rel(md.tangent, want, want) <= 1e-15
+    res = constrained_tangent(geom, md)
+    t_u, t_psi = unpack(geom, res.tangent)
     assert res.norm == float(np.sqrt(sobolev_inner(t_u, t_u) + sobolev_inner(t_psi, t_psi)))
     assert (res.alpha_norm, res.beta_norm) == (h1_norm(t_u), hhalf_norm(t_psi) / 16.0)
+
+
+@pytest.mark.parametrize("delta", ALL_DELTAS)
+def test_dg_adjoint_is_the_adjoint_of_dg(delta):
+    # <dG[x], w>_{H^1/2} = <x, dG^* w>_{H^1 x H^1/2} for a random packed x
+    # and a random a- row w, at non-constant u: the two maps are read off
+    # different rows and columns of the Hessian product
+    geom = TorusGeometry(grid_n=16, spin_delta=delta)
+    params = ActionParams(rho=0.6)
+    rng = np.random.default_rng(29)
+    u = bounded_scalar(geom, rng)
+    assert np.ptp(u.values) > 0.1
+    dg, dg_adjoint = sshg.nehari._constraint_derivative(
+        linearize(u, random_spinor(geom, rng, decay=1.5), params))
+    mask = subspace_mask(geom, "minus", None)[1]
+    for _ in range(3):
+        v, phi = random_scalar(geom, rng), random_spinor(geom, rng, decay=1.5)
+        w = random_spinor(geom, rng, decay=1.5).eig[1] * mask
+        lhs = sobolev_inner(minus_spinor(geom, dg(pack(v, phi))), minus_spinor(geom, w))
+        rhs = riesz_pair(dg_adjoint(w), v, phi)
+        assert lhs == pytest.approx(rhs, rel=1e-13, abs=0.0)
+
+
+def test_gram_apply_makes_four_ffts(setup16, monkeypatch):
+    # the multiplier CG iterates on a- rows, and a Gram apply dG dG^* at
+    # non-constant u is two Hessian products of two stacked fft2 calls each
+    geom, _, params = setup16
+    rng = np.random.default_rng(31)
+    pt = fiber_solve(bounded_scalar(geom, rng), free_spinor(geom, rng), params)
+    assert np.ptp(pt.u.values) > 0.1
+    calls = []
+    monkeypatch.setattr(sshg.nehari, "cg", _recording_cg(cg, calls))
+    multiplier_solve(pt, params)
+    (gram, b, *_), = calls
+    assert isinstance(b, np.ndarray) and b.shape == (geom.grid_n, geom.grid_n)
+    with counting_ffts() as counts:
+        gram(b)
+    assert counts == {"fft": 4, "fft2": 4, "ifft2": 0}
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

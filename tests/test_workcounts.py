@@ -4,24 +4,27 @@ Counts, not timings: the solver is deterministic for a given (config, seed),
 so the number of fiber solves, bounded ridge samples, energy evaluations, CG
 calls and iterations, constrained gradients and first variations of a fixed
 run is a property of the code.  A solution record costs one first variation
-and one multiplier CG solve at its point, and a hand-off's final PS entry
-reuses them.  Ridge repair bounds every segment sample (one
-`fiber_energy_bounds` call per moved segment, counted here per sample) and
-solves samples above the promotion threshold best bound first, stopping
-once the best solved J beats every remaining bound, so most of its samples
-count as bounds, not as fiber solves, J evaluations or CG work.
+and one multiplier CG solve at its point, on one linearization there
+(`action.linearize`): its right-hand side dG[gradient] is one Hessian
+product, each Gram apply dG dG^* two, and the tangent gradient - dG^* w one
+more unless CG returns w = 0.  A hand-off's final PS entry reuses them.
+Ridge repair bounds every segment sample (one `fiber_energy_bounds` call
+per moved segment, counted here per sample) and solves samples above the
+promotion threshold best bound first, stopping once the best solved J
+beats every remaining bound, so most of its samples count as bounds, not
+as fiber solves, J evaluations or CG work.
 Both CG solves, fiber and multiplier, are preconditioned with the
 mean-field Dirac symbol (`nehari.mean_field_symbol`), which is formed only
 once a solve iterates, so the mountain pass, whose CG solves never
 iterate, keeps every count it had without it.
 The FFTs (fft2/ifft2 through `sshg.fields.np`, the binding the perfbench
 tracer wraps) also move with rounding luck: they depend on whether an
-accepted descent step leaves u exactly constant.  A Newton Hessian product
-makes two of them, two stacked fft2 calls, the inverse one conjugated
-(`action.hess_vec`).  The MINRES iterations move by a few at most: each
-Newton step solves, in the |H0| metric (`minmax._abs_metric`), only to a
-tolerance sized to its residual (`minmax.NEWTON_FORCING`), so no solve runs
-down to the rounding floor,
+accepted descent step leaves u exactly constant.  A Hessian product,
+Newton's or the multiplier solve's, makes two of them, two stacked fft2
+calls, the inverse one conjugated (`action.hess_vec`).  The MINRES
+iterations move by a few at most: each Newton step solves, in the |H0|
+metric (`minmax._abs_metric`), only to a tolerance sized to its residual
+(`minmax.NEWTON_FORCING`), so no solve runs down to the rounding floor,
 where the near-singular orbit directions made the count swing.  The
 ceilings are the counts measured for the two grid-16 configs below, the
 case-1 multiplicity run and the default mountain pass, whose descent hands
@@ -55,7 +58,7 @@ CEILINGS = {
     "constrained_gradient": 22,
     "gradient_J": 34,
     "newton_refine": 2,
-    "fft": 707,
+    "fft": 633,
 }
 
 MOUNTAIN_PASS = {
@@ -73,7 +76,7 @@ MOUNTAIN_PASS_CEILINGS = {
     "constrained_gradient": 31,
     "gradient_J": 36,
     "newton_refine": 1,
-    "fft": 248,
+    "fft": 216,
 }
 
 
