@@ -2,8 +2,8 @@
 
 Both iterate on numpy arrays.  CG's are the a- rows of E^- vectors, in
 the fiber solve and in the multiplier's normal equations, whose operator
-is two Hessian products (`nehari.multiplier_solve`).  MINRES updates a
-working set allocated once per solve in place; in Newton these are the
+is two Hessian products (`nehari.multiplier_solve`).  Both update a
+working set allocated once per solve in place; MINRES's, in Newton, are the
 packed complex arrays (`fields.pack`: u's Fourier coefficients, then psi's
 eigen-coordinates) that are the package's one representation of a (u, psi)
 direction, and Newton's Hessian is formed once per step
@@ -32,12 +32,16 @@ class SolveInfo:
 
 def cg(apply_op, b, inner, x0=None, tol=1e-12, maxiter=500, atol=0.0, precond=None):
     """Preconditioned conjugate gradients for an SPD operator in the given
-    inner product.
+    inner product, on numpy arrays shaped like b.
 
     `precond` maps a residual r to z = M^{-1} r for an M that is SPD in
     `inner`; None is the identity, and then the iterates are plain CG's.
     It is called only once CG iterates, so a solve that exits at its start
-    never applies it.  Returns (x, SolveInfo).  Stops when the true residual
+    never applies it.  x, r and p are CG's own arrays, allocated once per
+    solve and updated in place; b and x0 are copied in and never written.
+    Each update forms its product in a scratch array of the working set
+    and adds in place, so the iterates are the plain expressions' bit for
+    bit.  Returns (x, SolveInfo).  Stops when the true residual
     ||r|| <= max(tol * ||b||, atol); the absolute floor lets callers whose
     right-hand side is roundoff of a larger problem scale exit cleanly
     instead of iterating on noise.  Reaching maxiter or a non-finite b
@@ -52,9 +56,9 @@ def cg(apply_op, b, inner, x0=None, tol=1e-12, maxiter=500, atol=0.0, precond=No
 
     if x0 is None:
         x = 0.0 * b
-        r = b
+        r = b.copy()
     else:
-        x = x0
+        x = x0.copy()
         r = b - apply_op(x0)
     rr = inner(r, r)
     if np.sqrt(max(rr, 0.0)) <= stop:
@@ -65,7 +69,8 @@ def cg(apply_op, b, inner, x0=None, tol=1e-12, maxiter=500, atol=0.0, precond=No
             return v
     z = precond(r)
     rz = inner(r, z)
-    p = z
+    p = z.copy()
+    scratch = np.empty_like(p)
     for it in range(1, maxiter + 1):
         ap = apply_op(p)
         pap = inner(p, ap)
@@ -78,14 +83,16 @@ def cg(apply_op, b, inner, x0=None, tol=1e-12, maxiter=500, atol=0.0, precond=No
                 residual=float(np.sqrt(max(rr, 0.0)) / norm_b),
             )
         alpha = rz / pap
-        x = x + alpha * p
-        r = r - alpha * ap
+        x += np.multiply(p, alpha, out=scratch)
+        r -= np.multiply(ap, alpha, out=scratch)
         rr = inner(r, r)
         if np.sqrt(max(rr, 0.0)) <= stop:
             return x, SolveInfo(True, it, float(np.sqrt(max(rr, 0.0)) / norm_b))
         z = precond(r)
         rz_new = inner(r, z)
-        p = z + (rz_new / rz) * p
+        # z + beta p: addition commutes exactly
+        p *= rz_new / rz
+        p += z
         rz = rz_new
 
     relres = float(np.sqrt(max(rr, 0.0)) / norm_b)

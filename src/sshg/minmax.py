@@ -423,12 +423,14 @@ class _SegmentCache:
 class _Mesh:
     """A path or disk under deformation: nodes, energies, frozen flags and the
     `_SegmentCache` of its segments ("chain": a path's consecutive pairs).
-    `assign`, the only place a node changes, re-solves `centers` at u = 0."""
+    `assign`, the only place a node changes, re-solves `centers` at u = 0.
+    `nodes` is the caller's list, deformed in place: a re-spread replaces its
+    contents, so no reference to the list keeps the replaced nodes alive."""
 
     def __init__(self, nodes, frozen, segments, centers, params, step_hook):
         if all(frozen):
             raise ConfigError("deformation needs at least one free node")
-        self.nodes = list(nodes)
+        self.nodes = nodes
         self.frozen = list(frozen)
         self.energies = [evaluate_J(nd.u, nd.psi, params) for nd in self.nodes]
         bad = positive_frozen_nodes(self.energies, self.frozen)
@@ -485,7 +487,7 @@ class _Mesh:
                     + [evaluate_J(nd.u, nd.psi, self.params) for nd in nodes[1:-1]]
                     + [self.energies[-1]])
         if max(energies) <= max(self.energies) + 1e-12 * (1 + abs(max(self.energies))):
-            self.nodes = nodes
+            self.nodes[:] = nodes
             self.energies = energies
 
     def check_boundary(self):
@@ -515,6 +517,9 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
     norm at the point handed to Newton (`handoff_grad`, in the filtered norm
     for a trial inside the loop) and `exit`.  A broken invariant (energy
     floor, moved frozen node, trace lengths) raises CertificationError.
+    The list `nodes` is deformed in place: on return it holds the final
+    mesh, with the frozen nodes it was given, and no node the descent
+    replaced, so a caller that still needs the initial mesh passes a copy.
     Nodes in `centers` stay at u = 0.  step_hook(k, point, nodes, energies,
     params), for the perfbench tracer and tests only, runs after each
     accepted step or ridge promotion has stored node k and its J, before a

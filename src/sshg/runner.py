@@ -257,10 +257,10 @@ def run_path(config: RunConfig, basis, params, consts):
     mm = config.minmax
     nodes, frozen = straight_path(ScalarField.constant(basis.geom, consts.T), consts.s,
                                   basis.eigenspinor(consts.k_index + 1), mm.path_nodes, params)
+    end = nodes[-1]
     record, diags = minmax_deform(
         nodes, frozen, mm, params,
         tangent_filter=block_filter(basis.geom, params.rho) if consts.block_dim else None)
-    end = nodes[-1]
     return {
         "endpoint": {"u_bar": consts.T, "s": consts.s,
                      "J": evaluate_J(end.u, end.psi, params)},

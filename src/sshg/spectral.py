@@ -63,21 +63,20 @@ def l2_inner(a, b) -> float:
     return float(g.vol * s.real)
 
 
-@lru_cache(maxsize=64)
 def sobolev_weight(geom: TorusGeometry, field_type: type) -> np.ndarray:
     """The read-only per-mode multiplier of the Sobolev pairing of a field
-    type: 1+|xi|^2 for a ScalarField (H^1), 1+|xi| for a SpinorField (H^{1/2})."""
-    mult = 1.0 + (geom.xi_sq if field_type is ScalarField else geom.s_abs)
-    mult.flags.writeable = False
-    return mult
+    type: 1+|xi|^2 for a ScalarField (H^1), 1+|xi| for a SpinorField
+    (H^{1/2}); a row of `packed_sobolev_weight`, so a call allocates no
+    weights."""
+    return packed_sobolev_weight(geom)[0 if field_type is ScalarField else 1]
 
 
 @lru_cache(maxsize=16)
 def packed_sobolev_weight(geom: TorusGeometry) -> np.ndarray:
     """The read-only per-mode multiplier (3, n, n) of the H^1 x H^{1/2}
-    pairing on packed (u, psi) arrays (`fields.pack`): `sobolev_weight` of
-    each field on its rows."""
-    mult = np.stack((sobolev_weight(geom, ScalarField),) + (sobolev_weight(geom, SpinorField),) * 2)
+    pairing on packed (u, psi) arrays (`fields.pack`): 1+|xi|^2 on u's row
+    and 1+|xi| on psi's two rows."""
+    mult = 1.0 + np.stack((geom.xi_sq, geom.s_abs, geom.s_abs))
     mult.flags.writeable = False
     return mult
 

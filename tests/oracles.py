@@ -4,7 +4,8 @@ Each is an independent route to a quantity the package computes another
 way (grid quadrature against Parseval, H^{-s} dual norms against Riesz
 norms, the dense constraint against its a- row, the field-pair first
 variation, Riesz maps, Re<psi, phi> and the constraint derivative against
-the packed (u, psi) arrays and `hess_vec`), or a helper the tests need and
+the packed (u, psi) arrays and `hess_vec`, CG's plain expressions against
+its in-place updates), or a helper the tests need and
 the package does not: grid coordinates, |D|^s, E^- spinors from a- rows,
 the quaternionic structure, Hermitian symmetry, the reader of the
 checkpoints that `checkpoint_save` and `save_point` write.
@@ -16,9 +17,10 @@ import numpy as np
 
 from sshg.action import check_overflow, dirac_minus_potential, hess_vec, linearize
 from sshg.checkpoint import MAGIC, VERSION
-from sshg.errors import CheckpointFormatError, SSHGError
+from sshg.errors import CheckpointFormatError, ConditioningError, SSHGError
 from sshg.fields import ScalarField, SpinorField, pack, unpack
 from sshg.geometry import TorusGeometry
+from sshg.krylov import SolveInfo
 from sshg.nehari import NehariPoint, _fiber_map, _row_inner
 from sshg.spectral import (
     dirac_apply,
@@ -258,6 +260,65 @@ def fiber_rayleigh_margin(u: ScalarField, params, rng, n_samples: int = 50) -> f
         quot = _row_inner(geom, g_map(phi), phi) / _row_inner(geom, phi, phi)
         worst = max(worst, quot)
     return float(worst)
+
+
+# ---------------------------------------------------------------------------
+# Krylov
+# ---------------------------------------------------------------------------
+
+def plain_cg(apply_op, b, inner, x0=None, tol=1e-12, maxiter=500, atol=0.0, precond=None):
+    """`krylov.cg` as written before its working set: plain expressions, a
+    new array per update, and x0 itself returned when the start already
+    meets the tolerance.  The in-place iterates must be these bit for bit."""
+    norm_b = np.sqrt(max(inner(b, b), 0.0))
+    if not np.isfinite(norm_b):
+        raise ConditioningError(f"cg: right-hand side is not finite (norm {norm_b})")
+    stop = max(tol * norm_b, atol)
+    if norm_b == 0.0 or norm_b <= stop:
+        return 0.0 * b, SolveInfo(True, 0, 0.0)
+
+    if x0 is None:
+        x = 0.0 * b
+        r = b
+    else:
+        x = x0
+        r = b - apply_op(x0)
+    rr = inner(r, r)
+    if np.sqrt(max(rr, 0.0)) <= stop:
+        return x, SolveInfo(True, 0, float(np.sqrt(max(rr, 0.0)) / norm_b))
+
+    if precond is None:
+        def precond(v):
+            return v
+    z = precond(r)
+    rz = inner(r, z)
+    p = z
+    for it in range(1, maxiter + 1):
+        ap = apply_op(p)
+        pap = inner(p, ap)
+        if pap <= 0:
+            if np.sqrt(max(rr, 0.0)) <= max(stop, 1e-14 * norm_b):
+                return x, SolveInfo(True, it, float(np.sqrt(max(rr, 0.0)) / norm_b))
+            raise ConditioningError(
+                f"cg: operator lost positive definiteness (p.Ap = {pap:.3e})",
+                residual=float(np.sqrt(max(rr, 0.0)) / norm_b),
+            )
+        alpha = rz / pap
+        x = x + alpha * p
+        r = r - alpha * ap
+        rr = inner(r, r)
+        if np.sqrt(max(rr, 0.0)) <= stop:
+            return x, SolveInfo(True, it, float(np.sqrt(max(rr, 0.0)) / norm_b))
+        z = precond(r)
+        rz_new = inner(r, z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+
+    relres = float(np.sqrt(max(rr, 0.0)) / norm_b)
+    raise ConditioningError(
+        f"cg: iteration cap {maxiter} exceeded (relative residual {relres:.3e})",
+        residual=relres,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Krylov solvers checked against dense numpy solves in weighted metrics."""
+"""Krylov solvers checked against dense numpy solves in weighted metrics,
+and CG's in-place working set against its plain expressions."""
 
 import hashlib
 
@@ -8,26 +9,7 @@ import pytest
 from sshg.errors import ConditioningError
 from sshg.krylov import cg, minres
 
-
-class _Vec:
-    """Thin wrapper so plain arrays satisfy CG's vector protocol."""
-
-    def __init__(self, a):
-        self.a = np.asarray(a, dtype=float)
-
-    def __add__(self, other):
-        return _Vec(self.a + other.a)
-
-    def __sub__(self, other):
-        return _Vec(self.a - other.a)
-
-    def __mul__(self, t):
-        return _Vec(float(t) * self.a)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return _Vec(-self.a)
+from oracles import plain_cg
 
 
 def _weighted_setup(rng, n=24):
@@ -60,13 +42,13 @@ def test_cg_matches_dense_solve():
     T = np.linalg.inv(M) @ S
 
     def inner(x, y):
-        return float(x.a @ M @ y.a)
+        return float(x @ M @ y)
 
-    b = _Vec(rng.standard_normal(n))
-    x, info = cg(lambda v: _Vec(T @ v.a), b, inner, tol=1e-13, maxiter=500)
+    b = rng.standard_normal(n)
+    x, info = cg(lambda v: T @ v, b, inner, tol=1e-13, maxiter=500)
     assert info.converged
-    want = np.linalg.solve(T, b.a)
-    assert np.max(np.abs(x.a - want)) < 1e-9
+    want = np.linalg.solve(T, b)
+    assert np.max(np.abs(x - want)) < 1e-9
 
 
 def test_cg_warm_start_returns_input():
@@ -75,13 +57,13 @@ def test_cg_warm_start_returns_input():
     D = np.diag(rng.uniform(1.0, 3.0, n))
 
     def inner(x, y):
-        return float(x.a @ y.a)
+        return float(x @ y)
 
-    b = _Vec(rng.standard_normal(n))
-    x, info = cg(lambda v: _Vec(D @ v.a), b, inner, tol=1e-12)
-    x2, info2 = cg(lambda v: _Vec(D @ v.a), b, inner, x0=x, tol=1e-11)
+    b = rng.standard_normal(n)
+    x, info = cg(lambda v: D @ v, b, inner, tol=1e-12)
+    x2, info2 = cg(lambda v: D @ v, b, inner, x0=x, tol=1e-11)
     assert info2.iterations == 0
-    assert np.array_equal(x2.a, x.a)
+    assert np.array_equal(x2, x)
 
 
 def test_cg_iteration_cap_raises():
@@ -91,31 +73,34 @@ def test_cg_iteration_cap_raises():
     D = np.diag(d)
 
     def inner(x, y):
-        return float(x.a @ y.a)
+        return float(x @ y)
 
-    b = _Vec(rng.standard_normal(n))
+    b = rng.standard_normal(n)
     with pytest.raises(ConditioningError) as exc:
-        cg(lambda v: _Vec(D @ v.a), b, inner, tol=1e-14, maxiter=1)
+        cg(lambda v: D @ v, b, inner, tol=1e-14, maxiter=1)
     assert exc.value.residual is not None
 
 
-def _ill_conditioned_setup():
+def _ill_conditioned_setup(dtype=float):
     # T = W^{-1} S, S a symmetric diagonally dominant tridiagonal matrix with
-    # diagonal from 1 to 1e4, is SPD in <x, y>_W = sum w x y; elementwise
-    # arithmetic only, so every iterate is reproducible bit for bit
+    # diagonal from 1 to 1e4, is SPD in <x, y>_W = sum w Re(conj(x) y);
+    # elementwise arithmetic only, so every iterate is reproducible bit for
+    # bit.  A complex b gives the fiber solve's complex arrays
     n = 40
     rng = np.random.default_rng(11)
     d = np.logspace(0.0, 4.0, n)
     w = rng.uniform(0.5, 2.0, n)
 
     def apply_op(x):
-        a = x.a
-        return _Vec((d * a - 0.3 * (np.roll(a, 1) + np.roll(a, -1))) / w)
+        return (d * x - 0.3 * (np.roll(x, 1) + np.roll(x, -1))) / w
 
     def inner(x, y):
-        return float(np.sum(w * x.a * y.a))
+        return float(np.sum(w * np.conj(x) * y).real)
 
-    return apply_op, inner, _Vec(rng.standard_normal(n)), d, w
+    b = rng.standard_normal(n)
+    if dtype is complex:
+        b = b + 1j * rng.standard_normal(n)
+    return apply_op, inner, b, d, w
 
 
 @pytest.mark.parametrize("precond", [None, lambda r: r])
@@ -126,7 +111,7 @@ def test_cg_with_the_identity_preconditioner_is_plain_cg(precond):
     x, info = cg(apply_op, b, inner, tol=1e-12, maxiter=500, precond=precond)
     assert info.iterations == 106
     assert info.relative_residual.hex() == "0x1.86d4c31888f75p-41"
-    assert hashlib.sha256(x.a.tobytes()).hexdigest() == (
+    assert hashlib.sha256(x.tobytes()).hexdigest() == (
         "11b4a9fe4f90e35afe19153de7a667d4a500a83bec59d8c820251f4e344c072b")
 
 
@@ -137,9 +122,9 @@ def test_diagonal_preconditioner_cuts_the_iterations():
     apply_op, inner, b, d, w = _ill_conditioned_setup()
     x, info = cg(apply_op, b, inner, tol=1e-12, maxiter=500)
     xp, info_p = cg(apply_op, b, inner, tol=1e-12, maxiter=500,
-                    precond=lambda r: _Vec(r.a * w / d))
+                    precond=lambda r: r * w / d)
     assert info_p.converged and info_p.iterations < info.iterations
-    assert np.max(np.abs(xp.a - x.a)) <= 1e-11 * np.max(np.abs(x.a))
+    assert np.max(np.abs(xp - x)) <= 1e-11 * np.max(np.abs(x))
     r = b - apply_op(xp)
     true_res = np.sqrt(inner(r, r) / inner(b, b))
     assert true_res <= 1e-12
@@ -164,6 +149,31 @@ def test_cg_that_does_not_iterate_never_applies_the_preconditioner():
         _, info = cg(apply_op, inner=inner, precond=precond, **case)
         assert info.converged and info.iterations == 0
     assert calls == []
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("jacobi", [False, True])
+@pytest.mark.parametrize("start", ["none", "rough", "exact"])
+def test_cg_working_set_is_the_plain_loop_bit_for_bit(dtype, jacobi, start):
+    # the in-place updates reproduce the plain expressions' iterate,
+    # iteration count and residual, and never write b or x0, which callers
+    # reuse (the fiber solve's x0 is a view of its caller's spinor, and its
+    # certificate reuses b when CG moves nothing)
+    apply_op, inner, b, d, w = _ill_conditioned_setup(dtype)
+    precond = (lambda r: r * w / d) if jacobi else None
+    x0 = {"none": None,
+          "rough": 0.1 * np.random.default_rng(5).standard_normal(b.shape).astype(dtype),
+          "exact": plain_cg(apply_op, b, inner, tol=1e-13, precond=precond)[0]}[start]
+    b_before = b.copy()
+    x0_before = None if x0 is None else x0.copy()
+    want, want_info = plain_cg(apply_op, b, inner, x0=x0, tol=1e-12, precond=precond)
+    x, info = cg(apply_op, b, inner, x0=x0, tol=1e-12, precond=precond)
+    assert x.dtype == want.dtype and x.tobytes() == want.tobytes()
+    assert info == want_info
+    assert (info.iterations == 0) == (start == "exact")
+    assert b.tobytes() == b_before.tobytes()
+    assert x0 is None or (x0.tobytes() == x0_before.tobytes() and not np.shares_memory(x, x0))
+    assert not np.shares_memory(x, b)
 
 
 def test_minres_indefinite_weighted():

@@ -1,7 +1,9 @@
 """Min-max engine: endpoints, linking constants, block filter, descent, Newton."""
 
 import dataclasses
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -541,16 +543,34 @@ def test_minmax_deform_pins_disk_centers(setup16, monkeypatch):
 
 def test_minmax_deform_stores_before_the_hook(setup16):
     # the deformation stores each assigned node and its J itself, so a hook
-    # that does nothing leaves the descent as it is without one
+    # that does nothing leaves the descent as it is without one; each run
+    # deforms its own copy of the initial path
     nodes, frozen, config, params = _small_mountain_pass(setup16)
     config = dataclasses.replace(config, max_outer=6)
     calls = []
-    plain, plain_diags = minmax_deform(nodes, frozen, config, params)
-    hooked, hooked_diags = minmax_deform(nodes, frozen, config, params,
+    plain, plain_diags = minmax_deform(list(nodes), frozen, config, params)
+    hooked, hooked_diags = minmax_deform(list(nodes), frozen, config, params,
                                          step_hook=lambda *args: calls.append(args[0]))
     assert calls
     assert hooked.level == plain.level
     assert hooked_diags.energies == plain_diags.energies
+
+
+def test_minmax_deform_keeps_no_replaced_node_alive(setup16):
+    # the deformation works on the caller's list in place: after two
+    # re-spreads, an initial node the final mesh does not hold is freed, so
+    # neither the caller's list nor the returned record and diagnostics keep
+    # the initial path alive; the frozen ends are the nodes passed in
+    nodes, frozen, config, params = _small_mountain_pass(setup16)
+    config = dataclasses.replace(config, max_outer=2 * sshg.minmax.RESPREAD_EVERY)
+    initial = [weakref.ref(nd) for nd in nodes]
+    ends = nodes[0], nodes[-1]
+    record, diags = minmax_deform(nodes, frozen, config, params)
+    gc.collect()
+    assert nodes[0] is ends[0] and nodes[-1] is ends[1]
+    replaced = [ref for ref in initial if not any(ref() is nd for nd in nodes)]
+    assert len(replaced) == len(nodes) - 2
+    assert all(ref() is None for ref in replaced)
 
 
 def test_minmax_deform_propagates_unexpected_errors(setup16, monkeypatch):

@@ -13,8 +13,10 @@ from sshg.spectral import (
     l2_inner,
     laplace_apply,
     omega_mult,
+    packed_sobolev_weight,
     project,
     sobolev_inner,
+    sobolev_weight,
 )
 
 from oracles import (
@@ -277,6 +279,21 @@ def test_sobolev_inner_values():
         up = sobolev_inner(w, w)
         dn = hminushalf_norm(w) ** 2
         assert up * dn >= l2_norm(w) ** 4 * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("delta", ALL_DELTAS)
+def test_sobolev_weights_are_rows_of_the_packed_weight(delta):
+    # 1+|xi|^2 and 1+|xi| bit for bit, read-only, and views of the one
+    # cached packed weight rather than new arrays
+    geom = TorusGeometry(grid_n=16, spin_delta=delta)
+    packed = packed_sobolev_weight(geom)
+    assert not packed.flags.writeable
+    for field_type, want, rows in ((ScalarField, 1.0 + geom.xi_sq, [0]),
+                                   (SpinorField, 1.0 + geom.s_abs, [1, 2])):
+        mult = sobolev_weight(geom, field_type)
+        assert mult.tobytes() == want.tobytes()
+        assert all(packed[k].tobytes() == want.tobytes() for k in rows)
+        assert np.shares_memory(mult, packed) and not mult.flags.writeable
 
 
 def test_projections():
