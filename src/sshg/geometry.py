@@ -15,7 +15,7 @@ per mode in which spinors are stored (see `sshg.fields`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -131,9 +131,13 @@ class TorusGeometry:
 
     # -- spectrum helpers -----------------------------------------------------
 
-    @lru_cache(maxsize=64)
+    @cached_property
+    def spinor_levels(self) -> np.ndarray:
+        """The distinct |xi| of the spinor modes kept, sorted."""
+        return np.unique(self.s_abs[self.spinor_mask])
+
     def spectral_gap(self, rho: float) -> float:
-        """Distance from rho to the computed Dirac spectrum (grid modes),
-        computed once per (geometry, rho)."""
-        lam = self.s_abs[self.spinor_mask]
-        return float(np.min(np.abs(lam - rho)))
+        """Distance from rho to the computed Dirac spectrum (grid modes)."""
+        lam = self.spinor_levels
+        i = int(lam.searchsorted(rho))
+        return float(min(abs(x - rho) for x in lam[max(i - 1, 0):i + 1].tolist()))

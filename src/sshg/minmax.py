@@ -23,7 +23,6 @@ from .action import (
     ActionParams,
     Linearization,
     el_residual_norms,
-    evaluate_J,
     gradient_J,
     hess_vec,
     linearize,
@@ -214,17 +213,17 @@ def classify(u: ScalarField, psi: SpinorField) -> tuple[str, float]:
     return "nontrivial", var
 
 
-def make_record(point: NehariPoint, multiplier: MultiplierData, params: ActionParams,
-                converged: bool, refined: bool) -> SolutionRecord:
+def make_record(point: NehariPoint, multiplier: MultiplierData, converged: bool,
+                refined: bool) -> SolutionRecord:
     """The record of point from its multiplier solve: the Euler-Lagrange
     residuals are read off the solve's Riesz gradient, the multiplier norm
-    off its multiplier."""
+    off its multiplier, the level off the point."""
     ru, rp = el_residual_norms(point.u.geom, multiplier.gradient)
     cls, var = classify(point.u, point.psi)
     return SolutionRecord(
         point=point,
         multiplier=multiplier,
-        level=evaluate_J(point.u, point.psi, params),
+        level=point.J,
         res_u=ru,
         res_psi=rp,
         classification=cls,
@@ -269,10 +268,10 @@ def linking_constants(params: ActionParams, basis) -> LinkingConstants:
     return consts
 
 
-def positive_frozen_nodes(energies, frozen) -> list:
+def positive_frozen_nodes(nodes, frozen) -> list:
     """Indices of frozen nodes whose energy exceeds the boundary tolerance
     1e-9: a min-max boundary must have nonpositive energy."""
-    return [i for i, (e, fz) in enumerate(zip(energies, frozen)) if fz and e > 1e-9]
+    return [i for i, (nd, fz) in enumerate(zip(nodes, frozen)) if fz and nd.J > 1e-9]
 
 
 def straight_path(u_end: ScalarField, s: float, psi: SpinorField, n_nodes: int,
@@ -363,7 +362,7 @@ class _SegmentCache:
     def __init__(self, segments, params):
         self.segments = list(segments)
         self.params = params
-        # (i, j) -> [a, b, bounds, [(J, point) or None per sample], length or None]
+        # (i, j) -> [a, b, bounds, [point or None per sample], length or None]
         self._cache = {}
 
     def _current(self, nodes, i, j):
@@ -376,7 +375,7 @@ class _SegmentCache:
         the best solved J exceeds every remaining bound (a tie is solved); a
         solved J above its bound raises CertificationError.
 
-        Returns (J, i, j, point) of the highest solved sample, the first in
+        Returns (i, j, point) of the highest solved sample, the first in
         segment and sample order among equals, or None.  A skipped sample
         has J <= bound < that J, so this is the sample that solving every
         sample above floor would pick.
@@ -391,22 +390,21 @@ class _SegmentCache:
             a, b, bounds, solved, _ = hit
             for k, sample in enumerate(solved):
                 if sample is not None:
-                    top = max(top, sample[0])
+                    top = max(top, sample.J)
                 elif bounds[k] > floor:
                     todo.append((bounds[k], k, a, b, solved))
         for bound, k, a, b, solved in sorted(todo, key=lambda t: -t[0]):
             if top > bound:
                 break
             pt = _interp_points(a, b, SEGMENT_SAMPLES[k], self.params)
-            j_s = evaluate_J(pt.u, pt.psi, self.params)
-            if not j_s <= bound:
+            if not pt.J <= bound:
                 raise CertificationError(
-                    f"ridge sample J {j_s!r} exceeds its fiber bound {bound!r}")
-            solved[k] = (j_s, pt)
-            top = max(top, j_s)
-        samples = [(s[0], i, j, s[1]) for (i, j) in self.segments
-                   for s in self._cache[(i, j)][3] if s is not None]
-        return max(samples, key=lambda s: s[0], default=None)
+                    f"ridge sample J {pt.J!r} exceeds its fiber bound {bound!r}")
+            solved[k] = pt
+            top = max(top, pt.J)
+        samples = [(i, j, pt) for (i, j) in self.segments
+                   for pt in self._cache[(i, j)][3] if pt is not None]
+        return max(samples, key=lambda s: s[2].J, default=None)
 
     def length(self, nodes, i, j) -> float:
         """Product distance of nodes i and j: computed on the first call
@@ -421,7 +419,7 @@ class _SegmentCache:
 
 
 class _Mesh:
-    """A path or disk under deformation: nodes, energies, frozen flags and the
+    """A path or disk under deformation: nodes, frozen flags and the
     `_SegmentCache` of its segments ("chain": a path's consecutive pairs).
     `assign`, the only place a node changes, re-solves `centers` at u = 0.
     `nodes` is the caller's list, deformed in place: a re-spread replaces its
@@ -432,8 +430,7 @@ class _Mesh:
             raise ConfigError("deformation needs at least one free node")
         self.nodes = nodes
         self.frozen = list(frozen)
-        self.energies = [evaluate_J(nd.u, nd.psi, params) for nd in self.nodes]
-        bad = positive_frozen_nodes(self.energies, self.frozen)
+        bad = positive_frozen_nodes(self.nodes, self.frozen)
         if bad:
             raise CertificationError(f"frozen node {bad[0]} has positive energy at start")
         self.chain = segments == "chain"
@@ -446,49 +443,44 @@ class _Mesh:
         self._boundary = {k: nd for k, nd in enumerate(self.nodes) if self.frozen[k]}
 
     def max_free(self) -> int:
-        return int(np.argmax([e if not fz else -np.inf
-                              for e, fz in zip(self.energies, self.frozen)]))
+        return int(np.argmax([nd.J if not fz else -np.inf
+                              for nd, fz in zip(self.nodes, self.frozen)]))
 
-    def assign(self, k, pt, j):
-        """Store pt and its J at node k; a pinned center is then re-solved
-        at u = 0 from pt's free part."""
+    def assign(self, k, pt):
+        """Store pt at node k; a pinned center is then re-solved at u = 0
+        from pt's free part."""
         self.nodes[k] = pt
-        self.energies[k] = j
         if self.step_hook is not None:
-            self.step_hook(k, pt, self.nodes, self.energies, self.params)
+            self.step_hook(k, pt, self.nodes, [nd.J for nd in self.nodes], self.params)
         if k in self.centers:
-            pt = fiber_solve(ScalarField.zeros(pt.u.geom), pt.free_part(), self.params)
-            self.nodes[k] = pt
-            self.energies[k] = evaluate_J(pt.u, pt.psi, self.params)
+            self.nodes[k] = fiber_solve(ScalarField.zeros(pt.u.geom), pt.free_part(),
+                                        self.params)
 
     def repair(self) -> bool:
         """Promote ridge samples hiding inside segments; returns True if any."""
         did = False
         for _ in range(3 * len(self.nodes)):
-            node_max = max(self.energies)
+            node_max = max(nd.J for nd in self.nodes)
             threshold = node_max + 1e-9 * (1.0 + abs(node_max))
             best = self.segcache.refresh(self.nodes, threshold)
-            if best is None or best[0] <= threshold:
+            if best is None or best[2].J <= threshold:
                 break
-            j_s, i, j, pt = best
+            i, j, pt = best
             free_ends = [k for k in (i, j) if not self.frozen[k]]
             if not free_ends:
                 break
-            k_rep = min(free_ends, key=lambda k: self.energies[k])
-            self.assign(k_rep, pt, j_s)
+            k_rep = min(free_ends, key=lambda k: self.nodes[k].J)
+            self.assign(k_rep, pt)
             did = True
         return did
 
     def respread(self):
         """Re-spread a chain by arclength, unless that raises the node max."""
         nodes = _respread_path(self.nodes, self.params, self.segcache)
-        # _respread_path keeps both end nodes, whose energies are known
-        energies = ([self.energies[0]]
-                    + [evaluate_J(nd.u, nd.psi, self.params) for nd in nodes[1:-1]]
-                    + [self.energies[-1]])
-        if max(energies) <= max(self.energies) + 1e-12 * (1 + abs(max(self.energies))):
+        top = max(nd.J for nd in self.nodes)
+        if max(nd.J for nd in nodes) <= top + 1e-12 * (1 + abs(top)):
             self.nodes[:] = nodes
-            self.energies = energies
+            self.segcache._cache.clear()  # each entry holds a replaced node
 
     def check_boundary(self):
         """Frozen nodes are never moved."""
@@ -522,8 +514,8 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
     replaced, so a caller that still needs the initial mesh passes a copy.
     Nodes in `centers` stay at u = 0.  step_hook(k, point, nodes, energies,
     params), for the perfbench tracer and tests only, runs after each
-    accepted step or ridge promotion has stored node k and its J, before a
-    center is re-solved, and may override both in place.
+    accepted step or ridge promotion has stored node k, before a center is
+    re-solved, and may replace node k in place; `energies` is read off the nodes.
     """
     mesh = _Mesh(nodes, frozen, segments, centers, params, step_hook)
     diags = PSDiagnostics()
@@ -532,7 +524,7 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
     critical_levels = []   # levels Newton refined to in rejected trials
     stalls = 0
     prev_max = np.inf
-    floor = -max(abs(min(mesh.energies)), 1.0)
+    floor = -max(abs(min(nd.J for nd in mesh.nodes)), 1.0)
 
     for outer in range(config.max_outer):
         repaired = mesh.repair()
@@ -540,7 +532,7 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
 
         idx = mesh.max_free()
         point = mesh.nodes[idx]
-        level = max(mesh.energies)
+        level = max(nd.J for nd in mesh.nodes)
 
         res = constrained_gradient(point, params)
         if tangent_filter is not None:
@@ -586,20 +578,18 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
         cap = 0.5 * max(gap, 0.25 * med)
         if cap > 0 and res.norm > 0:
             trial_step = min(trial_step, cap / res.norm)
-        j_old = mesh.energies[idx]
         t_u, t_psi = unpack(point.u.geom, res.tangent)
         for _ in range(MAX_BACKTRACKS):
-            cand_u = point.u - trial_step * t_u
-            cand_psi = point.psi - trial_step * t_psi
             try:
-                cand = project_to_manifold(cand_u, cand_psi, params)
-                j_new = evaluate_J(cand.u, cand.psi, params)
+                cand = project_to_manifold(point.u - trial_step * t_u,
+                                           point.psi - trial_step * t_psi, params)
+                j_new = cand.J
             except (SSHGError, FloatingPointError):
                 trial_step *= 0.5
                 continue
-            target = j_old - SUFFICIENT_DECREASE * trial_step * res.norm ** 2
-            if j_new <= target:
-                mesh.assign(idx, cand, j_new)
+            if j_new <= point.J - SUFFICIENT_DECREASE * trial_step * res.norm ** 2:
+                mesh.assign(idx, cand)
+                del cand  # a re-spread may replace the node: hold no reference
                 step = min(DESCENT_STEP, 4.0 * trial_step)
                 stalls = 0
                 break
@@ -622,14 +612,13 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
         if res.norm <= HANDOFF_GRAD:
             record = _accept_refined(_newton_trial(point, params), diags, converged=converged)
         if record is None:
-            record = make_record(point, res.multiplier, params, converged=converged,
-                                 refined=False)
+            record = make_record(point, res.multiplier, converged=converged, refined=False)
     if not diags.consistent_lengths():
         raise CertificationError("PS diagnostic traces have unequal lengths")
     # res is the constrained gradient at the point handed to Newton, by the
     # loop's trial or by the exit
-    return replace(record, descent_level=max(mesh.energies), handoff_grad=res.norm,
-                   exit=diags.exit), diags
+    return replace(record, descent_level=max(nd.J for nd in mesh.nodes),
+                   handoff_grad=res.norm, exit=diags.exit), diags
 
 
 # ---------------------------------------------------------------------------
@@ -769,7 +758,7 @@ def newton_refine(candidate: NehariPoint, params: ActionParams,
         steps += 1
 
     point = project_to_manifold(u, psi, params)
-    return replace(make_record(point, multiplier_solve(point, params), params,
+    return replace(make_record(point, multiplier_solve(point, params),
                                converged=False, refined=refined),
                    newton_steps=steps, minres_iters=iters, minres_capped=capped)
 
@@ -859,6 +848,6 @@ def coercivity_probe(params: ActionParams, basis, r0: float, tau: float,
         if lhs < tau * rhs:
             continue  # inside the cone
         accepted += 1
-        quot = evaluate_J(point.u, point.psi, params) / point.product_norm_sq()
+        quot = point.J / point.product_norm_sq()
         margin = min(margin, quot)
     return float(margin)

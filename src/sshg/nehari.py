@@ -24,7 +24,7 @@ dG and dG^* are read off one linearization of the point (`action.linearize`,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .action import (
     Linearization,
     check_overflow,
     dirac_minus_potential,
+    evaluate_J,
     gradient_J,
     hess_vec,
     linearize,
@@ -68,11 +69,16 @@ FIBER_CERT = 1e-10   # bound on ||G(u, psi)||_{H^1/2} / max(||psi_free||_{H^1/2}
 
 @dataclass
 class NehariPoint:
-    """A pair (u, psi) certified to satisfy G = 0 within tolerance."""
+    """A certified pair (u, psi), G = 0 within tolerance, and its params; J is kept once read."""
 
     u: ScalarField
     psi: SpinorField
     constraint_norm: float
+    params: ActionParams
+
+    @cached_property
+    def J(self) -> float:
+        return evaluate_J(self.u, self.psi, self.params)
 
     def free_part(self) -> SpinorField:
         return self.psi - project(self.psi, "minus")
@@ -101,7 +107,7 @@ def _minus_modes(geom) -> tuple[np.ndarray, np.ndarray]:
     """Distinct |xi| of the minus modes (the valid modes with |xi| > 0), and
     the grid of H^{1/2} Riesz weights 1/(1 + |xi|) on them, 0 elsewhere."""
     mask = geom.spinor_mask & (geom.s_abs > 0)
-    lam = np.array(sorted(set(geom.s_abs[mask].tolist())))
+    lam = geom.spinor_levels[geom.spinor_levels > 0]
     weight = np.where(mask, 1.0 / (1.0 + geom.s_abs), 0.0)
     lam.flags.writeable = weight.flags.writeable = False
     return lam, weight
@@ -306,7 +312,7 @@ def fiber_solve(u: ScalarField, psi_free: SpinorField, params: ActionParams,
     cert = _row_norm(geom, g_map(psi) if minus.any() else b)
     if not cert <= FIBER_CERT * max(free_scale, 1.0):
         raise CertificationError(f"fiber residual {cert:.3e} exceeds FIBER_CERT max(|psi_free|, 1)")
-    return NehariPoint(u=u, psi=psi, constraint_norm=cert)
+    return NehariPoint(u=u, psi=psi, constraint_norm=cert, params=params)
 
 
 def project_to_manifold(u: ScalarField, psi: SpinorField, params: ActionParams) -> NehariPoint:

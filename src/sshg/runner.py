@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .action import ActionParams, evaluate_J
+from .action import ActionParams
 from .checkpoint import save_point, write_atomic
 from .errors import ConfigError
 from .fields import ScalarField
@@ -257,13 +257,11 @@ def run_path(config: RunConfig, basis, params, consts):
     mm = config.minmax
     nodes, frozen = straight_path(ScalarField.constant(basis.geom, consts.T), consts.s,
                                   basis.eigenspinor(consts.k_index + 1), mm.path_nodes, params)
-    end = nodes[-1]
     record, diags = minmax_deform(
         nodes, frozen, mm, params,
         tangent_filter=block_filter(basis.geom, params.rho) if consts.block_dim else None)
     return {
-        "endpoint": {"u_bar": consts.T, "s": consts.s,
-                     "J": evaluate_J(end.u, end.psi, params)},
+        "endpoint": {"u_bar": consts.T, "s": consts.s, "J": nodes[-1].J},
         "levels": {"c1": record.level},
         "records": [record],
         "diagnostics": diags,
@@ -308,7 +306,7 @@ def run_multiplicity(config: RunConfig, geom, basis, params):
             "levels": {"c1": rec1.level, "c2": rec2.level},
             "distinct": _any_distinct(records),
             "first": first,
-            "family_max_energy": fam.max_energy,
+            "family_max_energy": max(fam.energies),
             "theta_sweep": list(zip(fam.theta_grid, fam.energies)),
             "diagnostics": diags,
         }

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .action import ActionParams, evaluate_J
+from .action import ActionParams
 from .errors import (
     CapacityError,
     CertificationError,
@@ -168,34 +168,41 @@ def build_sweepout_chi(geom: TorusGeometry, epsilon: float) -> SweepoutChi:
 class EquivariantFamily:
     theta_grid: np.ndarray
     points: list
-    energies: list           # J at each theta
     u_bar: float
     s: float
     chi: SweepoutChi
-    max_energy: float
 
     def __len__(self):
         return len(self.points)
 
+    @property
+    def energies(self) -> list:
+        return [pt.J for pt in self.points]
+
 
 def _sigma_point(pt: NehariPoint) -> NehariPoint:
-    """The Z2 action on the scalar component; J and the constraint are even."""
-    return NehariPoint(u=-1.0 * pt.u, psi=pt.psi, constraint_norm=pt.constraint_norm)
+    """The Z2 action on u.  J is even bit for bit (cosh even, the gradient
+    term quadratic), so the image takes pt's J, read first: it forms the
+    Fourier view of pt.u, which the image negates."""
+    j = pt.J
+    image = replace(pt, u=-1.0 * pt.u)
+    image.J = j
+    return image
 
 
-def _family_attempt(u_bar, s, chi, params, basis, thetas, geom):
+def _family_attempt(u_bar, s, chi, params, basis, thetas, geom) -> EquivariantFamily:
     psi1 = basis.eigenspinor(1)
-    points, energies = [], []
+    points = []
     warm = None
     for th in thetas[:len(thetas) // 2]:
         u = ScalarField.from_values(geom, chi.evaluate(float(th), geom) * u_bar)
         pt = fiber_solve(u, s * psi1, params, x0=warm)
         warm = project(pt.psi, "minus")
         points.append(pt)
-        energies.append(evaluate_J(pt.u, pt.psi, params))
-    # mirror half: u_{theta+pi} = -u_theta exactly, psi identical; J is even
-    # bit for bit (cosh even, the gradient term quadratic)
-    return points + [_sigma_point(pt) for pt in points], energies + energies
+    # mirror half: u_{theta+pi} = -u_theta exactly, psi identical
+    return EquivariantFamily(theta_grid=thetas,
+                             points=points + [_sigma_point(pt) for pt in points],
+                             u_bar=u_bar, s=s, chi=chi)
 
 
 def check_n_theta(n_theta: int) -> None:
@@ -228,19 +235,16 @@ def equivariant_family(u_bar: float, s: float, chi: SweepoutChi,
     attempt = 0
     cur_u, cur_s, cur_chi = float(u_bar), float(s), chi
     while True:
-        points, energies = _family_attempt(cur_u, cur_s, cur_chi, params,
-                                           basis, thetas, geom)
-        max_j = float(np.max(energies))
-        if max_j < 0.0:
-            certify_equivariance(points)
-            return EquivariantFamily(theta_grid=thetas, points=points, energies=energies,
-                                     u_bar=cur_u, s=cur_s, chi=cur_chi,
-                                     max_energy=max_j)
+        family = _family_attempt(cur_u, cur_s, cur_chi, params, basis, thetas, geom)
+        if max(family.energies) < 0.0:
+            certify_equivariance(family.points)
+            return family
         attempt += 1
         if attempt > FAMILY_RETRIES:
             raise CertificationError(
                 f"equivariant family certification failed after {FAMILY_RETRIES} retries: "
-                f"J = {max_j:.4g} > 0 at theta = {thetas[int(np.argmax(energies))]:.4f}"
+                f"J = {max(family.energies):.4g} > 0 at theta = "
+                f"{thetas[int(np.argmax(family.energies))]:.4f}"
             )
         cur_s *= 1.5
         if attempt >= 2:
@@ -389,8 +393,7 @@ def orthogonal_restart(u1: ScalarField, family: EquivariantFamily,
         geom, family.chi.evaluate(theta0, geom) * family.u_bar))
     nodes, frozen = straight_path(u_t0, family.s, basis.eigenspinor(1),
                                   config.path_nodes, params)
-    end = nodes[-1]
-    if evaluate_J(end.u, end.psi, params) >= 0:
+    if nodes[-1].J >= 0:
         raise CertificationError("restart endpoint energy is not negative")
 
     def tangent_filter(t: np.ndarray) -> np.ndarray:
@@ -405,7 +408,7 @@ def orthogonal_restart(u1: ScalarField, family: EquivariantFamily,
     ortho = abs(sobolev_inner(record.point.u, u1))
     if not record.refined or ortho > 1e-8:
         point = project_to_manifold(orthogonalize(record.point.u), record.point.psi, params)
-        record = replace(make_record(point, multiplier_solve(point, params), params,
+        record = replace(make_record(point, multiplier_solve(point, params),
                                      converged=record.converged, refined=False),
                          descent_level=record.descent_level,
                          handoff_grad=record.handoff_grad, exit=record.exit)
@@ -523,9 +526,7 @@ def case2_product_minmax(chi: SweepoutChi, consts: LinkingConstants,
 
         nodes, frozen, centers, segments = equivariant_disk_mesh(
             on_boundary, n_theta_disk, n_radii, node)
-        bad = positive_frozen_nodes(
-            [evaluate_J(nd.u, nd.psi, params) if fz else 0.0 for nd, fz in zip(nodes, frozen)],
-            frozen)
+        bad = positive_frozen_nodes(nodes, frozen)
         if not bad:
             break
         if attempt == CASE2_RETRIES:

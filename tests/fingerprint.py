@@ -4,19 +4,23 @@ Run by hand (pytest does not collect it):
 
     PYTHONPATH=src python tests/fingerprint.py [name ...]
 
-For each config below it prints the sha256 of `sshg.runner.run`'s output
-with `timings` dropped, rendered as the run's JSON (floats at 17
-significant digits), followed by the run's levels, each record's
+Each config below runs with a temporary `output_dir`.  The tool prints one
+sha256 over `sshg.runner.run`'s output, rendered as the run's JSON (floats
+at 17 significant digits) with `timings`, `config.output_dir` and the
+checkpoint paths dropped, and over the sha256 of every CSV and checkpoint
+the run wrote, by sorted name; then the run's levels, each record's
 `classification`, `refined` and `exit`, and the run's `converged`.  Two
-trees print the same line for a config exactly when their outputs agree
-bit for bit; where a rounding-level change moves the hash, the tail of the
-line shows whether it moved a classification or an exit.
+trees print the same line for a config exactly when their outputs and
+files agree bit for bit; where a rounding-level change moves the hash, the
+tail of the line shows whether it moved a classification or an exit.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import sys
+import tempfile
 
 from sshg.runner import RunConfig, _render_json, run
 
@@ -50,10 +54,22 @@ CONFIGS = {
 
 
 def fingerprint(config: dict) -> tuple[str, dict]:
-    """(sha256 of the run's output without timings, the output)."""
-    output = run(RunConfig.from_dict(config))
-    output.pop("timings")
-    return hashlib.sha256(_render_json(output).encode()).hexdigest(), output
+    """(sha256 of the run's output without timings or paths and of its
+    written files, the output)."""
+    with tempfile.TemporaryDirectory() as out_dir:
+        output = run(RunConfig.from_dict({**config, "output_dir": out_dir}))
+        digest = hashlib.sha256()
+        for name in sorted(os.listdir(out_dir)):
+            if name.endswith((".csv", ".sshg")):
+                with open(os.path.join(out_dir, name), "rb") as fh:
+                    digest.update(f"{name} {hashlib.sha256(fh.read()).hexdigest()}\n".encode())
+    for key in ("timings", "checkpoints"):
+        output.pop(key)
+    output["config"].pop("output_dir")
+    for record in output["records"]:
+        record.pop("checkpoint", None)
+    digest.update(_render_json(output).encode())
+    return digest.hexdigest(), output
 
 
 def main(names) -> None:

@@ -15,7 +15,7 @@ import struct
 
 import numpy as np
 
-from sshg.action import check_overflow, dirac_minus_potential, hess_vec, linearize
+from sshg.action import ActionParams, check_overflow, dirac_minus_potential, hess_vec, linearize
 from sshg.checkpoint import MAGIC, VERSION
 from sshg.errors import CheckpointFormatError, ConditioningError, SSHGError
 from sshg.fields import ScalarField, SpinorField, pack, unpack
@@ -403,5 +403,6 @@ def load_point(path: str, geom=None):
     psi = SpinorField.from_coeffs(stored_geom, state.pop("psi_coeffs"))
     rho = state.pop("rho")
     cert = state.pop("constraint_norm")
-    point = NehariPoint(u=u, psi=psi, constraint_norm=float(cert))
+    point = NehariPoint(u=u, psi=psi, constraint_norm=float(cert),
+                        params=ActionParams(rho=float(rho)))
     return point, float(rho), state

@@ -162,8 +162,7 @@ def test_record_residuals_are_the_dual_norms_of_the_scaled_first_variation(delta
         psi = random_spinor(geom, rng, decay=1.5)
         pt = fiber_solve((1.0 / h1_norm(u)) * u, psi - project(psi, "minus"), params)
         assert np.ptp(pt.u.values) > 0.1
-        rec = make_record(pt, multiplier_solve(pt, params), params, converged=False,
-                          refined=False)
+        rec = make_record(pt, multiplier_solve(pt, params), converged=False, refined=False)
         gu, gpsi = field_gradient(pt.u, pt.psi, params)
         assert rec.res_u == pytest.approx(hminus1_norm(-0.5 * gu), rel=1e-13, abs=0.0)
         assert rec.res_psi == pytest.approx(hminushalf_norm((1.0 / 16.0) * gpsi),
@@ -517,10 +516,10 @@ def test_minmax_deform_pins_disk_centers(setup16, monkeypatch):
     monkeypatch.setattr(sshg.minmax, "_interp_points",
                         recording(sshg.minmax._interp_points, samples))
 
-    def pinned(nodes_, energies_):
+    def pinned(nodes_):
         pt = nodes_[center]
         return (not np.any(pt.u.values) and not np.any(pt.u.coeffs)
-                and energies_[center] == evaluate_J(pt.u, pt.psi, params))
+                and pt.J == evaluate_J(pt.u, pt.psi, params))
 
     hits = []
 
@@ -528,12 +527,12 @@ def test_minmax_deform_pins_disk_centers(setup16, monkeypatch):
         descent = bool(retractions) and pt is retractions[-1]
         assert descent or any(pt is sample for sample in samples)
         assert nodes_[k] is pt
-        assert k == center or pinned(nodes_, energies_)
+        assert k == center or pinned(nodes_)
         hits.append((k, descent, bool(np.any(pt.u.values))))
-        hook.mesh = nodes_, energies_
+        hook.mesh = nodes_
 
     minmax_deform(nodes, frozen, config, params, step_hook=hook, **kwargs)
-    assert pinned(*hook.mesh)
+    assert pinned(hook.mesh)
     # the center took a descent step, and a promotion brought it a sample
     # off u = 0; other nodes took descent steps too
     assert any(k == center and descent for k, descent, _ in hits)
@@ -556,21 +555,41 @@ def test_minmax_deform_stores_before_the_hook(setup16):
     assert hooked_diags.energies == plain_diags.energies
 
 
-def test_minmax_deform_keeps_no_replaced_node_alive(setup16):
+def test_minmax_deform_keeps_no_replaced_node_alive(setup16, monkeypatch):
     # the deformation works on the caller's list in place: after two
     # re-spreads, an initial node the final mesh does not hold is freed, so
     # neither the caller's list nor the returned record and diagnostics keep
-    # the initial path alive; the frozen ends are the nodes passed in
+    # the initial path alive; the frozen ends are the nodes passed in.  The
+    # last iteration re-spreads, and when the exit's Newton trial starts no
+    # node that re-spread replaced is alive either
     nodes, frozen, config, params = _small_mountain_pass(setup16)
     config = dataclasses.replace(config, max_outer=2 * sshg.minmax.RESPREAD_EVERY)
     initial = [weakref.ref(nd) for nd in nodes]
     ends = nodes[0], nodes[-1]
+    before_respread, freed_at_trial = [], []
+    orig_respread, orig_trial = sshg.minmax._respread_path, sshg.minmax._newton_trial
+
+    def replaced(refs):
+        return [ref for ref in refs if not any(ref() is nd for nd in nodes)]
+
+    def respread(nodes_, *args):
+        before_respread.append([weakref.ref(nd) for nd in nodes_])
+        return orig_respread(nodes_, *args)
+
+    def trial(*args):
+        gc.collect()
+        freed_at_trial.append([ref() is None for ref in replaced(before_respread[-1])])
+        return orig_trial(*args)
+
+    monkeypatch.setattr(sshg.minmax, "_respread_path", respread)
+    monkeypatch.setattr(sshg.minmax, "_newton_trial", trial)
     record, diags = minmax_deform(nodes, frozen, config, params)
+    assert diags.exit == "budget" and len(before_respread) == 2
+    assert len(freed_at_trial[-1]) == len(nodes) - 2 and all(freed_at_trial[-1])
     gc.collect()
     assert nodes[0] is ends[0] and nodes[-1] is ends[1]
-    replaced = [ref for ref in initial if not any(ref() is nd for nd in nodes)]
-    assert len(replaced) == len(nodes) - 2
-    assert all(ref() is None for ref in replaced)
+    assert len(replaced(initial)) == len(nodes) - 2
+    assert all(ref() is None for ref in replaced(initial))
 
 
 def test_minmax_deform_propagates_unexpected_errors(setup16, monkeypatch):
@@ -659,8 +678,8 @@ def test_segment_cache_recomputes_only_moved_segments(setup16, monkeypatch):
     assert 1 <= solves <= 3 * per_segment - 5
     solved = [(b, s) for b, s in entries() if s is not None]
     assert len(solved) == solves
-    best_j = refresh.best[0]
-    assert best_j == max(s[0] for _, s in solved)
+    best_j = refresh.best[2].J
+    assert best_j == max(s.J for _, s in solved)
     assert all(b < best_j for b, s in entries() if s is None and b > floor)
     assert min(b for b, _ in solved) >= max(b for b, s in entries() if s is None)
     assert refresh(floor) == (0, 0)
@@ -668,8 +687,8 @@ def test_segment_cache_recomputes_only_moved_segments(setup16, monkeypatch):
     full = [sshg.minmax._interp_points(a, b, w, params)
             for a, b, _, _, _ in cache._cache.values() for w in sshg.minmax.SEGMENT_SAMPLES]
     assert best_j == max(evaluate_J(pt.u, pt.psi, params) for pt in full)
-    assert refresh(-np.inf) == (0, 0) and refresh.best[0] == best_j
-    assert all(s[0] <= b for b, s in entries() if s is not None)
+    assert refresh(-np.inf) == (0, 0) and refresh.best[2].J == best_j
+    assert all(s.J <= b for b, s in entries() if s is not None)
     # a moved endpoint drops the solved samples of its segments
     nodes[0] = dataclasses.replace(nodes[0])
     assert refresh(-np.inf)[0] == per_segment
@@ -692,22 +711,21 @@ def test_segment_cache_solves_ties_and_returns_the_first_best(monkeypatch):
 
     def fake_interp(a, b, w, params):
         solved.append((index[id(a)], index[id(b)], w))
-        return NehariPointStub(solved[-1])
+        return NehariPointStub(solved[-1], energy[solved[-1]])
 
     monkeypatch.setattr(sshg.minmax, "fiber_energy_bounds", fake_bounds)
     monkeypatch.setattr(sshg.minmax, "_product_dist", lambda a, b: 1.0)
     monkeypatch.setattr(sshg.minmax, "_interp_points", fake_interp)
-    monkeypatch.setattr(sshg.minmax, "evaluate_J", lambda u, psi, params: energy[u])
     cache = sshg.minmax._SegmentCache([(0, 1), (1, 2)], ActionParams(rho=0.5))
     best = cache.refresh(nodes, 4.0)
     assert solved == [(0, 1, 0.5), (1, 2, 0.25), (1, 2, 0.5)]
-    assert best[:3] == (6.0, 0, 1) and best[3].u == (0, 1, 0.5)
+    assert best[:2] == (0, 1) and best[2].key == (0, 1, 0.5) and best[2].J == 6.0
 
 
 @dataclasses.dataclass
 class NehariPointStub:
-    u: tuple
-    psi: None = None
+    key: tuple
+    J: float
 
 
 def test_ps_diagnostics_exact_solution_trace(setup16):

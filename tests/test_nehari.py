@@ -370,13 +370,14 @@ def test_fiber_negative_definiteness(setup16):
 SEGMENT_WEIGHTS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
-def _segment_end(geom, rng, mean, wiggle, amp):
+def _segment_end(geom, params, rng, mean, wiggle, amp):
     """A point (u, psi), u constant when wiggle is 0, off the manifold: psi
     keeps a random minus part, far from its fiber maximum."""
     u = ScalarField.constant(geom, mean)
     if wiggle:
         u = u + bounded_scalar(geom, rng, h1_cap=wiggle * geom.side_length)
-    return NehariPoint(u=u, psi=amp * random_spinor(geom, rng, decay=1.0), constraint_norm=np.inf)
+    return NehariPoint(u=u, psi=amp * random_spinor(geom, rng, decay=1.0), constraint_norm=np.inf,
+                       params=params)
 
 
 def _blend(a, b, w):
@@ -411,7 +412,7 @@ def test_fiber_energy_bound_dominates_the_fiber_solve(delta, seed, rho, means, w
     assume(geom.spectral_gap(rho) > 1e-3)
     params = ActionParams(rho=rho)
     rng = np.random.default_rng(seed)
-    a, b = (_segment_end(geom, rng, *end) for end in zip(means, wiggles, amps))
+    a, b = (_segment_end(geom, params, rng, *end) for end in zip(means, wiggles, amps))
     bounds = fiber_energy_bounds(a, b, SEGMENT_WEIGHTS, params)
     assert bounds.shape == (len(SEGMENT_WEIGHTS),)
     for w, bound in zip(SEGMENT_WEIGHTS, bounds):
@@ -471,7 +472,7 @@ def test_fiber_energy_bounds_match_the_dense_formula(delta, seed, rho, means, wi
     assume(geom.spectral_gap(rho) > 1e-3)
     params = ActionParams(rho=rho)
     rng = np.random.default_rng(seed)
-    a, b = (_segment_end(geom, rng, *end) for end in zip(means, wiggles, amps))
+    a, b = (_segment_end(geom, params, rng, *end) for end in zip(means, wiggles, amps))
     ref, scale = _dense_bounds(a, b, SEGMENT_WEIGHTS, params)
     bounds = fiber_energy_bounds(a, b, SEGMENT_WEIGHTS, params)
     assert np.all(np.abs(bounds - ref) <= 1e-13 * scale + 1e-300)
@@ -488,8 +489,8 @@ def test_fiber_energy_bound_pads_a_near_cancelling_blend(grid_n):
     u = ScalarField.zeros(geom)
     psi = random_spinor(geom, np.random.default_rng(0), decay=1.0)
     psi = psi - project(psi, "minus")
-    a = NehariPoint(u=u, psi=psi, constraint_norm=np.inf)
-    b = NehariPoint(u=u, psi=-(1.0 + 1e-7) * psi, constraint_norm=np.inf)
+    a = NehariPoint(u=u, psi=psi, constraint_norm=np.inf, params=params)
+    b = NehariPoint(u=u, psi=-(1.0 + 1e-7) * psi, constraint_norm=np.inf, params=params)
     (bound,) = fiber_energy_bounds(a, b, (0.5,), params)
     _, blend = _blend(a, b, 0.5)
     minus = project(blend, "minus")
@@ -507,7 +508,7 @@ def test_bounding_a_segment_costs_one_fft_of_its_stacked_samples(delta):
     rng = np.random.default_rng(3)
     for wiggle, ffts in ((0.3, {"fft": 1, "fft2": 1, "ifft2": 0}),
                          (0.0, {"fft": 0, "fft2": 0, "ifft2": 0})):
-        a, b = (_segment_end(geom, rng, mean, wiggle, 2.0) for mean in (0.4, -1.1))
+        a, b = (_segment_end(geom, params, rng, mean, wiggle, 2.0) for mean in (0.4, -1.1))
         for end in (a, b):
             evaluate_J(end.u, end.psi, params)
             assert end.u._values is not None and end.u._coeffs is not None
@@ -521,12 +522,15 @@ def test_fiber_energy_bounds_refuse_overflowing_blends():
     geom = TorusGeometry(grid_n=16)
     params = ActionParams(rho=0.5)
     psi = random_spinor(geom, np.random.default_rng(4))
-    end = NehariPoint(u=ScalarField.constant(geom, 49.0), psi=psi, constraint_norm=0.0)
+    end = NehariPoint(u=ScalarField.constant(geom, 49.0), psi=psi, constraint_norm=0.0,
+                      params=params)
     fiber_energy_bounds(end, end, (0.5,), params)
-    far = NehariPoint(u=ScalarField.constant(geom, 60.0), psi=psi, constraint_norm=0.0)
+    far = NehariPoint(u=ScalarField.constant(geom, 60.0), psi=psi, constraint_norm=0.0,
+                      params=params)
     with pytest.raises(OverflowGuardError):
         fiber_energy_bounds(end, far, (0.0, 0.5), params)
-    nan = NehariPoint(u=ScalarField.constant(geom, np.nan), psi=psi, constraint_norm=0.0)
+    nan = NehariPoint(u=ScalarField.constant(geom, np.nan), psi=psi, constraint_norm=0.0,
+                      params=params)
     with pytest.raises(OverflowGuardError):
         fiber_energy_bounds(end, nan, (0.0, 0.5), params)
 
@@ -764,7 +768,7 @@ def test_non_finite_psi_fails_before_any_krylov_iteration(setup16, monkeypatch, 
     vals[1, 4, 9] = bad
     with np.errstate(invalid="ignore", over="ignore"):
         bad_pt = NehariPoint(u=pt.u, psi=SpinorField.from_values(geom, vals),
-                             constraint_norm=pt.constraint_norm)
+                             constraint_norm=pt.constraint_norm, params=params)
         with pytest.raises(SSHGError):
             if solve == "constrained_gradient":
                 constrained_gradient(bad_pt, params)

@@ -327,6 +327,22 @@ def test_projection_rho_gap_guard():
         project(w, "plus_a", rho=LAM1_HALF + 1e-12)
 
 
+@pytest.mark.parametrize("delta", ALL_DELTAS)
+@pytest.mark.parametrize("grid_n", [8, 16])
+def test_spectral_gap_is_the_brute_force_minimum(delta, grid_n):
+    # the gap is read off the two sorted distinct |xi| around rho, bit for
+    # bit the minimum of |lam - rho| over every kept spinor mode: at a
+    # level, one ulp off it, between levels, below and above them all
+    geom = TorusGeometry(grid_n=grid_n, spin_delta=delta)
+    lam = geom.s_abs[geom.spinor_mask]
+    levels = np.unique(lam)
+    rhos = np.concatenate([levels, np.nextafter(levels, np.inf), np.nextafter(levels, -np.inf),
+                           0.5 * (levels[1:] + levels[:-1]), [1e-3, levels[-1] + 1.0],
+                           np.random.default_rng(5).uniform(0.0, levels[-1] + 1.0, 50)])
+    for rho in rhos.tolist():
+        assert geom.spectral_gap(rho) == float(np.min(np.abs(lam - rho)))
+
+
 def test_cutoff_above_nyquist_rejected():
     geom = TorusGeometry(grid_n=16, spin_delta=(0.5, 0.5))
     with pytest.raises(ResolutionError):

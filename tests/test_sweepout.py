@@ -95,17 +95,17 @@ def test_equivariant_family(mp16, family16):
     for i in range(half):
         assert np.array_equal(fam.points[i].u.values, -fam.points[i + half].u.values)
         assert hhalf_norm(fam.points[i].psi - fam.points[i + half].psi) == 0.0
-    # the stored energies are J at each point, bit for bit, all negative;
-    # all points certified
+    # the energies read off the points are J at each point, bit for bit,
+    # all negative; all points certified
     assert fam.energies == [evaluate_J(pt.u, pt.psi, params) for pt in fam.points]
-    assert max(fam.energies) == fam.max_energy < 0
+    assert max(fam.energies) < 0
     assert all(pt.constraint_norm <= 1e-10 for pt in fam.points)
 
 
 def _skewed_sigma(pt):
     # the Z2 image with psi off by one part in 10^12
     return NehariPoint(u=-1.0 * pt.u, psi=(1.0 + 1e-12) * pt.psi,
-                       constraint_norm=pt.constraint_norm)
+                       constraint_norm=pt.constraint_norm, params=pt.params)
 
 
 def test_family_refuses_inexact_partners(mp16, chi256, monkeypatch):
@@ -128,7 +128,7 @@ def test_equivariance_certificate_refuses_one_ulp(family16):
     vals = points[k].u.values.copy()
     vals[0, 0] = np.nextafter(vals[0, 0], np.inf)
     points[k] = NehariPoint(u=ScalarField.from_values(geom, vals), psi=points[k].psi,
-                            constraint_norm=points[k].constraint_norm)
+                            constraint_norm=points[k].constraint_norm, params=points[k].params)
     with pytest.raises(CertificationError, match="equivariance drift"):
         certify_equivariance(points)
 

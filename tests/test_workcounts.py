@@ -13,6 +13,8 @@ per moved segment, counted here per sample) and solves samples above the
 promotion threshold best bound first, stopping once the best solved J
 beats every remaining bound, so most of its samples count as bounds, not
 as fiber solves, J evaluations or CG work.
+A point keeps its J once evaluated (`nehari.NehariPoint.J`), so no
+(u, psi) pair is passed to `evaluate_J` twice.
 Both CG solves, fiber and multiplier, are preconditioned with the
 mean-field Dirac symbol (`nehari.mean_field_symbol`), which is formed only
 once a solve iterates, so the mountain pass, whose CG solves never
@@ -51,7 +53,7 @@ CONFIG = {
 CEILINGS = {
     "fiber_solve": 111,
     "bounded_samples": 420,
-    "evaluate_J": 117,
+    "evaluate_J": 111,
     "cg.calls": 135,
     "cg.iters": 85,
     "minres.iters": 14,
@@ -69,7 +71,7 @@ MOUNTAIN_PASS = {
 MOUNTAIN_PASS_CEILINGS = {
     "fiber_solve": 278,
     "bounded_samples": 894,
-    "evaluate_J": 279,
+    "evaluate_J": 278,
     "cg.calls": 310,
     "cg.iters": 0,
     "minres.iters": 6,
@@ -81,11 +83,12 @@ MOUNTAIN_PASS_CEILINGS = {
 
 
 def _count_calls(monkeypatch, orig, on_call):
-    """Rebind every by-name binding of `orig` in the sshg modules."""
+    """Rebind every by-name binding of `orig` in the sshg modules;
+    on_call(out, args) sees each call's result and positional arguments."""
 
     def counted(*args, **kwargs):
         out = orig(*args, **kwargs)
-        on_call(out)
+        on_call(out, args)
         return out
 
     for name, mod in list(sys.modules.items()):
@@ -102,15 +105,22 @@ def _work_counts(monkeypatch, config):
                             "gradient_J", "newton_refine"), 0)
 
     def bump(**inc):
-        def on_call(out):
+        def on_call(out, args):
             for key, val in inc.items():
                 counts[key] += val(out) if callable(val) else val
         return on_call
 
+    # the (u, psi) of every J evaluation, held so that no id() is reused
+    evaluated = []
+
+    def on_evaluate_J(out, args):
+        counts["evaluate_J"] += 1
+        evaluated.append(args[:2])
+
     _count_calls(monkeypatch, sshg.nehari.fiber_solve, bump(fiber_solve=1))
     _count_calls(monkeypatch, sshg.nehari.fiber_energy_bounds,
                  bump(bounded_samples=lambda out: len(out)))
-    _count_calls(monkeypatch, sshg.action.evaluate_J, bump(evaluate_J=1))
+    _count_calls(monkeypatch, sshg.action.evaluate_J, on_evaluate_J)
     _count_calls(monkeypatch, sshg.nehari.constrained_gradient,
                  bump(constrained_gradient=1))
     _count_calls(monkeypatch, sshg.action.gradient_J, bump(gradient_J=1))
@@ -124,6 +134,8 @@ def _work_counts(monkeypatch, config):
         run(RunConfig.from_dict(config))
     counts["fft"] = ffts["fft"]
     assert counts["fiber_solve"] > 0 and counts["minres.iters"] > 0
+    # a point keeps its J: no pair is evaluated twice
+    assert len({(id(u), id(psi)) for u, psi in evaluated}) == len(evaluated)
     return counts
 
 
