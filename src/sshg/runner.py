@@ -293,10 +293,10 @@ def run_multiplicity(config: RunConfig, geom, basis, params):
         first = run_path(config, basis, params, consts)
         rec1 = first["records"][0]
         fam = equivariant_family(consts.T, consts.s, chi, params, basis,
-                                 n_theta=config["n_theta"])
-        rec2, diags = equivariant_disk_minmax(
-            fam, mm, params, basis,
-            n_theta_disk=config["n_theta_disk"], n_radii=config["n_radii"])
+                                 n_theta=config["n_theta"],
+                                 n_theta_disk=config["n_theta_disk"])
+        rec2, diags = equivariant_disk_minmax(fam, mm, params, basis,
+                                              n_radii=config["n_radii"])
         records = [rec1, rec2]
         if abs(rec2.level - rec1.level) <= DISTINCT_LEVEL_TOL:
             records.append(orthogonal_restart(rec1.point.u, fam, mm, params, basis)[0])

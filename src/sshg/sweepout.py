@@ -8,10 +8,12 @@ critical level c2 >= c1, with an orthogonal-restart fallback inside
 {<u, u1>_{H1} = 0} when the two levels coincide.
 
 The symmetry sigma(u, psi) = (-u, psi) of J is applied once per Z2 orbit:
-the family solves and evaluates one representative of each orbit and stores
-its partner as the exact sigma-image (`_sigma_point`, checked bit for bit by
-`certify_equivariance`); the disks hold only the representatives, and
-`minmax_deform` keeps their sigma-fixed centers at u = 0 (its `centers`).
+the family solves and evaluates one representative of each orbit, forms
+its partner as the exact sigma-image (`_sigma_point`), checks it bit for bit
+(`certify_equivariance`) and drops it, so no sigma-image is stored; the
+family keeps J at every angle and only the representatives the disk reads
+(its `ring`).  The disks hold only representatives, and `minmax_deform`
+keeps their sigma-fixed centers at u = 0 (its `centers`).
 """
 
 from __future__ import annotations
@@ -90,23 +92,25 @@ class SweepoutChi:
         tri = np.where(w <= 1.0, w, 2.0 - w)
         return self.delta_margin + (np.pi - 2.0 * self.delta_margin) * tri
 
-    def evaluate_1d(self, theta, y):
+    def line(self, theta, geom=None) -> np.ndarray:
+        """chi(theta, .) along the second grid coordinate, which plays the
+        Morse-height role; chi does not vary along the first."""
+        g = self.geom if geom is None else geom
+        y = np.arange(g.grid_n) * (g.side_length / g.grid_n)
         return _profile(self.height(y) + theta, self.width_delta)
 
     def evaluate(self, theta, geom=None) -> np.ndarray:
-        """chi(theta, .) sampled on a grid (any resolution; chi is analytic).
-
-        The second torus coordinate plays the Morse-height role."""
+        """chi(theta, .) sampled on a grid (any resolution; chi is analytic):
+        every row is `line`."""
         g = self.geom if geom is None else geom
-        y = np.arange(g.grid_n) * (g.side_length / g.grid_n)
-        line = self.evaluate_1d(theta, y)
-        return np.ones((g.grid_n, 1)) * line[None, :]
+        return np.ones((g.grid_n, 1)) * self.line(theta, g)[None, :]
 
     def interface_volume(self, theta) -> float:
+        """Volume of the band 0 < |chi(theta, .)| < 1 on the grid: its cells
+        on one line, each repeated along the first coordinate."""
         g = self.geom
-        vals = self.evaluate(theta, g)
-        inside = np.abs(vals) < 1.0 - 1e-12
-        return float(np.count_nonzero(inside) * g.quad_weight)
+        inside = np.abs(self.line(theta, g)) < 1.0 - 1e-12
+        return float(np.count_nonzero(inside) * g.grid_n * g.quad_weight)
 
 
 def build_sweepout_chi(geom: TorusGeometry, epsilon: float) -> SweepoutChi:
@@ -138,15 +142,16 @@ def build_sweepout_chi(geom: TorusGeometry, epsilon: float) -> SweepoutChi:
     chi = SweepoutChi(geom=geom, epsilon=epsilon, width_delta=width_delta,
                       delta_margin=delta_margin)
 
-    # certify the three sweepout properties on a theta sweep
-    ones = chi.evaluate(0.0, geom)
+    # certify the three sweepout properties on a theta sweep, one line each:
+    # every row of the grid values is the line
+    ones = chi.line(0.0, geom)
     if np.max(np.abs(ones - 1.0)) > 1e-12:
         raise CertificationError("sweepout property (i) failed: chi(0,.) != 1")
     thetas = np.linspace(0.0, 2.0 * np.pi, N_THETA_CHECK, endpoint=False)
     vols = []
     for th in thetas:
-        a = chi.evaluate(th, geom)
-        b = chi.evaluate(th + np.pi, geom)
+        a = chi.line(th, geom)
+        b = chi.line(th + np.pi, geom)
         if np.max(np.abs(a + b)) > 1e-12:
             raise CertificationError("sweepout property (ii) failed: antiperiodicity")
         vols.append(chi.interface_volume(th))
@@ -166,18 +171,18 @@ def build_sweepout_chi(geom: TorusGeometry, epsilon: float) -> SweepoutChi:
 
 @dataclass
 class EquivariantFamily:
+    """A certified family, kept as its readers need it: J at every angle of
+    `theta_grid` (a sigma-image's J is its partner's, bit for bit) and the
+    orbit representatives the disk reads (`ring`, every (n_theta /
+    n_theta_disk)-th angle of the first half).  The other points are
+    dropped once solved; u at any angle is chi(theta,.) * u_bar."""
+
     theta_grid: np.ndarray
-    points: list
+    energies: list
+    ring: list
     u_bar: float
     s: float
     chi: SweepoutChi
-
-    def __len__(self):
-        return len(self.points)
-
-    @property
-    def energies(self) -> list:
-        return [pt.J for pt in self.points]
 
 
 def _sigma_point(pt: NehariPoint) -> NehariPoint:
@@ -190,61 +195,66 @@ def _sigma_point(pt: NehariPoint) -> NehariPoint:
     return image
 
 
-def _family_attempt(u_bar, s, chi, params, basis, thetas, geom) -> EquivariantFamily:
+def _family_attempt(u_bar, s, chi, params, basis, thetas, stride):
+    """(J at every angle of `thetas`, the ring) of one attempt.  Each orbit
+    representative is solved, warm-started from the last, its J read and
+    its sigma-image formed, certified and dropped; the mirror half's
+    energies are the first half's."""
+    geom = basis.geom
     psi1 = basis.eigenspinor(1)
-    points = []
+    energies, ring = [], []
     warm = None
-    for th in thetas[:len(thetas) // 2]:
+    for i, th in enumerate(thetas[:len(thetas) // 2]):
         u = ScalarField.from_values(geom, chi.evaluate(float(th), geom) * u_bar)
         pt = fiber_solve(u, s * psi1, params, x0=warm)
         warm = project(pt.psi, "minus")
-        points.append(pt)
-    # mirror half: u_{theta+pi} = -u_theta exactly, psi identical
-    return EquivariantFamily(theta_grid=thetas,
-                             points=points + [_sigma_point(pt) for pt in points],
-                             u_bar=u_bar, s=s, chi=chi)
-
-
-def check_n_theta(n_theta: int) -> None:
-    """The family mirrors its first half onto the second: n_theta even, >= 32."""
-    if n_theta < 32 or n_theta % 2 != 0:
-        raise ConfigError("n_theta must be even and >= 32")
+        energies.append(pt.J)
+        certify_equivariance(pt, _sigma_point(pt))
+        if i % stride == 0:
+            ring.append(pt)
+    return energies + energies, ring
 
 
 def check_n_theta_disk(n_theta: int, n_theta_disk: int) -> None:
-    """The disk takes every (n_theta / n_theta_disk)-th family angle: an even
-    count >= 4 dividing n_theta, so antipodal angles stay on the disk."""
-    check_n_theta(n_theta)
+    """The family mirrors its first half onto the second: n_theta even,
+    >= 32.  The disk takes every (n_theta / n_theta_disk)-th family angle:
+    an even count >= 4 dividing n_theta, so antipodal angles stay on it."""
+    if n_theta < 32 or n_theta % 2 != 0:
+        raise ConfigError("n_theta must be even and >= 32")
     if n_theta_disk < 4 or n_theta_disk % 2 != 0 or n_theta % n_theta_disk != 0:
         raise ConfigError(f"n_theta_disk must be even, >= 4 and divide "
                           f"n_theta = {n_theta}, got {n_theta_disk}")
 
 
-def equivariant_family(u_bar: float, s: float, chi: SweepoutChi,
-                       params: ActionParams, basis, n_theta: int = 64) -> EquivariantFamily:
-    """Family (u_theta, psi_theta) on the manifold with max_theta J < 0.
+def equivariant_family(u_bar: float, s: float, chi: SweepoutChi, params: ActionParams,
+                       basis, n_theta: int = 64, n_theta_disk: int = 8) -> EquivariantFamily:
+    """Family (u_theta, psi_theta) on the manifold with max_theta J < 0 on
+    all n_theta angles, every sigma-image certified as it is formed; it
+    keeps the n_theta_disk / 2 representatives the disk reads.
 
     u_theta = chi(theta,.) * u_bar; the fiber part is continued in theta with
     warm starts.  Certification failure retries with larger s (then u_bar,
-    then a smaller-epsilon sweepout when the grid permits).
+    then a smaller-epsilon sweepout when the grid permits); a failed
+    attempt is released before the retry solves.
     """
-    check_n_theta(n_theta)
-    geom = basis.geom
+    check_n_theta_disk(n_theta, n_theta_disk)
     thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
+    stride = n_theta // n_theta_disk
 
     attempt = 0
     cur_u, cur_s, cur_chi = float(u_bar), float(s), chi
     while True:
-        family = _family_attempt(cur_u, cur_s, cur_chi, params, basis, thetas, geom)
-        if max(family.energies) < 0.0:
-            certify_equivariance(family.points)
-            return family
+        energies, ring = _family_attempt(cur_u, cur_s, cur_chi, params, basis, thetas, stride)
+        if max(energies) < 0.0:
+            return EquivariantFamily(theta_grid=thetas, energies=energies, ring=ring,
+                                     u_bar=cur_u, s=cur_s, chi=cur_chi)
+        del ring
         attempt += 1
         if attempt > FAMILY_RETRIES:
             raise CertificationError(
                 f"equivariant family certification failed after {FAMILY_RETRIES} retries: "
-                f"J = {max(family.energies):.4g} > 0 at theta = "
-                f"{thetas[int(np.argmax(family.energies))]:.4f}"
+                f"J = {max(energies):.4g} > 0 at theta = "
+                f"{thetas[int(np.argmax(energies))]:.4f}"
             )
         cur_s *= 1.5
         if attempt >= 2:
@@ -256,19 +266,16 @@ def equivariant_family(u_bar: float, s: float, chi: SweepoutChi,
                 pass
 
 
-def certify_equivariance(points) -> None:
-    """The second half of `points` must be the exact sigma-image of the first:
-    u negated in both views (an FFT can absorb a one-ulp change) and psi
-    equal, bit for bit.  sigma, cosh (even) and sinh (odd) commute exactly
-    with rounding, so partners built by `_sigma_point` pass and any drift is
-    refused."""
-    half = len(points) // 2
-    for i, (a, b) in enumerate(zip(points[:half], points[half:])):
-        if not (np.array_equal(a.u.values, -b.u.values)
-                and np.array_equal(a.u.coeffs, -b.u.coeffs)
-                and np.array_equal(a.psi.eig, b.psi.eig)):
-            raise CertificationError(
-                f"equivariance drift: point {i + half} is not the exact sigma-image of point {i}")
+def certify_equivariance(pt: NehariPoint, image: NehariPoint) -> None:
+    """`image` must be the exact sigma-image of `pt`: u negated in both views
+    (an FFT can absorb a one-ulp change) and psi equal, bit for bit.  sigma,
+    cosh (even) and sinh (odd) commute exactly with rounding, so an image
+    built by `_sigma_point` passes and any drift is refused."""
+    if not (np.array_equal(pt.u.values, -image.u.values)
+            and np.array_equal(pt.u.coeffs, -image.u.coeffs)
+            and np.array_equal(pt.psi.eig, image.psi.eig)):
+        raise CertificationError("equivariance drift: a family point's partner is not "
+                                 "its exact sigma-image")
 
 
 # ---------------------------------------------------------------------------
@@ -302,18 +309,16 @@ def equivariant_disk_mesh(shells_on_boundary, n_theta: int, n_r: int, node):
 
 
 def equivariant_disk_minmax(family: EquivariantFamily, config: MinmaxConfig,
-                            params: ActionParams, basis,
-                            n_theta_disk: int, n_radii: int):
+                            params: ActionParams, basis, n_radii: int):
     """Fountain-type min-max over Z2-equivariant fillings of the family.
 
     The disk w(r e^{i theta}) = (r u_theta, fiber(sPsi_1)) is deformed
-    through one representative of each Z2 orbit; the boundary circle (the
-    family) stays fixed at negative energy.  Returns (SolutionRecord,
-    PSDiagnostics); the record's level is c2.
+    through one representative of each Z2 orbit, on the 2 len(family.ring)
+    angles the family kept; the boundary circle (the ring) stays fixed at
+    negative energy.  Returns (SolutionRecord, PSDiagnostics); the record's
+    level is c2.
     """
-    check_n_theta_disk(len(family), n_theta_disk)
     geom = basis.geom
-    stride = len(family) // n_theta_disk
     free = family.s * basis.eigenspinor(1)
     radii = np.linspace(0.0, 1.0, n_radii + 1)
     warm = None
@@ -323,7 +328,7 @@ def equivariant_disk_minmax(family: EquivariantFamily, config: MinmaxConfig,
         nonlocal warm
         if ir == 0:
             return fiber_solve(ScalarField.zeros(geom), free, params)
-        fam_pt = family.points[it * stride]
+        fam_pt = family.ring[it]
         if ir == n_radii:
             return fam_pt
         u = ScalarField.from_values(geom, float(radii[ir]) * fam_pt.u.values)
@@ -332,7 +337,7 @@ def equivariant_disk_minmax(family: EquivariantFamily, config: MinmaxConfig,
         return pt
 
     nodes, frozen, centers, segments = equivariant_disk_mesh(
-        [False], n_theta_disk, n_radii, node)
+        [False], 2 * len(family.ring), n_radii, node)
     return minmax_deform(nodes, frozen, config, params, segments=segments, centers=centers)
 
 

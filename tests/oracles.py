@@ -5,7 +5,8 @@ way (grid quadrature against Parseval, H^{-s} dual norms against Riesz
 norms, the dense constraint against its a- row, the field-pair first
 variation, Riesz maps, Re<psi, phi> and the constraint derivative against
 the packed (u, psi) arrays and `hess_vec`, CG's plain expressions against
-its in-place updates), or a helper the tests need and
+its in-place updates, the whole stored equivariant family against the J
+values and ring an `EquivariantFamily` keeps), or a helper the tests need and
 the package does not: grid coordinates, |D|^s, E^- spinors from a- rows,
 the quaternionic structure, Hermitian symmetry, the reader of the
 checkpoints that `checkpoint_save` and `save_point` write.
@@ -21,7 +22,7 @@ from sshg.errors import CheckpointFormatError, ConditioningError, SSHGError
 from sshg.fields import ScalarField, SpinorField, pack, unpack
 from sshg.geometry import TorusGeometry
 from sshg.krylov import SolveInfo
-from sshg.nehari import NehariPoint, _fiber_map, _row_inner
+from sshg.nehari import NehariPoint, _fiber_map, _row_inner, fiber_solve
 from sshg.spectral import (
     dirac_apply,
     l2_inner,
@@ -260,6 +261,26 @@ def fiber_rayleigh_margin(u: ScalarField, params, rng, n_samples: int = 50) -> f
         quot = _row_inner(geom, g_map(phi), phi) / _row_inner(geom, phi, phi)
         worst = max(worst, quot)
     return float(worst)
+
+
+# ---------------------------------------------------------------------------
+# equivariant family
+# ---------------------------------------------------------------------------
+
+def full_equivariant_family(family, params, basis) -> list:
+    """Every point of `family`'s circle, as the family was once stored: the
+    first half solved in theta order with warm starts from the last point's
+    negative part, the second half their sigma-images (-u, psi), whose J is
+    left to be evaluated on its own."""
+    geom = basis.geom
+    free = family.s * basis.eigenspinor(1)
+    points, warm = [], None
+    for th in family.theta_grid[:len(family.theta_grid) // 2]:
+        u = ScalarField.from_values(geom, family.chi.evaluate(float(th), geom) * family.u_bar)
+        points.append(fiber_solve(u, free, params, x0=warm))
+        warm = project(points[-1].psi, "minus")
+    return points + [NehariPoint(u=-1.0 * pt.u, psi=pt.psi, constraint_norm=pt.constraint_norm,
+                                 params=pt.params) for pt in points]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Sweepout lemma, equivariant family, disk min-max, restart, distinctness."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 import sshg.minmax
+import sshg.runner
 import sshg.sweepout
 from sshg.action import ActionParams, el_residual_norms, evaluate_J, gradient_J
 from sshg.errors import CertificationError, ConfigError, ResolutionError
@@ -13,6 +16,7 @@ from sshg.fields import ScalarField
 from sshg.geometry import TorusGeometry
 from sshg.minmax import NEWTON_TOL, MinmaxConfig, linking_constants, newton_refine
 from sshg.nehari import NehariPoint, fiber_solve
+from sshg.runner import RunConfig, run
 from sshg.spectral import build_basis, hhalf_norm, sobolev_inner
 from sshg.sweepout import (
     build_sweepout_chi,
@@ -25,7 +29,8 @@ from sshg.sweepout import (
     records_distinct,
 )
 
-from oracles import quaternion_j
+from oracles import full_equivariant_family, quaternion_j
+from test_workcounts import CONFIG
 
 LAM1 = np.sqrt(2.0) / 2.0
 
@@ -82,24 +87,38 @@ def test_sweepout_volume_scales_with_epsilon():
 def family16(mp16, chi256):
     geom, basis, params = mp16
     consts = linking_constants(params, basis)
-    return equivariant_family(consts.T, consts.s, chi256, params, basis, n_theta=32)
+    return equivariant_family(consts.T, consts.s, chi256, params, basis,
+                              n_theta=32, n_theta_disk=8)
 
 
 def test_equivariant_family(mp16, family16):
     geom, basis, params = mp16
     fam = family16
-    half = len(fam) // 2
+    full = full_equivariant_family(fam, params, basis)
+    half, stride = len(full) // 2, len(full) // 8
+    assert len(fam.theta_grid) == len(fam.energies) == 32
     # theta = 0 member is the endpoint itself
-    assert np.max(np.abs(fam.points[0].u.values - fam.u_bar)) <= 1e-12
-    # u antisymmetry exact, psi periodic with period pi
+    assert np.max(np.abs(fam.ring[0].u.values - fam.u_bar)) <= 1e-12
+    # the ring is every stride-th point of the first half, bit for bit
+    assert len(fam.ring) == 4
+    for k, pt in enumerate(fam.ring):
+        assert np.array_equal(pt.u.values, full[k * stride].u.values)
+        assert np.array_equal(pt.psi.eig, full[k * stride].psi.eig)
+        assert pt.constraint_norm == full[k * stride].constraint_norm
+    # u antisymmetry exact, psi periodic with period pi: the second half is
+    # the sigma-image of the first
     for i in range(half):
-        assert np.array_equal(fam.points[i].u.values, -fam.points[i + half].u.values)
-        assert hhalf_norm(fam.points[i].psi - fam.points[i + half].psi) == 0.0
-    # the energies read off the points are J at each point, bit for bit,
-    # all negative; all points certified
-    assert fam.energies == [evaluate_J(pt.u, pt.psi, params) for pt in fam.points]
+        image = sshg.sweepout._sigma_point(full[i])
+        assert np.array_equal(image.u.values, full[i + half].u.values)
+        assert np.array_equal(image.u.values, -full[i].u.values)
+        assert hhalf_norm(image.psi - full[i + half].psi) == 0.0
+        certify_equivariance(full[i], full[i + half])
+    # the energies are J at every point of the circle, bit for bit, the
+    # mirror half's evaluated at the images themselves, all negative; all
+    # points certified
+    assert fam.energies == [evaluate_J(pt.u, pt.psi, params) for pt in full]
     assert max(fam.energies) < 0
-    assert all(pt.constraint_norm <= 1e-10 for pt in fam.points)
+    assert all(pt.constraint_norm <= 1e-10 for pt in full)
 
 
 def _skewed_sigma(pt):
@@ -109,28 +128,112 @@ def _skewed_sigma(pt):
 
 
 def test_family_refuses_inexact_partners(mp16, chi256, monkeypatch):
-    # the mirror half must be the exact sigma-image: a relative psi drift of
-    # 1e-12 is refused, not forgiven by a tolerance
+    # each sigma-image must be exact as it is formed: a relative psi drift
+    # of 1e-12 is refused, not forgiven by a tolerance
     geom, basis, params = mp16
     consts = linking_constants(params, basis)
     monkeypatch.setattr(sshg.sweepout, "_sigma_point", _skewed_sigma)
     with pytest.raises(CertificationError, match="equivariance drift"):
-        equivariant_family(consts.T, consts.s, chi256, params, basis, n_theta=32)
+        equivariant_family(consts.T, consts.s, chi256, params, basis,
+                           n_theta=32, n_theta_disk=8)
 
 
 def test_equivariance_certificate_refuses_one_ulp(family16):
-    # the family's mirror half passes exactly; one ulp off in a single
-    # partner value is drift
-    points = list(family16.points)
-    certify_equivariance(points)
-    k = len(points) // 2 + 1
-    geom = points[k].u.geom
-    vals = points[k].u.values.copy()
+    # a family point's sigma-image passes exactly; one ulp off in a single
+    # image value is drift
+    pt = family16.ring[1]
+    image = sshg.sweepout._sigma_point(pt)
+    certify_equivariance(pt, image)
+    geom = pt.u.geom
+    vals = image.u.values.copy()
     vals[0, 0] = np.nextafter(vals[0, 0], np.inf)
-    points[k] = NehariPoint(u=ScalarField.from_values(geom, vals), psi=points[k].psi,
-                            constraint_norm=points[k].constraint_norm, params=points[k].params)
+    drifted = NehariPoint(u=ScalarField.from_values(geom, vals), psi=image.psi,
+                          constraint_norm=image.constraint_norm, params=image.params)
     with pytest.raises(CertificationError, match="equivariance drift"):
-        certify_equivariance(points)
+        certify_equivariance(pt, drifted)
+
+
+def test_family_frees_a_failed_attempt_before_retrying(mp16, chi256, monkeypatch):
+    # the grid-16 family passes on its first attempt, so its first solve is
+    # given a positive J: the attempt fails, and every point it solved or
+    # sigma-imaged, 16 of each, is freed when the retry's first fiber solve
+    # starts
+    geom, basis, params = mp16
+    consts = linking_constants(params, basis)
+    half = 16
+    orig_solve, orig_sigma = sshg.sweepout.fiber_solve, sshg.sweepout._sigma_point
+    first_attempt, freed_at_retry = [], []
+
+    def solve(*args, **kwargs):
+        if len(first_attempt) == 2 * half and not freed_at_retry:  # the retry's first
+            gc.collect()
+            freed_at_retry.extend(ref() is None for ref in first_attempt)
+        pt = orig_solve(*args, **kwargs)
+        if len(first_attempt) < 2 * half:
+            if not first_attempt:
+                pt.J = 1.0
+            first_attempt.append(weakref.ref(pt))
+        return pt
+
+    def sigma(pt):
+        image = orig_sigma(pt)
+        if len(first_attempt) < 2 * half:
+            first_attempt.append(weakref.ref(image))
+        return image
+
+    monkeypatch.setattr(sshg.sweepout, "fiber_solve", solve)
+    monkeypatch.setattr(sshg.sweepout, "_sigma_point", sigma)
+    fam = equivariant_family(consts.T, consts.s, chi256, params, basis,
+                             n_theta=32, n_theta_disk=8)
+    assert fam.s == 1.5 * consts.s and max(fam.energies) < 0
+    assert len(freed_at_retry) == 2 * half and all(freed_at_retry)
+
+
+def test_disk_starts_with_only_the_ring_of_the_family_alive(monkeypatch):
+    # when the deformation of the grid-16 run's disk starts, the only family
+    # points alive are the ring the disk holds as its frozen outer nodes: no
+    # other orbit representative and no sigma-image
+    orig_family, orig_solve = sshg.runner.equivariant_family, sshg.sweepout.fiber_solve
+    orig_sigma = sshg.sweepout._sigma_point
+    building, family_points, at_disk = [False], [], {}
+
+    class DiskStarted(Exception):
+        pass
+
+    def family(*args, **kwargs):
+        building[0] = True
+        try:
+            return orig_family(*args, **kwargs)
+        finally:
+            building[0] = False
+
+    def solve(*args, **kwargs):
+        pt = orig_solve(*args, **kwargs)
+        if building[0]:
+            family_points.append(weakref.ref(pt))
+        return pt
+
+    def sigma(pt):
+        image = orig_sigma(pt)
+        family_points.append(weakref.ref(image))
+        return image
+
+    def deform(nodes, frozen, *args, **kwargs):
+        gc.collect()
+        ring = [nd for nd, fz in zip(nodes, frozen) if fz]
+        at_disk["alive"] = [ref() is not None for ref in family_points]
+        at_disk["in_ring"] = [any(ref() is nd for nd in ring) for ref in family_points]
+        raise DiskStarted
+
+    monkeypatch.setattr(sshg.runner, "equivariant_family", family)
+    monkeypatch.setattr(sshg.sweepout, "fiber_solve", solve)
+    monkeypatch.setattr(sshg.sweepout, "_sigma_point", sigma)
+    monkeypatch.setattr(sshg.sweepout, "minmax_deform", deform)
+    with pytest.raises(DiskStarted):
+        run(RunConfig.from_dict(CONFIG))
+    assert len(family_points) == CONFIG["n_theta"]
+    assert at_disk["alive"] == at_disk["in_ring"]
+    assert sum(at_disk["in_ring"]) == CONFIG["n_theta_disk"] // 2
 
 
 def test_disk_mesh_builds_each_orbit_once():
@@ -169,8 +272,7 @@ def test_disk_minmax_builds_no_sigma_images(mp16, family16, monkeypatch):
 
     monkeypatch.setattr(sshg.sweepout, "_sigma_point", refuse)
     config = MinmaxConfig(path_nodes=9, grad_tol=1e-3, max_outer=3, seed=0)
-    rec, diags = equivariant_disk_minmax(family16, config, params, basis,
-                                         n_theta_disk=8, n_radii=3)
+    rec, diags = equivariant_disk_minmax(family16, config, params, basis, n_radii=3)
     assert diags.bounded()
 
 
@@ -190,8 +292,7 @@ def test_disk_minmax_unchanged_when_every_ridge_sample_is_solved(mp16, family16,
 
     def disk():
         solves.clear()
-        rec, diags = equivariant_disk_minmax(family16, config, params, basis,
-                                             n_theta_disk=8, n_radii=3)
+        rec, diags = equivariant_disk_minmax(family16, config, params, basis, n_radii=3)
         return rec, diags, len(solves)
 
     monkeypatch.setattr(sshg.minmax, "_interp_points", counting_interp)
@@ -222,8 +323,7 @@ def test_disk_minmax_and_restart(mp16, family16):
     c1 = rec1.level
 
     config = MinmaxConfig(path_nodes=9, grad_tol=1e-3, max_outer=40, seed=0)
-    rec2, diags = equivariant_disk_minmax(fam, config, params, basis,
-                                          n_theta_disk=8, n_radii=3)
+    rec2, diags = equivariant_disk_minmax(fam, config, params, basis, n_radii=3)
     c2 = rec2.level
     assert diags.bounded()
     assert c2 >= c1 - 1e-9
@@ -237,15 +337,21 @@ def test_disk_minmax_and_restart(mp16, family16):
         assert records_distinct(rec1, rec2)
 
 
-def test_disk_minmax_refuses_bad_theta_sampling(mp16, family16):
+def test_disk_minmax_refuses_bad_theta_sampling(mp16, chi256, monkeypatch):
     # 32 family angles: 10 and 6 do not divide 32, 2 is below 4; each used
-    # to be replaced silently by another sampling
+    # to be replaced silently by another sampling.  The family keeps the
+    # disk's angles, so it refuses them, before any solve
     geom, basis, params = mp16
-    config = MinmaxConfig(path_nodes=9, grad_tol=1e-3, max_outer=3, seed=0)
+    consts = linking_constants(params, basis)
+
+    def refuse(*args, **kwargs):
+        pytest.fail("the family solved before checking the disk's sampling")
+
+    monkeypatch.setattr(sshg.sweepout, "fiber_solve", refuse)
     for n_theta_disk in (10, 6, 2):
         with pytest.raises(ConfigError, match="n_theta_disk"):
-            equivariant_disk_minmax(family16, config, params, basis,
-                                    n_theta_disk=n_theta_disk, n_radii=3)
+            equivariant_family(consts.T, consts.s, chi256, params, basis,
+                               n_theta=32, n_theta_disk=n_theta_disk)
 
 
 def test_orthogonal_restart_direct(mp16, family16):
@@ -269,11 +375,17 @@ def test_orthogonal_restart_direct(mp16, family16):
     assert rec3.classification == "nontrivial"
     # the restricted level cannot drop below the free min-max floor
     assert rec3.level > 0
-    # theta-antisymmetry of the pairing: p(theta) + p(theta + pi) = 0
-    half = len(fam) // 2
+    # theta-antisymmetry of the pairing: p(theta) + p(theta + pi) = 0, with
+    # u_theta = chi(theta,.) * u_bar as the restart forms it
+    thetas = fam.theta_grid
+    half = len(thetas) // 2
+
+    def u_at(theta):
+        return ScalarField.from_values(geom, fam.chi.evaluate(float(theta), geom) * fam.u_bar)
+
     for i in range(0, half, 4):
-        a = sobolev_inner(rec1.point.u, fam.points[i].u)
-        b = sobolev_inner(rec1.point.u, fam.points[i + half].u)
+        a = sobolev_inner(rec1.point.u, u_at(thetas[i]))
+        b = sobolev_inner(rec1.point.u, u_at(thetas[i + half]))
         assert abs(a + b) <= 1e-9 * (1 + abs(a))
 
 

@@ -32,9 +32,21 @@ ceilings are the counts measured for the two grid-16 configs below, the
 case-1 multiplicity run and the default mountain pass, whose descent hands
 off to one Newton trial at outer iteration 30 instead of spending its
 150-step budget; a change that lowers them lowers the ceilings too.
+
+Memory is guarded the same way: `tracemalloc`'s peak over one run of the
+grid-16 multiplicity config, after a first run has filled the caches keyed
+on its geometry, stays under `PEAK_CEILING_MB`.  The equivariant family
+keeps only J at each angle and the ring the disk reads, and the sweepout
+profile is certified one grid line at a time; the peak, 0.72 MB, now sits
+in the disk's Newton trial.  It read 2.71 MB before those changes, set
+then by the 256 x 256 profile grids (the family itself held 0.47 MB of
+points through the disk).  The ceiling is that 0.72 MB plus about 10 %;
+a change that lowers the peak lowers the ceiling too.
 """
 
+import gc
 import sys
+import tracemalloc
 
 import sshg.action
 import sshg.krylov
@@ -62,6 +74,8 @@ CEILINGS = {
     "newton_refine": 2,
     "fft": 633,
 }
+
+PEAK_CEILING_MB = 0.8
 
 MOUNTAIN_PASS = {
     "grid_n": 16, "spin_delta": [0.5, 0.5], "rho": 0.5, "mode": "mountain_pass",
@@ -152,3 +166,15 @@ def test_mountain_pass_hands_off_within_its_work_counts(monkeypatch):
     # a hand-off that stops firing spends the whole budget: about five
     # times these counts
     _check(_work_counts(monkeypatch, MOUNTAIN_PASS), MOUNTAIN_PASS_CEILINGS)
+
+
+def test_multiplicity_peak_memory_stays_under_its_ceiling():
+    run(RunConfig.from_dict(CONFIG))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run(RunConfig.from_dict(CONFIG))
+        peak = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert peak <= PEAK_CEILING_MB, f"peak {peak:.3f} MB > {PEAK_CEILING_MB} MB"
