@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, OverflowGuardError
-from .fields import ScalarField, SpinorField, constant_value, pack, stacked_coeffs, stacked_values
+from .fields import ScalarField, SpinorField, pack, stacked_coeffs, stacked_values
 from .spectral import (
     dirac_apply,
     l2_inner,
@@ -47,10 +47,12 @@ class ActionParams:
 
 
 def check_overflow(u) -> np.ndarray:
-    """The grid values of u, a ScalarField or a stack of grid values,
-    refused beyond U_CAP."""
-    vals = u.values if isinstance(u, ScalarField) else u
-    m = float(np.max(np.abs(vals)))
+    """The grid values of u, a ScalarField (whose kept max|u| is read) or a
+    stack of grid values, refused beyond U_CAP."""
+    if isinstance(u, ScalarField):
+        vals, m = u.values, u.max_abs
+    else:
+        vals, m = u, float(np.max(np.abs(u)))
     if not m <= U_CAP:  # a NaN compares false, so it is refused too
         raise OverflowGuardError(
             f"max|u| = {m:.6g} is not finite or exceeds the overflow cap U_CAP = {U_CAP:g}"
@@ -78,7 +80,7 @@ def evaluate_J(u: ScalarField, psi: SpinorField, params: ActionParams) -> float:
     rho = params.rho
     grad_term, sinh_term = scalar_terms(geom, u.coeffs, uv, rho)
     dirac_term = 8.0 * l2_inner(dirac_apply(psi), psi)
-    c = constant_value(uv)
+    c = u.common_value
     if c is None:
         cosh_term = -8.0 * rho * geom.quad_weight * float(np.sum(np.cosh(uv) * psi.density()))
     else:

@@ -17,7 +17,10 @@ With these normalizations the grid quadrature of |field|^2 equals L^2 *
 sum |coeff|^2 (either basis) exactly for resolved fields (discrete Parseval).
 
 A grid function whose values are all equal has the single Fourier mode
-k = 0, so constant scalars and constant multipliers skip the FFTs.
+k = 0, so constant scalars and constant multipliers skip the FFTs.  A
+scalar field tests its constancy and finds its max|u| once, on first read
+(`ScalarField.common_value`, `ScalarField.max_abs`), and keeps both: a
+field's arrays are not mutated after construction, so neither goes stale.
 """
 
 from __future__ import annotations
@@ -41,15 +44,20 @@ def constant_value(a: np.ndarray):
     return first
 
 
-class ScalarField:
-    """Real function on the torus; values and Fourier coefficients on demand."""
+_UNREAD = object()   # a kept grid fact not computed yet
 
-    __slots__ = ("geom", "_values", "_coeffs")
+
+class ScalarField:
+    """Real function on the torus; values, Fourier coefficients, the common
+    value and max|u| on demand, each computed at most once."""
+
+    __slots__ = ("geom", "_values", "_coeffs", "_common", "_max_abs")
 
     def __init__(self, geom: TorusGeometry, values=None, coeffs=None):
         self.geom = geom
         self._values = values
         self._coeffs = coeffs
+        self._common = self._max_abs = _UNREAD
 
     # -- constructors ---------------------------------------------------------
 
@@ -85,9 +93,24 @@ class ScalarField:
         return self._values
 
     @property
+    def common_value(self):
+        """`constant_value` of the grid values: their common value if all
+        are equal, else None; computed once."""
+        if self._common is _UNREAD:
+            self._common = constant_value(self.values)
+        return self._common
+
+    @property
+    def max_abs(self) -> float:
+        """max |u| over the grid values (NaN if any is NaN); computed once."""
+        if self._max_abs is _UNREAD:
+            self._max_abs = float(np.max(np.abs(self.values)))
+        return self._max_abs
+
+    @property
     def coeffs(self) -> np.ndarray:
         if self._coeffs is None:
-            c = constant_value(self._values)
+            c = self.common_value
             if c is None:
                 self._coeffs = np.fft.fft2(self._values) / self.geom.grid_n ** 2
             else:

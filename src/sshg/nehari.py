@@ -209,7 +209,7 @@ def fiber_energy_bounds(a, b, weights, params: ActionParams) -> np.ndarray:
     forms = np.stack((one.sum(-1), lam[:, 0] - lam[:, 1], *sums[2:, :, 1]))
     norm_sq, dirac, g_lam2, g_lam, g_one = forms @ np.stack(
         ((1.0 - w) ** 2, 2.0 * w * (1.0 - w), w ** 2))
-    ua, ub = constant_value(a.u.values), constant_value(b.u.values)
+    ua, ub = a.u.common_value, b.u.common_value
     if ua is None or ub is None:
         uv = check_overflow((1.0 - ws) * a.u.values + ws * b.u.values)
         grad_term, sinh_term = scalar_terms(geom, (1.0 - ws) * a.u.coeffs + ws * b.u.coeffs,
@@ -285,6 +285,11 @@ def fiber_solve(u: ScalarField, psi_free: SpinorField, params: ActionParams,
     spinor), the right-hand side and the certificate are E^- vectors given
     by their a- rows.  CG is preconditioned with 1/a0 (`mean_field_symbol`),
     the exact inverse of -A at constant u.
+
+    At constant u, D - rho cosh u commutes with P^-, so a psi_free whose
+    masked a- row is exactly zero is its own fiber point, G = 0 exactly:
+    it is returned as CG would return it (-0.0 entries of its a- row read
+    +0.0), with constraint_norm 0.0, and no operator is applied.
     """
     geom = u.geom
     uv = check_overflow(u)
@@ -293,8 +298,14 @@ def fiber_solve(u: ScalarField, psi_free: SpinorField, params: ActionParams,
     if not np.isfinite(free_scale):
         raise OverflowGuardError(f"psi_free is not finite (H^1/2 norm {free_scale:.6g})")
     neg_row = psi_free.eig[1] * subspace_mask(geom, "minus", None)[1]
-    if _row_norm(geom, neg_row) > 1e-10 * max(free_scale, 1.0):
+    zero_row = not neg_row.any()
+    if not zero_row and _row_norm(geom, neg_row) > 1e-10 * max(free_scale, 1.0):
         raise ConfigError("fiber_solve expects psi_free with zero negative part")
+    if zero_row and u.common_value is not None:
+        eig = psi_free.eig.copy()
+        eig[1] += 0.0
+        return NehariPoint(u=u, psi=SpinorField(geom, eig=eig), constraint_norm=0.0,
+                           params=params)
 
     g_map = _fiber_map(geom, np.cosh(uv), params.rho)
     b = g_map(psi_free)
@@ -307,8 +318,7 @@ def fiber_solve(u: ScalarField, psi_free: SpinorField, params: ActionParams,
     eig = psi_free.eig.copy()
     eig[1] += minus
     psi = SpinorField(geom, eig=eig)
-    # psi is psi_free when CG moved nothing (at constant u it never
-    # iterates), and its G is then b
+    # psi is psi_free when CG moved nothing, and its G is then b
     cert = _row_norm(geom, g_map(psi) if minus.any() else b)
     if not cert <= FIBER_CERT * max(free_scale, 1.0):
         raise CertificationError(f"fiber residual {cert:.3e} exceeds FIBER_CERT max(|psi_free|, 1)")

@@ -196,10 +196,11 @@ def _sigma_point(pt: NehariPoint) -> NehariPoint:
 
 
 def _family_attempt(u_bar, s, chi, params, basis, thetas, stride):
-    """(J at every angle of `thetas`, the ring) of one attempt.  Each orbit
-    representative is solved, warm-started from the last, its J read and
-    its sigma-image formed, certified and dropped; the mirror half's
-    energies are the first half's."""
+    """(J at every angle of `thetas`, the ring) of one attempt, or, if some
+    J is not negative, (J up to the first such angle, None): the attempt
+    stops there.  Each orbit representative is solved, warm-started from
+    the last, its J read and its sigma-image formed, certified and dropped;
+    the mirror half's energies are the first half's."""
     geom = basis.geom
     psi1 = basis.eigenspinor(1)
     energies, ring = [], []
@@ -209,6 +210,8 @@ def _family_attempt(u_bar, s, chi, params, basis, thetas, stride):
         pt = fiber_solve(u, s * psi1, params, x0=warm)
         warm = project(pt.psi, "minus")
         energies.append(pt.J)
+        if not pt.J < 0.0:
+            return energies, None
         certify_equivariance(pt, _sigma_point(pt))
         if i % stride == 0:
             ring.append(pt)
@@ -233,9 +236,10 @@ def equivariant_family(u_bar: float, s: float, chi: SweepoutChi, params: ActionP
     keeps the n_theta_disk / 2 representatives the disk reads.
 
     u_theta = chi(theta,.) * u_bar; the fiber part is continued in theta with
-    warm starts.  Certification failure retries with larger s (then u_bar,
-    then a smaller-epsilon sweepout when the grid permits); a failed
-    attempt is released before the retry solves.
+    warm starts.  An attempt stops at its first angle with J >= 0 and keeps
+    none of its points; the retry takes a larger s (then u_bar, then a
+    smaller-epsilon sweepout when the grid permits), and the error after
+    the last retry names that angle and its J.
     """
     check_n_theta_disk(n_theta, n_theta_disk)
     thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
@@ -245,16 +249,14 @@ def equivariant_family(u_bar: float, s: float, chi: SweepoutChi, params: ActionP
     cur_u, cur_s, cur_chi = float(u_bar), float(s), chi
     while True:
         energies, ring = _family_attempt(cur_u, cur_s, cur_chi, params, basis, thetas, stride)
-        if max(energies) < 0.0:
+        if ring is not None:
             return EquivariantFamily(theta_grid=thetas, energies=energies, ring=ring,
                                      u_bar=cur_u, s=cur_s, chi=cur_chi)
-        del ring
         attempt += 1
         if attempt > FAMILY_RETRIES:
             raise CertificationError(
                 f"equivariant family certification failed after {FAMILY_RETRIES} retries: "
-                f"J = {max(energies):.4g} > 0 at theta = "
-                f"{thetas[int(np.argmax(energies))]:.4f}"
+                f"J = {energies[-1]:.4g} >= 0 at theta = {thetas[len(energies) - 1]:.4f}"
             )
         cur_s *= 1.5
         if attempt >= 2:

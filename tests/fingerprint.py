@@ -13,6 +13,11 @@ the run wrote, by sorted name; then the run's levels, each record's
 trees print the same line for a config exactly when their outputs and
 files agree bit for bit; where a rounding-level change moves the hash, the
 tail of the line shows whether it moved a classification or an exit.
+
+`fingerprints.txt` holds the committed lines, which `test_fingerprints.py`
+checks in tier-1; a change that moves a line on purpose rewrites the file
+(`PYTHONPATH=src python tests/fingerprint.py > tests/fingerprints.txt`) and
+says why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -72,14 +77,19 @@ def fingerprint(config: dict) -> tuple[str, dict]:
     return digest.hexdigest(), output
 
 
+def line(name: str) -> str:
+    """The printed line of the config `name`."""
+    digest, output = fingerprint(CONFIGS[name])
+    shown = [f"{k}={v!r}" for k, v in output.get("levels", {}).items()]
+    shown += [f"record{i}={r['classification']}/refined={r['refined']}/exit={r['exit']}"
+              for i, r in enumerate(output["records"])]
+    shown.append(f"converged={output['converged']}")
+    return f"{name} {digest} {' '.join(shown)}"
+
+
 def main(names) -> None:
     for name in names or CONFIGS:
-        digest, output = fingerprint(CONFIGS[name])
-        shown = [f"{k}={v!r}" for k, v in output.get("levels", {}).items()]
-        shown += [f"record{i}={r['classification']}/refined={r['refined']}/exit={r['exit']}"
-                  for i, r in enumerate(output["records"])]
-        shown.append(f"converged={output['converged']}")
-        print(f"{name} {digest} {' '.join(shown)}", flush=True)
+        print(line(name), flush=True)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 Each is an independent route to a quantity the package computes another
 way (grid quadrature against Parseval, H^{-s} dual norms against Riesz
-norms, the dense constraint against its a- row, the field-pair first
+norms, the dense constraint against its a- row, the fiber solve's CG path
+against its constant-u shortcut, the field-pair first
 variation, Riesz maps, Re<psi, phi> and the constraint derivative against
 the packed (u, psi) arrays and `hess_vec`, CG's plain expressions against
 its in-place updates, the whole stored equivariant family against the J
@@ -13,6 +14,7 @@ checkpoints that `checkpoint_save` and `save_point` write.
 """
 
 import struct
+from functools import partial
 
 import numpy as np
 
@@ -21,10 +23,20 @@ from sshg.checkpoint import MAGIC, VERSION
 from sshg.errors import CheckpointFormatError, ConditioningError, SSHGError
 from sshg.fields import ScalarField, SpinorField, pack, unpack
 from sshg.geometry import TorusGeometry
-from sshg.krylov import SolveInfo
-from sshg.nehari import NehariPoint, _fiber_map, _row_inner, fiber_solve
+from sshg.krylov import SolveInfo, cg
+from sshg.nehari import (
+    FIBER_MAXITER,
+    FIBER_TOL,
+    NehariPoint,
+    _fiber_map,
+    _mean_field_precond,
+    _row_inner,
+    _row_norm,
+    fiber_solve,
+)
 from sshg.spectral import (
     dirac_apply,
+    hhalf_norm,
     l2_inner,
     laplace_apply,
     project,
@@ -240,6 +252,26 @@ def constraint_G(u: ScalarField, psi: SpinorField, params) -> SpinorField:
     negative spectral subspace: the dense form of `nehari._fiber_map`."""
     cosh_u = np.cosh(check_overflow(u))
     return project(riesz_hhalf(dirac_minus_potential(psi, cosh_u, params.rho)), "minus")
+
+
+def cg_fiber_point(u: ScalarField, psi_free: SpinorField, params, x0=None):
+    """(eigen-coordinates, certificate) of the point `fiber_solve` returns,
+    by its CG path alone, which the constant-u shortcut skips: the right-hand
+    side b = G(u, psi_free) on the a- row, CG's update added to psi_free's
+    a- row, and the residual row's H^{1/2} norm."""
+    geom = u.geom
+    uv = check_overflow(u)
+    free_scale = hhalf_norm(psi_free)
+    g_map = _fiber_map(geom, np.cosh(uv), params.rho)
+    b = g_map(psi_free)
+    minus, _ = cg(lambda phi: -1.0 * g_map(phi), b, partial(_row_inner, geom),
+                  x0=None if x0 is None else x0.eig[1], tol=FIBER_TOL, maxiter=FIBER_MAXITER,
+                  atol=1e-14 * max(free_scale, 1.0),
+                  precond=_mean_field_precond(geom, params.rho, uv, 1))
+    eig = psi_free.eig.copy()
+    eig[1] += minus
+    residual = g_map(SpinorField(geom, eig=eig)) if minus.any() else b
+    return eig, _row_norm(geom, residual)
 
 
 def fiber_rayleigh_margin(u: ScalarField, params, rng, n_samples: int = 50) -> float:

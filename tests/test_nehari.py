@@ -79,6 +79,14 @@ def bounded_scalar(geom, rng, h1_cap=1.0):
     return u * (h1_cap / max(h1_norm(u), 1e-12))
 
 
+def with_minus_row(free, rng, norm=1e-12):
+    """free plus an E^- spinor of H^1/2 norm `norm`, below the 1e-10 zero
+    negative part fiber_solve checks: a constant-u solve from it still runs
+    CG, since psi_free is its own fiber point only with a zero a- row."""
+    minus = project(random_spinor(free.geom, rng), "minus")
+    return free + (norm / hhalf_norm(minus)) * minus
+
+
 def test_constraint_examples(setup16):
     geom, basis, params = setup16
     zero_u = ScalarField.zeros(geom)
@@ -121,35 +129,44 @@ def test_fiber_solve_certifies(setup16):
 def test_fiber_residual_is_enforced(setup16, monkeypatch):
     # an inner solve that lands off the fiber by a minus-part row of H^1/2
     # norm 1e-6 is refused, not stored as the point's constraint_norm, at
-    # constant u (CG never iterates) and at non-constant u (it does)
+    # constant u and at non-constant u; at constant u psi_free carries an
+    # a- row of norm 1e-12, so the solve reaches CG
     import sshg.nehari
     geom, basis, params = setup16
     cg = sshg.nehari.cg
     kick = basis.eigenspinor(-1)
     kick = ((1e-6 / hhalf_norm(kick)) * kick).eig[1]
+    calls = []
 
     def off_fiber_cg(*args, **kwargs):
+        calls.append(1)
         x, info = cg(*args, **kwargs)
         return x + kick, info
 
     monkeypatch.setattr(sshg.nehari, "cg", off_fiber_cg)
     rng = np.random.default_rng(7)
-    for u in (ScalarField.constant(geom, 0.8), bounded_scalar(geom, rng)):
+    free = basis.eigenspinor(1)
+    cases = ((ScalarField.constant(geom, 0.8), with_minus_row(free, rng)),
+             (bounded_scalar(geom, rng), free))
+    for u, psi_free in cases:
+        calls.clear()
         with pytest.raises(CertificationError, match="fiber residual"):
-            fiber_solve(u, basis.eigenspinor(1), params)
+            fiber_solve(u, psi_free, params)
+        assert calls == [1]
 
 
 def test_fiber_solve_without_cg_work_certifies_with_the_right_hand_side(setup16, monkeypatch):
     # when CG returns 0 b without iterating, psi is psi_free and its residual
     # row is b: the certificate is ||b||, bitwise what recomputing G gives,
-    # formed with one row map (b's) and still enforced
+    # formed with one row map (b's) and still enforced.  At constant u with
+    # a zero a- row psi_free is its own fiber point: no row map at all
     geom, basis, params = setup16
     rng = np.random.default_rng(3)
     u = bounded_scalar(geom, rng)
     cases = [
-        (ScalarField.constant(geom, 0.8), basis.eigenspinor(1) + basis.eigenspinor(2)),
-        (u, SpinorField.zeros(geom)),
-        (u, free_spinor(geom, rng, amp=1e-20)),   # b below CG's absolute floor
+        (ScalarField.constant(geom, 0.8), basis.eigenspinor(1) + basis.eigenspinor(2), 0),
+        (u, SpinorField.zeros(geom), 1),
+        (u, free_spinor(geom, rng, amp=1e-20), 1),   # b below CG's absolute floor
     ]
     maps = []
     orig = sshg.nehari._fiber_map
@@ -162,11 +179,11 @@ def test_fiber_solve_without_cg_work_certifies_with_the_right_hand_side(setup16,
             return apply(psi)
         return counted
 
-    for u_c, free in cases:
+    for u_c, free, applies in cases:
         monkeypatch.setattr(sshg.nehari, "_fiber_map", counting_fiber_map)
         maps.clear()
         pt = fiber_solve(u_c, free, params)
-        assert len(maps) == 1
+        assert len(maps) == applies
         monkeypatch.undo()
         assert not (pt.psi - free).eig.any()
         b_norm = hhalf_norm(constraint_G(u_c, free, params))
@@ -230,16 +247,18 @@ def test_fiber_preconditioner_inverts_the_fiber_operator_at_constant_u(delta, mo
     # at constant u, -A (the fiber solve's CG operator) is the multiplier
     # a0 on the a- row, so its preconditioner 1/a0 is the exact inverse and
     # CG, given the fiber solve's own operator, metric and preconditioner,
-    # converges in one iteration on any E^- right-hand side
+    # converges in one iteration on any E^- right-hand side.  The operator
+    # is captured from a solve whose psi_free has an a- row of norm 1e-12,
+    # which still runs CG, and which it solves in one iteration too
     geom = TorusGeometry(grid_n=16, spin_delta=delta)
     params = ActionParams(rho=0.5)
     rng = np.random.default_rng(12)
     calls = []
     monkeypatch.setattr(sshg.nehari, "cg", _recording_cg(cg, calls))
-    free = free_spinor(geom, rng)
+    free = with_minus_row(free_spinor(geom, rng), rng)
     fiber_solve(ScalarField.constant(geom, 1.3), free, params)
     ((apply_op, _, inner, kwargs, info),) = calls
-    assert info.iterations == 0
+    assert info.iterations == 1
     precond = kwargs["precond"]
     for _ in range(3):
         rhs = project(random_spinor(geom, rng), "minus").eig[1]

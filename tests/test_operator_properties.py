@@ -113,20 +113,25 @@ def test_values_and_coeffs_round_trip(n, delta, seed):
 @PROPERTY
 @given(n=GRIDS, delta=DELTAS, seed=SEEDS, c=st.floats(-3.0, 3.0, allow_nan=False), rho=RHOS)
 def test_fiber_solve_is_exact_for_constant_u_and_a_plus_spinor(n, delta, seed, c, rho):
-    # D - rho cosh(c) commutes with P^-, so the right-hand side is exactly 0
+    # D - rho cosh(c) commutes with P^-, so G at psi_free is exactly 0:
+    # psi_free is its own fiber point, returned without a CG call, its a-
+    # row's -0.0 entries read +0.0 as CG's +0 update left them
     geom, psi = _geom_and_spinor(n, delta, seed, decay=1.5)
     assume(geom.spectral_gap(rho) > 1e-6)
-    iters = []
+    calls = []
     real = sshg.nehari.cg
 
     def counted(*args, **kwargs):
-        out = real(*args, **kwargs)
-        iters.append(out[1].iterations)
-        return out
+        calls.append(1)
+        return real(*args, **kwargs)
 
+    free = project(psi, "plus")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sshg.nehari, "cg", counted)
-        point = fiber_solve(ScalarField.constant(geom, c), project(psi, "plus"),
-                            ActionParams(rho=rho))
+        point = fiber_solve(ScalarField.constant(geom, c), free, ActionParams(rho=rho))
     assert point.constraint_norm == 0.0
-    assert iters == [0]
+    assert calls == []
+    expect = free.eig.copy()
+    expect[1] += 0.0
+    assert np.array_equal(point.psi.eig, free.eig)
+    assert point.psi.eig.tobytes() == expect.tobytes()

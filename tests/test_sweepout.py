@@ -154,30 +154,31 @@ def test_equivariance_certificate_refuses_one_ulp(family16):
 
 
 def test_family_frees_a_failed_attempt_before_retrying(mp16, chi256, monkeypatch):
-    # the grid-16 family passes on its first attempt, so its first solve is
-    # given a positive J: the attempt fails, and every point it solved or
-    # sigma-imaged, 16 of each, is freed when the retry's first fiber solve
-    # starts
+    # the grid-16 family passes on its first attempt, so its solve at angle
+    # index 5 is given J = 0.0: the attempt stops there, after 6 solves and
+    # 5 sigma-images (the ring had taken angles 0 and 4), and every one of
+    # those points is freed when the retry's first fiber solve starts
     geom, basis, params = mp16
     consts = linking_constants(params, basis)
-    half = 16
+    fail = 5
     orig_solve, orig_sigma = sshg.sweepout.fiber_solve, sshg.sweepout._sigma_point
-    first_attempt, freed_at_retry = [], []
+    solves, first_attempt, freed_at_retry = [], [], []
 
     def solve(*args, **kwargs):
-        if len(first_attempt) == 2 * half and not freed_at_retry:  # the retry's first
+        if len(solves) == fail + 1:   # the retry's first
             gc.collect()
             freed_at_retry.extend(ref() is None for ref in first_attempt)
         pt = orig_solve(*args, **kwargs)
-        if len(first_attempt) < 2 * half:
-            if not first_attempt:
-                pt.J = 1.0
+        solves.append(1)
+        if len(solves) <= fail + 1:
+            if len(solves) == fail + 1:
+                pt.J = 0.0
             first_attempt.append(weakref.ref(pt))
         return pt
 
     def sigma(pt):
         image = orig_sigma(pt)
-        if len(first_attempt) < 2 * half:
+        if len(solves) <= fail + 1:
             first_attempt.append(weakref.ref(image))
         return image
 
@@ -186,7 +187,35 @@ def test_family_frees_a_failed_attempt_before_retrying(mp16, chi256, monkeypatch
     fam = equivariant_family(consts.T, consts.s, chi256, params, basis,
                              n_theta=32, n_theta_disk=8)
     assert fam.s == 1.5 * consts.s and max(fam.energies) < 0
-    assert len(freed_at_retry) == 2 * half and all(freed_at_retry)
+    assert len(solves) == fail + 1 + 16
+    assert len(freed_at_retry) == 2 * fail + 1 and all(freed_at_retry)
+
+
+def test_family_failure_names_the_first_angle_with_nonnegative_J(mp16, chi256, monkeypatch):
+    # in every attempt the solve at angle index k >= 2 is given
+    # J = 0.25 (k - 1): each attempt stops after angle 2, and the error after
+    # the last retry names angle 2 and its J, not the larger J further on.
+    # An attempt's first solve is the one without a warm start
+    geom, basis, params = mp16
+    consts = linking_constants(params, basis)
+    orig_solve = sshg.sweepout.fiber_solve
+    solved = []
+
+    def solve(u, psi_free, params, x0=None):
+        k = 0 if x0 is None else solved[-1] + 1
+        pt = orig_solve(u, psi_free, params, x0=x0)
+        solved.append(k)
+        if k >= 2:
+            pt.J = 0.25 * (k - 1)
+        return pt
+
+    monkeypatch.setattr(sshg.sweepout, "fiber_solve", solve)
+    theta = 2 * 2.0 * np.pi / 32
+    with pytest.raises(CertificationError,
+                       match=f"after 3 retries: J = 0.25 >= 0 at theta = {theta:.4f}"):
+        equivariant_family(consts.T, consts.s, chi256, params, basis,
+                           n_theta=32, n_theta_disk=8)
+    assert solved == [0, 1, 2] * 4
 
 
 def test_disk_starts_with_only_the_ring_of_the_family_alive(monkeypatch):

@@ -15,10 +15,14 @@ beats every remaining bound, so most of its samples count as bounds, not
 as fiber solves, J evaluations or CG work.
 A point keeps its J once evaluated (`nehari.NehariPoint.J`), so no
 (u, psi) pair is passed to `evaluate_J` twice.
-Both CG solves, fiber and multiplier, are preconditioned with the
-mean-field Dirac symbol (`nehari.mean_field_symbol`), which is formed only
-once a solve iterates, so the mountain pass, whose CG solves never
-iterate, keeps every count it had without it.
+A fiber solve at constant u whose free spinor has a zero a- row returns
+it as its own fiber point without calling CG (`nehari.fiber_solve`).
+Every fiber solve of the mountain pass is one, so its CG calls are its
+multiplier solves.  Both CG solves, fiber and multiplier, are
+preconditioned with the mean-field Dirac symbol
+(`nehari.mean_field_symbol`), which is formed only once a solve iterates;
+the mountain pass's multiplier solves never iterate, so it keeps every
+count it had without it.
 The FFTs (fft2/ifft2 through `sshg.fields.np`, the binding the perfbench
 tracer wraps) also move with rounding luck: they depend on whether an
 accepted descent step leaves u exactly constant.  A Hessian product,
@@ -66,7 +70,7 @@ CEILINGS = {
     "fiber_solve": 111,
     "bounded_samples": 420,
     "evaluate_J": 111,
-    "cg.calls": 135,
+    "cg.calls": 61,
     "cg.iters": 85,
     "minres.iters": 14,
     "constrained_gradient": 22,
@@ -86,7 +90,7 @@ MOUNTAIN_PASS_CEILINGS = {
     "fiber_solve": 278,
     "bounded_samples": 894,
     "evaluate_J": 278,
-    "cg.calls": 310,
+    "cg.calls": 32,
     "cg.iters": 0,
     "minres.iters": 6,
     "constrained_gradient": 31,
