@@ -66,11 +66,13 @@ def dirac_minus_potential(psi: SpinorField, cosh_u: np.ndarray, rho: float) -> S
     return dirac_apply(psi) - psi.times(rho * cosh_u)
 
 
-def scalar_terms(geom, coeffs: np.ndarray, uv: np.ndarray, rho: float):
+def scalar_terms(geom, coeffs, uv: np.ndarray, rho: float):
     """int |grad u|^2 (spectral) and 4 rho^2 int sinh(u)^2 (grid), the two
     psi-free terms of J, of each u of a stack of coefficients and grid
-    values (..., n, n)."""
-    grad_term = geom.vol * np.sum(geom.xi_sq * np.abs(coeffs) ** 2, axis=(-2, -1))
+    values (..., n, n); coeffs None stands for a finite constant, whose
+    gradient term is 0.0 (its one mode, k = 0, has xi^2 = 0)."""
+    grad_term = 0.0 if coeffs is None else (
+        geom.vol * np.sum(geom.xi_sq * np.abs(coeffs) ** 2, axis=(-2, -1)))
     return grad_term, 4.0 * rho * rho * geom.quad_weight * np.sum(np.sinh(uv) ** 2, axis=(-2, -1))
 
 
@@ -78,7 +80,7 @@ def evaluate_J(u: ScalarField, psi: SpinorField, params: ActionParams) -> float:
     geom = u.geom
     uv = check_overflow(u)
     rho = params.rho
-    grad_term, sinh_term = scalar_terms(geom, u.coeffs, uv, rho)
+    grad_term, sinh_term = scalar_terms(geom, None if u.compact else u.coeffs, uv, rho)
     dirac_term = 8.0 * l2_inner(dirac_apply(psi), psi)
     c = u.common_value
     if c is None:

@@ -21,6 +21,14 @@ k = 0, so constant scalars and constant multipliers skip the FFTs.  A
 scalar field tests its constancy and finds its max|u| once, on first read
 (`ScalarField.common_value`, `ScalarField.max_abs`), and keeps both: a
 field's arrays are not mutated after construction, so neither goes stale.
+
+`ScalarField.constant` and `ScalarField.zeros` build a compact constant,
+which keeps its common value and max|u| and no grid: its `values` (the
+`np.full` grid) and `coeffs` (c + 0.0 at k = 0, zeros elsewhere) are built
+afresh on every read and never kept.  Arithmetic counts it as holding both
+views, and arithmetic among compact constants is done on their common
+values, elementwise IEEE arithmetic on one entry.  A NaN has no common
+value (`constant_value`), so a NaN constant is kept as a grid.
 """
 
 from __future__ import annotations
@@ -49,7 +57,8 @@ _UNREAD = object()   # a kept grid fact not computed yet
 
 class ScalarField:
     """Real function on the torus; values, Fourier coefficients, the common
-    value and max|u| on demand, each computed at most once."""
+    value and max|u| on demand, each computed at most once, or a compact
+    constant (see the module docstring)."""
 
     __slots__ = ("geom", "_values", "_coeffs", "_common", "_max_abs")
 
@@ -77,17 +86,30 @@ class ScalarField:
 
     @classmethod
     def zeros(cls, geom) -> "ScalarField":
-        return cls(geom, values=np.zeros((geom.grid_n, geom.grid_n)))
+        return cls.constant(geom, 0.0)
 
     @classmethod
     def constant(cls, geom, c: float) -> "ScalarField":
-        return cls(geom, values=np.full((geom.grid_n, geom.grid_n), float(c)))
+        """The compact constant c (a grid if c is NaN)."""
+        c = np.float64(float(c))
+        if np.isnan(c):
+            return cls(geom, values=np.full((geom.grid_n, geom.grid_n), c))
+        field = cls(geom)
+        field._common, field._max_abs = c, float(abs(c))
+        return field
 
     # -- views ------------------------------------------------------------------
 
     @property
+    def compact(self) -> bool:
+        """Whether this is a compact constant, which keeps no grid."""
+        return self._values is None and self._coeffs is None
+
+    @property
     def values(self) -> np.ndarray:
         if self._values is None:
+            if self._coeffs is None:
+                return np.full((self.geom.grid_n, self.geom.grid_n), self._common)
             n2 = self.geom.grid_n ** 2
             self._values = np.fft.ifft2(self._coeffs * n2).real
         return self._values
@@ -109,23 +131,31 @@ class ScalarField:
 
     @property
     def coeffs(self) -> np.ndarray:
-        if self._coeffs is None:
-            c = self.common_value
-            if c is None:
-                self._coeffs = np.fft.fft2(self._values) / self.geom.grid_n ** 2
-            else:
-                self._coeffs = _constant_coeffs(c, np.empty(self._values.shape, dtype=complex))
-        return self._coeffs
+        if self._coeffs is not None:
+            return self._coeffs
+        n = self.geom.grid_n
+        c = self.common_value
+        if c is None:
+            coeffs = np.fft.fft2(self._values) / n ** 2
+        else:
+            coeffs = _constant_coeffs(c, np.empty((n, n), dtype=complex))
+        if not self.compact:
+            self._coeffs = coeffs
+        return coeffs
 
     # -- arithmetic (new objects; used by the descent loops) ---------------------
 
     def _combine(self, op, *others):
-        """op on each view all operands hold (else values): no FFT for a missing view."""
+        """op on each view all operands hold (else values): no FFT for a
+        missing view.  A compact constant holds both; op on compact
+        constants only acts on their common values."""
         fields = (self, *others)
+        if all(f.compact for f in fields):
+            return ScalarField.constant(self.geom, op(*(f._common for f in fields)))
         coeffs = values = None
-        if all(f._coeffs is not None for f in fields):
-            coeffs = op(*(f._coeffs for f in fields))
-        if coeffs is None or all(f._values is not None for f in fields):
+        if all(f.compact or f._coeffs is not None for f in fields):
+            coeffs = op(*(f.coeffs for f in fields))
+        if coeffs is None or all(f.compact or f._values is not None for f in fields):
             values = op(*(f.values for f in fields))
         return ScalarField(self.geom, values=values, coeffs=coeffs)
 

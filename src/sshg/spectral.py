@@ -87,6 +87,12 @@ def sobolev_inner(a, b) -> float:
     g = a.geom
     mult = sobolev_weight(g, type(a))
     if isinstance(a, ScalarField):
+        if a.compact and b.compact:
+            # the k = 0 term alone (weight 1); an infinite product takes the
+            # grid form, whose 0 * inf terms make it NaN
+            p = a.common_value * b.common_value + 0.0
+            if np.isfinite(p):
+                return float(g.vol * p)
         s = np.sum(mult * np.conj(a.coeffs) * b.coeffs)
     else:
         s = np.sum(mult[None, :, :] * np.conj(a.eig) * b.eig)

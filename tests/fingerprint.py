@@ -50,6 +50,11 @@ CONFIGS = {
         "path_nodes": 17, "max_outer": 80, "grad_tol": 1e-3,
         "n_theta": 64, "n_theta_disk": 8, "n_radii": 3, "seed": 1,
     },
+    # the mountain-pass-n64 benchmark workload, seed 1
+    "mountain-pass-n64": {
+        "grid_n": 64, "spin_delta": [0.5, 0.5], "rho": 0.5, "mode": "mountain_pass",
+        "seed": 1,
+    },
     # the linking run of test_acceptance: a non-empty block, filtered descent
     "linking-n32": {
         "grid_n": 32, "spin_delta": [0.5, 0.5], "rho": 1.0, "mode": "linking",

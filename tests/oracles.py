@@ -7,7 +7,8 @@ against its constant-u shortcut, the field-pair first
 variation, Riesz maps, Re<psi, phi> and the constraint derivative against
 the packed (u, psi) arrays and `hess_vec`, CG's plain expressions against
 its in-place updates, the whole stored equivariant family against the J
-values and ring an `EquivariantFamily` keeps), or a helper the tests need and
+values and ring an `EquivariantFamily` keeps, scalar fields that keep
+their grids against compact constants), or a helper the tests need and
 the package does not: grid coordinates, |D|^s, E^- spinors from a- rows,
 the quaternionic structure, Hermitian symmetry, the reader of the
 checkpoints that `checkpoint_save` and `save_point` write.
@@ -21,7 +22,7 @@ import numpy as np
 from sshg.action import ActionParams, check_overflow, dirac_minus_potential, hess_vec, linearize
 from sshg.checkpoint import MAGIC, VERSION
 from sshg.errors import CheckpointFormatError, ConditioningError, SSHGError
-from sshg.fields import ScalarField, SpinorField, pack, unpack
+from sshg.fields import ScalarField, SpinorField, constant_value, pack, unpack
 from sshg.geometry import TorusGeometry
 from sshg.krylov import SolveInfo, cg
 from sshg.nehari import (
@@ -63,6 +64,66 @@ def grid_x2(geom) -> np.ndarray:
     """The second grid coordinate, (n, n)."""
     j = np.arange(geom.grid_n) * (geom.side_length / geom.grid_n)
     return np.ones((geom.grid_n, 1)) * j[None, :]
+
+
+class GridScalar:
+    """A scalar field that keeps every view it computes, a constant
+    included: `ScalarField`'s arithmetic before constants were compact.
+    `constant(geom, c)` holds the grid values, `constant(geom, c, True)`
+    also its coefficients, as a constant did once its J was read."""
+
+    def __init__(self, geom, values=None, coeffs=None):
+        self.geom = geom
+        self._values = values
+        self._coeffs = coeffs
+
+    @classmethod
+    def constant(cls, geom, c, with_coeffs=False):
+        field = cls(geom, values=np.full((geom.grid_n, geom.grid_n), float(c)))
+        if with_coeffs:
+            field.coeffs
+        return field
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = np.fft.ifft2(self._coeffs * self.geom.grid_n ** 2).real
+        return self._values
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        if self._coeffs is None:
+            c = constant_value(self._values)
+            if c is None:
+                self._coeffs = np.fft.fft2(self._values) / self.geom.grid_n ** 2
+            else:
+                self._coeffs = np.zeros(self._values.shape, dtype=complex)
+                self._coeffs[0, 0] = c + 0.0
+        return self._coeffs
+
+    def _combine(self, op, *others):
+        fields = (self, *others)
+        coeffs = values = None
+        if all(f._coeffs is not None for f in fields):
+            coeffs = op(*(f._coeffs for f in fields))
+        if coeffs is None or all(f._values is not None for f in fields):
+            values = op(*(f.values for f in fields))
+        return GridScalar(self.geom, values=values, coeffs=coeffs)
+
+    def __add__(self, other):
+        return self._combine(np.add, other)
+
+    def __sub__(self, other):
+        return self._combine(np.subtract, other)
+
+    def __mul__(self, a: float):
+        a = float(a)
+        return self._combine(lambda x: x * a)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self._combine(np.negative)
 
 
 def hermitian_defect(u: ScalarField) -> float:

@@ -6,7 +6,9 @@ uses discrete Parseval, and at constant u a free spinor with a zero a- row
 is its own fiber point.  Each fast path is checked against the FFT or CG
 formula it replaces, across even grids (powers of two and not) and all spin
 structures.  A scalar field keeps its common value and max|u| once read;
-both are checked against the scans they replace.
+both are checked against the scans they replace.  A compact constant keeps
+no grid: its views, its arithmetic and the readers that skip its grid are
+checked against a field that keeps its grids (`oracles.GridScalar`).
 """
 
 import types
@@ -24,10 +26,11 @@ from sshg.action import U_CAP, ActionParams, check_overflow, evaluate_J
 from sshg.errors import OverflowGuardError
 from sshg.fields import ScalarField, SpinorField, constant_value
 from sshg.geometry import TorusGeometry
-from sshg.nehari import fiber_solve
-from sshg.spectral import dirac_apply, l2_inner, project, subspace_mask
+from sshg.minmax import _interp_points, _product_dist
+from sshg.nehari import fiber_energy_bounds, fiber_solve
+from sshg.spectral import dirac_apply, l2_inner, project, sobolev_inner, subspace_mask
 
-from oracles import cg_fiber_point
+from oracles import GridScalar, cg_fiber_point
 from test_spectral import ALL_DELTAS, random_spinor
 
 GRIDS = st.integers(4, 24).map(lambda h: 2 * h)          # even grids 8..48
@@ -277,3 +280,155 @@ def test_check_overflow_refuses_what_the_kept_max_refuses(bad):
     u = ScalarField.from_values(geom, vals)
     assert check_overflow(u) is u.values
     assert u.max_abs == U_CAP
+
+
+# -- compact constants ----------------------------------------------------------
+
+SPECIAL = (0.0, -0.0, 1.3, -2.5, np.inf, -np.inf, np.nan)
+
+
+def _same(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def _views_match(u, ref):
+    """u's values and coefficients are ref's bit for bit, read twice."""
+    with np.errstate(invalid="ignore"):
+        return all(_same(u.values, ref.values) and _same(u.coeffs, ref.coeffs)
+                   for _ in range(2))
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+@pytest.mark.parametrize("c", SPECIAL)
+def test_compact_constant_matches_the_grid_constant(n, c):
+    # views, common value and max|u| are the grid constant's bit for bit,
+    # with no FFT; the views are built on each read and never kept, and a
+    # NaN, which no grid holds in common, is kept as a grid
+    geom = TorusGeometry(grid_n=n)
+    grid = ScalarField.from_values(geom, np.full((n, n), c))
+    with counting_ffts() as counts:
+        u = ScalarField.constant(geom, c)
+        common, peak = u.common_value, u.max_abs
+        views = _views_match(u, GridScalar.constant(geom, c))
+    assert views
+    assert u.compact == (c == c)
+    if u.compact:
+        assert counts["fft"] == 0
+        assert u.values is not u.values and u.coeffs is not u.coeffs
+    if grid.common_value is None:
+        assert common is None
+    else:
+        assert _same(common, grid.common_value)
+    assert isinstance(peak, float) and _same(peak, grid.max_abs)
+    if c == 0.0:
+        zero = ScalarField.zeros(geom)
+        assert zero.compact and _same(zero.values, np.zeros((n, n)))
+
+
+COMPACT_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.3, -2.5]),
+                           st.floats(-10.0, 10.0, allow_nan=False))
+SCALES = st.one_of(st.sampled_from([0.0, -0.0, -1.0, 0.5]),
+                   st.floats(-3.0, 3.0, allow_nan=False))
+STEPS = st.lists(st.tuples(st.sampled_from(["add", "sub", "rsub", "mul", "neg"]),
+                           COMPACT_VALUES, SCALES), min_size=1, max_size=6)
+
+
+def _step(x, op, other, a):
+    return {"add": lambda: x + other, "sub": lambda: x - other, "rsub": lambda: other - x,
+            "mul": lambda: a * x, "neg": lambda: -x}[op]()
+
+
+@PROPERTY
+@given(n=st.sampled_from([8, 12]), c=COMPACT_VALUES, steps=STEPS)
+def test_arithmetic_among_compact_constants_is_the_grid_arithmetic(n, c, steps):
+    # chains of +, -, scalar * and negation among compact constants stay
+    # compact, and their views are those of the grid constants' arithmetic
+    # on values (a grid constant holding both views would also combine its
+    # coefficients, whose zeros can take the other sign: 0.0 * -1.0)
+    geom = TorusGeometry(grid_n=n)
+    u, ref = ScalarField.constant(geom, c), GridScalar.constant(geom, c)
+    for op, other, a in steps:
+        u = _step(u, op, ScalarField.constant(geom, other), a)
+        ref = _step(ref, op, GridScalar.constant(geom, other), a)
+        assert u.compact
+    assert _views_match(u, ref)
+
+
+def _operand(geom, kind, rng):
+    """A ScalarField and its GridScalar twin: a compact constant (whose twin
+    holds both views, as a constant did once its J was read), or a random
+    field holding only its values or only its coefficients."""
+    if kind == "compact":
+        c = rng.choice([0.0, -0.0, 1.3, -2.5, rng.standard_normal()])
+        return ScalarField.constant(geom, c), GridScalar.constant(geom, c, True)
+    vals = rng.standard_normal((geom.grid_n, geom.grid_n))
+    if kind == "values":
+        return ScalarField.from_values(geom, vals), GridScalar(geom, values=vals)
+    coeffs = np.fft.fft2(vals) / geom.grid_n ** 2
+    return ScalarField.from_coeffs(geom, coeffs), GridScalar(geom, coeffs=coeffs)
+
+
+@PROPERTY
+@given(n=st.sampled_from([8, 12]), first=st.sampled_from(["values", "coeffs"]),
+       rest=st.lists(st.sampled_from(["compact", "values", "coeffs"]), min_size=1, max_size=3),
+       ops=st.lists(st.sampled_from(["add", "sub", "rsub", "mul", "neg"]), min_size=3,
+                    max_size=3), seed=SEEDS)
+def test_mixed_arithmetic_takes_the_grid_constants_route(n, first, rest, ops, seed):
+    # a compact operand counts as holding both views: mixed with fields
+    # holding only values or only coefficients, every result holds the
+    # views the grid arithmetic's does, bit for bit (the chain starts off
+    # constant, so it never combines two compact constants)
+    assume("compact" in rest)
+    geom = TorusGeometry(grid_n=n)
+    rng = np.random.default_rng(seed)
+    operands = [_operand(geom, kind, rng) for kind in (first, *rest)]
+    (u, ref), rest = operands[0], operands[1:]
+    for i, (other, other_ref) in enumerate(rest):
+        a = rng.standard_normal()
+        u, ref = _step(u, ops[i], other, a), _step(ref, ops[i], other_ref, a)
+        assert (u._values is None, u._coeffs is None) == (ref._values is None,
+                                                          ref._coeffs is None)
+    assert _views_match(u, ref)
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_compact_readers_are_the_grid_results(n):
+    # J, the H^1 pairing and the overflow guard read a compact constant's
+    # common value and max|u| where they can, and return what the grid
+    # constant gives bit for bit; an infinite pairing takes the grid form
+    geom = TorusGeometry(grid_n=n)
+    psi = random_spinor(geom, np.random.default_rng(n))
+    params = ActionParams(rho=0.5)
+    for a in (0.0, -0.0, 1.3, -2.5, 1e-300, np.inf):
+        grid_a = ScalarField.from_coeffs(geom, ScalarField.constant(geom, a).coeffs)
+        if abs(a) <= U_CAP:
+            u = ScalarField.constant(geom, a)
+            full = ScalarField.from_values(geom, np.full((n, n), a))
+            assert _same(evaluate_J(u, psi, params), evaluate_J(full, psi, params))
+            assert _same(check_overflow(u), full.values)
+        for b in (0.0, -0.0, -2.5, 1e-300, np.inf, -np.inf):
+            grid_b = ScalarField.from_coeffs(geom, ScalarField.constant(geom, b).coeffs)
+            with np.errstate(invalid="ignore"):
+                got = sobolev_inner(ScalarField.constant(geom, a), ScalarField.constant(geom, b))
+                assert _same(got, sobolev_inner(grid_a, grid_b))
+    with pytest.raises(OverflowGuardError, match="overflow cap"):
+        check_overflow(ScalarField.constant(geom, np.nextafter(U_CAP, np.inf)))
+
+
+@pytest.mark.parametrize("delta", [(0.5, 0.5), (0.0, 0.0)])
+def test_a_constant_u_node_keeps_no_grid(delta):
+    # a fiber point at constant u, its J, a segment bound, a distance and
+    # a blend of two such points: none of them leaves a grid on u
+    geom = TorusGeometry(grid_n=16, spin_delta=delta)
+    params = ActionParams(rho=0.5)
+    rng = np.random.default_rng(5)
+    a, b = (fiber_solve(ScalarField.constant(geom, c), _free_with_signed_zeros(geom, rng)[0],
+                        params) for c in (0.4, -1.1))
+    assert a.u.compact and b.u.compact
+    a.J, b.J
+    fiber_energy_bounds(a, b, (0.25, 0.5, 0.75), params)
+    assert _product_dist(a, b) > 0.0
+    assert a.u.compact and b.u.compact
+    mid = _interp_points(a, b, 0.5, params)
+    mid.J
+    assert mid.u.compact

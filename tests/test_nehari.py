@@ -519,9 +519,10 @@ def test_fiber_energy_bound_pads_a_near_cancelling_blend(grid_n):
 
 @pytest.mark.parametrize("delta", [(0.5, 0.5), (0.0, 0.0)])
 def test_bounding_a_segment_costs_one_fft_of_its_stacked_samples(delta):
-    # the endpoints hold their grid and Fourier views, as minmax_deform's
-    # nodes do once their J is known: only the a- row of cosh(u) psi needs
-    # a transform, one fft2 for all samples, and none at constant u
+    # the non-constant endpoints hold their grid and Fourier views, as
+    # minmax_deform's nodes do once their J is known, and the constant ones
+    # are compact: only the a- row of cosh(u) psi needs a transform, one
+    # fft2 for all samples, and none at constant u
     geom = TorusGeometry(grid_n=16, spin_delta=delta)
     params = ActionParams(rho=0.5)
     rng = np.random.default_rng(3)
@@ -530,7 +531,10 @@ def test_bounding_a_segment_costs_one_fft_of_its_stacked_samples(delta):
         a, b = (_segment_end(geom, params, rng, mean, wiggle, 2.0) for mean in (0.4, -1.1))
         for end in (a, b):
             evaluate_J(end.u, end.psi, params)
-            assert end.u._values is not None and end.u._coeffs is not None
+            if wiggle:
+                assert end.u._values is not None and end.u._coeffs is not None
+            else:
+                assert end.u.compact
         with counting_ffts() as counts:
             fiber_energy_bounds(a, b, (0.25, 0.5, 0.75), params)
         assert counts == ffts

@@ -46,6 +46,13 @@ in the disk's Newton trial.  It read 2.71 MB before those changes, set
 then by the 256 x 256 profile grids (the family itself held 0.47 MB of
 points through the disk).  The ceiling is that 0.72 MB plus about 10 %;
 a change that lowers the peak lowers the ceiling too.
+
+The mountain pass is guarded the same way, under
+`MOUNTAIN_PASS_PEAK_CEILING_MB`.  Its path lives at constant u, and a
+constant u is compact (`fields.ScalarField.constant`): its nodes, re-spread
+nodes and ridge samples keep no u grid.  The peak read 1.22 MB when each of
+them kept a value and a coefficient grid and 0.87 MB since; the ceiling is
+0.87 MB plus about 10 %.
 """
 
 import gc
@@ -98,6 +105,8 @@ MOUNTAIN_PASS_CEILINGS = {
     "newton_refine": 1,
     "fft": 216,
 }
+
+MOUNTAIN_PASS_PEAK_CEILING_MB = 0.96
 
 
 def _count_calls(monkeypatch, orig, on_call):
@@ -172,13 +181,24 @@ def test_mountain_pass_hands_off_within_its_work_counts(monkeypatch):
     _check(_work_counts(monkeypatch, MOUNTAIN_PASS), MOUNTAIN_PASS_CEILINGS)
 
 
-def test_multiplicity_peak_memory_stays_under_its_ceiling():
-    run(RunConfig.from_dict(CONFIG))
+def _peak_mb(config) -> float:
+    """tracemalloc's peak, in MB, over one run of config after a warm-up run."""
+    run(RunConfig.from_dict(config))
     gc.collect()
     tracemalloc.start()
     try:
-        run(RunConfig.from_dict(CONFIG))
-        peak = tracemalloc.get_traced_memory()[1] / 1e6
+        run(RunConfig.from_dict(config))
+        return tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
+
+
+def test_multiplicity_peak_memory_stays_under_its_ceiling():
+    peak = _peak_mb(CONFIG)
     assert peak <= PEAK_CEILING_MB, f"peak {peak:.3f} MB > {PEAK_CEILING_MB} MB"
+
+
+def test_mountain_pass_peak_memory_stays_under_its_ceiling():
+    peak = _peak_mb(MOUNTAIN_PASS)
+    assert peak <= MOUNTAIN_PASS_PEAK_CEILING_MB, \
+        f"peak {peak:.3f} MB > {MOUNTAIN_PASS_PEAK_CEILING_MB} MB"
