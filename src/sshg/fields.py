@@ -322,9 +322,6 @@ class SpinorField:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return SpinorField(self.geom, eig=-self.eig)
-
 
 # -- packed (u, psi) arrays -----------------------------------------------------
 #

@@ -114,7 +114,6 @@ class LinkingConstants:
     T: float
     s: float
     k_index: int
-    lam_k: float          # largest eigenvalue below rho (0 when only harmonic)
     lam_k1: float         # smallest eigenvalue above rho
     harmonic_dim: int
 
@@ -251,7 +250,6 @@ def linking_constants(params: ActionParams, basis) -> LinkingConstants:
     rho = params.rho
     check_spectral_gap(basis.geom, rho)
     lam = basis.eigenvalues
-    below = lam[lam < rho]
     above = lam[lam > rho]
     if above.size == 0:
         raise ConfigError("basis cutoff too small: no eigenvalue above rho tabulated")
@@ -261,8 +259,7 @@ def linking_constants(params: ActionParams, basis) -> LinkingConstants:
     T = float(np.arccosh((lam_k1 + 1.0) / rho) + LINKING_T_MARGIN)
     s = float(LINKING_FACTOR * np.sqrt(4 * rho**2 * np.sinh(T) ** 2 * vol
                                        / (8 * (rho * np.cosh(T) - lam_k1))))
-    consts = LinkingConstants(T=T, s=s, k_index=int(below.size),
-                              lam_k=float(below.max()) if below.size else 0.0,
+    consts = LinkingConstants(T=T, s=s, k_index=int(np.count_nonzero(lam < rho)),
                               lam_k1=lam_k1, harmonic_dim=basis.harmonic_dim)
     consts.certify(params, vol)
     return consts
@@ -442,6 +439,10 @@ class _Mesh:
         self.step_hook = step_hook
         self._boundary = {k: nd for k, nd in enumerate(self.nodes) if self.frozen[k]}
 
+    def level(self) -> float:
+        """The max of J over the nodes, the level the descent lowers."""
+        return max(nd.J for nd in self.nodes)
+
     def max_free(self) -> int:
         return int(np.argmax([nd.J if not fz else -np.inf
                               for nd, fz in zip(self.nodes, self.frozen)]))
@@ -460,7 +461,7 @@ class _Mesh:
         """Promote ridge samples hiding inside segments; returns True if any."""
         did = False
         for _ in range(3 * len(self.nodes)):
-            node_max = max(nd.J for nd in self.nodes)
+            node_max = self.level()
             threshold = node_max + 1e-9 * (1.0 + abs(node_max))
             best = self.segcache.refresh(self.nodes, threshold)
             if best is None or best[2].J <= threshold:
@@ -477,7 +478,7 @@ class _Mesh:
     def respread(self):
         """Re-spread a chain by arclength, unless that raises the node max."""
         nodes = _respread_path(self.nodes, self.params, self.segcache)
-        top = max(nd.J for nd in self.nodes)
+        top = self.level()
         if max(nd.J for nd in nodes) <= top + 1e-12 * (1 + abs(top)):
             self.nodes[:] = nodes
             self.segcache._cache.clear()  # each entry holds a replaced node
@@ -532,7 +533,7 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
 
         idx = mesh.max_free()
         point = mesh.nodes[idx]
-        level = max(nd.J for nd in mesh.nodes)
+        level = mesh.level()
 
         res = constrained_gradient(point, params)
         if tangent_filter is not None:
@@ -617,7 +618,7 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
         raise CertificationError("PS diagnostic traces have unequal lengths")
     # res is the constrained gradient at the point handed to Newton, by the
     # loop's trial or by the exit
-    return replace(record, descent_level=max(nd.J for nd in mesh.nodes),
+    return replace(record, descent_level=mesh.level(),
                    handoff_grad=res.norm, exit=diags.exit), diags
 
 

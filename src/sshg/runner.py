@@ -213,20 +213,17 @@ def _diag_summary(diags) -> dict:
 
 def _spectral_summary(basis) -> dict:
     # the report always lists SPECTRAL_REPORT_COUNT eigenvalues even when the
-    # solver basis was built with a smaller cutoff
-    count = SPECTRAL_REPORT_COUNT
+    # solver basis was built with a smaller cutoff; the table's order makes
+    # that basis a prefix of the one at the Nyquist bound
     report = basis
-    cutoff = basis.cutoff
-    while len(report.eigenvalues) < count and cutoff < basis.geom.nyquist_bound:
-        cutoff = min(1.5 * max(cutoff, 1.0), basis.geom.nyquist_bound)
-        report = build_basis(basis.geom, cutoff)
-    lam = report.eigenvalues[:count]
+    if len(basis.eigenvalues) < SPECTRAL_REPORT_COUNT:
+        report = build_basis(basis.geom, basis.geom.nyquist_bound)
+    found = len(report.eigenvalues) > 0
     return {
         "harmonic_dim": report.harmonic_dim,
-        "eigenvalues": list(lam),
-        "lambda1": report.eigenvalue(1) if len(report.eigenvalues) else None,
-        "lambda1_multiplicity": report.multiplicity_of(report.eigenvalue(1))
-        if len(report.eigenvalues) else 0,
+        "eigenvalues": list(report.eigenvalues[:SPECTRAL_REPORT_COUNT]),
+        "lambda1": report.eigenvalue(1) if found else None,
+        "lambda1_multiplicity": report.multiplicity(1) if found else 0,
     }
 
 

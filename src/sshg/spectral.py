@@ -4,7 +4,7 @@ Everything is diagonal per Fourier mode.  Spinors are stored in the
 eigenframe of the Dirac symbol (see `sshg.fields`), coordinates (a+, a-) on
 the +|xi| and -|xi| eigenvectors, so D is the multiplier (+|xi|, -|xi|),
 |D|, (1+|D|)^{-1} and the Sobolev weights are scalar factors per mode, the
-spectral projections are 0/1 masks, and the basis elements are one-hot.
+spectral projections are 0/1 masks, and the basis spinors are one-hot.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .fields import ScalarField, SpinorField
 from .geometry import TorusGeometry
 
 RHO_GAP = 1e-9  # hard guard: rho must stay outside this distance of the spectrum
-MULTIPLICITY_REL_TOL = 1e-9  # eigenvalues this close (relative) count as one
 
 
 # ---------------------------------------------------------------------------
@@ -37,16 +36,6 @@ def laplace_apply(u: ScalarField) -> ScalarField:
     """Fourier multiplier -|xi|^2 (divergence of the gradient)."""
     g = u.geom
     return ScalarField(g, coeffs=-g.xi_sq * u.coeffs)
-
-
-def omega_mult(psi: SpinorField) -> SpinorField:
-    """Clifford action of the volume element, (c1, c2) -> (-c2, c1); it maps the
-    +|xi| eigenvector to the -|xi| one, so it is the same swap on (a+, a-)."""
-    a = psi.eig
-    out = np.empty_like(a)
-    out[0] = -a[1]
-    out[1] = a[0]
-    return SpinorField(psi.geom, eig=out)
 
 
 # ---------------------------------------------------------------------------
@@ -162,68 +151,56 @@ def subspace_mask(geom: TorusGeometry, subspace: str, rho: float | None) -> np.n
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BasisElement:
-    """One real basis direction: mode (k1,k2), eigen-coordinate row, phase 1
-    or i.  Row 0 is the +|xi| eigenvector; a harmonic element (frame (1, 0))
-    takes either row, i.e. either C^2 component."""
-    k1: int
-    k2: int
-    row: int
-    phase_imag: bool   # False -> v e_k, True -> (i v) e_k
-    lam: float = 0.0
-
-
-@dataclass(frozen=True)
 class SpectralBasis:
-    """Ordered Dirac eigenpairs below a cutoff plus the harmonic block.
+    """The Dirac eigenpairs with 0 < |xi| <= a cutoff, as one sorted table of
+    grid modes, plus the harmonic block.
 
-    Eigenvalues are listed with real multiplicities (two per mode per sign:
-    phases 1 and i).  Negative-index pairs are the exact omega-mirrors of the
-    positive ones: lambda_{-j} = -lambda_j, Psi_{-j} = omega . Psi_j.
+    Modes are ordered by the integer key 4|k+delta|^2, then k1, then k2, so
+    a smaller cutoff gives a prefix of the table.  Each mode carries two real
+    eigenpairs on its +|xi| row, phases 1 and i: eigenpair j >= 1 is mode
+    (j-1)//2 with phase (j-1)%2.  A harmonic mode takes either row, i.e.
+    either C^2 component: harmonic spinor l is row (l//2)%2 of harmonic mode
+    l//4, phase l%2.  The -|xi| eigenpairs are the omega-images of these.
     """
 
     geom: TorusGeometry
-    cutoff: float
-    eigenvalues: np.ndarray = field(repr=False)      # positive block, ascending
-    elements: tuple = field(repr=False)              # BasisElement per positive entry
-    harmonic: tuple = field(repr=False)
+    modes: np.ndarray = field(repr=False)        # (m, 2) grid indices, sorted
+    keys: np.ndarray = field(repr=False)         # their keys 4|k+delta|^2
+    eigenvalues: np.ndarray = field(repr=False)  # each mode's |xi|, twice, ascending
+    harmonic: np.ndarray = field(repr=False)     # grid indices of the |xi| = 0 modes
     harmonic_dim: int = 0
 
     def eigenvalue(self, j: int) -> float:
-        if j == 0:
-            raise IndexError("eigenvalue index j runs over nonzero integers")
-        lam = self.eigenvalues[abs(j) - 1]
-        return float(lam if j > 0 else -lam)
+        return float(self.eigenvalues[self._entry(j)])
 
     def eigenspinor(self, j: int) -> SpinorField:
-        if j == 0:
-            raise IndexError("eigenspinor index j runs over nonzero integers")
-        psi = self._element_field(self.elements[abs(j) - 1])
-        return omega_mult(psi) if j < 0 else psi
+        i = self._entry(j)
+        return self._one_hot(self.modes[i // 2], 0, i % 2)
 
     def harmonic_spinor(self, l: int) -> SpinorField:
-        return self._element_field(self.harmonic[l])
+        return self._one_hot(self.harmonic[l // 4], (l // 2) % 2, l % 2)
 
-    def _element_field(self, el: BasisElement) -> SpinorField:
-        """The one-hot eigen-coordinates of a basis element."""
+    def multiplicity(self, j: int) -> int:
+        """The real dimension of eigenpair j's eigenspace: two per mode of
+        its key, an exact integer count."""
+        return 2 * int(np.count_nonzero(self.keys == self.keys[self._entry(j) // 2]))
+
+    def _entry(self, j: int) -> int:
+        if j < 1:
+            raise IndexError("eigenpair index j runs over positive integers")
+        return j - 1
+
+    def _one_hot(self, mode, row: int, phase: int) -> SpinorField:
         g = self.geom
         a = np.zeros((2, g.grid_n, g.grid_n), dtype=complex)
-        amp = (1j if el.phase_imag else 1.0) / g.side_length
-        a[el.row, int(el.k1) % g.grid_n, int(el.k2) % g.grid_n] = amp
+        a[row, mode[0], mode[1]] = (1j if phase else 1.0) / g.side_length
         return SpinorField(g, eig=a)
-
-    def multiplicity_of(self, lam: float) -> int:
-        tol = MULTIPLICITY_REL_TOL * max(lam, 1.0)
-        return int(np.count_nonzero(np.abs(self.eigenvalues - lam) <= tol))
 
 
 def build_basis(geom: TorusGeometry, cutoff: float) -> SpectralBasis:
-    """Enumerate all eigenpairs with |xi| <= cutoff, deterministically ordered.
-
-    Ordering: harmonic block first, then by |k+delta| ascending, ties broken
-    lexicographically on k, phase 1 before phase i; the negative branch is
-    implicit through the omega pairing.
-    """
+    """Tabulate all eigenpairs with |xi| <= cutoff, deterministically ordered
+    by the exact integer key 4|k+delta|^2 (delta in {0, 1/2}), then k1, then
+    k2; the harmonic modes, key 0, are split off the front."""
     if cutoff < 0:
         raise ConfigError("cutoff must be nonnegative")
     if cutoff > geom.nyquist_bound + 1e-12:
@@ -231,37 +208,16 @@ def build_basis(geom: TorusGeometry, cutoff: float) -> SpectralBasis:
             f"cutoff {cutoff} exceeds the Nyquist bound {geom.nyquist_bound:.6g} "
             f"for grid_n={geom.grid_n}"
         )
-    mask = geom.spinor_mask
     lam = geom.s_abs
-    keep = mask & (lam <= cutoff * (1.0 + 1e-12) + 1e-300)
-    idx1, idx2 = np.nonzero(keep)
-    k1 = geom.k_int[idx1]
-    k2 = geom.k_int[idx2]
-    # exact integer tie-breaking: 4|k+delta|^2 is an integer for delta in {0,1/2}
-    m1 = 2 * k1 + int(2 * geom.spin_delta[0])
-    m2 = 2 * k2 + int(2 * geom.spin_delta[1])
-    key = m1 * m1 + m2 * m2
-    order = np.lexsort((k2, k1, key))
-
-    elements = []
-    harmonic = []
-    for t in order:
-        kk1, kk2 = int(k1[t]), int(k2[t])
-        lam_t = float(lam[idx1[t], idx2[t]])
-        if lam_t == 0.0:
-            for row in (0, 1):
-                for ph in (False, True):
-                    harmonic.append(BasisElement(kk1, kk2, row, ph))
-            continue
-        for ph in (False, True):
-            elements.append(BasisElement(kk1, kk2, 0, ph, lam=lam_t))
-
-    eigenvalues = np.array([el.lam for el in elements])
-    return SpectralBasis(
-        geom=geom,
-        cutoff=float(cutoff),
-        eigenvalues=eigenvalues,
-        elements=tuple(elements),
-        harmonic=tuple(harmonic),
-        harmonic_dim=len(harmonic),
-    )
+    idx1, idx2 = np.nonzero(geom.spinor_mask & (lam <= cutoff * (1.0 + 1e-12) + 1e-300))
+    # m = 2(k + delta) is an integer and increases with k, so it orders k too
+    m1 = 2 * geom.k_int[idx1] + int(2 * geom.spin_delta[0])
+    m2 = 2 * geom.k_int[idx2] + int(2 * geom.spin_delta[1])
+    keys = m1 * m1 + m2 * m2
+    order = np.lexsort((m2, m1, keys))
+    modes = np.stack((idx1, idx2), axis=1)[order]
+    keys = keys[order]
+    h = int(np.count_nonzero(keys == 0))
+    return SpectralBasis(geom=geom, modes=modes[h:], keys=keys[h:],
+                         eigenvalues=np.repeat(lam[modes[h:, 0], modes[h:, 1]], 2),
+                         harmonic=modes[:h], harmonic_dim=4 * h)

@@ -8,20 +8,29 @@ variation, Riesz maps, Re<psi, phi> and the constraint derivative against
 the packed (u, psi) arrays and `hess_vec`, CG's plain expressions against
 its in-place updates, the whole stored equivariant family against the J
 values and ring an `EquivariantFamily` keeps, scalar fields that keep
-their grids against compact constants), or a helper the tests need and
-the package does not: grid coordinates, |D|^s, E^- spinors from a- rows,
-the quaternionic structure, Hermitian symmetry, the reader of the
+their grids against compact constants, the `BasisElement` enumeration and
+its tolerance count against the sorted mode table), or a helper the tests
+need and the package does not: grid coordinates, |D|^s, E^- spinors from
+a- rows, the Clifford volume element omega, the quaternionic structure,
+Hermitian symmetry, the reader of the
 checkpoints that `checkpoint_save` and `save_point` write.
 """
 
 import struct
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from sshg.action import ActionParams, check_overflow, dirac_minus_potential, hess_vec, linearize
 from sshg.checkpoint import MAGIC, VERSION
-from sshg.errors import CheckpointFormatError, ConditioningError, SSHGError
+from sshg.errors import (
+    CheckpointFormatError,
+    ConditioningError,
+    ConfigError,
+    ResolutionError,
+    SSHGError,
+)
 from sshg.fields import ScalarField, SpinorField, constant_value, pack, unpack
 from sshg.geometry import TorusGeometry
 from sshg.krylov import SolveInfo, cg
@@ -158,6 +167,16 @@ def quaternion_j(psi: SpinorField) -> SpinorField:
     out[0] = -v[1]
     out[1] = v[0]
     return SpinorField.from_values(psi.geom, out)
+
+
+def omega_mult(psi: SpinorField) -> SpinorField:
+    """Clifford action of the volume element, (c1, c2) -> (-c2, c1); it maps the
+    +|xi| eigenvector to the -|xi| one, so it is the same swap on (a+, a-)."""
+    a = psi.eig
+    out = np.empty_like(a)
+    out[0] = -a[1]
+    out[1] = a[0]
+    return SpinorField(psi.geom, eig=out)
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +373,120 @@ def fiber_rayleigh_margin(u: ScalarField, params, rng, n_samples: int = 50) -> f
         quot = _row_inner(geom, g_map(phi), phi) / _row_inner(geom, phi, phi)
         worst = max(worst, quot)
     return float(worst)
+
+
+# ---------------------------------------------------------------------------
+# spectral basis
+# ---------------------------------------------------------------------------
+
+MULTIPLICITY_REL_TOL = 1e-9  # eigenvalues this close (relative) count as one
+
+@dataclass(frozen=True)
+class BasisElement:
+    """One real basis direction: mode (k1,k2), eigen-coordinate row, phase 1
+    or i.  Row 0 is the +|xi| eigenvector; a harmonic element (frame (1, 0))
+    takes either row, i.e. either C^2 component."""
+    k1: int
+    k2: int
+    row: int
+    phase_imag: bool   # False -> v e_k, True -> (i v) e_k
+    lam: float = 0.0
+
+
+@dataclass(frozen=True)
+class ReferenceBasis:
+    """`spectral.SpectralBasis` as a tuple of `BasisElement`s, with
+    multiplicities counted by a relative float tolerance.
+
+    Eigenvalues are listed with real multiplicities (two per mode per sign:
+    phases 1 and i).  Negative-index pairs are the exact omega-mirrors of the
+    positive ones: lambda_{-j} = -lambda_j, Psi_{-j} = omega . Psi_j.
+    """
+
+    geom: TorusGeometry
+    cutoff: float
+    eigenvalues: np.ndarray = field(repr=False)      # positive block, ascending
+    elements: tuple = field(repr=False)              # BasisElement per positive entry
+    harmonic: tuple = field(repr=False)
+    harmonic_dim: int = 0
+
+    def eigenvalue(self, j: int) -> float:
+        if j == 0:
+            raise IndexError("eigenvalue index j runs over nonzero integers")
+        lam = self.eigenvalues[abs(j) - 1]
+        return float(lam if j > 0 else -lam)
+
+    def eigenspinor(self, j: int) -> SpinorField:
+        if j == 0:
+            raise IndexError("eigenspinor index j runs over nonzero integers")
+        psi = self._element_field(self.elements[abs(j) - 1])
+        return omega_mult(psi) if j < 0 else psi
+
+    def harmonic_spinor(self, l: int) -> SpinorField:
+        return self._element_field(self.harmonic[l])
+
+    def _element_field(self, el: BasisElement) -> SpinorField:
+        """The one-hot eigen-coordinates of a basis element."""
+        g = self.geom
+        a = np.zeros((2, g.grid_n, g.grid_n), dtype=complex)
+        amp = (1j if el.phase_imag else 1.0) / g.side_length
+        a[el.row, int(el.k1) % g.grid_n, int(el.k2) % g.grid_n] = amp
+        return SpinorField(g, eig=a)
+
+    def multiplicity_of(self, lam: float) -> int:
+        tol = MULTIPLICITY_REL_TOL * max(lam, 1.0)
+        return int(np.count_nonzero(np.abs(self.eigenvalues - lam) <= tol))
+
+
+def reference_basis(geom: TorusGeometry, cutoff: float) -> ReferenceBasis:
+    """Enumerate all eigenpairs with |xi| <= cutoff, deterministically ordered,
+    one `BasisElement` at a time.
+
+    Ordering: harmonic block first, then by |k+delta| ascending, ties broken
+    lexicographically on k, phase 1 before phase i; the negative branch is
+    implicit through the omega pairing.
+    """
+    if cutoff < 0:
+        raise ConfigError("cutoff must be nonnegative")
+    if cutoff > geom.nyquist_bound + 1e-12:
+        raise ResolutionError(
+            f"cutoff {cutoff} exceeds the Nyquist bound {geom.nyquist_bound:.6g} "
+            f"for grid_n={geom.grid_n}"
+        )
+    mask = geom.spinor_mask
+    lam = geom.s_abs
+    keep = mask & (lam <= cutoff * (1.0 + 1e-12) + 1e-300)
+    idx1, idx2 = np.nonzero(keep)
+    k1 = geom.k_int[idx1]
+    k2 = geom.k_int[idx2]
+    # exact integer tie-breaking: 4|k+delta|^2 is an integer for delta in {0,1/2}
+    m1 = 2 * k1 + int(2 * geom.spin_delta[0])
+    m2 = 2 * k2 + int(2 * geom.spin_delta[1])
+    key = m1 * m1 + m2 * m2
+    order = np.lexsort((k2, k1, key))
+
+    elements = []
+    harmonic = []
+    for t in order:
+        kk1, kk2 = int(k1[t]), int(k2[t])
+        lam_t = float(lam[idx1[t], idx2[t]])
+        if lam_t == 0.0:
+            for row in (0, 1):
+                for ph in (False, True):
+                    harmonic.append(BasisElement(kk1, kk2, row, ph))
+            continue
+        for ph in (False, True):
+            elements.append(BasisElement(kk1, kk2, 0, ph, lam=lam_t))
+
+    eigenvalues = np.array([el.lam for el in elements])
+    return ReferenceBasis(
+        geom=geom,
+        cutoff=float(cutoff),
+        eigenvalues=eigenvalues,
+        elements=tuple(elements),
+        harmonic=tuple(harmonic),
+        harmonic_dim=len(harmonic),
+    )
 
 
 # ---------------------------------------------------------------------------

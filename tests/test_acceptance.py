@@ -35,7 +35,6 @@ from sshg.spectral import (
     h1_norm,
     hhalf_norm,
     l2_inner,
-    omega_mult,
     project,
 )
 from sshg.sweepout import build_sweepout_chi, equivariant_family
@@ -46,6 +45,7 @@ from oracles import (
     grid_l2_inner,
     hessian,
     l2_norm,
+    omega_mult,
     quaternion_j,
     riesz_pair,
 )

@@ -2,7 +2,8 @@
 nothing is imported unused, no local is assigned unread, no config key and
 no dataclass field goes unread, nothing reads the environment, every FFT is
 an `np.fft.fft2` or `np.fft.ifft2` call in fields.py, and every
-module-level function and class is read outside the tests.
+module-level function and class, and every method and property but the
+dunders, is read outside the tests.
 
 `python -O` strips assert statements, so every certificate must raise an
 SSHGError instead.  A handler for Exception, BaseException or a bare except
@@ -217,9 +218,10 @@ def _entry_point_names() -> set:
     return {target.rpartition(":")[2] for target in scripts.values()}
 
 
-def test_every_module_level_definition_is_read_outside_tests():
-    # a function or class that only tests read is an oracle, and oracles
-    # live in tests/; the perfbench tracer resolves names from strings
+def _read_outside_tests() -> set:
+    """The names the package, the benchmark and the console script read:
+    loaded names and attributes, and the benchmark's strings, from which the
+    perfbench tracer resolves names."""
     read = _entry_point_names()
     for folder in (SRC, ROOT / "perfbench"):
         for path in folder.glob("*.py"):
@@ -230,7 +232,28 @@ def test_every_module_level_definition_is_read_outside_tests():
                     read.add(n.attr)
                 elif folder != SRC and isinstance(n, ast.Constant) and isinstance(n.value, str):
                     read.add(n.value)
+    return read
+
+
+def test_every_module_level_definition_is_read_outside_tests():
+    # a function or class that only tests read is an oracle, and oracles
+    # live in tests/
+    read = _read_outside_tests()
     unread = [f"{path.name}:{node.lineno}: {node.name}"
               for path, tree in _trees() for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in read]
     assert not unread, "definitions only tests read:\n" + "\n".join(unread)
+
+
+def test_every_method_is_read_outside_tests():
+    # the same rule for the methods and properties of the package's classes;
+    # dunders are called by the language, not read by name
+    read = _read_outside_tests()
+    unread = [f"{path.name}:{node.lineno}: {cls.name}.{node.name}"
+              for path, tree in _trees()
+              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              for node in cls.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not (node.name.startswith("__") and node.name.endswith("__"))
+              and node.name not in read]
+    assert not unread, "methods only tests read:\n" + "\n".join(unread)

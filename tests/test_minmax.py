@@ -66,7 +66,7 @@ def test_mountain_pass_endpoint(setup16):
     params = ActionParams(rho=0.5)
     consts = linking_constants(params, basis)
     assert consts.block_dim == 0 and consts.k_index == 0 and consts.harmonic_dim == 0
-    assert consts.lam_k == 0.0 and consts.lam_k1 == basis.eigenvalue(1)
+    assert consts.lam_k1 == basis.eigenvalue(1)
     consts.certify(params, geom.vol)  # steps (i)-(ii)
     lam1 = basis.eigenvalue(1)
     u_bar = float(np.arccosh((lam1 + 1.0) / 0.5) + 0.5)
@@ -91,7 +91,6 @@ def test_linking_constants(setup16):
     params = ActionParams(rho=1.0)
     consts = linking_constants(params, basis)
     assert consts.k_index == 8 and consts.block_dim == 8
-    assert consts.lam_k == pytest.approx(LAM1, rel=1e-12)
     assert consts.lam_k1 == pytest.approx(LAM2, rel=1e-12)
     # oracle: step (i) threshold with the corrected orientation
     assert consts.T > np.arccosh((LAM2 + 1.0) / 1.0)

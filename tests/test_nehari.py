@@ -51,6 +51,7 @@ from oracles import (
     hminushalf_norm,
     l2_norm,
     minus_spinor,
+    omega_mult,
     riesz_pair,
 )
 
@@ -93,8 +94,9 @@ def test_constraint_examples(setup16):
     # positive eigenmode at u=0 stays in the positive subspace
     g = constraint_G(zero_u, basis.eigenspinor(1), params)
     assert hhalf_norm(g) < 1e-13
-    # negative eigenmode: coefficientwise (lam_{-1} - rho)(1+lam_1)^{-1} Psi_{-1}
-    psi_m = basis.eigenspinor(-1)
+    # negative eigenmode omega Psi_1, eigenvalue -lam_1: coefficientwise
+    # (-lam_1 - rho)(1+lam_1)^{-1} omega Psi_1
+    psi_m = omega_mult(basis.eigenspinor(1))
     g = constraint_G(zero_u, psi_m, params)
     coef = (-LAM1 - params.rho) / (1.0 + LAM1)
     assert l2_norm(g - coef * psi_m) < 1e-12
@@ -123,7 +125,7 @@ def test_fiber_solve_certifies(setup16):
     assert hhalf_norm(g) <= 1e-12 * max(hhalf_norm(pt.psi), 1.0)
 
     with pytest.raises(ConfigError):
-        fiber_solve(ubar, basis.eigenspinor(-1), params)
+        fiber_solve(ubar, omega_mult(basis.eigenspinor(1)), params)
 
 
 def test_fiber_residual_is_enforced(setup16, monkeypatch):
@@ -134,7 +136,7 @@ def test_fiber_residual_is_enforced(setup16, monkeypatch):
     import sshg.nehari
     geom, basis, params = setup16
     cg = sshg.nehari.cg
-    kick = basis.eigenspinor(-1)
+    kick = omega_mult(basis.eigenspinor(1))
     kick = ((1e-6 / hhalf_norm(kick)) * kick).eig[1]
     calls = []
 
@@ -571,7 +573,7 @@ def test_project_to_manifold(setup16):
     assert hhalf_norm(pt2.psi - pt.psi) <= 1e-10 * (1 + hhalf_norm(pt.psi))
 
     # u=0 decouples: negative part re-solved to zero
-    mix = basis.eigenspinor(1) + basis.eigenspinor(-1)
+    mix = basis.eigenspinor(1) + omega_mult(basis.eigenspinor(1))
     pt0 = project_to_manifold(ScalarField.zeros(geom), mix, params)
     assert hhalf_norm(pt0.psi - basis.eigenspinor(1)) < 1e-12
 

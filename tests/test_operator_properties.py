@@ -21,11 +21,10 @@ from sshg.spectral import (
     build_basis,
     dirac_apply,
     l2_inner,
-    omega_mult,
     project,
 )
 
-from oracles import abs_dirac_apply, l2_norm, quaternion_j
+from oracles import abs_dirac_apply, l2_norm, omega_mult, quaternion_j
 
 from test_constant_fields import DELTAS, GRIDS, PROPERTY, SEEDS
 from test_spectral import assembled_symbol, random_spinor
@@ -87,11 +86,12 @@ def test_basis_elements_are_eigenspinors(n, delta):
     geom = TorusGeometry(grid_n=n, spin_delta=delta)
     basis = build_basis(geom, cutoff=min(2.0, geom.nyquist_bound))
     count = len(basis.eigenvalues)
-    for j in list(range(1, count + 1)) + list(range(-count, 0)):
-        psi = basis.eigenspinor(j)
+    for j in range(1, count + 1):
         lam = basis.eigenvalue(j)
-        assert l2_norm(psi) == pytest.approx(1.0, abs=1e-13)
-        assert _close(dirac_apply(psi), lam * psi, abs(lam))
+        # Psi_j and its omega-mirror, of eigenvalue -lambda_j
+        for psi, mu in ((basis.eigenspinor(j), lam), (omega_mult(basis.eigenspinor(j)), -lam)):
+            assert l2_norm(psi) == pytest.approx(1.0, abs=1e-13)
+            assert _close(dirac_apply(psi), mu * psi, lam)
     for l in range(basis.harmonic_dim):
         assert l2_norm(dirac_apply(basis.harmonic_spinor(l))) == 0.0
 

@@ -6,13 +6,13 @@ import pytest
 from sshg.errors import ConfigError, ResolutionError, SpectralGapError
 from sshg.fields import ScalarField, SpinorField
 from sshg.geometry import GAMMA1, GAMMA2, TWO_PI, TorusGeometry
+from sshg.runner import _spectral_summary
 from sshg.spectral import (
     build_basis,
     dirac_apply,
     hhalf_norm,
     l2_inner,
     laplace_apply,
-    omega_mult,
     packed_sobolev_weight,
     project,
     sobolev_inner,
@@ -27,7 +27,9 @@ from oracles import (
     hermitian_defect,
     hminushalf_norm,
     l2_norm,
+    omega_mult,
     quaternion_j,
+    reference_basis,
 )
 
 LAM1_HALF = np.sqrt(2.0) / 2.0  # |((1/2),(1/2))| on the 2pi torus
@@ -109,10 +111,50 @@ def test_lambda1_and_positive_eigenspace_dim():
     geom = TorusGeometry(grid_n=16, spin_delta=(0.5, 0.5))
     basis = build_basis(geom, cutoff=1.0)
     assert basis.eigenvalue(1) == pytest.approx(LAM1_HALF, rel=1e-14)
-    assert len(basis.elements) == 8  # 4 modes x 1 complex dim = 8 real dims
-    assert basis.multiplicity_of(basis.eigenvalue(1)) == 8
-    # omega pairing is exact
-    assert basis.eigenvalue(-1) == -basis.eigenvalue(1)
+    assert len(basis.eigenvalues) == 8  # 4 modes x 1 complex dim = 8 real dims
+    assert basis.multiplicity(1) == 8
+    # omega pairing is exact: omega Psi_1 has eigenvalue -lambda_1
+    w = omega_mult(basis.eigenspinor(1))
+    assert np.array_equal(dirac_apply(w).eig, (-basis.eigenvalue(1) * w).eig)
+    # indices run over the positive integers; nothing wraps to the table's end
+    for j in (0, -1):
+        with pytest.raises(IndexError):
+            basis.eigenvalue(j)
+        with pytest.raises(IndexError):
+            basis.eigenspinor(j)
+
+
+@pytest.mark.parametrize("cutoff", [0.0, 1.0, 2.5, 3.0, None])
+@pytest.mark.parametrize("delta", ALL_DELTAS)
+@pytest.mark.parametrize("grid_n", [8, 16, 32, 64])
+def test_mode_table_matches_the_element_enumeration(grid_n, delta, cutoff):
+    # the sorted mode table against the one-element-at-a-time enumeration,
+    # bit for bit (None: the Nyquist bound)
+    geom = TorusGeometry(grid_n=grid_n, spin_delta=delta)
+    cutoff = geom.nyquist_bound if cutoff is None else cutoff
+    basis, ref = build_basis(geom, cutoff), reference_basis(geom, cutoff)
+    assert np.array_equal(basis.eigenvalues, ref.eigenvalues)
+    assert basis.harmonic_dim == ref.harmonic_dim
+    for j in range(1, len(ref.eigenvalues) + 1):
+        assert np.array_equal(basis.eigenspinor(j).eig, ref.eigenspinor(j).eig)
+    for l in range(ref.harmonic_dim):
+        assert np.array_equal(basis.harmonic_spinor(l).eig, ref.harmonic_spinor(l).eig)
+    if len(ref.eigenvalues):
+        assert basis.multiplicity(1) == ref.multiplicity_of(ref.eigenvalue(1))
+
+
+@pytest.mark.parametrize("delta", ALL_DELTAS)
+def test_a_smaller_cutoff_gives_a_prefix_of_the_table(delta):
+    # so the run summary reads its 40 eigenvalues off one basis at the
+    # Nyquist bound whatever the run's cutoff
+    geom = TorusGeometry(grid_n=32, spin_delta=delta)
+    full = build_basis(geom, geom.nyquist_bound)
+    for cutoff in (0.0, 1.0, 1.5, 2.25, 3.375, 5.0625):
+        basis = build_basis(geom, cutoff)
+        m = len(basis.modes)
+        assert np.array_equal(basis.modes, full.modes[:m])
+        assert np.array_equal(basis.eigenvalues, full.eigenvalues[:2 * m])
+        assert _spectral_summary(basis) == _spectral_summary(full)
 
 
 def test_harmonic_block_from_assembled_kernel():
@@ -130,7 +172,7 @@ def test_basis_orthonormality():
     geom = TorusGeometry(grid_n=16, spin_delta=(0.5, 0.5))
     basis = build_basis(geom, cutoff=2.0)
     fields = [basis.eigenspinor(j) for j in range(1, 13)]
-    fields += [basis.eigenspinor(-j) for j in range(1, 5)]
+    fields += [omega_mult(basis.eigenspinor(j)) for j in range(1, 5)]
     for i, fi in enumerate(fields):
         for j, fj in enumerate(fields):
             val = l2_inner(fi, fj)
@@ -140,9 +182,10 @@ def test_basis_orthonormality():
 def test_eigen_relation_and_kernel():
     geom = TorusGeometry(grid_n=16, spin_delta=(0.5, 0.5))
     basis = build_basis(geom, cutoff=2.0)
-    for j in (1, 3, -1, -5):
-        psi = basis.eigenspinor(j)
-        res = dirac_apply(psi) - basis.eigenvalue(j) * psi
+    for j, sign in ((1, 1), (3, 1), (1, -1), (5, -1)):
+        # sign -1: the omega-mirror of Psi_j, eigenvalue -lambda_j
+        psi = basis.eigenspinor(j) if sign > 0 else omega_mult(basis.eigenspinor(j))
+        res = dirac_apply(psi) - (sign * basis.eigenvalue(j)) * psi
         assert l2_norm(res) < 1e-12
 
     geom0 = TorusGeometry(grid_n=16, spin_delta=(0.0, 0.0))
@@ -354,5 +397,5 @@ def test_multiplicity_at_least_three():
     for delta in ALL_DELTAS:
         geom = TorusGeometry(grid_n=16, spin_delta=delta)
         basis = build_basis(geom, cutoff=2.0)
-        for lam in np.unique(np.round(basis.eigenvalues, 9)):
-            assert basis.multiplicity_of(float(lam)) >= 3
+        for j in range(1, len(basis.eigenvalues) + 1):
+            assert basis.multiplicity(j) >= 3
