@@ -114,7 +114,9 @@ def minres(apply_op, b, inner, tol=1e-12, maxiter=400):
     update takes its products and sums in the order of the plain
     expressions, so the iterates are theirs bit for bit.  Returns
     (x, SolveInfo); the iteration cap is not an error here because callers
-    (Newton) damp and retry.  A non-finite b raises ConditioningError.
+    (Newton) damp and retry.  A breakdown (the Krylov space stops growing)
+    returns the current x with its residual |eta| / ||b||, converged only
+    when that meets tol.  A non-finite b raises ConditioningError.
     """
     norm_b = np.sqrt(max(inner(b, b), 0.0))
     if not np.isfinite(norm_b):
@@ -151,7 +153,9 @@ def minres(apply_op, b, inner, tol=1e-12, maxiter=400):
         a2 = sigma * delta + gamma_prev * gamma * beta
         a3 = sigma_prev * beta
         if a1 == 0.0:
-            return x, SolveInfo(True, it, 0.0)
+            # breakdown: x stays as it is, and |eta| is its residual
+            relres = abs(eta) / norm_b
+            return x, SolveInfo(bool(relres <= tol), it, float(relres))
 
         gamma_next = a0 / a1
         sigma_next = beta_next / a1
@@ -164,10 +168,8 @@ def minres(apply_op, b, inner, tol=1e-12, maxiter=400):
         eta = -sigma_next * eta
 
         relres = abs(eta) / norm_b
-        if relres <= tol:
-            return x, SolveInfo(True, it, float(relres))
-        if beta_next == 0.0:
-            return x, SolveInfo(True, it, float(relres))
+        if relres <= tol or beta_next == 0.0:
+            return x, SolveInfo(bool(relres <= tol), it, float(relres))
 
         av *= 1.0 / beta_next
         v_prev, v, v_next = v, av, v_prev

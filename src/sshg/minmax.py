@@ -39,7 +39,6 @@ from .nehari import (
     MultiplierData,
     NehariPoint,
     constrained_gradient,
-    constrained_tangent,
     fiber_energy_bounds,
     fiber_solve,
     multiplier_solve,
@@ -147,12 +146,12 @@ class PSDiagnostics:
     repairs: list = field(default_factory=list)
     exit: str = "budget"
 
-    def record(self, tangent_res, level, u_h1, psi_hhalf):
-        self.alpha_norms.append(tangent_res.alpha_norm)
-        self.beta_norms.append(tangent_res.beta_norm)
-        self.multiplier_norms.append(tangent_res.multiplier.norm)
+    def record(self, res: MultiplierData, level, u_h1, psi_hhalf):
+        self.alpha_norms.append(res.alpha_norm)
+        self.beta_norms.append(res.beta_norm)
+        self.multiplier_norms.append(res.multiplier_norm)
         self.energies.append(level)
-        self.grad_norms.append(tangent_res.norm)
+        self.grad_norms.append(res.norm)
         self.u_h1_trace.append(u_h1)
         self.psi_hhalf_trace.append(psi_hhalf)
 
@@ -229,7 +228,7 @@ def make_record(point: NehariPoint, multiplier: MultiplierData, converged: bool,
         u_variance=var,
         converged=converged,
         refined=refined,
-        multiplier_norm=multiplier.norm,
+        multiplier_norm=multiplier.multiplier_norm,
         u_h1=h1_norm(point.u),
         psi_hhalf=hhalf_norm(point.psi),
     )
@@ -613,7 +612,7 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
         if res.norm <= HANDOFF_GRAD:
             record = _accept_refined(_newton_trial(point, params), diags, converged=converged)
         if record is None:
-            record = make_record(point, res.multiplier, converged=converged, refined=False)
+            record = make_record(point, res, converged=converged, refined=False)
     if not diags.consistent_lengths():
         raise CertificationError("PS diagnostic traces have unequal lengths")
     # res is the constrained gradient at the point handed to Newton, by the
@@ -779,14 +778,12 @@ def _newton_trial(point: NehariPoint, params: ActionParams):
 def _accept_refined(trial, diags: PSDiagnostics, converged: bool):
     """The hand-off's acceptance test, written once: a Newton record that
     refined to a non-trivial solution is returned with the descent's
-    `converged` flag and ends the PS trace `diags` with the constrained
-    gradient of the record's own multiplier solve (no further solve), so
-    the final iterate carries the converged residual levels; any other
-    trial gives None."""
+    `converged` flag and ends the PS trace `diags` with the record's own
+    multiplier solve (no further solve), so the final iterate carries the
+    converged residual levels; any other trial gives None."""
     if trial is None or not trial.refined or trial.classification == "trivial":
         return None
-    res = constrained_tangent(trial.point.u.geom, trial.multiplier)
-    diags.record(res, trial.level, trial.u_h1, trial.psi_hhalf)
+    diags.record(trial.multiplier, trial.level, trial.u_h1, trial.psi_hhalf)
     diags.repairs.append(True)
     return replace(trial, converged=converged)
 

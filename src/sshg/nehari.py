@@ -57,9 +57,9 @@ from .spectral import (
 # the layer `nehari.operator_apply` through this module's binding
 __all__ = [
     "FIBER_CERT", "FIBER_MAXITER", "FIBER_TOL", "MultiplierData", "NehariPoint",
-    "TangentResult", "constrained_gradient", "constrained_tangent", "dirac_minus_potential",
-    "fiber_coercivity", "fiber_energy_bounds", "fiber_solve", "mean_field_symbol",
-    "multiplier_solve", "project_to_manifold",
+    "constrained_gradient", "dirac_minus_potential", "fiber_coercivity",
+    "fiber_energy_bounds", "fiber_solve", "mean_field_symbol", "multiplier_solve",
+    "project_to_manifold",
 ]
 
 FIBER_TOL = 1e-12
@@ -92,13 +92,23 @@ class MultiplierData:
     """One multiplier solve at a point: the packed Riesz gradient of J
     there, the a- row of the solution w of the normal equations, the
     H^{1/2} norm of the negative-subspace Lagrange multiplier w / 16 of the
-    16-normalized system, the packed tangent Riesz dJ - dG^* w and the
-    solve's relative residual."""
+    16-normalized system, the packed tangent Riesz dJ - dG^* w, its
+    product-metric norm, the PS residual norms alpha and beta, and the
+    solve's relative residual.
+
+    The tangent t = R(dJ - dG^* w) is the Riesz image of the residuals of
+    the multiplier system, alpha = (dJ - dG^* w)_u and
+    beta = (dJ - dG^* w)_psi / 16, so (||f||_{H^-s} = ||R f||_{H^s})
+    alpha_norm = ||t_u||_{H^1} and beta_norm = ||t_psi||_{H^1/2} / 16.
+    """
 
     gradient: np.ndarray
     w: np.ndarray
-    norm: float
+    multiplier_norm: float
     tangent: np.ndarray
+    norm: float
+    alpha_norm: float
+    beta_norm: float
     solve_residual: float
 
 
@@ -371,6 +381,7 @@ def multiplier_solve(point: NehariPoint, params: ActionParams) -> MultiplierData
     come from one linearization of the point (`_constraint_derivative`),
     which lives only as long as the solve and also forms the tangent
     Riesz dJ - dG^* w; when CG returns w = 0 the tangent is the gradient.
+    The tangent's norm, alpha and beta come from one `sobolev_norms_sq`.
     """
     geom = point.u.geom
     g = gradient_J(point.u, point.psi, params)
@@ -381,43 +392,16 @@ def multiplier_solve(point: NehariPoint, params: ActionParams) -> MultiplierData
     w, info = cg(lambda r: dg(dg_adjoint(r)), dg(g), partial(_row_inner, geom), tol=1e-12,
                  maxiter=FIBER_MAXITER, atol=atol,
                  precond=_mean_field_precond(geom, params.rho, point.u.values, 2))
-    return MultiplierData(gradient=g, w=w, norm=_row_norm(geom, w) / 16.0,
-                          tangent=g - dg_adjoint(w) if w.any() else g,
+    t = g - dg_adjoint(w) if w.any() else g
+    h1_sq, hhalf_sq = sobolev_norms_sq(geom, t)
+    return MultiplierData(gradient=g, w=w, multiplier_norm=_row_norm(geom, w) / 16.0,
+                          tangent=t, norm=float(np.sqrt(h1_sq + hhalf_sq)),
+                          alpha_norm=np.sqrt(h1_sq), beta_norm=np.sqrt(hhalf_sq) / 16.0,
                           solve_residual=info.relative_residual)
 
 
-@dataclass
-class TangentResult:
-    """Constrained gradient data at a certified point."""
-
-    tangent: np.ndarray           # packed Riesz representative, tangent to N_rho
-    norm: float                   # product-metric norm of the tangent
-    alpha_norm: float             # H^{-1} norm of the u-equation residual
-    beta_norm: float              # H^{-1/2} norm of the psi-equation residual
-    multiplier: MultiplierData
-
-
-def constrained_tangent(geom, multiplier: MultiplierData) -> TangentResult:
-    """The constrained gradient from a multiplier solve on geom: the norms
-    of the tangent the solve formed, with no further operator apply.
-
-    The tangent t = R(dJ - dG^* w) is the Riesz image of the residuals of
-    the multiplier system, alpha = (dJ - dG^* w)_u and
-    beta = (dJ - dG^* w)_psi / 16, so (||f||_{H^-s} = ||R f||_{H^s})
-    alpha_norm = ||t_u||_{H^1} and beta_norm = ||t_psi||_{H^1/2} / 16.
-    """
-    t = multiplier.tangent
-    h1_sq, hhalf_sq = sobolev_norms_sq(geom, t)
-    return TangentResult(
-        tangent=t,
-        norm=float(np.sqrt(h1_sq + hhalf_sq)),
-        alpha_norm=np.sqrt(h1_sq),
-        beta_norm=np.sqrt(hhalf_sq) / 16.0,
-        multiplier=multiplier,
-    )
-
-
-def constrained_gradient(point: NehariPoint, params: ActionParams) -> TangentResult:
+def constrained_gradient(point: NehariPoint, params: ActionParams) -> MultiplierData:
     """Riesz representative of dJ restricted to ker dG, plus PS residual
-    data: `constrained_tangent` of the multiplier solve at point."""
-    return constrained_tangent(point.u.geom, multiplier_solve(point, params))
+    data: the multiplier solve at point, under the name the descent calls
+    once per iteration."""
+    return multiplier_solve(point, params)

@@ -44,7 +44,7 @@ from .sweepout import (
 
 SPECTRAL_REPORT_COUNT = 40  # eigenvalues listed in every run's spectral summary
 EPSILON_FRAC = 0.05         # sweepout interface volume bound, as a fraction of Vol
-CHI_GRID_N = 256            # grid on which the sweepout profile is certified
+CHI_GRID_N = 256            # points of the line on which the sweepout profile is certified
 
 _DEFAULTS = {
     "side_length": TWO_PI,
@@ -194,17 +194,9 @@ def _record_summary(rec) -> dict:
 
 
 def _diag_summary(diags) -> dict:
-    return {
-        "alpha_norms": list(diags.alpha_norms),
-        "beta_norms": list(diags.beta_norms),
-        "multiplier_norms": list(diags.multiplier_norms),
-        "energies": list(diags.energies),
-        "grad_norms": list(diags.grad_norms),
-        "u_h1_trace": list(diags.u_h1_trace),
-        "psi_hhalf_trace": list(diags.psi_hhalf_trace),
-        "bounded": diags.bounded(),
-        "exit": diags.exit,
-    }
+    out = {f.name: list(getattr(diags, f.name)) for f in fields(diags)
+           if f.name not in ("repairs", "exit")}
+    return {**out, "bounded": diags.bounded(), "exit": diags.exit}
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +272,7 @@ def run_first_solution(config: RunConfig, geom, basis, params):
 
 def run_multiplicity(config: RunConfig, geom, basis, params):
     mm = config.minmax
-    chi_geom = TorusGeometry(grid_n=CHI_GRID_N,
-                             side_length=geom.side_length,
-                             spin_delta=geom.spin_delta)
-    chi = build_sweepout_chi(chi_geom, EPSILON_FRAC * chi_geom.vol)
+    chi = build_sweepout_chi(geom.side_length, EPSILON_FRAC * geom.vol, CHI_GRID_N)
     consts = linking_constants(params, basis)
 
     if not consts.block_dim:

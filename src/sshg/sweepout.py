@@ -30,7 +30,6 @@ from .errors import (
     ResolutionError,
 )
 from .fields import ScalarField, SpinorField
-from .geometry import TorusGeometry
 from .minmax import (
     LINKING_FACTOR,
     LinkingConstants,
@@ -77,9 +76,13 @@ def _profile(t, delta):
 
 @dataclass
 class SweepoutChi:
-    """Sweepout family evaluator with certified interface-volume budget."""
+    """Sweepout family evaluator with certified interface-volume budget.
 
-    geom: TorusGeometry
+    chi(theta, .) varies only along the second coordinate of the torus of
+    side `side_length`, so it is certified and sampled as one line."""
+
+    side_length: float
+    n_line: int              # points of the line the sweepout is certified on
     epsilon: float
     width_delta: float       # mollification half-width in the profile argument
     delta_margin: float      # height function maps into [margin, pi - margin]
@@ -87,40 +90,34 @@ class SweepoutChi:
 
     def height(self, y):
         """Piecewise-linear two-to-one height into [margin, pi - margin]."""
-        L = self.geom.side_length
+        L = self.side_length
         w = np.mod(np.asarray(y, dtype=float), L) * (2.0 / L)
         tri = np.where(w <= 1.0, w, 2.0 - w)
         return self.delta_margin + (np.pi - 2.0 * self.delta_margin) * tri
 
-    def line(self, theta, geom=None) -> np.ndarray:
-        """chi(theta, .) along the second grid coordinate, which plays the
-        Morse-height role; chi does not vary along the first."""
-        g = self.geom if geom is None else geom
-        y = np.arange(g.grid_n) * (g.side_length / g.grid_n)
+    def line(self, theta, n: int) -> np.ndarray:
+        """chi(theta, .) at n points along the second coordinate, which plays
+        the Morse-height role (any resolution; chi is analytic)."""
+        y = np.arange(n) * (self.side_length / n)
         return _profile(self.height(y) + theta, self.width_delta)
 
-    def evaluate(self, theta, geom=None) -> np.ndarray:
-        """chi(theta, .) sampled on a grid (any resolution; chi is analytic):
-        every row is `line`."""
-        g = self.geom if geom is None else geom
-        return np.ones((g.grid_n, 1)) * self.line(theta, g)[None, :]
-
-    def interface_volume(self, theta) -> float:
-        """Volume of the band 0 < |chi(theta, .)| < 1 on the grid: its cells
-        on one line, each repeated along the first coordinate."""
-        g = self.geom
-        inside = np.abs(self.line(theta, g)) < 1.0 - 1e-12
-        return float(np.count_nonzero(inside) * g.grid_n * g.quad_weight)
+    def scalar(self, theta, geom, scale) -> ScalarField:
+        """chi(theta, .) * scale on geom's grid: every row is `line`."""
+        n = geom.grid_n
+        return ScalarField.from_values(geom, np.ones((n, 1)) * self.line(theta, n)[None, :]
+                                       * scale)
 
 
-def build_sweepout_chi(geom: TorusGeometry, epsilon: float) -> SweepoutChi:
+def build_sweepout_chi(side_length: float, epsilon: float, n_line: int) -> SweepoutChi:
     """Mollified square-wave sweepout with interface volume < epsilon.
 
-    The transition strips must span at least 4 grid cells of `geom`; together
-    with the two-strip volume bound (0.7 epsilon by construction) this forces
-    epsilon/Vol >= ~11.4/grid_n, a resolution error otherwise.
+    The profile is certified on a line of n_line points, each standing for
+    a cell of an n_line x n_line grid on the torus of side side_length.  The
+    transition strips must span at least 4 of its cells; together with the
+    two-strip volume bound (0.7 epsilon by construction) this forces
+    epsilon/Vol >= ~11.4/n_line, a resolution error otherwise.
     """
-    vol = geom.vol
+    vol = side_length ** 2
     if not (0.0 < epsilon < vol / 4.0):
         raise ConfigError(f"epsilon must lie in (0, Vol/4) = (0, {vol / 4.0:g})")
     eps_frac = epsilon / vol
@@ -132,29 +129,29 @@ def build_sweepout_chi(geom: TorusGeometry, epsilon: float) -> SweepoutChi:
     if width_delta >= delta_margin:
         raise ConfigError(f"epsilon too large for the profile margins (eps={epsilon:g})")
 
-    strip_cells = 0.35 * eps_frac * geom.grid_n
+    strip_cells = 0.35 * eps_frac * n_line
     if strip_cells < 4.0:
         raise ResolutionError(
             f"interface band spans {strip_cells:.2f} grid cells (< 4) at "
-            f"grid_n={geom.grid_n}; refine the grid or enlarge epsilon"
+            f"n_line={n_line}; refine the line or enlarge epsilon"
         )
 
-    chi = SweepoutChi(geom=geom, epsilon=epsilon, width_delta=width_delta,
-                      delta_margin=delta_margin)
+    chi = SweepoutChi(side_length=side_length, n_line=n_line, epsilon=epsilon,
+                      width_delta=width_delta, delta_margin=delta_margin)
 
-    # certify the three sweepout properties on a theta sweep, one line each:
-    # every row of the grid values is the line
-    ones = chi.line(0.0, geom)
-    if np.max(np.abs(ones - 1.0)) > 1e-12:
+    # certify the three sweepout properties on a theta sweep, one line each;
+    # the band's volume is its cells on the line, each repeated along the
+    # first coordinate
+    if np.max(np.abs(chi.line(0.0, n_line) - 1.0)) > 1e-12:
         raise CertificationError("sweepout property (i) failed: chi(0,.) != 1")
     thetas = np.linspace(0.0, 2.0 * np.pi, N_THETA_CHECK, endpoint=False)
     vols = []
     for th in thetas:
-        a = chi.line(th, geom)
-        b = chi.line(th + np.pi, geom)
-        if np.max(np.abs(a + b)) > 1e-12:
+        a = chi.line(th, n_line)
+        if np.max(np.abs(a + chi.line(th + np.pi, n_line))) > 1e-12:
             raise CertificationError("sweepout property (ii) failed: antiperiodicity")
-        vols.append(chi.interface_volume(th))
+        inside = np.count_nonzero(np.abs(a) < 1.0 - 1e-12)
+        vols.append(float(inside * n_line * (side_length / n_line) ** 2))
     vols = np.array(vols)
     if np.max(vols) >= epsilon:
         raise CertificationError(
@@ -206,7 +203,7 @@ def _family_attempt(u_bar, s, chi, params, basis, thetas, stride):
     energies, ring = [], []
     warm = None
     for i, th in enumerate(thetas[:len(thetas) // 2]):
-        u = ScalarField.from_values(geom, chi.evaluate(float(th), geom) * u_bar)
+        u = chi.scalar(float(th), geom, u_bar)
         pt = fiber_solve(u, s * psi1, params, x0=warm)
         warm = project(pt.psi, "minus")
         energies.append(pt.J)
@@ -238,8 +235,11 @@ def equivariant_family(u_bar: float, s: float, chi: SweepoutChi, params: ActionP
     u_theta = chi(theta,.) * u_bar; the fiber part is continued in theta with
     warm starts.  An attempt stops at its first angle with J >= 0 and keeps
     none of its points; the retry takes a larger s (then u_bar, then a
-    smaller-epsilon sweepout when the grid permits), and the error after
-    the last retry names that angle and its J.
+    smaller-epsilon sweepout when the line permits), and the error after
+    the last retry names that angle and its J.  On the runner's 256-point
+    line the halved epsilon, 0.025 Vol, never certifies (its band would
+    span 0.35 * 0.025 * 256 = 2.24 < 4 points), so that retry keeps its
+    profile.
     """
     check_n_theta_disk(n_theta, n_theta_disk)
     thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
@@ -263,7 +263,8 @@ def equivariant_family(u_bar: float, s: float, chi: SweepoutChi, params: ActionP
             cur_u += 0.3
         if attempt >= 3:
             try:
-                cur_chi = build_sweepout_chi(cur_chi.geom, 0.5 * cur_chi.epsilon)
+                cur_chi = build_sweepout_chi(cur_chi.side_length, 0.5 * cur_chi.epsilon,
+                                             cur_chi.n_line)
             except (ResolutionError, ConfigError):
                 pass
 
@@ -362,9 +363,7 @@ def orthogonal_restart(u1: ScalarField, family: EquivariantFamily,
         raise ConfigError("orthogonal restart needs a nonzero first solution")
 
     def pairing(theta: float) -> float:
-        u_th = ScalarField.from_values(
-            geom, family.chi.evaluate(float(theta), geom) * family.u_bar)
-        return sobolev_inner(u1, u_th)
+        return sobolev_inner(u1, family.chi.scalar(float(theta), geom, family.u_bar))
 
     thetas = family.theta_grid
     vals = np.array([pairing(th) for th in thetas])
@@ -396,8 +395,7 @@ def orthogonal_restart(u1: ScalarField, family: EquivariantFamily,
         coef = sobolev_inner(u, u1) / u1_sq
         return u - coef * u1
 
-    u_t0 = orthogonalize(ScalarField.from_values(
-        geom, family.chi.evaluate(theta0, geom) * family.u_bar))
+    u_t0 = orthogonalize(family.chi.scalar(theta0, geom, family.u_bar))
     nodes, frozen = straight_path(u_t0, family.s, basis.eigenspinor(1),
                                   config.path_nodes, params)
     if nodes[-1].J >= 0:
@@ -517,8 +515,6 @@ def case2_product_minmax(chi: SweepoutChi, consts: LinkingConstants,
     shell_q = np.linspace(0, 1, n_rad_phi + 1)[1:]
     on_boundary = [False] + [bool(q == 1.0) for q in shell_q for _ in dirs]
     disk_r = np.linspace(0.0, 1.0, n_radii + 1)
-    chi_vals = [chi.evaluate(2.0 * np.pi * it / n_theta_disk, geom)
-                for it in range(n_theta_disk // 2)]
 
     r_factor = 1.0
     for attempt in range(CASE2_RETRIES + 1):
@@ -528,7 +524,7 @@ def case2_product_minmax(chi: SweepoutChi, consts: LinkingConstants,
 
         def node(shell, it, ir):
             r = float(disk_r[ir])
-            u = ScalarField.from_values(geom, chi_vals[it] * (consts.T * r))
+            u = chi.scalar(2.0 * np.pi * it / n_theta_disk, geom, consts.T * r)
             return fiber_solve(u, phi_fields[shell] + (consts.s * r) * psi_top, params)
 
         nodes, frozen, centers, segments = equivariant_disk_mesh(

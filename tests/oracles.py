@@ -502,7 +502,7 @@ def full_equivariant_family(family, params, basis) -> list:
     free = family.s * basis.eigenspinor(1)
     points, warm = [], None
     for th in family.theta_grid[:len(family.theta_grid) // 2]:
-        u = ScalarField.from_values(geom, family.chi.evaluate(float(th), geom) * family.u_bar)
+        u = family.chi.scalar(float(th), geom, family.u_bar)
         points.append(fiber_solve(u, free, params, x0=warm))
         warm = project(points[-1].psi, "minus")
     return points + [NehariPoint(u=-1.0 * pt.u, psi=pt.psi, constraint_norm=pt.constraint_norm,

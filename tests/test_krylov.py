@@ -226,3 +226,38 @@ def test_non_finite_rhs_refused_before_any_apply(solver, bad):
     with pytest.raises(ConditioningError, match="right-hand side is not finite"):
         solver(lambda v, *out: calls.append(1) or v, b, inner)
     assert calls == []
+
+
+def _dot(x, y):
+    return float(x @ y)
+
+
+@pytest.mark.parametrize("diag, want", [((2.0, 2.0, 0.0, 0.0), 0.5), ((0.0,) * 4, 0.0)])
+def test_minres_breakdown_reports_the_residual_of_its_iterate(diag, want):
+    # a singular operator whose range misses b: the Krylov space stops
+    # growing before the residual falls, so the solve is not converged and
+    # reports the true relative residual of the x it returns
+    d = np.array(diag)
+    b = np.ones(4)
+    x, info = minres(lambda v, out: np.multiply(d, v, out=out), b, _dot, tol=1e-12)
+    np.testing.assert_allclose(x, np.full(4, want), rtol=1e-14, atol=0.0)
+    true_relres = np.linalg.norm(b - d * x) / np.linalg.norm(b)
+    assert not info.converged
+    assert info.relative_residual == pytest.approx(true_relres, rel=1e-12)
+    assert true_relres == pytest.approx(np.sqrt(0.5) if want else 1.0, rel=1e-12)
+
+
+def test_minres_iteration_cap_is_not_converged():
+    d = np.arange(1.0, 41.0)
+    x, info = minres(lambda v, out: np.multiply(d, v, out=out), np.ones(40), _dot,
+                     tol=1e-12, maxiter=3)
+    assert not info.converged and info.iterations == 3
+    assert info.relative_residual > 1e-12
+
+
+def test_cg_refuses_an_indefinite_operator():
+    # diag(1, -1): p.Ap = 0 on the first direction, with the residual at b
+    d = np.array([1.0, -1.0])
+    with pytest.raises(ConditioningError, match="positive definiteness") as exc:
+        cg(lambda v: d * v, np.ones(2), _dot)
+    assert exc.value.residual == 1.0

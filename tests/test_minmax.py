@@ -431,6 +431,34 @@ def test_minmax_deform_hands_off_at_its_exit(setup16):
     assert record.exit == "budget"
     assert record.descent_level <= diags.energies[-2]
     assert 0.0 < record.handoff_grad <= sshg.minmax.HANDOFF_GRAD
+    # the hand-off's trace entry is the record's own multiplier solve
+    md = record.multiplier
+    assert (diags.alpha_norms[-1], diags.beta_norms[-1], diags.multiplier_norms[-1],
+            diags.grad_norms[-1]) == (md.alpha_norm, md.beta_norm, md.multiplier_norm, md.norm)
+
+
+def test_minmax_deform_exits_on_grad_tol(setup16):
+    # a tolerance above every gradient ends the descent at outer iteration
+    # 0; the exit's Newton adds the hand-off entry, and its record is
+    # converged
+    nodes, frozen, config, params = _small_mountain_pass(setup16)
+    record, diags = minmax_deform(nodes, frozen, dataclasses.replace(config, grad_tol=1e6),
+                                  params)
+    assert diags.exit == record.exit == "grad_tol"
+    assert len(diags.energies) == 2 and diags.consistent_lengths()
+    assert record.refined and record.converged
+
+
+def test_minmax_deform_exits_on_stall(setup16):
+    # a filter that reverses the tangent makes every line search climb, so
+    # each iteration exhausts its backtracks; the third stall ends the
+    # descent, and the exit's Newton adds the hand-off entry
+    nodes, frozen, config, params = _small_mountain_pass(setup16)
+    record, diags = minmax_deform(nodes, frozen, config, params,
+                                  tangent_filter=lambda t: -1.0 * t)
+    assert diags.exit == record.exit == "stall"
+    assert len(diags.energies) == 4 and diags.consistent_lengths()
+    assert record.refined and not record.converged
 
 
 def test_semi_trivial_eigenvalue_relation(setup16):

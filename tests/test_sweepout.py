@@ -13,7 +13,7 @@ import sshg.sweepout
 from sshg.action import ActionParams, el_residual_norms, evaluate_J, gradient_J
 from sshg.errors import CertificationError, ConfigError, ResolutionError
 from sshg.fields import ScalarField
-from sshg.geometry import TorusGeometry
+from sshg.geometry import TWO_PI, TorusGeometry
 from sshg.minmax import NEWTON_TOL, MinmaxConfig, linking_constants, newton_refine
 from sshg.nehari import NehariPoint, fiber_solve
 from sshg.runner import RunConfig, run
@@ -37,8 +37,7 @@ LAM1 = np.sqrt(2.0) / 2.0
 
 @pytest.fixture(scope="module")
 def chi256():
-    geom = TorusGeometry(grid_n=256, spin_delta=(0.5, 0.5))
-    return build_sweepout_chi(geom, epsilon=0.05 * geom.vol)
+    return build_sweepout_chi(TWO_PI, 0.05 * TWO_PI ** 2, 256)
 
 
 @pytest.fixture(scope="module")
@@ -51,34 +50,36 @@ def mp16():
 
 def test_sweepout_properties(chi256):
     chi = chi256
-    geom = chi.geom
+    n = chi.n_line
     # (i) chi(0,.) = 1 and chi(pi,.) = -1 exactly
-    assert np.max(np.abs(chi.evaluate(0.0) - 1.0)) <= 1e-12
-    assert np.max(np.abs(chi.evaluate(np.pi) + 1.0)) <= 1e-12
+    assert np.max(np.abs(chi.line(0.0, n) - 1.0)) <= 1e-12
+    assert np.max(np.abs(chi.line(np.pi, n) + 1.0)) <= 1e-12
     # (ii) antiperiodicity on a theta sweep
     for th in np.linspace(0, 2 * np.pi, 64, endpoint=False):
-        assert np.max(np.abs(chi.evaluate(th) + chi.evaluate(th + np.pi))) <= 1e-12
+        assert np.max(np.abs(chi.line(th, n) + chi.line(th + np.pi, n))) <= 1e-12
     # (iii) certified interface volumes
     assert chi.interface_volumes is not None
     assert np.max(chi.interface_volumes) < chi.epsilon
     # range is [-1, 1]
-    vals = chi.evaluate(1.2345)
+    vals = chi.line(1.2345, n)
     assert np.max(vals) <= 1.0 + 1e-15 and np.min(vals) >= -1.0 - 1e-15
+    # on a grid every row is the line, times the scale
+    geom = TorusGeometry(grid_n=16, spin_delta=(0.5, 0.5))
+    u = chi.scalar(1.2345, geom, 2.5).values
+    assert np.array_equal(u, np.tile(chi.line(1.2345, 16) * 2.5, (16, 1)))
 
 
 def test_sweepout_resolution_guard():
-    geom = TorusGeometry(grid_n=32, spin_delta=(0.5, 0.5))
     with pytest.raises(ResolutionError):
-        build_sweepout_chi(geom, epsilon=0.05 * geom.vol)
+        build_sweepout_chi(TWO_PI, 0.05 * TWO_PI ** 2, 32)
     with pytest.raises(ConfigError):
-        build_sweepout_chi(geom, epsilon=0.5 * geom.vol)
+        build_sweepout_chi(TWO_PI, 0.5 * TWO_PI ** 2, 32)
 
 
 def test_sweepout_volume_scales_with_epsilon():
-    geom = TorusGeometry(grid_n=512, spin_delta=(0.5, 0.5))
     v = []
     for frac in (0.05, 0.025):
-        chi = build_sweepout_chi(geom, epsilon=frac * geom.vol)
+        chi = build_sweepout_chi(TWO_PI, frac * TWO_PI ** 2, 512)
         v.append(np.max(chi.interface_volumes))
     assert v[1] < v[0]
 
@@ -410,7 +411,7 @@ def test_orthogonal_restart_direct(mp16, family16):
     half = len(thetas) // 2
 
     def u_at(theta):
-        return ScalarField.from_values(geom, fam.chi.evaluate(float(theta), geom) * fam.u_bar)
+        return fam.chi.scalar(float(theta), geom, fam.u_bar)
 
     for i in range(0, half, 4):
         a = sobolev_inner(rec1.point.u, u_at(thetas[i]))
@@ -444,8 +445,7 @@ def test_case2_product_minmax_harmonic_block():
     geom = TorusGeometry(grid_n=16, spin_delta=(0.0, 0.0))
     basis = build_basis(geom, cutoff=2.2)
     params = ActionParams(rho=0.5)
-    chig = TorusGeometry(grid_n=256, spin_delta=(0.0, 0.0))
-    chi = build_sweepout_chi(chig, 0.05 * chig.vol)
+    chi = build_sweepout_chi(TWO_PI, 0.05 * TWO_PI ** 2, 256)
     config = MinmaxConfig(path_nodes=9, grad_tol=1e-3, max_outer=30, seed=0)
     from sshg.sweepout import case2_product_minmax
     rec, diags = case2_product_minmax(chi, linking_constants(params, basis), config,
@@ -461,8 +461,7 @@ def test_case2_disk_follows_n_theta_disk_and_n_radii(monkeypatch):
     # the case-2 disk is sampled on the configured angles and radii
     geom = TorusGeometry(grid_n=16, spin_delta=(0.0, 0.0))
     basis = build_basis(geom, cutoff=2.2)
-    chig = TorusGeometry(grid_n=256, spin_delta=(0.0, 0.0))
-    chi = build_sweepout_chi(chig, 0.05 * chig.vol)
+    chi = build_sweepout_chi(TWO_PI, 0.05 * TWO_PI ** 2, 256)
     config = MinmaxConfig(path_nodes=9, grad_tol=1e-3, max_outer=5, seed=0)
     mesh = sshg.sweepout.equivariant_disk_mesh
     built = []
@@ -495,8 +494,7 @@ def test_case2_capacity_guard(mp16):
     geom16, basis, params_mp = mp16
     from sshg.errors import CapacityError
     from sshg.sweepout import case2_product_minmax
-    chig = TorusGeometry(grid_n=256, spin_delta=(0.5, 0.5))
-    chi = build_sweepout_chi(chig, 0.05 * chig.vol)
+    chi = build_sweepout_chi(TWO_PI, 0.05 * TWO_PI ** 2, 256)
     config = MinmaxConfig(path_nodes=9, grad_tol=1e-3, max_outer=5, seed=0)
     with pytest.raises(CapacityError):
         params = ActionParams(rho=1.0)
