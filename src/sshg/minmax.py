@@ -146,7 +146,7 @@ class PSDiagnostics:
     repairs: list = field(default_factory=list)
     exit: str = "budget"
 
-    def record(self, res: MultiplierData, level, u_h1, psi_hhalf):
+    def record(self, res: MultiplierData, level, u_h1, psi_hhalf, repaired):
         self.alpha_norms.append(res.alpha_norm)
         self.beta_norms.append(res.beta_norm)
         self.multiplier_norms.append(res.multiplier_norm)
@@ -154,6 +154,7 @@ class PSDiagnostics:
         self.grad_norms.append(res.norm)
         self.u_h1_trace.append(u_h1)
         self.psi_hhalf_trace.append(psi_hhalf)
+        self.repairs.append(repaired)
 
     def bounded(self) -> bool:
         arrays = [self.u_h1_trace, self.psi_hhalf_trace, self.energies]
@@ -164,7 +165,8 @@ class PSDiagnostics:
         n = len(self.energies)
         return all(len(t) == n for t in (self.alpha_norms, self.beta_norms,
                                          self.multiplier_norms, self.grad_norms,
-                                         self.u_h1_trace, self.psi_hhalf_trace))
+                                         self.u_h1_trace, self.psi_hhalf_trace,
+                                         self.repairs))
 
 
 @dataclass
@@ -528,7 +530,6 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
 
     for outer in range(config.max_outer):
         repaired = mesh.repair()
-        diags.repairs.append(repaired)
 
         idx = mesh.max_free()
         point = mesh.nodes[idx]
@@ -541,7 +542,7 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
             # the filtered norm
             filt = tangent_filter(res.tangent)
             res = replace(res, tangent=filt, norm=_norm(point.u.geom, filt))
-        diags.record(res, level, h1_norm(point.u), hhalf_norm(point.psi))
+        diags.record(res, level, h1_norm(point.u), hhalf_norm(point.psi), repaired)
 
         # descent never raises the certified max; repairs may (logged above)
         if not repaired and level > prev_max + 1e-9 * (1.0 + abs(prev_max)):
@@ -783,8 +784,7 @@ def _accept_refined(trial, diags: PSDiagnostics, converged: bool):
     converged residual levels; any other trial gives None."""
     if trial is None or not trial.refined or trial.classification == "trivial":
         return None
-    diags.record(trial.multiplier, trial.level, trial.u_h1, trial.psi_hhalf)
-    diags.repairs.append(True)
+    diags.record(trial.multiplier, trial.level, trial.u_h1, trial.psi_hhalf, True)
     return replace(trial, converged=converged)
 
 
@@ -806,7 +806,7 @@ def _random_direction(geom, rng):
 
 
 def coercivity_probe(params: ActionParams, basis, r0: float, tau: float,
-                     n_samples: int = 100, seed: int = 0) -> float:
+                     n_samples: int, seed: int) -> float:
     """Estimate of inf J/(||u||^2 + ||psi||^2) on the r0-sphere outside the
     cone around the negative-Hessian block: a sample minimum, so an upper bound.
 

@@ -274,10 +274,11 @@ def run_multiplicity(config: RunConfig, geom, basis, params):
     mm = config.minmax
     chi = build_sweepout_chi(geom.side_length, EPSILON_FRAC * geom.vol, CHI_GRID_N)
     consts = linking_constants(params, basis)
-
-    if not consts.block_dim:
-        first = run_path(config, basis, params, consts)
-        rec1 = first["records"][0]
+    # case 2 (a plus_b + zero block): its capacity check needs only the spectrum
+    block = case2_block(basis, consts) if consts.block_dim else None
+    first = run_path(config, basis, params, consts)
+    rec1 = first["records"][0]
+    if block is None:
         fam = equivariant_family(consts.T, consts.s, chi, params, basis,
                                  n_theta=config["n_theta"],
                                  n_theta_disk=config["n_theta_disk"])
@@ -286,31 +287,20 @@ def run_multiplicity(config: RunConfig, geom, basis, params):
         records = [rec1, rec2]
         if abs(rec2.level - rec1.level) <= DISTINCT_LEVEL_TOL:
             records.append(orthogonal_restart(rec1.point.u, fam, mm, params, basis)[0])
-        return {
-            "case": 1,
-            "records": records,
-            "levels": {"c1": rec1.level, "c2": rec2.level},
-            "distinct": _any_distinct(records),
-            "first": first,
-            "family_max_energy": max(fam.energies),
-            "theta_sweep": list(zip(fam.theta_grid, fam.energies)),
-            "diagnostics": diags,
-        }
-
-    # linking regime: (K+2)-dimensional equivariant product construction;
-    # the block's capacity check needs only the spectrum, so it comes first
-    case2_block(basis, consts)
-    first = run_path(config, basis, params, consts)
-    rec1 = first["records"][0]
-    rec2, diags = case2_product_minmax(
-        chi, consts, mm, params, basis,
-        n_theta_disk=config["n_theta_disk"], n_radii=config["n_radii"])
+        extra = {"family_max_energy": max(fam.energies),
+                 "theta_sweep": list(zip(fam.theta_grid, fam.energies))}
+    else:
+        rec2, diags = case2_product_minmax(
+            chi, consts, block, mm, params, basis,
+            n_theta_disk=config["n_theta_disk"], n_radii=config["n_radii"])
+        records, extra = [rec1, rec2], {}
     return {
-        "case": 2,
-        "records": [rec1, rec2],
+        "case": 1 if block is None else 2,
+        "records": records,
         "levels": {"c1": rec1.level, "c2": rec2.level},
-        "distinct": _any_distinct([rec1, rec2]),
+        "distinct": _any_distinct(records),
         "first": first,
+        **extra,
         "diagnostics": diags,
     }
 

@@ -158,8 +158,7 @@ def build_sweepout_chi(side_length: float, epsilon: float, n_line: int) -> Sweep
             f"sweepout property (iii) failed: interface volume {np.max(vols):.4g} "
             f">= epsilon {epsilon:.4g}"
         )
-    chi.interface_volumes = vols
-    return chi
+    return replace(chi, interface_volumes=vols)
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +182,8 @@ class EquivariantFamily:
 
 
 def _sigma_point(pt: NehariPoint) -> NehariPoint:
-    """The Z2 action on u.  J is even bit for bit (cosh even, the gradient
-    term quadratic), so the image takes pt's J, read first: it forms the
-    Fourier view of pt.u, which the image negates."""
-    j = pt.J
-    image = replace(pt, u=-1.0 * pt.u)
-    image.J = j
-    return image
+    """The Z2 action on u: the image negates each view pt.u holds."""
+    return replace(pt, u=-1.0 * pt.u)
 
 
 def _family_attempt(u_bar, s, chi, params, basis, thetas, stride):
@@ -227,46 +221,35 @@ def check_n_theta_disk(n_theta: int, n_theta_disk: int) -> None:
 
 
 def equivariant_family(u_bar: float, s: float, chi: SweepoutChi, params: ActionParams,
-                       basis, n_theta: int = 64, n_theta_disk: int = 8) -> EquivariantFamily:
+                       basis, n_theta: int, n_theta_disk: int) -> EquivariantFamily:
     """Family (u_theta, psi_theta) on the manifold with max_theta J < 0 on
     all n_theta angles, every sigma-image certified as it is formed; it
     keeps the n_theta_disk / 2 representatives the disk reads.
 
     u_theta = chi(theta,.) * u_bar; the fiber part is continued in theta with
     warm starts.  An attempt stops at its first angle with J >= 0 and keeps
-    none of its points; the retry takes a larger s (then u_bar, then a
-    smaller-epsilon sweepout when the line permits), and the error after
-    the last retry names that angle and its J.  On the runner's 256-point
-    line the halved epsilon, 0.025 Vol, never certifies (its band would
-    span 0.35 * 0.025 * 256 = 2.24 < 4 points), so that retry keeps its
-    profile.
+    none of its points; each retry keeps the profile chi and takes a larger
+    s (from the second retry on, a larger u_bar too), and the error after
+    the last retry names that angle and its J.
     """
     check_n_theta_disk(n_theta, n_theta_disk)
     thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
     stride = n_theta // n_theta_disk
 
-    attempt = 0
-    cur_u, cur_s, cur_chi = float(u_bar), float(s), chi
-    while True:
-        energies, ring = _family_attempt(cur_u, cur_s, cur_chi, params, basis, thetas, stride)
+    u_bar, s = float(u_bar), float(s)
+    for attempt in range(FAMILY_RETRIES + 1):
+        if attempt:
+            s *= 1.5
+        if attempt >= 2:
+            u_bar += 0.3
+        energies, ring = _family_attempt(u_bar, s, chi, params, basis, thetas, stride)
         if ring is not None:
             return EquivariantFamily(theta_grid=thetas, energies=energies, ring=ring,
-                                     u_bar=cur_u, s=cur_s, chi=cur_chi)
-        attempt += 1
-        if attempt > FAMILY_RETRIES:
-            raise CertificationError(
-                f"equivariant family certification failed after {FAMILY_RETRIES} retries: "
-                f"J = {energies[-1]:.4g} >= 0 at theta = {thetas[len(energies) - 1]:.4f}"
-            )
-        cur_s *= 1.5
-        if attempt >= 2:
-            cur_u += 0.3
-        if attempt >= 3:
-            try:
-                cur_chi = build_sweepout_chi(cur_chi.side_length, 0.5 * cur_chi.epsilon,
-                                             cur_chi.n_line)
-            except (ResolutionError, ConfigError):
-                pass
+                                     u_bar=u_bar, s=s, chi=chi)
+    raise CertificationError(
+        f"equivariant family certification failed after {FAMILY_RETRIES} retries: "
+        f"J = {energies[-1]:.4g} >= 0 at theta = {thetas[len(energies) - 1]:.4f}"
+    )
 
 
 def certify_equivariance(pt: NehariPoint, image: NehariPoint) -> None:
@@ -381,7 +364,7 @@ def orthogonal_restart(u1: ScalarField, family: EquivariantFamily,
             raise CertificationError(
                 "no sign change in <u1, u_theta>: equivariant family corrupted")
         lo, hi = thetas[k], thetas[k] + (thetas[1] - thetas[0])
-        flo = pairing(lo)
+        flo = vals[k]
         for _ in range(80):
             mid = 0.5 * (lo + hi)
             fm = pairing(mid)
@@ -493,19 +476,20 @@ def _block_spinor(geom, fields, coefvec) -> SpinorField:
     return out
 
 
-def case2_product_minmax(chi: SweepoutChi, consts: LinkingConstants,
+def case2_product_minmax(chi: SweepoutChi, consts: LinkingConstants, block,
                          config: MinmaxConfig, params: ActionParams, basis,
                          n_theta_disk: int, n_radii: int):
     """Equivariant min-max over the product of the linking ball and a disk.
 
     Elements are (u, psi) = (chi(theta,.) T r, phi + s r Psi_{k+1}) with
-    phi in the plus_b + zero block, on n_theta_disk angles and n_radii radii;
-    the boundary {|phi| = R} u {r = 1} must have nonpositive energy
-    (certified, with R inflation retries).  Returns (SolutionRecord,
-    PSDiagnostics); the record's level is c2.
+    phi in the plus_b + zero block (`case2_block`'s fields and eigenvalues),
+    on n_theta_disk angles and n_radii radii; the boundary {|phi| = R} u
+    {r = 1} must have nonpositive energy (certified, with R inflation
+    retries).  Returns (SolutionRecord, PSDiagnostics); the record's level
+    is c2.
     """
     geom = basis.geom
-    fields, lams = case2_block(basis, consts)
+    fields, lams = block
     K = len(fields)
     radius = case2_radius(consts, lams, params, geom.vol)
 

@@ -358,7 +358,8 @@ def test_criterion_8_sweepout():
     basis = build_basis(solver_geom, cutoff=3.0)
     params = ActionParams(rho=0.5)
     consts = linking_constants(params, basis)
-    fam = equivariant_family(consts.T, consts.s, chi, params, basis, n_theta=64)
+    fam = equivariant_family(consts.T, consts.s, chi, params, basis, n_theta=64,
+                             n_theta_disk=8)
     crit.check(f"family max J {max(fam.energies):.2f} < 0", max(fam.energies) < 0)
     crit.conclude()
 

@@ -50,6 +50,16 @@ def test_no_asserts_and_no_swallowing_handlers():
     assert not bad, "\n".join(bad)
 
 
+def test_no_handler_only_passes():
+    # a handler whose body is a lone `pass` hides what it caught: a failure
+    # either changes what the code does next or is not caught
+    bad = [f"{path.name}:{node.lineno}: handler body is a lone pass"
+           for path, tree in _trees() for node in ast.walk(tree)
+           if isinstance(node, ast.ExceptHandler)
+           and len(node.body) == 1 and isinstance(node.body[0], ast.Pass)]
+    assert not bad, "\n".join(bad)
+
+
 def _exported(tree) -> set:
     """The names listed in a module-level __all__."""
     for node in tree.body:

@@ -461,6 +461,15 @@ def test_minmax_deform_exits_on_stall(setup16):
     assert record.refined and not record.converged
 
 
+def test_ps_trace_lengths_count_the_repair_flags():
+    # one record() call writes one entry in every trace, the repair flag
+    # included; a repair flag without its entry is inconsistent
+    diags = sshg.minmax.PSDiagnostics()
+    assert diags.consistent_lengths()
+    diags.repairs.append(False)
+    assert not diags.consistent_lengths()
+
+
 def test_semi_trivial_eigenvalue_relation(setup16):
     # constant-u records must satisfy rho cosh(ubar) in the computed spectrum
     geom, basis = setup16

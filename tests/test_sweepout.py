@@ -219,6 +219,26 @@ def test_family_failure_names_the_first_angle_with_nonnegative_J(mp16, chi256, m
     assert solved == [0, 1, 2] * 4
 
 
+def test_family_retries_keep_the_profile(mp16, monkeypatch):
+    # every attempt fails at its first angle: each retry multiplies s by
+    # 1.5, adds 0.3 to u_bar from the second retry on, and keeps the profile
+    # it was given, even on a line where a halved epsilon would certify
+    geom, basis, params = mp16
+    chi = build_sweepout_chi(TWO_PI, 0.05 * TWO_PI ** 2, 512)
+    attempts = []
+
+    def fail_first_angle(u_bar, s, chi_, params_, basis_, thetas, stride):
+        attempts.append((u_bar, s, chi_))
+        return [0.0], None
+
+    monkeypatch.setattr(sshg.sweepout, "_family_attempt", fail_first_angle)
+    with pytest.raises(CertificationError, match="after 3 retries"):
+        equivariant_family(1.0, 2.0, chi, params, basis, n_theta=32, n_theta_disk=8)
+    assert all(c is chi for _, _, c in attempts)
+    assert [s for _, s, _ in attempts] == [2.0, 3.0, 4.5, 6.75]
+    assert [u for u, _, _ in attempts] == [1.0, 1.0, 1.0 + 0.3, 1.0 + 0.3 + 0.3]
+
+
 def test_disk_starts_with_only_the_ring_of_the_family_alive(monkeypatch):
     # when the deformation of the grid-16 run's disk starts, the only family
     # points alive are the ring the disk holds as its frozen outer nodes: no
@@ -447,8 +467,9 @@ def test_case2_product_minmax_harmonic_block():
     params = ActionParams(rho=0.5)
     chi = build_sweepout_chi(TWO_PI, 0.05 * TWO_PI ** 2, 256)
     config = MinmaxConfig(path_nodes=9, grad_tol=1e-3, max_outer=30, seed=0)
-    from sshg.sweepout import case2_product_minmax
-    rec, diags = case2_product_minmax(chi, linking_constants(params, basis), config,
+    from sshg.sweepout import case2_block, case2_product_minmax
+    consts = linking_constants(params, basis)
+    rec, diags = case2_product_minmax(chi, consts, case2_block(basis, consts), config,
                                       params, basis, n_theta_disk=8, n_radii=3)
     assert diags.bounded()
     if rec.refined:
@@ -474,10 +495,11 @@ def test_case2_disk_follows_n_theta_disk_and_n_radii(monkeypatch):
         raise MeshBuilt
 
     monkeypatch.setattr(sshg.sweepout, "equivariant_disk_mesh", mesh_then_stop)
-    from sshg.sweepout import case2_product_minmax
+    from sshg.sweepout import case2_block, case2_product_minmax
     with pytest.raises(MeshBuilt):
         params = ActionParams(rho=0.5)
-        case2_product_minmax(chi, linking_constants(params, basis), config, params, basis,
+        consts = linking_constants(params, basis)
+        case2_product_minmax(chi, consts, case2_block(basis, consts), config, params, basis,
                              n_theta_disk=4, n_radii=2)
     (n_theta, n_r, (nodes, frozen, centers, segments)), = built
     assert (n_theta, n_r) == (4, 2)
@@ -493,13 +515,38 @@ def test_case2_capacity_guard(mp16):
     # delta = (1/2,1/2) at rho = 1.0 has K = 8 > 4: desk-scale capacity error
     geom16, basis, params_mp = mp16
     from sshg.errors import CapacityError
-    from sshg.sweepout import case2_product_minmax
+    from sshg.sweepout import case2_block, case2_product_minmax
     chi = build_sweepout_chi(TWO_PI, 0.05 * TWO_PI ** 2, 256)
     config = MinmaxConfig(path_nodes=9, grad_tol=1e-3, max_outer=5, seed=0)
     with pytest.raises(CapacityError):
         params = ActionParams(rho=1.0)
-        case2_product_minmax(chi, linking_constants(params, basis), config, params, basis,
+        consts = linking_constants(params, basis)
+        case2_product_minmax(chi, consts, case2_block(basis, consts), config, params, basis,
                              n_theta_disk=8, n_radii=3)
+
+
+def test_case2_run_forms_the_block_once(monkeypatch):
+    # a case-2 run forms the block once and hands it to the product
+    blocks = []
+    orig_block = sshg.runner.case2_block
+
+    class ProductStarted(Exception):
+        pass
+
+    def block(*args):
+        blocks.append(orig_block(*args))
+        return blocks[-1]
+
+    def deform(*args, **kwargs):
+        raise ProductStarted
+
+    monkeypatch.setattr(sshg.runner, "case2_block", block)
+    monkeypatch.setattr(sshg.sweepout, "case2_block", block)
+    monkeypatch.setattr(sshg.sweepout, "minmax_deform", deform)
+    with pytest.raises(ProductStarted):
+        run(RunConfig.from_dict({"grid_n": 16, "spin_delta": [0.0, 0.0], "rho": 0.5,
+                                 "mode": "multiplicity", "max_outer": 5}))
+    assert len(blocks) == 1
 
 
 def test_case2_radius_certifies_step_iii(mp16, monkeypatch):
