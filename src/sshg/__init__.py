@@ -1,15 +1,1 @@
 """Variational min-max solver for the super sinh-Gordon system on flat 2-tori."""
-
-from .geometry import TorusGeometry
-from .fields import ScalarField, SpinorField
-from .spectral import SpectralBasis, build_basis
-
-__all__ = [
-    "TorusGeometry",
-    "ScalarField",
-    "SpinorField",
-    "SpectralBasis",
-    "build_basis",
-]
-
-__version__ = "0.1.0"

@@ -30,8 +30,10 @@ EXIT_NONCONVERGED = 4
 EXIT_SOLVER = 5
 
 
-def _solve_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="sshg solve", description="Run a solver pipeline")
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="sshg")
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("solve", description="Run a solver pipeline")
     p.add_argument("--config", action="append", required=True,
                    help="path to a flat JSON config (repeat for a batch)")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -39,7 +41,7 @@ def _solve_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="process count for batch configs (one run per process, "
                         "at most one per config)")
-    return p
+    return parser
 
 
 def _load_config(path: str, args) -> RunConfig:
@@ -69,9 +71,9 @@ def _run_one(path_and_args) -> int:
         return EXIT_SOLVER
 
 
-def run_solve(argv) -> int:
+def main(argv=None) -> int:
     try:
-        args = _solve_parser().parse_args(argv)
+        args = _parser().parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:   # argparse's usage error or --help
         return EXIT_CONFIG if exc.code else EXIT_OK
     if args.workers < 1:
@@ -87,21 +89,6 @@ def run_solve(argv) -> int:
     else:
         codes = [_run_one(job) for job in jobs]
     return max(codes)
-
-
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    parser = argparse.ArgumentParser(prog="sshg", add_help=True)
-    sub = parser.add_subparsers(dest="command")
-    sub.add_parser("solve", add_help=False)
-    try:
-        known, rest = parser.parse_known_args(argv)
-    except SystemExit as exc:
-        return EXIT_CONFIG if exc.code else EXIT_OK
-    if known.command != "solve":
-        parser.print_help(sys.stderr)
-        return EXIT_CONFIG
-    return run_solve(rest)
 
 
 if __name__ == "__main__":

@@ -171,9 +171,6 @@ class ScalarField:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return self._combine(np.negative)
-
 
 @lru_cache(maxsize=16)
 def _boundary(geom: TorusGeometry):

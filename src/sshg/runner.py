@@ -172,8 +172,6 @@ def _to_jsonable(obj):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
         return f"@@F:{_fmt(obj)}@@"
-    if isinstance(obj, np.ndarray):
-        return [_to_jsonable(v) for v in obj.tolist()]
     return obj
 
 
@@ -219,16 +217,16 @@ def _spectral_summary(basis) -> dict:
     }
 
 
-# Every pipeline(config, geom, basis, params) returns a dict with the
+# Every pipeline(config, basis, params) returns a dict with the
 # solution `records` (a list) and the PS trace `diagnostics` of its last
 # deformation (None without one), plus the keys its mode reports.
 
-def run_spectrum(config: RunConfig, geom, basis, params):
+def run_spectrum(config: RunConfig, basis, params):
     return {"records": [], "diagnostics": None}
 
 
-def run_probe(config: RunConfig, geom, basis, params):
-    gap = check_spectral_gap(geom, params.rho)
+def run_probe(config: RunConfig, basis, params):
+    gap = check_spectral_gap(basis.geom, params.rho)
     margin = coercivity_probe(params, basis, r0=config["r0"], tau=config["tau"],
                               n_samples=config["n_samples"], seed=config["seed"])
     return {
@@ -257,7 +255,7 @@ def run_path(config: RunConfig, basis, params, consts):
     }
 
 
-def run_first_solution(config: RunConfig, geom, basis, params):
+def run_first_solution(config: RunConfig, basis, params):
     """The mountain_pass and linking modes: the path pipeline, in the regime
     the mode names."""
     consts = linking_constants(params, basis)
@@ -270,14 +268,14 @@ def run_first_solution(config: RunConfig, geom, basis, params):
     return run_path(config, basis, params, consts)
 
 
-def run_multiplicity(config: RunConfig, geom, basis, params):
+def run_multiplicity(config: RunConfig, basis, params):
     mm = config.minmax
+    geom = basis.geom
     chi = build_sweepout_chi(geom.side_length, EPSILON_FRAC * geom.vol, CHI_GRID_N)
     consts = linking_constants(params, basis)
     # case 2 (a plus_b + zero block): its capacity check needs only the spectrum
     block = case2_block(basis, consts) if consts.block_dim else None
-    first = run_path(config, basis, params, consts)
-    rec1 = first["records"][0]
+    rec1 = run_path(config, basis, params, consts)["records"][0]
     if block is None:
         fam = equivariant_family(consts.T, consts.s, chi, params, basis,
                                  n_theta=config["n_theta"],
@@ -299,7 +297,6 @@ def run_multiplicity(config: RunConfig, geom, basis, params):
         "records": records,
         "levels": {"c1": rec1.level, "c2": rec2.level},
         "distinct": _any_distinct(records),
-        "first": first,
         **extra,
         "diagnostics": diags,
     }
@@ -325,8 +322,16 @@ MODES = tuple(_MODE_TABLE)
 
 
 def run(config: RunConfig) -> dict:
-    """Execute the configured pipeline; returns the serializable RunOutput."""
+    """Execute the configured pipeline; returns the serializable RunOutput.
+    The output directory is created before any solve, so a path that cannot
+    be created is a ConfigError."""
     t_start = time.perf_counter()
+    out_dir = config["output_dir"]
+    if out_dir:
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output_dir {out_dir!r}: {exc.strerror}") from exc
     geom = config.geometry()
     params = config.action_params()
     pipeline, stage, keys = _MODE_TABLE[config["mode"]]
@@ -343,15 +348,12 @@ def run(config: RunConfig) -> dict:
         "spectral": _spectral_summary(basis),
     }
     t0 = time.perf_counter()
-    result = pipeline(config, geom, basis, params)
+    result = pipeline(config, basis, params)
     if stage is not None:
         timings[stage] = time.perf_counter() - t0
     output.update((key, result[key]) for key in keys if key in result)
     records, diags = result["records"], result["diagnostics"]
 
-    out_dir = config["output_dir"]
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
     output["records"], checkpoints = [], []
     for i, rec in enumerate(records):
         output["records"].append(_record_summary(rec))
@@ -391,6 +393,5 @@ def emit_plotdata(output: dict, out_dir: str, theta_sweep) -> list:
         + [f"{i},{_fmt(e)},{_fmt(g)}" for i, (e, g) in enumerate(trace)],
         "theta_sweep.csv": ["theta,J"] + [f"{_fmt(th)},{_fmt(j)}" for th, j in theta_sweep],
     }
-    os.makedirs(out_dir, exist_ok=True)
     return [write_atomic(os.path.join(out_dir, name), ("\n".join(lines) + "\n").encode())
             for name, lines in tables.items()]

@@ -18,7 +18,7 @@ keeps their sigma-fixed centers at u = 0 (its `centers`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,11 +82,8 @@ class SweepoutChi:
     side `side_length`, so it is certified and sampled as one line."""
 
     side_length: float
-    n_line: int              # points of the line the sweepout is certified on
-    epsilon: float
     width_delta: float       # mollification half-width in the profile argument
     delta_margin: float      # height function maps into [margin, pi - margin]
-    interface_volumes: np.ndarray = field(default=None, repr=False)
 
     def height(self, y):
         """Piecewise-linear two-to-one height into [margin, pi - margin]."""
@@ -136,29 +133,27 @@ def build_sweepout_chi(side_length: float, epsilon: float, n_line: int) -> Sweep
             f"n_line={n_line}; refine the line or enlarge epsilon"
         )
 
-    chi = SweepoutChi(side_length=side_length, n_line=n_line, epsilon=epsilon,
-                      width_delta=width_delta, delta_margin=delta_margin)
+    chi = SweepoutChi(side_length=side_length, width_delta=width_delta,
+                      delta_margin=delta_margin)
 
     # certify the three sweepout properties on a theta sweep, one line each;
     # the band's volume is its cells on the line, each repeated along the
     # first coordinate
     if np.max(np.abs(chi.line(0.0, n_line) - 1.0)) > 1e-12:
         raise CertificationError("sweepout property (i) failed: chi(0,.) != 1")
-    thetas = np.linspace(0.0, 2.0 * np.pi, N_THETA_CHECK, endpoint=False)
-    vols = []
-    for th in thetas:
+    worst = 0.0   # the largest interface volume
+    for th in np.linspace(0.0, 2.0 * np.pi, N_THETA_CHECK, endpoint=False):
         a = chi.line(th, n_line)
         if np.max(np.abs(a + chi.line(th + np.pi, n_line))) > 1e-12:
             raise CertificationError("sweepout property (ii) failed: antiperiodicity")
         inside = np.count_nonzero(np.abs(a) < 1.0 - 1e-12)
-        vols.append(float(inside * n_line * (side_length / n_line) ** 2))
-    vols = np.array(vols)
-    if np.max(vols) >= epsilon:
+        worst = max(worst, float(inside * n_line * (side_length / n_line) ** 2))
+    if worst >= epsilon:
         raise CertificationError(
-            f"sweepout property (iii) failed: interface volume {np.max(vols):.4g} "
+            f"sweepout property (iii) failed: interface volume {worst:.4g} "
             f">= epsilon {epsilon:.4g}"
         )
-    return replace(chi, interface_volumes=vols)
+    return chi
 
 
 # ---------------------------------------------------------------------------

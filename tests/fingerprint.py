@@ -9,15 +9,23 @@ sha256 over `sshg.runner.run`'s output, rendered as the run's JSON (floats
 at 17 significant digits) with `timings`, `config.output_dir` and the
 checkpoint paths dropped, and over the sha256 of every CSV and checkpoint
 the run wrote, by sorted name; then the run's levels, each record's
-`classification`, `refined` and `exit`, and the run's `converged`.  Two
-trees print the same line for a config exactly when their outputs and
-files agree bit for bit; where a rounding-level change moves the hash, the
-tail of the line shows whether it moved a classification or an exit.
+`classification`, `refined`, `exit` and residual res_u + res_psi (`res`, 17
+significant digits), the run's `distinct` where it reports one, and its
+`converged`.  Two trees print the same line for a config exactly when their
+outputs and files agree bit for bit; where a rounding-level change moves
+the hash, the tail of the line shows what it moved.
+
+    PYTHONPATH=src python tests/fingerprint.py --compare [name ...]
+
+reruns the configs and, per config, prints `unchanged` when its line equals
+the committed one, and otherwise the relative change of every level and
+residual and every flip of `classification`, `refined`, `exit`,
+`converged` and `distinct`.
 
 `fingerprints.txt` holds the committed lines, which `test_fingerprints.py`
 checks in tier-1; a change that moves a line on purpose rewrites the file
-(`PYTHONPATH=src python tests/fingerprint.py > tests/fingerprints.txt`) and
-says why in CHANGES.md.
+(`PYTHONPATH=src python tests/fingerprint.py > tests/fingerprints.txt`),
+quotes the `--compare` output and says why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ import hashlib
 import os
 import sys
 import tempfile
+from pathlib import Path
 
 from sshg.runner import RunConfig, _render_json, run
 
@@ -60,6 +69,12 @@ CONFIGS = {
         "grid_n": 32, "spin_delta": [0.5, 0.5], "rho": 1.0, "mode": "linking",
         "seed": 0, "cutoff": 3.0, "max_outer": 60, "grad_tol": 1e-3, "r0": 0.02,
     },
+    # 16 disk angles and 5 radii at grid 16: the disk's Newton lands on c1,
+    # so the run takes the orthogonal restart
+    "restart-n16": {
+        "grid_n": 16, "spin_delta": [0.5, 0.5], "rho": 0.5, "mode": "multiplicity",
+        "n_theta_disk": 16, "n_radii": 5,
+    },
 }
 
 
@@ -87,14 +102,76 @@ def line(name: str) -> str:
     digest, output = fingerprint(CONFIGS[name])
     shown = [f"{k}={v!r}" for k, v in output.get("levels", {}).items()]
     shown += [f"record{i}={r['classification']}/refined={r['refined']}/exit={r['exit']}"
+              f"/res={r['res_u'] + r['res_psi']:.17g}"
               for i, r in enumerate(output["records"])]
+    if "distinct" in output:
+        shown.append(f"distinct={output['distinct']}")
     shown.append(f"converged={output['converged']}")
     return f"{name} {digest} {' '.join(shown)}"
 
 
-def main(names) -> None:
-    for name in names or CONFIGS:
-        print(line(name), flush=True)
+def golden_lines() -> dict:
+    """The committed lines of `fingerprints.txt`, by config name."""
+    text = Path(__file__).with_name("fingerprints.txt").read_text()
+    return {ln.split(" ", 1)[0]: ln for ln in text.splitlines()}
+
+
+def parse(text: str):
+    """A printed line as (hash, its run-level key=value fields in line order,
+    its records, each a dict of the `/`-separated fields)."""
+    _, digest, *items = text.split()
+    fields, records = {}, []
+    for item in items:
+        key, value = item.split("=", 1)
+        if key.startswith("record"):
+            cls, *rest = value.split("/")
+            records.append({"classification": cls, **dict(kv.split("=", 1) for kv in rest)})
+        else:
+            fields[key] = value
+    return digest, fields, records
+
+
+def _relative(old: str, new: str) -> str:
+    a, b = float(old), float(new)
+    return f"{old} -> {new} (relative {(b - a) / abs(a) if a else b - a:+.2e})"
+
+
+def compare(golden: str, current: str) -> list[str]:
+    """What moved from the line `golden` to the line `current`: ["unchanged"]
+    when they are equal, else "changed" followed by whether the hash moved,
+    the relative change of every level and residual and every flip of a
+    classification, refined, exit, distinct or converged."""
+    if golden == current:
+        return ["unchanged"]
+    (old_hash, old, old_recs), (new_hash, new, new_recs) = parse(golden), parse(current)
+    report = ["changed"] + (["hash moved"] if old_hash != new_hash else [])
+    for key in {**old, **new}:
+        a, b = old.get(key), new.get(key)
+        if a == b:
+            continue
+        flag = key in ("distinct", "converged") or None in (a, b)
+        report.append(f"{key}: {a} -> {b}" if flag else f"{key}: {_relative(a, b)}")
+    if len(old_recs) != len(new_recs):
+        report.append(f"records: {len(old_recs)} -> {len(new_recs)}")
+    for i, (a, b) in enumerate(zip(old_recs, new_recs)):
+        for key in ("classification", "refined", "exit"):
+            if a[key] != b[key]:
+                report.append(f"record{i} {key}: {a[key]} -> {b[key]}")
+        if a["res"] != b["res"]:
+            report.append(f"record{i} res: {_relative(a['res'], b['res'])}")
+    return report
+
+
+def main(argv) -> None:
+    names = [a for a in argv if a != "--compare"] or list(CONFIGS)
+    if "--compare" not in argv:
+        for name in names:
+            print(line(name), flush=True)
+        return
+    golden = golden_lines()
+    for name in names:
+        first, *rest = compare(golden[name], line(name))
+        print(f"{name} {first}", *(f"  {r}" for r in rest), sep="\n", flush=True)
 
 
 if __name__ == "__main__":

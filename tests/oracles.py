@@ -12,7 +12,7 @@ their grids against compact constants, the `BasisElement` enumeration and
 its tolerance count against the sorted mode table), or a helper the tests
 need and the package does not: grid coordinates, |D|^s, E^- spinors from
 a- rows, the Clifford volume element omega, the quaternionic structure,
-Hermitian symmetry, the reader of the
+Hermitian symmetry, a sweepout profile's interface volume, the reader of the
 checkpoints that `checkpoint_save` and `save_point` write.
 """
 
@@ -130,9 +130,6 @@ class GridScalar:
         return self._combine(lambda x: x * a)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return self._combine(np.negative)
 
 
 def hermitian_defect(u: ScalarField) -> float:
@@ -492,6 +489,15 @@ def reference_basis(geom: TorusGeometry, cutoff: float) -> ReferenceBasis:
 # ---------------------------------------------------------------------------
 # equivariant family
 # ---------------------------------------------------------------------------
+
+def interface_volume(chi, n: int) -> float:
+    """The largest interface volume of the sweepout profile `chi` over 64
+    angles, each point of its n-point line standing for n cells of an n x n
+    grid (the volume `build_sweepout_chi` certifies below epsilon)."""
+    return max(np.count_nonzero(np.abs(chi.line(th, n)) < 1.0 - 1e-12) * n
+               * (chi.side_length / n) ** 2
+               for th in np.linspace(0, 2 * np.pi, 64, endpoint=False))
+
 
 def full_equivariant_family(family, params, basis) -> list:
     """Every point of `family`'s circle, as the family was once stored: the

@@ -2,14 +2,11 @@
 committed in `fingerprints.txt`, so a change that moves any bit of a run's
 output or files, or a level, classification or exit, fails here."""
 
-from pathlib import Path
-
 import pytest
 
-from fingerprint import CONFIGS, line
+from fingerprint import CONFIGS, compare, golden_lines, line
 
-GOLDEN = {ln.split(" ", 1)[0]: ln
-          for ln in Path(__file__).with_name("fingerprints.txt").read_text().splitlines()}
+GOLDEN = golden_lines()
 
 
 def test_every_config_has_a_golden_line():
@@ -19,3 +16,22 @@ def test_every_config_has_a_golden_line():
 @pytest.mark.parametrize("name", list(CONFIGS))
 def test_fingerprint_matches_its_golden_line(name):
     assert line(name) == GOLDEN[name]
+
+
+GOLDEN_LINE = ("demo 00ff c1=39.478417604357425 c2=31.85703335109412 "
+               "record0=semi_trivial_constant_u/refined=True/exit=handoff/res=8e-11 "
+               "record1=nontrivial/refined=True/exit=budget/res=5e-14 "
+               "distinct=True converged=True")
+
+
+def test_compare_reports_a_level_change_and_a_classification_flip():
+    assert compare(GOLDEN_LINE, GOLDEN_LINE) == ["unchanged"]
+    moved = (GOLDEN_LINE.replace("00ff", "11ee")
+             .replace("c2=31.85703335109412", "c2=31.857033350961892")
+             .replace("record1=nontrivial", "record1=semi_trivial_constant_u"))
+    assert compare(GOLDEN_LINE, moved) == [
+        "changed",
+        "hash moved",
+        "c2: 31.85703335109412 -> 31.857033350961892 (relative -4.15e-12)",
+        "record1 classification: nontrivial -> semi_trivial_constant_u",
+    ]

@@ -428,6 +428,24 @@ def test_cli_exit_codes(tmp_path):
     assert main(["unknown-command"]) == 2
 
 
+def test_uncreatable_output_dir_exits_2_before_any_solve(tmp_path, monkeypatch, capsys):
+    # an output_dir under a regular file cannot be created: the run refuses
+    # it as a config error before it builds the basis
+    import sshg.runner
+
+    def build_basis(*args):
+        raise AssertionError("the pipeline started")
+
+    monkeypatch.setattr(sshg.runner, "build_basis", build_basis)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "out")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(mode="multiplicity", output_dir=out)))
+    assert main(["solve", "--config", str(cfg_path)]) == 2
+    assert f"config error: cannot create output_dir {out!r}" in capsys.readouterr().err
+
+
 def test_cli_solver_error_exit_code(tmp_path, monkeypatch):
     # solver failures get their own code, apart from config errors (2)
     import sshg.cli

@@ -29,7 +29,7 @@ from sshg.sweepout import (
     records_distinct,
 )
 
-from oracles import full_equivariant_family, quaternion_j
+from oracles import full_equivariant_family, interface_volume, quaternion_j
 from test_workcounts import CONFIG
 
 LAM1 = np.sqrt(2.0) / 2.0
@@ -50,16 +50,15 @@ def mp16():
 
 def test_sweepout_properties(chi256):
     chi = chi256
-    n = chi.n_line
+    n = 256
     # (i) chi(0,.) = 1 and chi(pi,.) = -1 exactly
     assert np.max(np.abs(chi.line(0.0, n) - 1.0)) <= 1e-12
     assert np.max(np.abs(chi.line(np.pi, n) + 1.0)) <= 1e-12
     # (ii) antiperiodicity on a theta sweep
     for th in np.linspace(0, 2 * np.pi, 64, endpoint=False):
         assert np.max(np.abs(chi.line(th, n) + chi.line(th + np.pi, n))) <= 1e-12
-    # (iii) certified interface volumes
-    assert chi.interface_volumes is not None
-    assert np.max(chi.interface_volumes) < chi.epsilon
+    # (iii) interface volume below epsilon
+    assert interface_volume(chi, n) < 0.05 * TWO_PI ** 2
     # range is [-1, 1]
     vals = chi.line(1.2345, n)
     assert np.max(vals) <= 1.0 + 1e-15 and np.min(vals) >= -1.0 - 1e-15
@@ -80,7 +79,7 @@ def test_sweepout_volume_scales_with_epsilon():
     v = []
     for frac in (0.05, 0.025):
         chi = build_sweepout_chi(TWO_PI, frac * TWO_PI ** 2, 512)
-        v.append(np.max(chi.interface_volumes))
+        v.append(interface_volume(chi, 512))
     assert v[1] < v[0]
 
 
