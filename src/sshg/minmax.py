@@ -266,12 +266,6 @@ def linking_constants(params: ActionParams, basis) -> LinkingConstants:
     return consts
 
 
-def positive_frozen_nodes(nodes, frozen) -> list:
-    """Indices of frozen nodes whose energy exceeds the boundary tolerance
-    1e-9: a min-max boundary must have nonpositive energy."""
-    return [i for i, (nd, fz) in enumerate(zip(nodes, frozen)) if fz and nd.J > 1e-9]
-
-
 def straight_path(u_end: ScalarField, s: float, psi: SpinorField, n_nodes: int,
                   params: ActionParams):
     """Path t -> fiber(t u_end, t s psi), t in [0, 1], from the origin to the
@@ -428,7 +422,8 @@ class _Mesh:
             raise ConfigError("deformation needs at least one free node")
         self.nodes = nodes
         self.frozen = list(frozen)
-        bad = positive_frozen_nodes(self.nodes, self.frozen)
+        # a min-max boundary must have nonpositive energy (tolerance 1e-9)
+        bad = [i for i, (nd, fz) in enumerate(zip(nodes, self.frozen)) if fz and nd.J > 1e-9]
         if bad:
             raise CertificationError(f"frozen node {bad[0]} has positive energy at start")
         self.chain = segments == "chain"

@@ -137,6 +137,8 @@ class RunConfig:
         for key in _POSITIVE:
             if merged[key] <= 0:
                 raise ConfigError(f"{key} must be positive, got {merged[key]!r}")
+        if merged["cutoff"] < 0:
+            raise ConfigError(f"cutoff must be nonnegative, got {merged['cutoff']!r}")
         check_n_theta_disk(merged["n_theta"], merged["n_theta_disk"])
         return cls(raw=merged, minmax=_minmax_config(merged))
 
@@ -323,17 +325,18 @@ MODES = tuple(_MODE_TABLE)
 
 def run(config: RunConfig) -> dict:
     """Execute the configured pipeline; returns the serializable RunOutput.
-    The output directory is created before any solve, so a path that cannot
-    be created is a ConfigError."""
+    The output directory is created after the geometry and coupling are
+    checked and before any solve, so a path that cannot be created is a
+    ConfigError."""
     t_start = time.perf_counter()
+    geom = config.geometry()
+    params = config.action_params()
     out_dir = config["output_dir"]
     if out_dir:
         try:
             os.makedirs(out_dir, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output_dir {out_dir!r}: {exc.strerror}") from exc
-    geom = config.geometry()
-    params = config.action_params()
     pipeline, stage, keys = _MODE_TABLE[config["mode"]]
 
     t0 = time.perf_counter()

@@ -37,16 +37,14 @@ from .minmax import (
     SolutionRecord,
     make_record,
     minmax_deform,
-    positive_frozen_nodes,
     straight_path,
 )
 from .nehari import NehariPoint, fiber_solve, multiplier_solve, project_to_manifold
-from .spectral import h1_norm, hhalf_norm, project, sobolev_inner
+from .spectral import project, sobolev_inner
 
 N_THETA_CHECK = 64  # theta samples on which a sweepout is certified
 FAMILY_RETRIES = 3
 CASE2_MAX_K = 4     # desk-scale cap on the case-2 block dimension
-CASE2_RETRIES = 2
 CASE2_MESH = (2, 4)  # (phi shells, phi directions) of the linking ball
 DISTINCT_LEVEL_TOL = 1e-6
 DISTINCT_ORTHO_TOL = 1e-8
@@ -406,14 +404,11 @@ def orthogonal_restart(u1: ScalarField, family: EquivariantFamily,
 # ---------------------------------------------------------------------------
 
 def records_distinct(r1: SolutionRecord, r2: SolutionRecord) -> bool:
-    """Executable form of geometric distinctness: levels differ, or the
-    scalar components are H^1-orthogonal with both records nonzero."""
+    """Executable form of geometric distinctness of two non-trivial
+    solutions: levels differ, or the scalar components are H^1-orthogonal."""
     if abs(r1.level - r2.level) > DISTINCT_LEVEL_TOL:
         return True
-    inner = abs(sobolev_inner(r1.point.u, r2.point.u))
-    nonzero1 = h1_norm(r1.point.u) + hhalf_norm(r1.point.psi) > 1e-8
-    nonzero2 = h1_norm(r2.point.u) + hhalf_norm(r2.point.psi) > 1e-8
-    return bool(inner <= DISTINCT_ORTHO_TOL and nonzero1 and nonzero2)
+    return bool(abs(sobolev_inner(r1.point.u, r2.point.u)) <= DISTINCT_ORTHO_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -478,10 +473,10 @@ def case2_product_minmax(chi: SweepoutChi, consts: LinkingConstants, block,
 
     Elements are (u, psi) = (chi(theta,.) T r, phi + s r Psi_{k+1}) with
     phi in the plus_b + zero block (`case2_block`'s fields and eigenvalues),
-    on n_theta_disk angles and n_radii radii; the boundary {|phi| = R} u
-    {r = 1} must have nonpositive energy (certified, with R inflation
-    retries).  Returns (SolutionRecord, PSDiagnostics); the record's level
-    is c2.
+    on n_theta_disk angles and n_radii radii, built once at the radius R
+    that `case2_radius` certifies; `minmax_deform` certifies that the
+    boundary {|phi| = R} u {r = 1} has nonpositive energy.  Returns
+    (SolutionRecord, PSDiagnostics); the record's level is c2.
     """
     geom = basis.geom
     fields, lams = block
@@ -494,26 +489,14 @@ def case2_product_minmax(chi: SweepoutChi, consts: LinkingConstants, block,
     shell_q = np.linspace(0, 1, n_rad_phi + 1)[1:]
     on_boundary = [False] + [bool(q == 1.0) for q in shell_q for _ in dirs]
     disk_r = np.linspace(0.0, 1.0, n_radii + 1)
+    phi_fields = [_block_spinor(geom, fields, phiv) for phiv in
+                  [np.zeros(K)] + [q * radius * d for q in shell_q for d in dirs]]
 
-    r_factor = 1.0
-    for attempt in range(CASE2_RETRIES + 1):
-        R = radius * r_factor
-        phi_fields = [_block_spinor(geom, fields, phiv) for phiv in
-                      [np.zeros(K)] + [q * R * d for q in shell_q for d in dirs]]
+    def node(shell, it, ir):
+        r = float(disk_r[ir])
+        u = chi.scalar(2.0 * np.pi * it / n_theta_disk, geom, consts.T * r)
+        return fiber_solve(u, phi_fields[shell] + (consts.s * r) * psi_top, params)
 
-        def node(shell, it, ir):
-            r = float(disk_r[ir])
-            u = chi.scalar(2.0 * np.pi * it / n_theta_disk, geom, consts.T * r)
-            return fiber_solve(u, phi_fields[shell] + (consts.s * r) * psi_top, params)
-
-        nodes, frozen, centers, segments = equivariant_disk_mesh(
-            on_boundary, n_theta_disk, n_radii, node)
-        bad = positive_frozen_nodes(nodes, frozen)
-        if not bad:
-            break
-        if attempt == CASE2_RETRIES:
-            raise CertificationError(
-                f"{len(bad)} case-2 boundary nodes stay positive after retries")
-        r_factor *= 1.5
-
+    nodes, frozen, centers, segments = equivariant_disk_mesh(
+        on_boundary, n_theta_disk, n_radii, node)
     return minmax_deform(nodes, frozen, config, params, segments=segments, centers=centers)

@@ -53,6 +53,12 @@ CONFIGS = {
     "case2-n16": {
         "grid_n": 16, "spin_delta": [0.0, 0.0], "rho": 0.5, "mode": "multiplicity",
     },
+    # a second case-2 block, at delta = (1/2, 0): the nontrivial c2 lies below
+    # the semi-trivial c1, yet the run reports both and exits 0
+    "case2-n16-half0": {
+        "grid_n": 16, "spin_delta": [0.5, 0.0], "rho": 0.8, "mode": "multiplicity",
+        "path_nodes": 9, "max_outer": 60, "seed": 0, "cutoff": 2.5,
+    },
     # the multiplicity-n32 benchmark workload, seed 1
     "multiplicity-n32": {
         "grid_n": 32, "spin_delta": [0.5, 0.5], "rho": 0.5, "mode": "multiplicity",

@@ -68,7 +68,7 @@ def test_theta_sampling_validated(tmp_path):
 # values a run cannot honour, refused when the config is loaded
 OUT_OF_RANGE = ({"n_samples": 0}, {"r0": 0}, {"r0": -0.05}, {"tau": 0}, {"tau": -1.0},
                 {"seed": -1}, {"n_radii": 0}, {"max_outer": -1}, {"path_nodes": 4},
-                {"path_nodes": 10}, {"grad_tol": 0})
+                {"path_nodes": 10}, {"grad_tol": 0}, {"cutoff": -1})
 
 
 def test_config_values_are_typed():
@@ -91,10 +91,16 @@ def test_cli_missing_config_exits_2(tmp_path, capsys):
 
 
 def test_cli_mistyped_value_exits_2(tmp_path):
-    for over in ({"grid_n": "abc"}, {"max_outer": "ten"}, *OUT_OF_RANGE):
+    # a value refused by the config or by the geometry and coupling it
+    # builds leaves no output directory behind
+    out_dir = tmp_path / "out"
+    for over in ({"grid_n": "abc"}, {"max_outer": "ten"}, *OUT_OF_RANGE,
+                 {"grid_n": 7}, {"rho": -1}, {"spin_delta": [0.3, 0.5]},
+                 {"side_length": 0}):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(base_config(**over)))
+        cfg_path.write_text(json.dumps(base_config(output_dir=str(out_dir), **over)))
         assert main(["solve", "--config", str(cfg_path)]) == 2
+        assert not out_dir.exists(), over
 
 
 def test_cli_config_threads_exits_2(tmp_path, capsys):

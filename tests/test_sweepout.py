@@ -510,6 +510,31 @@ def test_case2_disk_follows_n_theta_disk_and_n_radii(monkeypatch):
     assert frozen[centers[0] + 2] and not frozen[centers[0] + 1]
 
 
+def test_case2_boundary_is_certified_once_on_one_mesh(monkeypatch):
+    # grid 32, delta = (0,0), rho = 0.5: two boundary nodes on the phi = 0
+    # rim at r = 1 have positive energy, which no radius R reaches.  The
+    # product builds one mesh, and minmax_deform refuses its boundary
+    geom = TorusGeometry(grid_n=32, spin_delta=(0.0, 0.0))
+    basis = build_basis(geom, cutoff=3.0)
+    params = ActionParams(rho=0.5)
+    chi = build_sweepout_chi(TWO_PI, 0.05 * geom.vol, 256)
+    config = MinmaxConfig(path_nodes=9, grad_tol=1e-3, max_outer=1, seed=0)
+    mesh = sshg.sweepout.equivariant_disk_mesh
+    builds = []
+
+    def counted_mesh(*args):
+        builds.append(args)
+        return mesh(*args)
+
+    monkeypatch.setattr(sshg.sweepout, "equivariant_disk_mesh", counted_mesh)
+    from sshg.sweepout import case2_block, case2_product_minmax
+    consts = linking_constants(params, basis)
+    with pytest.raises(CertificationError, match="frozen node .* positive energy at start"):
+        case2_product_minmax(chi, consts, case2_block(basis, consts), config, params, basis,
+                             n_theta_disk=8, n_radii=3)
+    assert len(builds) == 1
+
+
 def test_case2_capacity_guard(mp16):
     # delta = (1/2,1/2) at rho = 1.0 has K = 8 > 4: desk-scale capacity error
     geom16, basis, params_mp = mp16
