@@ -9,8 +9,8 @@ block filtered out of every descent direction (`block_filter`).  Flagged
 Palais-Smale diagnostics; a damped Newton pass on the free system sharpens
 candidates to Euler-Lagrange solutions.  `minmax_deform` ends every descent
 itself: a path hands over to Newton inside its descent, once Newton contracts
-from the max node to the descent's level (Choi & McKenna), and any descent
-that did not hands its max free node to Newton when it ends.
+from the max node to the descent's level (Choi & McKenna), and any other
+descent hands its max free node to Newton when it ends.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ MAX_BACKTRACKS = 25
 DESCENT_STEP = 0.1         # initial backtracking step, halved per backtrack
 RESPREAD_EVERY = 5
 NEWTON_PRE_GRAD = 1e-3
-HANDOFF_GRAD = 1e3         # a descent's exit tries Newton from almost anywhere
 HANDOFF_RTOL = 1e-3        # a path hands off when Newton lands this close to its level
 NEWTON_MAX_STEPS = 30
 NEWTON_TOL = 1e-10         # Newton stops once res_u + res_psi is at most this
@@ -160,13 +159,6 @@ class PSDiagnostics:
         arrays = [self.u_h1_trace, self.psi_hhalf_trace, self.energies]
         return all(np.all(np.isfinite(a)) and (len(a) == 0 or np.max(np.abs(a)) <= TRACE_CAP)
                    for a in arrays)
-
-    def consistent_lengths(self) -> bool:
-        n = len(self.energies)
-        return all(len(t) == n for t in (self.alpha_norms, self.beta_norms,
-                                         self.multiplier_norms, self.grad_norms,
-                                         self.u_h1_trace, self.psi_hhalf_trace,
-                                         self.repairs))
 
 
 @dataclass
@@ -418,8 +410,8 @@ class _Mesh:
     contents, so no reference to the list keeps the replaced nodes alive."""
 
     def __init__(self, nodes, frozen, segments, centers, params, step_hook):
-        if all(frozen):
-            raise ConfigError("deformation needs at least one free node")
+        if all(frozen) or not any(frozen):
+            raise ConfigError("deformation needs a free node and a frozen one")
         self.nodes = nodes
         self.frozen = list(frozen)
         # a min-max boundary must have nonpositive energy (tolerance 1e-9)
@@ -498,14 +490,15 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
     from the max node once the level has almost stopped falling; a trial
     that refines to a non-trivial solution within HANDOFF_RTOL of the level
     ends the descent with that record, and any other changes nothing.  Any
-    other exit (grad_tol, stall, budget) tries Newton from the max free node
-    below HANDOFF_GRAD.  Returns (SolutionRecord, PSDiagnostics), with the
-    reason in `diags.exit`: Newton's record when a hand-off was accepted,
-    else the max free node flagged unrefined.  Either record carries the
-    descent's max level at exit (`descent_level`), the constrained-gradient
-    norm at the point handed to Newton (`handoff_grad`, in the filtered norm
-    for a trial inside the loop) and `exit`.  A broken invariant (energy
-    floor, moved frozen node, trace lengths) raises CertificationError.
+    other exit (grad_tol, stall, budget) tries Newton from the max free
+    node.  Returns (SolutionRecord, PSDiagnostics), with the reason in
+    `diags.exit`: Newton's record when a hand-off was accepted, else the max
+    free node flagged unrefined.  Either record carries the descent's max
+    level at exit (`descent_level`), the constrained-gradient norm at the
+    point handed to Newton (`handoff_grad`, in the filtered norm for a trial
+    inside the loop) and `exit`.  The mesh needs a free node and a frozen
+    one (ConfigError); a frozen node with J > 1e-9 at the start, a moved
+    frozen node or a rising max level raises CertificationError.
     The list `nodes` is deformed in place: on return it holds the final
     mesh, with the frozen nodes it was given, and no node the descent
     replaced, so a caller that still needs the initial mesh passes a copy.
@@ -521,7 +514,6 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
     critical_levels = []   # levels Newton refined to in rejected trials
     stalls = 0
     prev_max = np.inf
-    floor = -max(abs(min(nd.J for nd in mesh.nodes)), 1.0)
 
     for outer in range(config.max_outer):
         repaired = mesh.repair()
@@ -543,8 +535,6 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
         if not repaired and level > prev_max + 1e-9 * (1.0 + abs(prev_max)):
             raise CertificationError("max level increased during deformation")
         prev_max = level
-        if level < floor - 1e-9:
-            raise CertificationError("energy trace fell below the endpoint floor")
 
         if res.norm <= config.grad_tol:
             diags.exit = "grad_tol"
@@ -605,12 +595,9 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
         point = mesh.nodes[mesh.max_free()]
         converged = diags.exit == "grad_tol"
         res = constrained_gradient(point, params)
-        if res.norm <= HANDOFF_GRAD:
-            record = _accept_refined(_newton_trial(point, params), diags, converged=converged)
+        record = _accept_refined(_newton_trial(point, params), diags, converged=converged)
         if record is None:
             record = make_record(point, res, converged=converged, refined=False)
-    if not diags.consistent_lengths():
-        raise CertificationError("PS diagnostic traces have unequal lengths")
     # res is the constrained gradient at the point handed to Newton, by the
     # loop's trial or by the exit
     return replace(record, descent_level=mesh.level(),

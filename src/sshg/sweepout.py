@@ -121,8 +121,6 @@ def build_sweepout_chi(side_length: float, epsilon: float, n_line: int) -> Sweep
     for _ in range(3):
         width_delta = 0.35 * eps_frac * (np.pi - 2.0 * delta_margin)
         delta_margin = max(0.15, 1.5 * width_delta)
-    if width_delta >= delta_margin:
-        raise ConfigError(f"epsilon too large for the profile margins (eps={epsilon:g})")
 
     strip_cells = 0.35 * eps_frac * n_line
     if strip_cells < 4.0:

@@ -20,7 +20,7 @@ the hash, the tail of the line shows what it moved.
 reruns the configs and, per config, prints `unchanged` when its line equals
 the committed one, and otherwise the relative change of every level and
 residual and every flip of `classification`, `refined`, `exit`,
-`converged` and `distinct`.
+`converged` and `distinct`; it exits with status 1 when any config changed.
 
 `fingerprints.txt` holds the committed lines, which `test_fingerprints.py`
 checks in tier-1; a change that moves a line on purpose rewrites the file
@@ -168,17 +168,22 @@ def compare(golden: str, current: str) -> list[str]:
     return report
 
 
-def main(argv) -> None:
+def main(argv) -> int:
+    """Print the lines, or with --compare what moved; the exit status is 1
+    when --compare finds a changed config, else 0."""
     names = [a for a in argv if a != "--compare"] or list(CONFIGS)
     if "--compare" not in argv:
         for name in names:
             print(line(name), flush=True)
-        return
+        return 0
     golden = golden_lines()
+    status = 0
     for name in names:
         first, *rest = compare(golden[name], line(name))
         print(f"{name} {first}", *(f"  {r}" for r in rest), sep="\n", flush=True)
+        status |= first != "unchanged"
+    return status
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))

@@ -4,6 +4,7 @@ output or files, or a level, classification or exit, fails here."""
 
 import pytest
 
+import fingerprint
 from fingerprint import CONFIGS, compare, golden_lines, line
 
 GOLDEN = golden_lines()
@@ -35,3 +36,16 @@ def test_compare_reports_a_level_change_and_a_classification_flip():
         "c2: 31.85703335109412 -> 31.857033350961892 (relative -4.15e-12)",
         "record1 classification: nontrivial -> semi_trivial_constant_u",
     ]
+
+
+def test_compare_exits_with_status_1_when_a_config_changed(monkeypatch, capsys):
+    # no run starts: `line` returns the committed line, or it with c1 moved
+    name = "workcounts-mountain-pass"
+    committed = GOLDEN[name]
+    moved = committed.replace("c1=39.478417604357425", "c1=39.478417604357426")
+    assert moved != committed
+    monkeypatch.setattr(fingerprint, "line", lambda n: committed)
+    assert fingerprint.main(["--compare", name]) == 0
+    monkeypatch.setattr(fingerprint, "line", lambda n: moved)
+    assert fingerprint.main(["--compare", name]) == 1
+    assert capsys.readouterr().out.splitlines()[:2] == [f"{name} unchanged", f"{name} changed"]

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -57,6 +58,17 @@ def straight_path(geom, basis, params, u_bar, s, n_nodes):
         nodes.append(fiber_solve(u, (t * s) * psi1, params))
     frozen = [True] + [False] * (n_nodes - 2) + [True]
     return nodes, frozen
+
+
+def _traces(diags):
+    """The eight PS traces of diags, the repair flags included."""
+    return [getattr(diags, f.name) for f in dataclasses.fields(diags) if f.name != "exit"]
+
+
+def _one_entry_per_record(diags) -> bool:
+    """record() appends one entry to every trace, so each trace has as many
+    entries as `energies`."""
+    return all(len(t) == len(diags.energies) for t in _traces(diags))
 
 
 def test_mountain_pass_endpoint(setup16):
@@ -392,7 +404,7 @@ def test_minmax_deform_small_mountain_pass(setup16):
     config = MinmaxConfig(path_nodes=9, grad_tol=5e-4, max_outer=60, seed=0)
     nodes, frozen = straight_path(geom, basis, params, u_bar, s, config.path_nodes)
     record, diags = minmax_deform(nodes, frozen, config, params)
-    assert diags.consistent_lengths()
+    assert _one_entry_per_record(diags)
     assert diags.bounded()
     # descent never raises the certified max; upward blips only at repairs
     for i in range(len(diags.energies) - 1):
@@ -424,13 +436,13 @@ def test_minmax_deform_hands_off_at_its_exit(setup16):
     record, diags = minmax_deform(nodes, frozen, config, params)
     assert record.refined and not record.converged
     assert diags.exit == "budget"
-    assert len(diags.energies) == 6 and diags.consistent_lengths()
+    assert len(diags.energies) == 6 and _one_entry_per_record(diags)
     assert diags.energies[-1] == record.level
     # the exit's own fields: the max level after the last step, which the
     # descent never raised, and the gradient at the node handed to Newton
     assert record.exit == "budget"
     assert record.descent_level <= diags.energies[-2]
-    assert 0.0 < record.handoff_grad <= sshg.minmax.HANDOFF_GRAD
+    assert 0.0 < record.handoff_grad <= 1e3
     # the hand-off's trace entry is the record's own multiplier solve
     md = record.multiplier
     assert (diags.alpha_norms[-1], diags.beta_norms[-1], diags.multiplier_norms[-1],
@@ -445,7 +457,7 @@ def test_minmax_deform_exits_on_grad_tol(setup16):
     record, diags = minmax_deform(nodes, frozen, dataclasses.replace(config, grad_tol=1e6),
                                   params)
     assert diags.exit == record.exit == "grad_tol"
-    assert len(diags.energies) == 2 and diags.consistent_lengths()
+    assert len(diags.energies) == 2 and _one_entry_per_record(diags)
     assert record.refined and record.converged
 
 
@@ -457,17 +469,52 @@ def test_minmax_deform_exits_on_stall(setup16):
     record, diags = minmax_deform(nodes, frozen, config, params,
                                   tangent_filter=lambda t: -1.0 * t)
     assert diags.exit == record.exit == "stall"
-    assert len(diags.energies) == 4 and diags.consistent_lengths()
+    assert len(diags.energies) == 4 and _one_entry_per_record(diags)
     assert record.refined and not record.converged
 
 
 def test_ps_trace_lengths_count_the_repair_flags():
     # one record() call writes one entry in every trace, the repair flag
-    # included; a repair flag without its entry is inconsistent
+    # included
     diags = sshg.minmax.PSDiagnostics()
-    assert diags.consistent_lengths()
-    diags.repairs.append(False)
-    assert not diags.consistent_lengths()
+    res = SimpleNamespace(alpha_norm=1.0, beta_norm=2.0, multiplier_norm=3.0, norm=4.0)
+    diags.record(res, 5.0, 6.0, 7.0, False)
+    assert [len(t) for t in _traces(diags)] == [1] * 8
+    assert diags.repairs == [False]
+
+
+def test_minmax_deform_refuses_a_mesh_without_a_frozen_node(setup16):
+    # a min-max needs a fixed boundary: an all-free path is refused before
+    # any step
+    geom, basis = setup16
+    params = ActionParams(rho=0.5)
+    consts = linking_constants(params, basis)
+    config = MinmaxConfig(path_nodes=9, grad_tol=1e-3, max_outer=1, seed=0)
+    nodes, _ = straight_path(geom, basis, params, consts.T, consts.s, config.path_nodes)
+    with pytest.raises(ConfigError, match="frozen"):
+        minmax_deform(nodes, [False] * len(nodes), config, params)
+
+
+def test_minmax_deform_exit_tries_newton_at_any_gradient(setup16, monkeypatch):
+    # the exit hands the max free node to Newton whatever its constrained
+    # gradient: with no iteration and a gradient norm of 2e3, Newton runs once
+    nodes, frozen, config, params = _small_mountain_pass(setup16)
+    solve, trial = sshg.minmax.constrained_gradient, sshg.minmax._newton_trial
+    monkeypatch.setattr(sshg.minmax, "constrained_gradient",
+                        lambda point, params: dataclasses.replace(solve(point, params),
+                                                                  norm=2e3))
+    calls = []
+
+    def counted_trial(point, params):
+        calls.append(point)
+        return trial(point, params)
+
+    monkeypatch.setattr(sshg.minmax, "_newton_trial", counted_trial)
+    record, diags = minmax_deform(nodes, frozen, dataclasses.replace(config, max_outer=0),
+                                  params)
+    assert len(calls) == 1
+    assert record.handoff_grad == 2e3
+    assert diags.exit == record.exit == "budget"
 
 
 def test_semi_trivial_eigenvalue_relation(setup16):
