@@ -29,6 +29,20 @@ afresh on every read and never kept.  Arithmetic counts it as holding both
 views, and arithmetic among compact constants is done on their common
 values, elementwise IEEE arithmetic on one entry.  A NaN has no common
 value (`constant_value`), so a NaN constant is kept as a grid.
+
+A spinor is compact when `SpinorField.one_mode` finds its eigen-coordinates
++0.0, bit for bit, at every mode but one (the basis spinors, `zeros` and
+the constant-u points of `nehari.fiber_solve`), or when it is built from
+compact ones.  It keeps that grid `mode` and a (2, 1, 2) view: the (a+, a-)
+pair there and each row's zero elsewhere (-0.0 after a negative factor).
+Its `eig` is built afresh on every read and never kept; like any spinor
+it keeps `values` and `coeffs` once read, so it makes the FFTs a full one
+does.  Arithmetic among compact spinors on one mode, a product with a
+constant, `spectral.l2_inner`, `sobolev_inner`, `dirac_apply` and
+`project`, the zero-row test and fast path of `nehari.fiber_solve` and the
+endpoint pairings of `nehari.fiber_energy_bounds` skip the grid: they apply
+the full arrays' numpy operations to the views (`mode_view`), so their
+results are the full arrays' bit for bit.  Every other reader reads `eig`.
 """
 
 from __future__ import annotations
@@ -242,14 +256,16 @@ class SpinorField:
 
     The eigen-coordinates `eig`, (a+, a-) per mode, are the source of truth
     and always restricted to the geometry's valid mode mask, so
-    conjugation-based operators close exactly on the discrete space.
+    conjugation-based operators close exactly on the discrete space.  A
+    compact spinor keeps one grid `mode` and its view (`mode_view`).
     """
 
-    __slots__ = ("geom", "eig", "_values", "_coeffs")
+    __slots__ = ("geom", "mode", "_view", "_eig", "_values", "_coeffs")
 
     def __init__(self, geom: TorusGeometry, values=None, eig=None):
         self.geom = geom
-        self.eig = eig
+        self.mode = self._view = None
+        self._eig = eig
         self._values = values
         self._coeffs = None
 
@@ -276,7 +292,39 @@ class SpinorField:
 
     @classmethod
     def zeros(cls, geom) -> "SpinorField":
-        return cls(geom, eig=np.zeros((2, geom.grid_n, geom.grid_n), dtype=complex))
+        return cls.one_mode(geom, np.zeros((2, geom.grid_n, geom.grid_n), dtype=complex))
+
+    @classmethod
+    def one_mode(cls, geom, eig: np.ndarray) -> "SpinorField":
+        """The spinor with eigen-coordinates eig (2, n, n), compact when eig
+        is +0.0, bit for bit, at every mode but one."""
+        words = eig.view(np.uint64).reshape(2, -1, 2)   # (row, mode, real/imaginary)
+        k = int(np.argmax(words.ravel() != 0)) // 2 % words.shape[1]   # the first nonzero's mode
+        if np.count_nonzero(words) != np.count_nonzero(words[:, k]):
+            return cls(geom, eig=eig)
+        i, j = divmod(k, geom.grid_n)
+        view = np.zeros((2, 1, 2), dtype=complex)
+        view[:, 0, 0] = eig[:, i, j]
+        return cls.viewed(geom, (i, j), view)
+
+    @classmethod
+    def viewed(cls, geom, mode, x: np.ndarray) -> "SpinorField":
+        """The spinor whose eigen-coordinates x, shaped like the views of a
+        `mode_view` whose mode is `mode`, give."""
+        if mode is None:
+            return cls(geom, eig=x)
+        field = cls(geom)
+        field.mode, field._view = mode, x
+        return field
+
+    @property
+    def eig(self) -> np.ndarray:
+        if self.mode is None:
+            return self._eig
+        eig = np.empty((2, self.geom.grid_n, self.geom.grid_n), dtype=complex)
+        eig[...] = self._view[:, :, 1:]
+        eig[(slice(None),) + self.mode] = self._view[:, 0, 0]
+        return eig
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -299,25 +347,52 @@ class SpinorField:
         v = self.values
         return (v.real ** 2 + v.imag ** 2).sum(axis=0)
 
+    def _map(self, op, *others) -> "SpinorField":
+        eigs, _, mode = mode_view((self, *others))
+        return SpinorField.viewed(self.geom, mode, op(*eigs))
+
     def times(self, f: np.ndarray) -> "SpinorField":
         """Pointwise product with a real grid function."""
         c = constant_value(f)
         if c is not None:
-            return SpinorField(self.geom, eig=self.eig * c)
+            return self._map(lambda e: e * c)
         return SpinorField.from_values(self.geom, f[None, :, :] * self.values)
 
     def __add__(self, other):
-        return SpinorField(self.geom, eig=self.eig + other.eig)
+        return self._map(np.add, other)
 
     def __sub__(self, other):
-        return SpinorField(self.geom, eig=self.eig - other.eig)
+        return self._map(np.subtract, other)
 
     def __mul__(self, a):
         # complex scalars are allowed: multiplication by i is the first
         # almost-complex structure of the quaternionic family
-        return SpinorField(self.geom, eig=self.eig * complex(a))
+        a = complex(a)
+        return self._map(lambda e: e * a)
 
     __rmul__ = __mul__
+
+
+def mode_view(spinors, grids=()):
+    """(eigs, grids, mode): the spinors' eigen-coordinates and the per-mode
+    grids (..., n, n), for a reader that may skip the grid, and the mode.
+
+    When every spinor is compact on one mode, each is its (2, 1, 2) view:
+    column 0 its (a+, a-) at the mode, column 1 each row's entry at every
+    other mode, a zero.  Each grid is then (..., 1, 2): its value at the
+    mode, and 1.0, which gives a zero the sign any finite nonnegative weight
+    gives it, so the grids must be such weights.  Elementwise arithmetic on
+    the views is the full arrays' at those entries, bit for bit, and a sum
+    over a view is the full sum, whose other terms are zeros.  Otherwise
+    the views are the full arrays and mode is None.
+    """
+    mode = spinors[0].mode
+    if mode is None or any(s.mode != mode for s in spinors):
+        return [s.eig for s in spinors], grids, None
+    i, j = mode
+    return ([s._view for s in spinors],
+            [np.stack((g[..., i, j], np.ones(g.shape[:-2])), axis=-1)[..., None, :]
+             for g in grids], mode)
 
 
 # -- packed (u, psi) arrays -----------------------------------------------------

@@ -40,7 +40,7 @@ from .action import (
     scalar_terms,
 )
 from .errors import CertificationError, ConfigError, OverflowGuardError
-from .fields import ScalarField, SpinorField, constant_value, minus_row_times
+from .fields import ScalarField, SpinorField, constant_value, minus_row_times, mode_view
 from .krylov import cg
 from .spectral import (
     check_spectral_gap,
@@ -123,14 +123,19 @@ def _minus_modes(geom) -> tuple[np.ndarray, np.ndarray]:
     return lam, weight
 
 
+def _pairing_table(s: np.ndarray, riesz: np.ndarray) -> np.ndarray:
+    """Per-mode weights 1, |xi| and the Riesz weights times |xi|^2, |xi|
+    and 1, one row each, per real coordinate of one row of eigen-coordinates
+    (the real and imaginary part of each mode), from the grids (or mode
+    views) s = |xi| and riesz."""
+    return np.repeat(np.stack((np.ones_like(s), s, riesz * s * s, riesz * s, riesz)),
+                     2, axis=-1).reshape(5, -1)
+
+
 @lru_cache(maxsize=16)
 def _pairing_weights(geom) -> np.ndarray:
-    """Read-only per-mode weights 1, |xi| and the Riesz weights times
-    |xi|^2, |xi| and 1, one row each, per real coordinate of one row of
-    eigen-coordinates (the real and imaginary part of each mode)."""
-    s, riesz = geom.s_abs, _minus_modes(geom)[1]
-    weights = np.repeat(np.stack((np.ones_like(s), s, riesz * s * s, riesz * s, riesz)),
-                        2, axis=-1).reshape(5, -1)
+    """The read-only `_pairing_table` of the geometry's grids."""
+    weights = _pairing_table(geom.s_abs, _minus_modes(geom)[1])
     weights.flags.writeable = False
     return weights
 
@@ -198,20 +203,28 @@ def fiber_energy_bounds(a, b, weights, params: ActionParams) -> np.ndarray:
     Parseval) and E(u) = 4 rho^2 Vol sinh(u)^2: no FFT and no stacked
     array.  Otherwise the potential and E(u) are grid sums of the stacked
     blends and g needs only the a- row of cosh(u) psi, one fft2 of the
-    stack.
+    stack.  Endpoints compact on one mode are paired on their mode views
+    (`fields.mode_view`) by a sum of products, which may round otherwise
+    than the grid's matrix product, well inside the pad.
     """
     geom = a.u.geom
     rho = params.rho
     w = np.asarray(weights, dtype=float)
     ws = w[:, None, None]
     # the products aa, ab and bb of the endpoints' real coordinates, per
-    # row (a+, a-), summed against each weight of `_pairing_weights`
-    ra, rb = (np.ascontiguousarray(p.psi.eig).view(float).reshape(2, -1) for p in (a, b))
+    # row (a+, a-), summed against each weight of `_pairing_table`
+    eigs, grids, mode = mode_view((a.psi, b.psi), (geom.s_abs, _minus_modes(geom)[1]))
+    ra, rb = (np.ascontiguousarray(e).view(float).reshape(2, -1) for e in eigs)
     pairs = np.empty((3,) + ra.shape)
     np.multiply(ra, ra, out=pairs[0])
     np.multiply(ra, rb, out=pairs[1])
     np.multiply(rb, rb, out=pairs[2])
-    sums = geom.vol * (_pairing_weights(geom) @ pairs.reshape(6, -1).T).reshape(5, 3, 2)
+    pairs = pairs.reshape(6, -1)
+    if mode is None:
+        sums = _pairing_weights(geom) @ pairs.T
+    else:
+        sums = np.einsum("ik,jk->ij", _pairing_table(*grids), pairs)
+    sums = geom.vol * sums.reshape(5, 3, 2)
     one, lam = sums[0], sums[1]
     ends = np.sqrt((one + lam).sum(-1)[::2])   # ||a.psi||, ||b.psi|| in H^{1/2}
     # per pair: ||psi||^2, <D psi, psi>, and the a- row's Riesz-weighted
@@ -299,7 +312,9 @@ def fiber_solve(u: ScalarField, psi_free: SpinorField, params: ActionParams,
     At constant u, D - rho cosh u commutes with P^-, so a psi_free whose
     masked a- row is exactly zero is its own fiber point, G = 0 exactly:
     it is returned as CG would return it (-0.0 entries of its a- row read
-    +0.0), with constraint_norm 0.0, and no operator is applied.
+    +0.0), with constraint_norm 0.0, and no operator is applied.  The
+    point's spinor is compact when psi_free is, or when its
+    eigen-coordinates are one-mode in their bytes (`SpinorField.one_mode`).
     """
     geom = u.geom
     uv = check_overflow(u)
@@ -307,15 +322,17 @@ def fiber_solve(u: ScalarField, psi_free: SpinorField, params: ActionParams,
     free_scale = hhalf_norm(psi_free)
     if not np.isfinite(free_scale):
         raise OverflowGuardError(f"psi_free is not finite (H^1/2 norm {free_scale:.6g})")
-    neg_row = psi_free.eig[1] * subspace_mask(geom, "minus", None)[1]
-    zero_row = not neg_row.any()
-    if not zero_row and _row_norm(geom, neg_row) > 1e-10 * max(free_scale, 1.0):
-        raise ConfigError("fiber_solve expects psi_free with zero negative part")
+    minus_mask = subspace_mask(geom, "minus", None)[1]
+    (eig,), (mask,), mode = mode_view((psi_free,), (minus_mask,))
+    zero_row = not (eig[1] * mask).any()
     if zero_row and u.common_value is not None:
-        eig = psi_free.eig.copy()
+        eig = eig.copy()
         eig[1] += 0.0
-        return NehariPoint(u=u, psi=SpinorField(geom, eig=eig), constraint_norm=0.0,
-                           params=params)
+        psi = SpinorField.viewed(geom, mode, eig) if mode else SpinorField.one_mode(geom, eig)
+        return NehariPoint(u=u, psi=psi, constraint_norm=0.0, params=params)
+    if not zero_row and (_row_norm(geom, psi_free.eig[1] * minus_mask)
+                         > 1e-10 * max(free_scale, 1.0)):
+        raise ConfigError("fiber_solve expects psi_free with zero negative part")
 
     g_map = _fiber_map(geom, np.cosh(uv), params.rho)
     b = g_map(psi_free)

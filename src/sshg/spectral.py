@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, ResolutionError, SpectralGapError
-from .fields import ScalarField, SpinorField
+from .fields import ScalarField, SpinorField, mode_view
 from .geometry import TorusGeometry
 
 RHO_GAP = 1e-9  # hard guard: rho must stay outside this distance of the spectrum
@@ -27,9 +27,10 @@ RHO_GAP = 1e-9  # hard guard: rho must stay outside this distance of the spectru
 
 def dirac_apply(psi: SpinorField) -> SpinorField:
     """D as the multiplier (+|xi|, -|xi|) on the eigen-coordinates."""
-    out = psi.eig * psi.geom.s_abs
+    (eig,), (s_abs,), mode = mode_view((psi,), (psi.geom.s_abs,))
+    out = eig * s_abs
     out[1] *= -1.0
-    return SpinorField(psi.geom, eig=out)
+    return SpinorField.viewed(psi.geom, mode, out)
 
 
 def laplace_apply(u: ScalarField) -> ScalarField:
@@ -46,7 +47,8 @@ def l2_inner(a, b) -> float:
     """Real L^2 pairing; exact Parseval form on coefficients."""
     g = a.geom
     if isinstance(a, SpinorField):
-        s = np.sum(np.conj(a.eig) * b.eig)
+        ea, eb = mode_view((a, b))[0]
+        s = np.sum(np.conj(ea) * eb)
     else:
         s = np.sum(np.conj(a.coeffs) * b.coeffs)
     return float(g.vol * s.real)
@@ -84,7 +86,8 @@ def sobolev_inner(a, b) -> float:
                 return float(g.vol * p)
         s = np.sum(mult * np.conj(a.coeffs) * b.coeffs)
     else:
-        s = np.sum(mult[None, :, :] * np.conj(a.eig) * b.eig)
+        (ea, eb), (mult,), _ = mode_view((a, b), (mult,))
+        s = np.sum(mult[None, :, :] * np.conj(ea) * eb)
     return float(g.vol * s.real)
 
 
@@ -130,7 +133,8 @@ def project(psi: SpinorField, subspace: str, rho: float | None = None) -> Spinor
         rho = None
     else:
         raise ConfigError(f"unknown spectral subspace {subspace!r}")
-    return SpinorField(g, eig=psi.eig * subspace_mask(g, subspace, rho))
+    (eig,), (mask,), mode = mode_view((psi,), (subspace_mask(g, subspace, rho),))
+    return SpinorField.viewed(g, mode, eig * mask)
 
 
 @lru_cache(maxsize=64)
@@ -194,7 +198,7 @@ class SpectralBasis:
         g = self.geom
         a = np.zeros((2, g.grid_n, g.grid_n), dtype=complex)
         a[row, mode[0], mode[1]] = (1j if phase else 1.0) / g.side_length
-        return SpinorField(g, eig=a)
+        return SpinorField.one_mode(g, a)
 
 
 def build_basis(geom: TorusGeometry, cutoff: float) -> SpectralBasis:

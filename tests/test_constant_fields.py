@@ -8,9 +8,14 @@ formula it replaces, across even grids (powers of two and not) and all spin
 structures.  A scalar field keeps its common value and max|u| once read;
 both are checked against the scans they replace.  A compact constant keeps
 no grid: its views, its arithmetic and the readers that skip its grid are
-checked against a field that keeps its grids (`oracles.GridScalar`).
+checked against a field that keeps its grids (`oracles.GridScalar`).  A
+compact spinor keeps one mode: its readers and its arithmetic are checked
+against a spinor holding the same eigen-coordinates as a full array, and a
+constant-u fiber point, its J, its H^{1/2} norm and a segment bound built
+from compact spinors are checked to make no FFT and no (2, n, n) array.
 """
 
+import tracemalloc
 import types
 from contextlib import contextmanager
 
@@ -28,7 +33,8 @@ from sshg.fields import ScalarField, SpinorField, constant_value
 from sshg.geometry import TorusGeometry
 from sshg.minmax import _interp_points, _product_dist
 from sshg.nehari import fiber_energy_bounds, fiber_solve
-from sshg.spectral import dirac_apply, l2_inner, project, sobolev_inner, subspace_mask
+from sshg.spectral import (build_basis, dirac_apply, hhalf_norm, l2_inner, project,
+                           sobolev_inner, subspace_mask)
 
 from oracles import GridScalar, cg_fiber_point
 from test_spectral import ALL_DELTAS, random_spinor
@@ -432,3 +438,184 @@ def test_a_constant_u_node_keeps_no_grid(delta):
     mid = _interp_points(a, b, 0.5, params)
     mid.J
     assert mid.u.compact
+
+
+# -- compact spinors ------------------------------------------------------------
+
+PARTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]), st.floats(-10.0, 10.0, allow_nan=False))
+PAIRS = st.tuples(PARTS, PARTS, PARTS, PARTS).map(
+    lambda t: (complex(t[0], t[1]), complex(t[2], t[3])))
+# a negative scale gives the zeros off the mode the sign -0.0
+SPINOR_SCALES = st.one_of(st.sampled_from([1.0, -1.0, -0.0, 0.5j]),
+                          st.floats(-3.0, 3.0, allow_nan=False))
+COMPACT_GEOMS = st.builds(TorusGeometry, grid_n=st.sampled_from([8, 16]),
+                          spin_delta=st.sampled_from([(0.5, 0.5), (0.0, 0.0)]))
+
+
+def _on_mode(geom, mode, pair):
+    """The compact spinor on mode whose eigen-coordinates are pair there and
+    +0.0 elsewhere (`one_mode` would put a zero pair on mode (0, 0))."""
+    view = np.zeros((2, 1, 2), dtype=complex)
+    view[:, 0, 0] = pair
+    return SpinorField.viewed(geom, mode, view)
+
+
+def _draw_mode(geom, data):
+    """A valid grid mode, drawn among all of them or among the lowest |xi|,
+    which hold the harmonic mode of delta = (0, 0)."""
+    modes = np.argwhere(geom.spinor_mask)
+    modes = modes[np.argsort(geom.s_abs[geom.spinor_mask], kind="stable")]
+    i = data.draw(st.one_of(st.integers(0, 3), st.integers(0, len(modes) - 1)))
+    return tuple(int(k) for k in modes[i])
+
+
+def _compact(geom, mode, data):
+    """A compact spinor on mode, a scaled `_on_mode` spinor, and its twin
+    that holds the same eigen-coordinates as a full array."""
+    psi = data.draw(SPINOR_SCALES) * _on_mode(geom, mode, data.draw(PAIRS))
+    assert psi.mode is not None
+    return psi, SpinorField(geom, eig=psi.eig)
+
+
+@PROPERTY
+@given(geom=COMPACT_GEOMS, c=st.floats(-3.0, 3.0, allow_nan=False),
+       rho=st.floats(0.1, 2.0, allow_nan=False), data=st.data())
+def test_compact_spinor_readers_and_arithmetic_are_the_full_arrays(geom, c, rho, data):
+    # every reader that skips the grid returns the full array's result bit
+    # for bit, and arithmetic on one mode stays compact with the full
+    # arithmetic's eigen-coordinates, zeros off the mode included; no FFT
+    assume(geom.spectral_gap(rho) > 1e-6)
+    mode = _draw_mode(geom, data)
+    (a, fa), (b, fb) = _compact(geom, mode, data), _compact(geom, mode, data)
+    f = np.full((geom.grid_n, geom.grid_n), c)
+    with counting_ffts() as counts:
+        for reader in (l2_inner, sobolev_inner):
+            assert _same(reader(a, b), reader(fa, fb))
+        assert _same(hhalf_norm(a), hhalf_norm(fa))
+        pairs = [(dirac_apply(a), dirac_apply(fa)), (a + b, fa + fb), (a - b, fa - fb),
+                 (c * a, c * fa), ((1.0 - 2.0j) * b, (1.0 - 2.0j) * fb),
+                 (a.times(f), fa.times(f))]
+        pairs += [(project(a, sub, rho), project(fa, sub, rho))
+                  for sub in ("plus", "minus", "zero", "plus_a", "plus_b")]
+        for got, ref in pairs:
+            assert got.mode is not None and _same(got.eig, ref.eig)
+        assert a.eig is not a.eig
+    assert counts["fft"] == 0
+    # the views are built from the full array's eigen-coordinates and kept
+    for view in ("values", "coeffs"):
+        assert _same(getattr(a, view), getattr(fa, view))
+        assert getattr(a, view) is getattr(a, view)
+    u = ScalarField.constant(geom, c)
+    params = ActionParams(rho=rho)
+    assert _same(evaluate_J(u, a, params), evaluate_J(u, fa, params))
+    free, full_free = a - project(a, "minus"), fa - project(fa, "minus")
+    p, q = fiber_solve(u, free, params), fiber_solve(u, full_free, params)
+    assert p.psi.mode is not None and _same(p.psi.eig, q.psi.eig)
+    assert p.constraint_norm == q.constraint_norm == 0.0
+
+
+@PROPERTY
+@given(geom=COMPACT_GEOMS, c=st.floats(-3.0, 3.0, allow_nan=False),
+       rho=st.floats(0.1, 2.0, allow_nan=False), w=st.floats(0.0, 1.0), data=st.data())
+def test_compact_segment_bounds_are_the_full_arrays(geom, c, rho, w, data):
+    # two constant-u fiber points on one mode: their segment bounds pair
+    # the mode views, and agree with the full arrays' far inside the pad
+    assume(geom.spectral_gap(rho) > 1e-6)
+    mode = _draw_mode(geom, data)
+    params = ActionParams(rho=rho)
+    ends = []
+    for shift in (0.0, 0.5):
+        psi, full = _compact(geom, mode, data)
+        u = ScalarField.constant(geom, c + shift)
+        ends.append([fiber_solve(u, x - project(x, "minus"), params) for x in (psi, full)])
+    (a, fa), (b, fb) = ends
+    assert a.psi.mode is not None and b.psi.mode is not None
+    got = fiber_energy_bounds(a, b, (0.0, w, 1.0), params)
+    ref = fiber_energy_bounds(fa, fb, (0.0, w, 1.0), params)
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+
+
+@PROPERTY
+@given(geom=COMPACT_GEOMS, data=st.data())
+def test_arithmetic_on_two_modes_materializes(geom, data):
+    m1 = _draw_mode(geom, data)
+    m2 = _draw_mode(geom, data)
+    assume(m1 != m2)
+    (a, fa), (b, fb) = _compact(geom, m1, data), _compact(geom, m2, data)
+    for got, ref in ((a + b, fa + fb), (a - b, fa - fb), (b - a, fb - fa)):
+        assert got.mode is None and _same(got.eig, ref.eig)
+    assert _same(l2_inner(a, b), l2_inner(fa, fb))
+    assert _same(sobolev_inner(a, b), sobolev_inner(fa, fb))
+
+
+@PROPERTY
+@given(geom=COMPACT_GEOMS, data=st.data())
+def test_one_mode_detection_reads_bytes(geom, data):
+    # an array +0.0 at every mode but one becomes compact, with its bytes;
+    # a -0.0 or a nonzero entry at a second mode keeps it full
+    mode, other = _draw_mode(geom, data), _draw_mode(geom, data)
+    assume(mode != other)
+    pair = data.draw(PAIRS)
+    assume(np.array(pair).view(np.uint64).any())
+    eig = _on_mode(geom, mode, pair).eig
+    psi = SpinorField.one_mode(geom, eig.copy())
+    assert psi.mode is not None and _same(psi.eig, eig)
+    zero = np.zeros_like(eig)
+    assert SpinorField.one_mode(geom, zero).mode is not None
+    row = data.draw(st.integers(0, 1))
+    for stray in (complex(-0.0, 0.0), complex(0.0, -0.0), 1e-300, 1.0):
+        bad = eig.copy()
+        bad[(row,) + other] = stray
+        full = SpinorField.one_mode(geom, bad)
+        assert full.mode is None and full.eig is bad
+
+
+@pytest.mark.parametrize("delta", [(0.5, 0.5), (0.0, 0.0)])
+def test_fiber_solve_compacts_a_one_mode_point(delta):
+    # a full psi_free on one mode at constant u gives a compact point; a
+    # -0.0 off the mode in the a+ row (the a- row's read +0.0) keeps it full
+    geom = TorusGeometry(grid_n=16, spin_delta=delta)
+    params = ActionParams(rho=0.5)
+    u = ScalarField.constant(geom, 0.3)
+    eig = (2.0 * build_basis(geom, 2.5).eigenspinor(1)).eig
+    assert fiber_solve(u, SpinorField(geom, eig=eig.copy()), params).psi.mode is not None
+    eig[1, 3, 4] = -0.0
+    assert fiber_solve(u, SpinorField(geom, eig=eig.copy()), params).psi.mode is not None
+    eig[0, 3, 4] = -0.0
+    point = fiber_solve(u, SpinorField(geom, eig=eig.copy()), params)
+    eig[1] += 0.0
+    assert point.psi.mode is None and _same(point.psi.eig, eig)
+
+
+def test_constant_u_one_mode_work_makes_no_fft_and_no_spinor_array():
+    # a constant-u fiber solve from a one-mode spinor, its J, its H^1/2
+    # norm and a segment bound: no FFT, and tracemalloc's peak stays below
+    # the size of one (2, n, n) complex array, which any such array would
+    # reach by itself; the same calls on full arrays reach it
+    n = 128
+    geom = TorusGeometry(grid_n=n)
+    params = ActionParams(rho=0.5)
+    psi1 = build_basis(geom, 2.5).eigenspinor(1)
+
+    def work(psi):
+        a = fiber_solve(ScalarField.constant(geom, 0.3), 2.0 * psi, params)
+        b = fiber_solve(ScalarField.constant(geom, 0.7), 5.0 * psi, params)
+        return a.J, hhalf_norm(a.psi), fiber_energy_bounds(a, b, (0.25, 0.5, 0.75), params)
+
+    def peak(psi):
+        work(psi)  # fills the caches keyed on the geometry
+        tracemalloc.start()
+        try:
+            with counting_ffts() as counts:
+                out = work(psi)
+            return tracemalloc.get_traced_memory()[1], counts["fft"], out
+        finally:
+            tracemalloc.stop()
+
+    size = 2 * n * n * np.dtype(complex).itemsize
+    compact_peak, ffts, got = peak(psi1)
+    full_peak, _, ref = peak(SpinorField(geom, eig=psi1.eig))
+    assert ffts == 0
+    assert compact_peak < size <= full_peak
+    assert got[:2] == ref[:2]
+    assert np.all(np.abs(got[2] - ref[2]) <= 1e-14 * np.abs(ref[2]))

@@ -48,11 +48,14 @@ points through the disk).  The ceiling is that 0.72 MB plus about 10 %;
 a change that lowers the peak lowers the ceiling too.
 
 The mountain pass is guarded the same way, under
-`MOUNTAIN_PASS_PEAK_CEILING_MB`.  Its path lives at constant u, and a
-constant u is compact (`fields.ScalarField.constant`): its nodes, re-spread
-nodes and ridge samples keep no u grid.  The peak read 1.22 MB when each of
-them kept a value and a coefficient grid and 0.87 MB since; the ceiling is
-0.87 MB plus about 10 %.
+`MOUNTAIN_PASS_PEAK_CEILING_MB`.  Its path lives at constant u with its
+spinor on one mode.  A constant u is compact (`fields.ScalarField.constant`),
+and so is such a spinor (`fields.SpinorField.one_mode`): its nodes,
+re-spread nodes and ridge samples keep no u grid and no (2, n, n)
+eigen-coordinates, and every node of the path is compact at exit.  The peak
+read 1.22 MB when each of them kept a value and a coefficient grid, 0.87 MB
+with compact constants and 0.46 MB with compact spinors; the ceiling is
+0.46 MB plus about 10 %.
 """
 
 import gc
@@ -63,6 +66,8 @@ import sshg.action
 import sshg.krylov
 import sshg.minmax
 import sshg.nehari
+import sshg.runner
+from sshg.minmax import minmax_deform
 from sshg.runner import RunConfig, run
 
 from test_constant_fields import counting_ffts
@@ -106,7 +111,7 @@ MOUNTAIN_PASS_CEILINGS = {
     "fft": 216,
 }
 
-MOUNTAIN_PASS_PEAK_CEILING_MB = 0.96
+MOUNTAIN_PASS_PEAK_CEILING_MB = 0.51
 
 
 def _count_calls(monkeypatch, orig, on_call):
@@ -198,7 +203,17 @@ def test_multiplicity_peak_memory_stays_under_its_ceiling():
     assert peak <= PEAK_CEILING_MB, f"peak {peak:.3f} MB > {PEAK_CEILING_MB} MB"
 
 
-def test_mountain_pass_peak_memory_stays_under_its_ceiling():
+def test_mountain_pass_peak_memory_stays_under_its_ceiling(monkeypatch):
+    meshes = []
+
+    def deform(nodes, *args, **kwargs):
+        meshes.append(nodes)
+        return minmax_deform(nodes, *args, **kwargs)
+
+    monkeypatch.setattr(sshg.runner, "minmax_deform", deform)
     peak = _peak_mb(MOUNTAIN_PASS)
     assert peak <= MOUNTAIN_PASS_PEAK_CEILING_MB, \
         f"peak {peak:.3f} MB > {MOUNTAIN_PASS_PEAK_CEILING_MB} MB"
+    # the mesh is deformed in place: at exit it holds the final path
+    assert len(meshes) == 2 and len(meshes[-1]) > 2
+    assert all(node.psi.mode is not None for node in meshes[-1][1:-1])
