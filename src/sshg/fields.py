@@ -251,6 +251,18 @@ def minus_row_times(geom: TorusGeometry, f: np.ndarray, values=None, row=None) -
     return p * x[..., 1, :, :] - q * x[..., 0, :, :]
 
 
+def frame_transfer(geom: TorusGeometry, mode, pair) -> np.ndarray:
+    """F_m^T F_mode pair at every grid mode m, (2, n, n), zero off the mode
+    mask: the eigen-coordinates at m of the C^2 components that the
+    (a+, a-) pair `pair` has at `mode`.  A scalar Fourier mode times a
+    spinor on one mode carries its components to another mode, where these
+    are its eigen-coordinates."""
+    p, q = geom.dirac_frame
+    c0 = p[mode] * pair[0] - q[mode] * pair[1]
+    c1 = q[mode] * pair[0] + p[mode] * pair[1]
+    return np.stack((p * c0 + q * c1, p * c1 - q * c0)) * geom.spinor_mask
+
+
 class SpinorField:
     """C^2-valued field with real metric Re<.,.>; Fourier support on k+delta.
 

@@ -33,7 +33,7 @@ from .errors import (
     ConfigError,
     SSHGError,
 )
-from .fields import ScalarField, SpinorField, unpack
+from .fields import ScalarField, SpinorField, frame_transfer, mode_view, unpack
 from .krylov import minres
 from .nehari import (
     MultiplierData,
@@ -63,16 +63,30 @@ HANDOFF_RTOL = 1e-3        # a path hands off when Newton lands this close to it
 NEWTON_MAX_STEPS = 30
 NEWTON_TOL = 1e-10         # Newton stops once res_u + res_psi is at most this
 NEWTON_FORCING = 1e-2      # largest relative MINRES tolerance of a Newton step
-# Least per-mode weight of Newton's |H0| metric (`_abs_metric`); 2 is the u
-# block's high-mode weight.  Without a floor the near-kernel modes at lambda_1
+# Least weight of Newton's MINRES metric: of `_abs_metric`'s per-mode
+# multiplier and of the block metric's eigenvalues (`_BlockMetric`), and the
+# scale eps is measured against (`_semi_trivial`); 2 is the u block's
+# high-mode weight.  Without a floor the near-kernel modes at lambda_1
 # (weight about `shift`) dominate the MINRES residual norm, so a solve stops
 # before the other modes are resolved.  MINRES iterations, seed 1, on the
-# three newton-n128 starts (Newton steps) and the multiplicity-n32 disk
-# hand-off (steps); no preconditioner: 138/141/140 (4), 634 (10):
-#   floor 0: 113/120/113 (5), 847 (11)    floor 1: 77/77/75 (4), 492 (10)
-#   floor 2:  76/76/76   (4), 414 (10)    floor 3: 72/71/70 (4), 817 (13)
-#   floor 4:  69/69/69   (4), 515 (11)
+# three newton-n128 starts (Newton steps, those in the block metric) and the
+# multiplicity-n32 disk hand-off (steps; its eps stays >= 1):
+#   floor 1: 33/34/33 (4, 3), 458 (10)    floor 2: 36/37/35 (4, 4), 382 (10)
+#   floor 3: 44/44/44 (4, 4), 793 (13)    floor 4: 47/47/46 (4, 4), 565 (11)
+# The |H0| metric alone read 76/76/75 (4) at floor 2.
 NEWTON_METRIC_FLOOR = 2.0
+# Least coupling kappa (`_coupled_modes`) of a block of the semi-trivial
+# Hessian that Newton's metric keeps (`_BlockMetric`).  MINRES iterations,
+# seed 1, on the three newton-n128 starts (4 Newton steps each) against the
+# blocks kept at each step:
+#   1e-1:  11 blocks, 44/44/44       3e-2:  19 blocks, 38/38/38
+#   2e-2:  25 blocks, 36/37/35       1.5e-2: 35 blocks, 33/34/34
+#   1e-2:  45 blocks, 33/33/33       3e-3:  93 blocks, 31/31/31
+#   1e-3: 201 blocks, 31/31/31       0: all 8,194 blocks, 31/31/31
+# A block costs one 5 x 5 eigh per step (about 9 us) and about 1.2 kB while
+# MINRES runs: the grid-16 mountain pass's traced peak read 0.521 MB at
+# 1e-2 and 0.496 MB at 2e-2.
+NEWTON_BLOCK_COUPLING = 2e-2
 TRACE_CAP = 1e8            # PS traces beyond this magnitude count as unbounded
 LINKING_T_MARGIN = 0.5     # T clears the step-(i) threshold by this much
 LINKING_FACTOR = 1.5       # safety factor of s and R over their thresholds
@@ -180,6 +194,7 @@ class SolutionRecord:
     refined: bool                  # Newton reached NEWTON_TOL
     newton_steps: int = 0          # accepted steps of the Newton that built it
     minres_iters: int = 0          # MINRES iterations that Newton spent
+    newton_block_steps: int = 0    # its steps whose MINRES ran in the block metric
     minres_capped: int = 0         # its MINRES solves that stopped at the iteration cap
     # set by minmax_deform for the descent that built the record; None on
     # a record of a bare newton_refine
@@ -611,7 +626,8 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
 def _abs_metric(u: ScalarField, lin: Linearization, params: ActionParams, shift: float):
     """The per-mode multiplier W = max(|R H0| + shift, NEWTON_METRIC_FLOOR)
     of Newton's MINRES, and the inner product <a, W b> in H^1 x H^{1/2}, on
-    packed arrays (`fields.pack`).
+    packed arrays (`fields.pack`).  This is the whole metric where
+    `_block_metric` builds no blocks, and its diagonal elsewhere.
 
     H0 is the Hessian at (u, psi) with u and |psi|^2 replaced by their grid
     means and the u-psi coupling dropped, so it is diagonal per mode: with
@@ -646,6 +662,234 @@ def _abs_metric(u: ScalarField, lin: Linearization, params: ActionParams, shift:
     return 1.0 / w, inner
 
 
+class _SemiTrivial:
+    """The semi-trivial point nearest a Newton iterate: u's mean u_bar,
+    psi's largest grid mode k1 (`mode`) and psi's (a+, a-) pair alpha there,
+    and eps (`_semi_trivial`)."""
+
+    __slots__ = ("u_bar", "mode", "alpha", "eps")
+
+    def __init__(self, u_bar: float, mode: tuple, alpha: np.ndarray):
+        self.u_bar, self.mode, self.alpha, self.eps = u_bar, mode, alpha, 0.0
+
+    def potential(self, rho: float) -> float:
+        """8 rho^2 cosh 2u - 8 rho cosh u |psi|^2 here, the u-u multiplier
+        of the Hessian."""
+        return (8.0 * rho * rho * np.cosh(2.0 * self.u_bar)
+                - 8.0 * rho * np.cosh(self.u_bar) * np.vdot(self.alpha, self.alpha).real)
+
+
+def _semi_trivial(u: ScalarField, psi: SpinorField, lin: Linearization,
+                  params: ActionParams) -> _SemiTrivial:
+    """The semi-trivial point (u_bar, psi_1) nearest (u, psi): u_bar is u's
+    mean, psi_1 keeps psi's largest grid mode k1 and its (a+, a-) pair.
+    eps bounds what H_semi, the Hessian there, leaves out of Newton's
+    preconditioned operator.
+
+    H - H_semi multiplies (v, phi) in R x R^4, pointwise on the grid, by
+
+        [[ dA, -b^T ], [ -b, -dC I ]],   dA = the change of
+        8 rho^2 cosh 2u - 8 rho cosh u |psi|^2 from its value at (u_bar, psi_1),
+        b = 16 rho (sinh u psi - sinh u_bar psi_1),  dC = 16 rho (cosh u - cosh u_bar).
+
+    The grid quadrature is exact (discrete Parseval) and the mode mask a
+    projection, so its L^2 norm is at most sup|dA| + sup|b| + sup|dC|.  R
+    divides by weights >= 1 and W >= NEWTON_METRIC_FLOOR, so
+    eps = (sup|dA| + sup|b| + sup|dC|) / NEWTON_METRIC_FLOOR bounds
+    ||W^{-1/2} R (H - H_semi) W^{-1/2}||.  With psi - psi_1 at most the l^1
+    norm of psi's other modes pointwise, sup|b| is bounded by
+    16 (sup|rho sinh u - rho sinh u_bar| sup|psi| + |rho sinh u_bar| sum_{k != k1} |a_k|).
+    A constant u with a compact psi (`fields`) is semi-trivial: eps is 0,
+    and no grid is read.  Otherwise lin's idle `tmp` holds the grids.
+    """
+    rho = params.rho
+    c = u.common_value
+    u_bar = float(c) if c is not None else float(u.coeffs[0, 0].real)
+    if psi.mode is not None:
+        (view,), _, mode = mode_view((psi,))
+        semi, rest = _SemiTrivial(u_bar, mode, view[:, 0, 0].copy()), 0.0
+        if c is not None:
+            return semi
+    else:
+        amp, tmp = lin.tmp
+        eig = psi.eig
+        np.square(np.abs(eig[0], out=amp), out=amp)
+        amp += np.square(np.abs(eig[1], out=tmp), out=tmp)
+        mode = tuple(int(i) for i in np.unravel_index(np.argmax(amp), amp.shape))
+        np.sqrt(amp, out=amp)
+        semi = _SemiTrivial(u_bar, mode, eig[:, mode[0], mode[1]].copy())
+        rest = float(np.sum(amp) - amp[mode])
+    pot, tmp = lin.tmp
+    np.subtract(lin.uu, np.multiply(lin.uu_dens, lin.dens, out=tmp), out=pot)
+    a_semi = semi.potential(rho)
+    ch, sh = rho * np.cosh(u_bar), rho * np.sinh(u_bar)
+    d_a = max(pot.max() - a_semi, a_semi - pot.min())
+    d_c = 16.0 * max(lin.psi_phi.max() - ch, ch - lin.psi_phi.min())
+    b = 16.0 * (max(lin.psi_v.max() - sh, sh - lin.psi_v.min()) * np.sqrt(lin.dens.max())
+                + abs(sh) * rest)
+    semi.eps = float(d_a + b + d_c) / NEWTON_METRIC_FLOOR
+    return semi
+
+
+def _block_index(geom, mode, ki: np.ndarray, kj: np.ndarray):
+    """(targets, half): flat indices into a packed array of the blocks of
+    the u-modes k = (ki, kj), one block for each pair +-k whose member of
+    smaller flat index is among them.
+
+    A block's coordinates are z = (h, a at k1 + k, conj(a) at k1 - k), with
+    h = (x_k + conj(x_{-k})) / 2 the Hermitian part of u's row and a the
+    (a+, a-) pair; targets (B, 6) indexes x_k, the four spinor entries and
+    x_{-k}.  half (B,) is 1/2 on a self-paired k (k = -k mod n; four of
+    them), whose z = (Re x_k, a, conj(a)) holds one spinor mode twice, and 1
+    elsewhere.  Each spinor mode lies in one block, so blocks write disjoint
+    entries."""
+    n = geom.grid_n
+    n2 = n * n
+    flat, neg = ki * n + kj, (-ki) % n * n + (-kj) % n
+    first = flat <= neg
+    ki, kj, flat, neg = ki[first], kj[first], flat[first], neg[first]
+    p = (mode[0] + ki) % n * n + (mode[1] + kj) % n
+    m = (mode[0] - ki) % n * n + (mode[1] - kj) % n
+    return (np.stack((flat, n2 + p, 2 * n2 + p, n2 + m, 2 * n2 + m, neg), axis=1),
+            np.where(flat == neg, 0.5, 1.0))
+
+
+def _semi_trivial_blocks(geom, rho: float, semi: _SemiTrivial, transfer: np.ndarray,
+                         shift: float, targets: np.ndarray):
+    """(mu, S): the blocks (`_block_index`) of R H_semi + shift, H_semi the
+    Hessian at `semi`, in orthonormal coordinates mu^{1/2} z.
+
+    At u = u_bar and psi_1 on mode k1, |psi_1|^2 is constant, so v at +-k
+    meets phi only at P = k1 + k and M = k1 - k.  With s = -16 rho sinh u_bar
+    and e = `transfer` (psi_1's components in the eigen-coordinates of each
+    mode), the dual Hessian's u-row at k is
+
+        (2|xi_k|^2 + `potential`) h + (s/2) (e_P^H a_P + e_M^T conj(a_M)),
+
+    and its spinor rows at P, and conjugated at M, are
+    16 (+-|xi| - rho cosh u_bar) a + s e h, with conj(e) at M.  The weights
+    mu = (2 (1+|xi_k|^2), 1+|xi_P| twice, 1+|xi_M| twice) make sum mu |z|^2
+    the H^1 x H^{1/2} norm of the block's entries (twice it on a
+    self-paired k), so R H_semi + shift is the Hermitian 5 x 5 matrix S in
+    mu^{1/2} z.  e is zero at a masked mode, which stays uncoupled."""
+    n2 = geom.grid_n ** 2
+    ch, s = rho * np.cosh(semi.u_bar), -16.0 * rho * np.sinh(semi.u_bar)
+    xi_sq = geom.xi_sq.ravel()[targets[:, 0]]
+    mu = np.empty((len(targets), 5))
+    mu[:, 0] = 2.0 * (1.0 + xi_sq)
+    S = np.zeros((len(targets), 5, 5), dtype=complex)
+    S[:, 0, 0] = (2.0 * xi_sq + semi.potential(rho)) / (1.0 + xi_sq)
+    for col, e in ((1, np.conj(transfer)), (3, transfer)):
+        mode = targets[:, col] - n2
+        lam = geom.s_abs.ravel()[mode]
+        mu[:, col] = mu[:, col + 1] = 1.0 + lam
+        S[:, col, col] = 16.0 * (lam - ch) / (1.0 + lam)
+        S[:, col + 1, col + 1] = 16.0 * (-lam - ch) / (1.0 + lam)
+        scale = s / np.sqrt(mu[:, 0] * mu[:, col])
+        S[:, 0, col] = scale * e[0].ravel()[mode]
+        S[:, 0, col + 1] = scale * e[1].ravel()[mode]
+    S[:, 1:, 0] = np.conj(S[:, 0, 1:])
+    S[:, range(5), range(5)] += shift
+    return mu, S
+
+
+def _coupled_modes(geom, rho: float, semi: _SemiTrivial, transfer: np.ndarray,
+                   inv_w: np.ndarray):
+    """(ki, kj): the u-modes k whose block (of the pair +-k; kappa is even
+    in k) couples at least NEWTON_BLOCK_COUPLING, measured against `_abs_metric`'s weights
+    w = 1/inv_w: kappa = sum_b |S_hb|^2 / (w_h w_b) over the block's four
+    spinor entries b (`_semi_trivial_blocks`).  That is
+    128 (rho sinh u_bar)^2 (t(k1 + k) + t(k1 - k)) / ((1+|xi_k|^2) w_h),
+    t = (|e_+|^2 / w_+ + |e_-|^2 / w_-) / (1+|xi|) on the spinor modes, e
+    the `transfer`."""
+    t = np.abs(transfer[0]) ** 2 * inv_w[1] + np.abs(transfer[1]) ** 2 * inv_w[2]
+    t /= 1.0 + geom.s_abs
+    t = np.roll(t, (-semi.mode[0], -semi.mode[1]), axis=(0, 1))  # t(k1 + k)
+    kappa = t + np.roll(np.flip(t), 1, axis=(0, 1))               # + t(k1 - k)
+    kappa *= (128.0 * (rho * np.sinh(semi.u_bar)) ** 2) * inv_w[0] / (1.0 + geom.xi_sq)
+    return np.nonzero(kappa >= NEWTON_BLOCK_COUPLING)
+
+
+class _BlockMetric:
+    """Newton's MINRES metric on the coupled blocks (`_coupled_modes`):
+    W = |R H_semi + shift|, its eigenvalues floored at NEWTON_METRIC_FLOOR,
+    on each block, and `_abs_metric`'s per-mode weight w elsewhere.
+
+    W^{-1} and <a, W b> are the diagonal's plus a correction on the blocks:
+    a gather of each block's z (`_block_index`), one batched product and,
+    for W^{-1}, a scatter-add.  The blocks are orthogonal to the rest in the
+    product metric, and W is self-adjoint and positive there, so
+    W^{-1} (R H + shift) stays self-adjoint in <a, W b>.  The scatter writes
+    x_{-k} as the conjugate of x_k and averages a self-paired block's two
+    copies of a mode, so a real u stays real.  Every array a MINRES
+    iteration uses is allocated here, once per solve."""
+
+    def __init__(self, geom, index, mu: np.ndarray, s: np.ndarray, inv_w: np.ndarray):
+        """The metric of the blocks `index` (`_block_index`), whose
+        R H_semi + shift is (mu, s) (`_semi_trivial_blocks`)."""
+        self.targets, half = index
+        lam, vec = np.linalg.eigh(s)
+        lam = np.maximum(np.abs(lam), NEWTON_METRIC_FLOOR)
+        vec_h = np.conj(np.swapaxes(vec, 1, 2))
+        root, inv_diag, diag = np.sqrt(mu), inv_w.reshape(-1)[self.targets[:, :5]], np.arange(5)
+        # both are (B, 6, 5): a zero sixth row leaves room for x_{-k}
+        b = len(half)
+        self.fix, self.pair = np.zeros((2, b, 6, 5), dtype=complex)
+        # W^{-1} x = x / w + the blocks' (mu^{-1/2} |S|^{-1} mu^{1/2} w - 1) z(x / w)
+        self.fix[:, :5] = ((vec / lam[:, None, :]) @ vec_h
+                           * (root / inv_diag)[:, None, :] / root[:, :, None])
+        self.fix[:, diag, diag] -= 1.0
+        self.fix *= half[:, None, None]
+        # <a, W b> = the diagonal's + vol z(a)^H (mu^{1/2} |S| mu^{1/2} - mu w) z(b)
+        self.pair[:, :5] = (vec * lam[:, None, :]) @ vec_h * root[:, None, :] * root[:, :, None]
+        self.pair[:, diag, diag] -= mu / inv_diag
+        self.pair *= (geom.vol * half)[:, None, None]
+        self.z = np.empty((2, b, 6), dtype=complex)
+        self.prod = np.empty((b, 6, 1), dtype=complex)
+
+    def gather(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The blocks' z of the packed array x, written into out (B, 6),
+        whose last column is left holding conj(x_{-k})."""
+        # mode "clip" leaves out unbuffered; every index is in range
+        np.take(x.reshape(-1), self.targets, out=out, mode="clip")
+        out[:, 0] += np.conjugate(out[:, 5], out=out[:, 5])
+        out[:, 0] *= 0.5
+        np.conjugate(out[:, 3:5], out=out[:, 3:5])
+        return out
+
+    def correct(self, y: np.ndarray) -> np.ndarray:
+        """W^{-1} x, in place, from y = x / w, the diagonal's."""
+        z = self.gather(y, self.z[0])[:, :5, None]
+        r = np.matmul(self.fix, z, out=self.prod)[:, :, 0]
+        np.conjugate(r[:, 3:5], out=r[:, 3:5])
+        np.conjugate(r[:, 0], out=r[:, 5])
+        np.add.at(y.reshape(-1), self.targets, r)
+        return y
+
+    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
+        """The blocks' share of <a, W b> beyond the diagonal's."""
+        np.matmul(self.pair, self.gather(b, self.z[1])[:, :5, None], out=self.prod)
+        return float(np.vdot(self.gather(a, self.z[0]), self.prod).real)
+
+
+def _block_metric(u: ScalarField, psi: SpinorField, lin: Linearization, params: ActionParams,
+                  shift: float, inv_w: np.ndarray):
+    """The `_BlockMetric` of Newton's MINRES at (u, psi), or None when W is
+    `_abs_metric`'s alone: when eps >= 1 (`_semi_trivial`), so H_semi need
+    not lie closer to H than W's least weight, or when no block couples."""
+    geom, rho = u.geom, params.rho
+    semi = _semi_trivial(u, psi, lin, params)
+    if not semi.eps < 1.0:
+        return None
+    transfer = frame_transfer(geom, semi.mode, semi.alpha)
+    ki, kj = _coupled_modes(geom, rho, semi, transfer, inv_w)
+    if len(ki) == 0:
+        return None
+    index = _block_index(geom, semi.mode, ki, kj)
+    blocks = _semi_trivial_blocks(geom, rho, semi, transfer, shift, index[0])
+    return _BlockMetric(geom, index, *blocks, inv_w)
+
+
 def _forcing(res: float) -> float:
     """Relative MINRES tolerance of a Newton step from residual res (inexact
     Newton: Dembo, Eisenstat & Steihaug 1982).  Far from a solution the linear
@@ -657,28 +901,40 @@ def _forcing(res: float) -> float:
 
 def _newton_direction(u: ScalarField, psi: SpinorField, g: np.ndarray, params: ActionParams,
                       shift: float, tol: float):
-    """MINRES's (d, SolveInfo) for (R H + shift) d = -g at (u, psi), solved
-    to relative tolerance tol in the |H0| metric (`_abs_metric`).  The
-    linearization and its work arrays live only as long as the solve."""
+    """(d, SolveInfo, block): MINRES's d for (R H + shift) d = -g at
+    (u, psi), solved to relative tolerance tol in the block metric
+    (`_block_metric`; block True) where that is built, else in the |H0|
+    metric (`_abs_metric`).  The linearization, the metric and their work
+    arrays live only as long as the solve."""
     lin = linearize(u, psi, params)
     inv_w, inner = _abs_metric(u, lin, params, shift)
+    blocks = _block_metric(u, psi, lin, params, shift, inv_w)
     riesz_w = packed_sobolev_weight(u.geom)
 
     def hess_op(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        # W^{-1} (R H + shift) x, each factor a per-mode multiplier; the
-        # shifted term is formed in lin's idle `spec`.  The real multipliers
-        # act on u's row, then on psi's rows: numpy casts a real operand to
-        # complex through a fresh buffer of up to 8192 entries, which on a
-        # small grid would otherwise be a whole packed array per call
+        # W^{-1} (R H + shift) x, each factor a per-mode multiplier, then
+        # the blocks' share of W^{-1}; the shifted term is formed in lin's
+        # idle `spec`.  The real multipliers act on u's row, then on psi's
+        # rows: numpy casts a real operand to complex through a fresh buffer
+        # of up to 8192 entries, which on a small grid would otherwise be a
+        # whole packed array per call
         h = hess_vec(lin, x, out)
         sx = np.multiply(x, shift, out=lin.spec)
         for rows in (slice(0, 1), slice(1, 3)):
             h[rows] /= riesz_w[rows]
             h[rows] += sx[rows]
             h[rows] *= inv_w[rows]
-        return h
+        return h if blocks is None else blocks.correct(h)
 
-    return minres(hess_op, (-1.0 * g) * inv_w, inner, tol=tol, maxiter=250)
+    rhs = (-1.0 * g) * inv_w
+    if blocks is not None:
+        rhs, diag_inner = blocks.correct(rhs), inner
+
+        def inner(a: np.ndarray, b: np.ndarray) -> float:
+            return diag_inner(a, b) + blocks.inner(a, b)
+
+    d, info = minres(hess_op, rhs, inner, tol=tol, maxiter=250)
+    return d, info, blocks is not None
 
 
 def newton_refine(candidate: NehariPoint, params: ActionParams,
@@ -705,7 +961,7 @@ def newton_refine(candidate: NehariPoint, params: ActionParams,
     u, psi = candidate.u, candidate.psi
     geom = u.geom
     refined = False
-    steps = iters = capped = 0
+    steps = iters = capped = block_steps = 0
     g = gradient_J(u, psi, params)
     gnorm = _norm(geom, g)
     for _ in range(NEWTON_MAX_STEPS):
@@ -718,8 +974,9 @@ def newton_refine(candidate: NehariPoint, params: ActionParams,
         # solutions come in group orbits, so the Hessian is singular along
         # the orbit directions; a gradient-sized shift keeps the Krylov solve
         # from amplifying kernel noise while preserving fast local convergence
-        d, info = _newton_direction(u, psi, g, params, min(1e-2, gnorm), _forcing(res))
+        d, info, block = _newton_direction(u, psi, g, params, min(1e-2, gnorm), _forcing(res))
         iters += info.iterations
+        block_steps += block
         capped += not info.converged
         d_u, d_psi = unpack(geom, d)
         lam = 1.0
@@ -743,7 +1000,8 @@ def newton_refine(candidate: NehariPoint, params: ActionParams,
     point = project_to_manifold(u, psi, params)
     return replace(make_record(point, multiplier_solve(point, params),
                                converged=False, refined=refined),
-                   newton_steps=steps, minres_iters=iters, minres_capped=capped)
+                   newton_steps=steps, minres_iters=iters, minres_capped=capped,
+                   newton_block_steps=block_steps)
 
 
 def _near(level: float, critical_level: float) -> bool:

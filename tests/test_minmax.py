@@ -15,10 +15,11 @@ from sshg.action import (
     el_residual_norms,
     evaluate_J,
     gradient_J,
+    hess_vec,
     linearize,
 )
 from sshg.errors import CertificationError, ConfigError
-from sshg.fields import ScalarField, SpinorField, pack, unpack
+from sshg.fields import ScalarField, SpinorField, frame_transfer, pack, unpack
 from sshg.geometry import TorusGeometry
 from sshg.minmax import (
     MinmaxConfig,
@@ -32,7 +33,7 @@ from sshg.minmax import (
     u_variance,
 )
 from sshg.nehari import constrained_gradient, fiber_solve, multiplier_solve
-from sshg.spectral import build_basis, h1_norm, hhalf_norm, project
+from sshg.spectral import build_basis, h1_norm, hhalf_norm, packed_sobolev_weight, project
 from sshg.sweepout import equivariant_disk_mesh
 
 from oracles import field_gradient, grid_x1, grid_x2, hminus1_norm, hminushalf_norm
@@ -248,8 +249,10 @@ def test_inexact_newton_from_a_perturbed_semi_trivial_start(monkeypatch):
     assert rec.level == pytest.approx(4 * 0.25 * np.sinh(c) ** 2 * geom.vol, rel=1e-12)
     assert rec.res_u + rec.res_psi <= 1e-12
     # a MINRES solve to 1e-12 each step spent 517 iterations here, the
-    # sized solves in the plain product metric 137
-    assert rec.minres_iters == sum(it for _, it in solves) <= 75
+    # sized solves in the plain product metric 137, and in the |H0| metric
+    # (`minmax._abs_metric`) 75; every step runs in the block metric
+    assert rec.newton_block_steps == 4
+    assert rec.minres_iters == sum(it for _, it in solves) <= 38
     assert rec.minres_capped == 0  # every sized solve met its tolerance
     tols = [tol for tol, _ in solves]
     assert all(1e-12 <= tol <= sshg.minmax.NEWTON_FORCING for tol in tols)
@@ -367,6 +370,123 @@ def test_abs_metric_is_positive_and_even(setup16):
         assert np.array_equal(w[0], np.roll(np.flip(w[0], axis=(0, 1)), 1, axis=(0, 1)))
     scaled = inv_w[0] * _random_packed(geom, rng)[0]
     assert np.max(np.abs(np.fft.ifft2(scaled).imag)) <= 1e-15 * np.max(np.abs(scaled))
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("delta", [(0.5, 0.5), (0.0, 0.0), (0.5, 0.0)])
+def test_semi_trivial_blocks_are_the_hessian_there(n, delta):
+    # at a semi-trivial point, with psi on a mode k1 off the axes, the
+    # blocks of every u-mode pair apply R H + shift as hess_vec does; they
+    # meet the masked modes (delta with a 0) and the four self-paired k
+    geom = TorusGeometry(grid_n=n, spin_delta=delta)
+    params = ActionParams(rho=0.5)
+    rng = np.random.default_rng(5)
+    mode = (1, n - 2)
+    eig = np.zeros((2, n, n), dtype=complex)
+    eig[:, mode[0], mode[1]] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    u, psi = ScalarField.constant(geom, 0.7), SpinorField.one_mode(geom, eig)
+    lin = linearize(u, psi, params)
+    semi = sshg.minmax._semi_trivial(u, psi, lin, params)
+    assert semi.mode == mode and semi.eps == 0.0
+    targets, half = sshg.minmax._block_index(geom, mode, *np.divmod(np.arange(n * n), n))
+    # every packed entry lies in one block; a self-paired block holds its
+    # spinor mode twice
+    assert np.array_equal(np.unique(targets), np.arange(3 * n * n))
+    assert np.count_nonzero(half == 0.5) == 4
+    assert (~geom.spinor_mask.ravel()[targets[:, 1:5] % (n * n)]).any() == (0.0 in delta)
+    shift = 1e-2
+    transfer = frame_transfer(geom, mode, semi.alpha)
+    mu, s = sshg.minmax._semi_trivial_blocks(geom, params.rho, semi, transfer, shift, targets)
+    assert np.array_equal(s, np.conj(np.swapaxes(s, 1, 2)))
+    for _ in range(3):
+        x = _random_packed(geom, rng)
+        want = hess_vec(lin, x, np.empty_like(x)) / packed_sobolev_weight(geom) + shift * x
+        flat = x.reshape(-1)
+        z = flat[targets[:, :5]]
+        z[:, 0] = 0.5 * (z[:, 0] + np.conj(flat[targets[:, 5]]))
+        z[:, 3:] = np.conj(z[:, 3:])
+        r = np.einsum("bij,bj->bi", s, np.sqrt(mu) * z) / np.sqrt(mu)
+        vals = np.stack((r[:, 0], r[:, 1], r[:, 2], np.conj(r[:, 3]), np.conj(r[:, 4]),
+                         np.conj(r[:, 0])), axis=1)
+        got = np.zeros_like(x)
+        np.add.at(got.reshape(-1), targets, half[:, None] * vals)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_block_metric_is_self_adjoint_positive_and_even(setup16):
+    # the point of test_abs_metric_is_positive_and_even, with W built on the
+    # blocks that couple there
+    geom, basis = setup16
+    params = ActionParams(rho=0.5)
+    rng = np.random.default_rng(3)
+    u = ScalarField.constant(geom, 1.0) + 0.1 * random_scalar(geom, rng)
+    psi = (geom.side_length * np.sqrt(LAM1)) * basis.eigenspinor(1)
+    lin = linearize(u, psi, params)
+    semi = sshg.minmax._semi_trivial(u, psi, lin, params)
+    transfer = frame_transfer(geom, semi.mode, semi.alpha)
+    weight = geom.vol * packed_sobolev_weight(geom)
+    for shift in (0.0, 1e-12, 1e-2):
+        inv_w, diag_inner = sshg.minmax._abs_metric(u, lin, params, shift)
+        ki, kj = sshg.minmax._coupled_modes(geom, params.rho, semi, transfer, inv_w)
+        assert len(ki) > 0
+        index = sshg.minmax._block_index(geom, semi.mode, ki, kj)
+        mu, s = sshg.minmax._semi_trivial_blocks(geom, params.rho, semi, transfer, shift, index[0])
+        blocks = sshg.minmax._BlockMetric(geom, index, mu, s, inv_w)
+
+        def inner(a, b):
+            return diag_inner(a, b) + blocks.inner(a, b)
+
+        # W >= the floor on each block's eigenvector of least |eigenvalue|
+        lam, vec = np.linalg.eigh(s)
+        targets, half = index
+        for k in np.flatnonzero(half == 1.0):
+            z = vec[k, :, np.argmin(np.abs(lam[k]))] / np.sqrt(mu[k])
+            a = np.zeros((3, geom.grid_n, geom.grid_n), dtype=complex)
+            a.reshape(-1)[targets[k]] = np.concatenate((z[:3], np.conj(z[3:]), np.conj(z[:1])))
+            floor_norm = sshg.minmax.NEWTON_METRIC_FLOOR * np.vdot(a, weight * a).real
+            assert inner(a, a) >= floor_norm * (1.0 - 1e-12)
+        for _ in range(3):
+            a, b = _random_packed(geom, rng), _random_packed(geom, rng)
+            assert inner(a, b) == pytest.approx(inner(b, a), rel=1e-12)
+            # W >= the floor, and the solve applies W^{-1}
+            assert inner(a, a) >= sshg.minmax.NEWTON_METRIC_FLOOR * np.vdot(a, weight * a).real
+            w_inv_a = blocks.correct(a * inv_w)
+            assert inner(w_inv_a, b) == pytest.approx(np.vdot(a, weight * b).real, rel=1e-12)
+            # a real u stays real
+            scaled = w_inv_a[0]
+            assert np.max(np.abs(np.fft.ifft2(scaled).imag)) <= 1e-15 * np.max(np.abs(scaled))
+
+
+def test_newton_direction_beyond_eps_one_is_the_abs_metric_one(setup16):
+    # a start too far from semi-trivial for the block metric: its MINRES
+    # solve is the |H0| metric's, bit for bit
+    geom, basis = setup16
+    params = ActionParams(rho=0.5)
+    c = float(np.arccosh(LAM1 / 0.5))
+    u = ScalarField.constant(geom, c) + ScalarField.from_values(geom, 0.3 * np.cos(grid_x1(geom)))
+    pt = fiber_solve(u, (geom.side_length * np.sqrt(LAM1)) * basis.eigenspinor(1), params)
+    g = gradient_J(pt.u, pt.psi, params)
+    shift, tol = 1e-2, 1e-3
+    lin = linearize(pt.u, pt.psi, params)
+    assert sshg.minmax._semi_trivial(pt.u, pt.psi, lin, params).eps >= 1.0
+    d, info, block = sshg.minmax._newton_direction(pt.u, pt.psi, g, params, shift, tol)
+    assert not block
+
+    inv_w, inner = sshg.minmax._abs_metric(pt.u, lin, params, shift)
+    riesz_w = packed_sobolev_weight(geom)
+
+    def hess_op(x, out):
+        h = hess_vec(lin, x, out)
+        sx = np.multiply(x, shift, out=lin.spec)
+        for rows in (slice(0, 1), slice(1, 3)):
+            h[rows] /= riesz_w[rows]
+            h[rows] += sx[rows]
+            h[rows] *= inv_w[rows]
+        return h
+
+    d_abs, info_abs = sshg.minmax.minres(hess_op, (-1.0 * g) * inv_w, inner, tol=tol, maxiter=250)
+    assert info.iterations > 2 and info == info_abs
+    assert np.array_equal(d, d_abs)
 
 
 def test_newton_pre_violation(setup16):

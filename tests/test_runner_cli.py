@@ -230,16 +230,17 @@ def test_an_accepted_hand_off_solves_the_multiplier_once_at_its_point(tmp_path, 
 
 
 def test_records_report_newton_work(tmp_path, monkeypatch):
-    # newton_steps and minres_iters of the record match what the Newton that
-    # built it did: one MINRES solve per accepted step, and one multiplier
-    # solve, its record's (the loop reads its residual off the gradient it
-    # holds)
+    # newton_steps, minres_iters and newton_block_steps of the record match
+    # what the Newton that built it did: one MINRES solve per accepted step,
+    # each in the block metric here, and one multiplier solve, its record's
+    # (the loop reads its residual off the gradient it holds)
     calls = []
-    orig_newton, orig_minres, orig_solve = (sshg.minmax.newton_refine, sshg.minmax.minres,
-                                            sshg.nehari.multiplier_solve)
+    orig_newton, orig_minres, orig_solve, orig_blocks = (
+        sshg.minmax.newton_refine, sshg.minmax.minres, sshg.nehari.multiplier_solve,
+        sshg.minmax._block_metric)
 
     def newton_refine(*args, **kwargs):
-        calls.append({"minres": 0, "iters": 0, "solves": 0, "open": True})
+        calls.append({"minres": 0, "iters": 0, "solves": 0, "blocks": 0, "open": True})
         try:
             return orig_newton(*args, **kwargs)
         finally:
@@ -256,8 +257,14 @@ def test_records_report_newton_work(tmp_path, monkeypatch):
             calls[-1]["solves"] += 1
         return orig_solve(*args, **kwargs)
 
+    def block_metric(*args):
+        out = orig_blocks(*args)
+        calls[-1]["blocks"] += out is not None
+        return out
+
     monkeypatch.setattr(sshg.minmax, "newton_refine", newton_refine)
     monkeypatch.setattr(sshg.minmax, "minres", minres)
+    monkeypatch.setattr(sshg.minmax, "_block_metric", block_metric)
     for module in (sshg.nehari, sshg.minmax):
         monkeypatch.setattr(module, "multiplier_solve", multiplier_solve)
     run(RunConfig.from_dict(base_config(
@@ -269,6 +276,7 @@ def test_records_report_newton_work(tmp_path, monkeypatch):
     assert rec["newton_steps"] == call["minres"]
     assert call["solves"] == 1
     assert rec["minres_iters"] == call["iters"]
+    assert rec["newton_block_steps"] == call["blocks"] == rec["newton_steps"]
     assert rec["minres_capped"] == 0
 
 
@@ -318,7 +326,7 @@ def test_multiplicity_case1_outputs(tmp_path):
     assert disk["classification"] == "semi_trivial_constant_u"
     assert not disk["refined"] and not disk["converged"]
     # a rejected Newton trial leaves no work on the descent's own record
-    assert disk["newton_steps"] == 0 and disk["minres_iters"] == 0
+    assert disk["newton_steps"] == disk["minres_iters"] == disk["newton_block_steps"] == 0
     assert disk["exit"] == "budget" and disk["descent_level"] >= disk["level"]
     assert 0.0 < disk["handoff_grad"] <= 1e3
     assert data["distinct"] is False and data["converged"] is False
