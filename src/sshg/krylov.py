@@ -11,8 +11,9 @@ direction, and Newton's Hessian is formed once per step
 defines the metric; operators must be self-adjoint with respect to it, and
 positive definite for CG.  CG takes an optional preconditioner, SPD in the
 same metric; MINRES callers precondition by solving in a weighted metric
-instead (Newton's absolute-value metric: per-mode weights, plus the
-semi-trivial Hessian's 5 x 5 blocks near a semi-trivial point).
+instead (Newton's absolute-value metric, `minmax._NewtonMetric`: per-mode
+weights, plus the semi-trivial Hessian's 5 x 5 blocks near a semi-trivial
+point).
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from .errors import (
     ConfigError,
     SSHGError,
 )
-from .fields import ScalarField, SpinorField, frame_transfer, mode_view, unpack
+from .fields import ScalarField, SpinorField, frame_transfer, unpack
 from .krylov import minres
 from .nehari import (
     MultiplierData,
@@ -63,9 +63,9 @@ HANDOFF_RTOL = 1e-3        # a path hands off when Newton lands this close to it
 NEWTON_MAX_STEPS = 30
 NEWTON_TOL = 1e-10         # Newton stops once res_u + res_psi is at most this
 NEWTON_FORCING = 1e-2      # largest relative MINRES tolerance of a Newton step
-# Least weight of Newton's MINRES metric: of `_abs_metric`'s per-mode
-# multiplier and of the block metric's eigenvalues (`_BlockMetric`), and the
-# scale eps is measured against (`_semi_trivial`); 2 is the u block's
+# Least weight of Newton's MINRES metric (`_NewtonMetric`): of its per-mode
+# multiplier and of its blocks' eigenvalues, and the scale eps is measured
+# against (`_semi_trivial`); 2 is the u block's
 # high-mode weight.  Without a floor the near-kernel modes at lambda_1
 # (weight about `shift`) dominate the MINRES residual norm, so a solve stops
 # before the other modes are resolved.  MINRES iterations, seed 1, on the
@@ -76,7 +76,7 @@ NEWTON_FORCING = 1e-2      # largest relative MINRES tolerance of a Newton step
 # The |H0| metric alone read 76/76/75 (4) at floor 2.
 NEWTON_METRIC_FLOOR = 2.0
 # Least coupling kappa (`_coupled_modes`) of a block of the semi-trivial
-# Hessian that Newton's metric keeps (`_BlockMetric`).  MINRES iterations,
+# Hessian that Newton's metric keeps (`_NewtonMetric`).  MINRES iterations,
 # seed 1, on the three newton-n128 starts (4 Newton steps each) against the
 # blocks kept at each step:
 #   1e-1:  11 blocks, 44/44/44       3e-2:  19 blocks, 38/38/38
@@ -623,43 +623,15 @@ def minmax_deform(nodes, frozen, config: MinmaxConfig, params: ActionParams,
 # Newton refinement on the free system
 # ---------------------------------------------------------------------------
 
-def _abs_metric(u: ScalarField, lin: Linearization, params: ActionParams, shift: float):
-    """The per-mode multiplier W = max(|R H0| + shift, NEWTON_METRIC_FLOOR)
-    of Newton's MINRES, and the inner product <a, W b> in H^1 x H^{1/2}, on
-    packed arrays (`fields.pack`).  This is the whole metric where
-    `_block_metric` builds no blocks, and its diagonal elsewhere.
-
-    H0 is the Hessian at (u, psi) with u and |psi|^2 replaced by their grid
-    means and the u-psi coupling dropped, so it is diagonal per mode: with
-    a_u = mean(8 rho^2 cosh 2u - 8 rho cosh u |psi|^2), read off the
-    linearization lin, and c = mean(cosh u), |R H0| is
-    |2|xi|^2 + a_u| / (1+|xi|^2) on u's coefficients and
-    16 |+-|xi| - rho c| / (1+|xi|) on psi's eigen-coordinates (R the Riesz
-    map).  W is positive, even in xi, and commutes with the product metric,
-    so W^{-1} (R H + shift) stays self-adjoint in <a, W b>: the
-    absolute-value preconditioner of Vecharynski & Knyazev (SIAM J. Sci.
-    Comput. 35, 2013).  Returns (1/W, inner); inner forms its products in
-    lin's idle `spec` array, so it must not be called during a Hessian
-    product.
-    """
-    geom = u.geom
-    a_u = np.mean(lin.uu - lin.uu_dens * lin.dens)
-    rho_c = params.rho * np.mean(np.cosh(u.values))
-    lam = geom.s_abs
-    w = np.stack((np.abs(2.0 * geom.xi_sq + a_u) / (1.0 + geom.xi_sq),
-                  16.0 * np.abs(lam - rho_c) / (1.0 + lam),
-                  16.0 * np.abs(-lam - rho_c) / (1.0 + lam))) + shift
-    w = np.maximum(w, NEWTON_METRIC_FLOOR)
-    m = geom.vol * packed_sobolev_weight(geom) * w
-
-    def inner(a: np.ndarray, b: np.ndarray) -> float:
-        # the products go into lin's idle `spec`; taking u's row and psi's
-        # rows apart keeps numpy's buffer for casting m to complex to two rows
-        mb = lin.spec
-        return float(np.vdot(a[0], np.multiply(m[0], b[0], out=mb[0])).real
-                     + np.vdot(a[1:], np.multiply(m[1:], b[1:], out=mb[1:])).real)
-
-    return 1.0 / w, inner
+def _h0_symbol(xi_sq, lam, a_u: float, rho_c: float):
+    """The signed per-mode symbol of R H0, R the Riesz map and H0 a Hessian
+    with a constant u-u multiplier a_u (`_SemiTrivial.potential`), a
+    constant rho cosh u = rho_c and no u-psi coupling, so diagonal per mode:
+    (2|xi|^2 + a_u) / (1+|xi|^2) on u's mode of |xi|^2 = xi_sq, and
+    16 (+-lam - rho_c) / (1+lam) on psi's (a+, a-) pair at |xi| = lam."""
+    return ((2.0 * xi_sq + a_u) / (1.0 + xi_sq),
+            16.0 * (lam - rho_c) / (1.0 + lam),
+            16.0 * (-lam - rho_c) / (1.0 + lam))
 
 
 class _SemiTrivial:
@@ -699,26 +671,20 @@ def _semi_trivial(u: ScalarField, psi: SpinorField, lin: Linearization,
     ||W^{-1/2} R (H - H_semi) W^{-1/2}||.  With psi - psi_1 at most the l^1
     norm of psi's other modes pointwise, sup|b| is bounded by
     16 (sup|rho sinh u - rho sinh u_bar| sup|psi| + |rho sinh u_bar| sum_{k != k1} |a_k|).
-    A constant u with a compact psi (`fields`) is semi-trivial: eps is 0,
-    and no grid is read.  Otherwise lin's idle `tmp` holds the grids.
+    lin's idle `tmp` holds the grids.  At a semi-trivial point (a constant
+    u with psi on one mode) eps is of rounding size.
     """
     rho = params.rho
     c = u.common_value
     u_bar = float(c) if c is not None else float(u.coeffs[0, 0].real)
-    if psi.mode is not None:
-        (view,), _, mode = mode_view((psi,))
-        semi, rest = _SemiTrivial(u_bar, mode, view[:, 0, 0].copy()), 0.0
-        if c is not None:
-            return semi
-    else:
-        amp, tmp = lin.tmp
-        eig = psi.eig
-        np.square(np.abs(eig[0], out=amp), out=amp)
-        amp += np.square(np.abs(eig[1], out=tmp), out=tmp)
-        mode = tuple(int(i) for i in np.unravel_index(np.argmax(amp), amp.shape))
-        np.sqrt(amp, out=amp)
-        semi = _SemiTrivial(u_bar, mode, eig[:, mode[0], mode[1]].copy())
-        rest = float(np.sum(amp) - amp[mode])
+    amp, tmp = lin.tmp
+    eig = psi.eig
+    np.square(np.abs(eig[0], out=amp), out=amp)
+    amp += np.square(np.abs(eig[1], out=tmp), out=tmp)
+    mode = tuple(int(i) for i in np.unravel_index(np.argmax(amp), amp.shape))
+    np.sqrt(amp, out=amp)
+    semi = _SemiTrivial(u_bar, mode, eig[:, mode[0], mode[1]].copy())
+    rest = float(np.sum(amp) - amp[mode])
     pot, tmp = lin.tmp
     np.subtract(lin.uu, np.multiply(lin.uu_dens, lin.dens, out=tmp), out=pot)
     a_semi = semi.potential(rho)
@@ -778,13 +744,12 @@ def _semi_trivial_blocks(geom, rho: float, semi: _SemiTrivial, transfer: np.ndar
     mu = np.empty((len(targets), 5))
     mu[:, 0] = 2.0 * (1.0 + xi_sq)
     S = np.zeros((len(targets), 5, 5), dtype=complex)
-    S[:, 0, 0] = (2.0 * xi_sq + semi.potential(rho)) / (1.0 + xi_sq)
+    a_semi = semi.potential(rho)
     for col, e in ((1, np.conj(transfer)), (3, transfer)):
         mode = targets[:, col] - n2
         lam = geom.s_abs.ravel()[mode]
         mu[:, col] = mu[:, col + 1] = 1.0 + lam
-        S[:, col, col] = 16.0 * (lam - ch) / (1.0 + lam)
-        S[:, col + 1, col + 1] = 16.0 * (-lam - ch) / (1.0 + lam)
+        S[:, 0, 0], S[:, col, col], S[:, col + 1, col + 1] = _h0_symbol(xi_sq, lam, a_semi, ch)
         scale = s / np.sqrt(mu[:, 0] * mu[:, col])
         S[:, 0, col] = scale * e[0].ravel()[mode]
         S[:, 0, col + 1] = scale * e[1].ravel()[mode]
@@ -796,9 +761,10 @@ def _semi_trivial_blocks(geom, rho: float, semi: _SemiTrivial, transfer: np.ndar
 def _coupled_modes(geom, rho: float, semi: _SemiTrivial, transfer: np.ndarray,
                    inv_w: np.ndarray):
     """(ki, kj): the u-modes k whose block (of the pair +-k; kappa is even
-    in k) couples at least NEWTON_BLOCK_COUPLING, measured against `_abs_metric`'s weights
-    w = 1/inv_w: kappa = sum_b |S_hb|^2 / (w_h w_b) over the block's four
-    spinor entries b (`_semi_trivial_blocks`).  That is
+    in k) couples at least NEWTON_BLOCK_COUPLING, measured against
+    `_NewtonMetric`'s per-mode weights w = 1/inv_w: kappa =
+    sum_b |S_hb|^2 / (w_h w_b) over the block's four spinor entries b
+    (`_semi_trivial_blocks`).  That is
     128 (rho sinh u_bar)^2 (t(k1 + k) + t(k1 - k)) / ((1+|xi_k|^2) w_h),
     t = (|e_+|^2 / w_+ + |e_-|^2 / w_-) / (1+|xi|) on the spinor modes, e
     the `transfer`."""
@@ -810,28 +776,54 @@ def _coupled_modes(geom, rho: float, semi: _SemiTrivial, transfer: np.ndarray,
     return np.nonzero(kappa >= NEWTON_BLOCK_COUPLING)
 
 
-class _BlockMetric:
-    """Newton's MINRES metric on the coupled blocks (`_coupled_modes`):
-    W = |R H_semi + shift|, its eigenvalues floored at NEWTON_METRIC_FLOOR,
-    on each block, and `_abs_metric`'s per-mode weight w elsewhere.
+class _NewtonMetric:
+    """Newton's MINRES metric at (u, psi) on packed arrays (`fields.pack`):
+    `solve` applies W^{-1} and `inner` gives <a, W b> in H^1 x H^{1/2}.
 
-    W^{-1} and <a, W b> are the diagonal's plus a correction on the blocks:
-    a gather of each block's z (`_block_index`), one batched product and,
-    for W^{-1}, a scatter-add.  The blocks are orthogonal to the rest in the
-    product metric, and W is self-adjoint and positive there, so
-    W^{-1} (R H + shift) stays self-adjoint in <a, W b>.  The scatter writes
-    x_{-k} as the conjugate of x_k and averages a self-paired block's two
-    copies of a mode, so a real u stays real.  Every array a MINRES
-    iteration uses is allocated here, once per solve."""
+    Per mode W is w = max(|R H0| + shift, NEWTON_METRIC_FLOOR) (`_h0_symbol`),
+    H0 the Hessian with u and |psi|^2 replaced by their grid means and the
+    u-psi coupling dropped: a_u and rho_c are the means of lin's u-u
+    multiplier and of rho cosh u.  When eps < 1 (`_semi_trivial`), so H_semi
+    lies closer to H than w's least weight, W is |R H_semi + shift|, its
+    eigenvalues floored at NEWTON_METRIC_FLOOR, on each block that couples
+    (`_coupled_modes`; `blocks` is True if one does).
 
-    def __init__(self, geom, index, mu: np.ndarray, s: np.ndarray, inv_w: np.ndarray):
-        """The metric of the blocks `index` (`_block_index`), whose
-        R H_semi + shift is (mu, s) (`_semi_trivial_blocks`)."""
-        self.targets, half = index
+    W is positive and even in xi; it commutes with the product metric off
+    the blocks, which are orthogonal to the rest, so W^{-1} (R H + shift)
+    stays self-adjoint in <a, W b>: the absolute-value preconditioner of
+    Vecharynski & Knyazev (SIAM J. Sci. Comput. 35, 2013).  On the blocks
+    W^{-1} and <a, W b> are the diagonal's plus a correction: a gather of
+    each block's z (`_block_index`), one batched product and, for W^{-1}, a
+    scatter-add.  The scatter writes x_{-k} as the conjugate of x_k and
+    averages a self-paired block's two copies of a mode, so a real u stays
+    real.  Every array a MINRES iteration uses is allocated here, once per
+    solve; `inner` forms its products in lin's idle `spec`, so it must not
+    be called during a Hessian product."""
+
+    def __init__(self, u: ScalarField, psi: SpinorField, lin: Linearization,
+                 params: ActionParams, shift: float):
+        geom, rho = u.geom, params.rho
+        w = np.stack(_h0_symbol(geom.xi_sq, geom.s_abs, np.mean(lin.uu - lin.uu_dens * lin.dens),
+                                rho * np.mean(np.cosh(u.values))))
+        np.abs(w, out=w)
+        w += shift
+        np.maximum(w, NEWTON_METRIC_FLOOR, out=w)
+        self.m = geom.vol * packed_sobolev_weight(geom) * w
+        self.inv_w, self.spec = np.divide(1.0, w, out=w), lin.spec
+        semi = _semi_trivial(u, psi, lin, params)
+        self.blocks = False
+        if semi.eps < 1.0:
+            transfer = frame_transfer(geom, semi.mode, semi.alpha)
+            ki, kj = _coupled_modes(geom, rho, semi, transfer, self.inv_w)
+            self.blocks = len(ki) > 0
+        if not self.blocks:
+            return
+        self.targets, half = _block_index(geom, semi.mode, ki, kj)
+        mu, s = _semi_trivial_blocks(geom, rho, semi, transfer, shift, self.targets)
         lam, vec = np.linalg.eigh(s)
         lam = np.maximum(np.abs(lam), NEWTON_METRIC_FLOOR)
         vec_h = np.conj(np.swapaxes(vec, 1, 2))
-        root, inv_diag, diag = np.sqrt(mu), inv_w.reshape(-1)[self.targets[:, :5]], np.arange(5)
+        root, inv_diag, diag = np.sqrt(mu), self.inv_w.reshape(-1)[self.targets[:, :5]], np.arange(5)
         # both are (B, 6, 5): a zero sixth row leaves room for x_{-k}
         b = len(half)
         self.fix, self.pair = np.zeros((2, b, 6, 5), dtype=complex)
@@ -857,37 +849,32 @@ class _BlockMetric:
         np.conjugate(out[:, 3:5], out=out[:, 3:5])
         return out
 
-    def correct(self, y: np.ndarray) -> np.ndarray:
-        """W^{-1} x, in place, from y = x / w, the diagonal's."""
-        z = self.gather(y, self.z[0])[:, :5, None]
-        r = np.matmul(self.fix, z, out=self.prod)[:, :, 0]
-        np.conjugate(r[:, 3:5], out=r[:, 3:5])
-        np.conjugate(r[:, 0], out=r[:, 5])
-        np.add.at(y.reshape(-1), self.targets, r)
+    def solve(self, y: np.ndarray) -> np.ndarray:
+        """W^{-1} y, in place: y / w, then the blocks' correction.  The real
+        weights act on u's row, then on psi's rows: numpy casts a real
+        operand to complex through a fresh buffer of up to 8192 entries,
+        which on a small grid would otherwise be a whole packed array."""
+        for rows in (slice(0, 1), slice(1, 3)):
+            y[rows] *= self.inv_w[rows]
+        if self.blocks:
+            z = self.gather(y, self.z[0])[:, :5, None]
+            r = np.matmul(self.fix, z, out=self.prod)[:, :, 0]
+            np.conjugate(r[:, 3:5], out=r[:, 3:5])
+            np.conjugate(r[:, 0], out=r[:, 5])
+            np.add.at(y.reshape(-1), self.targets, r)
         return y
 
     def inner(self, a: np.ndarray, b: np.ndarray) -> float:
-        """The blocks' share of <a, W b> beyond the diagonal's."""
-        np.matmul(self.pair, self.gather(b, self.z[1])[:, :5, None], out=self.prod)
-        return float(np.vdot(self.gather(a, self.z[0]), self.prod).real)
-
-
-def _block_metric(u: ScalarField, psi: SpinorField, lin: Linearization, params: ActionParams,
-                  shift: float, inv_w: np.ndarray):
-    """The `_BlockMetric` of Newton's MINRES at (u, psi), or None when W is
-    `_abs_metric`'s alone: when eps >= 1 (`_semi_trivial`), so H_semi need
-    not lie closer to H than W's least weight, or when no block couples."""
-    geom, rho = u.geom, params.rho
-    semi = _semi_trivial(u, psi, lin, params)
-    if not semi.eps < 1.0:
-        return None
-    transfer = frame_transfer(geom, semi.mode, semi.alpha)
-    ki, kj = _coupled_modes(geom, rho, semi, transfer, inv_w)
-    if len(ki) == 0:
-        return None
-    index = _block_index(geom, semi.mode, ki, kj)
-    blocks = _semi_trivial_blocks(geom, rho, semi, transfer, shift, index[0])
-    return _BlockMetric(geom, index, *blocks, inv_w)
+        """<a, W b>: the diagonal's, then the blocks' share beyond it."""
+        # the products go into lin's idle `spec`; taking u's row and psi's
+        # rows apart keeps numpy's buffer for casting m to complex to two rows
+        mb = self.spec
+        ab = float(np.vdot(a[0], np.multiply(self.m[0], b[0], out=mb[0])).real
+                   + np.vdot(a[1:], np.multiply(self.m[1:], b[1:], out=mb[1:])).real)
+        if self.blocks:
+            np.matmul(self.pair, self.gather(b, self.z[1])[:, :5, None], out=self.prod)
+            ab += float(np.vdot(self.gather(a, self.z[0]), self.prod).real)
+        return ab
 
 
 def _forcing(res: float) -> float:
@@ -902,39 +889,26 @@ def _forcing(res: float) -> float:
 def _newton_direction(u: ScalarField, psi: SpinorField, g: np.ndarray, params: ActionParams,
                       shift: float, tol: float):
     """(d, SolveInfo, block): MINRES's d for (R H + shift) d = -g at
-    (u, psi), solved to relative tolerance tol in the block metric
-    (`_block_metric`; block True) where that is built, else in the |H0|
-    metric (`_abs_metric`).  The linearization, the metric and their work
-    arrays live only as long as the solve."""
+    (u, psi), solved to relative tolerance tol in Newton's metric
+    (`_NewtonMetric`; block True where it has blocks).  The linearization,
+    the metric and their work arrays live only as long as the solve."""
     lin = linearize(u, psi, params)
-    inv_w, inner = _abs_metric(u, lin, params, shift)
-    blocks = _block_metric(u, psi, lin, params, shift, inv_w)
+    metric = _NewtonMetric(u, psi, lin, params, shift)
     riesz_w = packed_sobolev_weight(u.geom)
 
     def hess_op(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        # W^{-1} (R H + shift) x, each factor a per-mode multiplier, then
-        # the blocks' share of W^{-1}; the shifted term is formed in lin's
-        # idle `spec`.  The real multipliers act on u's row, then on psi's
-        # rows: numpy casts a real operand to complex through a fresh buffer
-        # of up to 8192 entries, which on a small grid would otherwise be a
-        # whole packed array per call
+        # W^{-1} (R H + shift) x; R and the shift are per-mode multipliers,
+        # acting row by row as in `_NewtonMetric.solve`, and the shifted
+        # term is formed in lin's idle `spec`
         h = hess_vec(lin, x, out)
         sx = np.multiply(x, shift, out=lin.spec)
         for rows in (slice(0, 1), slice(1, 3)):
             h[rows] /= riesz_w[rows]
             h[rows] += sx[rows]
-            h[rows] *= inv_w[rows]
-        return h if blocks is None else blocks.correct(h)
+        return metric.solve(h)
 
-    rhs = (-1.0 * g) * inv_w
-    if blocks is not None:
-        rhs, diag_inner = blocks.correct(rhs), inner
-
-        def inner(a: np.ndarray, b: np.ndarray) -> float:
-            return diag_inner(a, b) + blocks.inner(a, b)
-
-    d, info = minres(hess_op, rhs, inner, tol=tol, maxiter=250)
-    return d, info, blocks is not None
+    d, info = minres(hess_op, metric.solve(-1.0 * g), metric.inner, tol=tol, maxiter=250)
+    return d, info, metric.blocks
 
 
 def newton_refine(candidate: NehariPoint, params: ActionParams,

@@ -185,6 +185,25 @@ def test_dirac_frame_is_read_only_at_the_fft_boundary():
     assert read == {"fields.py"}, f"dirac_frame read in {sorted(read)}"
 
 
+def test_compact_spinor_view_is_read_only_by_fields_spectral_and_nehari():
+    # `mode_view` hands out a compact spinor's mode and (2, 1, 2) view, a
+    # storage format defined in fields.py; the per-mode readers of spectral.py
+    # and nehari.py skip the grid through it, and every other reader reads
+    # `eig`, so the format stays out of the rest of the package
+    defined, read = set(), set()
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "mode_view":
+                defined.add(path.name)
+            elif ((isinstance(node, ast.Name) and node.id == "mode_view")
+                  or (isinstance(node, ast.Attribute) and node.attr == "mode_view")
+                  or (isinstance(node, ast.alias) and node.name == "mode_view")
+                  or (isinstance(node, ast.Constant) and node.value == "mode_view")):
+                read.add(path.name)
+    assert defined == {"fields.py"}, f"mode_view defined in {sorted(defined)}"
+    assert read == {"fields.py", "spectral.py", "nehari.py"}, f"mode_view read in {sorted(read)}"
+
+
 def test_ffts_are_called_only_in_fields():
     # the perfbench tracer and the work-count ceilings see the FFTs through
     # `sshg.fields.np`; a transform called anywhere else escapes both

@@ -250,7 +250,8 @@ def test_inexact_newton_from_a_perturbed_semi_trivial_start(monkeypatch):
     assert rec.res_u + rec.res_psi <= 1e-12
     # a MINRES solve to 1e-12 each step spent 517 iterations here, the
     # sized solves in the plain product metric 137, and in the |H0| metric
-    # (`minmax._abs_metric`) 75; every step runs in the block metric
+    # (`minmax._NewtonMetric`'s per-mode weights alone) 75; every step runs
+    # in the block metric
     assert rec.newton_block_steps == 4
     assert rec.minres_iters == sum(it for _, it in solves) <= 38
     assert rec.minres_capped == 0  # every sized solve met its tolerance
@@ -361,7 +362,7 @@ def test_abs_metric_is_positive_and_even(setup16):
     psi = (geom.side_length * np.sqrt(LAM1)) * basis.eigenspinor(1)
     lin = linearize(u, psi, params)
     for shift in (0.0, 1e-12, 1e-2):
-        inv_w, _ = sshg.minmax._abs_metric(u, lin, params, shift)
+        inv_w = sshg.minmax._NewtonMetric(u, psi, lin, params, shift).inv_w
         w = 1.0 / inv_w
         assert w.shape == (3, geom.grid_n, geom.grid_n)
         assert np.all(np.isfinite(w))
@@ -387,7 +388,8 @@ def test_semi_trivial_blocks_are_the_hessian_there(n, delta):
     u, psi = ScalarField.constant(geom, 0.7), SpinorField.one_mode(geom, eig)
     lin = linearize(u, psi, params)
     semi = sshg.minmax._semi_trivial(u, psi, lin, params)
-    assert semi.mode == mode and semi.eps == 0.0
+    # the eps of a semi-trivial point is of rounding size
+    assert semi.mode == mode and semi.eps < 1e-12
     targets, half = sshg.minmax._block_index(geom, mode, *np.divmod(np.arange(n * n), n))
     # every packed entry lies in one block; a self-paired block holds its
     # spinor mode twice
@@ -426,19 +428,16 @@ def test_block_metric_is_self_adjoint_positive_and_even(setup16):
     transfer = frame_transfer(geom, semi.mode, semi.alpha)
     weight = geom.vol * packed_sobolev_weight(geom)
     for shift in (0.0, 1e-12, 1e-2):
-        inv_w, diag_inner = sshg.minmax._abs_metric(u, lin, params, shift)
-        ki, kj = sshg.minmax._coupled_modes(geom, params.rho, semi, transfer, inv_w)
-        assert len(ki) > 0
-        index = sshg.minmax._block_index(geom, semi.mode, ki, kj)
-        mu, s = sshg.minmax._semi_trivial_blocks(geom, params.rho, semi, transfer, shift, index[0])
-        blocks = sshg.minmax._BlockMetric(geom, index, mu, s, inv_w)
-
-        def inner(a, b):
-            return diag_inner(a, b) + blocks.inner(a, b)
+        metric = sshg.minmax._NewtonMetric(u, psi, lin, params, shift)
+        assert metric.blocks
+        inner = metric.inner
+        ki, kj = sshg.minmax._coupled_modes(geom, params.rho, semi, transfer, metric.inv_w)
+        targets, half = sshg.minmax._block_index(geom, semi.mode, ki, kj)
+        assert np.array_equal(metric.targets, targets)
+        mu, s = sshg.minmax._semi_trivial_blocks(geom, params.rho, semi, transfer, shift, targets)
 
         # W >= the floor on each block's eigenvector of least |eigenvalue|
         lam, vec = np.linalg.eigh(s)
-        targets, half = index
         for k in np.flatnonzero(half == 1.0):
             z = vec[k, :, np.argmin(np.abs(lam[k]))] / np.sqrt(mu[k])
             a = np.zeros((3, geom.grid_n, geom.grid_n), dtype=complex)
@@ -450,7 +449,7 @@ def test_block_metric_is_self_adjoint_positive_and_even(setup16):
             assert inner(a, b) == pytest.approx(inner(b, a), rel=1e-12)
             # W >= the floor, and the solve applies W^{-1}
             assert inner(a, a) >= sshg.minmax.NEWTON_METRIC_FLOOR * np.vdot(a, weight * a).real
-            w_inv_a = blocks.correct(a * inv_w)
+            w_inv_a = metric.solve(a.copy())
             assert inner(w_inv_a, b) == pytest.approx(np.vdot(a, weight * b).real, rel=1e-12)
             # a real u stays real
             scaled = w_inv_a[0]
@@ -472,8 +471,23 @@ def test_newton_direction_beyond_eps_one_is_the_abs_metric_one(setup16):
     d, info, block = sshg.minmax._newton_direction(pt.u, pt.psi, g, params, shift, tol)
     assert not block
 
-    inv_w, inner = sshg.minmax._abs_metric(pt.u, lin, params, shift)
+    # the |H0| metric: W = max(|R H0| + shift, floor) per mode, H0 the
+    # Hessian with u and |psi|^2 replaced by their grid means and the u-psi
+    # coupling dropped, in the H^1 x H^{1/2} inner product
+    a_u = np.mean(lin.uu - lin.uu_dens * lin.dens)
+    rho_c = params.rho * np.mean(np.cosh(pt.u.values))
+    lam = geom.s_abs
+    w = np.stack((np.abs(2.0 * geom.xi_sq + a_u) / (1.0 + geom.xi_sq),
+                  16.0 * np.abs(lam - rho_c) / (1.0 + lam),
+                  16.0 * np.abs(-lam - rho_c) / (1.0 + lam))) + shift
+    w = np.maximum(w, sshg.minmax.NEWTON_METRIC_FLOOR)
+    inv_w, m = 1.0 / w, geom.vol * packed_sobolev_weight(geom) * w
     riesz_w = packed_sobolev_weight(geom)
+
+    def inner(a, b):
+        mb = lin.spec
+        return float(np.vdot(a[0], np.multiply(m[0], b[0], out=mb[0])).real
+                     + np.vdot(a[1:], np.multiply(m[1:], b[1:], out=mb[1:])).real)
 
     def hess_op(x, out):
         h = hess_vec(lin, x, out)

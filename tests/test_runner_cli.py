@@ -235,9 +235,9 @@ def test_records_report_newton_work(tmp_path, monkeypatch):
     # each in the block metric here, and one multiplier solve, its record's
     # (the loop reads its residual off the gradient it holds)
     calls = []
-    orig_newton, orig_minres, orig_solve, orig_blocks = (
+    orig_newton, orig_minres, orig_solve, orig_direction = (
         sshg.minmax.newton_refine, sshg.minmax.minres, sshg.nehari.multiplier_solve,
-        sshg.minmax._block_metric)
+        sshg.minmax._newton_direction)
 
     def newton_refine(*args, **kwargs):
         calls.append({"minres": 0, "iters": 0, "solves": 0, "blocks": 0, "open": True})
@@ -257,14 +257,14 @@ def test_records_report_newton_work(tmp_path, monkeypatch):
             calls[-1]["solves"] += 1
         return orig_solve(*args, **kwargs)
 
-    def block_metric(*args):
-        out = orig_blocks(*args)
-        calls[-1]["blocks"] += out is not None
+    def newton_direction(*args):
+        out = orig_direction(*args)
+        calls[-1]["blocks"] += out[2]
         return out
 
     monkeypatch.setattr(sshg.minmax, "newton_refine", newton_refine)
     monkeypatch.setattr(sshg.minmax, "minres", minres)
-    monkeypatch.setattr(sshg.minmax, "_block_metric", block_metric)
+    monkeypatch.setattr(sshg.minmax, "_newton_direction", newton_direction)
     for module in (sshg.nehari, sshg.minmax):
         monkeypatch.setattr(module, "multiplier_solve", multiplier_solve)
     run(RunConfig.from_dict(base_config(

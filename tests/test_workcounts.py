@@ -29,9 +29,9 @@ accepted descent step leaves u exactly constant.  A Hessian product,
 Newton's or the multiplier solve's, makes two of them, two stacked fft2
 calls, the inverse one conjugated (`action.hess_vec`).  The MINRES
 iterations move by a few at most: each Newton step solves, in the
-absolute-value metric (`minmax._abs_metric`, with the semi-trivial blocks
-of `minmax._BlockMetric` near a semi-trivial point, which every Newton of
-these two configs runs in), only to a tolerance sized to its residual
+absolute-value metric (`minmax._NewtonMetric`, with its semi-trivial
+blocks near a semi-trivial point, which every Newton of these two configs
+runs in), only to a tolerance sized to its residual
 (`minmax.NEWTON_FORCING`), so no solve runs down to the rounding floor,
 where the near-singular orbit directions made the count swing.  The
 ceilings are the counts measured for the two grid-16 configs below, the
